@@ -9,7 +9,16 @@ FUZZTIME ?= 10s
 
 .PHONY: build test bench vet all fmt-check race fuzz-smoke bench-smoke \
 	crossarch test-noasm test-kernels bench-guard live-path pipeline churn \
-	gate obs api-check build-examples ci
+	gate obs api-check build-examples ci bench-pair
+
+# `make bench-pair BASE=<rev> [REPEAT=5]` measures a change the way a
+# performance claim has to be made (docs/PERF.md, bench/README.md): the
+# repository's benchmark, `go run ./bench`, REPEAT whole sets on BASE
+# checked out into a temporary git worktree, the same on the working
+# tree, then `go run ./bench -compare` of the two against
+# BENCHMARK.json's bounds. It is not part of `make ci`: the driver gates
+# a PR on BENCHMARK.json itself.
+REPEAT ?= 5
 
 # Scale of the self-healing churn harness (docs/RING.md). CI runs a
 # reduced ring; raise locally for the full 50-node run.
@@ -54,6 +63,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScheduleRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/erasure
 	$(GO) test -run '^$$' -fuzz '^FuzzPoolOperations$$' -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzWireFrame$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzChunkSum$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # The live data path under the race detector: the multi-node
 # integration harness (concurrent clients + mid-transfer node kill +
@@ -67,11 +77,13 @@ live-path:
 # The streaming pipeline under the race detector and fault injection:
 # windowed out-of-order staging, mixed-version fallback, the hedged
 # read racing a source that stalls or dies mid-stream, the windowed
-# store completing through a slow sink, and the per-source progress
-# contract (replace the silent, spare the moving) — docs/LIVE.md
-# "Streaming pipeline".
+# store completing through a slow sink, the per-source progress
+# contract (replace the silent, spare the moving), and the store
+# pipeline at depth 1, 2 and 4 recycling chunk buffers under slow
+# sinks, a cancel and a failed upload — docs/LIVE.md "Streaming
+# pipeline".
 pipeline:
-	$(GO) test -race -run 'StoreWindow|PreWindowRing|StalledSource|DeadSource|SlowSink|ProgressHedge' \
+	$(GO) test -race -run 'StoreWindow|PreWindowRing|StalledSource|DeadSource|SlowSink|ProgressHedge|StorePipeline' \
 		./internal/node ./internal/core
 
 # Self-healing ring under the race detector: SWIM failure detection,
@@ -116,6 +128,17 @@ bench-guard:
 		| $(GO) run ./cmd/benchguard -baseline BENCH_PR7.json -match 'Live' -tol $(LIVE_GUARD_PCT)
 	$(GO) test -run '^$$' -bench 'Gateway' -benchtime 1s ./gateway \
 		| $(GO) run ./cmd/benchguard -baseline BENCH_PR9.json -match 'Gateway' -tol $(LIVE_GUARD_PCT)
+
+# Results stay in bench/out/pair/{base,change}/result.json. -compare
+# exits non-zero when any row is worse or unresolved.
+bench-pair:
+	@test -n "$(BASE)" || { echo "usage: make bench-pair BASE=<rev> [REPEAT=5]"; exit 2; }
+	@set -e; tmp="$$(mktemp -d)"; out="$(CURDIR)/bench/out/pair"; \
+	trap 'git worktree remove --force "$$tmp/base" >/dev/null 2>&1; rm -rf "$$tmp"' EXIT; \
+	git worktree add --detach "$$tmp/base" "$(BASE)" >/dev/null; \
+	(cd "$$tmp/base" && $(GO) run ./bench -repeat $(REPEAT) -out "$$out/base"); \
+	$(GO) run ./bench -repeat $(REPEAT) -out "$$out/change"; \
+	$(GO) run ./bench -compare "$$out/base/result.json" "$$out/change/result.json"
 
 # Cross-architecture compile checks: the NEON assembly path must keep
 # assembling and vetting (arm64), and the portable fallback must keep

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
 )
 
@@ -21,7 +20,7 @@ type CAT struct {
 type CATRow struct {
 	Start int64 // inclusive
 	End   int64 // exclusive
-	// Sum is the fnv64a fingerprint of the chunk's plaintext bytes
+	// Sum is the XXH64 fingerprint of the chunk's plaintext bytes
 	// (see ChunkSum), 0 when unknown — zero-sized rows, or tables
 	// written before content sums existed. A non-zero Sum makes the
 	// CAT content-addressed: re-storing a name with different bytes
@@ -136,7 +135,7 @@ func UnmarshalCAT(file string, data []byte) (*CAT, error) {
 // stored as a block in the pool.
 func (c *CAT) SizeBytes() int64 { return int64(len(c.Marshal())) }
 
-// Hash returns a stable fingerprint of the table: an fnv64a over the
+// Hash returns a stable fingerprint of the table: an XXH64 over the
 // file name and the marshaled rows. Two CATs hash equal exactly when
 // they describe the same stored layout of the same name, which makes
 // the hash usable as a content version: re-storing a name writes a new
@@ -144,20 +143,15 @@ func (c *CAT) SizeBytes() int64 { return int64(len(c.Marshal())) }
 // chunks, hot-promotion markers) is recognizably stale. Call it only
 // on fully built tables.
 func (c *CAT) Hash() uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(c.File))
-	h.Write([]byte{0})
-	h.Write(c.Marshal())
-	return h.Sum64()
+	b := append(append([]byte(c.File), 0), c.Marshal()...)
+	return xxh64(b)
 }
 
 // ChunkSum fingerprints one chunk's plaintext bytes for CATRow.Sum:
-// an fnv64a, with the reserved "no sum" value 0 remapped so a stored
+// an XXH64, with the reserved "no sum" value 0 remapped so a stored
 // sum is always non-zero.
 func ChunkSum(data []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(data)
-	if s := h.Sum64(); s != 0 {
+	if s := xxh64(data); s != 0 {
 		return s
 	}
 	return 1

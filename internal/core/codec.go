@@ -263,8 +263,10 @@ func ParallelJobsCtx(ctx context.Context, n, workers int, fn func(i int) error) 
 // EncodeFile splits data into the given chunk sizes (as decided by the
 // §4.3 capacity probes), erasure-codes each chunk, and returns the
 // named blocks together with the file's CAT. A zero chunk size emits an
-// empty CAT row and no blocks. Cancelling ctx stops launching chunk
-// jobs and returns the ctx error.
+// empty CAT row and no blocks. The blocks may alias data (see
+// erasure.Code): data must stay unmodified for as long as they are in
+// use. Cancelling ctx stops launching chunk jobs and returns the ctx
+// error.
 func (cd *Codec) EncodeFile(ctx context.Context, file string, data []byte, chunkSizes []int64) ([]NamedBlock, *CAT, error) {
 	jobs, cat, err := splitChunks(file, data, chunkSizes)
 	if err != nil {

@@ -36,6 +36,11 @@ type Code interface {
 	// likely; the stored surplus is chosen for a target loss tolerance).
 	MinNeeded() int
 	// Encode splits chunk into n blocks and returns m encoded blocks.
+	// Encode never writes to chunk, but the returned blocks may alias
+	// it: a systematic code's data blocks (xor, rs) are views of chunk
+	// itself, not copies. The caller must therefore leave chunk
+	// unmodified for as long as any returned block is in use, and must
+	// treat the blocks as read-only.
 	Encode(chunk []byte) ([]Block, error)
 	// Decode reconstructs the chunk of length chunkLen from any
 	// sufficient subset of encoded blocks.
@@ -65,34 +70,29 @@ func blockSize(chunkLen, n int) int {
 	return (chunkLen + n - 1) / n
 }
 
-// split divides chunk into n blocks of equal size, zero-padding the
-// tail. The blocks share one backing array (one allocation instead of
-// n); they are fixed-length views, never appended to.
-func split(chunk []byte, n int) [][]byte {
-	bs := blockSize(len(chunk), n)
-	backing := make([]byte, n*bs)
-	copy(backing, chunk)
-	out := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		out[i] = backing[i*bs : (i+1)*bs : (i+1)*bs]
-	}
-	return out
-}
-
-// splitViews is split without the copy when chunk divides evenly into
-// n blocks (the common case: the paper's 4 MB chunk over 4096 blocks):
-// the returned blocks alias chunk directly. Callers must treat the
-// blocks as read-only and not let them outlive the chunk — the
-// encode-side composite builds qualify, since message views are only
-// ever XOR sources and every emitted block is a fresh buffer.
+// splitViews divides chunk into n blocks of equal size without copying
+// it: every full block aliases chunk, and only the tail — the partial
+// last block zero-padded to size, and any all-padding blocks after it —
+// is a fresh buffer. A chunk that divides evenly (the common case: the
+// paper's 4 MB chunk over 4096 blocks) is not copied at all. The blocks
+// are fixed-length views, never appended to; see Code.Encode for what
+// the aliasing asks of callers.
 func splitViews(chunk []byte, n int) [][]byte {
 	bs := blockSize(len(chunk), n)
-	if n*bs != len(chunk) {
-		return split(chunk, n) // tail needs zero-padding; copy
+	full := n
+	if bs > 0 {
+		full = len(chunk) / bs
 	}
 	out := make([][]byte, n)
-	for i := range out {
+	for i := 0; i < full; i++ {
 		out[i] = chunk[i*bs : (i+1)*bs : (i+1)*bs]
+	}
+	if full < n {
+		tail := make([]byte, (n-full)*bs)
+		copy(tail, chunk[full*bs:])
+		for i := full; i < n; i++ {
+			out[i] = tail[(i-full)*bs : (i-full+1)*bs : (i-full+1)*bs]
+		}
 	}
 	return out
 }
@@ -243,7 +243,7 @@ func (c *XOR) MinNeeded() int { return c.n }
 // Encode implements Code. Block indices 0..n-1 are the data blocks;
 // index n is the parity block.
 func (c *XOR) Encode(chunk []byte) ([]Block, error) {
-	data := split(chunk, c.n)
+	data := splitViews(chunk, c.n)
 	parity := make([]byte, blockSize(len(chunk), c.n))
 	xorBlocksSet(parity, data)
 	out := make([]Block, 0, c.n+1)

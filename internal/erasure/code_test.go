@@ -3,6 +3,7 @@ package erasure
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -195,5 +196,83 @@ func TestSpecOf(t *testing.T) {
 	s := SpecOf(MustXOR(2))
 	if s.DataBlocks != 2 || s.TotalBlocks != 3 || s.MinNeeded != 2 {
 		t.Errorf("SpecOf(xor2) = %+v", s)
+	}
+}
+
+// allocatedBy returns the heap bytes fn allocates (TotalAlloc delta).
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSystematicEncodeAliasesChunk pins the copy the systematic codes
+// no longer make: xor and rs data blocks are views of the chunk, so an
+// Encode allocates its parity and — only when the length does not
+// divide — one zero-padded tail block, never a second copy of the
+// chunk; and it never writes to its input.
+func TestSystematicEncodeAliasesChunk(t *testing.T) {
+	const slack = 32 << 10 // block headers; each large buffer rounds up to a page
+	rng := rand.New(rand.NewSource(31))
+	for _, tc := range []struct {
+		name   string
+		code   Code
+		parity int // parity blocks
+	}{
+		{"xor(2,3)", MustXOR(2), 1},
+		{"rs(8,2)", MustRS(8, 2), 2},
+	} {
+		for _, size := range []int{1 << 20, 1<<20 + 3} {
+			chunk := randChunk(rng, size)
+			orig := append([]byte(nil), chunk...)
+			n := tc.code.DataBlocks()
+			bs := blockSize(size, n)
+			budget := uint64(tc.parity*bs + slack)
+			if size%n != 0 {
+				budget += uint64(bs)
+			}
+			var blocks []Block
+			var err error
+			got := allocatedBy(func() { blocks, err = tc.code.Encode(chunk) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got > budget {
+				t.Errorf("%s, %d bytes: Encode allocated %d, budget %d", tc.name, size, got, budget)
+			}
+			if !bytes.Equal(chunk, orig) {
+				t.Fatalf("%s, %d bytes: Encode modified its input", tc.name, size)
+			}
+			if &blocks[0].Data[0] != &chunk[0] {
+				t.Errorf("%s, %d bytes: data block 0 is a copy, not a view of the chunk", tc.name, size)
+			}
+			dec, err := tc.code.Decode(blocks[tc.parity:], size)
+			if err != nil || !bytes.Equal(dec, orig) {
+				t.Fatalf("%s, %d bytes: decode without the first %d blocks: err %v", tc.name, size, tc.parity, err)
+			}
+		}
+	}
+}
+
+// TestSplitViewsTail covers the shapes where padding spans more than
+// the last block: the partial block and every all-padding block after
+// it must be zero-filled copies, the full blocks views.
+func TestSplitViewsTail(t *testing.T) {
+	for _, tc := range []struct{ size, n int }{{0, 4}, {1, 4}, {5, 4}, {8, 4}, {9, 4}, {1000, 64}} {
+		chunk := randChunk(rand.New(rand.NewSource(int64(tc.size))), tc.size)
+		blocks := splitViews(chunk, tc.n)
+		bs := blockSize(tc.size, tc.n)
+		if len(blocks) != tc.n {
+			t.Fatalf("%d/%d: %d blocks", tc.size, tc.n, len(blocks))
+		}
+		padded := make([]byte, tc.n*bs)
+		copy(padded, chunk)
+		for i, b := range blocks {
+			if !bytes.Equal(b, padded[i*bs:(i+1)*bs]) {
+				t.Fatalf("%d/%d: block %d differs from the zero-padded chunk", tc.size, tc.n, i)
+			}
+		}
 	}
 }

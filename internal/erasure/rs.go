@@ -77,9 +77,9 @@ func (c *RS) EncodedBlocks() int { return c.n + c.k }
 func (c *RS) MinNeeded() int { return c.n }
 
 // Encode implements Code. Blocks 0..n-1 are the data blocks verbatim
-// (systematic); blocks n..n+k-1 are parity.
+// (systematic, views of chunk); blocks n..n+k-1 are parity.
 func (c *RS) Encode(chunk []byte) ([]Block, error) {
-	data := split(chunk, c.n)
+	data := splitViews(chunk, c.n)
 	bs := blockSize(len(chunk), c.n)
 	out := make([]Block, 0, c.n+c.k)
 	for i, d := range data {

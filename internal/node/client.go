@@ -78,8 +78,8 @@ type Config struct {
 	StreamWindow int
 	// PipelineDepth bounds the chunks in flight during a streamed
 	// store (0 selects 2, which overlaps chunk-N encode with chunk-N−1
-	// upload; 1 restores the lockstep read-encode-upload loop). Peak
-	// staging memory grows linearly with the depth.
+	// upload; 1 is the lockstep read-encode-upload loop). Peak staging
+	// memory grows linearly with the depth.
 	PipelineDepth int
 	// CATReplicas is the number of extra CAT copies (0 selects 2,
 	// negative selects none).
@@ -748,23 +748,84 @@ func (c *Client) StoreFileCtx(ctx context.Context, name string, data []byte) (*c
 	return cat, nil
 }
 
+// chunkSource hands a store its chunks in plan order. next returns the
+// following want bytes of the object; they must stay readable and
+// unmodified until release, which the pipeline calls exactly once per
+// chunk it uploads, after every upload call of that chunk has returned
+// — the erasure code's data blocks are views of the chunk (see
+// erasure.Code), so an upload reads the chunk's own memory.
+type chunkSource interface {
+	next(want int64) ([]byte, error)
+	release(chunk []byte)
+}
+
+// readerSource reads each chunk from r into a buffer of its own,
+// recycled through a free list that lives for one store: with at most
+// PipelineDepth chunks in the pipeline it holds at most that many
+// buffers, and nothing is retained once the store returns.
+type readerSource struct {
+	r    io.Reader
+	free chan []byte
+}
+
+func (s *readerSource) next(want int64) ([]byte, error) {
+	var buf []byte
+	select {
+	case buf = <-s.free:
+	default:
+	}
+	if int64(cap(buf)) < want {
+		buf = make([]byte, want)
+	}
+	buf = buf[:want]
+	_, err := io.ReadFull(s.r, buf)
+	return buf, err
+}
+
+func (s *readerSource) release(chunk []byte) { s.free <- chunk }
+
+// bytesSource slices chunks straight out of data the caller already
+// holds: no read, no copy, nothing to recycle.
+type bytesSource struct{ data []byte }
+
+func (s *bytesSource) next(want int64) ([]byte, error) {
+	if want > int64(len(s.data)) {
+		return nil, io.ErrUnexpectedEOF
+	}
+	chunk := s.data[:want:want]
+	s.data = s.data[want:]
+	return chunk, nil
+}
+
+func (*bytesSource) release([]byte) {}
+
 // StoreReader stores size bytes read from r under name, following the
 // given chunk plan (see core.PlanChunkSizes) so at most PipelineDepth
 // chunks and their encoded blocks are in memory at a time — the whole
 // file is never buffered. A producer stage probes, reads, and encodes
 // chunks in plan order while the upload stage ships the previous
 // chunk's blocks, so encode and upload overlap instead of alternating
-// (PipelineDepth 1 restores the strict read-encode-upload lockstep).
-// Each planned chunk is capacity-probed before its bytes are read; a
-// refusal becomes a zero-sized chunk and the planned size is retried
-// at the next chunk number (§4.3), failing after the
+// (PipelineDepth 1 is the strict probe-read-encode-upload lockstep of
+// the same pipeline). Each planned chunk is capacity-probed before its
+// bytes are read; a refusal becomes a zero-sized chunk and the planned
+// size is retried at the next chunk number (§4.3), failing after the
 // consecutive-zero-chunk limit. Blocks larger than one wire segment
 // stream in bounded windowed segments.
 func (c *Client) StoreReader(ctx context.Context, name string, r io.Reader, plan []int64) (*core.CAT, error) {
+	return c.storeChunks(ctx, name, plan, &readerSource{r: r, free: make(chan []byte, c.cfg.PipelineDepth)})
+}
+
+// StoreBytes is StoreReader for an object already in memory: chunks are
+// sliced out of data and uploaded from there, never copied into a
+// chunk buffer first. data must cover the plan and must not be modified
+// until StoreBytes returns.
+func (c *Client) StoreBytes(ctx context.Context, name string, data []byte, plan []int64) (*core.CAT, error) {
+	return c.storeChunks(ctx, name, plan, &bytesSource{data: data})
+}
+
+// storeChunks is the store pipeline behind StoreReader and StoreBytes.
+func (c *Client) storeChunks(ctx context.Context, name string, plan []int64, src chunkSource) (*core.CAT, error) {
 	defer c.met.storeSeconds.Since(time.Now())
-	if c.cfg.PipelineDepth <= 1 {
-		return c.storeReaderSeq(ctx, name, r, plan)
-	}
 	n := int64(c.code.DataBlocks())
 	cat := &core.CAT{File: name}
 	free := make(map[string]int64)
@@ -773,14 +834,20 @@ func (c *Client) StoreReader(ctx context.Context, name string, r io.Reader, plan
 	// upload.
 	type encodedChunk struct {
 		chunk  int
+		data   []byte
 		blocks []erasure.Block
 	}
 	// The producer owns every piece of sequential bookkeeping — the
-	// probe cache, the reader position, CAT row order — and hands
-	// encoded chunks to the upload stage below. Channel capacity
-	// depth−2 bounds the chunks in memory at depth: one being encoded,
-	// depth−2 queued, one being uploaded.
-	jobs := make(chan encodedChunk, c.cfg.PipelineDepth-2)
+	// probe cache, the source position, CAT row order — and hands
+	// encoded chunks to the upload stage below. It takes an inflight
+	// token before it touches a planned chunk and the upload stage
+	// returns the token with the chunk, which bounds the chunks in
+	// memory at PipelineDepth: at 1 the producer cannot start a chunk
+	// until the one before is fully uploaded. jobs has room for every
+	// token holder, so handing a chunk over never blocks.
+	depth := c.cfg.PipelineDepth
+	inflight := make(chan struct{}, depth)
+	jobs := make(chan encodedChunk, depth)
 	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var prodErr error
@@ -795,6 +862,12 @@ func (c *Client) StoreReader(ctx context.Context, name string, r io.Reader, plan
 		for _, want := range plan {
 			if want <= 0 {
 				prodErr = fmt.Errorf("node: store %s: bad planned chunk size %d", name, want)
+				return
+			}
+			select {
+			case inflight <- struct{}{}:
+			case <-pctx.Done():
+				prodErr = pctx.Err()
 				return
 			}
 			for {
@@ -823,11 +896,8 @@ func (c *Client) StoreReader(ctx context.Context, name string, r io.Reader, plan
 					continue
 				}
 				zeroRun = 0
-				// A fresh buffer per chunk: the encoded data blocks
-				// alias it, and the upload stage may still be reading
-				// the previous chunk's buffer.
-				data := make([]byte, want)
-				if _, err := io.ReadFull(r, data); err != nil {
+				data, err := src.next(want)
+				if err != nil {
 					prodErr = fmt.Errorf("node: store %s: read chunk %d: %w", name, chunk, err)
 					return
 				}
@@ -841,12 +911,7 @@ func (c *Client) StoreReader(ctx context.Context, name string, r io.Reader, plan
 				}
 				cat.Rows = append(cat.Rows, core.CATRow{Start: pos, End: pos + want, Sum: core.ChunkSum(data)})
 				pos += want
-				select {
-				case jobs <- encodedChunk{chunk: chunk, blocks: ebs}:
-				case <-pctx.Done():
-					prodErr = pctx.Err()
-					return
-				}
+				jobs <- encodedChunk{chunk: chunk, data: data, blocks: ebs}
 				chunk++
 				break
 			}
@@ -856,19 +921,23 @@ func (c *Client) StoreReader(ctx context.Context, name string, r io.Reader, plan
 	var upErr error
 	for job := range jobs {
 		if upErr != nil {
-			continue // drain so the producer is never stuck on its send
+			continue // the producer is stopping; nothing more goes up
 		}
-		err := core.ParallelJobsCtx(ctx, len(job.blocks), c.transfers(), func(i int) error {
+		// ParallelJobsCtx returns only when every upload call it started
+		// has: success, error or cancel, no storeBlock still reads the
+		// chunk when it goes back to the source.
+		upErr = core.ParallelJobsCtx(ctx, len(job.blocks), c.transfers(), func(i int) error {
 			bn := core.BlockName(name, job.chunk, job.blocks[i].Index)
 			if err := c.storeBlock(ctx, bn, job.blocks[i].Data); err != nil {
 				return fmt.Errorf("node: store block %s: %w", bn, err)
 			}
 			return nil
 		})
-		if err != nil {
-			upErr = err
+		src.release(job.data)
+		if upErr != nil {
 			cancel() // stop the producer promptly
 		}
+		<-inflight
 	}
 	wg.Wait()
 	if upErr != nil {
@@ -876,82 +945,6 @@ func (c *Client) StoreReader(ctx context.Context, name string, r io.Reader, plan
 	}
 	if prodErr != nil {
 		return nil, prodErr
-	}
-	if err := c.storeCAT(ctx, cat); err != nil {
-		return nil, err
-	}
-	return cat, nil
-}
-
-// storeReaderSeq is the PipelineDepth-1 lockstep form of StoreReader:
-// one chunk is probed, read, encoded, and fully uploaded before the
-// next one is touched, reusing a single chunk buffer — the minimal-
-// memory shape the pipelined form trades a bounded multiple of for
-// overlap.
-func (c *Client) storeReaderSeq(ctx context.Context, name string, r io.Reader, plan []int64) (*core.CAT, error) {
-	n := int64(c.code.DataBlocks())
-	cat := &core.CAT{File: name}
-	free := make(map[string]int64)
-	var buf []byte
-	pos := int64(0)
-	chunk := 0
-	zeroRun := 0
-	for _, want := range plan {
-		if want <= 0 {
-			return nil, fmt.Errorf("node: store %s: bad planned chunk size %d", name, want)
-		}
-		for {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			perBlock, owners, err := c.probeChunk(ctx, name, chunk, free)
-			if err != nil {
-				return nil, err
-			}
-			blockBytes := (want + n - 1) / n
-			if perBlock < blockBytes {
-				// This chunk's owners cannot hold the planned blocks:
-				// emit a zero-sized chunk and retry the same planned
-				// size at the next chunk number.
-				c.met.probeRejects.Inc()
-				cat.Rows = append(cat.Rows, core.CATRow{Start: pos, End: pos})
-				chunk++
-				zeroRun++
-				if zeroRun > c.cfg.MaxZeroChunks {
-					return nil, fmt.Errorf("node: store %s: %w", name, core.ErrStoreFailed)
-				}
-				continue
-			}
-			zeroRun = 0
-			if int64(cap(buf)) < want {
-				buf = make([]byte, want)
-			}
-			data := buf[:want]
-			if _, err := io.ReadFull(r, data); err != nil {
-				return nil, fmt.Errorf("node: store %s: read chunk %d: %w", name, chunk, err)
-			}
-			ebs, err := c.code.Encode(data)
-			if err != nil {
-				return nil, fmt.Errorf("node: store %s: encode chunk %d: %w", name, chunk, err)
-			}
-			err = core.ParallelJobsCtx(ctx, len(ebs), c.transfers(), func(i int) error {
-				bn := core.BlockName(name, chunk, ebs[i].Index)
-				if err := c.storeBlock(ctx, bn, ebs[i].Data); err != nil {
-					return fmt.Errorf("node: store block %s: %w", bn, err)
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			for addr, names := range owners {
-				free[addr] -= int64(len(names)) * blockBytes
-			}
-			cat.Rows = append(cat.Rows, core.CATRow{Start: pos, End: pos + want, Sum: core.ChunkSum(data)})
-			pos += want
-			chunk++
-			break
-		}
 	}
 	if err := c.storeCAT(ctx, cat); err != nil {
 		return nil, err

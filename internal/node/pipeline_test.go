@@ -9,7 +9,6 @@ import (
 
 	"peerstripe/internal/core"
 	"peerstripe/internal/erasure"
-	"peerstripe/internal/ids"
 	"peerstripe/internal/wire"
 )
 
@@ -20,18 +19,7 @@ import (
 // the name and the victim's ring index.
 func victimFile(t *testing.T, ring []wire.NodeInfo, prefix string, chunks, m, tolerance, catReplicas int) (string, int) {
 	t.Helper()
-	ownerIdx := func(name string) int {
-		o, err := OwnerOf(ring, ids.FromName(name))
-		if err != nil {
-			return -1
-		}
-		for i, n := range ring {
-			if n.ID == o.ID {
-				return i
-			}
-		}
-		return -1
-	}
+	ownerIdx := func(name string) int { return ownerIndex(ring, name) }
 	for try := 0; try < 256; try++ {
 		name := fmt.Sprintf("%s-%03d.dat", prefix, try)
 		victim := ownerIdx(core.BlockName(name, 0, 0))

@@ -270,15 +270,7 @@ func proxiedRing(t testing.TB, n int, capacity int64, seed int64, maxDelay time.
 // of every listed file survives: it owns at most tolerance blocks per
 // chunk and at least one CAT replica of each file lives elsewhere.
 func safeVictim(ring []wire.NodeInfo, files map[string]int, m, tolerance, catReplicas int) int {
-	owner := func(name string) int {
-		o, _ := OwnerOf(ring, ids.FromName(name))
-		for i, n := range ring {
-			if n.ID == o.ID {
-				return i
-			}
-		}
-		return -1
-	}
+	owner := func(name string) int { return ownerIndex(ring, name) }
 	for cand := range ring {
 		ok := true
 		for file, chunks := range files {

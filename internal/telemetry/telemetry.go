@@ -468,15 +468,20 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // snapshotFamilies copies the family list (and each family's label
-// order) under the registration lock, so iteration runs unlocked —
-// value reads are atomic, and fn callbacks may take their own locks.
+// order and metric table) under the registration lock, so iteration
+// runs unlocked — value reads are atomic, and fn callbacks may take
+// their own locks. The metric table is copied, not shared: get inserts
+// into the live one whenever a new label set is first used.
 func (r *Registry) snapshotFamilies() []*family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]*family, 0, len(r.order))
 	for _, name := range r.order {
 		f := r.families[name]
-		cp := &family{name: f.name, help: f.help, kind: f.kind, metrics: f.metrics}
+		cp := &family{name: f.name, help: f.help, kind: f.kind, metrics: make(map[string]*metric, len(f.metrics))}
+		for ls, m := range f.metrics {
+			cp.metrics[ls] = m
+		}
 		cp.order = append([]string(nil), f.order...)
 		out = append(out, cp)
 	}

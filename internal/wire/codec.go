@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -37,29 +36,19 @@ const (
 
 var errFrameCorrupt = errors.New("wire: corrupt v2 frame")
 
-type frameWriter struct{ buf *bytes.Buffer }
+type frameWriter struct{ buf *frameBuf }
 
-func (w frameWriter) u8(v byte) { w.buf.WriteByte(v) }
-func (w frameWriter) u32(v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	w.buf.Write(b[:])
-}
-func (w frameWriter) u64(v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	w.buf.Write(b[:])
-}
-func (w frameWriter) i64(v int64) { w.u64(uint64(v)) }
+func (w frameWriter) u8(v byte)    { w.buf.b = append(w.buf.b, v) }
+func (w frameWriter) u32(v uint32) { w.buf.b = binary.BigEndian.AppendUint32(w.buf.b, v) }
+func (w frameWriter) u64(v uint64) { w.buf.b = binary.BigEndian.AppendUint64(w.buf.b, v) }
+func (w frameWriter) i64(v int64)  { w.u64(uint64(v)) }
 func (w frameWriter) str(s string) {
-	var b [2]byte
-	binary.BigEndian.PutUint16(b[:], uint16(len(s)))
-	w.buf.Write(b[:])
-	w.buf.WriteString(s)
+	w.buf.b = binary.BigEndian.AppendUint16(w.buf.b, uint16(len(s)))
+	w.buf.b = append(w.buf.b, s...)
 }
-func (w frameWriter) blob(p []byte) { w.u32(uint32(len(p))); w.buf.Write(p) }
+func (w frameWriter) blob(p []byte) { w.u32(uint32(len(p))); w.buf.b = append(w.buf.b, p...) }
 func (w frameWriter) node(n NodeInfo) {
-	w.buf.Write(n.ID[:])
+	w.buf.b = append(w.buf.b, n.ID[:]...)
 	w.str(n.Addr)
 }
 
@@ -158,13 +147,16 @@ func (r *frameReader) done() error {
 }
 
 // writeV2 frames one encoded message: body assembled in a pooled
-// buffer behind a 4-byte length prefix, one Write call.
-func writeV2(w io.Writer, encode func(frameWriter)) error {
+// buffer behind a 4-byte length prefix, one Write call. payload is the
+// size of the message's byte blob, the one part of a frame that can be
+// large; the buffer is sized for it up front.
+func writeV2(w io.Writer, payload int, encode func(frameWriter)) error {
 	buf := getFrameBuf()
 	defer putFrameBuf(buf)
-	buf.Write(make([]byte, 4))
+	buf.reserve(payload + frameHeaderSlack)
+	buf.b = append(buf.b, 0, 0, 0, 0)
 	encode(frameWriter{buf})
-	b := buf.Bytes()
+	b := buf.b
 	n := len(b) - 4
 	if n > MaxFrame {
 		return fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
@@ -196,7 +188,7 @@ func writeRequestV2(w io.Writer, req *Request) error {
 			return fmt.Errorf("wire: request name of %d bytes too long", len(n))
 		}
 	}
-	return writeV2(w, func(fw frameWriter) {
+	return writeV2(w, len(req.Data), func(fw frameWriter) {
 		fw.u8(kindRequest)
 		fw.u64(req.ID)
 		fw.str(string(req.Op))
@@ -242,7 +234,7 @@ func writeResponseV2(w io.Writer, resp *Response) error {
 			return fmt.Errorf("wire: ring address of %d bytes too long", len(n.Addr))
 		}
 	}
-	return writeV2(w, func(fw frameWriter) {
+	return writeV2(w, len(resp.Data), func(fw frameWriter) {
 		fw.u8(kindResponse)
 		fw.u64(resp.ID)
 		var flags byte

@@ -468,3 +468,71 @@ func TestFrameSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("readRequestV2 allocates %.0f/op, want <= 12", v2reads)
 	}
 }
+
+// capWriter records the capacity and backing array of the last slice
+// written to it: writeV2 hands its whole frame buffer to one Write.
+type capWriter struct {
+	cap  int
+	base *byte
+}
+
+func (w *capWriter) Write(p []byte) (int, error) {
+	w.cap, w.base = cap(p), &p[0]
+	return len(p), nil
+}
+
+// TestFullSegmentFramePooled pins the pool's size cap against the
+// frames the data path actually sends: a frame carrying one full
+// DefaultSegment of payload is a segment plus its header, and on both
+// the sending and the receiving side its buffer must fit
+// maxPooledFrame and come back for the next frame. With the cap at
+// exactly one segment, every such buffer went to the garbage collector.
+func TestFullSegmentFramePooled(t *testing.T) {
+	req := EncodeStoreWindow("object.bin_3_1", WindowSegment{
+		Stream: 1 << 60, Seq: 1, Total: 2, Size: 2 * DefaultSegment, Seg: DefaultSegment,
+	}, make([]byte, DefaultSegment))
+	var frame bytes.Buffer
+	if err := writeRequestV2(&frame, req); err != nil {
+		t.Fatal(err)
+	}
+	raw := frame.Bytes()
+
+	// sync.Pool may drop an entry (it does so at random under the race
+	// detector, and at a GC), so reuse is required of some frame in a
+	// run, not of every one.
+	const frames = 8
+	var w capWriter
+	var last *byte
+	reused := false
+	for i := 0; i < frames; i++ {
+		if err := writeRequestV2(&w, req); err != nil {
+			t.Fatal(err)
+		}
+		if w.cap > maxPooledFrame {
+			t.Fatalf("send buffer of a full-segment frame has capacity %d, above the pool's cap %d", w.cap, maxPooledFrame)
+		}
+		reused = reused || w.base == last
+		last = w.base
+	}
+	if !reused {
+		t.Errorf("no send buffer was reused across %d full-segment frames", frames)
+	}
+
+	last, reused = nil, false
+	for i := 0; i < frames; i++ {
+		err := readFrameBody(bytes.NewReader(raw), func(body []byte) error {
+			if cap(body) > maxPooledFrame {
+				t.Fatalf("receive buffer of a full-segment frame has capacity %d, above the pool's cap %d", cap(body), maxPooledFrame)
+			}
+			reused = reused || &body[0] == last
+			last = &body[0]
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reused {
+		t.Errorf("no receive buffer was reused across %d full-segment frames", frames)
+	}
+}

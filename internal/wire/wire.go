@@ -108,21 +108,49 @@ const MaxFrame = 64 << 20
 // body cannot force a MaxFrame allocation.
 const frameGrowStep = 1 << 20
 
-// maxPooledFrame caps the capacity of buffers returned to the pool;
-// the occasional giant frame is let go to the GC instead of pinning
-// tens of megabytes per pooled buffer.
-const maxPooledFrame = 4 << 20
+// frameHeaderSlack is the room a frame buffer keeps for everything in
+// a frame but its payload: length prefix, op, names, segment control
+// fields, a node descriptor.
+const frameHeaderSlack = 4 << 10
 
-var framePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// maxPooledFrame caps the capacity of buffers returned to the pool: a
+// frame carrying one full transfer segment, the largest the data path
+// sends in steady state, must fit. The occasional giant frame is let go
+// to the GC instead of pinning tens of megabytes per pooled buffer.
+const maxPooledFrame = DefaultSegment + frameHeaderSlack
 
-func getFrameBuf() *bytes.Buffer {
-	buf := framePool.Get().(*bytes.Buffer)
-	buf.Reset()
+// frameBuf is a pooled frame buffer. Where bytes.Buffer at least
+// doubles when it grows — which takes a buffer that must hold one
+// segment and its header to two segments, past maxPooledFrame — a
+// frameBuf can be grown to an exact size.
+type frameBuf struct{ b []byte }
+
+// Write appends p; it is the io.Writer the v1 gob encoder needs.
+func (f *frameBuf) Write(p []byte) (int, error) {
+	f.b = append(f.b, p...)
+	return len(p), nil
+}
+
+// reserve makes room for n more bytes, with no capacity to spare when
+// that takes a new backing array.
+func (f *frameBuf) reserve(n int) {
+	if cap(f.b)-len(f.b) < n {
+		b := make([]byte, len(f.b), len(f.b)+n)
+		copy(b, f.b)
+		f.b = b
+	}
+}
+
+var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
+
+func getFrameBuf() *frameBuf {
+	buf := framePool.Get().(*frameBuf)
+	buf.b = buf.b[:0]
 	return buf
 }
 
-func putFrameBuf(buf *bytes.Buffer) {
-	if buf.Cap() <= maxPooledFrame {
+func putFrameBuf(buf *frameBuf) {
+	if cap(buf.b) <= maxPooledFrame {
 		framePool.Put(buf)
 	}
 }
@@ -133,11 +161,11 @@ func putFrameBuf(buf *bytes.Buffer) {
 func WriteFrame(w io.Writer, v any) error {
 	buf := getFrameBuf()
 	defer putFrameBuf(buf)
-	buf.Write(make([]byte, 4)) // length prefix, patched below
+	buf.b = append(buf.b, 0, 0, 0, 0) // length prefix, patched below
 	if err := gob.NewEncoder(buf).Encode(v); err != nil {
 		return fmt.Errorf("wire: encode: %w", err)
 	}
-	b := buf.Bytes()
+	b := buf.b
 	n := len(b) - 4
 	if n > MaxFrame {
 		return fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
@@ -148,32 +176,38 @@ func WriteFrame(w io.Writer, v any) error {
 }
 
 // readFrameBody reads one length-prefixed frame body into a pooled
-// buffer that grows with the bytes actually received — never trusting
-// the header's length for the allocation — and hands it to use. The
-// buffer is released afterwards, so use must not retain it.
+// buffer that grows with the bytes actually received — each step at
+// most doubles what has arrived, never trusting the header's length
+// for the allocation, and the last step lands on the frame's exact
+// size — and hands it to use. The buffer is released afterwards, so use
+// must not retain it.
 func readFrameBody(r io.Reader, use func([]byte) error) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return fmt.Errorf("wire: incoming frame of %d bytes exceeds limit", n)
+	size := binary.BigEndian.Uint32(hdr[:])
+	if size > MaxFrame {
+		return fmt.Errorf("wire: incoming frame of %d bytes exceeds limit", size)
 	}
+	n := int(size)
 	buf := getFrameBuf()
 	defer putFrameBuf(buf)
-	if pre := int(n); pre <= frameGrowStep {
-		buf.Grow(pre)
-	} else {
-		buf.Grow(frameGrowStep)
-	}
-	if _, err := io.CopyN(buf, r, int64(n)); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	for got := 0; got < n; got = len(buf.b) {
+		step := n - got
+		if cap(buf.b) < n {
+			step = min(step, max(got, frameGrowStep))
+			buf.reserve(step)
 		}
-		return err
+		buf.b = buf.b[:got+step]
+		if _, err := io.ReadFull(r, buf.b[got:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
 	}
-	return use(buf.Bytes())
+	return use(buf.b)
 }
 
 // ReadFrame reads one length-prefixed gob value into v.

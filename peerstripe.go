@@ -37,7 +37,6 @@
 package peerstripe
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -124,8 +123,20 @@ func (c *Client) Store(ctx context.Context, name string, r io.Reader, size int64
 	if size < 0 {
 		return nil, fmt.Errorf("peerstripe: store %q: negative size %d", name, size)
 	}
-	plan := core.PlanChunkSizes(size, c.opts.maxChunk())
-	cat, err := c.c.StoreReader(ctx, name, r, plan)
+	cat, err := c.c.StoreReader(ctx, name, r, core.PlanChunkSizes(size, c.opts.maxChunk()))
+	return c.stored(ctx, name, cat, err)
+}
+
+// StoreBytes is Store for in-memory data: chunks are coded and uploaded
+// straight from data, which must not be modified until StoreBytes
+// returns.
+func (c *Client) StoreBytes(ctx context.Context, name string, data []byte) (*FileInfo, error) {
+	cat, err := c.c.StoreBytes(ctx, name, data, core.PlanChunkSizes(int64(len(data)), c.opts.maxChunk()))
+	return c.stored(ctx, name, cat, err)
+}
+
+// stored finishes a store of name that produced cat or failed with err.
+func (c *Client) stored(ctx context.Context, name string, cat *core.CAT, err error) (*FileInfo, error) {
 	if err != nil {
 		return nil, fmt.Errorf("peerstripe: store %q: %w", name, err)
 	}
@@ -141,11 +152,6 @@ func (c *Client) Store(ctx context.Context, name string, r io.Reader, size int64
 	defer cancel()
 	c.c.DemoteCtx(demoteCtx, name) //nolint:errcheck
 	return &FileInfo{Name: name, Size: cat.FileSize(), Chunks: cat.NumChunks()}, nil
-}
-
-// StoreBytes is Store for in-memory data.
-func (c *Client) StoreBytes(ctx context.Context, name string, data []byte) (*FileInfo, error) {
-	return c.Store(ctx, name, bytes.NewReader(data), int64(len(data)))
 }
 
 // Stat returns the stored file's description without fetching its

@@ -131,6 +131,48 @@ func TestStoreOpenRoundTripStreaming(t *testing.T) {
 	}
 }
 
+// TestETagTracksContent pins what the gateway's validators rest on: the
+// tag is a function of the stored bytes, not only of the layout. Two
+// stores of one name with the same size — hence the same chunk extents
+// — but different bytes must carry different tags, through Store and
+// through StoreBytes, and the same bytes stored again the same tag.
+func TestETagTracksContent(t *testing.T) {
+	_, seed := testRing(t, 3, 1<<30)
+	c := dialTest(t, seed, peerstripe.WithCode("xor"), peerstripe.WithChunkCap(64<<10))
+	ctx := context.Background()
+	tag := func() string {
+		t.Helper()
+		f, err := c.Open(ctx, "etag.dat")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		return f.ETag()
+	}
+	a := make([]byte, 200<<10)
+	rand.New(rand.NewSource(41)).Read(a)
+	b := append([]byte(nil), a...)
+	b[len(b)-1] ^= 1 // one bit, in the last chunk
+
+	if _, err := c.StoreBytes(ctx, "etag.dat", a); err != nil {
+		t.Fatal(err)
+	}
+	tagA := tag()
+	if _, err := c.StoreBytes(ctx, "etag.dat", b); err != nil {
+		t.Fatal(err)
+	}
+	tagB := tag()
+	if tagA == tagB {
+		t.Fatalf("one flipped bit under an identical layout kept ETag %s", tagA)
+	}
+	if _, err := c.Store(ctx, "etag.dat", bytes.NewReader(a), int64(len(a))); err != nil {
+		t.Fatal(err)
+	}
+	if got := tag(); got != tagA {
+		t.Fatalf("Store of the bytes StoreBytes tagged %s is tagged %s", tagA, got)
+	}
+}
+
 // TestReadAtFetchesOnlyNeededChunks pins the §4.1 ranged-read
 // property on the public surface: a ReadAt inside one chunk costs at
 // most that chunk's hedged block wave, and a cache hit costs nothing.

@@ -5,6 +5,8 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -165,4 +167,46 @@ func TestWindowedStoreBoundedMemory(t *testing.T) {
 	}
 	t.Logf("peak heap growth %d MiB for a %d MiB windowed store (%d windowed ops)",
 		growth>>20, fileSize>>20, totalWindowOps(servers))
+}
+
+// TestStoreBytesAllocBudget pins the copies the store path no longer
+// makes. Storing a 1 MiB object under the (2,3) xor code has to
+// allocate the parity block on the client (0.5 B per user byte) and
+// the stored blocks on the nodes (1.5, in this process too); frame
+// buffers are pooled. A chunk buffer the caller's bytes are first
+// copied into, or data blocks that are copies of the chunk, each add a
+// whole byte per byte (the total was 4.0 with both).
+func TestStoreBytesAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting distorted under the race detector")
+	}
+	const (
+		size   = 1 << 20
+		budget = 2.5 // bytes allocated, process-wide, per user byte
+	)
+	_, seed := testRing(t, 3, 1<<30)
+	c := dialTest(t, seed, peerstripe.WithCode("xor"))
+	data := make([]byte, size)
+	rand.New(rand.NewSource(13)).Read(data)
+	ctx := context.Background()
+
+	// A collection empties the frame pools, and each refill is half a
+	// byte per byte of noise; the few MiB this test allocates can wait.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var perByte []float64
+	for i := 0; i < 7; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := c.StoreBytes(ctx, "budget.dat", data); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if i >= 2 { // the first two fill the frame pools and open connections
+			perByte = append(perByte, float64(after.TotalAlloc-before.TotalAlloc)/size)
+		}
+	}
+	sort.Float64s(perByte)
+	if median := perByte[len(perByte)/2]; median > budget {
+		t.Fatalf("StoreBytes allocates %.2f B per user byte (median of %v), budget %.1f", median, perByte, budget)
+	}
 }
