@@ -64,12 +64,15 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPoolOperations$$' -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzWireFrame$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkSum$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzRangeRead$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRange$$' -fuzztime $(FUZZTIME) ./gateway
 
 # The live data path under the race detector: the multi-node
 # integration harness (concurrent clients + mid-transfer node kill +
-# repair), the fault-injection proxy tests, and the wire
-# protocol-compatibility suite — native and on the noasm portable
-# kernels (docs/LIVE.md).
+# repair), the fault-injection proxy tests — whole-chunk degraded reads
+# and partial-chunk ranged reads against a dead, empty-handed, lying or
+# stalled holder — and the wire protocol-compatibility suite — native
+# and on the noasm portable kernels (docs/LIVE.md).
 live-path:
 	$(GO) test -race -run 'Live|Integration' ./...
 	$(GO) test -tags noasm -race -run 'Live|Integration' ./...

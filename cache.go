@@ -137,6 +137,17 @@ func (c *chunkCache) chunk(ctx context.Context, name string, ver uint64, ci int,
 	}
 }
 
+// known reports whether the keyed chunk is cached or being fetched — a
+// chunk read through chunk() would cost no fetch of its own.
+func (c *chunkCache) known(name string, ver uint64, ci int) bool {
+	key := chunkKey{name, ver, ci}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, cached := c.entries[key]
+	_, inFlight := c.flights[key]
+	return cached || inFlight
+}
+
 func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
@@ -217,19 +228,25 @@ func (c *chunkCache) invalidate(name string) {
 // counter-silent: hits and misses are accounted once, at the File
 // layer, not again per decode attempt.
 func (c *chunkCache) GetChunk(cat *core.CAT, ci int) ([]byte, bool) {
+	key := chunkKey{cat.File, cat.Hash(), ci} // hashed outside the lock
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[chunkKey{cat.File, cat.Hash(), ci}]; ok {
+	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
 		return el.Value.(*cacheEntry).data, true
 	}
 	return nil, false
 }
 
-// PutChunk implements core.ChunkCache.
+// PutChunk implements core.ChunkCache. A chunk with a flight in progress
+// is left to the flight's leader, which admits its own result exactly
+// once — or not at all when an invalidate overtook it.
 func (c *chunkCache) PutChunk(cat *core.CAT, ci int, data []byte) {
+	key := chunkKey{cat.File, cat.Hash(), ci}
 	c.mu.Lock()
-	c.storeLocked(chunkKey{cat.File, cat.Hash(), ci}, data)
+	if _, leading := c.flights[key]; !leading {
+		c.storeLocked(key, data)
+	}
 	c.mu.Unlock()
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"testing"
+
+	"peerstripe/internal/core"
 )
 
 // TestCacheVersionedKeysIsolateLayouts pins that the cache key carries
@@ -95,5 +97,61 @@ func TestCacheInvalidateDoomsInflightFetch(t *testing.T) {
 	c.mu.Unlock()
 	if entries != 0 || size != 0 {
 		t.Fatalf("doomed flight repopulated the cache: %d entries, %d bytes", entries, size)
+	}
+}
+
+// TestCacheGetChunkAllocFree pins the lookup the decode paths make per
+// chunk: keyed on the CAT's memoised hash, it neither marshals the
+// table nor allocates, hit or miss.
+func TestCacheGetChunkAllocFree(t *testing.T) {
+	c := newChunkCache(1 << 20)
+	cat := &core.CAT{File: "f", Rows: []core.CATRow{{Start: 0, End: 3, Sum: 9}, {Start: 3, End: 6, Sum: 9}}}
+	c.PutChunk(cat, 0, []byte("abc"))
+	if data, ok := c.GetChunk(cat, 0); !ok || string(data) != "abc" {
+		t.Fatalf("GetChunk after PutChunk: %q, %v", data, ok)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		c.GetChunk(cat, 0)
+		c.GetChunk(cat, 1)
+	}); allocs != 0 {
+		t.Fatalf("GetChunk allocates %.1f times per hit+miss, want 0", allocs)
+	}
+}
+
+// TestCacheFlightLeaderAdmitsOnce pins the single insert of a File
+// miss: the decode underneath the flight offers its chunk through
+// PutChunk, which must leave it to the flight's leader — one insert,
+// and none at all when an invalidate overtook the flight.
+func TestCacheFlightLeaderAdmitsOnce(t *testing.T) {
+	c := newChunkCache(1 << 20)
+	cat := &core.CAT{File: "f", Rows: []core.CATRow{{Start: 0, End: 4, Sum: 9}}}
+	held := func() int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(c.entries)
+	}
+	fetch := func(overtaken bool) {
+		t.Helper()
+		_, err := c.chunk(context.Background(), "f", cat.Hash(), 0, 4, func() ([]byte, error) {
+			if overtaken {
+				c.invalidate("f")
+			}
+			c.PutChunk(cat, 0, []byte("data"))
+			if n := held(); n != 0 {
+				t.Errorf("PutChunk under a flight inserted %d entries", n)
+			}
+			return []byte("data"), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	fetch(true)
+	if n := held(); n != 0 {
+		t.Fatalf("an overtaken flight left %d entries", n)
+	}
+	fetch(false)
+	if n := held(); n != 1 {
+		t.Fatalf("a flight left %d entries, want 1", n)
 	}
 }

@@ -12,14 +12,31 @@ import (
 )
 
 // File is an open handle on a stored file, implementing io.Reader,
-// io.Seeker, io.ReaderAt, and io.Closer over the ring. Reads decode at
-// chunk granularity and fetch only the chunks the requested range
-// covers (§4.1). Decoded chunks land in the Client's shared cache — an
+// io.Seeker, io.ReaderAt, and io.Closer over the ring. Reads fetch only
+// what the requested range covers (§4.1), in one of two ways.
+//
+// Scans — every Read, a ReadAt that starts where the handle's previous
+// read ended, and any piece that spans a whole chunk — decode at chunk
+// granularity. Decoded chunks land in the Client's shared cache — an
 // LRU bounded by WithChunkCache and keyed on (name, chunk), so every
 // handle and every request on the client reuses them — and each cold
 // chunk is fetched and decoded exactly once no matter how many readers
-// race for it (per-chunk singleflight). All methods are safe for
-// concurrent use (concurrent ReadAt, as io.ReaderAt requires).
+// race for it (per-chunk singleflight).
+//
+// Any other ReadAt is a random access: where it covers part of a chunk
+// that is neither cached nor being fetched, and the erasure code is
+// systematic (null, xor, rs — not online), it moves only the byte
+// ranges of the data blocks that hold those bytes, rebuilding a range
+// from the other blocks' when its holder is gone, refuses or stalls
+// past the hedge delay. Those bytes go straight to the caller and are
+// not admitted to the cache: caching a 16 MiB chunk to serve 1 MiB is
+// what makes small random reads over a file larger than the cache
+// thrash it. The cost is that a hot set read only by small random
+// ReadAts never warms the cache. Like every decode, ranged bytes are
+// not verified against the chunk's content sum.
+//
+// All methods are safe for concurrent use (concurrent ReadAt, as
+// io.ReaderAt requires).
 //
 // The context passed to Open governs every read on the File:
 // cancelling it makes in-flight and future reads fail promptly with
@@ -41,6 +58,10 @@ type File struct {
 	posMu sync.Mutex
 	pos   int64
 
+	// next is the offset at which the handle's previous read ended, -1
+	// before the first: a ReadAt that starts there continues a scan.
+	next atomic.Int64
+
 	closed atomic.Bool
 
 	// Hot-promotion state, resolved lazily on the first chunk miss:
@@ -61,7 +82,9 @@ func (c *Client) Open(ctx context.Context, name string) (*File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("peerstripe: open %q: %w", name, err)
 	}
-	return &File{cl: c, ctx: ctx, cat: cat, name: name, ver: cat.Hash()}, nil
+	f := &File{cl: c, ctx: ctx, cat: cat, name: name, ver: cat.Hash()}
+	f.next.Store(-1)
+	return f, nil
 }
 
 // Name returns the ring-wide file name.
@@ -143,10 +166,34 @@ func (f *File) chunk(ci int) ([]byte, error) {
 	})
 }
 
+// readPiece fills dst with bytes [lo, lo+len(dst)) of chunk ci. One
+// rule separates the two regimes described on File: a piece of a scan,
+// a piece that is the whole chunk, and a piece of a chunk that is
+// cached or already being fetched go through the shared cache; any
+// other piece under a systematic code moves block ranges and leaves
+// the cache — and the hot-promotion marker — alone.
+func (f *File) readPiece(dst []byte, ci int, lo int64, scan bool) error {
+	if f.cl.ranged && !scan && int64(len(dst)) < f.cat.Row(ci).Len() && !f.cl.cache.known(f.name, f.ver, ci) {
+		return f.cl.c.FetchChunkRange(f.ctx, f.cat, ci, lo, dst)
+	}
+	chunk, err := f.chunk(ci)
+	if err != nil {
+		return err
+	}
+	copy(dst, chunk[lo:])
+	return nil
+}
+
 // ReadAt implements io.ReaderAt: it fills p from offset off, fetching
-// and decoding only the chunks [off, off+len(p)) intersects. At end of
-// file it returns the bytes read and io.EOF.
+// only what [off, off+len(p)) covers — see File for what moves and
+// what is cached. At end of file it returns the bytes read and io.EOF.
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
+	return f.readAt(p, off, false)
+}
+
+// readAt is ReadAt; scan marks a read that is sequential by
+// construction (Read), where ReadAt has to infer it from the offset.
+func (f *File) readAt(p []byte, off int64, scan bool) (int, error) {
 	if f.closed.Load() {
 		return 0, f.errClosed("read")
 	}
@@ -166,22 +213,23 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		want = size - off
 		short = true
 	}
-	n := 0
-	for _, ci := range f.cat.ChunksFor(off, want) {
-		row := f.cat.Row(ci)
-		chunk, err := f.chunk(ci)
-		if err != nil {
+	if f.next.Swap(off+want) == off {
+		scan = true
+	}
+	n, end := 0, off+want
+	for ci, row := range f.cat.Rows { // CAT.ChunksFor without its slice: this runs per copy-buffer
+		if row.End <= off || row.Empty() {
+			continue
+		}
+		if row.Start >= end {
+			break
+		}
+		from, to := max(off, row.Start), min(end, row.End)
+		dst := p[n : n+int(to-from)]
+		if err := f.readPiece(dst, ci, from-row.Start, scan); err != nil {
 			return n, fmt.Errorf("peerstripe: read %q: %w", f.name, err)
 		}
-		lo := int64(0)
-		if off > row.Start {
-			lo = off - row.Start
-		}
-		hi := row.Len()
-		if off+want < row.End {
-			hi = off + want - row.Start
-		}
-		n += copy(p[n:], chunk[lo:hi])
+		n += len(dst)
 	}
 	if short {
 		return n, io.EOF
@@ -194,7 +242,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 func (f *File) Read(p []byte) (int, error) {
 	f.posMu.Lock()
 	defer f.posMu.Unlock()
-	n, err := f.ReadAt(p, f.pos)
+	n, err := f.readAt(p, f.pos, true)
 	f.pos += int64(n)
 	return n, err
 }

@@ -392,9 +392,6 @@ func parseRange(spec string, size int64) (off, length int64, ok, satisfiable boo
 	if err != nil || start < 0 {
 		return 0, 0, false, false
 	}
-	if start >= size {
-		return 0, 0, true, false
-	}
 	end := size - 1
 	if endS != "" {
 		e, err := strconv.ParseInt(endS, 10, 64)
@@ -404,6 +401,11 @@ func parseRange(spec string, size int64) (off, length int64, ok, satisfiable boo
 		if e < end {
 			end = e
 		}
+	}
+	// Only a well-formed range can be unsatisfiable: "9-2" past the end
+	// is still malformed and ignored, not a 416.
+	if start >= size {
+		return 0, 0, true, false
 	}
 	return start, end - start + 1, true, true
 }

@@ -146,6 +146,47 @@ func TestGatewayPutGetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGatewayColdGetSwitchesToChunks pins how the gateway's copy loop
+// meets File's two read regimes: the first ReadAt of a cold full-object
+// GET is a random access — at most one block range — and every later
+// one continues it, so the rest of the object is fetched and cached
+// chunk by chunk; a cold ranged GET smaller than the copy buffer moves
+// one block range and caches nothing.
+func TestGatewayColdGetSwitchesToChunks(t *testing.T) {
+	cl, base := gateTest(t, gateway.Config{},
+		peerstripe.WithCode("xor"), peerstripe.WithChunkCap(512<<10))
+	ranges := func() int64 { return cl.Metrics().Counters["ps_client_range_reads_total"] }
+
+	data := make([]byte, 4*512<<10) // 4 chunks
+	rand.New(rand.NewSource(23)).Read(data)
+	putObject(t, base, "cold.bin", data)
+
+	resp, body := get(t, base+"/cold.bin", map[string]string{"Range": "bytes=600000-664999"})
+	if resp.StatusCode != http.StatusPartialContent || !bytes.Equal(body, data[600000:665000]) {
+		t.Fatalf("cold ranged GET: %s, right bytes %v", resp.Status, bytes.Equal(body, data[600000:665000]))
+	}
+	if got, held := ranges(), cl.CacheStats().Bytes; got != 1 || held != 0 {
+		t.Fatalf("cold ranged GET moved %d block ranges and cached %d bytes, want 1 and 0", got, held)
+	}
+
+	resp, body = get(t, base+"/cold.bin", nil)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, data) {
+		t.Fatalf("cold full GET: %s, right bytes %v", resp.Status, bytes.Equal(body, data))
+	}
+	if got := ranges() - 1; got > 1 {
+		t.Fatalf("cold full GET moved %d block ranges before switching to chunks, want at most 1", got)
+	}
+	if held := cl.CacheStats().Bytes; held != int64(len(data)) {
+		t.Fatalf("cold full GET left %d bytes cached, want the object's %d", held, len(data))
+	}
+
+	before := ranges()
+	get(t, base+"/cold.bin", map[string]string{"Range": "bytes=600000-664999"})
+	if got := ranges() - before; got != 0 {
+		t.Fatalf("ranged GET of a cached chunk moved %d block ranges", got)
+	}
+}
+
 // TestGatewayRangeMatrix drives the Range grammar against a live
 // object: first/middle/tail/suffix slices come back as 206 with exact
 // bytes and Content-Range, unsatisfiable starts are 416, and malformed
@@ -175,9 +216,10 @@ func TestGatewayRangeMatrix(t *testing.T) {
 		{fmt.Sprintf("bytes=%d-", size), 416, 0, 0, fmt.Sprintf("bytes */%d", size)},
 		{fmt.Sprintf("bytes=%d-%d", 2*size, 3*size), 416, 0, 0, fmt.Sprintf("bytes */%d", size)},
 		{"bytes=garbage", 200, 0, size, ""},
-		{"bytes=5-2", 200, 0, size, ""},       // end before start: ignored
-		{"bytes=0-1,50-60", 200, 0, size, ""}, // multi-range unsupported: full body
-		{"chapters=1-2", 200, 0, size, ""},    // unknown unit: ignored
+		{"bytes=5-2", 200, 0, size, ""},                       // end before start: ignored
+		{fmt.Sprintf("bytes=%d-2", 2*size), 200, 0, size, ""}, // ...also past the end: malformed, not 416
+		{"bytes=0-1,50-60", 200, 0, size, ""},                 // multi-range unsupported: full body
+		{"chapters=1-2", 200, 0, size, ""},                    // unknown unit: ignored
 	}
 	for _, tc := range cases {
 		resp, body := get(t, base+"/ranged.bin", map[string]string{"Range": tc.spec})

@@ -103,30 +103,40 @@ func TestGatewayGetBoundedMemory(t *testing.T) {
 	// live memory: the bounded cache and buffers, or a buffered body.
 	defer debug.SetGCPercent(debug.SetGCPercent(10))
 
-	hs := startHeapSampler()
-	resp, err := http.Get(ts.URL + "/large.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var n int64
-	var gotSum byte
+	// The peak is a race between the allocator and a concurrent
+	// collector: a streaming GET measures 22–41 MiB from run to run, a
+	// buffered body never less than the object. So the cap is met if
+	// any of three GETs meets it.
 	buf := make([]byte, 256<<10)
-	for {
-		m, err := resp.Body.Read(buf)
-		gotSum ^= sum(buf[:m])
-		n += int64(m)
-		if err == io.EOF {
-			break
-		}
+	var grew int64
+	for attempt := 0; attempt < 3; attempt++ {
+		hs := startHeapSampler()
+		resp, err := http.Get(ts.URL + "/large.bin")
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	resp.Body.Close()
-	grew := hs.growth()
+		var n int64
+		var gotSum byte
+		for {
+			m, err := resp.Body.Read(buf)
+			gotSum ^= sum(buf[:m])
+			n += int64(m)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		resp.Body.Close()
+		grew = hs.growth()
 
-	if n != objectSize || gotSum != wantSum {
-		t.Fatalf("streamed %d bytes (want %d), checksum match %v", n, objectSize, gotSum == wantSum)
+		if n != objectSize || gotSum != wantSum {
+			t.Fatalf("streamed %d bytes (want %d), checksum match %v", n, objectSize, gotSum == wantSum)
+		}
+		if grew < heapCap {
+			break
+		}
 	}
 	if grew >= heapCap {
 		t.Errorf("peak heap grew %d MiB during a %d MiB GET (cap %d MiB): body is being buffered",

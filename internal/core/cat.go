@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // CAT is a file's chunk allocation table (§4.2, Figure 3): one row per
@@ -14,6 +15,11 @@ import (
 type CAT struct {
 	File string
 	Rows []CATRow
+
+	// hash memoises Hash: every chunk-cache lookup keys on it, and
+	// marshaling the table per lookup is far too dear for that.
+	hashOnce sync.Once
+	hash     uint64
 }
 
 // CATRow is one chunk's extent.
@@ -140,11 +146,14 @@ func (c *CAT) SizeBytes() int64 { return int64(len(c.Marshal())) }
 // they describe the same stored layout of the same name, which makes
 // the hash usable as a content version: re-storing a name writes a new
 // CAT, so anything keyed or stamped with the old hash (cached decoded
-// chunks, hot-promotion markers) is recognizably stale. Call it only
-// on fully built tables.
+// chunks, hot-promotion markers) is recognizably stale. The hash is
+// computed on the first call and kept (safe for concurrent callers):
+// call it only on fully built tables, and do not change a table after.
 func (c *CAT) Hash() uint64 {
-	b := append(append([]byte(c.File), 0), c.Marshal()...)
-	return xxh64(b)
+	c.hashOnce.Do(func() {
+		c.hash = xxh64(append(append([]byte(c.File), 0), c.Marshal()...))
+	})
+	return c.hash
 }
 
 // ChunkSum fingerprints one chunk's plaintext bytes for CATRow.Sum:

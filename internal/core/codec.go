@@ -70,6 +70,18 @@ type Codec struct {
 	// the hedge-fire telemetry hook. Called from decode goroutines, so
 	// it must be safe for concurrent use and cheap.
 	OnHedge func(stalled int)
+
+	// RangeFetch, when set, reads a byte range of a block without
+	// moving the block — what a partial-chunk read under a systematic
+	// code is made of (see DecodeChunkRange). It must resolve names
+	// identically to the FetchFunc passed alongside it. When nil, ranges
+	// are sliced out of whole blocks fetched with that FetchFunc.
+	RangeFetch RangeFetchFunc
+	// OnRangeRead, when set, is called once per data-block range a
+	// partial-chunk read delivered, with its length and whether it was
+	// rebuilt from the other blocks instead of read from its holder.
+	// Same calling contract as OnHedge.
+	OnRangeRead func(bytes int, rebuilt bool)
 }
 
 // DefaultHedgeDelay is the straggler cutoff of the hedged fetch path.
@@ -158,9 +170,11 @@ type StreamFetchFunc func(name string, progress func(bytes int)) ([]byte, bool)
 // ChunkCache lets a caller interpose a decoded-chunk cache under every
 // chunk read the codec performs: DecodeChunk, DecodeRange, and
 // DecodeFile all consult it before fetching blocks and populate it
-// after a successful decode, so ranged reads, whole-file fetches, and
-// the public File share one pool of decoded chunks. Implementations
-// must be safe for concurrent use. Slices returned by GetChunk and
+// after a successful whole-chunk decode, so ranged reads, whole-file
+// fetches, and the public File share one pool of decoded chunks. A
+// partial-chunk read that moves block ranges (DecodeChunkRange) reads
+// from the cache but never populates it. Implementations must be safe
+// for concurrent use. Slices returned by GetChunk and
 // handed to PutChunk are shared between the cache and its readers and
 // must be treated as immutable.
 type ChunkCache interface {
@@ -617,19 +631,10 @@ func (cd *Codec) DecodeFile(ctx context.Context, cat *CAT, fetch FetchFunc) ([]b
 	return out, nil
 }
 
-// DecodeRange reconstructs [off, off+length) of the file, fetching only
-// the chunks that the range touches (§4.1: "the system does not have to
-// retrieve an entire file if only a portion of the file is accessed").
-func (cd *Codec) DecodeRange(ctx context.Context, cat *CAT, off, length int64, fetch FetchFunc) ([]byte, error) {
-	return SliceRange(cat, off, length, func(ci int) ([]byte, error) {
-		return cd.decodeChunk(ctx, cat, ci, fetch, nil)
-	})
-}
-
 // SliceRange assembles [off, off+length) of the file described by cat
 // from per-chunk data supplied by getChunk. It is the single home of
-// the chunk-intersection arithmetic, shared by DecodeRange and
-// grid.IOLib's cached read path.
+// the whole-chunk intersection arithmetic behind grid.IOLib's cached
+// read path.
 func SliceRange(cat *CAT, off, length int64, getChunk func(ci int) ([]byte, error)) ([]byte, error) {
 	if off < 0 || length < 0 || off+length > cat.FileSize() {
 		return nil, fmt.Errorf("core: range [%d,%d) outside file of %d bytes", off, off+length, cat.FileSize())

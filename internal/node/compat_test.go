@@ -114,4 +114,15 @@ func TestStreamingClientAgainstPreStreamingRing(t *testing.T) {
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("fetch back through pre-streaming ring: %v", err)
 	}
+	// A partial-chunk read asks for a block range with OpFetchStream,
+	// which these nodes refuse too: it must fall back to the whole
+	// block, not fail as if the block were gone.
+	part, err := c.FetchRange("oldstream.dat", 70_000, 5_000)
+	if err != nil || !bytes.Equal(part, data[70_000:75_000]) {
+		t.Fatalf("ranged read through pre-streaming ring: %v", err)
+	}
+	if c.met.rangeReads.Value() == 0 || c.met.rangeRebuilds.Value() != 0 {
+		t.Fatalf("ranged read through pre-streaming ring: %d ranges, %d rebuilt; want >0 and 0",
+			c.met.rangeReads.Value(), c.met.rangeRebuilds.Value())
+	}
 }

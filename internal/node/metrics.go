@@ -15,6 +15,9 @@ type clientMetrics struct {
 	repairSeconds *telemetry.Histogram
 	hedgeFires    *telemetry.Counter
 	probeRejects  *telemetry.Counter
+	rangeReads    *telemetry.Counter
+	rangeRebuilds *telemetry.Counter
+	rangeBytes    *telemetry.Counter
 }
 
 func newClientMetrics(reg *telemetry.Registry) *clientMetrics {
@@ -24,6 +27,9 @@ func newClientMetrics(reg *telemetry.Registry) *clientMetrics {
 		repairSeconds: reg.Histogram("ps_client_repair_seconds", "Per-file repair pass latency."),
 		hedgeFires:    reg.Counter("ps_client_hedge_fires_total", "Replacement block fetches launched for stalled sources on the hedged read path."),
 		probeRejects:  reg.Counter("ps_client_probe_rejects_total", "Capacity probes answered with no room — chunks emitted zero-sized and retried."),
+		rangeReads:    reg.Counter("ps_client_range_reads_total", "Data-block ranges delivered to partial-chunk reads without moving the chunk."),
+		rangeRebuilds: reg.Counter("ps_client_range_rebuilds_total", "Of those, ranges rebuilt from the other blocks because the holder refused, lied about the length or stalled."),
+		rangeBytes:    reg.Counter("ps_client_range_bytes_total", "User bytes delivered by those ranges."),
 	}
 }
 

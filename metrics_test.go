@@ -49,7 +49,28 @@ func TestClientMetricsReconcile(t *testing.T) {
 		}
 	}
 
+	// One small random read: a block range, not a chunk.
+	before := c.Metrics().Counters
+	f, err := c.Open(context.Background(), "met-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := make([]byte, 3000)
+	if _, err := f.ReadAt(part, 70_000); err != nil || !bytes.Equal(part, data[70_000:73_000]) {
+		t.Fatalf("ranged read: %v", err)
+	}
+	f.Close()
+
 	m := c.Metrics()
+	for name, want := range map[string]int64{
+		"ps_client_range_reads_total":    1,
+		"ps_client_range_rebuilds_total": 0,
+		"ps_client_range_bytes_total":    3000,
+	} {
+		if got, ok := m.Counters[name]; !ok || got-before[name] != want {
+			t.Errorf("%s moved by %d (present %v), want %d", name, got-before[name], ok, want)
+		}
+	}
 	if got := m.Latencies["ps_client_store_seconds"].Count; got != stores {
 		t.Errorf("store latency count = %d, want %d", got, stores)
 	}
@@ -85,7 +106,8 @@ func TestClientMetricsReconcile(t *testing.T) {
 	if samples == 0 {
 		t.Fatal("client exposition empty")
 	}
-	for _, want := range []string{"ps_client_calls_total", "ps_cache_hits_total", "ps_client_store_seconds_bucket"} {
+	for _, want := range []string{"ps_client_calls_total", "ps_cache_hits_total", "ps_client_store_seconds_bucket",
+		"ps_client_range_reads_total", "ps_client_range_rebuilds_total 0", "ps_client_range_bytes_total"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("exposition missing %s", want)
 		}

@@ -13,7 +13,7 @@
 //	...
 //	info, err := client.Store(ctx, "dataset.bin", reader, size)
 //	f, err := client.Open(ctx, "dataset.bin")        // io.ReadSeekCloser + io.ReaderAt
-//	n, err := f.ReadAt(buf, 3<<30)                   // fetches only the chunks the range covers
+//	n, err := f.ReadAt(buf, 3<<30)                   // fetches only what the range covers
 //
 // Store streams: it plans chunk sizes up front (core.PlanChunkSizes),
 // then reads, erasure-codes, and uploads one chunk at a time, so peak
@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"peerstripe/internal/core"
+	"peerstripe/internal/erasure"
 	"peerstripe/internal/node"
 )
 
@@ -65,6 +66,9 @@ type Client struct {
 	// singleflight, shared by every File the client opens and by the
 	// ranged-read paths underneath (see WithChunkCache).
 	cache *chunkCache
+	// ranged records that the erasure code is systematic, so a File can
+	// serve a partial-chunk read from block ranges (see File.ReadAt).
+	ranged bool
 }
 
 // Dial connects to a ring through any member's address and returns a
@@ -87,7 +91,8 @@ func Dial(ctx context.Context, contact string, opts ...Option) (*Client, error) 
 		return nil, fmt.Errorf("peerstripe: dial %s: %w", contact, err)
 	}
 	cache.registerMetrics(nc.Telemetry())
-	return &Client{c: nc, opts: o, cache: cache}, nil
+	_, ranged := code.(erasure.Systematic)
+	return &Client{c: nc, opts: o, cache: cache, ranged: ranged}, nil
 }
 
 // Close releases the client's pooled connections. Operations after

@@ -173,53 +173,137 @@ func TestETagTracksContent(t *testing.T) {
 	}
 }
 
-// TestReadAtFetchesOnlyNeededChunks pins the §4.1 ranged-read
-// property on the public surface: a ReadAt inside one chunk costs at
-// most that chunk's hedged block wave, and a cache hit costs nothing.
-func TestReadAtFetchesOnlyNeededChunks(t *testing.T) {
+// TestReadAtMovesBlockRangesNotChunks pins the §4.1 ranged-read
+// contract on the public surface (see File): a random partial ReadAt of
+// a cold chunk costs one block-range read per data block it covers and
+// leaves the cache as it was; the same read of a cached chunk costs
+// nothing; and a ReadAt that continues the previous one, any Read, and
+// a piece that is a whole chunk fetch the chunk and cache it.
+func TestReadAtMovesBlockRangesNotChunks(t *testing.T) {
 	servers, seed := testRing(t, 4, 1<<30)
 	c := dialTest(t, seed,
 		peerstripe.WithCode("xor"),
 		peerstripe.WithChunkCap(64<<10))
 
-	data := make([]byte, 512<<10) // 8 chunks at the cap
-	rand.New(rand.NewSource(4)).Read(data)
+	const chunk, block = 64 << 10, 32 << 10 // (2,3) XOR: two data blocks a chunk
+	data := make([]byte, 8*chunk)
+	rng := rand.New(rand.NewSource(4))
+	rng.Read(data)
 	ctx := context.Background()
 	if _, err := c.StoreBytes(ctx, "ranged.dat", data); err != nil {
 		t.Fatal(err)
 	}
-	f, err := c.Open(ctx, "ranged.dat")
+	open := func() *peerstripe.File {
+		f, err := c.Open(ctx, "ranged.dat")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		return f
+	}
+	// cost runs read and returns the block reads the ring served for it,
+	// the block ranges the client counted, and the cache's growth.
+	cost := func(read func()) (fetches, ranges, cached int64) {
+		t.Helper()
+		tally := func() (n int64) {
+			for _, s := range servers {
+				n += s.FetchOps()
+			}
+			return n
+		}
+		f0, r0, c0 := tally(), c.Metrics().Counters["ps_client_range_reads_total"], c.CacheStats().Bytes
+		read()
+		return tally() - f0, c.Metrics().Counters["ps_client_range_reads_total"] - r0, c.CacheStats().Bytes - c0
+	}
+	readAt := func(f *peerstripe.File, off, n int64) func() {
+		return func() {
+			t.Helper()
+			buf := make([]byte, n)
+			if got, err := f.ReadAt(buf, off); err != nil || int64(got) != n {
+				t.Fatalf("ReadAt(%d, %d): %d, %v", n, off, got, err)
+			}
+			if !bytes.Equal(buf, data[off:off+n]) {
+				t.Fatalf("ReadAt(%d, %d): wrong bytes", n, off)
+			}
+		}
+	}
+
+	// Random partial reads of cold chunks 0..3, each on a fresh handle.
+	for i := 0; i < 20; i++ {
+		lo := rng.Int63n(chunk - 1)
+		n := 1 + rng.Int63n(chunk-1-lo) // never the whole chunk
+		covered := (lo+n-1)/block - lo/block + 1
+		off := rng.Int63n(4)*chunk + lo
+		fetches, ranges, cached := cost(readAt(open(), off, n))
+		if fetches != covered || ranges != covered || cached != 0 {
+			t.Fatalf("partial ReadAt(%d, %d) over %d data blocks: %d block reads, %d ranges, cache grew %d; want %d, %d, 0",
+				n, off, covered, fetches, ranges, cached, covered, covered)
+		}
+	}
+
+	// A piece that is the whole chunk takes the chunk path and is cached
+	// — after which a partial read of it costs nothing.
+	if fetches, ranges, cached := cost(readAt(open(), 4*chunk, chunk)); fetches == 0 || ranges != 0 || cached != chunk {
+		t.Fatalf("whole-chunk ReadAt: %d block reads, %d ranges, cache grew %d; want >0, 0, %d", fetches, ranges, cached, chunk)
+	}
+	if fetches, ranges, cached := cost(readAt(open(), 4*chunk+1000, 5000)); fetches != 0 || ranges != 0 || cached != 0 {
+		t.Fatalf("partial ReadAt of a cached chunk: %d block reads, %d ranges, cache grew %d; want 0, 0, 0", fetches, ranges, cached)
+	}
+
+	// A ReadAt that starts where the previous one ended is a scan.
+	f := open()
+	if _, ranges, cached := cost(readAt(f, 5*chunk+100, 1000)); ranges != 1 || cached != 0 {
+		t.Fatalf("first ReadAt of a handle: %d ranges, cache grew %d; want 1, 0", ranges, cached)
+	}
+	if _, ranges, cached := cost(readAt(f, 5*chunk+1100, 1000)); ranges != 0 || cached != chunk {
+		t.Fatalf("continuing ReadAt: %d ranges, cache grew %d; want 0, %d", ranges, cached, chunk)
+	}
+	// ...and one that does not is a random access again.
+	if _, ranges, cached := cost(readAt(f, 6*chunk+100, 1000)); ranges != 1 || cached != 0 {
+		t.Fatalf("ReadAt elsewhere on the handle: %d ranges, cache grew %d; want 1, 0", ranges, cached)
+	}
+
+	// Read is sequential by definition, even the first after a Seek.
+	f = open()
+	if _, err := f.Seek(7*chunk+100, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	_, ranges, cached := cost(func() {
+		buf := make([]byte, 1000)
+		if _, err := io.ReadFull(f, buf); err != nil || !bytes.Equal(buf, data[7*chunk+100:7*chunk+1100]) {
+			t.Fatalf("Read after Seek: %v", err)
+		}
+	})
+	if ranges != 0 || cached != chunk {
+		t.Fatalf("Read: %d ranges, cache grew %d; want 0, %d", ranges, cached, chunk)
+	}
+}
+
+// TestReadAtOnlineCodeKeepsChunkPath: the online code is not
+// systematic, so every read decodes and caches whole chunks.
+func TestReadAtOnlineCodeKeepsChunkPath(t *testing.T) {
+	_, seed := testRing(t, 4, 1<<30)
+	c := dialTest(t, seed, peerstripe.WithCode("online"), peerstripe.WithChunkCap(64<<10))
+	data := make([]byte, 128<<10)
+	rand.New(rand.NewSource(5)).Read(data)
+	ctx := context.Background()
+	if _, err := c.StoreBytes(ctx, "online.dat", data); err != nil {
+		t.Fatal(err)
+	}
+	f, err := c.Open(ctx, "online.dat")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-
-	fetchesBefore := func() int64 {
-		var n int64
-		for _, s := range servers {
-			n += s.FetchOps()
-		}
-		return n
-	}
-	base := fetchesBefore()
 	buf := make([]byte, 1000)
-	if _, err := f.ReadAt(buf, 100<<10); err != nil { // inside chunk 1
-		t.Fatal(err)
+	if _, err := f.ReadAt(buf, 70<<10); err != nil || !bytes.Equal(buf, data[70<<10:70<<10+1000]) {
+		t.Fatalf("ReadAt: %v", err)
 	}
-	if !bytes.Equal(buf, data[100<<10:100<<10+1000]) {
-		t.Fatal("ranged bytes differ")
+	if n := c.Metrics().Counters["ps_client_range_reads_total"]; n != 0 {
+		t.Fatalf("online code moved %d block ranges", n)
 	}
-	// (2,3) XOR with the default hedge of 1 requests at most all three
-	// blocks of the one chunk the range touches.
-	if delta := fetchesBefore() - base; delta == 0 || delta > 3 {
-		t.Fatalf("ranged read cost %d block fetches, want 1..3 (one chunk's wave)", delta)
-	}
-	base = fetchesBefore()
-	if _, err := f.ReadAt(buf, 101<<10); err != nil { // same chunk: cached
-		t.Fatal(err)
-	}
-	if delta := fetchesBefore() - base; delta != 0 {
-		t.Fatalf("cached re-read cost %d fetches", delta)
+	if got := c.CacheStats().Bytes; got != 64<<10 {
+		t.Fatalf("cache holds %d bytes after a partial read, want the 64 KiB chunk", got)
 	}
 }
 
