@@ -80,14 +80,15 @@ fuzz-smoke:
 # integration harness (concurrent clients + mid-transfer node kill +
 # repair), the fault-injection proxy tests — whole-chunk degraded reads
 # and partial-chunk ranged reads against a dead, empty-handed, lying or
-# stalled holder — and the wire protocol-compatibility suite — native
-# and on the noasm portable kernels (docs/LIVE.md).
+# stalled holder — and the wire protocol golden (every op through Pool
+# and Serve, and the handshake) — native and on the noasm portable
+# kernels (docs/LIVE.md).
 live-path:
 	$(GO) test -race -run 'Live|Integration' ./...
 	$(GO) test -tags noasm -race -run 'Live|Integration' ./...
 
 # The streaming pipeline under the race detector and fault injection:
-# windowed out-of-order staging, mixed-version fallback, the hedged
+# windowed out-of-order staging and its kill-the-stage errors, the hedged
 # read racing a source that stalls or dies mid-stream, the windowed
 # store completing through a slow sink, the per-source progress
 # contract (replace the silent, spare the moving), and the store
@@ -95,7 +96,7 @@ live-path:
 # sinks, a cancel and a failed upload — docs/LIVE.md "Streaming
 # pipeline".
 pipeline:
-	$(GO) test -race -run 'StoreWindow|PreWindowRing|StalledSource|DeadSource|SlowSink|ProgressHedge|StorePipeline' \
+	$(GO) test -race -run 'StoreWindow|StalledSource|DeadSource|SlowSink|ProgressHedge|StorePipeline' \
 		./internal/node ./internal/core
 
 # Self-healing ring under the race detector: SWIM failure detection,

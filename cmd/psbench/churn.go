@@ -183,7 +183,7 @@ func runChurn() {
 		name := fmt.Sprintf("churn-bench-%d.dat", i)
 		data := make([]byte, fileSize)
 		dataRNG.Read(data)
-		cat, err := writer.StoreFile(name, data)
+		cat, err := writer.StoreFileCtx(context.Background(), name, data)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "churn: store %s: %v\n", name, err)
 			os.Exit(1)

@@ -5,10 +5,10 @@
 //	psnode -listen 127.0.0.1:7001 -capacity 1073741824
 //	psnode -listen 127.0.0.1:7002 -capacity 1073741824 -seed 127.0.0.1:7001
 //
-// The node contributes the given storage to the ring and serves both
-// wire protocol versions — pipelined multiplexed (v2) connections with
-// streaming transfers for blocks larger than a frame, and single-shot
-// v1 — until interrupted. A -name gives the node a stable ring
+// The node contributes the given storage to the ring and serves the
+// wire protocol — pipelined multiplexed connections, with streaming
+// transfers for blocks larger than a segment — until interrupted. A
+// -name gives the node a stable ring
 // identity across restarts instead of one derived from its listen
 // address.
 //
@@ -46,7 +46,7 @@ func main() {
 		capacity = flag.Int64("capacity", 1<<30, "contributed storage in bytes")
 		seed     = flag.String("seed", "", "address of any existing ring member (empty starts a new ring)")
 		name     = flag.String("name", "", "stable node name; its hash becomes the ring ID (empty derives the ID from the listen address)")
-		inflight = flag.Int("inflight", 0, "max concurrently served requests per v2 connection (0 = default)")
+		inflight = flag.Int("inflight", 0, "max concurrently served requests per connection (0 = default)")
 		admin    = flag.String("admin", "", "serve /-/metrics, /-/healthz, and /debug/pprof/ on this HTTP address (empty disables; keep it off public networks)")
 		statKick = flag.Duration("statusEvery", 30*time.Second, "status print interval (0 disables)")
 

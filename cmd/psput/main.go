@@ -64,7 +64,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		depth    = fs.Int("pipeline-depth", 0, "chunks in flight during a streamed store (0 = default)")
 		timeout  = fs.Duration("timeout", 0, "per-RPC deadline (0 = default 10s)")
 		deadline = fs.Duration("deadline", 0, "overall operation deadline (0 = none)")
-		v1       = fs.Bool("v1", false, "force the single-shot v1 transport (dial per request)")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return exitUsage
@@ -111,9 +110,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 	if *timeout > 0 {
 		opts = append(opts, peerstripe.WithTimeout(*timeout))
-	}
-	if *v1 {
-		opts = append(opts, peerstripe.WithV1())
 	}
 
 	op := args[0]

@@ -2,6 +2,7 @@ package integration
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -207,7 +208,7 @@ func TestChurnSelfHealingRing(t *testing.T) {
 		data := make([]byte, fileSize)
 		dataRNG.Read(data)
 		payload[name] = data
-		cat, err := writer.StoreFile(name, data)
+		cat, err := writer.StoreFileCtx(context.Background(), name, data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +284,10 @@ func TestChurnSelfHealingRing(t *testing.T) {
 		State: wire.StateSuspect,
 		Inc:   servers[spare].Incarnation(),
 	}})
-	if _, err := wire.Call(seed, &wire.Request{Op: wire.OpGossip, Data: forged}); err != nil {
+	gp := wire.NewPool()
+	_, err := gp.Call(seed, &wire.Request{Op: wire.OpGossip, Data: forged})
+	gp.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
 	waitChurn(t, 30*time.Second, "forged suspicion to be refuted", func() bool {
@@ -308,7 +312,7 @@ func TestChurnSelfHealingRing(t *testing.T) {
 	final := node.NewStaticClientCfg(aliveRing(dead), code, node.Config{Timeout: 3 * time.Second, ChunkCap: chunkCap})
 	defer final.Close()
 	for name, want := range payload {
-		got, err := final.FetchFile(name)
+		got, err := final.FetchFileCtx(context.Background(), name)
 		if err != nil {
 			t.Fatalf("final fetch %s: %v", name, err)
 		}

@@ -165,7 +165,7 @@ func TestFullGridStackOverLiveRing(t *testing.T) {
 	// Seed an input file directly through the client.
 	data := make([]byte, 2<<20)
 	rand.New(rand.NewSource(3)).Read(data)
-	if _, err := client.StoreFile("input.bin", data); err != nil {
+	if _, err := client.StoreFileCtx(context.Background(), "input.bin", data); err != nil {
 		t.Fatal(err)
 	}
 
@@ -186,7 +186,7 @@ func TestFullGridStackOverLiveRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c2.FetchFile("copy2.bin")
+	got, err := c2.FetchFileCtx(context.Background(), "copy2.bin")
 	if err != nil {
 		t.Fatal(err)
 	}

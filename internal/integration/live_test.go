@@ -158,7 +158,7 @@ func TestLiveIntegrationConcurrentChurnRepair(t *testing.T) {
 
 	writer := newLiveClient(t, seed, code)
 	for _, f := range preFiles {
-		if _, err := writer.StoreFile(f, payload[f]); err != nil {
+		if _, err := writer.StoreFileCtx(context.Background(), f, payload[f]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -200,7 +200,7 @@ func TestLiveIntegrationConcurrentChurnRepair(t *testing.T) {
 			<-start
 			for i := 0; i < 6; i++ {
 				f := preFiles[(r+i)%len(preFiles)]
-				got, err := c.FetchFile(f)
+				got, err := c.FetchFileCtx(context.Background(), f)
 				if err != nil {
 					fetchErrs <- fmt.Errorf("reader %d, %s: %w", r, f, err)
 					return
@@ -220,7 +220,7 @@ func TestLiveIntegrationConcurrentChurnRepair(t *testing.T) {
 			<-start
 			// Writes racing the kill may fail; they must never
 			// corrupt. Success is recorded and verified later.
-			if _, err := c.StoreFile(churnFiles[w], payload[churnFiles[w]]); err == nil {
+			if _, err := c.StoreFileCtx(context.Background(), churnFiles[w], payload[churnFiles[w]]); err == nil {
 				storeOK[w] = true
 			}
 		}(w)
@@ -244,7 +244,7 @@ func TestLiveIntegrationConcurrentChurnRepair(t *testing.T) {
 	// so repair first sheds the dead member (the paper's "current
 	// owners after a failure" are exactly the pruned view).
 	rc := writer
-	dropped, err := rc.PruneRing()
+	dropped, err := rc.PruneRingCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestLiveIntegrationConcurrentChurnRepair(t *testing.T) {
 	}
 	recreated := 0
 	for _, f := range verify {
-		st, err := rc.Repair(f)
+		st, err := rc.RepairCtx(context.Background(), f)
 		if err != nil {
 			t.Fatalf("repair %s: %v", f, err)
 		}
@@ -276,7 +276,7 @@ func TestLiveIntegrationConcurrentChurnRepair(t *testing.T) {
 		t.Error("repair re-created no blocks although a node died")
 	}
 	for _, f := range verify {
-		got, err := rc.FetchFile(f)
+		got, err := rc.FetchFileCtx(context.Background(), f)
 		if err != nil {
 			t.Fatalf("post-repair fetch %s: %v", f, err)
 		}
@@ -297,7 +297,7 @@ func TestLiveDegradedFetchNoRepair(t *testing.T) {
 	const name = "degraded-norpr.dat"
 	data := make([]byte, 256<<10)
 	rand.New(rand.NewSource(21)).Read(data)
-	cat, err := c.StoreFile(name, data)
+	cat, err := c.StoreFileCtx(context.Background(), name, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,41 +312,12 @@ func TestLiveDegradedFetchNoRepair(t *testing.T) {
 			s.Close()
 		}
 	}
-	got, err := c.FetchFile(name)
+	got, err := c.FetchFileCtx(context.Background(), name)
 	if err != nil {
 		t.Fatalf("degraded fetch with one node down: %v", err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("degraded fetch bytes differ")
-	}
-}
-
-// TestLiveMixedVersionClients stores with the seed transport (v1
-// single-shot) and fetches with the multiplexed pool, and vice versa —
-// the node-level half of the protocol-compatibility guarantee.
-func TestLiveMixedVersionClients(t *testing.T) {
-	code := erasure.MustXOR(2)
-	_, seed := startLiveRing(t, 5, 1<<30)
-
-	v1c := newLiveClientCfg(t, seed, code, node.Config{V1: true})
-	v2c := newLiveClient(t, seed, code)
-
-	data := make([]byte, 200<<10)
-	rand.New(rand.NewSource(31)).Read(data)
-
-	if _, err := v1c.StoreFile("mixed-a.dat", data); err != nil {
-		t.Fatal(err)
-	}
-	got, err := v2c.FetchFile("mixed-a.dat")
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("v2 fetch of v1 store: %v", err)
-	}
-	if _, err := v2c.StoreFile("mixed-b.dat", data); err != nil {
-		t.Fatal(err)
-	}
-	got, err = v1c.FetchFile("mixed-b.dat")
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("v1 fetch of v2 store: %v", err)
 	}
 }
 
@@ -362,7 +333,7 @@ func TestLiveStoreFailsCleanlyWhenRingDies(t *testing.T) {
 	rand.New(rand.NewSource(41)).Read(data)
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.StoreFile("doomed.dat", data)
+		_, err := c.StoreFileCtx(context.Background(), "doomed.dat", data)
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -379,7 +350,7 @@ func TestLiveStoreFailsCleanlyWhenRingDies(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("store wedged after ring shutdown")
 	}
-	if _, err := c.FetchFile("doomed.dat"); err == nil {
+	if _, err := c.FetchFileCtx(context.Background(), "doomed.dat"); err == nil {
 		t.Fatal("fetch succeeded against a dead ring")
 	}
 }

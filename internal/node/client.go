@@ -68,13 +68,13 @@ type Config struct {
 	Timeout time.Duration
 	// Segment is the streaming transfer segment size in bytes (0
 	// selects wire.DefaultSegment). Blocks larger than one segment are
-	// moved with windowed OpStoreWindow / ranged OpFetchStream
-	// segment exchanges, degrading to in-order OpStoreStream and then
-	// single frames against older peers.
+	// uploaded as OpStoreWindow segments; a block too large for one
+	// frame, and a block range larger than a segment, are read as
+	// ranged OpFetchStream segments.
 	Segment int
 	// StreamWindow bounds in-flight segments per streamed block
-	// transfer (0 selects 4; 1 restores the strictly in-order
-	// segment-per-ack exchange of the pre-window protocol).
+	// transfer (0 selects 4; 1 keeps one OpStoreWindow segment in
+	// flight, each sent after the previous one's ack).
 	StreamWindow int
 	// PipelineDepth bounds the chunks in flight during a streamed
 	// store (0 selects 2, which overlaps chunk-N encode with chunk-N−1
@@ -87,10 +87,6 @@ type Config struct {
 	// MaxZeroChunks bounds consecutive refused chunk placements (0
 	// selects 5).
 	MaxZeroChunks int
-	// V1 forces single-shot v1 wire calls with a fresh dial per
-	// request — the seed transport, kept for mixed-version rings and
-	// benchmark comparisons. Streaming transfers are disabled.
-	V1 bool
 	// ChunkCache, when set, is consulted before and populated after
 	// every chunk decode on the read paths (FetchChunk, FetchRange,
 	// FetchFile), so concurrent readers and repeated ranged reads of
@@ -149,13 +145,12 @@ func (cfg Config) withDefaults() Config {
 // socket per peer) and fan out over a bounded worker pool; reads are
 // degraded-tolerant — any sufficient subset of a chunk's blocks
 // decodes it, with hedged requests racing past dark nodes. Blocks
-// larger than one wire segment stream in bounded continuation frames,
-// falling back to single-frame transfers against pre-streaming nodes.
+// larger than one wire segment stream in bounded segments.
 //
 // A Client is safe for concurrent use. Its configuration is frozen at
-// construction (see Config); every operation has a ctx-first form that
-// honors cancellation and deadlines end to end, and the ctx-free
-// methods are thin wrappers over context.Background().
+// construction (see Config); every operation takes a ctx that bounds
+// it end to end, except the grid.FS methods (LoadCAT, FetchBlock,
+// StoreBlocks), whose interface has none.
 type Client struct {
 	code erasure.Code
 	cfg  Config
@@ -176,13 +171,6 @@ type Client struct {
 
 	mu   sync.RWMutex
 	ring []wire.NodeInfo
-
-	// noStream remembers peers that rejected a streaming op ("unknown
-	// op") so later transfers skip the probe; addr → struct{}{}.
-	noStream sync.Map
-	// noWindow remembers peers that stream in order but rejected the
-	// windowed OpStoreWindow form — PR5-era nodes; addr → struct{}{}.
-	noWindow sync.Map
 }
 
 // streamIDs hands out process-unique stream identifiers; the random
@@ -190,17 +178,6 @@ type Client struct {
 var streamIDs atomic.Uint64
 
 func init() { streamIDs.Store(rand.Uint64()) } //nolint:gosec
-
-// NewClient builds a client bootstrapping from any ring member with
-// the default configuration.
-//
-// Deprecated: use NewClientCfg, the ctx-first constructor — it bounds
-// the bootstrap refresh with the caller's context and makes the frozen
-// Config explicit. This wrapper pins the bootstrap to
-// context.Background and is kept only for existing callers.
-func NewClient(seedAddr string, code erasure.Code) (*Client, error) {
-	return NewClientCfg(context.Background(), seedAddr, code, Config{})
-}
 
 // NewClientCfg builds a client bootstrapping from any ring member,
 // with the knobs frozen from cfg. ctx bounds the bootstrap refresh.
@@ -214,17 +191,10 @@ func NewClientCfg(ctx context.Context, seedAddr string, code erasure.Code, cfg C
 	return c, nil
 }
 
-// NewStaticClient builds a client over a fixed membership view without
-// contacting a seed — static configurations, test harnesses, and
-// proxy-fronted rings. Refresh is a no-op on a static client.
-//
-// Deprecated: use NewStaticClientCfg, which makes the frozen Config
-// explicit instead of implying the defaults.
-func NewStaticClient(ring []wire.NodeInfo, code erasure.Code) *Client {
-	return NewStaticClientCfg(ring, code, Config{})
-}
-
-// NewStaticClientCfg is NewStaticClient with the knobs frozen from cfg.
+// NewStaticClientCfg builds a client over a fixed membership view
+// without contacting a seed — static configurations, test harnesses,
+// and proxy-fronted rings — with the knobs frozen from cfg. RefreshCtx
+// is a no-op on a static client.
 func NewStaticClientCfg(ring []wire.NodeInfo, code erasure.Code, cfg Config) *Client {
 	c := newClient(code, cfg)
 	c.ring = append([]wire.NodeInfo(nil), ring...)
@@ -260,28 +230,17 @@ func (c *Client) Config() Config { return c.cfg }
 func (c *Client) Code() erasure.Code { return c.code }
 
 // Close releases the pooled connections. Calls after Close fail.
-func (c *Client) Close() {
-	if c.pool != nil {
-		c.pool.Close()
-	}
-}
+func (c *Client) Close() { c.pool.Close() }
 
 // transfers is the in-flight bound for block-transfer fan-outs —
 // wait-bound work that should not be serialized by the core count the
 // way chunk coding is (see Config.Transfers).
 func (c *Client) transfers() int { return c.cfg.Transfers }
 
-// call is the client's single transport seam: pooled multiplexed v2 by
-// default, single-shot v1 when forced. ctx bounds the round trip on
-// top of the per-RPC timeout.
+// call is the client's single transport seam, a round trip over the
+// pool. ctx bounds it on top of the per-RPC timeout.
 func (c *Client) call(ctx context.Context, addr string, req *wire.Request) (*wire.Response, error) {
-	var resp *wire.Response
-	var err error
-	if c.cfg.V1 || c.pool == nil {
-		resp, err = wire.CallCtx(ctx, addr, req, c.cfg.Timeout)
-	} else {
-		resp, err = c.pool.CallCtx(ctx, addr, req, c.cfg.Timeout)
-	}
+	resp, err := c.pool.CallCtx(ctx, addr, req, c.cfg.Timeout)
 	// A transport failure means the member could not be reached at all
 	// (dial refused, reset, dead connection) — classify it so callers
 	// and the layers above (errors.Is(err, ErrRingUnavailable)) can
@@ -351,9 +310,6 @@ func (c *Client) fetchCodec(ctx context.Context) *core.Codec {
 	return &cd
 }
 
-// Refresh re-pulls the membership view from the seed.
-func (c *Client) Refresh() error { return c.RefreshCtx(context.Background()) }
-
 // RefreshCtx re-pulls the membership view from the seed. Static
 // clients keep their configured view.
 func (c *Client) RefreshCtx(ctx context.Context) error {
@@ -369,10 +325,6 @@ func (c *Client) RefreshCtx(ctx context.Context) error {
 	c.mu.Unlock()
 	return nil
 }
-
-// PruneRing probes the view and drops unreachable members; see
-// PruneRingCtx.
-func (c *Client) PruneRing() (int, error) { return c.PruneRingCtx(context.Background()) }
 
 // PruneRingCtx probes every member of the current view in parallel and
 // drops the unreachable ones. The membership protocol has no failure
@@ -441,11 +393,6 @@ func (c *Client) ownerAddr(name string) (string, error) {
 	return owner.Addr, nil
 }
 
-// isUnknownOp reports a graceful "this peer predates the op" refusal.
-func isUnknownOp(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "unknown op")
-}
-
 // asNotFound classifies a fetch error: a server's "no block" refusal —
 // the op reached a live node but the block was absent — becomes
 // ErrNotFound, anything else passes through.
@@ -456,50 +403,15 @@ func asNotFound(err error) error {
 	return err
 }
 
-// peerStreams reports whether streaming ops may be attempted on addr.
-func (c *Client) peerStreams(addr string) bool {
-	if c.cfg.V1 {
-		return false
-	}
-	_, no := c.noStream.Load(addr)
-	return !no
-}
-
-// peerWindows reports whether the windowed (out-of-order) store form
-// may be attempted on addr.
-func (c *Client) peerWindows(addr string) bool {
-	_, no := c.noWindow.Load(addr)
-	return !no
-}
-
-// storeBlock sends a block directly to its owner, streaming it in
-// bounded segments when it exceeds one wire segment. The transfer
-// degrades gracefully by peer age: windowed out-of-order segments
-// (OpStoreWindow), then the in-order segment-per-ack exchange
-// (OpStoreStream), then a single frame — each "unknown op" refusal is
-// remembered per peer so only the first transfer pays the probe.
+// storeBlock sends a block directly to its owner: in one OpStore frame
+// when it fits one wire segment, as windowed segments when it does not.
 func (c *Client) storeBlock(ctx context.Context, name string, data []byte) error {
 	addr, err := c.ownerAddr(name)
 	if err != nil {
 		return err
 	}
-	if len(data) > c.cfg.Segment && c.peerStreams(addr) {
-		if c.cfg.StreamWindow > 1 && c.peerWindows(addr) {
-			err := c.windowStoreBlock(ctx, addr, name, data)
-			if !isUnknownOp(err) {
-				return err
-			}
-			// A pre-window node: remember and degrade to the in-order
-			// streaming exchange it may still understand.
-			c.noWindow.Store(addr, struct{}{})
-		}
-		err := c.streamStoreBlock(ctx, addr, name, data)
-		if !isUnknownOp(err) {
-			return err
-		}
-		// A pre-streaming node: remember and fall through to the
-		// single-frame transfer it does understand.
-		c.noStream.Store(addr, struct{}{})
+	if len(data) > c.cfg.Segment {
+		return c.windowStoreBlock(ctx, addr, name, data)
 	}
 	_, err = c.call(ctx, addr, &wire.Request{Op: wire.OpStore, Name: name, Data: data})
 	return err
@@ -507,9 +419,9 @@ func (c *Client) storeBlock(ctx context.Context, name string, data []byte) error
 
 // windowStoreBlock moves one block as out-of-order OpStoreWindow
 // segments with up to StreamWindow in flight at once, so one slow ack
-// no longer serializes the stream. Segment 0 goes alone first — the
-// cheap probe that surfaces a pre-window peer's "unknown op" refusal
-// before the window opens.
+// no longer serializes the stream. Segment 0 goes alone first, so a
+// refusal (no space, too many staged streams) comes back before the
+// window opens and ships the rest.
 func (c *Client) windowStoreBlock(ctx context.Context, addr, name string, data []byte) error {
 	seg := c.cfg.Segment
 	total := (len(data) + seg - 1) / seg
@@ -533,29 +445,6 @@ func (c *Client) windowStoreBlock(ctx context.Context, addr, name string, data [
 	})
 }
 
-// streamStoreBlock moves one block as an ordered sequence of
-// OpStoreStream segments, each acknowledged before the next is sent,
-// so server-side assembly is a bounded append and a lost connection
-// surfaces immediately.
-func (c *Client) streamStoreBlock(ctx context.Context, addr, name string, data []byte) error {
-	seg := c.cfg.Segment
-	total := (len(data) + seg - 1) / seg
-	sid := streamIDs.Add(1)
-	for i := 0; i < total; i++ {
-		lo, hi := i*seg, (i+1)*seg
-		if hi > len(data) {
-			hi = len(data)
-		}
-		req := wire.EncodeStoreStream(name, wire.StoreSegment{
-			Stream: sid, Seq: i, Total: total, Size: int64(len(data)),
-		}, data[lo:hi])
-		if _, err := c.call(ctx, addr, req); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // fetchBlock retrieves a block from its owner, switching to ranged
 // OpFetchStream reads when the server refuses to fit it in one frame.
 func (c *Client) fetchBlock(ctx context.Context, name string) ([]byte, error) {
@@ -572,7 +461,7 @@ func (c *Client) fetchBlockProgress(ctx context.Context, name string, progress f
 	}
 	resp, err := c.call(ctx, addr, &wire.Request{Op: wire.OpFetch, Name: name})
 	if err != nil {
-		if strings.Contains(err.Error(), wire.BlockTooLarge) && c.peerStreams(addr) {
+		if strings.Contains(err.Error(), wire.BlockTooLarge) {
 			return c.streamFetchBlock(ctx, addr, name, progress)
 		}
 		return nil, asNotFound(err)
@@ -587,9 +476,8 @@ func (c *Client) fetchBlockProgress(ctx context.Context, name string, progress f
 // first response reports the total size; the remaining ranges are then
 // requested with up to StreamWindow reads in flight — readahead over
 // the stateless OpFetchStream exchange, so per-range round-trip
-// latency no longer serializes the reassembly (and the path works
-// unchanged against any server that streams at all). progress, when
-// non-nil, receives each segment's byte count as it lands.
+// latency no longer serializes the reassembly. progress, when non-nil,
+// receives each segment's byte count as it lands.
 func (c *Client) streamFetchBlock(ctx context.Context, addr, name string, progress func(int)) ([]byte, error) {
 	seg := int64(c.cfg.Segment)
 	resp, err := c.call(ctx, addr, wire.EncodeFetchStream(name, 0, seg))
@@ -644,28 +532,27 @@ func (c *Client) streamFetchInto(ctx context.Context, addr, name string, off int
 }
 
 // fetchBlockRange reads n bytes at off of a block from its owner without
-// moving the block around them (streamFetchRange). A peer that predates
-// the streaming ops is asked for the whole block instead.
+// moving the block around them: one ranged OpFetchStream — through the
+// same instrumented call every transfer makes — when the range fits a
+// wire segment, and windowed segment reads when it does not. The length
+// of a single-segment answer is the caller's to check.
 func (c *Client) fetchBlockRange(ctx context.Context, name string, off, n int64) ([]byte, error) {
 	addr, err := c.ownerAddr(name)
 	if err != nil {
 		return nil, err
 	}
-	if c.peerStreams(addr) {
-		data, err := c.streamFetchRange(ctx, addr, name, off, n)
-		if !isUnknownOp(err) {
-			return data, err
+	if n > int64(c.cfg.Segment) {
+		buf := make([]byte, n)
+		if err := c.streamFetchInto(ctx, addr, name, off, buf, nil); err != nil {
+			return nil, err
 		}
-		c.noStream.Store(addr, struct{}{})
+		return buf, nil
 	}
-	data, err := c.fetchBlock(ctx, name)
+	resp, err := c.call(ctx, addr, wire.EncodeFetchStream(name, off, n))
 	if err != nil {
-		return nil, err
+		return nil, asNotFound(err)
 	}
-	if off+n > int64(len(data)) {
-		return nil, fmt.Errorf("node: fetch %s: bytes [%d,%d) outside block of %d", name, off, off+n, len(data))
-	}
-	return data[off : off+n], nil
+	return resp.Data, nil
 }
 
 // rangePace is the rate, in bytes per second, above which one block
@@ -700,25 +587,6 @@ func holdPace(ctx context.Context, start time.Time, n int64) {
 	}
 }
 
-// streamFetchRange is one ranged OpFetchStream — through the same
-// instrumented call every transfer makes — when the range fits a wire
-// segment, and windowed segment reads when it does not. The length of
-// a single-segment answer is the caller's to check.
-func (c *Client) streamFetchRange(ctx context.Context, addr, name string, off, n int64) ([]byte, error) {
-	if n > int64(c.cfg.Segment) {
-		buf := make([]byte, n)
-		if err := c.streamFetchInto(ctx, addr, name, off, buf, nil); err != nil {
-			return nil, err
-		}
-		return buf, nil
-	}
-	resp, err := c.call(ctx, addr, wire.EncodeFetchStream(name, off, n))
-	if err != nil {
-		return nil, asNotFound(err)
-	}
-	return resp.Data, nil
-}
-
 // probeChunk runs the §4.3 capacity probe for one chunk: the chunk's m
 // block names are grouped by owner and every distinct owner is probed
 // with a single batched request, in parallel — one round-trip latency
@@ -748,11 +616,6 @@ func (c *Client) probeChunk(ctx context.Context, name string, chunk int, free ma
 	caps := make([]int64, len(missing))
 	err := core.ParallelJobsCtx(ctx, len(missing), c.transfers(), func(i int) error {
 		resp, err := c.call(ctx, missing[i], &wire.Request{Op: wire.OpCapBatch, Names: owners[missing[i]]})
-		if isUnknownOp(err) {
-			// A pre-batching node: fall back to the per-name probe it
-			// does understand (the advertisement is the same figure).
-			resp, err = c.call(ctx, missing[i], &wire.Request{Op: wire.OpGetCap})
-		}
 		if err != nil {
 			return fmt.Errorf("node: probe %s chunk %d: %w", name, chunk, err)
 		}
@@ -773,11 +636,6 @@ func (c *Client) probeChunk(ctx context.Context, name string, chunk int, free ma
 		}
 	}
 	return perBlock, owners, nil
-}
-
-// StoreFile stores data under name; see StoreFileCtx.
-func (c *Client) StoreFile(name string, data []byte) (*core.CAT, error) {
-	return c.StoreFileCtx(context.Background(), name, data)
 }
 
 // StoreFileCtx stores data under name using capacity-probed variable
@@ -1105,11 +963,6 @@ func (c *Client) LoadCATCtx(ctx context.Context, name string) (*core.CAT, error)
 	return nil, fmt.Errorf("node: load CAT for %q: %w", name, lastErr)
 }
 
-// FetchFile retrieves and decodes the whole file; see FetchFileCtx.
-func (c *Client) FetchFile(name string) ([]byte, error) {
-	return c.FetchFileCtx(context.Background(), name)
-}
-
 // FetchFileCtx retrieves and decodes the whole file. Chunks are
 // decoded concurrently and each chunk reads any sufficient subset of
 // its blocks, so the fetch succeeds with nodes down (degraded read).
@@ -1120,12 +973,6 @@ func (c *Client) FetchFileCtx(ctx context.Context, name string) ([]byte, error) 
 		return nil, err
 	}
 	return c.fetchCodec(ctx).DecodeFile(ctx, cat, c.fetchFunc(ctx))
-}
-
-// FetchRange retrieves [off, off+length) of the file; see
-// FetchRangeCtx.
-func (c *Client) FetchRange(name string, off, length int64) ([]byte, error) {
-	return c.FetchRangeCtx(context.Background(), name, off, length)
 }
 
 // FetchRangeCtx retrieves [off, off+length) of the file, touching only
@@ -1186,11 +1033,6 @@ func (c *Client) StoreBlocksCtx(ctx context.Context, cat *core.CAT, blocks []cor
 		return err
 	}
 	return c.storeCAT(ctx, cat)
-}
-
-// DeleteFile removes a stored file; see DeleteFileCtx.
-func (c *Client) DeleteFile(name string) error {
-	return c.DeleteFileCtx(context.Background(), name)
 }
 
 // DeleteFileCtx removes every encoded block of the file, its CAT
@@ -1257,11 +1099,6 @@ type RepairStats struct {
 	// ChunksLost counts chunks that could not be decoded (below the
 	// code's threshold) — their blocks cannot be re-created.
 	ChunksLost int
-}
-
-// Repair restores the file's redundancy; see RepairCtx.
-func (c *Client) Repair(name string) (RepairStats, error) {
-	return c.RepairCtx(context.Background(), name)
 }
 
 // RepairCtx implements the §4.4 recovery path from the client side:
@@ -1366,11 +1203,6 @@ func (c *Client) RepairCtx(ctx context.Context, name string) (RepairStats, error
 	return st, nil
 }
 
-// Stat queries one ring member's storage status.
-func (c *Client) Stat(addr string) (capacity, used int64, blocks int, err error) {
-	return c.StatCtx(context.Background(), addr)
-}
-
 // StatCtx queries one ring member's storage status.
 func (c *Client) StatCtx(ctx context.Context, addr string) (capacity, used int64, blocks int, err error) {
 	resp, err := c.call(ctx, addr, &wire.Request{Op: wire.OpStat})
@@ -1382,8 +1214,7 @@ func (c *Client) StatCtx(ctx context.Context, addr string) (capacity, used int64
 
 // NodeStatus is one ring member's extended status: storage plus the
 // membership-state counts and repair backlog a self-healing node
-// reports. Servers predating the failure detector omit the extension,
-// leaving the extended fields zero.
+// reports (RepairQueue stays zero on a node without a repair daemon).
 type NodeStatus struct {
 	Capacity int64
 	Used     int64
@@ -1397,8 +1228,7 @@ type NodeStatus struct {
 }
 
 // StatNodeCtx queries one ring member's extended status. The extension
-// rides the OpStat response's Data field as JSON, so old clients
-// ignore it and old servers simply leave it empty.
+// rides the OpStat response's Data field as JSON.
 func (c *Client) StatNodeCtx(ctx context.Context, addr string) (NodeStatus, error) {
 	resp, err := c.call(ctx, addr, &wire.Request{Op: wire.OpStat})
 	if err != nil {

@@ -31,11 +31,6 @@ import (
 // Per-member incarnation numbers order conflicting claims: only the
 // member itself bumps its incarnation, when refuting a suspicion, so
 // a falsely suspected node that is still reachable always wins.
-//
-// Pre-gossip peers answer the probe ops with "unknown op". The
-// detector reads that as "reachable but old" — alive, never suspect —
-// and keeps such peers current through the OpRing anti-entropy pull,
-// so mixed-version rings keep working.
 
 // DetectorConfig tunes the failure detector. Zero fields take the
 // defaults noted on each; see docs/RING.md for how they trade
@@ -80,8 +75,7 @@ func (c DetectorConfig) withDefaults() DetectorConfig {
 }
 
 // antiEntropyEvery is how many probe rounds pass between OpRing
-// anti-entropy pulls (the full-sync fallback that keeps pre-gossip
-// peers' membership flowing).
+// anti-entropy pulls (see antiEntropy).
 const antiEntropyEvery = 8
 
 // member is one row of a node's membership table.
@@ -90,7 +84,6 @@ type member struct {
 	state wire.MemberState
 	inc   uint64
 	since time.Time // when the current state was applied (suspicion window)
-	old   bool      // pre-gossip peer: answers probe ops with "unknown op"
 }
 
 // gossipEntry is one delta awaiting epidemic retransmission.
@@ -424,18 +417,14 @@ func (s *Server) handlePingReq(req *wire.Request) *wire.Response {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	_, err := s.pool.CallCtx(ctx, target.Addr, &wire.Request{Op: wire.OpPing}, timeout)
-	if err != nil && !isUnknownOp(err) {
+	if _, err := s.pool.CallCtx(ctx, target.Addr, &wire.Request{Op: wire.OpPing}, timeout); err != nil {
 		return &wire.Response{Err: fmt.Sprintf("pingreq: probe %s: %v", target.Addr, err), Data: gossip}
 	}
-	// Reached it — an "unknown op" answer means a reachable pre-gossip
-	// peer, which is an alive target, not a dead one.
 	return &wire.Response{OK: true, Data: gossip}
 }
 
 // statExt is the extended node status carried as JSON in the OpStat
-// response's Data field: pre-gossip clients ignore it, pre-gossip
-// servers leave it empty.
+// response's Data field.
 type statExt struct {
 	Alive       int    `json:"alive"`
 	Suspect     int    `json:"suspect"`
@@ -621,10 +610,6 @@ func (d *detector) probe(target wire.NodeInfo, extra []wire.MemberUpdate) bool {
 	resp, err := s.pool.CallCtx(ctx, target.Addr, req, d.cfg.ProbeTimeout)
 	d.met.probeSeconds.Since(start)
 	if err != nil {
-		if isUnknownOp(err) {
-			d.markOld(target.ID)
-			return true // reachable pre-gossip peer
-		}
 		d.met.probeFailures.Inc()
 		return false
 	}
@@ -651,9 +636,6 @@ func (d *detector) probeVia(helper, target wire.NodeInfo) bool {
 		}
 	}
 	if err != nil {
-		if isUnknownOp(err) {
-			d.markOld(helper.ID) // helper itself is pre-gossip; no verdict on target
-		}
 		return false
 	}
 	return resp.OK
@@ -681,8 +663,7 @@ func (d *detector) pickTarget() (wire.NodeInfo, wire.MemberUpdate, bool) {
 
 // confirmAlive clears a suspicion using direct evidence: the prober
 // itself reached the target (or a helper did). This is local only —
-// other members' views clear through the target's own refutation — but
-// it is the path that protects pre-gossip peers, which cannot refute.
+// other members' views clear through the target's own refutation.
 func (d *detector) confirmAlive(id ids.ID) {
 	s := d.s
 	s.mu.Lock()
@@ -694,25 +675,11 @@ func (d *detector) confirmAlive(id ids.ID) {
 	s.mu.Unlock()
 }
 
-// markOld records that a member answered a probe op with "unknown op":
-// a reachable pre-gossip peer, kept current via anti-entropy instead.
-func (d *detector) markOld(id ids.ID) {
-	s := d.s
-	s.mu.Lock()
-	if m := s.members[id]; m != nil {
-		m.old = true
-		if m.state == wire.StateSuspect {
-			m.state = wire.StateAlive
-			m.since = time.Now()
-			s.rebuildRingLocked()
-		}
-	}
-	s.mu.Unlock()
-}
-
 // antiEntropy pulls a full ring snapshot from one random non-dead
-// member — the pre-gossip fallback path (OpRing) that keeps mixed
-// rings converging on joins even when gossip cannot reach a peer.
+// member (OpRing). A join spreads as the seed's best-effort OpAdd
+// broadcast and as gossip with a bounded retransmission budget, and
+// neither is sure to reach every member: this pull is what makes every
+// view converge on a join.
 func (d *detector) antiEntropy() {
 	s := d.s
 	peers := s.randomPeers(1, wire.StateSuspect, ids.ID{})

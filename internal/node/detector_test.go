@@ -131,7 +131,7 @@ func TestPingReqResolvesTargetFromOwnView(t *testing.T) {
 	}
 	defer helper.Close()
 
-	resp, err := wire.Call(helper.Addr(), &wire.Request{
+	resp, err := rpc(helper.Addr(), &wire.Request{
 		Op:   wire.OpPingReq,
 		Node: wire.NodeInfo{ID: target.ID, Addr: hole.addr()}, // requester's broken route
 	})
@@ -141,7 +141,7 @@ func TestPingReqResolvesTargetFromOwnView(t *testing.T) {
 
 	var unknown ids.ID
 	unknown[0] = 0xEE
-	if resp, err := wire.Call(helper.Addr(), &wire.Request{
+	if resp, err := rpc(helper.Addr(), &wire.Request{
 		Op:   wire.OpPingReq,
 		Node: wire.NodeInfo{ID: unknown, Addr: hole.addr()},
 	}); err == nil && resp != nil && resp.OK {
@@ -235,7 +235,7 @@ func TestForgedSuspicionRefuted(t *testing.T) {
 	forged := wire.EncodeUpdates([]wire.MemberUpdate{
 		{Node: ring[1], State: wire.StateSuspect, Inc: 0},
 	})
-	if _, err := wire.Call(servers[0].Addr(), &wire.Request{Op: wire.OpGossip, Data: forged}); err != nil {
+	if _, err := rpc(servers[0].Addr(), &wire.Request{Op: wire.OpGossip, Data: forged}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -257,55 +257,6 @@ func TestForgedSuspicionRefuted(t *testing.T) {
 		if s.RingSize() != n {
 			t.Fatalf("node %d ring shrank to %d after forged suspicion", i, s.RingSize())
 		}
-	}
-}
-
-// TestDetectorOldPeerNotEvicted: a member behind a pre-gossip front
-// (answers every probe op with "unknown op") must read as alive —
-// reachable but old — and the mixed ring must keep storing and
-// fetching.
-func TestDetectorOldPeerNotEvicted(t *testing.T) {
-	old, err := NewServer("127.0.0.1:0", 1<<30, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer old.Close()
-	front := startPreBatchFront(t, old.Addr())
-	oldInfo := wire.NodeInfo{ID: old.ID, Addr: front}
-
-	const n = 3
-	det := fastDetector()
-	servers, ring := detectorRing(t, n, det, nil, nil,
-		func(i int, shared []wire.NodeInfo) []wire.NodeInfo {
-			return append(append([]wire.NodeInfo(nil), shared...), oldInfo)
-		})
-
-	deadline := time.Now().Add(6 * det.SuspicionTimeout)
-	for time.Now().Before(deadline) {
-		for i, s := range servers {
-			st, ok := s.MemberState(old.ID)
-			if !ok {
-				t.Fatalf("node %d dropped the old peer from its table", i)
-			}
-			if st == wire.StateDead {
-				t.Fatalf("node %d evicted a reachable pre-gossip peer", i)
-			}
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-
-	// The mixed ring still works end to end.
-	view := append(append([]wire.NodeInfo(nil), ring...), oldInfo)
-	c := NewStaticClientCfg(view, erasure.MustXOR(2), Config{ChunkCap: 32 << 10})
-	defer c.Close()
-	data := make([]byte, 120<<10)
-	rand.New(rand.NewSource(5)).Read(data)
-	if _, err := c.StoreFile("mixed.dat", data); err != nil {
-		t.Fatalf("store on mixed ring: %v", err)
-	}
-	got, err := c.FetchFile("mixed.dat")
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("fetch on mixed ring: %v", err)
 	}
 }
 
@@ -334,7 +285,7 @@ func TestRepairDaemonHealsAfterDeath(t *testing.T) {
 	defer c.Close()
 	data := make([]byte, 256<<10)
 	rand.New(rand.NewSource(11)).Read(data)
-	cat, err := c.StoreFile(fileName, data)
+	cat, err := c.StoreFileCtx(context.Background(), fileName, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +345,7 @@ func TestRepairDaemonHealsAfterDeath(t *testing.T) {
 	})
 
 	// And the file itself reads back intact through the healed ring.
-	got, err := vc.FetchFile(fileName)
+	got, err := vc.FetchFileCtx(context.Background(), fileName)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("fetch after autonomous repair: %v", err)
 	}

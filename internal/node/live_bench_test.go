@@ -9,17 +9,12 @@ import (
 
 	"peerstripe/internal/core"
 	"peerstripe/internal/erasure"
-	"peerstripe/internal/ids"
-	"peerstripe/internal/wire"
 )
 
 // The Live benchmarks measure the §5 data path end to end over a
 // 3-node loopback ring: BenchmarkLiveStoreFile/BenchmarkLiveFetchFile
 // run the concurrent pipeline (multiplexed pooled transport, batched
-// probes, parallel block fan-out); the *Seq variants re-implement the
-// seed transport exactly — a fresh TCP dial per request, m sequential
-// capacity probes per chunk, blocks moved one at a time — over the
-// same chunk layout, so the ratio isolates the transport.
+// probes, parallel block fan-out) over many small blocks.
 
 const (
 	benchFileSize = 4 << 20
@@ -30,110 +25,6 @@ func benchData() []byte {
 	data := make([]byte, benchFileSize)
 	rand.New(rand.NewSource(1)).Read(data)
 	return data
-}
-
-// seqStoreFile mirrors the seed Client.StoreFile: per-block capacity
-// probes divided by m, one single-shot dial per RPC, strictly
-// sequential transfers. chunkCap imposes the same layout the pipeline
-// benchmark uses so the two store identical block sets.
-func seqStoreFile(ring []wire.NodeInfo, code erasure.Code, name string, data []byte, chunkCap int64) (*core.CAT, error) {
-	n := int64(code.DataBlocks())
-	m := code.EncodedBlocks()
-	codec := &core.Codec{Code: code, Workers: 1}
-
-	ownerAddr := func(bn string) (string, error) {
-		o, err := OwnerOf(ring, ids.FromName(bn))
-		return o.Addr, err
-	}
-	var chunkSizes []int64
-	remaining := int64(len(data))
-	for chunk := 0; remaining > 0; chunk++ {
-		minCap := int64(-1)
-		for e := 0; e < m; e++ {
-			addr, err := ownerAddr(core.BlockName(name, chunk, e))
-			if err != nil {
-				return nil, err
-			}
-			resp, err := wire.Call(addr, &wire.Request{Op: wire.OpGetCap})
-			if err != nil {
-				return nil, err
-			}
-			cap := resp.Capacity / int64(m)
-			if minCap < 0 || cap < minCap {
-				minCap = cap
-			}
-		}
-		chunkBytes := n * minCap
-		if chunkCap > 0 && chunkBytes > chunkCap {
-			chunkBytes = chunkCap
-		}
-		if chunkBytes > remaining {
-			chunkBytes = remaining
-		}
-		if chunkBytes <= 0 {
-			return nil, core.ErrStoreFailed
-		}
-		chunkSizes = append(chunkSizes, chunkBytes)
-		remaining -= chunkBytes
-	}
-	blocks, cat, err := codec.EncodeFile(context.Background(), name, data, chunkSizes)
-	if err != nil {
-		return nil, err
-	}
-	for _, b := range blocks {
-		addr, err := ownerAddr(b.Name)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := wire.Call(addr, &wire.Request{Op: wire.OpStore, Name: b.Name, Data: b.Data}); err != nil {
-			return nil, err
-		}
-	}
-	catData := cat.Marshal()
-	for r := 0; r <= 2; r++ {
-		rn := core.ReplicaName(core.CATName(name), r)
-		addr, err := ownerAddr(rn)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := wire.Call(addr, &wire.Request{Op: wire.OpStore, Name: rn, Data: catData}); err != nil {
-			return nil, err
-		}
-	}
-	return cat, nil
-}
-
-// seqFetchFile mirrors the seed fetch: sequential per-block single-shot
-// dials, serial chunk decode.
-func seqFetchFile(ring []wire.NodeInfo, code erasure.Code, name string) ([]byte, error) {
-	fetch := func(bn string) ([]byte, bool) {
-		o, err := OwnerOf(ring, ids.FromName(bn))
-		if err != nil {
-			return nil, false
-		}
-		resp, err := wire.Call(o.Addr, &wire.Request{Op: wire.OpFetch, Name: bn})
-		if err != nil {
-			return nil, false
-		}
-		return resp.Data, true
-	}
-	var cat *core.CAT
-	for r := 0; r <= 2; r++ {
-		data, ok := fetch(core.ReplicaName(core.CATName(name), r))
-		if !ok {
-			continue
-		}
-		c, err := core.UnmarshalCAT(name, data)
-		if err == nil {
-			cat = c
-			break
-		}
-	}
-	if cat == nil {
-		return nil, fmt.Errorf("no CAT for %q", name)
-	}
-	codec := &core.Codec{Code: code, Workers: 1}
-	return codec.DecodeFile(context.Background(), cat, fetch)
 }
 
 func benchClient(b *testing.B, seed string) *Client {
@@ -154,31 +45,11 @@ func BenchmarkLiveStoreFile(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		name := fmt.Sprintf("bench-store-%d.dat", i)
-		if _, err := c.StoreFile(name, data); err != nil {
+		if _, err := c.StoreFileCtx(context.Background(), name, data); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		if err := c.DeleteFile(name); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-	}
-}
-
-func BenchmarkLiveStoreFileSeq(b *testing.B) {
-	_, seed := startRing(b, 3, 8<<30)
-	c := benchClient(b, seed) // ring discovery + cleanup only
-	ring := c.Ring()
-	data := benchData()
-	b.SetBytes(benchFileSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		name := fmt.Sprintf("bench-seqstore-%d.dat", i)
-		if _, err := seqStoreFile(ring, erasure.MustXOR(2), name, data, benchChunkCap); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		if err := c.DeleteFile(name); err != nil {
+		if err := c.DeleteFileCtx(context.Background(), name); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
@@ -189,13 +60,13 @@ func BenchmarkLiveFetchFile(b *testing.B) {
 	_, seed := startRing(b, 3, 8<<30)
 	c := benchClient(b, seed)
 	data := benchData()
-	if _, err := c.StoreFile("bench-fetch.dat", data); err != nil {
+	if _, err := c.StoreFileCtx(context.Background(), "bench-fetch.dat", data); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(benchFileSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got, err := c.FetchFile("bench-fetch.dat")
+		got, err := c.FetchFileCtx(context.Background(), "bench-fetch.dat")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -243,7 +114,7 @@ func BenchmarkLiveStoreStream(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		if err := c.DeleteFile(name); err != nil {
+		if err := c.DeleteFileCtx(context.Background(), name); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
@@ -254,34 +125,13 @@ func BenchmarkLiveFetchStream(b *testing.B) {
 	_, seed := startRing(b, 3, 8<<30)
 	c := benchStreamClient(b, seed)
 	data := benchData()
-	if _, err := c.StoreFile("bench-winfetch.dat", data); err != nil {
+	if _, err := c.StoreFileCtx(context.Background(), "bench-winfetch.dat", data); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(benchFileSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got, err := c.FetchFile("bench-winfetch.dat")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !bytes.Equal(got, data) {
-			b.Fatal("fetch mismatch")
-		}
-	}
-}
-
-func BenchmarkLiveFetchFileSeq(b *testing.B) {
-	_, seed := startRing(b, 3, 8<<30)
-	c := benchClient(b, seed)
-	ring := c.Ring()
-	data := benchData()
-	if _, err := c.StoreFile("bench-seqfetch.dat", data); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(benchFileSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		got, err := seqFetchFile(ring, erasure.MustXOR(2), "bench-seqfetch.dat")
+		got, err := c.FetchFileCtx(context.Background(), "bench-winfetch.dat")
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package node
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -14,6 +15,15 @@ import (
 	"peerstripe/internal/ids"
 	"peerstripe/internal/wire"
 )
+
+// testPool carries the package tests' direct requests to nodes.
+var testPool = wire.NewPool()
+
+// rpc is one direct round trip to the node at addr, the way a peer
+// makes it.
+func rpc(addr string, req *wire.Request) (*wire.Response, error) {
+	return testPool.Call(addr, req)
+}
 
 // startRing launches n in-process TCP nodes and returns them with the
 // seed address.
@@ -78,14 +88,14 @@ func TestStoreFetchRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	data := make([]byte, 300_000)
 	rng.Read(data)
-	cat, err := c.StoreFile("live.dat", data)
+	cat, err := c.StoreFileCtx(context.Background(), "live.dat", data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cat.FileSize() != int64(len(data)) {
 		t.Fatalf("CAT size %d", cat.FileSize())
 	}
-	got, err := c.FetchFile("live.dat")
+	got, err := c.FetchFileCtx(context.Background(), "live.dat")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +111,10 @@ func TestFetchRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := []byte(strings.Repeat("0123456789", 5000))
-	if _, err := c.StoreFile("r.dat", data); err != nil {
+	if _, err := c.StoreFileCtx(context.Background(), "r.dat", data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.FetchRange("r.dat", 11111, 222)
+	got, err := c.FetchRangeCtx(context.Background(), "r.dat", 11111, 222)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +133,7 @@ func TestBlocksSpreadAcrossNodes(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		data := make([]byte, 50_000)
 		rng.Read(data)
-		if _, err := c.StoreFile("spread"+string(rune('a'+i))+".dat", data); err != nil {
+		if _, err := c.StoreFileCtx(context.Background(), "spread"+string(rune('a'+i))+".dat", data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,7 +155,7 @@ func TestCapacityRefusal(t *testing.T) {
 		t.Fatal(err)
 	}
 	big := make([]byte, 200_000)
-	if _, err := c.StoreFile("toobig.dat", big); err == nil {
+	if _, err := c.StoreFileCtx(context.Background(), "toobig.dat", big); err == nil {
 		t.Fatal("store succeeded beyond total ring capacity")
 	}
 }
@@ -159,18 +169,30 @@ func TestSurvivesNodeLossWithCoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	data := make([]byte, 120_000)
 	rng.Read(data)
-	if _, err := c.StoreFile("hardy.dat", data); err != nil {
-		t.Fatal(err)
-	}
-	// Kill the node holding the most blocks; (2,3) coding plus CAT
-	// replicas should keep the file retrievable as long as no chunk
-	// loses two blocks — with one victim, at most one block per chunk
-	// name maps there.
-	var victim *Server
-	for _, s := range servers {
-		if victim == nil || s.NumBlocks() > victim.NumBlocks() {
-			victim = s
+	// Kill the node holding the most blocks of the file among those
+	// holding no two blocks of one chunk: (2,3) coding plus CAT replicas
+	// must keep the file retrievable when no chunk loses two blocks.
+	// Placement follows the random node IDs; a file whose every holder
+	// carries two blocks of a chunk is set aside and the next one stored.
+	var (
+		victim *Server
+		name   string
+		most   int
+	)
+	for i := 0; victim == nil && i < 8; i++ {
+		name = fmt.Sprintf("hardy%d.dat", i)
+		if _, err := c.StoreFileCtx(context.Background(), name, data); err != nil {
+			t.Fatal(err)
 		}
+		for _, s := range servers {
+			held, perChunk := chunkBlocks(s, name)
+			if held > most && perChunk == 1 {
+				victim, most = s, held
+			}
+		}
+	}
+	if victim == nil {
+		t.Fatal("every stored file had two blocks of a chunk on each of its holders")
 	}
 	victim.Close()
 	// The client's view still lists the dead node; refresh against a
@@ -186,13 +208,29 @@ func TestSurvivesNodeLossWithCoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c2.FetchFile("hardy.dat")
+	got, err := c2.FetchFileCtx(context.Background(), name)
 	if err != nil {
-		t.Skipf("file unretrievable after victim loss (two blocks co-located): %v", err)
+		t.Fatalf("file unretrievable after losing one block per chunk: %v", err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("post-failure fetch mismatch")
 	}
+}
+
+// chunkBlocks counts the coded blocks of file that s holds, and the
+// most it holds of any one chunk.
+func chunkBlocks(s *Server, file string) (held, perChunk int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	byChunk := map[int]int{}
+	for n := range s.blocks {
+		if f, chunk, _, ok := core.ParseBlockName(n); ok && f == file {
+			held++
+			byChunk[chunk]++
+			perChunk = max(perChunk, byChunk[chunk])
+		}
+	}
+	return held, perChunk
 }
 
 func TestClientImplementsGridFS(t *testing.T) {
@@ -255,12 +293,12 @@ func TestStatAndDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.StoreFile("s.dat", []byte("hello")); err != nil {
+	if _, err := c.StoreFileCtx(context.Background(), "s.dat", []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	totalUsed := int64(0)
 	for _, s := range servers {
-		cap, used, _, err := c.Stat(s.Addr())
+		cap, used, _, err := c.StatCtx(context.Background(), s.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,10 +313,10 @@ func TestStatAndDelete(t *testing.T) {
 	// Direct delete of the data block frees space.
 	bn := core.BlockName("s.dat", 0, 0)
 	owner, _ := OwnerOf(c.Ring(), ids.FromName(bn))
-	if _, err := wire.Call(owner.Addr, &wire.Request{Op: wire.OpDelete, Name: bn}); err != nil {
+	if _, err := rpc(owner.Addr, &wire.Request{Op: wire.OpDelete, Name: bn}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.FetchFile("s.dat"); err == nil {
+	if _, err := c.FetchFileCtx(context.Background(), "s.dat"); err == nil {
 		t.Fatal("fetch succeeded after block deletion under null coding")
 	}
 }
@@ -292,17 +330,17 @@ func TestClientRepairRestoresRedundancy(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	data := make([]byte, 150_000)
 	rng.Read(data)
-	cat, err := c.StoreFile("repair.dat", data)
+	cat, err := c.StoreFileCtx(context.Background(), "repair.dat", data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Delete one block of chunk 0 directly from its owner.
 	bn := core.BlockName("repair.dat", 0, 1)
 	owner, _ := OwnerOf(c.Ring(), ids.FromName(bn))
-	if _, err := wire.Call(owner.Addr, &wire.Request{Op: wire.OpDelete, Name: bn}); err != nil {
+	if _, err := rpc(owner.Addr, &wire.Request{Op: wire.OpDelete, Name: bn}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.Repair("repair.dat")
+	st, err := c.RepairCtx(context.Background(), "repair.dat")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,12 +357,12 @@ func TestClientRepairRestoresRedundancy(t *testing.T) {
 	if _, err := c.FetchBlock(bn); err != nil {
 		t.Fatal("recreated block not fetchable")
 	}
-	got, err := c.FetchFile("repair.dat")
+	got, err := c.FetchFileCtx(context.Background(), "repair.dat")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatal("post-repair fetch mismatch")
 	}
 	// A second pass finds nothing to do.
-	st2, err := c.Repair("repair.dat")
+	st2, err := c.RepairCtx(context.Background(), "repair.dat")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,15 +377,15 @@ func TestClientRepairRestoresCATReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.StoreFile("catfix.dat", []byte("hello world")); err != nil {
+	if _, err := c.StoreFileCtx(context.Background(), "catfix.dat", []byte("hello world")); err != nil {
 		t.Fatal(err)
 	}
 	rn := core.ReplicaName(core.CATName("catfix.dat"), 1)
 	owner, _ := OwnerOf(c.Ring(), ids.FromName(rn))
-	if _, err := wire.Call(owner.Addr, &wire.Request{Op: wire.OpDelete, Name: rn}); err != nil {
+	if _, err := rpc(owner.Addr, &wire.Request{Op: wire.OpDelete, Name: rn}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.Repair("catfix.dat")
+	st, err := c.RepairCtx(context.Background(), "catfix.dat")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,24 +394,28 @@ func TestClientRepairRestoresCATReplica(t *testing.T) {
 	}
 }
 
+// TestWireFrameRoundTrip carries a request and its reply through the
+// frame codec both ways, over the pool and server loop a node speaks:
+// the stored bytes come back unchanged, including zero and 0xff bytes.
 func TestWireFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	req := wire.Request{Op: wire.OpStore, Name: "n", Data: []byte{1, 2, 3}}
-	if err := wire.WriteFrame(&buf, &req); err != nil {
+	_, seed := startRing(t, 1, 1<<20)
+	data := []byte{0, 1, 2, 3, 255}
+	resp, err := rpc(seed, &wire.Request{Op: wire.OpStore, Name: "n", Data: data})
+	if err != nil || !resp.OK {
+		t.Fatalf("store: %+v, %v", resp, err)
+	}
+	got, err := rpc(seed, &wire.Request{Op: wire.OpFetch, Name: "n"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	var got wire.Request
-	if err := wire.ReadFrame(&buf, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Op != req.Op || got.Name != req.Name || !bytes.Equal(got.Data, req.Data) {
-		t.Fatal("frame round trip mismatch")
+	if !got.OK || !bytes.Equal(got.Data, data) {
+		t.Fatalf("frame round trip mismatch: %+v", got)
 	}
 }
 
 func TestUnknownOp(t *testing.T) {
 	_, seed := startRing(t, 1, 1<<20)
-	if _, err := wire.Call(seed, &wire.Request{Op: "bogus"}); err == nil {
-		t.Fatal("unknown op accepted")
+	if _, err := rpc(seed, &wire.Request{Op: "bogus"}); err == nil {
+		t.Fatal("a request with an op the node does not know was accepted")
 	}
 }

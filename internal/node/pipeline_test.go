@@ -2,6 +2,7 @@ package node
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -82,7 +83,7 @@ func TestLiveFetchSurvivesStalledSourceMidStream(t *testing.T) {
 
 	data := make([]byte, size)
 	rand.New(rand.NewSource(31)).Read(data)
-	cat, err := c.StoreFile(name, data)
+	cat, err := c.StoreFileCtx(context.Background(), name, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestLiveFetchSurvivesStalledSourceMidStream(t *testing.T) {
 	proxies[victim].stallResponsesAfter(64 << 10)
 
 	start := time.Now()
-	got, err := c.FetchFile(name)
+	got, err := c.FetchFileCtx(context.Background(), name)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("fetch with %s stalled mid-stream: %v", ring[victim].Addr, err)
@@ -139,14 +140,14 @@ func TestLiveFetchSurvivesDeadSourceStreaming(t *testing.T) {
 
 	data := make([]byte, size)
 	rand.New(rand.NewSource(32)).Read(data)
-	if _, err := c.StoreFile(name, data); err != nil {
+	if _, err := c.StoreFileCtx(context.Background(), name, data); err != nil {
 		t.Fatal(err)
 	}
 
 	proxies[victim].goDark()
 
 	start := time.Now()
-	got, err := c.FetchFile(name)
+	got, err := c.FetchFileCtx(context.Background(), name)
 	if err != nil {
 		t.Fatalf("fetch with %s dead: %v", ring[victim].Addr, err)
 	}
@@ -179,7 +180,7 @@ func TestLiveWindowedStoreThroughSlowSink(t *testing.T) {
 	data := make([]byte, 1<<20)
 	rand.New(rand.NewSource(33)).Read(data)
 	start := time.Now()
-	if _, err := c.StoreFile("slowsink.dat", data); err != nil {
+	if _, err := c.StoreFileCtx(context.Background(), "slowsink.dat", data); err != nil {
 		t.Fatalf("windowed store through slow sinks: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
@@ -194,7 +195,7 @@ func TestLiveWindowedStoreThroughSlowSink(t *testing.T) {
 		t.Fatal("no windowed op reached the backends — the store used another exchange")
 	}
 
-	got, err := c.FetchFile("slowsink.dat")
+	got, err := c.FetchFileCtx(context.Background(), "slowsink.dat")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("fetch back through slow sinks: %v", err)
 	}

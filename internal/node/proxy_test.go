@@ -2,6 +2,7 @@ package node
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"math/rand"
 	"net"
@@ -329,7 +330,7 @@ func TestLiveDegradedReadThroughFaultProxy(t *testing.T) {
 
 	data := make([]byte, size)
 	rand.New(rand.NewSource(7)).Read(data)
-	cat, err := c.StoreFile(fileName, data)
+	cat, err := c.StoreFileCtx(context.Background(), fileName, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +348,7 @@ func TestLiveDegradedReadThroughFaultProxy(t *testing.T) {
 
 	proxies[victim].goDark()
 
-	got, err := c.FetchFile(fileName)
+	got, err := c.FetchFileCtx(context.Background(), fileName)
 	if err != nil {
 		t.Fatalf("degraded fetch with %s dark: %v", ring[victim].Addr, err)
 	}
@@ -356,7 +357,7 @@ func TestLiveDegradedReadThroughFaultProxy(t *testing.T) {
 	}
 
 	// A ranged read exercises the same path per chunk.
-	part, err := c.FetchRange(fileName, 100_000, 50_000)
+	part, err := c.FetchRangeCtx(context.Background(), fileName, 100_000, 50_000)
 	if err != nil || !bytes.Equal(part, data[100_000:150_000]) {
 		t.Fatalf("degraded ranged read: %v", err)
 	}
@@ -376,10 +377,10 @@ func TestLiveFetchAllProxiesSlow(t *testing.T) {
 
 	data := make([]byte, 200<<10)
 	rand.New(rand.NewSource(8)).Read(data)
-	if _, err := c.StoreFile("slow.dat", data); err != nil {
+	if _, err := c.StoreFileCtx(context.Background(), "slow.dat", data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.FetchFile("slow.dat")
+	got, err := c.FetchFileCtx(context.Background(), "slow.dat")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("fetch over slow proxies: %v", err)
 	}

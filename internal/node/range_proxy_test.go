@@ -9,6 +9,7 @@ import (
 	"net"
 	"runtime"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -54,7 +55,7 @@ func newRangedRig(t *testing.T) *rangedRig {
 	rig.c = NewStaticClientCfg(rig.ring, erasure.MustXOR(2), rangedConfig())
 	t.Cleanup(rig.c.Close)
 	rand.New(rand.NewSource(78)).Read(rig.data)
-	cat, err := rig.c.StoreFile(rangedFile, rig.data)
+	cat, err := rig.c.StoreFileCtx(context.Background(), rangedFile, rig.data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestLiveRangedReadHealthy(t *testing.T) {
 
 	// The file-level form agrees, across a chunk seam and a block seam.
 	for _, r := range [][2]int64{{0, 1}, {rangedChunk - 10, 20}, {rangedChunk/2 - 5, 10}, {3*rangedChunk + 7, 2*rangedChunk + 100}} {
-		got, err := rig.c.FetchRange(rangedFile, r[0], r[1])
+		got, err := rig.c.FetchRangeCtx(context.Background(), rangedFile, r[0], r[1])
 		if err != nil || !bytes.Equal(got, rig.data[r[0]:r[0]+r[1]]) {
 			t.Errorf("FetchRange(%d, %d): %v", r[0], r[1], err)
 		}
@@ -147,7 +148,7 @@ func TestLiveRangedReadHolderDead(t *testing.T) {
 func TestLiveRangedReadHolderHasNoBlock(t *testing.T) {
 	rig := newRangedRig(t)
 	name := core.BlockName(rangedFile, rig.ci, 0)
-	if _, err := wire.Call(rig.servers[rig.owners[0]].Addr(), &wire.Request{Op: wire.OpDelete, Name: name}); err != nil {
+	if _, err := rpc(rig.servers[rig.owners[0]].Addr(), &wire.Request{Op: wire.OpDelete, Name: name}); err != nil {
 		t.Fatal(err)
 	}
 	if err := rig.read(t, context.Background(), rig.c); err != nil {
@@ -159,42 +160,78 @@ func TestLiveRangedReadHolderHasNoBlock(t *testing.T) {
 	}
 }
 
-// startLyingFront fronts backend with a node that answers every ranged
-// block read with delta bytes more or fewer than asked. It speaks
-// single-shot v1 only, which the client's pool falls back to.
-func startLyingFront(t *testing.T, backend string, delta int64) string {
+// startFront serves a fault-injection front for backend: a wire.Serve
+// loop whose handler forwards every request over a wire.Pool. rewrite,
+// when non-nil, stands between the two: it gets each request and the
+// forwarding function, so it can rewrite the request, the response, or
+// both.
+func startFront(t *testing.T, backend string, rewrite func(req *wire.Request, forward func(*wire.Request) *wire.Response) *wire.Response) string {
 	t.Helper()
+	pool := wire.NewPool()
+	forward := func(req *wire.Request) *wire.Response {
+		resp, err := pool.Call(backend, req)
+		if resp == nil {
+			resp = &wire.Response{Err: fmt.Sprint(err)}
+		}
+		return resp
+	}
+	h := forward
+	if rewrite != nil {
+		h = func(req *wire.Request) *wire.Response { return rewrite(req, forward) }
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		conns []net.Conn
+	)
+	wg.Add(1)
 	go func() {
+		defer wg.Done()
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+			wg.Add(1)
 			go func() {
-				defer conn.Close()
-				var req wire.Request
-				if err := wire.ReadFrame(conn, &req); err != nil {
-					return
-				}
-				if req.Op == wire.OpFetchStream {
-					if off, n, err := wire.ParseFetchStream(&req); err == nil {
-						req.Names = []string{strconv.FormatInt(off, 10), strconv.FormatInt(n+delta, 10)}
-					}
-				}
-				resp, err := wire.Call(backend, &req)
-				if resp == nil {
-					resp = &wire.Response{Err: fmt.Sprint(err)}
-				}
-				_ = wire.WriteFrame(conn, resp)
+				defer wg.Done()
+				wire.Serve(conn, h, 0)
+				conn.Close()
 			}()
 		}
 	}()
-	t.Cleanup(func() { ln.Close() })
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		for _, c := range conns {
+			c.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+		pool.Close()
+	})
 	return ln.Addr().String()
+}
+
+// startLyingFront fronts backend with a node that answers every ranged
+// block read with delta bytes more or fewer than asked.
+func startLyingFront(t *testing.T, backend string, delta int64) string {
+	t.Helper()
+	return startFront(t, backend, func(req *wire.Request, forward func(*wire.Request) *wire.Response) *wire.Response {
+		if req.Op == wire.OpFetchStream {
+			if off, n, err := wire.ParseFetchStream(req); err == nil {
+				req.Names = []string{strconv.FormatInt(off, 10), strconv.FormatInt(n+delta, 10)}
+			}
+		}
+		return forward(req)
+	})
 }
 
 // A holder that answers with a segment of the wrong length has failed:
@@ -245,7 +282,7 @@ func TestLiveRangedReadUnavailable(t *testing.T) {
 		t.Fatalf("err = %v, want ErrUnavailable or ErrRingUnavailable", err)
 	}
 	at := rig.cat.Rows[rig.ci].Start + rangedLo
-	if got, err := rig.c.FetchRange(rangedFile, at, rangedLen); err == nil || got != nil {
+	if got, err := rig.c.FetchRangeCtx(context.Background(), rangedFile, at, rangedLen); err == nil || got != nil {
 		t.Fatalf("FetchRange returned %d bytes and %v", len(got), err)
 	}
 	wantRanged(t, rig.c, 0, 0)

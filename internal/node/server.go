@@ -27,28 +27,24 @@ const streamStaleAfter = 30 * time.Second
 // misbehaving client cannot hold unbounded partial blocks.
 const maxStagedStreams = 128
 
-// storeStage is one in-progress streaming upload. In-order streams
-// (OpStoreStream) append segments until the declared size has arrived;
-// windowed streams (OpStoreWindow, have != nil) place segments at
-// seq*seg into a pre-sized buffer in whatever order they land. Either
-// way the completed block commits atomically through the same path as
-// a single-frame store.
+// storeStage is one in-progress windowed upload (OpStoreWindow):
+// segments land at seq*seg in a pre-sized buffer in whatever order they
+// arrive, and the completed block commits atomically through the same
+// path as a single-frame store.
 type storeStage struct {
 	name    string
 	buf     []byte // assembled bytes (left nil in discard mode)
 	got     int64  // bytes received so far
-	next    int    // in-order: next expected segment index
-	have    []bool // windowed: per-segment received bitmap
-	seg     int64  // windowed: fixed segment size
+	have    []bool // per-segment received bitmap
+	seg     int64  // fixed segment size
 	total   int
 	size    int64
 	touched time.Time
 }
 
-// Server is one live storage node. It serves both wire protocol
-// versions: pipelined multiplexed requests per v2 connection and
-// sequential single-shot v1 exchanges. Blocks larger than one frame
-// arrive and leave as bounded streaming segments (OpStoreStream /
+// Server is one live storage node, serving pipelined multiplexed
+// requests on every connection. Blocks larger than one segment arrive
+// and leave as bounded streaming segments (OpStoreWindow /
 // OpFetchStream). With a DetectorConfig the node also runs the
 // SWIM-style failure detector (detector.go), and with a RepairConfig
 // the autonomous repair daemon (repairer.go).
@@ -65,8 +61,9 @@ type Server struct {
 	ln        net.Listener
 	advertise string // address other nodes dial (defaults to ln.Addr())
 
-	// pool carries the node's own outbound traffic: probes, indirect
-	// probes served for peers, gossip pushes, and join broadcasts.
+	// pool carries the node's own outbound traffic: its join, probes,
+	// indirect probes served for peers, gossip pushes, and join
+	// broadcasts. Close closes it.
 	pool *wire.Pool
 	det  *detector
 	rep  *repairer
@@ -74,9 +71,8 @@ type Server struct {
 	// streamOps counts served streaming segment requests; tests assert
 	// large transfers actually took the streaming path.
 	streamOps atomic.Int64
-	// windowOps counts the subset of streamOps served as out-of-order
-	// OpStoreWindow segments; tests assert the windowed path engaged
-	// (or, against old peers, that the fallback avoided it).
+	// windowOps counts the subset of streamOps served as OpStoreWindow
+	// upload segments; tests assert the windowed path engaged.
 	windowOps atomic.Int64
 	// fetchOps counts served block reads (OpFetch + OpFetchStream);
 	// tests assert ranged reads touch only the chunks they must.
@@ -120,9 +116,9 @@ func (s *Server) SetDiscard(on bool) {
 	s.mu.Unlock()
 }
 
-// SetMaxInflight bounds concurrently served requests per v2
-// connection (0 selects wire.DefaultInflight). Connections accepted
-// after the call pick up the new bound.
+// SetMaxInflight bounds concurrently served requests per connection
+// (0 selects wire.DefaultInflight). Connections accepted after the call
+// pick up the new bound.
 func (s *Server) SetMaxInflight(n int) {
 	s.mu.Lock()
 	s.maxInflight = n
@@ -215,7 +211,7 @@ func NewServerOpts(addr string, capacity int64, seedAddr string, o ServerOptions
 	go s.acceptLoop()
 
 	if seedAddr != "" && len(o.StaticRing) == 0 {
-		resp, err := wire.Call(seedAddr, &wire.Request{Op: wire.OpJoin, Node: self})
+		resp, err := s.pool.Call(seedAddr, &wire.Request{Op: wire.OpJoin, Node: self})
 		if err != nil {
 			s.Close()
 			return nil, fmt.Errorf("node: join via %s: %w", seedAddr, err)
@@ -276,8 +272,9 @@ func (s *Server) registerStateMetrics() {
 }
 
 // Close stops serving: the detector and repair daemon stop, the
-// listener and every open connection are closed (persistent v2 clients
-// see the hangup and fail over). Stored blocks are discarded, as when
+// listener, every open connection and the node's own pooled
+// connections to its peers are closed (persistent clients see the
+// hangup and fail over). Stored blocks are discarded, as when
 // a desktop departs.
 func (s *Server) Close() error {
 	s.mu.Lock()
@@ -389,10 +386,9 @@ func (s *Server) dispatch(req *wire.Request) *wire.Response {
 		return s.handlePingReq(req)
 	case wire.OpGossip:
 		return &wire.Response{OK: true, Data: s.exchangeGossip(req.Data)}
-	case wire.OpGetCap, wire.OpCapBatch:
-		// The batched form answers for every block name the client
-		// grouped onto this owner in one round trip; the advertisement
-		// is the same free-space figure either way (§4.3).
+	case wire.OpCapBatch:
+		// One answer for every block name the client grouped onto this
+		// owner: the free-space advertisement of §4.3.
 		s.mu.Lock()
 		free := s.capacity - s.used
 		s.mu.Unlock()
@@ -404,8 +400,6 @@ func (s *Server) dispatch(req *wire.Request) *wire.Response {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		return s.commitBlockLocked(req.Name, req.Data, int64(len(req.Data)))
-	case wire.OpStoreStream:
-		return s.handleStoreStream(req)
 	case wire.OpStoreWindow:
 		return s.handleStoreWindow(req)
 	case wire.OpFetch:
@@ -439,7 +433,7 @@ func (s *Server) dispatch(req *wire.Request) *wire.Response {
 		return &wire.Response{OK: true}
 	case wire.OpStat:
 		// The extended status (member states, repair queue) rides Data
-		// as JSON: old clients ignore it, old servers leave it empty.
+		// as JSON, outside the frame layout.
 		ext := s.statExtJSON()
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -501,82 +495,6 @@ func (s *Server) commitBlockLocked(name string, data []byte, size int64) *wire.R
 	}
 	s.used += delta
 	return &wire.Response{OK: true}
-}
-
-// handleStoreStream serves one upload segment: seq 0 opens a staging
-// buffer (after an early capacity check), later segments append in
-// order, and the final one commits the assembled block through the
-// single-frame store path. Stale stages from crashed clients are
-// reclaimed on every streaming call.
-func (s *Server) handleStoreStream(req *wire.Request) *wire.Response {
-	s.streamOps.Add(1)
-	seg, err := wire.ParseStoreStream(req)
-	if err != nil {
-		return &wire.Response{Err: err.Error()}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := time.Now()
-	s.reapStaleStagesLocked(now)
-	st := s.stages[seg.Stream]
-	if st == nil {
-		// The pooled transport retries a request exactly once when its
-		// connection dies under it; a retried final segment whose ack
-		// was lost arrives after the stage committed and is simply
-		// re-acknowledged.
-		if _, done := s.committed[seg.Stream]; done && seg.Seq == seg.Total-1 {
-			return &wire.Response{OK: true}
-		}
-		if seg.Seq != 0 {
-			return &wire.Response{Err: fmt.Sprintf("stream %d: segment %d for unknown stream", seg.Stream, seg.Seq)}
-		}
-		if len(s.stages) >= maxStagedStreams {
-			return &wire.Response{Err: "too many concurrent streams"}
-		}
-		// Refuse early what the commit would refuse anyway, before the
-		// client ships the remaining segments.
-		delta := seg.Size
-		if old, dup := s.sizeOfLocked(req.Name); dup {
-			delta -= old
-		}
-		if s.used+delta > s.capacity {
-			return &wire.Response{Err: "no space"}
-		}
-		st = &storeStage{name: req.Name, total: seg.Total, size: seg.Size}
-		s.stages[seg.Stream] = st
-	}
-	if st.name == req.Name && st.total == seg.Total && st.size == seg.Size && st.next == seg.Seq+1 {
-		// Duplicate of the segment just applied — its ack was lost and
-		// the transport retried. Re-acknowledge without appending.
-		st.touched = now
-		return &wire.Response{OK: true}
-	}
-	if st.name != req.Name || st.total != seg.Total || st.size != seg.Size || st.next != seg.Seq {
-		delete(s.stages, seg.Stream)
-		return &wire.Response{Err: fmt.Sprintf("stream %d: inconsistent segment %d", seg.Stream, seg.Seq)}
-	}
-	if st.got+int64(len(req.Data)) > st.size {
-		delete(s.stages, seg.Stream)
-		return &wire.Response{Err: fmt.Sprintf("stream %d: overrun past declared %d bytes", seg.Stream, st.size)}
-	}
-	if !s.discard {
-		st.buf = append(st.buf, req.Data...)
-	}
-	st.got += int64(len(req.Data))
-	st.touched = now
-	st.next++
-	if st.next < st.total {
-		return &wire.Response{OK: true}
-	}
-	delete(s.stages, seg.Stream)
-	if st.got != st.size {
-		return &wire.Response{Err: fmt.Sprintf("stream %d: got %d of %d bytes", seg.Stream, st.got, st.size)}
-	}
-	resp := s.commitBlockLocked(st.name, st.buf, st.size)
-	if resp.OK {
-		s.committed[seg.Stream] = now
-	}
-	return resp
 }
 
 // reapStaleStagesLocked reclaims staging buffers of crashed clients
@@ -643,7 +561,7 @@ func (s *Server) handleStoreWindow(req *wire.Request) *wire.Response {
 		}
 		s.stages[seg.Stream] = st
 	}
-	if st.have == nil || st.name != req.Name || st.total != seg.Total || st.size != seg.Size || st.seg != seg.Seg {
+	if st.name != req.Name || st.total != seg.Total || st.size != seg.Size || st.seg != seg.Seg {
 		delete(s.stages, seg.Stream)
 		return &wire.Response{Err: fmt.Sprintf("stream %d: inconsistent segment %d", seg.Stream, seg.Seq)}
 	}
@@ -728,13 +646,17 @@ func (s *Server) handleJoin(req *wire.Request) *wire.Response {
 	self := s.selfInfoLocked()
 	s.mu.Unlock()
 
+	// The broadcasts outlive this handler, and req with it.
+	add := &wire.Request{Op: wire.OpAdd, Node: req.Node}
 	for _, p := range peers {
 		if p.ID == self.ID || p.ID == req.Node.ID {
 			continue
 		}
-		// Best effort: a missed broadcast heals on the next OpRing pull
-		// (old peers) or through gossip (detector peers).
-		go wire.Call(p.Addr, &wire.Request{Op: wire.OpAdd, Node: req.Node}) //nolint:errcheck
+		// Best effort: where the detector runs, a missed broadcast heals
+		// through its gossip or its OpRing pull.
+		s.goBackground(func() {
+			s.pool.Call(p.Addr, add) //nolint:errcheck
+		})
 	}
 	return &wire.Response{OK: true, Ring: ring}
 }

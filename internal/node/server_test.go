@@ -41,7 +41,7 @@ func TestServerStoreOverwriteAccounting(t *testing.T) {
 	}
 	defer s.Close()
 	call := func(req *wire.Request) *wire.Response {
-		resp, _ := wire.Call(s.Addr(), req)
+		resp, _ := rpc(s.Addr(), req)
 		return resp
 	}
 	if resp := call(&wire.Request{Op: wire.OpStore, Name: "x", Data: make([]byte, 400)}); resp == nil || !resp.OK {
@@ -67,20 +67,24 @@ func TestServerStoreOverwriteAccounting(t *testing.T) {
 	}
 }
 
+// TestServerGetCapReflectsUsage pins the §4.3 getCapacity answer, the
+// batched OpCapBatch probe: the node's free space, which a store
+// shrinks.
 func TestServerGetCapReflectsUsage(t *testing.T) {
 	s, err := NewServer("127.0.0.1:0", 1000, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	resp, err := wire.Call(s.Addr(), &wire.Request{Op: wire.OpGetCap})
+	probe := &wire.Request{Op: wire.OpCapBatch, Names: []string{"b"}}
+	resp, err := rpc(s.Addr(), probe)
 	if err != nil || resp.Capacity != 1000 {
 		t.Fatalf("fresh capacity = %d, %v", resp.Capacity, err)
 	}
-	if _, err := wire.Call(s.Addr(), &wire.Request{Op: wire.OpStore, Name: "b", Data: make([]byte, 600)}); err != nil {
+	if _, err := rpc(s.Addr(), &wire.Request{Op: wire.OpStore, Name: "b", Data: make([]byte, 600)}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = wire.Call(s.Addr(), &wire.Request{Op: wire.OpGetCap})
+	resp, err = rpc(s.Addr(), probe)
 	if err != nil || resp.Capacity != 400 {
 		t.Fatalf("capacity after store = %d, %v", resp.Capacity, err)
 	}
@@ -92,15 +96,15 @@ func TestServerDeleteFreesSpace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	wire.Call(s.Addr(), &wire.Request{Op: wire.OpStore, Name: "d", Data: make([]byte, 500)}) //nolint:errcheck
-	if _, err := wire.Call(s.Addr(), &wire.Request{Op: wire.OpDelete, Name: "d"}); err != nil {
+	rpc(s.Addr(), &wire.Request{Op: wire.OpStore, Name: "d", Data: make([]byte, 500)}) //nolint:errcheck
+	if _, err := rpc(s.Addr(), &wire.Request{Op: wire.OpDelete, Name: "d"}); err != nil {
 		t.Fatal(err)
 	}
 	if s.Used() != 0 || s.NumBlocks() != 0 {
 		t.Fatal("delete did not free space")
 	}
 	// Deleting a missing block is a no-op, not an error.
-	if _, err := wire.Call(s.Addr(), &wire.Request{Op: wire.OpDelete, Name: "ghost"}); err != nil {
+	if _, err := rpc(s.Addr(), &wire.Request{Op: wire.OpDelete, Name: "ghost"}); err != nil {
 		t.Fatal("delete of missing block errored")
 	}
 }
@@ -112,14 +116,14 @@ func TestServerAddOpExtendsRing(t *testing.T) {
 	}
 	defer s.Close()
 	phantom := wire.NodeInfo{ID: ids.FromName("phantom"), Addr: "203.0.113.1:1"}
-	if _, err := wire.Call(s.Addr(), &wire.Request{Op: wire.OpAdd, Node: phantom}); err != nil {
+	if _, err := rpc(s.Addr(), &wire.Request{Op: wire.OpAdd, Node: phantom}); err != nil {
 		t.Fatal(err)
 	}
 	if s.RingSize() != 2 {
 		t.Fatalf("ring size = %d after add", s.RingSize())
 	}
 	// Duplicate add is idempotent.
-	if _, err := wire.Call(s.Addr(), &wire.Request{Op: wire.OpAdd, Node: phantom}); err != nil {
+	if _, err := rpc(s.Addr(), &wire.Request{Op: wire.OpAdd, Node: phantom}); err != nil {
 		t.Fatal(err)
 	}
 	if s.RingSize() != 2 {

@@ -12,7 +12,7 @@ import (
 
 // TestLargeBlockStreamRoundTrip moves a single block larger than
 // wire.MaxFrame through the transport: the store must ride
-// OpStoreStream segments (a single frame cannot carry it), and the
+// OpStoreWindow segments (a single frame cannot carry it), and the
 // fetch must hit the server's BlockTooLarge refusal and reassemble the
 // block from ranged OpFetchStream reads.
 func TestLargeBlockStreamRoundTrip(t *testing.T) {
@@ -49,8 +49,10 @@ func TestLargeBlockStreamRoundTrip(t *testing.T) {
 }
 
 // TestStreamStoreSegmentErrors drives the server's staging validation
-// at the wire level: out-of-order segments, unknown streams, and
-// overruns are refused without poisoning the node.
+// at the wire level: an over-capacity block and inconsistent segments
+// are refused without poisoning the node, and retried segments — the
+// transport's one-retry semantics — are re-acknowledged mid-stream and
+// after the commit alike.
 func TestStreamStoreSegmentErrors(t *testing.T) {
 	srv, err := NewServer("127.0.0.1:0", 1<<20, "")
 	if err != nil {
@@ -58,56 +60,54 @@ func TestStreamStoreSegmentErrors(t *testing.T) {
 	}
 	defer srv.Close()
 	addr := srv.Addr()
-
-	// A segment for a stream that was never opened.
-	req := wire.EncodeStoreStream("b_0_0", wire.StoreSegment{Stream: 99, Seq: 1, Total: 3, Size: 300}, make([]byte, 100))
-	if _, err := wire.Call(addr, req); err == nil {
-		t.Fatal("orphan continuation segment accepted")
+	seg := func(name string, stream uint64, seq, total int, size, segSize int64, data []byte) (*wire.Response, error) {
+		return rpc(addr, wire.EncodeStoreWindow(name, wire.WindowSegment{
+			Stream: stream, Seq: seq, Total: total, Size: size, Seg: segSize,
+		}, data))
 	}
 
-	// Declared size beyond the node's capacity is refused on seq 0,
-	// before any further segments ship.
-	req = wire.EncodeStoreStream("b_0_0", wire.StoreSegment{Stream: 7, Seq: 0, Total: 2, Size: 4 << 20}, make([]byte, 100))
-	if _, err := wire.Call(addr, req); err == nil {
+	// Declared size beyond the node's capacity is refused on the first
+	// segment, before anything is staged or further segments ship.
+	if _, err := seg("b_0_0", 7, 0, 2, 4<<20, 2<<20, make([]byte, 2<<20)); err == nil {
 		t.Fatal("over-capacity stream accepted")
 	}
+	srv.mu.Lock()
+	open := len(srv.stages)
+	srv.mu.Unlock()
+	if open != 0 {
+		t.Fatalf("an over-capacity stream left %d stages open", open)
+	}
 
-	// A well-formed stream commits — and survives the transport's
-	// one-retry semantics: a duplicate of the just-applied segment
-	// (its ack was lost, the pool re-sent it) is re-acknowledged
-	// without corrupting the assembly, mid-stream and at the final
-	// segment alike.
-	payload := []byte("hello streaming world")
-	seg0 := wire.EncodeStoreStream("ok_0_0", wire.StoreSegment{Stream: 8, Seq: 0, Total: 2, Size: int64(len(payload))}, payload[:7])
-	if _, err := wire.Call(addr, seg0); err != nil {
+	// A duplicate of the just-applied segment (its ack was lost, the
+	// pool re-sent it) is re-acknowledged without corrupting the stage.
+	payload := []byte("hello streaming world") // 21 bytes: segments of 11 and 10
+	if _, err := seg("ok_0_0", 8, 0, 2, int64(len(payload)), 11, payload[:11]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wire.Call(addr, seg0); err != nil {
+	if _, err := seg("ok_0_0", 8, 0, 2, int64(len(payload)), 11, payload[:11]); err != nil {
 		t.Fatalf("retried mid-stream segment refused: %v", err)
 	}
-	// Skipping ahead is a real inconsistency and kills the stream.
-	skip := wire.EncodeStoreStream("ok_0_0", wire.StoreSegment{Stream: 8, Seq: 3, Total: 4, Size: int64(len(payload))}, payload[7:])
-	if _, err := wire.Call(addr, skip); err == nil {
+	// A segment that disagrees with the opened geometry is a real
+	// inconsistency and kills the stream.
+	if _, err := seg("ok_0_0", 8, 3, 4, int64(len(payload)), 6, payload[18:]); err == nil {
 		t.Fatal("inconsistent segment accepted")
 	}
-	if _, err := wire.Call(addr, &wire.Request{Op: wire.OpFetch, Name: "ok_0_0"}); err == nil {
+	if _, err := rpc(addr, &wire.Request{Op: wire.OpFetch, Name: "ok_0_0"}); err == nil {
 		t.Fatal("half-streamed block fetchable")
 	}
 
 	// A fresh, correct stream works after the abuse, and its retried
 	// final segment is re-acknowledged after the commit.
-	seg0 = wire.EncodeStoreStream("ok_0_0", wire.StoreSegment{Stream: 9, Seq: 0, Total: 2, Size: int64(len(payload))}, payload[:7])
-	if _, err := wire.Call(addr, seg0); err != nil {
+	if _, err := seg("ok_0_0", 9, 0, 2, int64(len(payload)), 11, payload[:11]); err != nil {
 		t.Fatal(err)
 	}
-	fin := wire.EncodeStoreStream("ok_0_0", wire.StoreSegment{Stream: 9, Seq: 1, Total: 2, Size: int64(len(payload))}, payload[7:])
-	if _, err := wire.Call(addr, fin); err != nil {
+	if _, err := seg("ok_0_0", 9, 1, 2, int64(len(payload)), 11, payload[11:]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wire.Call(addr, fin); err != nil {
+	if _, err := seg("ok_0_0", 9, 1, 2, int64(len(payload)), 11, payload[11:]); err != nil {
 		t.Fatalf("retried final segment refused after commit: %v", err)
 	}
-	resp, err := wire.Call(addr, &wire.Request{Op: wire.OpFetch, Name: "ok_0_0"})
+	resp, err := rpc(addr, &wire.Request{Op: wire.OpFetch, Name: "ok_0_0"})
 	if err != nil || !bytes.Equal(resp.Data, payload) {
 		t.Fatalf("committed stream not fetchable: %v", err)
 	}

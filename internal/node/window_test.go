@@ -2,12 +2,8 @@ package node
 
 import (
 	"bytes"
-	"fmt"
-	"math/rand"
-	"net"
 	"testing"
 
-	"peerstripe/internal/erasure"
 	"peerstripe/internal/wire"
 )
 
@@ -30,7 +26,7 @@ func TestStoreWindowOutOfOrder(t *testing.T) {
 		return blob[lo:hi]
 	}
 	send := func(seq int) *wire.Response {
-		resp, err := wire.Call(s.Addr(), wire.EncodeStoreWindow("win.blk", wire.WindowSegment{
+		resp, err := rpc(s.Addr(), wire.EncodeStoreWindow("win.blk", wire.WindowSegment{
 			Stream: stream, Seq: seq, Total: 3, Size: 10, Seg: 4,
 		}, segAt(seq)))
 		if err != nil {
@@ -53,7 +49,7 @@ func TestStoreWindowOutOfOrder(t *testing.T) {
 		t.Fatalf("WindowOps = %d after 3 segments", ops)
 	}
 
-	got, err := wire.Call(s.Addr(), &wire.Request{Op: wire.OpFetch, Name: "win.blk"})
+	got, err := rpc(s.Addr(), &wire.Request{Op: wire.OpFetch, Name: "win.blk"})
 	if err != nil || !bytes.Equal(got.Data, blob) {
 		t.Fatalf("fetch after windowed store: %v, %q", err, got.Data)
 	}
@@ -80,7 +76,7 @@ func TestStoreWindowDuplicateSegment(t *testing.T) {
 	s := servers[0]
 	blob := []byte("abcdefgh") // size 8, seg 4: two segments
 	seg := func(seq int, data []byte) *wire.Response {
-		resp, err := wire.Call(s.Addr(), wire.EncodeStoreWindow("dup.blk", wire.WindowSegment{
+		resp, err := rpc(s.Addr(), wire.EncodeStoreWindow("dup.blk", wire.WindowSegment{
 			Stream: 7, Seq: seq, Total: 2, Size: 8, Seg: 4,
 		}, data))
 		if err != nil {
@@ -97,7 +93,7 @@ func TestStoreWindowDuplicateSegment(t *testing.T) {
 	if resp := seg(1, blob[4:]); !resp.OK || resp.Capacity != 8 {
 		t.Fatalf("final segment: %+v", resp)
 	}
-	got, err := wire.Call(s.Addr(), &wire.Request{Op: wire.OpFetch, Name: "dup.blk"})
+	got, err := rpc(s.Addr(), &wire.Request{Op: wire.OpFetch, Name: "dup.blk"})
 	if err != nil || !bytes.Equal(got.Data, blob) {
 		t.Fatalf("fetch after duplicate-ridden store: %v, %q", err, got.Data)
 	}
@@ -111,7 +107,7 @@ func TestStoreWindowSegmentErrors(t *testing.T) {
 	servers, _ := startRing(t, 1, 1<<30)
 	s := servers[0]
 	call := func(stream uint64, seq, total int, size, segSize int64, data []byte) (*wire.Response, error) {
-		return wire.Call(s.Addr(), wire.EncodeStoreWindow("err.blk", wire.WindowSegment{
+		return rpc(s.Addr(), wire.EncodeStoreWindow("err.blk", wire.WindowSegment{
 			Stream: stream, Seq: seq, Total: total, Size: size, Seg: segSize,
 		}, data))
 	}
@@ -136,99 +132,18 @@ func TestStoreWindowSegmentErrors(t *testing.T) {
 	if resp, err := call(21, 1, 2, 8, 4, []byte("EFGH")); err != nil || !resp.OK || resp.Capacity != 8 {
 		t.Fatalf("commit after kill: %+v, %v", resp, err)
 	}
-	got, err := wire.Call(s.Addr(), &wire.Request{Op: wire.OpFetch, Name: "err.blk"})
+	got, err := rpc(s.Addr(), &wire.Request{Op: wire.OpFetch, Name: "err.blk"})
 	if err != nil || !bytes.Equal(got.Data, []byte("ABCDEFGH")) {
 		t.Fatalf("fetch after retried store: %v, %q", err, got.Data)
 	}
 
 	// Malformed framing the encoder cannot produce: a sequence number
 	// outside the stream's range.
-	if _, err := wire.Call(s.Addr(), &wire.Request{
+	if _, err := rpc(s.Addr(), &wire.Request{
 		Op: wire.OpStoreWindow, Name: "err.blk",
 		Names: []string{"22", "5", "2", "8", "4"},
 		Data:  []byte("abcd"),
 	}); err == nil {
 		t.Fatal("out-of-range sequence accepted")
-	}
-}
-
-// startPreWindowFront emulates a node from the in-order-streaming era:
-// it forwards the batch, capacity, and in-order streaming ops but
-// answers "unknown op" to OpStoreWindow and the failure-detection ops
-// that did not exist yet, the way that binary's handler would.
-func startPreWindowFront(t *testing.T, backend string) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				var req wire.Request
-				if err := wire.ReadFrame(conn, &req); err != nil {
-					return
-				}
-				var resp *wire.Response
-				switch req.Op {
-				case wire.OpStoreWindow, wire.OpPing, wire.OpPingReq, wire.OpGossip:
-					resp = &wire.Response{Err: fmt.Sprintf("unknown op %q", req.Op)}
-				default:
-					if r, err := wire.Call(backend, &req); err == nil || r != nil {
-						resp = r
-					} else {
-						resp = &wire.Response{Err: err.Error()}
-					}
-				}
-				_ = wire.WriteFrame(conn, resp)
-			}()
-		}
-	}()
-	t.Cleanup(func() { ln.Close() })
-	return ln.Addr().String()
-}
-
-// TestWindowedClientAgainstPreWindowRing pins the graceful-degrade
-// chain for the windowed exchange: against a ring that streams but
-// does not know OpStoreWindow, the client must see the "unknown op",
-// fall back to the in-order segment-per-ack stream, and round-trip the
-// bytes — with not a single windowed op reaching a backend.
-func TestWindowedClientAgainstPreWindowRing(t *testing.T) {
-	servers, _ := startRing(t, 4, 1<<30)
-	ring := make([]wire.NodeInfo, len(servers))
-	for i, s := range servers {
-		ring[i] = wire.NodeInfo{ID: s.ID, Addr: startPreWindowFront(t, s.Addr())}
-	}
-	// 64 KiB chunks, 8 KiB segments: every 32 KiB block streams, and
-	// the default window would use the windowed exchange.
-	c := NewStaticClientCfg(ring, erasure.MustXOR(2), Config{
-		ChunkCap: 64 << 10,
-		Segment:  8 << 10,
-	})
-	defer c.Close()
-
-	data := make([]byte, 300<<10)
-	rand.New(rand.NewSource(23)).Read(data)
-	if _, err := c.StoreFile("prewin.dat", data); err != nil {
-		t.Fatalf("windowed store against pre-window ring: %v", err)
-	}
-	var streamed int64
-	for _, s := range servers {
-		if s.WindowOps() != 0 {
-			t.Fatalf("backend saw %d windowed ops through a pre-window front", s.WindowOps())
-		}
-		streamed += s.StreamOps()
-	}
-	if streamed == 0 {
-		t.Fatal("no in-order streaming op reached the backends — the fallback did not engage")
-	}
-	got, err := c.FetchFile("prewin.dat")
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("fetch back through pre-window ring: %v", err)
 	}
 }

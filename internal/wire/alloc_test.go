@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// TestRoundTripAllocs pins what one pooled v2 round trip allocates,
+// TestRoundTripAllocs pins what one pooled round trip allocates,
 // client and server together, against the echo server: the response the
 // handler returns, the response the caller gets back, and what a named
 // request carries (the server's copy of the name, the echoed payload and

@@ -9,14 +9,13 @@ import (
 	"peerstripe/internal/ids"
 )
 
-// v2 frame codec. v1 frames carry gob, which re-compiles and
-// re-transmits full type descriptions on every stateless frame — that
-// profiled at ~70% of the live data path's CPU. Multiplexed (v2)
-// connections therefore carry a compact hand-rolled binary encoding of
-// the same Request/Response structs: one length-prefixed frame per
-// message, every variable-length field bounds-checked against the
-// bytes actually received, so a forged header can neither panic the
-// decoder nor make it over-allocate.
+// Frame codec of the v2 dialect, the one the preamble names (mux.go): a
+// compact hand-rolled binary encoding of the Request/Response structs,
+// one length-prefixed frame per message, every variable-length field
+// bounds-checked against the bytes actually received, so a forged
+// header can neither panic the decoder nor make it over-allocate. (It
+// replaced gob, whose per-frame type descriptions profiled at ~70% of
+// the live data path's CPU.)
 //
 // Frame layout (big endian):
 //
@@ -213,8 +212,8 @@ func writeRequestV2(w io.Writer, id uint64, req *Request) error {
 	})
 }
 
-// readRequestV2 reads one request frame (shared bounded-growth path with
-// ReadFrame) and decodes it into req.
+// readRequestV2 reads one request frame (the bounded-growth path of
+// readFrameBody) and decodes it into req.
 func readRequestV2(r io.Reader, req *Request) error {
 	return readFrameBody(r, func(body []byte) error { return decodeRequestV2(body, req) })
 }

@@ -10,60 +10,47 @@ import (
 )
 
 // FuzzWireFrame exercises the frame codec from both directions: a
-// structured round trip (whatever WriteFrame emits, ReadFrame must
+// structured round trip (whatever the writers emit, the readers must
 // reproduce) and raw-bytes decoding (truncated, oversized, and
 // garbage-header inputs must error cleanly, never panic, and never
-// allocate anywhere near what a lying header advertises). The v2
-// decoders must hand out values that own their bytes — the frame they
-// decode from goes back to a pool — and must carry an op they do not
-// know byte for byte.
+// allocate anywhere near what a lying header advertises). The decoders
+// must hand out values that own their bytes — the frame they decode
+// from goes back to a pool — and must carry an op they do not know
+// byte for byte.
 func FuzzWireFrame(f *testing.F) {
 	f.Add([]byte("hello"), "blk_0_1", uint32(5))
 	f.Add([]byte{}, "", uint32(0))
 	f.Add([]byte{0xff, 0x00}, "x", uint32(MaxFrame+1))
 	f.Add([]byte("op"), "fetchx", uint32(7))
 	var valid bytes.Buffer
-	_ = WriteFrame(&valid, &Request{Op: OpStore, Name: "seed", Data: []byte{1, 2, 3}})
+	_ = writeRequestV2(&valid, 1, &Request{Op: OpStore, Name: "seed", Data: []byte{1, 2, 3}})
 	f.Add(valid.Bytes(), "seed", uint32(valid.Len()))
 
 	f.Fuzz(func(t *testing.T, data []byte, name string, hdrLen uint32) {
-		// 1. Round trip: encode a request built from the fuzz inputs.
-		req := Request{Op: OpStore, Name: name, Data: data, Names: []string{name}}
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, &req); err != nil {
-			t.Fatalf("WriteFrame of %d-byte payload: %v", len(data), err)
-		}
-		var got Request
-		if err := ReadFrame(bytes.NewReader(buf.Bytes()), &got); err != nil {
-			t.Fatalf("ReadFrame of own frame: %v", err)
-		}
-		if got.Name != req.Name || !bytes.Equal(got.Data, req.Data) {
-			t.Fatalf("round trip mismatch: %q/%d bytes", got.Name, len(got.Data))
-		}
-
-		// 2. The v2 binary codec must round-trip the same request — with
-		// the fuzz name as its op when that names no known op — and a
+		// 1. Round trip: a request built from the fuzz inputs — with the
+		// fuzz name as its op when that names no known op — and a
 		// response carrying the fuzz payload, through both the plain and
 		// the buffered (connection loop) reader.
+		req := Request{Op: OpStore, Name: name, Data: data, Names: []string{name}}
 		if !slices.Contains(Ops, Op(name)) {
 			req.Op = Op(name)
 		}
 		req.Node = NodeInfo{Addr: name}
-		buf.Reset()
+		var buf bytes.Buffer
 		if err := writeRequestV2(&buf, uint64(hdrLen), &req); err != nil {
 			t.Fatalf("writeRequestV2: %v", err)
 		}
 		frame := bytes.Clone(buf.Bytes())
-		var gotV2 Request
-		if err := readRequestV2(bytes.NewReader(frame), &gotV2); err != nil {
+		var got Request
+		if err := readRequestV2(bytes.NewReader(frame), &got); err != nil {
 			t.Fatalf("readRequestV2 of own frame: %v", err)
 		}
-		checkRequest(t, &gotV2, &req, uint64(hdrLen))
-		gotV2 = Request{}
-		if err := readRequestV2(bufio.NewReader(bytes.NewReader(frame)), &gotV2); err != nil {
+		checkRequest(t, &got, &req, uint64(hdrLen))
+		got = Request{}
+		if err := readRequestV2(bufio.NewReader(bytes.NewReader(frame)), &got); err != nil {
 			t.Fatalf("readRequestV2 of own frame, buffered: %v", err)
 		}
-		checkRequest(t, &gotV2, &req, uint64(hdrLen))
+		checkRequest(t, &got, &req, uint64(hdrLen))
 		// Decoding straight from the body, then overwriting it, must
 		// leave every decoded value as it was.
 		var aliased Request
@@ -71,7 +58,7 @@ func FuzzWireFrame(f *testing.F) {
 			t.Fatalf("decodeRequestV2 of own frame: %v", err)
 		}
 		scribble(frame)
-		checkRequest(t, &aliased, &req, uint64(hdrLen)) // an unknown op comes back as itself, no known one
+		checkRequest(t, &aliased, &req, uint64(hdrLen)) // an op outside Ops comes back as itself, no known one
 
 		resp := Response{OK: true, Err: name, Data: data,
 			Capacity: int64(len(data)), Ring: []NodeInfo{{Addr: name}}}
@@ -92,34 +79,35 @@ func FuzzWireFrame(f *testing.F) {
 		scribble(frame)
 		checkResponse(t, &aliasedResp, &resp, uint64(hdrLen))
 
-		// 3. Raw garbage: the fuzz bytes as-is must never panic in
-		// either codec, plain or buffered.
+		// 2. Raw garbage: the fuzz bytes as-is must never panic in
+		// either reader, plain or buffered.
 		var junk Request
-		_ = ReadFrame(bytes.NewReader(data), &junk)
 		_ = readRequestV2(bytes.NewReader(data), &junk)
 		_ = readRequestV2(bufio.NewReader(bytes.NewReader(data)), &junk)
 		var junkResp Response
 		_ = readResponseV2(bytes.NewReader(data), &junkResp)
 		_ = readResponseV2(bufio.NewReader(bytes.NewReader(data)), &junkResp)
 
-		// 4. Forged header over the fuzz body: whatever length the
+		// 3. Forged header over the fuzz body: whatever length the
 		// header claims, decoding must not panic and must not
 		// allocate more than the body actually delivers (plus the
 		// bounded pre-grow step).
 		forged := make([]byte, 4+len(data))
 		binary.BigEndian.PutUint32(forged, hdrLen)
 		copy(forged[4:], data)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_ = ReadFrame(bytes.NewReader(forged), &junk)
-		runtime.ReadMemStats(&after)
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(len(data))+2*frameGrowStep {
-			t.Fatalf("lying header of %d bytes over %d-byte body allocated %d bytes",
-				hdrLen, len(data), grew)
+		allocBound := func(what string, read func() error) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_ = read()
+			runtime.ReadMemStats(&after)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(len(data))+2*frameGrowStep {
+				t.Fatalf("%s: lying header of %d bytes over %d-byte body allocated %d bytes",
+					what, hdrLen, len(data), grew)
+			}
 		}
-		_ = readRequestV2(bytes.NewReader(forged), &junk)
+		allocBound("readRequestV2", func() error { return readRequestV2(bytes.NewReader(forged), &junk) })
+		allocBound("readResponseV2", func() error { return readResponseV2(bytes.NewReader(forged), &junkResp) })
 		_ = readRequestV2(bufio.NewReader(bytes.NewReader(forged)), &junk)
-		_ = readResponseV2(bytes.NewReader(forged), &junkResp)
 	})
 }
 
@@ -136,7 +124,7 @@ func checkRequest(t *testing.T, got, want *Request, id uint64) {
 	if got.ID != id || got.Op != want.Op || got.Name != want.Name ||
 		!slices.Equal(got.Names, want.Names) || !bytes.Equal(got.Data, want.Data) ||
 		got.Node != want.Node {
-		t.Fatalf("v2 request round trip mismatch: got %+v, want %+v (ID %d)", got, want, id)
+		t.Fatalf("request round trip mismatch: got %+v, want %+v (ID %d)", got, want, id)
 	}
 }
 
@@ -145,6 +133,6 @@ func checkResponse(t *testing.T, got, want *Response, id uint64) {
 	if got.ID != id || got.OK != want.OK || got.Err != want.Err ||
 		!bytes.Equal(got.Data, want.Data) || got.Capacity != want.Capacity ||
 		!slices.Equal(got.Ring, want.Ring) {
-		t.Fatalf("v2 response round trip mismatch: got %+v, want %+v (ID %d)", got, want, id)
+		t.Fatalf("response round trip mismatch: got %+v, want %+v (ID %d)", got, want, id)
 	}
 }

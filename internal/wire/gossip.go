@@ -14,12 +14,8 @@ import (
 // batch of MemberUpdate entries on its probe traffic (SWIM-style
 // epidemic dissemination). The batch is encoded into Request.Data and
 // Response.Data with the compact binary form below rather than new
-// frame fields, so:
-//
-//   - both frame codecs (v1 gob, v2 binary) carry it without change,
-//   - a pre-gossip peer that answers "unknown op" never sees an
-//     unparseable frame, and
-//   - the encoding is versioned independently of the transports.
+// frame fields, so the frame codec carries it as opaque bytes and the
+// encoding is versioned independently of the frame format.
 
 // MemberState is one ring member's liveness state in a membership view.
 type MemberState uint8
@@ -70,7 +66,7 @@ const (
 	// maxGossipAddr bounds one entry's address string.
 	maxGossipAddr = 256
 	// gossipVersion tags the encoding so it can evolve independently
-	// of the wire transports.
+	// of the frame format.
 	gossipVersion = 1
 )
 
@@ -107,7 +103,7 @@ func EncodeUpdates(ups []MemberUpdate) []byte {
 }
 
 // DecodeUpdates parses a gossip batch. A nil or empty payload is a
-// valid empty batch (old peers and plain probes carry none).
+// valid empty batch (plain probes carry none).
 func DecodeUpdates(data []byte) ([]MemberUpdate, error) {
 	if len(data) == 0 {
 		return nil, nil

@@ -15,7 +15,6 @@ type PoolMetrics struct {
 	dials       *telemetry.Counter
 	dialErrors  *telemetry.Counter
 	retries     *telemetry.Counter
-	v1Calls     *telemetry.Counter
 	bytesOut    *telemetry.Counter
 	bytesIn     *telemetry.Counter
 	calls       map[Op]*telemetry.Counter
@@ -31,7 +30,6 @@ func NewPoolMetrics(reg *telemetry.Registry) *PoolMetrics {
 		dials:       reg.Counter("ps_client_dials_total", "Connections dialed by the wire pool."),
 		dialErrors:  reg.Counter("ps_client_dial_errors_total", "Dials that failed."),
 		retries:     reg.Counter("ps_client_retries_total", "Calls retried after the pooled connection died under them."),
-		v1Calls:     reg.Counter("ps_client_v1_calls_total", "Calls served over the single-shot v1 fallback protocol."),
 		bytesOut:    reg.Counter("ps_client_bytes_out_total", "Request payload bytes sent."),
 		bytesIn:     reg.Counter("ps_client_bytes_in_total", "Response payload bytes received."),
 		calls:       make(map[Op]*telemetry.Counter, len(Ops)),
@@ -78,11 +76,5 @@ func (m *PoolMetrics) countDialError() {
 func (m *PoolMetrics) countRetry() {
 	if m != nil {
 		m.retries.Inc()
-	}
-}
-
-func (m *PoolMetrics) countV1() {
-	if m != nil {
-		m.v1Calls.Inc()
 	}
 }

@@ -12,32 +12,27 @@ import (
 	"time"
 )
 
-// v2Preamble opens a multiplexed (v2) connection. Read as a v1 length
-// prefix it is 0x50537632 (~1.3 GB), far above MaxFrame, so a v1 peer
-// rejects the connection cleanly instead of mis-parsing it — which is
-// exactly the signal Pool uses to fall back to single-shot calls.
+// v2Preamble opens every connection, and the server echoes it back as
+// its banner before the first response. It names the dialect (codec.go)
+// so a later version can be negotiated on the same handshake; read as a
+// frame length prefix it is 0x50537632 (~1.3 GB), far above MaxFrame, so
+// it can never be mistaken for a frame.
 var v2Preamble = [4]byte{'P', 'S', 'v', '2'}
 
 // KeepAlivePeriod is the TCP keep-alive interval on pooled connections.
 const KeepAlivePeriod = 30 * time.Second
 
-// DefaultInflight bounds concurrently served requests per v2
+// DefaultInflight bounds concurrently served requests per
 // connection when the server does not choose its own limit.
 const DefaultInflight = 32
 
 // ErrPoolClosed is returned by calls on a closed Pool.
 var ErrPoolClosed = errors.New("wire: pool closed")
 
-// errNotV2 reports that the peer did not complete the v2 handshake —
-// a pre-v2 node, which Pool then reaches over single-shot v1 calls.
-var errNotV2 = errors.New("wire: peer does not speak v2")
-
 // Pool maintains one persistent multiplexed connection per peer
 // address: requests are tagged with IDs, pipelined onto the shared
 // connection, and demultiplexed as responses arrive, so concurrent
 // callers share a socket instead of paying a dial per round trip.
-// Peers that fail the v2 handshake are remembered and reached through
-// single-shot v1 calls, keeping mixed-version rings working.
 //
 // The zero value is not usable; call NewPool. All methods are safe for
 // concurrent use.
@@ -62,7 +57,6 @@ type Pool struct {
 type poolPeer struct {
 	mu sync.Mutex
 	mc *muxConn
-	v1 bool
 }
 
 // NewPool returns an empty connection pool.
@@ -103,7 +97,7 @@ func (p *Pool) CallCtx(ctx context.Context, addr string, req *Request, timeout t
 }
 
 // callCtx is CallCtx's body, split out so instrumentation wraps the
-// whole round trip (retries and v1 fallback included) exactly once.
+// whole round trip (a retry included) exactly once.
 func (p *Pool) callCtx(ctx context.Context, addr string, req *Request, timeout time.Duration) (*Response, error) {
 	if timeout <= 0 {
 		timeout = p.timeout()
@@ -116,10 +110,6 @@ func (p *Pool) callCtx(ctx context.Context, addr string, req *Request, timeout t
 		return nil, err
 	}
 	mc, err := p.connected(peer, addr, timeout)
-	if err == errNotV2 {
-		p.Metrics.countV1()
-		return CallCtx(ctx, addr, req, timeout)
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -130,10 +120,6 @@ func (p *Pool) callCtx(ctx context.Context, addr string, req *Request, timeout t
 		// the common cause is a peer that restarted between calls.
 		p.Metrics.countRetry()
 		mc, err2 := p.connected(peer, addr, timeout)
-		if err2 == errNotV2 {
-			p.Metrics.countV1()
-			return CallCtx(ctx, addr, req, timeout)
-		}
 		if err2 != nil {
 			return nil, err
 		}
@@ -159,13 +145,11 @@ func (p *Pool) peer(addr string) (*poolPeer, error) {
 
 // connected returns a live multiplexed connection for peer, dialing
 // and handshaking under the peer lock so concurrent first calls share
-// one dial.
+// one dial. A failed dial or handshake is not remembered: the next call
+// dials again.
 func (p *Pool) connected(peer *poolPeer, addr string, timeout time.Duration) (*muxConn, error) {
 	peer.mu.Lock()
 	defer peer.mu.Unlock()
-	if peer.v1 {
-		return nil, errNotV2
-	}
 	if peer.mc != nil && !peer.mc.dead() {
 		return peer.mc, nil
 	}
@@ -190,18 +174,11 @@ func (p *Pool) connected(peer *poolPeer, addr string, timeout time.Duration) (*m
 	var banner [4]byte
 	if _, err := io.ReadFull(conn, banner[:]); err != nil || banner != v2Preamble {
 		conn.Close()
-		// A banner that did not come in time says nothing about the
-		// peer's version (a call with a short deadline redialing on a
-		// busy host): fail this call, not every later one.
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			p.Metrics.countDialError()
-			return nil, fmt.Errorf("wire: handshake with %s: %w", addr, err)
+		p.Metrics.countDialError()
+		if err == nil {
+			err = fmt.Errorf("banner %q is not %q", banner[:], v2Preamble[:])
 		}
-		// A v1 peer reads the preamble as an oversized frame and hangs
-		// up without a banner. Remember it and fall back.
-		peer.v1 = true
-		return nil, errNotV2
+		return nil, fmt.Errorf("wire: handshake with %s: %w", addr, err)
 	}
 	conn.SetDeadline(time.Time{}) //nolint:errcheck
 
@@ -215,24 +192,6 @@ func (p *Pool) connected(peer *poolPeer, addr string, timeout time.Duration) (*m
 	p.mu.Unlock()
 	peer.mc = mc
 	return mc, nil
-}
-
-// Forget drops the cached state for addr: its pooled connection and
-// any v1-only marking (e.g. after the peer was upgraded).
-func (p *Pool) Forget(addr string) {
-	p.mu.Lock()
-	peer := p.peers[addr]
-	delete(p.peers, addr)
-	p.mu.Unlock()
-	if peer == nil {
-		return
-	}
-	peer.mu.Lock()
-	mc := peer.mc
-	peer.mu.Unlock()
-	if mc != nil {
-		mc.fail(errors.New("wire: connection dropped"))
-	}
 }
 
 // Close tears down every pooled connection. Subsequent calls fail with
@@ -426,46 +385,29 @@ func (m *muxConn) call(ctx context.Context, addr string, req *Request, timeout t
 	}
 }
 
-// Handler processes one request. On a v2 connection handlers run
-// concurrently (bounded by the server's inflight limit), so they must
-// be safe for concurrent use. The *Request is reused for a later
+// Handler processes one request. Handlers run concurrently (bounded by
+// the server's inflight limit), so they must be safe for concurrent
+// use. The *Request is reused for a later
 // request once the handler returns, so a handler must not keep the
 // pointer; the values in it (strings, slices, Data) are its own to keep.
 // The response is only read, so a handler may return a shared one.
 type Handler func(*Request) *Response
 
-// Serve speaks the server side of both protocol versions on conn until
-// the peer hangs up or the connection fails: v2 (pipelined, responses
-// possibly out of order) when the client opens with the preamble,
-// sequential v1 otherwise. maxInflight bounds concurrent handlers per
-// v2 connection (0 selects DefaultInflight).
+// Serve speaks the server side of the protocol on conn until the peer
+// hangs up or the connection fails: requests are pipelined and their
+// responses may go out of order. A connection that does not open with
+// the preamble gets no banner and no handler call: Serve returns at
+// once, for the caller to close it. maxInflight bounds concurrent
+// handlers per connection (0 selects DefaultInflight).
 func Serve(conn net.Conn, h Handler, maxInflight int) {
 	if maxInflight <= 0 {
 		maxInflight = DefaultInflight
 	}
 	br := bufio.NewReaderSize(conn, 64<<10)
 	peek, err := br.Peek(4)
-	if err != nil {
+	if err != nil || !bytes.Equal(peek, v2Preamble[:]) {
 		return
 	}
-	if !bytes.Equal(peek, v2Preamble[:]) {
-		// v1: strict request/response lockstep. The original protocol
-		// closed after one exchange; serving a sequence keeps that
-		// contract (the v1 client hangs up whenever it wants).
-		for {
-			var req Request
-			if err := ReadFrame(br, &req); err != nil {
-				return
-			}
-			resp := *h(&req)
-			resp.ID = req.ID
-			conn.SetWriteDeadline(time.Now().Add(DefaultTimeout)) //nolint:errcheck
-			if err := WriteFrame(conn, &resp); err != nil {
-				return
-			}
-		}
-	}
-
 	br.Discard(4)                                         //nolint:errcheck
 	conn.SetWriteDeadline(time.Now().Add(DefaultTimeout)) //nolint:errcheck
 	if _, err := conn.Write(v2Preamble[:]); err != nil {
@@ -503,7 +445,7 @@ func Serve(conn net.Conn, h Handler, maxInflight int) {
 	}
 }
 
-// serveConn is the state one v2 connection's workers share.
+// serveConn is the state one connection's workers share.
 type serveConn struct {
 	conn net.Conn
 	h    Handler
@@ -512,7 +454,7 @@ type serveConn struct {
 	wg   sync.WaitGroup
 }
 
-// serveWorker serves the requests of one v2 connection one at a time
+// serveWorker serves the requests of one connection one at a time
 // for as long as the connection lives, so a request costs the server
 // neither a goroutine nor a Request: the read loop decodes into req and
 // signals run.

@@ -17,8 +17,7 @@ import (
 )
 
 // echoHandler answers every op with a deterministic transform of the
-// request, so both transports can be checked against the same golden
-// expectations.
+// request, so a round trip can be checked against golden expectations.
 func echoHandler(req *Request) *Response {
 	resp := &Response{OK: true}
 	switch req.Op {
@@ -26,18 +25,16 @@ func echoHandler(req *Request) *Response {
 		resp.Ring = []NodeInfo{req.Node}
 	case OpRing:
 		resp.Ring = []NodeInfo{{ID: ids.FromName("golden"), Addr: "golden:1"}}
-	case OpGetCap:
-		resp.Capacity = 1000
 	case OpCapBatch:
 		resp.Capacity = 1000 + int64(len(req.Names))
 	case OpStore, OpDelete:
 		resp.Data = []byte(req.Name)
 	case OpFetch:
 		resp.Data = append([]byte("data:"), req.Name...)
-	case OpStoreStream, OpFetchStream, OpStoreWindow:
+	case OpFetchStream, OpStoreWindow:
 		// Streaming segments are plain request/response exchanges; the
 		// golden pins that their control fields (Names) and payloads
-		// survive both transports unchanged.
+		// survive the round trip unchanged.
 		resp.Data = []byte(req.Name)
 		resp.Capacity = int64(len(req.Names))
 	case OpStat:
@@ -45,20 +42,20 @@ func echoHandler(req *Request) *Response {
 	case OpPing, OpGossip:
 		// The gossip piggyback is opaque bytes in Data on both the
 		// request and the response; the golden pins that it survives
-		// both transports unchanged in both directions.
+		// the round trip unchanged in both directions.
 		resp.Data = req.Data
 	case OpPingReq:
 		// An indirect probe carries its target in Node; the echo proves
-		// the target identity crosses both codecs.
+		// the target identity crosses the codec.
 		resp.Data = []byte(req.Node.Addr)
 	default:
-		return &Response{Err: fmt.Sprintf("unknown op %q", req.Op)}
+		return &Response{Err: fmt.Sprintf("echo: no golden answer for %q", req.Op)}
 	}
 	return resp
 }
 
-// startV2Server serves the dual-version loop (Serve) on an ephemeral
-// port, counting accepted connections.
+// startV2Server serves h through Serve on an ephemeral port, counting
+// accepted connections.
 func startV2Server(t testing.TB, h Handler) (addr string, accepts *atomic.Int64) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -92,35 +89,6 @@ func startV2Server(t testing.TB, h Handler) (addr string, accepts *atomic.Int64)
 	return ln.Addr().String(), accepts
 }
 
-// startV1OnlyServer mimics the seed protocol exactly: read one frame,
-// respond, close. No preamble handling — a v2 handshake dies here,
-// which is what the fallback path must survive.
-func startV1OnlyServer(t testing.TB, h Handler) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				var req Request
-				if err := ReadFrame(conn, &req); err != nil {
-					return
-				}
-				_ = WriteFrame(conn, h(&req))
-			}()
-		}
-	}()
-	t.Cleanup(func() { ln.Close() })
-	return ln.Addr().String()
-}
-
 func checkGolden(t *testing.T, op Op, resp *Response, err error) {
 	t.Helper()
 	if err != nil {
@@ -138,10 +106,6 @@ func checkGolden(t *testing.T, op Op, resp *Response, err error) {
 		if len(resp.Ring) != 1 || resp.Ring[0].Addr != "golden:1" {
 			t.Fatalf("%s: ring %v", op, resp.Ring)
 		}
-	case OpGetCap:
-		if resp.Capacity != 1000 {
-			t.Fatalf("%s: capacity %d", op, resp.Capacity)
-		}
 	case OpCapBatch:
 		if resp.Capacity != 1002 {
 			t.Fatalf("%s: batched capacity %d", op, resp.Capacity)
@@ -154,7 +118,7 @@ func checkGolden(t *testing.T, op Op, resp *Response, err error) {
 		if string(resp.Data) != "data:blk" {
 			t.Fatalf("%s: data %q", op, resp.Data)
 		}
-	case OpStoreStream, OpFetchStream, OpStoreWindow:
+	case OpFetchStream, OpStoreWindow:
 		if string(resp.Data) != "blk" || resp.Capacity != 2 {
 			t.Fatalf("%s: echo %q/%d", op, resp.Data, resp.Capacity)
 		}
@@ -174,8 +138,7 @@ func checkGolden(t *testing.T, op Op, resp *Response, err error) {
 }
 
 // goldenGossip is a real encoded membership batch, so the golden pins
-// that detector payloads — not just arbitrary bytes — cross every
-// transport pairing.
+// that detector payloads — not just arbitrary bytes — cross the wire.
 func goldenGossip() []byte {
 	return EncodeUpdates([]MemberUpdate{
 		{Node: NodeInfo{ID: ids.FromName("m1"), Addr: "m1:1"}, State: StateAlive, Inc: 3},
@@ -194,43 +157,84 @@ func goldenRequest(op Op) *Request {
 	}
 }
 
-// TestLiveProtocolCompatGolden runs every protocol op through all four
-// version pairings: v1 and pooled-v2 clients against the dual-version
-// server, and both against a strict v1-only (seed) server — so
-// mixed-version rings keep working for the whole op set.
+// TestLiveProtocolCompatGolden runs every protocol op through a Pool
+// against Serve, and pins the handshake at both ends: a connection that
+// does not open with the preamble is hung up on before any handler
+// runs, and a peer that sends no banner is an error the pool does not
+// remember.
 func TestLiveProtocolCompatGolden(t *testing.T) {
-	v2Addr, _ := startV2Server(t, echoHandler)
-	v1Addr := startV1OnlyServer(t, echoHandler)
+	t.Run("v2Client_v2Server", func(t *testing.T) {
+		addr, _ := startV2Server(t, echoHandler)
+		p := NewPool()
+		defer p.Close()
+		for _, op := range Ops {
+			resp, err := p.Call(addr, goldenRequest(op))
+			checkGolden(t, op, resp, err)
+		}
+	})
 
-	pairings := []struct {
-		name string
-		call func(addr string, req *Request) (*Response, error)
-		addr string
-	}{
-		{"v1Client_v2Server", Call, v2Addr},
-		{"v1Client_v1Server", Call, v1Addr},
-	}
-	for _, pairing := range pairings {
-		t.Run(pairing.name, func(t *testing.T) {
-			for _, op := range Ops {
-				resp, err := pairing.call(pairing.addr, goldenRequest(op))
-				checkGolden(t, op, resp, err)
-			}
+	t.Run("noPreamble", func(t *testing.T) {
+		var handled atomic.Int64
+		addr, _ := startV2Server(t, func(req *Request) *Response {
+			handled.Add(1)
+			return echoHandler(req)
 		})
-	}
-	for _, target := range []struct {
-		name string
-		addr string
-	}{{"v2Client_v2Server", v2Addr}, {"v2Client_v1Server", v1Addr}} {
-		t.Run(target.name, func(t *testing.T) {
-			p := NewPool()
-			defer p.Close()
-			for _, op := range Ops {
-				resp, err := p.Call(target.addr, goldenRequest(op))
-				checkGolden(t, op, resp, err)
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		// A well-formed request frame, but no preamble before it.
+		if err := writeRequestV2(conn, 1, goldenRequest(OpRing)); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+		if got, err := io.ReadAll(conn); err != nil || len(got) != 0 {
+			t.Fatalf("server answered a connection without the preamble: %d bytes, %v", len(got), err)
+		}
+		if n := handled.Load(); n != 0 {
+			t.Fatalf("handler ran %d times on a connection without the preamble", n)
+		}
+	})
+
+	t.Run("noBanner", func(t *testing.T) {
+		// The first connection is hung up on without a banner; later ones
+		// are served.
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		var accepts atomic.Int64
+		go func() {
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				go func(first bool) {
+					defer conn.Close()
+					if first {
+						var preamble [4]byte
+						io.ReadFull(conn, preamble[:]) //nolint:errcheck
+						return
+					}
+					Serve(conn, echoHandler, 0)
+				}(accepts.Add(1) == 1)
 			}
-		})
-	}
+		}()
+		p := NewPool()
+		defer p.Close()
+		addr := ln.Addr().String()
+		if _, err := p.Call(addr, goldenRequest(OpRing)); err == nil || !strings.Contains(err.Error(), "handshake") {
+			t.Fatalf("call to a peer that sent no banner returned %v, want a handshake error", err)
+		}
+		resp, err := p.Call(addr, goldenRequest(OpRing))
+		checkGolden(t, OpRing, resp, err)
+		if n := accepts.Load(); n != 2 {
+			t.Fatalf("%d connections dialed for two calls, want a redial after the failed handshake", n)
+		}
+	})
 }
 
 // TestPoolMultiplexesOneConnection fires many concurrent requests and
@@ -324,7 +328,7 @@ func TestPoolSurvivesPeerRestart(t *testing.T) {
 	p := NewPool()
 	p.Timeout = 2 * time.Second
 	defer p.Close()
-	if _, err := p.Call(addr, goldenRequest(OpGetCap)); err != nil {
+	if _, err := p.Call(addr, goldenRequest(OpCapBatch)); err != nil {
 		t.Fatal(err)
 	}
 	ln.Close()
@@ -340,8 +344,8 @@ func TestPoolSurvivesPeerRestart(t *testing.T) {
 	defer ln2.Close()
 	go serve(ln2)
 
-	resp, err := p.Call(addr, goldenRequest(OpGetCap))
-	if err != nil || resp.Capacity != 1000 {
+	resp, err := p.Call(addr, goldenRequest(OpCapBatch))
+	if err != nil || resp.Capacity != 1002 {
 		t.Fatalf("pool did not recover after peer restart: %v", err)
 	}
 }
@@ -396,7 +400,7 @@ func TestServeInflightBound(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.Call(ln.Addr().String(), goldenRequest(OpGetCap)) //nolint:errcheck
+			p.Call(ln.Addr().String(), goldenRequest(OpCapBatch)) //nolint:errcheck
 		}()
 	}
 	// Let requests pile up against the gate, then release.
@@ -414,38 +418,9 @@ func TestServeInflightBound(t *testing.T) {
 func TestFrameSteadyStateAllocs(t *testing.T) {
 	req := goldenRequest(OpStore)
 	req.Data = make([]byte, 64<<10)
-	var frame bytes.Buffer
-	if err := WriteFrame(&frame, req); err != nil {
-		t.Fatal(err)
-	}
-	raw := frame.Bytes()
 
-	writes := testing.AllocsPerRun(200, func() {
-		if err := WriteFrame(io.Discard, req); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// gob re-sends type info per frame (~15 allocs) but the frame
-	// buffer itself must come from the pool.
-	if writes > 40 {
-		t.Fatalf("WriteFrame allocates %.0f/op, want <= 40", writes)
-	}
-	// Decoding pays gob's per-frame type-description parse (~220
-	// allocs) on top of the payload copy; the body buffer itself must
-	// come from the pool. The pin catches a lost pool or a quadratic
-	// regression, with headroom for gob version drift.
-	reads := testing.AllocsPerRun(200, func() {
-		var got Request
-		if err := ReadFrame(bytes.NewReader(raw), &got); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if reads > 300 {
-		t.Fatalf("ReadFrame allocates %.0f/op, want <= 300", reads)
-	}
-
-	// The v2 binary codec is why the multiplexed path is fast: a
-	// handful of allocations per frame, not gob's per-frame type
+	// The binary codec is why the data path is fast: a handful of
+	// allocations per frame, where gob paid its per-frame type
 	// compilation.
 	var v2frame bytes.Buffer
 	if err := writeRequestV2(&v2frame, 1, req); err != nil {
@@ -548,9 +523,9 @@ func TestFullSegmentFramePooled(t *testing.T) {
 	}
 }
 
-// TestPoolHandshakeTimeoutKeepsV2 checks that a v2 banner arriving too
-// late for a short-deadline call fails that call as a timeout without
-// marking the peer v1-only: the next call must still get a v2 connection.
+// TestPoolHandshakeTimeoutKeepsV2 checks that a banner arriving too late
+// for a short-deadline call fails that call as a timeout and nothing
+// more: the next call must dial again and get a connection.
 func TestPoolHandshakeTimeoutKeepsV2(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -575,14 +550,14 @@ func TestPoolHandshakeTimeoutKeepsV2(t *testing.T) {
 	p := NewPool()
 	defer p.Close()
 	addr := ln.Addr().String()
-	_, err = p.CallTimeout(addr, goldenRequest(OpGetCap), 20*time.Millisecond)
+	_, err = p.CallTimeout(addr, goldenRequest(OpCapBatch), 20*time.Millisecond)
 	var ne net.Error
 	if !errors.As(err, &ne) || !ne.Timeout() {
 		t.Fatalf("call whose handshake outlived its deadline returned %v, want a timeout", err)
 	}
-	resp, err := p.CallTimeout(addr, goldenRequest(OpGetCap), 2*time.Second)
-	checkGolden(t, OpGetCap, resp, err)
-	if peer, _ := p.peer(addr); peer.v1 || peer.mc == nil {
-		t.Fatalf("peer marked v1-only (%v) or left without a v2 connection after a handshake timeout", peer.v1)
+	resp, err := p.CallTimeout(addr, goldenRequest(OpCapBatch), 2*time.Second)
+	checkGolden(t, OpCapBatch, resp, err)
+	if peer, _ := p.peer(addr); peer.mc == nil {
+		t.Fatal("peer left without a connection after a handshake timeout")
 	}
 }

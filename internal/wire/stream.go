@@ -5,35 +5,27 @@ import (
 	"strconv"
 )
 
-// Chunked block streaming. A block larger than one frame cannot ride a
-// single OpStore/OpFetch exchange (MaxFrame bounds every message), so
-// it flows as a sequence of bounded segments instead. Each segment is
-// an ordinary request/response round trip — no new frame layout, no
-// handshake change — which keeps both frame codecs and both protocol
-// versions byte-compatible: a pre-streaming peer parses the request
-// fine and answers "unknown op", the graceful signal the client uses
-// to fall back to single-frame transfers.
+// Chunked block streaming. A block larger than one segment does not
+// ride a single OpStore/OpFetch exchange (MaxFrame bounds every message,
+// and a segment bounds per-transfer memory), so it flows as a sequence
+// of bounded segments instead. Each segment is an ordinary
+// request/response round trip — no frame layout of its own.
 //
 // The segment control fields ride Request.Names as decimal strings:
 //
-//	OpStoreStream: Names = [streamID, seq, total, size]; Data = segment
-//	    bytes. Segments of one block share a streamID, carry 0-based
-//	    seq, and are sent in order (each awaits its ack), so the server
-//	    assembles with a simple append. total is the segment count and
-//	    size the exact block length, both constant across the stream.
+//	OpStoreWindow: Names = [streamID, seq, total, size, segSize]; Data =
+//	    segment bytes. Segments of one stream share a streamID, carry a
+//	    0-based seq, and may be in flight concurrently and arrive in any
+//	    order: the fixed segSize pins segment seq to byte offset
+//	    seq*segSize, so the server places each one directly. total is
+//	    the segment count and size the exact block length, both constant
+//	    across the stream. Every ack's Capacity carries the bytes staged
+//	    so far, the flow-control signal a sender's window advances on; a
+//	    window of one is the in-order segment-per-ack exchange.
 //	OpFetchStream: Names = [offset, maxLen]. The response carries up to
 //	    maxLen bytes of the block at offset in Data and the total block
 //	    size in Capacity, so the first segment tells the client how
 //	    many more to request. The exchange is stateless on the server.
-//	OpStoreWindow: Names = [streamID, seq, total, size, segSize]; Data =
-//	    segment bytes. The windowed upload form: unlike OpStoreStream,
-//	    segments of one stream may be in flight concurrently and arrive
-//	    in any order — the fixed segSize pins segment seq to byte offset
-//	    seq*segSize, so the server places each one directly instead of
-//	    appending. Every ack's Capacity carries the bytes staged so far,
-//	    the flow-control signal a sender's window advances on. A peer
-//	    predating the op answers "unknown op" and the client degrades to
-//	    the in-order OpStoreStream exchange, then to single frames.
 
 // DefaultSegment is the streaming transfer segment size: large enough
 // to amortize round trips, small enough that a segment frame stays far
@@ -48,49 +40,6 @@ const MaxBlockSize = 1 << 30
 // a block whose single-frame response would exceed MaxFrame. Clients
 // that see it retry with OpFetchStream.
 const BlockTooLarge = "block too large for one frame"
-
-// StoreSegment describes one OpStoreStream segment's position in its
-// stream.
-type StoreSegment struct {
-	Stream uint64 // shared by every segment of one block transfer
-	Seq    int    // 0-based segment index, sent in order
-	Total  int    // total segments in the stream
-	Size   int64  // exact block size in bytes
-}
-
-// EncodeStoreStream builds the request for one upload segment.
-func EncodeStoreStream(name string, seg StoreSegment, data []byte) *Request {
-	return &Request{
-		Op:   OpStoreStream,
-		Name: name,
-		Names: []string{
-			strconv.FormatUint(seg.Stream, 10),
-			strconv.Itoa(seg.Seq),
-			strconv.Itoa(seg.Total),
-			strconv.FormatInt(seg.Size, 10),
-		},
-		Data: data,
-	}
-}
-
-// ParseStoreStream recovers the segment descriptor from an
-// OpStoreStream request.
-func ParseStoreStream(req *Request) (StoreSegment, error) {
-	var seg StoreSegment
-	if len(req.Names) != 4 {
-		return seg, fmt.Errorf("wire: %s carries %d control fields, want 4", OpStoreStream, len(req.Names))
-	}
-	stream, err0 := strconv.ParseUint(req.Names[0], 10, 64)
-	seq, err1 := strconv.Atoi(req.Names[1])
-	total, err2 := strconv.Atoi(req.Names[2])
-	size, err3 := strconv.ParseInt(req.Names[3], 10, 64)
-	if err0 != nil || err1 != nil || err2 != nil || err3 != nil ||
-		seq < 0 || total <= 0 || seq >= total || size <= 0 || size > MaxBlockSize {
-		return seg, fmt.Errorf("wire: malformed %s control fields %q", OpStoreStream, req.Names)
-	}
-	seg = StoreSegment{Stream: stream, Seq: seq, Total: total, Size: size}
-	return seg, nil
-}
 
 // WindowSegment describes one OpStoreWindow segment. The segment's
 // byte range is [Seq*Seg, min((Seq+1)*Seg, Size)).

@@ -4,13 +4,15 @@ import (
 	"testing"
 )
 
+// TestStoreStreamRoundTrip round-trips the control fields of one
+// windowed upload segment, OpStoreWindow.
 func TestStoreStreamRoundTrip(t *testing.T) {
-	seg := StoreSegment{Stream: 0xdeadbeefcafe, Seq: 3, Total: 9, Size: 33<<20 + 17}
-	req := EncodeStoreStream("f_0_2", seg, []byte{1, 2, 3})
-	if req.Op != OpStoreStream || req.Name != "f_0_2" {
+	seg := WindowSegment{Stream: 0xdeadbeefcafe, Seq: 3, Total: 9, Size: 33<<20 + 17, Seg: 4 << 20}
+	req := EncodeStoreWindow("f_0_2", seg, []byte{1, 2, 3})
+	if req.Op != OpStoreWindow || req.Name != "f_0_2" {
 		t.Fatalf("encoded request %+v", req)
 	}
-	got, err := ParseStoreStream(req)
+	got, err := ParseStoreWindow(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,16 +23,18 @@ func TestStoreStreamRoundTrip(t *testing.T) {
 
 func TestStoreStreamRejectsMalformed(t *testing.T) {
 	bad := []*Request{
-		{Op: OpStoreStream}, // no control fields
-		{Op: OpStoreStream, Names: []string{"1", "2", "3"}},                   // short
-		{Op: OpStoreStream, Names: []string{"x", "0", "1", "10"}},             // non-numeric
-		{Op: OpStoreStream, Names: []string{"1", "-1", "1", "10"}},            // negative seq
-		{Op: OpStoreStream, Names: []string{"1", "2", "2", "10"}},             // seq >= total
-		{Op: OpStoreStream, Names: []string{"1", "0", "1", "0"}},              // zero size
-		{Op: OpStoreStream, Names: []string{"1", "0", "1", "99999999999999"}}, // over MaxBlockSize
+		{Op: OpStoreWindow}, // no control fields
+		{Op: OpStoreWindow, Names: []string{"1", "0", "1", "10"}},                  // short
+		{Op: OpStoreWindow, Names: []string{"x", "0", "1", "10", "10"}},            // non-numeric
+		{Op: OpStoreWindow, Names: []string{"1", "-1", "1", "10", "10"}},           // negative seq
+		{Op: OpStoreWindow, Names: []string{"1", "2", "2", "10", "5"}},             // seq >= total
+		{Op: OpStoreWindow, Names: []string{"1", "0", "1", "0", "4"}},              // zero size
+		{Op: OpStoreWindow, Names: []string{"1", "0", "1", "99999999999999", "4"}}, // over MaxBlockSize
+		{Op: OpStoreWindow, Names: []string{"1", "0", "1", "10", "0"}},             // zero segment size
+		{Op: OpStoreWindow, Names: []string{"1", "0", "2", "10", "4"}},             // total disagrees with size/segSize
 	}
 	for i, req := range bad {
-		if _, err := ParseStoreStream(req); err == nil {
+		if _, err := ParseStoreWindow(req); err == nil {
 			t.Errorf("case %d: malformed segment accepted", i)
 		}
 	}

@@ -17,14 +17,14 @@ func TestFrameRoundTrip(t *testing.T) {
 		Data: []byte{0, 1, 2, 255},
 		Node: NodeInfo{ID: ids.FromName("n"), Addr: "127.0.0.1:9"},
 	}
-	if err := WriteFrame(&buf, &req); err != nil {
+	if err := writeRequestV2(&buf, 7, &req); err != nil {
 		t.Fatal(err)
 	}
 	var got Request
-	if err := ReadFrame(&buf, &got); err != nil {
+	if err := readRequestV2(&buf, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Op != req.Op || got.Name != req.Name || !bytes.Equal(got.Data, req.Data) ||
+	if got.ID != 7 || got.Op != req.Op || got.Name != req.Name || !bytes.Equal(got.Data, req.Data) ||
 		got.Node.ID != req.Node.ID || got.Node.Addr != req.Node.Addr {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
@@ -34,37 +34,45 @@ func TestFrameMultipleSequential(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 5; i++ {
 		resp := Response{OK: true, Capacity: int64(i)}
-		if err := WriteFrame(&buf, &resp); err != nil {
+		if err := writeResponseV2(&buf, uint64(i), &resp); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 5; i++ {
 		var got Response
-		if err := ReadFrame(&buf, &got); err != nil {
+		if err := readResponseV2(&buf, &got); err != nil {
 			t.Fatal(err)
 		}
-		if got.Capacity != int64(i) {
-			t.Fatalf("frame %d out of order: %d", i, got.Capacity)
+		if got.ID != uint64(i) || got.Capacity != int64(i) {
+			t.Fatalf("frame %d out of order: ID %d, capacity %d", i, got.ID, got.Capacity)
 		}
 	}
 	var extra Response
-	if err := ReadFrame(&buf, &extra); err != io.EOF {
+	if err := readResponseV2(&buf, &extra); err != io.EOF {
 		t.Fatalf("expected EOF after last frame, got %v", err)
 	}
 }
 
 func TestReadFrameTruncatedHeader(t *testing.T) {
-	var got Response
-	if err := ReadFrame(strings.NewReader("\x00\x00"), &got); err == nil {
+	var req Request
+	if err := readRequestV2(strings.NewReader("\x00\x00"), &req); err == nil {
+		t.Fatal("truncated header accepted")
+	}
+	var resp Response
+	if err := readResponseV2(strings.NewReader("\x00\x00"), &resp); err == nil {
 		t.Fatal("truncated header accepted")
 	}
 }
 
 func TestReadFrameTruncatedBody(t *testing.T) {
 	// Header claims 100 bytes, body has 3.
-	r := strings.NewReader("\x00\x00\x00\x64abc")
-	var got Response
-	if err := ReadFrame(r, &got); err == nil {
+	const frame = "\x00\x00\x00\x64abc"
+	var req Request
+	if err := readRequestV2(strings.NewReader(frame), &req); err == nil {
+		t.Fatal("truncated body accepted")
+	}
+	var resp Response
+	if err := readResponseV2(strings.NewReader(frame), &resp); err == nil {
 		t.Fatal("truncated body accepted")
 	}
 }
@@ -72,8 +80,13 @@ func TestReadFrameTruncatedBody(t *testing.T) {
 func TestReadFrameOversized(t *testing.T) {
 	// Header claims > MaxFrame.
 	hdr := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	var got Response
-	if err := ReadFrame(bytes.NewReader(hdr), &got); err == nil ||
+	var req Request
+	if err := readRequestV2(bytes.NewReader(hdr), &req); err == nil ||
+		!strings.Contains(err.Error(), "exceeds limit") {
+		t.Fatalf("oversized frame not rejected: %v", err)
+	}
+	var resp Response
+	if err := readResponseV2(bytes.NewReader(hdr), &resp); err == nil ||
 		!strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("oversized frame not rejected: %v", err)
 	}
@@ -82,13 +95,18 @@ func TestReadFrameOversized(t *testing.T) {
 func TestWriteFrameOversized(t *testing.T) {
 	var buf bytes.Buffer
 	req := Request{Op: OpStore, Data: make([]byte, MaxFrame+1)}
-	if err := WriteFrame(&buf, &req); err == nil {
+	if err := writeRequestV2(&buf, 1, &req); err == nil {
+		t.Fatal("oversized write accepted")
+	}
+	if err := writeResponseV2(&buf, 1, &Response{OK: true, Data: req.Data}); err == nil {
 		t.Fatal("oversized write accepted")
 	}
 }
 
 func TestCallDialFailure(t *testing.T) {
-	if _, err := Call("127.0.0.1:1", &Request{Op: OpRing}); err == nil {
+	p := NewPool()
+	defer p.Close()
+	if _, err := p.Call("127.0.0.1:1", &Request{Op: OpRing}); err == nil {
 		t.Fatal("call to dead address succeeded")
 	}
 }
@@ -99,11 +117,11 @@ func TestFrameLargePayload(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i * 31)
 	}
-	if err := WriteFrame(&buf, &Request{Op: OpStore, Data: data}); err != nil {
+	if err := writeRequestV2(&buf, 1, &Request{Op: OpStore, Data: data}); err != nil {
 		t.Fatal(err)
 	}
 	var got Request
-	if err := ReadFrame(&buf, &got); err != nil {
+	if err := readRequestV2(&buf, &got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Data, data) {

@@ -13,8 +13,8 @@ import (
 )
 
 // Node is one running storage node, contributing capacity to a ring
-// and serving both wire protocol versions (multiplexed v2 with
-// streaming transfers, single-shot v1). Create one with ListenAndServe.
+// and serving the multiplexed wire protocol, streaming transfers
+// included. Create one with ListenAndServe.
 //
 // With WithDetector the node runs the SWIM-style failure detector —
 // probing members, gossiping membership deltas, and committing deaths

@@ -29,7 +29,7 @@ const DefaultChunkCache = 64 << 20
 //
 //   - Coding: WithCode, WithSchedule, WithWorkers, WithChunkCap
 //   - Caching: WithChunkCache
-//   - Transport: WithTimeout, WithSegment, WithTransfers, WithV1
+//   - Transport: WithTimeout, WithSegment, WithTransfers
 //   - Pipelining: WithPipelineDepth, WithStreamWindow, WithHedge,
 //     WithHedgeDelay
 //   - Placement/durability: WithCATReplicas
@@ -191,16 +191,6 @@ func WithTransfers(n int) Option {
 	}
 }
 
-// WithV1 forces the single-shot v1 wire transport (one dial per
-// request, no multiplexing, no streaming) — the seed protocol, kept
-// for mixed-version rings and comparisons.
-func WithV1() Option {
-	return func(o *options) error {
-		o.cfg.V1 = true
-		return nil
-	}
-}
-
 // ---- Pipelining: how stages overlap and laggards are raced ----
 
 // WithPipelineDepth bounds the chunks in flight during a streamed
@@ -222,9 +212,8 @@ func WithPipelineDepth(n int) Option {
 // WithStreamWindow bounds in-flight segments per streamed block
 // transfer (default 4). Windowed segments ride the out-of-order
 // OpStoreWindow exchange on stores and ranged readahead on fetches, so
-// one slow ack no longer serializes a stream; 1 restores the strictly
-// in-order segment-per-ack exchange (and the pre-window wire
-// behavior).
+// one slow ack no longer serializes a stream; 1 keeps one OpStoreWindow
+// segment in flight, each sent after the previous one's ack.
 func WithStreamWindow(n int) Option {
 	return func(o *options) error {
 		if n < 1 {

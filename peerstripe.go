@@ -19,9 +19,8 @@
 // then reads, erasure-codes, and uploads one chunk at a time, so peak
 // memory is a small multiple of the chunk size no matter how large the
 // file is. On the wire, blocks larger than one frame segment move as
-// bounded streaming exchanges (OpStoreStream/OpFetchStream), with
-// automatic fallback to single-frame transfers against pre-streaming
-// nodes — mixed-version rings keep working.
+// bounded streaming exchanges: windowed OpStoreWindow uploads, ranged
+// OpFetchStream reads.
 //
 // Every operation takes a context.Context and honors cancellation
 // end to end: mid-transfer cancel aborts the RPC waits, the hedged

@@ -84,7 +84,7 @@ func totalWindowOps(servers []*node.Server) int64 {
 
 // TestStoreOpenRoundTripStreaming drives the full public data path
 // with blocks larger than the wire segment: Store must move them as
-// OpStoreStream segments (asserted via the server counters) and the
+// OpStoreWindow segments (asserted via the server counters) and the
 // Open/Read surface must hand back the exact bytes.
 func TestStoreOpenRoundTripStreaming(t *testing.T) {
 	servers, seed := testRing(t, 4, 1<<30)
@@ -337,7 +337,7 @@ func (r *cancellingReader) Read(p []byte) (int, error) {
 }
 
 // pipelineGoroutines counts the running goroutines other than the
-// ring's idle request workers. A node's v2 connection keeps the workers
+// ring's idle request workers. A node's connection keeps the workers
 // a burst of requests needed until the connection closes (docs/LIVE.md):
 // a store with more concurrent transfers than the warm-up leaves more of
 // them parked, which is steady state on the server, not a leak in the
@@ -354,7 +354,7 @@ func pipelineGoroutines() int {
 	return n
 }
 
-// idleServeWorker reports whether one goroutine of a stack dump is a v2
+// idleServeWorker reports whether one goroutine of a stack dump is a
 // request worker parked between requests: blocked in the worker loop
 // itself on its next request, not in a handler or a response write.
 func idleServeWorker(g []byte) bool {
