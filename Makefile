@@ -82,10 +82,14 @@ fuzz-smoke:
 # and partial-chunk ranged reads against a dead, empty-handed, lying or
 # stalled holder — and the wire protocol golden (every op through Pool
 # and Serve, and the handshake) — native and on the noasm portable
-# kernels (docs/LIVE.md).
+# kernels (docs/LIVE.md). Under the race detector a released receive
+# frame is poisoned, so every byte-verifying test here is also a
+# use-after-release check. Then, without it (its instrumentation
+# allocates), the store and fetch allocation budgets per user byte.
 live-path:
 	$(GO) test -race -run 'Live|Integration' ./...
 	$(GO) test -tags noasm -race -run 'Live|Integration' ./...
+	$(GO) test -count=1 -run 'AllocBudget$$' .
 
 # The streaming pipeline under the race detector and fault injection:
 # windowed out-of-order staging and its kill-the-stage errors, the hedged

@@ -159,13 +159,22 @@ type NamedBlock struct {
 // reports false when the block is unavailable.
 type FetchFunc func(name string) ([]byte, bool)
 
+// Releaser gives back the buffer a fetched block is a view of. A fetch
+// hook that hands out a block it does not own returns one beside it —
+// the live client returns the wire response whose receive frame holds
+// the bytes — and the codec calls Release once it is done with the
+// bytes: after the decode or the copy, never before. A nil Releaser
+// means the block is the caller's and there is nothing to give back.
+type Releaser interface{ Release() }
+
 // StreamFetchFunc retrieves a named block while reporting incremental
 // transfer progress: implementations call progress with the byte count
 // of each segment as it lands (the live client's windowed block
 // streams do), letting the hedged read path tell a moving stream from
 // a stalled one mid-transfer. progress must not be called after the
-// function returns.
-type StreamFetchFunc func(name string, progress func(bytes int)) ([]byte, bool)
+// function returns. The block stays readable until its Releaser, when
+// non-nil, is released.
+type StreamFetchFunc func(name string, progress func(bytes int)) ([]byte, Releaser, bool)
 
 // ChunkCache lets a caller interpose a decoded-chunk cache under every
 // chunk read the codec performs: DecodeChunk, DecodeRange, and
@@ -509,18 +518,19 @@ func (cd *Codec) decodeChunkParallel(ctx context.Context, file string, ci int, c
 	}
 	sfetch := cd.StreamFetch
 	if sfetch == nil {
-		sfetch = func(name string, progress func(int)) ([]byte, bool) {
+		sfetch = func(name string, progress func(int)) ([]byte, Releaser, bool) {
 			data, ok := fetch(name)
 			if ok {
 				progress(len(data))
 			}
-			return data, ok
+			return data, nil, ok
 		}
 	}
 
 	type result struct {
 		e    int
 		data []byte
+		rel  Releaser
 		ok   bool
 	}
 	// Buffered to m: abandoned fetches complete into the buffer and
@@ -536,10 +546,10 @@ func (cd *Codec) decodeChunkParallel(ctx context.Context, file string, ci int, c
 		inflight++
 		inFlight[e] = true
 		go func() {
-			data, ok := sfetch(BlockName(file, ci, e), func(n int) {
+			data, rel, ok := sfetch(BlockName(file, ci, e), func(n int) {
 				moved[e].Add(int64(n))
 			})
-			results <- result{e, data, ok}
+			results <- result{e, data, rel, ok}
 		}()
 	}
 
@@ -557,6 +567,16 @@ func (cd *Codec) decodeChunkParallel(ctx context.Context, file string, ci int, c
 	}
 
 	got := make([]erasure.Block, 0, m)
+	// The blocks in got are given back once this decode is over: no
+	// decoded chunk shares memory with the blocks it came from. Blocks
+	// still in flight on an early return land in the buffered channel
+	// unreleased, which costs their frames an allocation, nothing more.
+	var held []Releaser
+	defer func() {
+		for _, rel := range held {
+			rel.Release()
+		}
+	}()
 	for {
 		for launched < m && inflight < limit && launched < target+failed && ctx.Err() == nil {
 			launch()
@@ -572,6 +592,9 @@ func (cd *Codec) decodeChunkParallel(ctx context.Context, file string, ci int, c
 		case r := <-results:
 			inflight--
 			inFlight[r.e] = false
+			if r.rel != nil {
+				held = append(held, r.rel)
+			}
 			if !r.ok {
 				failed++
 				continue

@@ -141,18 +141,18 @@ func TestProgressHedgeReplacesSilentSource(t *testing.T) {
 	defer close(release)
 	var fetched sync.Map
 	par := &Codec{Code: code, FetchParallel: 4, HedgeDelay: 20 * time.Millisecond}
-	par.StreamFetch = func(name string, progress func(int)) ([]byte, bool) {
+	par.StreamFetch = func(name string, progress func(int)) ([]byte, Releaser, bool) {
 		fetched.Store(name, true)
 		if name == BlockName("silent.dat", 0, 0) {
 			progress(512) // a head's worth of bytes, then silence
 			<-release
-			return nil, false
+			return nil, nil, false
 		}
 		d, ok := mf.fetch(name)
 		if ok {
 			progress(len(d))
 		}
-		return d, ok
+		return d, nil, ok
 	}
 
 	startT := time.Now()
@@ -186,7 +186,7 @@ func TestProgressHedgeSparesMovingSource(t *testing.T) {
 
 	var launches atomic.Int64
 	par := &Codec{Code: code, FetchParallel: 4, HedgeDelay: 25 * time.Millisecond}
-	par.StreamFetch = func(name string, progress func(int)) ([]byte, bool) {
+	par.StreamFetch = func(name string, progress func(int)) ([]byte, Releaser, bool) {
 		launches.Add(1)
 		if name == BlockName("moving.dat", 0, 0) {
 			// ~150ms total — six hedge periods — but bytes trickle in
@@ -200,7 +200,7 @@ func TestProgressHedgeSparesMovingSource(t *testing.T) {
 		if ok {
 			progress(len(d))
 		}
-		return d, ok
+		return d, nil, ok
 	}
 
 	got, err := par.DecodeFile(context.Background(), cat, mf.fetch)

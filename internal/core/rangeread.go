@@ -11,9 +11,10 @@ import (
 // RangeFetchFunc reads n bytes at offset off of a named block from
 // wherever it is stored, reporting false when they are unavailable. An
 // answer of any other length than n is treated as a failure by the
-// caller, never copied. It must honor ctx and be safe for concurrent
-// use.
-type RangeFetchFunc func(ctx context.Context, name string, off, n int64) ([]byte, bool)
+// caller, never copied. The bytes stay readable until the Releaser,
+// when non-nil, is released (see Releaser). It must honor ctx and be
+// safe for concurrent use.
+type RangeFetchFunc func(ctx context.Context, name string, off, n int64) ([]byte, Releaser, bool)
 
 // blockRange is one step of a partial-chunk read: n bytes at off of
 // data block `block`, landing at dst of the caller's buffer.
@@ -50,12 +51,12 @@ func (cd *Codec) rangeFetch(fetch FetchFunc) RangeFetchFunc {
 	if cd.RangeFetch != nil {
 		return cd.RangeFetch
 	}
-	return func(_ context.Context, name string, off, n int64) ([]byte, bool) {
+	return func(_ context.Context, name string, off, n int64) ([]byte, Releaser, bool) {
 		data, ok := fetch(name)
 		if !ok || off+n > int64(len(data)) {
-			return nil, false
+			return nil, nil, false
 		}
-		return data[off : off+n], true
+		return data[off : off+n], nil, true
 	}
 }
 
@@ -116,19 +117,29 @@ func (cd *Codec) readBlockRange(ctx context.Context, sys erasure.Systematic, fil
 	type result struct {
 		e    int
 		data []byte
+		rel  Releaser
 	}
 	// Buffered to m: abandoned reads complete into the buffer, never
-	// leaking a goroutine past its fetch.
+	// leaking a goroutine past its fetch; their ranges stay unreleased,
+	// which costs their frames an allocation, nothing more. Every range
+	// taken from the channel is given back once the read is over: dst
+	// holds a copy or a rebuild, never a view.
 	results := make(chan result, m)
+	var held []Releaser
+	defer func() {
+		for _, rel := range held {
+			rel.Release()
+		}
+	}()
 	pending := 0
 	read := func(e int) {
 		pending++
 		go func() {
-			data, ok := rf(ctx, BlockName(file, ci, e), r.off, r.n)
+			data, rel, ok := rf(ctx, BlockName(file, ci, e), r.off, r.n)
 			if !ok || int64(len(data)) != r.n {
 				data = nil
 			}
-			results <- result{e, data}
+			results <- result{e, data, rel}
 		}()
 	}
 	rebuilding := false
@@ -165,6 +176,9 @@ func (cd *Codec) readBlockRange(ctx context.Context, sys erasure.Systematic, fil
 			return fmt.Errorf("%s chunk %d: %w", file, ci, ctx.Err())
 		case res := <-results:
 			pending--
+			if res.rel != nil {
+				held = append(held, res.rel)
+			}
 			switch {
 			case res.data == nil && res.e == r.block:
 				holderFailed = true

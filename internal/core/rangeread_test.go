@@ -207,12 +207,13 @@ func newRangeRig(t *testing.T, hedge time.Duration) *rangeRig {
 				rig.rebuilt.Add(1)
 			}
 		},
-		RangeFetch: func(ctx context.Context, name string, off, n int64) ([]byte, bool) {
+		RangeFetch: func(ctx context.Context, name string, off, n int64) ([]byte, Releaser, bool) {
 			var e int
 			for e = 0; BlockName("f", 0, e) != name; e++ {
 			}
 			d, _ := stored(name)
-			return rig.bend(ctx, e, d[off:off+n])
+			d, ok := rig.bend(ctx, e, d[off:off+n])
+			return d, nil, ok
 		},
 	}
 	return rig

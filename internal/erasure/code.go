@@ -47,6 +47,42 @@ type Code interface {
 	Decode(blocks []Block, chunkLen int) ([]byte, error)
 }
 
+// EncoderInto is implemented by codes that can encode into a
+// caller-supplied backing array — the encode-side mirror of
+// DecoderInto. It exists so a store that encodes chunk after chunk can
+// hand each encode the coded output of one it has finished uploading
+// instead of allocating it fresh per chunk.
+type EncoderInto interface {
+	// EncodeInto is Encode with every encoded byte that is not a view of
+	// chunk — parity and check blocks, and the zero-padded tail of the
+	// data blocks when the chunk does not divide evenly — placed in
+	// backing. A backing without the capacity for them is replaced by a
+	// new array. It returns the blocks and the backing they use: the
+	// caller may pass that backing to a later EncodeInto once no block
+	// of this one is in use. EncodeInto(nil, chunk) is Encode(chunk).
+	EncodeInto(backing, chunk []byte) ([]Block, []byte, error)
+}
+
+// EncodeWith encodes chunk into backing when c is an EncoderInto and
+// with Encode, returning a nil backing, when it is not.
+func EncodeWith(c Code, backing, chunk []byte) ([]Block, []byte, error) {
+	if ei, ok := c.(EncoderInto); ok {
+		return ei.EncodeInto(backing, chunk)
+	}
+	blocks, err := c.Encode(chunk)
+	return blocks, nil, err
+}
+
+// sized returns backing resliced to n bytes when it has the capacity,
+// and a new array of n bytes when it does not. The contents are
+// unspecified: every encoder overwrites what it takes from a backing.
+func sized(backing []byte, n int) []byte {
+	if cap(backing) < n {
+		return make([]byte, n)
+	}
+	return backing[:n]
+}
+
 // ErrInsufficient is returned by Decode when the supplied blocks cannot
 // reconstruct the chunk.
 var ErrInsufficient = errors.New("erasure: insufficient blocks to decode")
@@ -70,14 +106,27 @@ func blockSize(chunkLen, n int) int {
 	return (chunkLen + n - 1) / n
 }
 
+// tailLen is the room splitViews needs for a chunk of chunkLen split
+// into n blocks: the partial last block zero-padded to the block size,
+// and any all-padding blocks after it. It is 0 when the chunk divides
+// evenly.
+func tailLen(chunkLen, n int) int {
+	bs := blockSize(chunkLen, n)
+	if bs == 0 {
+		return 0
+	}
+	return (n - chunkLen/bs) * bs
+}
+
 // splitViews divides chunk into n blocks of equal size without copying
 // it: every full block aliases chunk, and only the tail — the partial
 // last block zero-padded to size, and any all-padding blocks after it —
-// is a fresh buffer. A chunk that divides evenly (the common case: the
-// paper's 4 MB chunk over 4096 blocks) is not copied at all. The blocks
-// are fixed-length views, never appended to; see Code.Encode for what
-// the aliasing asks of callers.
-func splitViews(chunk []byte, n int) [][]byte {
+// is copied, into tail, which holds tailLen(len(chunk), n) bytes. A
+// chunk that divides evenly (the common case: the paper's 4 MB chunk
+// over 4096 blocks) is not copied at all. The blocks are fixed-length
+// views, never appended to; see Code.Encode for what the aliasing asks
+// of callers.
+func splitViews(chunk []byte, n int, tail []byte) [][]byte {
 	bs := blockSize(len(chunk), n)
 	full := n
 	if bs > 0 {
@@ -88,8 +137,8 @@ func splitViews(chunk []byte, n int) [][]byte {
 		out[i] = chunk[i*bs : (i+1)*bs : (i+1)*bs]
 	}
 	if full < n {
-		tail := make([]byte, (n-full)*bs)
-		copy(tail, chunk[full*bs:])
+		tail = tail[:(n-full)*bs]
+		clear(tail[copy(tail, chunk[full*bs:]):])
 		for i := full; i < n; i++ {
 			out[i] = tail[(i-full)*bs : (i-full+1)*bs : (i-full+1)*bs]
 		}
@@ -178,10 +227,17 @@ func (Null) EncodedBlocks() int { return 1 }
 func (Null) MinNeeded() int { return 1 }
 
 // Encode implements Code: it copies the chunk into a single block.
-func (Null) Encode(chunk []byte) ([]Block, error) {
-	d := make([]byte, len(chunk))
-	copy(d, chunk)
-	return []Block{{Index: 0, Data: d}}, nil
+func (c Null) Encode(chunk []byte) ([]Block, error) {
+	blocks, _, err := c.EncodeInto(nil, chunk)
+	return blocks, err
+}
+
+// EncodeInto implements EncoderInto: the one block is a copy of the
+// chunk in backing.
+func (Null) EncodeInto(backing, chunk []byte) ([]Block, []byte, error) {
+	backing = sized(backing, len(chunk))
+	copy(backing, chunk)
+	return []Block{{Index: 0, Data: backing}}, backing, nil
 }
 
 // Decode implements Code.
@@ -243,15 +299,24 @@ func (c *XOR) MinNeeded() int { return c.n }
 // Encode implements Code. Block indices 0..n-1 are the data blocks;
 // index n is the parity block.
 func (c *XOR) Encode(chunk []byte) ([]Block, error) {
-	data := splitViews(chunk, c.n)
-	parity := make([]byte, blockSize(len(chunk), c.n))
+	blocks, _, err := c.EncodeInto(nil, chunk)
+	return blocks, err
+}
+
+// EncodeInto implements EncoderInto: backing holds the parity block,
+// then the padded tail.
+func (c *XOR) EncodeInto(backing, chunk []byte) ([]Block, []byte, error) {
+	bs := blockSize(len(chunk), c.n)
+	backing = sized(backing, bs+tailLen(len(chunk), c.n))
+	parity := backing[:bs:bs]
+	data := splitViews(chunk, c.n, backing[bs:])
 	xorBlocksSet(parity, data)
 	out := make([]Block, 0, c.n+1)
 	for i, d := range data {
 		out = append(out, Block{Index: i, Data: d})
 	}
 	out = append(out, Block{Index: c.n, Data: parity})
-	return out, nil
+	return out, backing, nil
 }
 
 // Decode implements Code: any n of the n+1 blocks reconstruct the chunk.

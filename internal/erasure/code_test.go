@@ -262,7 +262,7 @@ func TestSystematicEncodeAliasesChunk(t *testing.T) {
 func TestSplitViewsTail(t *testing.T) {
 	for _, tc := range []struct{ size, n int }{{0, 4}, {1, 4}, {5, 4}, {8, 4}, {9, 4}, {1000, 64}} {
 		chunk := randChunk(rand.New(rand.NewSource(int64(tc.size))), tc.size)
-		blocks := splitViews(chunk, tc.n)
+		blocks := splitViews(chunk, tc.n, make([]byte, tailLen(tc.size, tc.n)))
 		bs := blockSize(tc.size, tc.n)
 		if len(blocks) != tc.n {
 			t.Fatalf("%d/%d: %d blocks", tc.size, tc.n, len(blocks))

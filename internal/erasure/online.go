@@ -286,8 +286,9 @@ func (c *Online) computeCheckComposition(i int) []int {
 	return idx
 }
 
-// buildComposite splits the chunk and XORs up the auxiliary blocks,
-// returning the n' composite blocks. The aux builds run through the
+// buildComposite splits the chunk — its padded tail, if any, into tail
+// (tailLen bytes) — and XORs up the auxiliary blocks, returning the n'
+// composite blocks. The aux builds run through the
 // cache-blocked gather (tile.go) over the inverted outer-code mapping
 // memoized in auxMembers: at the Table 2 shape the message sweep is
 // ~4 MB against ~68 KB of aux destinations, so byte strips keep each
@@ -295,8 +296,8 @@ func (c *Online) computeCheckComposition(i int) []int {
 // updated. The aux blocks live in one pooled backing buffer — the
 // check gathers then read them as one contiguous run — which the
 // caller must release with putBuf when done.
-func (c *Online) buildComposite(chunk []byte, bs int) (composite [][]byte, auxBacking []byte) {
-	msg := splitViews(chunk, c.n) // read-only XOR sources; no copy
+func (c *Online) buildComposite(chunk []byte, bs int, tail []byte) (composite [][]byte, auxBacking []byte) {
+	msg := splitViews(chunk, c.n, tail) // read-only XOR sources; no copy
 	auxBacking = getRawBuf(c.numAux * bs)
 	aux := make([][]byte, c.numAux)
 	for ai := range aux {
@@ -321,10 +322,18 @@ func (c *Online) buildComposite(chunk []byte, bs int) (composite [][]byte, auxBa
 // referencing check block. The blocked walk is byte-identical to the
 // unblocked one (XOR reassociation only).
 func (c *Online) Encode(chunk []byte) ([]Block, error) {
+	blocks, _, err := c.EncodeInto(nil, chunk)
+	return blocks, err
+}
+
+// EncodeInto implements EncoderInto: backing holds the m check blocks,
+// then the padded tail of the message blocks they were gathered from.
+// No block aliases chunk.
+func (c *Online) EncodeInto(backing, chunk []byte) ([]Block, []byte, error) {
 	bs := blockSize(len(chunk), c.n)
-	composite, auxBacking := c.buildComposite(chunk, bs)
+	backing = sized(backing, c.m*bs+tailLen(len(chunk), c.n))
+	composite, auxBacking := c.buildComposite(chunk, bs, backing[c.m*bs:])
 	out := make([]Block, c.m)
-	backing := make([]byte, c.m*bs)
 	dsts := make([][]byte, c.m)
 	for i := 0; i < c.m; i++ {
 		dsts[i] = backing[i*bs : (i+1)*bs : (i+1)*bs]
@@ -334,7 +343,7 @@ func (c *Online) Encode(chunk []byte) ([]Block, error) {
 	var srcs [][]byte
 	applyTilePlan(plan, dsts, composite, bs, stripBytesFor(c.nPrime, c.m, bs), &srcs)
 	putBuf(auxBacking)
-	return out, nil
+	return out, backing, nil
 }
 
 // equation is one XOR relation over composite blocks used by the peeling
@@ -856,7 +865,8 @@ func (c *Online) FreshBlock(chunk []byte, index int) (Block, error) {
 		return Block{}, fmt.Errorf("erasure: fresh block index %d < 0", index)
 	}
 	bs := blockSize(len(chunk), c.n)
-	composite, aux := c.buildComposite(chunk, bs)
+	tail := getRawBuf(tailLen(len(chunk), c.n))
+	composite, aux := c.buildComposite(chunk, bs, tail)
 	data := make([]byte, bs)
 	comp := c.checkComposition(index)
 	srcs := make([][]byte, 0, len(comp))
@@ -865,5 +875,6 @@ func (c *Online) FreshBlock(chunk []byte, index int) (Block, error) {
 	}
 	xorBlocksSet(data, srcs)
 	putBuf(aux)
+	putBuf(tail)
 	return Block{Index: index, Data: data}, nil
 }

@@ -79,13 +79,21 @@ func (c *RS) MinNeeded() int { return c.n }
 // Encode implements Code. Blocks 0..n-1 are the data blocks verbatim
 // (systematic, views of chunk); blocks n..n+k-1 are parity.
 func (c *RS) Encode(chunk []byte) ([]Block, error) {
-	data := splitViews(chunk, c.n)
+	blocks, _, err := c.EncodeInto(nil, chunk)
+	return blocks, err
+}
+
+// EncodeInto implements EncoderInto: backing holds the k parity blocks,
+// then the padded tail.
+func (c *RS) EncodeInto(backing, chunk []byte) ([]Block, []byte, error) {
 	bs := blockSize(len(chunk), c.n)
+	backing = sized(backing, c.k*bs+tailLen(len(chunk), c.n))
+	parity := backing[: c.k*bs : c.k*bs]
+	data := splitViews(chunk, c.n, backing[c.k*bs:])
 	out := make([]Block, 0, c.n+c.k)
 	for i, d := range data {
 		out = append(out, Block{Index: i, Data: d})
 	}
-	parity := make([]byte, c.k*bs)
 	for r := c.n; r < c.n+c.k; r++ {
 		p := parity[(r-c.n)*bs : (r-c.n+1)*bs : (r-c.n+1)*bs]
 		out = append(out, Block{Index: r, Data: p})
@@ -112,7 +120,7 @@ func (c *RS) Encode(chunk []byte) ([]Block, error) {
 			}
 		}
 	}
-	return out, nil
+	return out, backing, nil
 }
 
 // Decode implements Code: gather any n distinct blocks, invert the

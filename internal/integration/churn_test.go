@@ -285,7 +285,7 @@ func TestChurnSelfHealingRing(t *testing.T) {
 		Inc:   servers[spare].Incarnation(),
 	}})
 	gp := wire.NewPool()
-	_, err := gp.Call(seed, &wire.Request{Op: wire.OpGossip, Data: forged})
+	_, err := gp.CallCtx(context.Background(), seed, &wire.Request{Op: wire.OpGossip, Data: forged}, 0)
 	gp.Close()
 	if err != nil {
 		t.Fatal(err)

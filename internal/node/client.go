@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -276,13 +278,13 @@ func (c *Client) newReadCodec() *core.Codec {
 	cd.Workers = c.transfers()
 	cd.Cache = c.cfg.ChunkCache
 	cd.OnHedge = func(stalled int) { c.met.hedgeFires.Add(int64(stalled)) }
-	cd.RangeFetch = func(ctx context.Context, name string, off, n int64) ([]byte, bool) {
+	cd.RangeFetch = func(ctx context.Context, name string, off, n int64) ([]byte, core.Releaser, bool) {
 		start := time.Now()
-		d, err := c.fetchBlockRange(ctx, name, off, n)
+		d, rel, err := c.fetchBlockRange(ctx, name, off, n)
 		if err == nil && int64(len(d)) == n {
 			holdPace(ctx, start, n)
 		}
-		return d, err == nil
+		return d, rel, err == nil
 	}
 	cd.OnRangeRead = func(bytes int, rebuilt bool) {
 		c.met.rangeReads.Inc()
@@ -300,12 +302,12 @@ func (c *Client) newReadCodec() *core.Codec {
 // replaced mid-stream while a slow-but-moving one is left alone.
 func (c *Client) fetchCodec(ctx context.Context) *core.Codec {
 	cd := *c.readCodec
-	cd.StreamFetch = func(name string, progress func(int)) ([]byte, bool) {
-		d, err := c.fetchBlockProgress(ctx, name, progress)
+	cd.StreamFetch = func(name string, progress func(int)) ([]byte, core.Releaser, bool) {
+		d, rel, err := c.fetchBlockView(ctx, name, progress)
 		if err != nil {
-			return nil, false
+			return nil, nil, false
 		}
-		return d, true
+		return d, rel, true
 	}
 	return &cd
 }
@@ -445,70 +447,87 @@ func (c *Client) windowStoreBlock(ctx context.Context, addr, name string, data [
 	})
 }
 
-// fetchBlock retrieves a block from its owner, switching to ranged
-// OpFetchStream reads when the server refuses to fit it in one frame.
+// fetchBlock retrieves a block from its owner as bytes the caller owns
+// (see fetchBlockView).
 func (c *Client) fetchBlock(ctx context.Context, name string) ([]byte, error) {
-	return c.fetchBlockProgress(ctx, name, nil)
+	data, rel, err := c.fetchBlockView(ctx, name, nil)
+	if err != nil || rel == nil {
+		return data, err
+	}
+	defer rel.Release()
+	return bytes.Clone(data), nil
 }
 
-// fetchBlockProgress is fetchBlock with optional incremental progress
-// reporting — the signal the hedged read path uses to tell a moving
-// stream from a stalled one.
-func (c *Client) fetchBlockProgress(ctx context.Context, name string, progress func(int)) ([]byte, error) {
+// fetchBlockView retrieves a block from its owner, switching to ranged
+// OpFetchStream reads when the server refuses to fit it in one frame.
+// A block that came in one frame is a view into it: the caller releases
+// rel once done with the bytes. A nil rel means the bytes are the
+// caller's. progress, when non-nil, receives incremental byte counts —
+// the signal the hedged read path uses to tell a moving stream from a
+// stalled one.
+func (c *Client) fetchBlockView(ctx context.Context, name string, progress func(int)) ([]byte, core.Releaser, error) {
 	addr, err := c.ownerAddr(name)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	resp, err := c.call(ctx, addr, &wire.Request{Op: wire.OpFetch, Name: name})
 	if err != nil {
 		if strings.Contains(err.Error(), wire.BlockTooLarge) {
-			return c.streamFetchBlock(ctx, addr, name, progress)
+			data, err := c.streamFetchBlock(ctx, addr, name, progress)
+			return data, nil, err
 		}
-		return nil, asNotFound(err)
+		return nil, nil, asNotFound(err)
 	}
 	if progress != nil {
 		progress(len(resp.Data))
 	}
-	return resp.Data, nil
+	return resp.Data, resp, nil
 }
 
 // streamFetchBlock reassembles a block from ranged segment reads. The
-// first response reports the total size; the remaining ranges are then
-// requested with up to StreamWindow reads in flight — readahead over
-// the stateless OpFetchStream exchange, so per-range round-trip
-// latency no longer serializes the reassembly. progress, when non-nil,
-// receives each segment's byte count as it lands.
+// first response reports the total size; the rest is then requested
+// with up to StreamWindow reads in flight — readahead over the
+// stateless OpFetchStream exchange, so per-range round-trip latency no
+// longer serializes the reassembly. The size is the holder's word, so
+// the buffer grows with what actually arrives, the way readFrame grows
+// a frame: each window adds at most the larger of the bytes received
+// and one window of segments, and a holder that lies about the size
+// costs no more memory than it sends. progress, when non-nil, receives
+// each segment's byte count as it lands.
 func (c *Client) streamFetchBlock(ctx context.Context, addr, name string, progress func(int)) ([]byte, error) {
 	seg := int64(c.cfg.Segment)
 	resp, err := c.call(ctx, addr, wire.EncodeFetchStream(name, 0, seg))
 	if err != nil {
 		return nil, asNotFound(err)
 	}
-	size := resp.Capacity
+	size, head := resp.Capacity, int64(len(resp.Data))
+	buf := bytes.Clone(resp.Data)
+	resp.Release()
 	if size <= 0 || size > wire.MaxBlockSize {
 		return nil, fmt.Errorf("node: stream fetch %s: bad size %d", name, size)
 	}
-	if len(resp.Data) == 0 {
-		return nil, fmt.Errorf("node: stream fetch %s: empty segment at 0/%d", name, size)
+	if head == 0 || head > size {
+		return nil, fmt.Errorf("node: stream fetch %s: segment of %d bytes at 0/%d", name, head, size)
 	}
-	buf := make([]byte, size)
-	head := copy(buf, resp.Data)
 	if progress != nil {
-		progress(head)
+		progress(len(buf))
 	}
-	if int64(head) >= size {
-		return buf, nil
-	}
-	if err := c.streamFetchInto(ctx, addr, name, int64(head), buf[head:], progress); err != nil {
-		return nil, err
+	window := seg * int64(c.cfg.StreamWindow)
+	for got := int64(len(buf)); got < size; got = int64(len(buf)) {
+		step := min(size-got, max(got, window))
+		buf = slices.Grow(buf, int(step))[:got+step]
+		if err := c.streamFetchInto(ctx, addr, name, got, buf[got:], progress); err != nil {
+			return nil, err
+		}
 	}
 	return buf, nil
 }
 
 // streamFetchInto fills dst with the block's bytes from off on, as
-// ranged segment reads with up to StreamWindow in flight. A segment of
-// any other length than the one asked for fails the read. progress,
-// when non-nil, receives each segment's byte count as it lands.
+// ranged segment reads with up to StreamWindow in flight, each copied
+// out of its receive frame and released. A segment of any other length
+// than the one asked for fails the read. progress, when non-nil,
+// receives each segment's byte count as it lands.
 func (c *Client) streamFetchInto(ctx context.Context, addr, name string, off int64, dst []byte, progress func(int)) error {
 	seg := int64(c.cfg.Segment)
 	size := int64(len(dst))
@@ -520,6 +539,7 @@ func (c *Client) streamFetchInto(ctx context.Context, addr, name string, off int
 		if err != nil {
 			return asNotFound(err)
 		}
+		defer r.Release()
 		if int64(len(r.Data)) != want {
 			return fmt.Errorf("node: stream fetch %s: got %d of %d bytes at %d", name, len(r.Data), want, off+at)
 		}
@@ -534,25 +554,27 @@ func (c *Client) streamFetchInto(ctx context.Context, addr, name string, off int
 // fetchBlockRange reads n bytes at off of a block from its owner without
 // moving the block around them: one ranged OpFetchStream — through the
 // same instrumented call every transfer makes — when the range fits a
-// wire segment, and windowed segment reads when it does not. The length
-// of a single-segment answer is the caller's to check.
-func (c *Client) fetchBlockRange(ctx context.Context, name string, off, n int64) ([]byte, error) {
+// wire segment, its bytes a view into the receive frame until rel is
+// released, and windowed segment reads into a buffer of the caller's
+// when it does not (rel nil). The length of a single-segment answer is
+// the caller's to check.
+func (c *Client) fetchBlockRange(ctx context.Context, name string, off, n int64) ([]byte, core.Releaser, error) {
 	addr, err := c.ownerAddr(name)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if n > int64(c.cfg.Segment) {
 		buf := make([]byte, n)
 		if err := c.streamFetchInto(ctx, addr, name, off, buf, nil); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return buf, nil
+		return buf, nil, nil
 	}
 	resp, err := c.call(ctx, addr, wire.EncodeFetchStream(name, off, n))
 	if err != nil {
-		return nil, asNotFound(err)
+		return nil, nil, asNotFound(err)
 	}
-	return resp.Data, nil
+	return resp.Data, resp, nil
 }
 
 // rangePace is the rate, in bytes per second, above which one block
@@ -724,30 +746,53 @@ type chunkSource interface {
 	release(chunk []byte)
 }
 
+// freeList recycles the large buffers of one store — chunk buffers, and
+// the backings chunks are encoded into (erasure.EncoderInto) — from a
+// chunk whose uploads have finished to the next chunk. It holds at most
+// PipelineDepth of each, and nothing once the store returns. Kept for a
+// later store, a buffer would sit idle through the collections in
+// between, each of which counts it as live and lets the heap grow to
+// twice what is live: a sync.Pool shared across stores raised the
+// bigcopy benchmark's peak RSS by 30 %.
+type freeList chan []byte
+
+// get returns a buffer of length n, recycled when the list holds one
+// with room and new otherwise. Its contents are unspecified.
+func (f freeList) get(n int64) []byte {
+	select {
+	case b := <-f:
+		if int64(cap(b)) >= n {
+			return b[:n]
+		}
+	default:
+	}
+	return make([]byte, n)
+}
+
+// put gives b back for a later get. The caller must hold no view of it.
+func (f freeList) put(b []byte) {
+	select {
+	case f <- b:
+	default: // full: let it go
+	}
+}
+
 // readerSource reads each chunk from r into a buffer of its own,
 // recycled through a free list that lives for one store: with at most
 // PipelineDepth chunks in the pipeline it holds at most that many
 // buffers, and nothing is retained once the store returns.
 type readerSource struct {
 	r    io.Reader
-	free chan []byte
+	free freeList
 }
 
 func (s *readerSource) next(want int64) ([]byte, error) {
-	var buf []byte
-	select {
-	case buf = <-s.free:
-	default:
-	}
-	if int64(cap(buf)) < want {
-		buf = make([]byte, want)
-	}
-	buf = buf[:want]
+	buf := s.free.get(want)
 	_, err := io.ReadFull(s.r, buf)
 	return buf, err
 }
 
-func (s *readerSource) release(chunk []byte) { s.free <- chunk }
+func (s *readerSource) release(chunk []byte) { s.free.put(chunk) }
 
 // bytesSource slices chunks straight out of data the caller already
 // holds: no read, no copy, nothing to recycle.
@@ -777,7 +822,7 @@ func (*bytesSource) release([]byte) {}
 // consecutive-zero-chunk limit. Blocks larger than one wire segment
 // stream in bounded windowed segments.
 func (c *Client) StoreReader(ctx context.Context, name string, r io.Reader, plan []int64) (*core.CAT, error) {
-	return c.storeChunks(ctx, name, plan, &readerSource{r: r, free: make(chan []byte, c.cfg.PipelineDepth)})
+	return c.storeChunks(ctx, name, plan, &readerSource{r: r, free: make(freeList, c.cfg.PipelineDepth)})
 }
 
 // StoreBytes is StoreReader for an object already in memory: chunks are
@@ -796,11 +841,13 @@ func (c *Client) storeChunks(ctx context.Context, name string, plan []int64, src
 	free := make(map[string]int64)
 
 	// encodedChunk is one planned chunk read, encoded, and ready to
-	// upload.
+	// upload; coded is the backing its blocks were encoded into, given
+	// back to codedBufs with the chunk.
 	type encodedChunk struct {
 		chunk  int
 		data   []byte
 		blocks []erasure.Block
+		coded  []byte
 	}
 	// The producer owns every piece of sequential bookkeeping — the
 	// probe cache, the source position, CAT row order — and hands
@@ -813,6 +860,7 @@ func (c *Client) storeChunks(ctx context.Context, name string, plan []int64, src
 	depth := c.cfg.PipelineDepth
 	inflight := make(chan struct{}, depth)
 	jobs := make(chan encodedChunk, depth)
+	codedBufs := make(freeList, depth)
 	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var prodErr error
@@ -866,8 +914,9 @@ func (c *Client) storeChunks(ctx context.Context, name string, plan []int64, src
 					prodErr = fmt.Errorf("node: store %s: read chunk %d: %w", name, chunk, err)
 					return
 				}
-				ebs, err := c.code.Encode(data)
+				ebs, coded, err := erasure.EncodeWith(c.code, codedBufs.get(0), data)
 				if err != nil {
+					src.release(data)
 					prodErr = fmt.Errorf("node: store %s: encode chunk %d: %w", name, chunk, err)
 					return
 				}
@@ -876,7 +925,7 @@ func (c *Client) storeChunks(ctx context.Context, name string, plan []int64, src
 				}
 				cat.Rows = append(cat.Rows, core.CATRow{Start: pos, End: pos + want, Sum: core.ChunkSum(data)})
 				pos += want
-				jobs <- encodedChunk{chunk: chunk, data: data, blocks: ebs}
+				jobs <- encodedChunk{chunk: chunk, data: data, blocks: ebs, coded: coded}
 				chunk++
 				break
 			}
@@ -899,6 +948,7 @@ func (c *Client) storeChunks(ctx context.Context, name string, plan []int64, src
 			return nil
 		})
 		src.release(job.data)
+		codedBufs.put(job.coded)
 		if upErr != nil {
 			cancel() // stop the producer promptly
 		}
@@ -941,7 +991,7 @@ func (c *Client) LoadCATCtx(ctx context.Context, name string) (*core.CAT, error)
 	var lastErr error
 	allMissing := true
 	for r := 0; r <= c.cfg.CATReplicas; r++ {
-		data, err := c.fetchBlock(ctx, core.ReplicaName(core.CATName(name), r))
+		data, rel, err := c.fetchBlockView(ctx, core.ReplicaName(core.CATName(name), r), nil)
 		if err != nil {
 			if !errors.Is(err, ErrNotFound) {
 				allMissing = false
@@ -949,7 +999,10 @@ func (c *Client) LoadCATCtx(ctx context.Context, name string) (*core.CAT, error)
 			lastErr = err
 			continue
 		}
-		cat, err := core.UnmarshalCAT(name, data)
+		cat, err := core.UnmarshalCAT(name, data) // copies what it keeps
+		if rel != nil {
+			rel.Release()
+		}
 		if err != nil {
 			allMissing = false
 			lastErr = err
@@ -1130,11 +1183,20 @@ func (c *Client) RepairCtx(ctx context.Context, name string) (RepairStats, error
 		// fetched blocks index-stable without a mutex.
 		have := make([]erasure.Block, m)
 		ok := make([]bool, m)
+		rels := make([]core.Releaser, m)
+		defer func() {
+			for _, rel := range rels {
+				if rel != nil {
+					rel.Release()
+				}
+			}
+		}()
 		core.ParallelJobsCtx(ctx, m, w, func(e int) error { //nolint:errcheck
-			data, err := c.fetchBlock(ctx, core.BlockName(name, ci, e))
+			data, rel, err := c.fetchBlockView(ctx, core.BlockName(name, ci, e), nil)
 			if err == nil {
 				have[e] = erasure.Block{Index: e, Data: data}
 				ok[e] = true
+				rels[e] = rel
 			}
 			return nil
 		})
@@ -1234,6 +1296,7 @@ func (c *Client) StatNodeCtx(ctx context.Context, addr string) (NodeStatus, erro
 	if err != nil {
 		return NodeStatus{}, err
 	}
+	defer resp.Release()
 	st := NodeStatus{Capacity: resp.Capacity, Used: resp.Used, Blocks: resp.Blocks}
 	if len(resp.Data) > 0 {
 		var ext statExt

@@ -326,7 +326,9 @@ func (s *Server) pushGossip() {
 			defer cancel()
 			resp, err := s.pool.CallCtx(ctx, p.Addr, &wire.Request{Op: wire.OpGossip, Data: payload}, timeout)
 			if err == nil && resp != nil {
-				if ups, derr := wire.DecodeUpdates(resp.Data); derr == nil {
+				ups, derr := wire.DecodeUpdates(resp.Data)
+				resp.Release()
+				if derr == nil {
 					s.applyUpdates(ups)
 				}
 			}
@@ -417,9 +419,11 @@ func (s *Server) handlePingReq(req *wire.Request) *wire.Response {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	if _, err := s.pool.CallCtx(ctx, target.Addr, &wire.Request{Op: wire.OpPing}, timeout); err != nil {
+	resp, err := s.pool.CallCtx(ctx, target.Addr, &wire.Request{Op: wire.OpPing}, timeout)
+	if err != nil {
 		return &wire.Response{Err: fmt.Sprintf("pingreq: probe %s: %v", target.Addr, err), Data: gossip}
 	}
+	resp.Release()
 	return &wire.Response{OK: true, Data: gossip}
 }
 
@@ -613,7 +617,9 @@ func (d *detector) probe(target wire.NodeInfo, extra []wire.MemberUpdate) bool {
 		d.met.probeFailures.Inc()
 		return false
 	}
-	if ups, derr := wire.DecodeUpdates(resp.Data); derr == nil {
+	ups, derr := wire.DecodeUpdates(resp.Data)
+	resp.Release()
+	if derr == nil {
 		s.applyUpdates(ups)
 	}
 	return true
@@ -631,7 +637,9 @@ func (d *detector) probeVia(helper, target wire.NodeInfo) bool {
 	req := &wire.Request{Op: wire.OpPingReq, Node: target, Data: s.gossipPayload()}
 	resp, err := s.pool.CallCtx(ctx, helper.Addr, req, timeout)
 	if resp != nil {
-		if ups, derr := wire.DecodeUpdates(resp.Data); derr == nil {
+		ups, derr := wire.DecodeUpdates(resp.Data)
+		resp.Release()
+		if derr == nil {
 			s.applyUpdates(ups)
 		}
 	}

@@ -132,8 +132,9 @@ func (c *Client) HotCopiesCtx(ctx context.Context, name string) (copies int, cat
 }
 
 // FetchChunkCopy fetches full-copy replica r (1-based) of chunk ci of
-// a promoted file — one block, no decode. The caller falls back to the
-// erasure-coded path when the replica is gone.
+// a promoted file — one block, no decode — as bytes the caller owns, so
+// they can enter a cache. The caller falls back to the erasure-coded
+// path when the replica is gone.
 func (c *Client) FetchChunkCopy(ctx context.Context, name string, ci, r int) ([]byte, error) {
 	return c.fetchBlock(ctx, core.ReplicaName(core.ChunkName(name, ci), r))
 }

@@ -22,7 +22,7 @@ var testPool = wire.NewPool()
 // rpc is one direct round trip to the node at addr, the way a peer
 // makes it.
 func rpc(addr string, req *wire.Request) (*wire.Response, error) {
-	return testPool.Call(addr, req)
+	return testPool.CallCtx(context.Background(), addr, req, 0)
 }
 
 // startRing launches n in-process TCP nodes and returns them with the

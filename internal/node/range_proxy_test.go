@@ -169,7 +169,7 @@ func startFront(t *testing.T, backend string, rewrite func(req *wire.Request, fo
 	t.Helper()
 	pool := wire.NewPool()
 	forward := func(req *wire.Request) *wire.Response {
-		resp, err := pool.Call(backend, req)
+		resp, err := pool.CallCtx(context.Background(), backend, req, 0)
 		if resp == nil {
 			resp = &wire.Response{Err: fmt.Sprint(err)}
 		}

@@ -6,6 +6,8 @@
 package node
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -211,7 +213,7 @@ func NewServerOpts(addr string, capacity int64, seedAddr string, o ServerOptions
 	go s.acceptLoop()
 
 	if seedAddr != "" && len(o.StaticRing) == 0 {
-		resp, err := s.pool.Call(seedAddr, &wire.Request{Op: wire.OpJoin, Node: self})
+		resp, err := s.pool.CallCtx(context.Background(), seedAddr, &wire.Request{Op: wire.OpJoin, Node: self}, 0)
 		if err != nil {
 			s.Close()
 			return nil, fmt.Errorf("node: join via %s: %w", seedAddr, err)
@@ -397,9 +399,12 @@ func (s *Server) dispatch(req *wire.Request) *wire.Response {
 		}
 		return &wire.Response{OK: true, Capacity: free}
 	case wire.OpStore:
+		// req.Data is a view into the receive frame, which goes back to
+		// the pool after the response: the block keeps a copy.
+		data := bytes.Clone(req.Data)
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return s.commitBlockLocked(req.Name, req.Data, int64(len(req.Data)))
+		return s.commitBlockLocked(req.Name, data, int64(len(data)))
 	case wire.OpStoreWindow:
 		return s.handleStoreWindow(req)
 	case wire.OpFetch:
@@ -514,13 +519,14 @@ func (s *Server) reapStaleStagesLocked(now time.Time) {
 }
 
 // handleStoreWindow serves one windowed upload segment: the fixed
-// segment size pins each seq to byte offset seq*seg, so segments place
-// directly into a pre-sized staging buffer in whatever order the
-// client's window delivers them. The first segment to arrive — not
-// necessarily seq 0 — opens the stage after an early capacity check;
-// the one completing the bitmap commits the block through the
-// single-frame store path. Acks carry the bytes staged so far in
-// Capacity, the flow-control signal windowed senders advance on.
+// segment size pins each seq to byte offset seq*seg, so segments are
+// copied out of their receive frames straight into a pre-sized staging
+// buffer in whatever order the client's window delivers them. The
+// first segment to arrive — not necessarily seq 0 — opens the stage
+// after an early capacity check; the one completing the bitmap commits
+// the block through the single-frame store path. Acks carry the bytes
+// staged so far in Capacity, the flow-control signal windowed senders
+// advance on.
 func (s *Server) handleStoreWindow(req *wire.Request) *wire.Response {
 	s.streamOps.Add(1)
 	s.windowOps.Add(1)
@@ -655,7 +661,7 @@ func (s *Server) handleJoin(req *wire.Request) *wire.Response {
 		// Best effort: where the detector runs, a missed broadcast heals
 		// through its gossip or its OpRing pull.
 		s.goBackground(func() {
-			s.pool.Call(p.Addr, add) //nolint:errcheck
+			s.pool.CallCtx(context.Background(), p.Addr, add, 0) //nolint:errcheck
 		})
 	}
 	return &wire.Response{OK: true, Ring: ring}

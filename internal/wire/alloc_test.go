@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -10,9 +11,10 @@ import (
 // TestRoundTripAllocs pins what one pooled round trip allocates,
 // client and server together, against the echo server: the response the
 // handler returns, the response the caller gets back, and what a named
-// request carries (the server's copy of the name, the echoed payload and
-// the caller's copy of it). Call state, request structs, goroutines,
-// timers and frame headers are recycled, not allocated per call.
+// request carries (the server's copy of the name and the echoed
+// payload). Call state, request structs, goroutines, timers, frame heads
+// and — once the caller releases the response — receive frames are
+// recycled, not allocated per call: the caller's payload is a view.
 func TestRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -26,12 +28,14 @@ func TestRoundTripAllocs(t *testing.T) {
 		budget float64
 	}{
 		{"ping", &Request{Op: OpPing}, 6},
-		{"named fetch", &Request{Op: OpFetch, Name: "blk"}, 7},
+		{"named fetch", &Request{Op: OpFetch, Name: "blk"}, 5},
 	} {
 		call := func() {
-			if _, err := p.Call(addr, c.req); err != nil {
+			resp, err := p.CallCtx(context.Background(), addr, c.req, 0)
+			if err != nil {
 				t.Fatal(err)
 			}
+			resp.Release()
 		}
 		call() // dial and warm up
 		got := testing.AllocsPerRun(500, call)
@@ -68,7 +72,7 @@ func TestIdleConnectionsPinNoFrames(t *testing.T) {
 	for i := range pools {
 		pools[i] = NewPool()
 		defer pools[i].Close()
-		resp, err := pools[i].Call(addr, &Request{Op: OpStore, Name: fmt.Sprint(i), Data: payload})
+		resp, err := pools[i].CallCtx(context.Background(), addr, &Request{Op: OpStore, Name: fmt.Sprint(i), Data: payload}, 0)
 		if err != nil || len(resp.Data) != len(payload) {
 			t.Fatalf("connection %d: %v", i, err)
 		}

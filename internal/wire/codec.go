@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
+	"sync"
 
 	"peerstripe/internal/ids"
 )
@@ -35,20 +37,74 @@ const (
 
 var errFrameCorrupt = errors.New("wire: corrupt v2 frame")
 
-type frameWriter struct{ buf *frameBuf }
+// frameWriter encodes a frame into a frameHead: every field but the
+// payload is appended to the head buffer, and blob marks where the
+// payload goes without copying it.
+type frameWriter struct{ h *frameHead }
 
-func (w frameWriter) u8(v byte)    { w.buf.b = append(w.buf.b, v) }
-func (w frameWriter) u32(v uint32) { w.buf.b = binary.BigEndian.AppendUint32(w.buf.b, v) }
-func (w frameWriter) u64(v uint64) { w.buf.b = binary.BigEndian.AppendUint64(w.buf.b, v) }
+func (w frameWriter) u8(v byte)    { w.h.b = append(w.h.b, v) }
+func (w frameWriter) u32(v uint32) { w.h.b = binary.BigEndian.AppendUint32(w.h.b, v) }
+func (w frameWriter) u64(v uint64) { w.h.b = binary.BigEndian.AppendUint64(w.h.b, v) }
 func (w frameWriter) i64(v int64)  { w.u64(uint64(v)) }
 func (w frameWriter) str(s string) {
-	w.buf.b = binary.BigEndian.AppendUint16(w.buf.b, uint16(len(s)))
-	w.buf.b = append(w.buf.b, s...)
+	w.h.b = binary.BigEndian.AppendUint16(w.h.b, uint16(len(s)))
+	w.h.b = append(w.h.b, s...)
 }
-func (w frameWriter) blob(p []byte) { w.u32(uint32(len(p))); w.buf.b = append(w.buf.b, p...) }
+func (w frameWriter) blob(p []byte) {
+	w.u32(uint32(len(p)))
+	w.h.split, w.h.payload = len(w.h.b), p
+}
 func (w frameWriter) node(n NodeInfo) {
-	w.buf.b = append(w.buf.b, n.ID[:]...)
+	w.h.b = append(w.h.b, n.ID[:]...)
 	w.str(n.Addr)
+}
+
+// frameHead is a pooled send buffer: the length prefix and the fields
+// before the payload, then the fields after it, in one small buffer.
+// The payload itself is never copied — the frame leaves as three pieces,
+// head, payload, tail, in one vectored write (writev on a socket).
+type frameHead struct {
+	b       []byte
+	split   int    // where in b the payload goes
+	payload []byte // the caller's, written in place
+	pieces  [3][]byte
+	bufs    net.Buffers // over pieces; kept here so a write allocates nothing
+}
+
+// maxPooledHead caps the head buffers kept for reuse. A head holds a
+// frame's names and control fields; only a large capacity probe or ring
+// listing comes near it.
+const maxPooledHead = 64 << 10
+
+var headPool = sync.Pool{New: func() any { return new(frameHead) }}
+
+// writeV2 frames one encoded message behind a 4-byte length prefix and
+// writes it as head, payload, tail: the bytes on the wire are those of
+// the frame laid out in one buffer, but the payload goes to w from the
+// caller's own memory.
+func writeV2(w io.Writer, encode func(frameWriter)) error {
+	h := headPool.Get().(*frameHead)
+	defer func() {
+		h.b, h.split, h.payload = h.b[:0], 0, nil
+		h.pieces, h.bufs = [3][]byte{}, nil
+		if cap(h.b) <= maxPooledHead {
+			headPool.Put(h)
+		}
+	}()
+	if h.b == nil {
+		h.b = make([]byte, 0, frameHeaderSlack)
+	}
+	h.b = append(h.b, 0, 0, 0, 0)
+	encode(frameWriter{h})
+	n := len(h.b) - 4 + len(h.payload)
+	if n > MaxFrame {
+		return fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
+	}
+	binary.BigEndian.PutUint32(h.b[:4], uint32(n))
+	h.pieces = [3][]byte{h.b[:h.split], h.payload, h.b[h.split:]}
+	h.bufs = h.pieces[:]
+	_, err := h.bufs.WriteTo(w)
+	return err
 }
 
 type frameReader struct {
@@ -116,14 +172,15 @@ func (r *frameReader) op() Op {
 	return Op(b)
 }
 
-// blob returns a copy: the backing frame buffer is pooled.
+// blob returns a view into the frame, capped so an append to it cannot
+// run over the fields after it.
 func (r *frameReader) blob() []byte {
-	n := r.u32()
-	b := r.take(int(n))
+	n := int(r.u32())
+	b := r.take(n)
 	if b == nil {
 		return nil
 	}
-	return append([]byte(nil), b...)
+	return b[:n:n]
 }
 
 func (r *frameReader) node() NodeInfo {
@@ -161,26 +218,6 @@ func (r *frameReader) done() error {
 	return nil
 }
 
-// writeV2 frames one encoded message: body assembled in a pooled
-// buffer behind a 4-byte length prefix, one Write call. payload is the
-// size of the message's byte blob, the one part of a frame that can be
-// large; the buffer is sized for it up front.
-func writeV2(w io.Writer, payload int, encode func(frameWriter)) error {
-	buf := getFrameBuf()
-	defer putFrameBuf(buf)
-	buf.reserve(payload + frameHeaderSlack)
-	buf.b = append(buf.b, 0, 0, 0, 0)
-	encode(frameWriter{buf})
-	b := buf.b
-	n := len(b) - 4
-	if n > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
-	}
-	binary.BigEndian.PutUint32(b[:4], uint32(n))
-	_, err := w.Write(b)
-	return err
-}
-
 // writeRequestV2 frames req under the multiplexing ID id, which the
 // frame carries in place of req.ID, so a caller's request is sent
 // without being copied to tag it.
@@ -198,7 +235,7 @@ func writeRequestV2(w io.Writer, id uint64, req *Request) error {
 			return fmt.Errorf("wire: request name of %d bytes too long", len(n))
 		}
 	}
-	return writeV2(w, len(req.Data), func(fw frameWriter) {
+	return writeV2(w, func(fw frameWriter) {
 		fw.u8(kindRequest)
 		fw.u64(id)
 		fw.str(string(req.Op))
@@ -212,14 +249,27 @@ func writeRequestV2(w io.Writer, id uint64, req *Request) error {
 	})
 }
 
-// readRequestV2 reads one request frame (the bounded-growth path of
-// readFrameBody) and decodes it into req.
+// readRequestV2 reads one request frame and decodes it into req, which
+// holds the frame while Data views it (until req.Release).
 func readRequestV2(r io.Reader, req *Request) error {
-	return readFrameBody(r, func(body []byte) error { return decodeRequestV2(body, req) })
+	f, err := readFrame(r)
+	if err != nil {
+		return err
+	}
+	if err := decodeRequestV2(f.b, req); err != nil {
+		req.Data = nil
+		releaseFrame(&f)
+		return err
+	}
+	req.frame = f
+	if len(req.Data) == 0 {
+		req.Release() // nothing views the frame
+	}
+	return nil
 }
 
-// decodeRequestV2 decodes one request frame body into req. Nothing in
-// req aliases body, which goes back to the frame pool.
+// decodeRequestV2 decodes one request frame body into req. req.Data is
+// a view into body; nothing else in req aliases it.
 func decodeRequestV2(body []byte, req *Request) error {
 	fr := frameReader{b: body}
 	if fr.u8() != kindRequest {
@@ -254,7 +304,7 @@ func writeResponseV2(w io.Writer, id uint64, resp *Response) error {
 			return fmt.Errorf("wire: ring address of %d bytes too long", len(n.Addr))
 		}
 	}
-	return writeV2(w, len(resp.Data), func(fw frameWriter) {
+	return writeV2(w, func(fw frameWriter) {
 		fw.u8(kindResponse)
 		fw.u64(id)
 		var flags byte
@@ -274,13 +324,27 @@ func writeResponseV2(w io.Writer, id uint64, resp *Response) error {
 	})
 }
 
-// readResponseV2 reads one response frame and decodes it into resp.
+// readResponseV2 reads one response frame and decodes it into resp,
+// which holds the frame while Data views it (until resp.Release).
 func readResponseV2(r io.Reader, resp *Response) error {
-	return readFrameBody(r, func(body []byte) error { return decodeResponseV2(body, resp) })
+	f, err := readFrame(r)
+	if err != nil {
+		return err
+	}
+	if err := decodeResponseV2(f.b, resp); err != nil {
+		resp.Data = nil
+		releaseFrame(&f)
+		return err
+	}
+	resp.frame = f
+	if len(resp.Data) == 0 {
+		resp.Release() // nothing views the frame
+	}
+	return nil
 }
 
-// decodeResponseV2 decodes one response frame body into resp. Nothing
-// in resp aliases body.
+// decodeResponseV2 decodes one response frame body into resp.
+// resp.Data is a view into body; nothing else in resp aliases it.
 func decodeResponseV2(body []byte, resp *Response) error {
 	fr := frameReader{b: body}
 	if fr.u8() != kindResponse {

@@ -13,10 +13,11 @@ import (
 // structured round trip (whatever the writers emit, the readers must
 // reproduce) and raw-bytes decoding (truncated, oversized, and
 // garbage-header inputs must error cleanly, never panic, and never
-// allocate anywhere near what a lying header advertises). The decoders
-// must hand out values that own their bytes — the frame they decode
-// from goes back to a pool — and must carry an op they do not know
-// byte for byte.
+// allocate anywhere near what a lying header advertises). A decoded
+// message's strings must own their bytes; its Data is a view into the
+// frame, and only until Release — after which the frame goes back to
+// the pool and carries the next message while the strings stay intact.
+// An op the decoder does not know must come back byte for byte.
 func FuzzWireFrame(f *testing.F) {
 	f.Add([]byte("hello"), "blk_0_1", uint32(5))
 	f.Add([]byte{}, "", uint32(0))
@@ -46,18 +47,28 @@ func FuzzWireFrame(f *testing.F) {
 			t.Fatalf("readRequestV2 of own frame: %v", err)
 		}
 		checkRequest(t, &got, &req, uint64(hdrLen))
+		got.Release()
+		if got.Data != nil {
+			t.Fatal("Request.Release left Data set")
+		}
+		reuseFrames(t, frame)
+		got.Data = req.Data // the strings must have survived the frame's reuse
+		checkRequest(t, &got, &req, uint64(hdrLen))
 		got = Request{}
 		if err := readRequestV2(bufio.NewReader(bytes.NewReader(frame)), &got); err != nil {
 			t.Fatalf("readRequestV2 of own frame, buffered: %v", err)
 		}
 		checkRequest(t, &got, &req, uint64(hdrLen))
+		got.Release()
 		// Decoding straight from the body, then overwriting it, must
-		// leave every decoded value as it was.
+		// change Data — a view — and leave every string as it was.
 		var aliased Request
 		if err := decodeRequestV2(frame[4:], &aliased); err != nil {
 			t.Fatalf("decodeRequestV2 of own frame: %v", err)
 		}
 		scribble(frame)
+		checkDataView(t, aliased.Data, data)
+		aliased.Data = req.Data
 		checkRequest(t, &aliased, &req, uint64(hdrLen)) // an op outside Ops comes back as itself, no known one
 
 		resp := Response{OK: true, Err: name, Data: data,
@@ -72,11 +83,20 @@ func FuzzWireFrame(f *testing.F) {
 			t.Fatalf("readResponseV2 of own frame: %v", err)
 		}
 		checkResponse(t, &gotResp, &resp, uint64(hdrLen))
+		gotResp.Release()
+		if gotResp.Data != nil {
+			t.Fatal("Response.Release left Data set")
+		}
+		reuseFrames(t, frame)
+		gotResp.Data = resp.Data
+		checkResponse(t, &gotResp, &resp, uint64(hdrLen))
 		var aliasedResp Response
 		if err := decodeResponseV2(frame[4:], &aliasedResp); err != nil {
 			t.Fatalf("decodeResponseV2 of own frame: %v", err)
 		}
 		scribble(frame)
+		checkDataView(t, aliasedResp.Data, data)
+		aliasedResp.Data = resp.Data
 		checkResponse(t, &aliasedResp, &resp, uint64(hdrLen))
 
 		// 2. Raw garbage: the fuzz bytes as-is must never panic in
@@ -109,6 +129,35 @@ func FuzzWireFrame(f *testing.F) {
 		allocBound("readResponseV2", func() error { return readResponseV2(bytes.NewReader(forged), &junkResp) })
 		_ = readRequestV2(bufio.NewReader(bytes.NewReader(forged)), &junk)
 	})
+}
+
+// reuseFrames reads a few scribbled copies of frame through the pool,
+// so a buffer a message released is handed out and overwritten again.
+func reuseFrames(t *testing.T, frame []byte) {
+	t.Helper()
+	other := bytes.Clone(frame)
+	scribble(other[4:])
+	for i := 0; i < 3; i++ {
+		f, err := readFrame(bytes.NewReader(other))
+		if err != nil {
+			t.Fatalf("re-reading a frame: %v", err)
+		}
+		releaseFrame(&f)
+	}
+}
+
+// checkDataView checks that a decoded Data is a view of a body that
+// scribble has since overwritten: it reads back as want inverted.
+func checkDataView(t *testing.T, got, want []byte) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("decoded Data has %d bytes, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != ^want[i] {
+			t.Fatalf("decoded Data is not a view of its frame: byte %d is %#x, want %#x", i, got[i], ^want[i])
+		}
+	}
 }
 
 // scribble overwrites b, so a decoded value still sharing its memory

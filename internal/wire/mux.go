@@ -71,20 +71,13 @@ func (p *Pool) timeout() time.Duration {
 	return DefaultTimeout
 }
 
-// Call performs one round trip to addr over the pooled multiplexed
-// connection, establishing (or re-establishing) it as needed.
-func (p *Pool) Call(addr string, req *Request) (*Response, error) {
-	return p.CallTimeout(addr, req, p.timeout())
-}
-
-// CallTimeout is Call with an explicit per-request deadline.
-func (p *Pool) CallTimeout(addr string, req *Request, timeout time.Duration) (*Response, error) {
-	return p.CallCtx(context.Background(), addr, req, timeout)
-}
-
-// CallCtx is CallTimeout bounded by ctx as well: cancellation aborts
-// the wait for the response (and the dial) promptly, leaving the
-// shared connection intact for other requests.
+// CallCtx performs one round trip to addr over the pooled multiplexed
+// connection, establishing (or re-establishing) it as needed. timeout
+// bounds the round trip, dial and handshake included (0 selects the
+// pool's Timeout); ctx bounds it as well: cancellation aborts the wait
+// for the response (and the dial) promptly, leaving the shared
+// connection intact for other requests. The response's Data is a view
+// into its receive frame until Release (see Response).
 func (p *Pool) CallCtx(ctx context.Context, addr string, req *Request, timeout time.Duration) (*Response, error) {
 	m := p.Metrics
 	if m == nil {
@@ -264,7 +257,9 @@ func (m *muxConn) readLoop() {
 		delete(m.pending, resp.ID)
 		m.mu.Unlock()
 		if s != nil {
-			s.ch <- resp // buffered; an unknown ID is a timed-out caller's late response
+			s.ch <- resp // buffered
+		} else {
+			resp.Release() // a timed-out or cancelled caller's late response
 		}
 	}
 }
@@ -387,10 +382,13 @@ func (m *muxConn) call(ctx context.Context, addr string, req *Request, timeout t
 
 // Handler processes one request. Handlers run concurrently (bounded by
 // the server's inflight limit), so they must be safe for concurrent
-// use. The *Request is reused for a later
-// request once the handler returns, so a handler must not keep the
-// pointer; the values in it (strings, slices, Data) are its own to keep.
-// The response is only read, so a handler may return a shared one.
+// use. The *Request is reused for a later request once the handler
+// returns, so a handler must not keep the pointer. Data is valid until
+// the handler returns: it is a view into the receive frame, which goes
+// back to the pool once the response has been written — so a response
+// may carry it, but a handler that keeps the bytes must copy them. The
+// strings and the Names slice are the handler's own to keep. The
+// response is only read, so a handler may return a shared one.
 type Handler func(*Request) *Response
 
 // Serve speaks the server side of the protocol on conn until the peer
@@ -471,7 +469,8 @@ func (sc *serveConn) work(w *serveWorker) {
 		sc.conn.SetWriteDeadline(time.Now().Add(DefaultTimeout)) //nolint:errcheck
 		_ = writeResponseV2(sc.conn, w.req.ID, resp)
 		sc.wmu.Unlock()
-		w.req = Request{} // let the request's payload go before idling
+		w.req.Release()
+		w.req = Request{} // let the request's fields go before idling
 		sc.idle <- w
 	}
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -168,7 +169,7 @@ func TestLiveProtocolCompatGolden(t *testing.T) {
 		p := NewPool()
 		defer p.Close()
 		for _, op := range Ops {
-			resp, err := p.Call(addr, goldenRequest(op))
+			resp, err := p.CallCtx(context.Background(), addr, goldenRequest(op), 0)
 			checkGolden(t, op, resp, err)
 		}
 	})
@@ -226,10 +227,10 @@ func TestLiveProtocolCompatGolden(t *testing.T) {
 		p := NewPool()
 		defer p.Close()
 		addr := ln.Addr().String()
-		if _, err := p.Call(addr, goldenRequest(OpRing)); err == nil || !strings.Contains(err.Error(), "handshake") {
+		if _, err := p.CallCtx(context.Background(), addr, goldenRequest(OpRing), 0); err == nil || !strings.Contains(err.Error(), "handshake") {
 			t.Fatalf("call to a peer that sent no banner returned %v, want a handshake error", err)
 		}
-		resp, err := p.Call(addr, goldenRequest(OpRing))
+		resp, err := p.CallCtx(context.Background(), addr, goldenRequest(OpRing), 0)
 		checkGolden(t, OpRing, resp, err)
 		if n := accepts.Load(); n != 2 {
 			t.Fatalf("%d connections dialed for two calls, want a redial after the failed handshake", n)
@@ -254,7 +255,7 @@ func TestPoolMultiplexesOneConnection(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			name := fmt.Sprintf("blk-%d", i)
-			resp, err := p.Call(addr, &Request{Op: OpFetch, Name: name})
+			resp, err := p.CallCtx(context.Background(), addr, &Request{Op: OpFetch, Name: name}, 0)
 			if err != nil {
 				errs[i] = err
 				return
@@ -290,12 +291,12 @@ func TestPoolPerRequestDeadline(t *testing.T) {
 	defer p.Close()
 	defer close(release)
 
-	if _, err := p.Call(addr, &Request{Op: OpFetch, Name: "slow"}); err == nil ||
+	if _, err := p.CallCtx(context.Background(), addr, &Request{Op: OpFetch, Name: "slow"}, 0); err == nil ||
 		!strings.Contains(err.Error(), "timeout") {
 		t.Fatalf("stalled request did not time out: %v", err)
 	}
 	// The connection must still serve other requests.
-	resp, err := p.Call(addr, &Request{Op: OpFetch, Name: "fast"})
+	resp, err := p.CallCtx(context.Background(), addr, &Request{Op: OpFetch, Name: "fast"}, 0)
 	if err != nil || string(resp.Data) != "fast" {
 		t.Fatalf("connection poisoned after timeout: %v", err)
 	}
@@ -328,7 +329,7 @@ func TestPoolSurvivesPeerRestart(t *testing.T) {
 	p := NewPool()
 	p.Timeout = 2 * time.Second
 	defer p.Close()
-	if _, err := p.Call(addr, goldenRequest(OpCapBatch)); err != nil {
+	if _, err := p.CallCtx(context.Background(), addr, goldenRequest(OpCapBatch), 0); err != nil {
 		t.Fatal(err)
 	}
 	ln.Close()
@@ -344,7 +345,7 @@ func TestPoolSurvivesPeerRestart(t *testing.T) {
 	defer ln2.Close()
 	go serve(ln2)
 
-	resp, err := p.Call(addr, goldenRequest(OpCapBatch))
+	resp, err := p.CallCtx(context.Background(), addr, goldenRequest(OpCapBatch), 0)
 	if err != nil || resp.Capacity != 1002 {
 		t.Fatalf("pool did not recover after peer restart: %v", err)
 	}
@@ -354,7 +355,7 @@ func TestPoolSurvivesPeerRestart(t *testing.T) {
 func TestPoolClosed(t *testing.T) {
 	p := NewPool()
 	p.Close()
-	if _, err := p.Call("127.0.0.1:1", goldenRequest(OpRing)); err != ErrPoolClosed {
+	if _, err := p.CallCtx(context.Background(), "127.0.0.1:1", goldenRequest(OpRing), 0); err != ErrPoolClosed {
 		t.Fatalf("call on closed pool: %v", err)
 	}
 	p.Close() // idempotent
@@ -400,7 +401,7 @@ func TestServeInflightBound(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.Call(ln.Addr().String(), goldenRequest(OpCapBatch)) //nolint:errcheck
+			p.CallCtx(context.Background(), ln.Addr().String(), goldenRequest(OpCapBatch), 0) //nolint:errcheck
 		}()
 	}
 	// Let requests pile up against the gate, then release.
@@ -435,11 +436,11 @@ func TestFrameSteadyStateAllocs(t *testing.T) {
 	if v2writes > 4 {
 		t.Fatalf("writeRequestV2 allocates %.0f/op, want <= 4", v2writes)
 	}
-	// Read through a buffered reader, as the connection loops do, a
-	// request costs exactly what it hands over: its name, the Names
-	// slice and its two strings, the payload and the node address. The
-	// op maps onto its constant, the length prefix is peeked, the frame
-	// buffer is pooled.
+	// Read through a buffered reader, as the connection loops do, and
+	// released, a request costs exactly the strings it hands over: its
+	// name, the Names slice and its two strings, and the node address.
+	// The payload is a view into the frame, the op maps onto its
+	// constant, the length prefix is peeked, the frame buffer is pooled.
 	src := bytes.NewReader(rawV2)
 	br := bufio.NewReader(src)
 	v2reads := testing.AllocsPerRun(200, func() {
@@ -449,34 +450,34 @@ func TestFrameSteadyStateAllocs(t *testing.T) {
 		if err := readRequestV2(br, &got); err != nil {
 			t.Fatal(err)
 		}
+		got.Release()
 	})
-	if v2reads > 6 {
-		t.Fatalf("readRequestV2 allocates %.0f/op, want <= 6", v2reads)
+	if v2reads > 5 {
+		t.Fatalf("readRequestV2 allocates %.0f/op, want <= 5", v2reads)
 	}
 }
 
-// capWriter records the capacity and backing array of the last slice
-// written to it: writeV2 hands its whole frame buffer to one Write.
-type capWriter struct {
-	cap  int
-	base *byte
-}
+// pieceWriter records the pieces a frame is written in: writeV2 hands
+// net.Buffers to a writer without writev one piece per Write.
+type pieceWriter struct{ pieces [][]byte }
 
-func (w *capWriter) Write(p []byte) (int, error) {
-	w.cap, w.base = cap(p), &p[0]
+func (w *pieceWriter) Write(p []byte) (int, error) {
+	w.pieces = append(w.pieces, p)
 	return len(p), nil
 }
 
-// TestFullSegmentFramePooled pins the pool's size cap against the
-// frames the data path actually sends: a frame carrying one full
-// DefaultSegment of payload is a segment plus its header, and on both
-// the sending and the receiving side its buffer must fit
-// maxPooledFrame and come back for the next frame. With the cap at
+// TestFullSegmentFramePooled pins the send and receive buffers against
+// the frames the data path actually sends, one full DefaultSegment of
+// payload each. On the way out the payload is not copied at all — the
+// writer gets the caller's own memory as the middle piece — and the head
+// buffer around it is small and reused. On the way in the frame buffer
+// fits maxPooledFrame and comes back for the next frame; with the cap at
 // exactly one segment, every such buffer went to the garbage collector.
 func TestFullSegmentFramePooled(t *testing.T) {
+	payload := make([]byte, DefaultSegment)
 	req := EncodeStoreWindow("object.bin_3_1", WindowSegment{
 		Stream: 1 << 60, Seq: 1, Total: 2, Size: 2 * DefaultSegment, Seg: DefaultSegment,
-	}, make([]byte, DefaultSegment))
+	}, payload)
 	var frame bytes.Buffer
 	if err := writeRequestV2(&frame, 1, req); err != nil {
 		t.Fatal(err)
@@ -487,36 +488,38 @@ func TestFullSegmentFramePooled(t *testing.T) {
 	// detector, and at a GC), so reuse is required of some frame in a
 	// run, not of every one.
 	const frames = 8
-	var w capWriter
 	var last *byte
 	reused := false
 	for i := 0; i < frames; i++ {
+		var w pieceWriter
 		if err := writeRequestV2(&w, 1, req); err != nil {
 			t.Fatal(err)
 		}
-		if w.cap > maxPooledFrame {
-			t.Fatalf("send buffer of a full-segment frame has capacity %d, above the pool's cap %d", w.cap, maxPooledFrame)
+		if len(w.pieces) != 3 || &w.pieces[1][0] != &payload[0] || len(w.pieces[1]) != len(payload) {
+			t.Fatalf("frame written as %d pieces, want head, the payload itself, tail", len(w.pieces))
 		}
-		reused = reused || w.base == last
-		last = w.base
+		if c := cap(w.pieces[0]); c > maxPooledHead {
+			t.Fatalf("send head of a full-segment frame has capacity %d, above the head pool's cap %d", c, maxPooledHead)
+		}
+		reused = reused || &w.pieces[0][0] == last
+		last = &w.pieces[0][0]
 	}
 	if !reused {
-		t.Errorf("no send buffer was reused across %d full-segment frames", frames)
+		t.Errorf("no send head was reused across %d full-segment frames", frames)
 	}
 
 	last, reused = nil, false
 	for i := 0; i < frames; i++ {
-		err := readFrameBody(bytes.NewReader(raw), func(body []byte) error {
-			if cap(body) > maxPooledFrame {
-				t.Fatalf("receive buffer of a full-segment frame has capacity %d, above the pool's cap %d", cap(body), maxPooledFrame)
-			}
-			reused = reused || &body[0] == last
-			last = &body[0]
-			return nil
-		})
+		f, err := readFrame(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
 		}
+		if cap(f.b) > maxPooledFrame {
+			t.Fatalf("receive buffer of a full-segment frame has capacity %d, above the pool's cap %d", cap(f.b), maxPooledFrame)
+		}
+		reused = reused || &f.b[0] == last
+		last = &f.b[0]
+		releaseFrame(&f)
 	}
 	if !reused {
 		t.Errorf("no receive buffer was reused across %d full-segment frames", frames)
@@ -550,12 +553,12 @@ func TestPoolHandshakeTimeoutKeepsV2(t *testing.T) {
 	p := NewPool()
 	defer p.Close()
 	addr := ln.Addr().String()
-	_, err = p.CallTimeout(addr, goldenRequest(OpCapBatch), 20*time.Millisecond)
+	_, err = p.CallCtx(context.Background(), addr, goldenRequest(OpCapBatch), 20*time.Millisecond)
 	var ne net.Error
 	if !errors.As(err, &ne) || !ne.Timeout() {
 		t.Fatalf("call whose handshake outlived its deadline returned %v, want a timeout", err)
 	}
-	resp, err := p.CallTimeout(addr, goldenRequest(OpCapBatch), 2*time.Second)
+	resp, err := p.CallCtx(context.Background(), addr, goldenRequest(OpCapBatch), 2*time.Second)
 	checkGolden(t, OpCapBatch, resp, err)
 	if peer, _ := p.peer(addr); peer.mc == nil {
 		t.Fatal("peer left without a connection after a handshake timeout")

@@ -61,6 +61,10 @@ type NodeInfo struct {
 }
 
 // Request is the client-to-server message.
+//
+// A request read off a connection does not own Data: it is a view into
+// the pooled frame the request arrived in, valid until Release (see
+// Handler for when the server releases it).
 type Request struct {
 	// ID matches a response to its request on a multiplexed
 	// connection.
@@ -74,9 +78,18 @@ type Request struct {
 	Names []string
 	Data  []byte
 	Node  NodeInfo // join/add payload
+
+	frame *frameBuf // the receive frame Data views, until Release
 }
 
 // Response is the server-to-client message.
+//
+// A response returned by a Pool call does not own Data: it is a view
+// into the pooled frame the response arrived in, valid until the caller
+// calls Release. Every other field is the response's own. A response
+// that is never released is never reused — forgetting Release only
+// costs the frame an allocation later — but Data must not be used
+// after it: the frame may already carry another message.
 type Response struct {
 	ID       uint64 // echoes Request.ID
 	OK       bool
@@ -86,6 +99,24 @@ type Response struct {
 	Used     int64 // stat
 	Blocks   int   // stat
 	Ring     []NodeInfo
+
+	frame *frameBuf
+}
+
+// Release gives the receive frame Data is a view of back to the frame
+// pool and sets Data to nil. Releasing a message twice, or one that was
+// not read off a connection, does nothing.
+func (r *Request) Release() {
+	r.Data = nil
+	releaseFrame(&r.frame)
+}
+
+// Release gives the receive frame Data is a view of back to the frame
+// pool and sets Data to nil. Releasing a response twice, or one that
+// was not read off a connection, does nothing.
+func (r *Response) Release() {
+	r.Data = nil
+	releaseFrame(&r.frame)
 }
 
 // MaxFrame bounds a single message (64 MiB) to keep a misbehaving peer
@@ -108,7 +139,7 @@ const frameHeaderSlack = 4 << 10
 // to the GC instead of pinning tens of megabytes per pooled buffer.
 const maxPooledFrame = DefaultSegment + frameHeaderSlack
 
-// frameBuf is a pooled frame buffer. Where bytes.Buffer at least
+// frameBuf is a pooled receive buffer. Where bytes.Buffer at least
 // doubles when it grows — which takes a buffer that must hold one
 // segment and its header to two segments, past maxPooledFrame — a
 // frameBuf can be grown to an exact size.
@@ -138,24 +169,44 @@ func putFrameBuf(buf *frameBuf) {
 	}
 }
 
-// readFrameBody reads one length-prefixed frame body into a pooled
-// buffer that grows with the bytes actually received — each step at
-// most doubles what has arrived, never trusting the header's length
-// for the allocation, and the last step lands on the frame's exact
-// size — and hands it to use. The buffer is released afterwards, so use
-// must not retain it. No buffer is taken before the length prefix has
+// poisonByte fills a released frame under the race detector: a view
+// kept past Release then reads as a run of it instead of the bytes that
+// were there, which the byte-verifying suites catch.
+const poisonByte = 0xdb
+
+// releaseFrame gives *f back to the pool, poisoned under the race
+// detector, and clears *f so a second release is a no-op.
+func releaseFrame(f **frameBuf) {
+	buf := *f
+	if buf == nil {
+		return
+	}
+	*f = nil
+	if raceEnabled {
+		for i := range buf.b {
+			buf.b[i] = poisonByte
+		}
+	}
+	putFrameBuf(buf)
+}
+
+// readFrame reads one length-prefixed frame body into a pooled buffer
+// that grows with the bytes actually received — each step at most
+// doubles what has arrived, never trusting the header's length for the
+// allocation, and the last step lands on the frame's exact size. The
+// caller owns the buffer: it releases it, or hands it to the message
+// decoded from it. No buffer is taken before the length prefix has
 // arrived, so a connection idling between frames pins none.
-func readFrameBody(r io.Reader, use func([]byte) error) error {
+func readFrame(r io.Reader) (*frameBuf, error) {
 	size, err := readFrameLen(r)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if size > MaxFrame {
-		return fmt.Errorf("wire: incoming frame of %d bytes exceeds limit", size)
+		return nil, fmt.Errorf("wire: incoming frame of %d bytes exceeds limit", size)
 	}
 	n := int(size)
 	buf := getFrameBuf()
-	defer putFrameBuf(buf)
 	for got := 0; got < n; got = len(buf.b) {
 		step := n - got
 		if cap(buf.b) < n {
@@ -167,10 +218,11 @@ func readFrameBody(r io.Reader, use func([]byte) error) error {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
-			return err
+			releaseFrame(&buf)
+			return nil, err
 		}
 	}
-	return use(buf.b)
+	return buf, nil
 }
 
 // readFrameLen reads a frame's 4-byte length prefix. The connection

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"strings"
 	"testing"
@@ -106,7 +107,7 @@ func TestWriteFrameOversized(t *testing.T) {
 func TestCallDialFailure(t *testing.T) {
 	p := NewPool()
 	defer p.Close()
-	if _, err := p.Call("127.0.0.1:1", &Request{Op: OpRing}); err == nil {
+	if _, err := p.CallCtx(context.Background(), "127.0.0.1:1", &Request{Op: OpRing}, 0); err == nil {
 		t.Fatal("call to dead address succeeded")
 	}
 }

@@ -403,13 +403,13 @@ func TestPipelineGoroutinesSkipsOnlyIdleWorkers(t *testing.T) {
 	// The fetch's worker stays in its handler; the ping after it needs
 	// another worker, which parks once the ping is answered (and the
 	// serve loop may have started one more to read the next request).
-	go p.Call(addr, &wire.Request{Op: wire.OpFetch, Name: "b"}) //nolint:errcheck
+	go p.CallCtx(context.Background(), addr, &wire.Request{Op: wire.OpFetch, Name: "b"}, 0) //nolint:errcheck
 	select {
 	case <-entered:
 	case <-time.After(10 * time.Second):
 		t.Fatal("the fetch never reached its handler")
 	}
-	if _, err := p.Call(addr, &wire.Request{Op: wire.OpPing}); err != nil {
+	if _, err := p.CallCtx(context.Background(), addr, &wire.Request{Op: wire.OpPing}, 0); err != nil {
 		t.Fatal(err)
 	}
 	createdBy := []byte("created by peerstripe/internal/wire.Serve in " + <-server + "\n")
