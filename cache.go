@@ -187,8 +187,8 @@ func (c *chunkCache) storeLocked(key chunkKey, data []byte) {
 // and the Prometheus exposition alongside the wire and codec metrics.
 func (c *chunkCache) registerMetrics(reg *telemetry.Registry) {
 	reg.CounterFunc("ps_cache_hits_total", "Chunk reads served from the decoded-chunk cache or a joined in-flight decode.", c.hits.Load)
-	reg.CounterFunc("ps_cache_misses_total", "Chunk reads that ran a fetch as the singleflight leader.", c.misses.Load)
-	reg.CounterFunc("ps_cache_decodes_total", "Fetch+decode executions that succeeded.", c.decodes.Load)
+	reg.CounterFunc("ps_cache_misses_total", "Chunk reads that ran a fetch: as the singleflight leader, or for a cold chunk a stream decodes past the cache.", c.misses.Load)
+	reg.CounterFunc("ps_cache_decodes_total", "Fetch+decode executions that succeeded, cached or streamed past the cache.", c.decodes.Load)
 	reg.CounterFunc("ps_cache_evictions_total", "Entries dropped to hold the cache byte bound.", c.evictions.Load)
 	reg.GaugeFunc("ps_cache_bytes", "Decoded bytes currently held in the chunk cache.", func() int64 {
 		c.mu.Lock()
@@ -256,11 +256,12 @@ type CacheStats struct {
 	// Hits counts chunk reads served without a fetch: straight from
 	// the cache or by joining another reader's in-flight decode.
 	Hits int64
-	// Misses counts chunk reads that ran a fetch as the singleflight
-	// leader.
+	// Misses counts chunk reads that ran a fetch: as the singleflight
+	// leader, or for a cold chunk that a File.WriteTo stream past the
+	// cache decodes into its own buffer without admitting it.
 	Misses int64
-	// Decodes counts fetch+decode executions that succeeded — under a
-	// thundering herd this stays at one per distinct chunk.
+	// Decodes counts fetch+decode executions that succeeded, both kinds
+	// — under a thundering herd this stays at one per distinct chunk.
 	Decodes int64
 	// Evictions counts entries dropped to hold the byte bound.
 	Evictions int64

@@ -12,8 +12,9 @@ import (
 )
 
 // File is an open handle on a stored file, implementing io.Reader,
-// io.Seeker, io.ReaderAt, and io.Closer over the ring. Reads fetch only
-// what the requested range covers (§4.1), in one of two ways.
+// io.Seeker, io.ReaderAt, io.WriterTo, and io.Closer over the ring.
+// Reads fetch only what the requested range covers (§4.1), in one of
+// three ways.
 //
 // Scans — every Read, a ReadAt that starts where the handle's previous
 // read ended, and any piece that spans a whole chunk — decode at chunk
@@ -22,6 +23,16 @@ import (
 // handle and every request on the client reuses them — and each cold
 // chunk is fetched and decoded exactly once no matter how many readers
 // race for it (per-chunk singleflight).
+//
+// Streams — WriteTo, which io.Copy and io.CopyBuffer call — read the
+// file once from the seek position to its end. A stream of more than
+// half the cache's bound (WithChunkCache) reads past the cache: a chunk
+// that is cached, being fetched or promoted is read as a scan reads
+// it, and any other is decoded into one buffer the call owns and
+// reuses from chunk to chunk, written out, and not admitted to the
+// cache, since a one-pass stream that large would mostly evict other
+// readers' chunks. Such chunks still count as cache misses and decodes
+// (CacheStats). A smaller stream reads as a scan does.
 //
 // Any other ReadAt is a random access: where it covers part of a chunk
 // that is neither cached nor being fetched, and the erasure code is
@@ -52,9 +63,9 @@ type File struct {
 	// hot-promotion marker is verified.
 	ver uint64
 
-	// posMu serializes the seek position across Read/Seek, held for
-	// the whole Read so interleaved concurrent Reads cannot hand two
-	// callers the same range.
+	// posMu serializes the seek position across Read/WriteTo/Seek, held
+	// for the whole Read or WriteTo so interleaved concurrent reads
+	// cannot hand two callers the same range.
 	posMu sync.Mutex
 	pos   int64
 
@@ -107,6 +118,15 @@ func (f *File) ETag() string {
 // errClosed builds the post-Close failure for one operation.
 func (f *File) errClosed(op string) error {
 	return fmt.Errorf("peerstripe: %s %q: %w", op, f.name, os.ErrClosed)
+}
+
+// readable reports why the handle can serve no read, if it cannot: it
+// was closed, or the context it was opened with is done.
+func (f *File) readable() error {
+	if f.closed.Load() {
+		return f.errClosed("read")
+	}
+	return f.ctx.Err()
 }
 
 // hotReplicas resolves (once per handle) how many full-copy chunk
@@ -167,7 +187,7 @@ func (f *File) chunk(ci int) ([]byte, error) {
 }
 
 // readPiece fills dst with bytes [lo, lo+len(dst)) of chunk ci. One
-// rule separates the two regimes described on File: a piece of a scan,
+// rule separates scans from random ReadAts (see File): a piece of a scan,
 // a piece that is the whole chunk, and a piece of a chunk that is
 // cached or already being fetched go through the shared cache; any
 // other piece under a systematic code moves block ranges and leaves
@@ -194,14 +214,11 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 // readAt is ReadAt; scan marks a read that is sequential by
 // construction (Read), where ReadAt has to infer it from the offset.
 func (f *File) readAt(p []byte, off int64, scan bool) (int, error) {
-	if f.closed.Load() {
-		return 0, f.errClosed("read")
+	if err := f.readable(); err != nil {
+		return 0, err
 	}
 	if off < 0 {
 		return 0, fmt.Errorf("peerstripe: read %q: negative offset %d", f.name, off)
-	}
-	if err := f.ctx.Err(); err != nil {
-		return 0, err
 	}
 	size := f.cat.FileSize()
 	if off >= size {
@@ -247,6 +264,81 @@ func (f *File) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// WriteTo implements io.WriterTo: it writes the file from the seek
+// position to its end into w — see File for what moves and what is
+// cached — and advances the position by the bytes written. It returns
+// that count and the first error: a failed read, w's error, or
+// io.ErrShortWrite when w took fewer bytes than it was given. Like
+// every read it fails promptly once the Open context is done, and with
+// an error matching os.ErrClosed after Close. At end of file it writes
+// nothing and returns 0, nil.
+func (f *File) WriteTo(w io.Writer) (int64, error) {
+	f.posMu.Lock()
+	defer f.posMu.Unlock()
+	if err := f.readable(); err != nil {
+		return 0, err
+	}
+	// Only a stream that would take more than half the cache reads past
+	// it, as a database's scan of a table that large reads through a
+	// small ring of buffers rather than its buffer pool: a smaller file
+	// streamed whole is read as Read reads it, and stays for the reads
+	// that follow.
+	past := 2*(f.cat.FileSize()-f.pos) > f.cl.cache.max
+	var written int64
+	var buf []byte // this call's cold-chunk buffer, allocated on first use
+	for ci, row := range f.cat.Rows {
+		if row.End <= f.pos || row.Empty() {
+			continue
+		}
+		if err := f.readable(); err != nil {
+			return written, err
+		}
+		data, err := f.streamChunk(ci, &buf, past)
+		if err != nil {
+			return written, fmt.Errorf("peerstripe: read %q: %w", f.name, err)
+		}
+		piece := data[f.pos-row.Start:]
+		n, err := w.Write(piece)
+		f.pos += int64(n)
+		f.next.Store(f.pos)
+		written += int64(n)
+		if err != nil {
+			return written, err
+		}
+		if n < len(piece) {
+			return written, io.ErrShortWrite
+		}
+	}
+	return written, nil
+}
+
+// streamChunk returns chunk ci's bytes for WriteTo. Unless the stream
+// reads past the cache, and for a chunk that is cached, being fetched
+// or promoted even then, they come through the shared cache, as a
+// scan's do. Any other chunk is decoded into *buf — made once, the
+// size of the largest chunk from ci on, then reused — and left out of
+// the cache, though counted in its misses and decodes as a leader's
+// fetch is.
+func (f *File) streamChunk(ci int, buf *[]byte, past bool) ([]byte, error) {
+	if !past || f.cl.cache.known(f.name, f.ver, ci) || f.hotReplicas() > 0 {
+		return f.chunk(ci)
+	}
+	if *buf == nil {
+		var largest int64
+		for _, row := range f.cat.Rows[ci:] {
+			largest = max(largest, row.Len())
+		}
+		*buf = make([]byte, largest)
+	}
+	dst := (*buf)[:f.cat.Row(ci).Len()]
+	f.cl.cache.misses.Add(1)
+	if err := f.cl.c.FetchChunkInto(f.ctx, f.cat, ci, dst); err != nil {
+		return nil, err
+	}
+	f.cl.cache.decodes.Add(1)
+	return dst, nil
+}
+
 // Seek implements io.Seeker.
 func (f *File) Seek(offset int64, whence int) (int64, error) {
 	if f.closed.Load() {
@@ -273,8 +365,8 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 	return next, nil
 }
 
-// Close marks the handle closed: subsequent Read, ReadAt, and Seek
-// calls fail with an error matching os.ErrClosed, as does a second
+// Close marks the handle closed: subsequent Read, ReadAt, WriteTo and
+// Seek calls fail with an error matching os.ErrClosed, as does a second
 // Close. Decoded chunks stay in the Client's shared cache for other
 // handles; the Client stays open.
 func (f *File) Close() error {
@@ -288,4 +380,5 @@ func (f *File) Close() error {
 var (
 	_ io.ReadSeekCloser = (*File)(nil)
 	_ io.ReaderAt       = (*File)(nil)
+	_ io.WriterTo       = (*File)(nil)
 )

@@ -60,9 +60,9 @@ type Codec struct {
 
 	// Cache, when set, is consulted before every chunk decode and
 	// populated after each successful one (see ChunkCache). Decodes
-	// into a caller-owned buffer (DecodeFile) read from the cache but
-	// do not populate it: the cache must never retain a slice whose
-	// backing array the caller owns and may overwrite.
+	// into a caller-owned buffer (DecodeFile, DecodeChunkInto) read from
+	// the cache but do not populate it: the cache must never retain a
+	// slice whose backing array the caller owns and may overwrite.
 	Cache ChunkCache
 
 	// OnHedge, when set, is called with the laggard count each time a
@@ -403,26 +403,17 @@ func (cd *Codec) EncodeChunks(ctx context.Context, file string, data []byte, chu
 	return cat, nil
 }
 
-// decodeInto reconstructs a chunk from got: into dst when non-nil
-// (zero-copy for DecoderInto codes, one bounded copy otherwise), into a
-// fresh buffer when dst is nil. On error dst's contents are
+// decodeInto reconstructs a chunk from got: into dst when non-nil, into
+// a fresh buffer when dst is nil. On error dst's contents are
 // unspecified; callers only use it after a nil error.
 func (cd *Codec) decodeInto(dst []byte, got []erasure.Block, chunkLen int64) ([]byte, error) {
 	if dst == nil {
 		return cd.Code.Decode(got, int(chunkLen))
 	}
 	dst = dst[:chunkLen]
-	if di, ok := cd.Code.(erasure.DecoderInto); ok {
-		if err := di.DecodeInto(dst, got); err != nil {
-			return nil, err
-		}
-		return dst, nil
-	}
-	out, err := cd.Code.Decode(got, int(chunkLen))
-	if err != nil {
+	if err := cd.Code.DecodeInto(dst, got); err != nil {
 		return nil, err
 	}
-	copy(dst, out)
 	return dst, nil
 }
 
@@ -651,6 +642,21 @@ func (cd *Codec) DecodeChunk(ctx context.Context, cat *CAT, ci int, fetch FetchF
 		return nil, fmt.Errorf("core: chunk %d outside CAT of %d rows", ci, len(cat.Rows))
 	}
 	return cd.decodeChunk(ctx, cat, ci, fetch, nil)
+}
+
+// DecodeChunkInto is DecodeChunk into dst, which must hold the chunk's
+// length: the decoded bytes land there and nowhere else. It reads a
+// configured Cache but does not populate it, so a caller can decode
+// chunk after chunk into one buffer it reuses.
+func (cd *Codec) DecodeChunkInto(ctx context.Context, cat *CAT, ci int, fetch FetchFunc, dst []byte) error {
+	if ci < 0 || ci >= len(cat.Rows) {
+		return fmt.Errorf("core: chunk %d outside CAT of %d rows", ci, len(cat.Rows))
+	}
+	if n := cat.Rows[ci].Len(); int64(len(dst)) != n {
+		return fmt.Errorf("core: chunk %d holds %d bytes, buffer %d", ci, n, len(dst))
+	}
+	_, err := cd.decodeChunk(ctx, cat, ci, fetch, dst)
+	return err
 }
 
 // DecodeFile reconstructs the whole file described by cat. Chunks are

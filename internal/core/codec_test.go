@@ -183,6 +183,42 @@ func TestCodecDecodeChunk(t *testing.T) {
 	}
 }
 
+// TestCodecDecodeChunkInto decodes every chunk of an online-coded file
+// into one reused, dirty buffer: each lands byte-exact, a configured
+// cache is read but never populated, and a buffer of the wrong length
+// or an index outside the table is refused.
+func TestCodecDecodeChunkInto(t *testing.T) {
+	ctx := context.Background()
+	code := erasure.MustOnline(64, erasure.OnlineOpts{Eps: 0.2, Surplus: 0.25})
+	data := randData(14, 50000)
+	blocks, cat, err := (&Codec{Code: code}).EncodeFile(ctx, "di", data, PlanChunkSizes(50000, 20000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := &countingCache{}
+	cd := &Codec{Code: code, Cache: cache}
+	fetch := blockMap(blocks)
+	buf := bytes.Repeat([]byte{0xa5}, 20000)
+	for ci, row := range cat.Rows {
+		dst := buf[:row.Len()]
+		if err := cd.DecodeChunkInto(ctx, cat, ci, fetch, dst); err != nil {
+			t.Fatalf("chunk %d: %v", ci, err)
+		}
+		if !bytes.Equal(dst, data[row.Start:row.End]) {
+			t.Fatalf("chunk %d decoded into the reused buffer differs", ci)
+		}
+	}
+	if cache.gets != len(cat.Rows) || cache.puts != 0 {
+		t.Errorf("cache consulted %d times and populated %d, want %d and 0", cache.gets, cache.puts, len(cat.Rows))
+	}
+	if err := cd.DecodeChunkInto(ctx, cat, 0, fetch, buf[:100]); err == nil {
+		t.Error("a buffer shorter than the chunk accepted")
+	}
+	if err := cd.DecodeChunkInto(ctx, cat, cat.NumChunks(), fetch, buf); err == nil {
+		t.Error("out-of-range chunk index accepted")
+	}
+}
+
 func TestCodecRangeOutOfBounds(t *testing.T) {
 	cd := &Codec{Code: erasure.NewNull()}
 	data := randData(5, 100)

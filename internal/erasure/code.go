@@ -42,35 +42,26 @@ type Code interface {
 	// unmodified for as long as any returned block is in use, and must
 	// treat the blocks as read-only.
 	Encode(chunk []byte) ([]Block, error)
-	// Decode reconstructs the chunk of length chunkLen from any
-	// sufficient subset of encoded blocks.
-	Decode(blocks []Block, chunkLen int) ([]byte, error)
-}
-
-// EncoderInto is implemented by codes that can encode into a
-// caller-supplied backing array — the encode-side mirror of
-// DecoderInto. It exists so a store that encodes chunk after chunk can
-// hand each encode the coded output of one it has finished uploading
-// instead of allocating it fresh per chunk.
-type EncoderInto interface {
 	// EncodeInto is Encode with every encoded byte that is not a view of
 	// chunk — parity and check blocks, and the zero-padded tail of the
 	// data blocks when the chunk does not divide evenly — placed in
 	// backing. A backing without the capacity for them is replaced by a
 	// new array. It returns the blocks and the backing they use: the
 	// caller may pass that backing to a later EncodeInto once no block
-	// of this one is in use. EncodeInto(nil, chunk) is Encode(chunk).
+	// of this one is in use, so a store that encodes chunk after chunk
+	// recycles its coded output instead of allocating it per chunk.
+	// EncodeInto(nil, chunk) is Encode(chunk).
 	EncodeInto(backing, chunk []byte) ([]Block, []byte, error)
-}
-
-// EncodeWith encodes chunk into backing when c is an EncoderInto and
-// with Encode, returning a nil backing, when it is not.
-func EncodeWith(c Code, backing, chunk []byte) ([]Block, []byte, error) {
-	if ei, ok := c.(EncoderInto); ok {
-		return ei.EncodeInto(backing, chunk)
-	}
-	blocks, err := c.Encode(chunk)
-	return blocks, nil, err
+	// Decode reconstructs the chunk of length chunkLen from any
+	// sufficient subset of encoded blocks.
+	Decode(blocks []Block, chunkLen int) ([]byte, error)
+	// DecodeInto is Decode into a caller-supplied buffer: dst's length
+	// is the chunk length, and a successful decode fills it completely,
+	// so a reader can decode each chunk straight into its slot of a
+	// whole-file buffer, or into one buffer it reuses from chunk to
+	// chunk. On failure dst's contents are unspecified and must be
+	// discarded. Decode(blocks, n) is DecodeInto into a fresh n bytes.
+	DecodeInto(dst []byte, blocks []Block) error
 }
 
 // sized returns backing resliced to n bytes when it has the capacity,
@@ -86,16 +77,6 @@ func sized(backing []byte, n int) []byte {
 // ErrInsufficient is returned by Decode when the supplied blocks cannot
 // reconstruct the chunk.
 var ErrInsufficient = errors.New("erasure: insufficient blocks to decode")
-
-// DecoderInto is implemented by codes that can reconstruct a chunk
-// directly into a caller-supplied buffer: dst's length is the chunk
-// length, and a successful decode fills it completely. It exists so a
-// whole-file read can decode every chunk straight into its slot of the
-// final buffer instead of allocating each chunk and copying it over —
-// on failure dst's contents are unspecified and must be discarded.
-type DecoderInto interface {
-	DecodeInto(dst []byte, blocks []Block) error
-}
 
 // blockSize returns the per-block size for a chunk of chunkLen split
 // into n blocks (the last block is zero-padded to this size).
@@ -144,18 +125,6 @@ func splitViews(chunk []byte, n int, tail []byte) [][]byte {
 		}
 	}
 	return out
-}
-
-// join concatenates n data blocks and truncates to chunkLen.
-func join(blocks [][]byte, chunkLen int) []byte {
-	out := make([]byte, 0, chunkLen)
-	for _, b := range blocks {
-		out = append(out, b...)
-	}
-	if len(out) < chunkLen {
-		return nil
-	}
-	return out[:chunkLen]
 }
 
 // joinInto copies the concatenation of the data blocks into dst,
@@ -232,7 +201,7 @@ func (c Null) Encode(chunk []byte) ([]Block, error) {
 	return blocks, err
 }
 
-// EncodeInto implements EncoderInto: the one block is a copy of the
+// EncodeInto implements Code: the one block is a copy of the
 // chunk in backing.
 func (Null) EncodeInto(backing, chunk []byte) ([]Block, []byte, error) {
 	backing = sized(backing, len(chunk))
@@ -240,16 +209,22 @@ func (Null) EncodeInto(backing, chunk []byte) ([]Block, []byte, error) {
 	return []Block{{Index: 0, Data: backing}}, backing, nil
 }
 
-// Decode implements Code.
-func (Null) Decode(blocks []Block, chunkLen int) ([]byte, error) {
+// decodeFresh is Decode for a code whose decoder is DecodeInto: it
+// decodes into a fresh chunkLen bytes.
+func decodeFresh(c Code, blocks []Block, chunkLen int) ([]byte, error) {
 	out := make([]byte, chunkLen)
-	if err := (Null{}).DecodeInto(out, blocks); err != nil {
+	if err := c.DecodeInto(out, blocks); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// DecodeInto implements DecoderInto.
+// Decode implements Code.
+func (c Null) Decode(blocks []Block, chunkLen int) ([]byte, error) {
+	return decodeFresh(c, blocks, chunkLen)
+}
+
+// DecodeInto implements Code.
 func (Null) DecodeInto(dst []byte, blocks []Block) error {
 	for _, b := range blocks {
 		if b.Index == 0 && len(b.Data) >= len(dst) {
@@ -303,7 +278,7 @@ func (c *XOR) Encode(chunk []byte) ([]Block, error) {
 	return blocks, err
 }
 
-// EncodeInto implements EncoderInto: backing holds the parity block,
+// EncodeInto implements Code: backing holds the parity block,
 // then the padded tail.
 func (c *XOR) EncodeInto(backing, chunk []byte) ([]Block, []byte, error) {
 	bs := blockSize(len(chunk), c.n)
@@ -321,17 +296,10 @@ func (c *XOR) EncodeInto(backing, chunk []byte) ([]Block, []byte, error) {
 
 // Decode implements Code: any n of the n+1 blocks reconstruct the chunk.
 func (c *XOR) Decode(blocks []Block, chunkLen int) ([]byte, error) {
-	if chunkLen == 0 {
-		return []byte{}, nil
-	}
-	out := make([]byte, chunkLen)
-	if err := c.DecodeInto(out, blocks); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return decodeFresh(c, blocks, chunkLen)
 }
 
-// DecodeInto implements DecoderInto: any n of the n+1 blocks
+// DecodeInto implements Code: any n of the n+1 blocks
 // reconstruct the chunk straight into dst, allocating only when a
 // missing data block must be rebuilt from parity.
 func (c *XOR) DecodeInto(dst []byte, blocks []Block) error {

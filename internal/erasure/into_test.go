@@ -3,6 +3,7 @@ package erasure
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -46,11 +47,7 @@ func TestEncodeIntoMatchesEncode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ei, ok := code.(EncoderInto)
-			if !ok {
-				t.Fatalf("%s does not implement EncoderInto", name)
-			}
-			_, need, err := ei.EncodeInto(nil, chunk)
+			_, need, err := code.EncodeInto(nil, chunk)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +61,7 @@ func TestEncodeIntoMatchesEncode(t *testing.T) {
 				{"too small", make([]byte, len(need)/2), len(need) == 0},
 				{"nil", nil, false},
 			} {
-				got, backing, err := ei.EncodeInto(tc.backing, chunk)
+				got, backing, err := code.EncodeInto(tc.backing, chunk)
 				if err != nil {
 					t.Fatalf("%s %s: %v", name, tc.arm, err)
 				}
@@ -114,18 +111,48 @@ func TestEncodeIntoGolden(t *testing.T) {
 	}
 }
 
-// TestEncodeWithFallsBack checks the helper on a code without
-// EncodeInto: Encode's blocks and no backing.
-func TestEncodeWithFallsBack(t *testing.T) {
-	chunk := []byte("abcdefgh")
-	blocks, backing, err := EncodeWith(encodeOnly{MustXOR(2)}, []byte("unused"), chunk)
-	if err != nil || backing != nil || len(blocks) != 3 || !bytes.Equal(blocks[0].Data, []byte("abcd")) {
-		t.Fatalf("EncodeWith on an Encode-only code: %v blocks, backing %q, err %v", len(blocks), backing, err)
+// TestDecodeIntoMatchesDecode pins DecodeInto to Decode on every code,
+// the online rows included: into a dst left dirty by other bytes, from
+// the intact set and with the first blocks lost, the chunk is
+// byte-identical to Decode's; and fewer than DataBlocks distinct blocks
+// fail both with ErrInsufficient.
+func TestDecodeIntoMatchesDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, code := range codesUnderTest() {
+		for _, size := range []int{1 << 16, 1<<16 + 3, 1000} {
+			name := fmt.Sprintf("%s/%d/%d", code.Name(), code.DataBlocks(), size)
+			chunk := randChunk(rng, size)
+			enc, err := code.Encode(chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			subsets := map[string][]Block{"intact": enc}
+			if lost := code.EncodedBlocks() - code.MinNeeded(); lost > 0 {
+				subsets["first blocks lost"] = enc[lost:]
+			}
+			for arm, subset := range subsets {
+				want, err := code.Decode(subset, size)
+				if err != nil {
+					t.Fatalf("%s %s: Decode: %v", name, arm, err)
+				}
+				dst := bytes.Repeat([]byte{0xa5}, size)
+				if err := code.DecodeInto(dst, subset); err != nil {
+					t.Fatalf("%s %s: DecodeInto: %v", name, arm, err)
+				}
+				if !bytes.Equal(dst, want) || !bytes.Equal(dst, chunk) {
+					t.Errorf("%s %s: DecodeInto into a dirty dst differs from Decode", name, arm)
+				}
+			}
+			few := enc[:code.DataBlocks()-1]
+			if _, err := code.Decode(few, size); !errors.Is(err, ErrInsufficient) {
+				t.Errorf("%s: Decode from %d blocks: %v, want ErrInsufficient", name, len(few), err)
+			}
+			if err := code.DecodeInto(make([]byte, size), few); !errors.Is(err, ErrInsufficient) {
+				t.Errorf("%s: DecodeInto from %d blocks: %v, want ErrInsufficient", name, len(few), err)
+			}
+		}
 	}
 }
-
-// encodeOnly hides every method of a code but Code's.
-type encodeOnly struct{ Code }
 
 // scribbleAll overwrites every input block, so an output still sharing
 // memory with one shows up as changed.
@@ -175,16 +202,14 @@ func TestDecodeOutputOwnsItsBytes(t *testing.T) {
 				if !bytes.Equal(out, chunk) {
 					t.Errorf("%s: Decode output shares memory with an input block", name)
 				}
-				if di, ok := code.(DecoderInto); ok {
-					in := cloneBlocks(subset)
-					dst := make([]byte, size)
-					if err := di.DecodeInto(dst, in); err != nil {
-						t.Fatalf("%s: DecodeInto: %v", name, err)
-					}
-					scribbleAll(in)
-					if !bytes.Equal(dst, chunk) {
-						t.Errorf("%s: DecodeInto output changed with its inputs", name)
-					}
+				in = cloneBlocks(subset)
+				into := make([]byte, size)
+				if err := code.DecodeInto(into, in); err != nil {
+					t.Fatalf("%s: DecodeInto: %v", name, err)
+				}
+				scribbleAll(in)
+				if !bytes.Equal(into, chunk) {
+					t.Errorf("%s: DecodeInto output changed with its inputs", name)
 				}
 				sys, ok := code.(Systematic)
 				if !ok || code.EncodedBlocks() == 1 {

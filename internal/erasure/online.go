@@ -326,7 +326,7 @@ func (c *Online) Encode(chunk []byte) ([]Block, error) {
 	return blocks, err
 }
 
-// EncodeInto implements EncoderInto: backing holds the m check blocks,
+// EncodeInto implements Code: backing holds the m check blocks,
 // then the padded tail of the message blocks they were gathered from.
 // No block aliases chunk.
 func (c *Online) EncodeInto(backing, chunk []byte) ([]Block, []byte, error) {
@@ -362,7 +362,7 @@ type gf2Row struct {
 	rhs  []byte
 }
 
-// decodeScratch holds every per-decode slice DecodeWithStats needs —
+// decodeScratch holds every per-decode slice decode needs —
 // equation storage, the dedupe bitmap, peel bookkeeping, the
 // per-column inactive-set masks, and the constraint rows — so
 // steady-state decodes run at a near-constant handful of allocations
@@ -435,11 +435,26 @@ const (
 // blocks (duplicate indices are ignored); with at least MinNeeded of
 // them it succeeds with overwhelming probability.
 func (c *Online) Decode(blocks []Block, chunkLen int) ([]byte, error) {
-	out, _, err := c.DecodeWithStats(blocks, chunkLen)
+	out, _, err := c.decode(nil, chunkLen, blocks)
 	return out, err
 }
 
+// DecodeInto implements Code: the recovered message blocks are joined
+// straight into dst, which is the only copy the decoded bytes get.
+func (c *Online) DecodeInto(dst []byte, blocks []Block) error {
+	_, _, err := c.decode(dst, len(dst), blocks)
+	return err
+}
+
 // DecodeWithStats is Decode plus resolution statistics.
+func (c *Online) DecodeWithStats(blocks []Block, chunkLen int) ([]byte, DecodeStats, error) {
+	return c.decode(nil, chunkLen, blocks)
+}
+
+// decode is the decoder behind Decode, DecodeInto and DecodeWithStats.
+// It joins the recovered message blocks into dst, or, when dst is nil,
+// into a fresh chunkLen bytes allocated once the decode has succeeded,
+// so an attempt that stalls short of enough blocks allocates no output.
 //
 // The decoder is belief-propagation peeling with *inactivation*: the
 // structural peel runs over equation/column incidence only (no byte
@@ -454,13 +469,13 @@ func (c *Online) Decode(blocks []Block, chunkLen int) ([]byte, error) {
 // GE in solveInactive. Back-substitution then finishes the message
 // blocks. At the paper's 2% stored surplus this turns the ML fallback
 // from the dominant decode cost into a footnote.
-func (c *Online) DecodeWithStats(blocks []Block, chunkLen int) (out []byte, st DecodeStats, err error) {
+func (c *Online) decode(dst []byte, chunkLen int, blocks []Block) (out []byte, st DecodeStats, err error) {
 	if chunkLen == 0 {
 		return []byte{}, st, nil
 	}
 	bs := blockSize(chunkLen, c.n)
 
-	// All per-decode state lives in one pooled scratch struct; join()
+	// All per-decode state lives in one pooled scratch struct; joinInto
 	// copies the recovered data out before the scratch is recycled.
 	ds, _ := decodeScratchPool.Get().(*decodeScratch)
 	if ds == nil {
@@ -837,7 +852,11 @@ func (c *Online) DecodeWithStats(blocks []Block, chunkLen int) (out []byte, st D
 			return nil, st, c.insufficientErr(st)
 		}
 	}
-	return join(known[:c.n], chunkLen), st, nil
+	if dst == nil {
+		dst = make([]byte, chunkLen)
+	}
+	joinInto(dst, known[:c.n]) // n blocks of bs ≥ chunkLen/n bytes always fill it
+	return dst, st, nil
 }
 
 // trailingZeros names the bit-scan for the back-substitution loop.

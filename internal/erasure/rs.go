@@ -83,7 +83,7 @@ func (c *RS) Encode(chunk []byte) ([]Block, error) {
 	return blocks, err
 }
 
-// EncodeInto implements EncoderInto: backing holds the k parity blocks,
+// EncodeInto implements Code: backing holds the k parity blocks,
 // then the padded tail.
 func (c *RS) EncodeInto(backing, chunk []byte) ([]Block, []byte, error) {
 	bs := blockSize(len(chunk), c.n)
@@ -126,17 +126,10 @@ func (c *RS) EncodeInto(backing, chunk []byte) ([]Block, []byte, error) {
 // Decode implements Code: gather any n distinct blocks, invert the
 // corresponding encoding rows, and multiply to recover the data blocks.
 func (c *RS) Decode(blocks []Block, chunkLen int) ([]byte, error) {
-	if chunkLen == 0 {
-		return []byte{}, nil
-	}
-	out := make([]byte, chunkLen)
-	if err := c.DecodeInto(out, blocks); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return decodeFresh(c, blocks, chunkLen)
 }
 
-// DecodeInto implements DecoderInto: the recovered data blocks land
+// DecodeInto implements Code: the recovered data blocks land
 // straight in dst instead of a freshly joined buffer.
 func (c *RS) DecodeInto(dst []byte, blocks []Block) error {
 	chunkLen := len(dst)

@@ -747,7 +747,7 @@ type chunkSource interface {
 }
 
 // freeList recycles the large buffers of one store — chunk buffers, and
-// the backings chunks are encoded into (erasure.EncoderInto) — from a
+// the backings chunks are encoded into (erasure.Code.EncodeInto) — from a
 // chunk whose uploads have finished to the next chunk. It holds at most
 // PipelineDepth of each, and nothing once the store returns. Kept for a
 // later store, a buffer would sit idle through the collections in
@@ -914,7 +914,7 @@ func (c *Client) storeChunks(ctx context.Context, name string, plan []int64, src
 					prodErr = fmt.Errorf("node: store %s: read chunk %d: %w", name, chunk, err)
 					return
 				}
-				ebs, coded, err := erasure.EncodeWith(c.code, codedBufs.get(0), data)
+				ebs, coded, err := c.code.EncodeInto(codedBufs.get(0), data)
 				if err != nil {
 					src.release(data)
 					prodErr = fmt.Errorf("node: store %s: encode chunk %d: %w", name, chunk, err)
@@ -1046,6 +1046,14 @@ func (c *Client) FetchRangeCtx(ctx context.Context, name string, off, length int
 func (c *Client) FetchChunk(ctx context.Context, cat *core.CAT, ci int) ([]byte, error) {
 	defer c.met.fetchSeconds.Since(time.Now())
 	return c.fetchCodec(ctx).DecodeChunk(ctx, cat, ci, c.fetchFunc(ctx))
+}
+
+// FetchChunkInto is FetchChunk into dst, which holds exactly the
+// chunk's length — what a one-pass stream decodes into, chunk after
+// chunk, without handing the bytes to the cache.
+func (c *Client) FetchChunkInto(ctx context.Context, cat *core.CAT, ci int, dst []byte) error {
+	defer c.met.fetchSeconds.Since(time.Now())
+	return c.fetchCodec(ctx).DecodeChunkInto(ctx, cat, ci, c.fetchFunc(ctx), dst)
 }
 
 // FetchChunkRange fills dst with bytes [lo, lo+len(dst)) of one chunk of

@@ -22,7 +22,9 @@ import (
 // counters moved, and the Prometheus exposition is well-formed.
 func TestClientMetricsReconcile(t *testing.T) {
 	_, seed := testRing(t, 4, 1<<30)
-	c := dialTest(t, seed, peerstripe.WithCode("xor"), peerstripe.WithChunkCap(64<<10))
+	// A cache of two chunks: the whole-file stream below is more than
+	// half of it, so it reads past the cache.
+	c := dialTest(t, seed, peerstripe.WithCode("xor"), peerstripe.WithChunkCap(64<<10), peerstripe.WithChunkCache(128<<10))
 
 	const stores = 3
 	rng := rand.New(rand.NewSource(11))
@@ -59,9 +61,25 @@ func TestClientMetricsReconcile(t *testing.T) {
 	if _, err := f.ReadAt(part, 70_000); err != nil || !bytes.Equal(part, data[70_000:73_000]) {
 		t.Fatalf("ranged read: %v", err)
 	}
+	// Then the whole file as one stream: its 4 cold chunks bypass the
+	// cache but still count as misses and decodes.
+	cached := c.CacheStats().Bytes
+	var streamed bytes.Buffer
+	if _, err := f.WriteTo(&streamed); err != nil || !bytes.Equal(streamed.Bytes(), data) {
+		t.Fatalf("stream: %v", err)
+	}
 	f.Close()
 
 	m := c.Metrics()
+	const streamChunks = 4
+	for _, name := range []string{"ps_cache_misses_total", "ps_cache_decodes_total"} {
+		if got := m.Counters[name] - before[name]; got != streamChunks {
+			t.Errorf("%s moved by %d over a cold stream, want %d", name, got, streamChunks)
+		}
+	}
+	if got := m.Gauges["ps_cache_bytes"]; got != cached {
+		t.Errorf("ps_cache_bytes = %d after a cold stream, was %d", got, cached)
+	}
 	for name, want := range map[string]int64{
 		"ps_client_range_reads_total":    1,
 		"ps_client_range_rebuilds_total": 0,

@@ -274,3 +274,62 @@ func TestFetchAllocBudget(t *testing.T) {
 		t.Fatalf("File.Read allocates %.2f B per user byte (median of %v), budget %.2f", median, perByte, budget)
 	}
 }
+
+// TestWriteToAllocBudget is TestFetchAllocBudget through File.WriteTo,
+// the path io.Copy takes, with a cache the object is more than twice
+// the size of: every chunk of the same 4-chunk online object is
+// decoded into one buffer the call owns and reuses, and none is
+// admitted to the cache, so what is left per user byte is that one
+// chunk-sized buffer (0.25) and small change (measured 0.309). A
+// stream that decoded each chunk into a fresh buffer would be back
+// near File.Read's 1.06.
+func TestWriteToAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting distorted under the race detector")
+	}
+	const (
+		size   = 4 << 20
+		budget = 0.4 // bytes allocated, process-wide, per user byte
+	)
+	const reads = 7
+	_, seed := testRing(t, 4, 1<<30)
+	c := dialTest(t, seed, peerstripe.WithCode("online"), peerstripe.WithChunkCap(1<<20), peerstripe.WithChunkCache(size/2))
+	data := make([]byte, size)
+	rand.New(rand.NewSource(14)).Read(data)
+	ctx := context.Background()
+	names := make([]string, reads)
+	for i := range names {
+		names[i] = fmt.Sprintf("writeto-budget-%d.dat", i)
+		if _, err := c.StoreBytes(ctx, names[i], data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var perByte []float64
+	for i := 0; i < reads; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f, err := c.Open(ctx, names[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := io.Copy(io.Discard, f)
+		f.Close()
+		if err != nil || n != size {
+			t.Fatalf("read %d of %d bytes: %v", n, size, err)
+		}
+		runtime.ReadMemStats(&after)
+		if i >= 2 { // the first two fill the frame pools and open connections
+			perByte = append(perByte, float64(after.TotalAlloc-before.TotalAlloc)/size)
+		}
+	}
+	sort.Float64s(perByte)
+	median := perByte[len(perByte)/2]
+	t.Logf("File.WriteTo allocates %.3f B per user byte (median of %v)", median, perByte)
+	if median > budget {
+		t.Fatalf("File.WriteTo allocates %.2f B per user byte (median of %v), budget %.2f", median, perByte, budget)
+	}
+	if st := c.CacheStats(); st.Bytes != 0 {
+		t.Errorf("streams left %d bytes in the cache, want 0", st.Bytes)
+	}
+}
