@@ -90,6 +90,7 @@ live-path:
 	$(GO) test -race -run 'Live|Integration' ./...
 	$(GO) test -tags noasm -race -run 'Live|Integration' ./...
 	$(GO) test -count=1 -run 'AllocBudget$$' .
+	$(GO) test -count=1 -run 'TestOwnerGroupedCalls|TestGroupRoundTripAllocs' ./internal/node ./internal/wire
 
 # The streaming pipeline under the race detector and fault injection:
 # windowed out-of-order staging and its kill-the-stage errors, the hedged

@@ -50,13 +50,26 @@ type Codec struct {
 	HedgeDelay time.Duration
 
 	// StreamFetch, when set, is preferred over the per-call FetchFunc
-	// on the parallel path: it reports incremental per-source transfer
+	// on the parallel path: it moves a group of blocks one holder keeps
+	// in one exchange, and reports incremental per-source transfer
 	// progress, which is what distinguishes a slow-but-moving stream
 	// from a stalled one. It must resolve names identically to the
 	// FetchFunc passed alongside it and be safe for concurrent use.
 	// When nil, the FetchFunc is wrapped with completion-only progress
-	// (a source reports progress only when its block lands whole).
+	// (a source reports progress only when its block lands whole). A
+	// set StreamFetch selects the parallel path even at FetchParallel 1,
+	// where one group is in flight at a time.
 	StreamFetch StreamFetchFunc
+	// Holder, when set, names the holder of block ecb of chunk ci of
+	// file as a small integer: blocks with the same holder are fetched
+	// together, as one StreamFetch group. When nil every block is a
+	// group of its own.
+	Holder func(file string, ci, ecb int) int
+	// GroupBytes caps the payload of one fetch group, by the chunk's
+	// block size: a holder's blocks are split into groups of at most
+	// GroupBytes. A block larger than that is a group of one. 0 leaves
+	// groups unsplit.
+	GroupBytes int64
 
 	// Cache, when set, is consulted before every chunk decode and
 	// populated after each successful one (see ChunkCache). Decodes
@@ -167,14 +180,18 @@ type FetchFunc func(name string) ([]byte, bool)
 // means the block is the caller's and there is nothing to give back.
 type Releaser interface{ Release() }
 
-// StreamFetchFunc retrieves a named block while reporting incremental
-// transfer progress: implementations call progress with the byte count
-// of each segment as it lands (the live client's windowed block
-// streams do), letting the hedged read path tell a moving stream from
-// a stalled one mid-transfer. progress must not be called after the
-// function returns. The block stays readable until its Releaser, when
-// non-nil, is released.
-type StreamFetchFunc func(name string, progress func(bytes int)) ([]byte, Releaser, bool)
+// StreamFetchFunc retrieves a group of blocks of chunk ci of file —
+// blocks[i].Index names each, and the blocks share a holder (see
+// Codec.Holder) — in one exchange, while reporting incremental transfer
+// progress: implementations call progress with the byte count of each
+// segment as it lands (the live client's windowed block streams do),
+// letting the hedged read path tell a moving stream from a stalled one
+// mid-transfer. progress must not be called after the function
+// returns. It sets blocks[i].Data for every block it got and leaves
+// the others nil; ok false reports that the exchange failed as a whole.
+// The blocks stay readable until rel, when non-nil, is released. A
+// group of one is a single block's fetch.
+type StreamFetchFunc func(file string, ci int, blocks []erasure.Block, progress func(bytes int)) (rel Releaser, ok bool)
 
 // ChunkCache lets a caller interpose a decoded-chunk cache under every
 // chunk read the codec performs: DecodeChunk, DecodeRange, and
@@ -439,7 +456,7 @@ func (cd *Codec) decodeChunk(ctx context.Context, cat *CAT, ci int, fetch FetchF
 	}
 	var out []byte
 	var err error
-	if cd.FetchParallel > 1 && cd.Code.EncodedBlocks() > 1 {
+	if (cd.FetchParallel > 1 || cd.StreamFetch != nil) && cd.Code.EncodedBlocks() > 1 {
 		out, err = cd.decodeChunkParallel(ctx, file, ci, chunkLen, fetch, dst)
 	} else {
 		out, err = cd.decodeChunkSerial(ctx, file, ci, chunkLen, fetch, dst)
@@ -485,63 +502,109 @@ func (cd *Codec) decodeChunkSerial(ctx context.Context, file string, ci int, chu
 // failure with the next untried block immediately, and tracks
 // per-source progress — on each HedgeDelay tick, every in-flight
 // fetch that moved no bytes since the previous tick counts as a
-// laggard and one replacement launches per laggard, so a stalled
-// stream is raced from another holder mid-transfer while streams that
-// are moving are left alone. Decode runs as soon as any sufficient
-// subset has arrived — so one dark node costs at most a hedge delay
-// instead of a timeout, and reads succeed with nodes down. Cancelling
-// ctx stops launching fetches and returns once the in-flight ones
-// drain (promptly when the fetch itself honors ctx).
+// laggard and one replacement launches per block it carries, so a
+// stalled stream is raced from another holder mid-transfer while
+// streams that are moving are left alone. Decode runs as soon as any
+// sufficient subset has arrived — so one dark node costs at most a
+// hedge delay instead of a timeout, and reads succeed with nodes down.
+//
+// The unit of fetching is a group: the blocks of a wave that share a
+// holder (Holder) go in one StreamFetch exchange, split at GroupBytes,
+// with one goroutine per group. A holder whose exchange failed or
+// stalled is passed over while its blocks' replacements are chosen, as
+// long as other holders have untried blocks. Cancelling ctx stops
+// launching fetches and returns once the in-flight ones drain
+// (promptly when the fetch itself honors ctx).
 func (cd *Codec) decodeChunkParallel(ctx context.Context, file string, ci int, chunkLen int64, fetch FetchFunc, dst []byte) ([]byte, error) {
 	m := cd.Code.EncodedBlocks()
 	need := cd.Code.MinNeeded()
-	limit := cd.FetchParallel
-	if limit > m {
-		limit = m
-	}
-	hedge := cd.FetchHedge
-	if hedge < 0 {
-		hedge = 0
-	}
-	target := need + hedge
-	if target > m {
-		target = m
-	}
+	limit := min(max(cd.FetchParallel, 1), m)
+	target := min(need+max(cd.FetchHedge, 0), m)
 	sfetch := cd.StreamFetch
 	if sfetch == nil {
-		sfetch = func(name string, progress func(int)) ([]byte, Releaser, bool) {
-			data, ok := fetch(name)
-			if ok {
-				progress(len(data))
+		sfetch = func(file string, ci int, blocks []erasure.Block, progress func(int)) (Releaser, bool) {
+			for i := range blocks {
+				if data, ok := fetch(BlockName(file, ci, blocks[i].Index)); ok {
+					blocks[i].Data = data
+					progress(len(data))
+				}
 			}
-			return data, nil, ok
+			return nil, true
 		}
 	}
+	perGroup := m
+	if n := int64(cd.Code.DataBlocks()); cd.GroupBytes > 0 {
+		perGroup = int(max(1, min(int64(m), cd.GroupBytes/max(1, (chunkLen+n-1)/n))))
+	}
 
-	type result struct {
-		e    int
-		data []byte
-		rel  Releaser
-		ok   bool
+	// One allocation each for the per-block and per-group state: a
+	// chunk never launches more than m blocks, nor more than m groups.
+	holder := make([]int, m)
+	for e := range holder {
+		holder[e] = e
+		if cd.Holder != nil {
+			holder[e] = cd.Holder(file, ci, e)
+		}
+	}
+	tried := make([]bool, m)
+	slots := make([]erasure.Block, m) // groups are consecutive runs of it
+	flights := make([]flight, m)
+	var avoid []int // holders whose exchange failed or stalled
+	avoided := func(h int) bool {
+		for _, a := range avoid {
+			if a == h {
+				return true
+			}
+		}
+		return false
 	}
 	// Buffered to m: abandoned fetches complete into the buffer and
 	// are collected, never leaking a goroutine past its fetch.
-	results := make(chan result, m)
-	moved := make([]atomic.Int64, m) // bytes each source has moved
-	seen := make([]int64, m)         // moved[] snapshot at the last tick
-	inFlight := make([]bool, m)
-	launched, inflight, failed := 0, 0, 0
-	launch := func() {
-		e := launched
-		launched++
+	results := make(chan int, m)
+	launched, used, groups, inflight, failed := 0, 0, 0, 0, 0
+	// launch starts one group: the holder of the first untried block
+	// not on an avoided holder (or of the first untried block, when
+	// only avoided holders are left), and that holder's blocks among
+	// the next want untried ones, in index order.
+	launch := func(want int) bool {
+		first := -1
+		for e := 0; e < m && first < 0; e++ {
+			if !tried[e] && !avoided(holder[e]) {
+				first = e
+			}
+		}
+		skipAvoided := first >= 0
+		for e := 0; e < m && first < 0; e++ {
+			if !tried[e] {
+				first = e
+			}
+		}
+		if first < 0 {
+			return false
+		}
+		h, lo := holder[first], used
+		for e, seen := first, 0; e < m && seen < want && used-lo < perGroup; e++ {
+			if tried[e] || (skipAvoided && avoided(holder[e])) {
+				continue
+			}
+			seen++
+			if holder[e] == h {
+				tried[e] = true
+				slots[used] = erasure.Block{Index: e}
+				used++
+			}
+		}
+		g := groups
+		groups++
+		f := &flights[g]
+		f.lo, f.hi, f.holder, f.live = lo, used, h, true
+		launched += used - lo
 		inflight++
-		inFlight[e] = true
 		go func() {
-			data, rel, ok := sfetch(BlockName(file, ci, e), func(n int) {
-				moved[e].Add(int64(n))
-			})
-			results <- result{e, data, rel, ok}
+			f.rel, f.ok = sfetch(file, ci, slots[f.lo:f.hi:f.hi], func(n int) { f.moved.Add(int64(n)) })
+			results <- g
 		}()
+		return true
 	}
 
 	var hedgeC <-chan time.Time
@@ -569,8 +632,7 @@ func (cd *Codec) decodeChunkParallel(ctx context.Context, file string, ci int, c
 		}
 	}()
 	for {
-		for launched < m && inflight < limit && launched < target+failed && ctx.Err() == nil {
-			launch()
+		for inflight < limit && launched < target+failed && ctx.Err() == nil && launch(target+failed-launched) {
 		}
 		if inflight == 0 {
 			break
@@ -580,17 +642,25 @@ func (cd *Codec) decodeChunkParallel(ctx context.Context, file string, ci int, c
 			// Abandoned fetches complete into the buffered channel, so
 			// returning here leaks nothing.
 			return nil, fmt.Errorf("%s chunk %d: %w", file, ci, ctx.Err())
-		case r := <-results:
+		case g := <-results:
+			f := &flights[g]
 			inflight--
-			inFlight[r.e] = false
-			if r.rel != nil {
-				held = append(held, r.rel)
+			f.live = false
+			if f.rel != nil {
+				held = append(held, f.rel)
 			}
-			if !r.ok {
-				failed++
+			if !f.ok {
+				failed += f.hi - f.lo
+				avoid = append(avoid, f.holder)
 				continue
 			}
-			got = append(got, erasure.Block{Index: r.e, Data: r.data})
+			for _, b := range slots[f.lo:f.hi] {
+				if b.Data == nil {
+					failed++
+				} else {
+					got = append(got, b)
+				}
+			}
 			if len(got) >= need {
 				if out, err := cd.decodeInto(dst, got, chunkLen); err == nil {
 					return out, nil
@@ -605,14 +675,18 @@ func (cd *Codec) decodeChunkParallel(ctx context.Context, file string, ci int, c
 				continue // stale or early tick from the recycled ticker
 			}
 			stalled := 0
-			for e := 0; e < m; e++ {
-				if !inFlight[e] {
+			for g := 0; g < groups; g++ {
+				f := &flights[g]
+				if !f.live {
 					continue
 				}
-				if p := moved[e].Load(); p > seen[e] {
-					seen[e] = p
+				if p := f.moved.Load(); p > f.seen {
+					f.seen = p
 				} else {
-					stalled++
+					stalled += f.hi - f.lo
+					if !avoided(f.holder) {
+						avoid = append(avoid, f.holder)
+					}
 				}
 			}
 			if stalled > 0 && cd.OnHedge != nil {
@@ -632,6 +706,19 @@ func (cd *Codec) decodeChunkParallel(ctx context.Context, file string, ci int, c
 		return nil, fmt.Errorf("%s chunk %d: %w", file, ci, err)
 	}
 	return nil, fmt.Errorf("%w: %s chunk %d (%d/%d blocks)", ErrUnavailable, file, ci, len(got), m)
+}
+
+// flight is one group of a chunk read: its run of slots, its holder,
+// the bytes it has moved and their count at the last hedge tick, and
+// what its fetch returned.
+type flight struct {
+	moved  atomic.Int64
+	seen   int64
+	lo, hi int
+	holder int
+	live   bool
+	rel    Releaser
+	ok     bool
 }
 
 // DecodeChunk reconstructs a single chunk of the file described by cat.

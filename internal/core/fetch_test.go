@@ -141,7 +141,7 @@ func TestProgressHedgeReplacesSilentSource(t *testing.T) {
 	defer close(release)
 	var fetched sync.Map
 	par := &Codec{Code: code, FetchParallel: 4, HedgeDelay: 20 * time.Millisecond}
-	par.StreamFetch = func(name string, progress func(int)) ([]byte, Releaser, bool) {
+	par.StreamFetch = perBlock(func(name string, progress func(int)) ([]byte, Releaser, bool) {
 		fetched.Store(name, true)
 		if name == BlockName("silent.dat", 0, 0) {
 			progress(512) // a head's worth of bytes, then silence
@@ -153,7 +153,7 @@ func TestProgressHedgeReplacesSilentSource(t *testing.T) {
 			progress(len(d))
 		}
 		return d, nil, ok
-	}
+	})
 
 	startT := time.Now()
 	got, err := par.DecodeFile(context.Background(), cat, mf.fetch)
@@ -186,7 +186,7 @@ func TestProgressHedgeSparesMovingSource(t *testing.T) {
 
 	var launches atomic.Int64
 	par := &Codec{Code: code, FetchParallel: 4, HedgeDelay: 25 * time.Millisecond}
-	par.StreamFetch = func(name string, progress func(int)) ([]byte, Releaser, bool) {
+	par.StreamFetch = perBlock(func(name string, progress func(int)) ([]byte, Releaser, bool) {
 		launches.Add(1)
 		if name == BlockName("moving.dat", 0, 0) {
 			// ~150ms total — six hedge periods — but bytes trickle in
@@ -201,7 +201,7 @@ func TestProgressHedgeSparesMovingSource(t *testing.T) {
 			progress(len(d))
 		}
 		return d, nil, ok
-	}
+	})
 
 	got, err := par.DecodeFile(context.Background(), cat, mf.fetch)
 	if err != nil || !bytes.Equal(got, data) {
@@ -244,5 +244,74 @@ func TestParallelFetchHedgesPastStragglers(t *testing.T) {
 	// block 3 (fast) after 20ms — far under the 2s straggler stall.
 	if e := time.Since(startT); e > time.Second {
 		t.Fatalf("hedged decode took %v; stragglers were not raced", e)
+	}
+}
+
+// perBlock adapts a single-block fetch to the codec's group fetch. With
+// no Holder set every group is a single block, so the hook sees the
+// calls a per-block fetch would.
+func perBlock(f func(name string, progress func(int)) ([]byte, Releaser, bool)) StreamFetchFunc {
+	return func(file string, ci int, blocks []erasure.Block, progress func(int)) (Releaser, bool) {
+		if len(blocks) != 1 {
+			panic("perBlock: a group of more than one block without a Holder")
+		}
+		d, rel, ok := f(BlockName(file, ci, blocks[0].Index), progress)
+		blocks[0].Data = d
+		return rel, ok
+	}
+}
+
+// TestGroupFetchReplacesFailedHolder reads an rs(4,2) chunk whose
+// blocks sit on three holders, two each, through a group fetch: the
+// first wave asks holder 0 for blocks 0 and 3 in one exchange. That
+// exchange fails as a whole, and the decode replaces both blocks from
+// the other holders without asking holder 0 again.
+func TestGroupFetchReplacesFailedHolder(t *testing.T) {
+	code := erasure.MustRS(4, 2) // m = 6, need = 4
+	data := randData(8, 40_000)
+	sizes := PlanChunkSizes(int64(len(data)), 40_000)
+	mf, cat := newMemFetch(t, code, "group.dat", data, sizes)
+	var mu sync.Mutex
+	var groups [][]int
+	par := &Codec{Code: code, FetchParallel: 4, HedgeDelay: -1}
+	par.Holder = func(_ string, _, e int) int { return e % 3 }
+	par.StreamFetch = func(file string, ci int, blocks []erasure.Block, progress func(int)) (Releaser, bool) {
+		var idx []int
+		for _, b := range blocks {
+			idx = append(idx, b.Index)
+		}
+		mu.Lock()
+		groups = append(groups, idx)
+		mu.Unlock()
+		if blocks[0].Index%3 == 0 {
+			return nil, false // holder 0 is down
+		}
+		for i := range blocks {
+			d, _ := mf.fetch(BlockName(file, ci, blocks[i].Index))
+			blocks[i].Data = d
+			progress(len(d))
+		}
+		return nil, true
+	}
+	got, err := par.DecodeFile(context.Background(), cat, mf.fetch)
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("decode with holder 0 down: %v", err)
+	}
+	asked0 := 0
+	for _, g := range groups {
+		for _, e := range g[1:] {
+			if e%3 != g[0]%3 {
+				t.Fatalf("group %v mixes holders", g)
+			}
+		}
+		if g[0]%3 == 0 {
+			asked0++
+			if len(g) != 2 {
+				t.Fatalf("holder 0 was asked for %v, want blocks 0 and 3 in one exchange", g)
+			}
+		}
+	}
+	if asked0 != 1 {
+		t.Fatalf("holder 0 was asked %d times in %v, want once", asked0, groups)
 	}
 }

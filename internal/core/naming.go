@@ -35,6 +35,23 @@ func BlockName(file string, chunk, ecb int) string {
 	return file + "_" + strconv.Itoa(chunk) + "_" + strconv.Itoa(ecb)
 }
 
+// BlockPrefix returns what the names of chunk i's blocks share:
+// BlockName(file, chunk, ecb) is BlockPrefix(file, chunk) followed by
+// ecb in decimal. A group of a chunk's blocks names them by it.
+func BlockPrefix(file string, chunk int) string {
+	return file + "_" + strconv.Itoa(chunk) + "_"
+}
+
+// AppendBlockName appends BlockName(file, chunk, ecb) to dst, for a
+// caller that hashes or sends the name without making it a string.
+func AppendBlockName(dst []byte, file string, chunk, ecb int) []byte {
+	dst = append(dst, file...)
+	dst = append(dst, '_')
+	dst = strconv.AppendInt(dst, int64(chunk), 10)
+	dst = append(dst, '_')
+	return strconv.AppendInt(dst, int64(ecb), 10)
+}
+
 // CATName returns the name under which the file's CAT is stored.
 func CATName(file string) string { return file + CATSuffix }
 

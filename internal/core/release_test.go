@@ -70,7 +70,7 @@ func TestParallelDecodeReleasesAfterDecode(t *testing.T) {
 		mf, cat := newMemFetch(t, code, "rel.dat", data, sizes)
 		var ledger frameLedger
 		cd := &Codec{Code: code, FetchParallel: 4}
-		cd.StreamFetch = func(name string, progress func(int)) ([]byte, Releaser, bool) {
+		cd.StreamFetch = perBlock(func(name string, progress func(int)) ([]byte, Releaser, bool) {
 			d, ok := mf.fetch(name)
 			if !ok {
 				return nil, nil, false
@@ -78,7 +78,7 @@ func TestParallelDecodeReleasesAfterDecode(t *testing.T) {
 			progress(len(d))
 			view, rel := ledger.lend(d)
 			return view, rel, true
-		}
+		})
 		got, err := cd.DecodeFile(context.Background(), cat, mf.fetch)
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("%s: DecodeFile over released blocks: %v", code.Name(), err)

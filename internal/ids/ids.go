@@ -38,6 +38,11 @@ func FromName(name string) ID {
 	return ID(sha1.Sum([]byte(name)))
 }
 
+// FromBytes is FromName for a name held as bytes.
+func FromBytes(name []byte) ID {
+	return ID(sha1.Sum(name))
+}
+
 // FromUint64 returns an identifier whose low 64 bits are v and whose
 // remaining bits are zero. Useful for constructing well-spaced test IDs.
 func FromUint64(v uint64) ID {

@@ -72,7 +72,8 @@ type Config struct {
 	// selects wire.DefaultSegment). Blocks larger than one segment are
 	// uploaded as OpStoreWindow segments; a block too large for one
 	// frame, and a block range larger than a segment, are read as
-	// ranged OpFetchStream segments.
+	// ranged OpFetchStream segments. Smaller blocks move in owner
+	// groups of at most one segment per frame.
 	Segment int
 	// StreamWindow bounds in-flight segments per streamed block
 	// transfer (0 selects 4; 1 keeps one OpStoreWindow segment in
@@ -170,6 +171,9 @@ type Client struct {
 	// built once so a read allocates one codec and one closure, not a
 	// set of hooks (see fetchCodec).
 	readCodec *core.Codec
+	// blockKeys names each block within its chunk's owner group (see
+	// blockKey).
+	blockKeys [][]byte
 
 	mu   sync.RWMutex
 	ring []wire.NodeInfo
@@ -215,6 +219,7 @@ func newClient(code erasure.Code, cfg Config) *Client {
 		pool: pool,
 	}
 	c.readCodec = c.newReadCodec()
+	c.blockKeys = blockKeys(code.EncodedBlocks())
 	return c
 }
 
@@ -243,13 +248,18 @@ func (c *Client) transfers() int { return c.cfg.Transfers }
 // pool. ctx bounds it on top of the per-RPC timeout.
 func (c *Client) call(ctx context.Context, addr string, req *wire.Request) (*wire.Response, error) {
 	resp, err := c.pool.CallCtx(ctx, addr, req, c.cfg.Timeout)
-	// A transport failure means the member could not be reached at all
-	// (dial refused, reset, dead connection) — classify it so callers
-	// and the layers above (errors.Is(err, ErrRingUnavailable)) can
-	// tell an unreachable ring from a reachable one that said no.
+	// A refusal marked absent is a live node without the block:
+	// ErrNotFound. Any other failure is classified as the member not
+	// being reachable at all (dial refused, reset, dead connection), so
+	// callers and the layers above (errors.Is(err, ErrRingUnavailable))
+	// can tell an unreachable ring from a reachable one that said no.
 	// Context errors pass through untouched: cancellation and deadline
 	// semantics must survive the classification.
-	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+	switch {
+	case err == nil:
+	case resp != nil && resp.Absent:
+		err = fmt.Errorf("node: call %s: %w: %v", addr, ErrNotFound, err)
+	case !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded):
 		err = fmt.Errorf("node: call %s: %w: %v", addr, ErrRingUnavailable, err)
 	}
 	return resp, err
@@ -277,6 +287,8 @@ func (c *Client) newReadCodec() *core.Codec {
 	cd := c.codec()
 	cd.Workers = c.transfers()
 	cd.Cache = c.cfg.ChunkCache
+	cd.Holder = c.holder
+	cd.GroupBytes = int64(c.cfg.Segment)
 	cd.OnHedge = func(stalled int) { c.met.hedgeFires.Add(int64(stalled)) }
 	cd.RangeFetch = func(ctx context.Context, name string, off, n int64) ([]byte, core.Releaser, bool) {
 		start := time.Now()
@@ -297,18 +309,12 @@ func (c *Client) newReadCodec() *core.Codec {
 }
 
 // fetchCodec is the read-path codec for one call: the client's read
-// codec plus streamed block fetches bound to ctx, which report
+// codec plus owner-group block fetches bound to ctx, which report
 // per-segment progress into the hedged read path so a stalled source is
 // replaced mid-stream while a slow-but-moving one is left alone.
 func (c *Client) fetchCodec(ctx context.Context) *core.Codec {
 	cd := *c.readCodec
-	cd.StreamFetch = func(name string, progress func(int)) ([]byte, core.Releaser, bool) {
-		d, rel, err := c.fetchBlockView(ctx, name, progress)
-		if err != nil {
-			return nil, nil, false
-		}
-		return d, rel, true
-	}
+	cd.StreamFetch = c.chunkGroupFetch(ctx)
 	return &cd
 }
 
@@ -395,16 +401,6 @@ func (c *Client) ownerAddr(name string) (string, error) {
 	return owner.Addr, nil
 }
 
-// asNotFound classifies a fetch error: a server's "no block" refusal —
-// the op reached a live node but the block was absent — becomes
-// ErrNotFound, anything else passes through.
-func asNotFound(err error) error {
-	if err != nil && strings.Contains(err.Error(), "no block") {
-		return fmt.Errorf("%w: %v", ErrNotFound, err)
-	}
-	return err
-}
-
 // storeBlock sends a block directly to its owner: in one OpStore frame
 // when it fits one wire segment, as windowed segments when it does not.
 func (c *Client) storeBlock(ctx context.Context, name string, data []byte) error {
@@ -476,7 +472,7 @@ func (c *Client) fetchBlockView(ctx context.Context, name string, progress func(
 			data, err := c.streamFetchBlock(ctx, addr, name, progress)
 			return data, nil, err
 		}
-		return nil, nil, asNotFound(err)
+		return nil, nil, err
 	}
 	if progress != nil {
 		progress(len(resp.Data))
@@ -498,7 +494,7 @@ func (c *Client) streamFetchBlock(ctx context.Context, addr, name string, progre
 	seg := int64(c.cfg.Segment)
 	resp, err := c.call(ctx, addr, wire.EncodeFetchStream(name, 0, seg))
 	if err != nil {
-		return nil, asNotFound(err)
+		return nil, err
 	}
 	size, head := resp.Capacity, int64(len(resp.Data))
 	buf := bytes.Clone(resp.Data)
@@ -537,7 +533,7 @@ func (c *Client) streamFetchInto(ctx context.Context, addr, name string, off int
 		want := min(seg, size-at)
 		r, err := c.call(ctx, addr, wire.EncodeFetchStream(name, off+at, want))
 		if err != nil {
-			return asNotFound(err)
+			return err
 		}
 		defer r.Release()
 		if int64(len(r.Data)) != want {
@@ -572,7 +568,7 @@ func (c *Client) fetchBlockRange(ctx context.Context, name string, off, n int64)
 	}
 	resp, err := c.call(ctx, addr, wire.EncodeFetchStream(name, off, n))
 	if err != nil {
-		return nil, nil, asNotFound(err)
+		return nil, nil, err
 	}
 	return resp.Data, resp, nil
 }
@@ -610,36 +606,31 @@ func holdPace(ctx context.Context, start time.Time, n int64) {
 }
 
 // probeChunk runs the §4.3 capacity probe for one chunk: the chunk's m
-// block names are grouped by owner and every distinct owner is probed
-// with a single batched request, in parallel — one round-trip latency
-// where the seed path paid m sequential dials. It returns the safe
-// per-block capacity (the minimum over owners of free space divided by
-// the blocks that owner would hold, sharper than the seed's uniform /m
-// worst case) and the owner grouping for reservation bookkeeping.
-// free caches advertisements across the chunks of one store; probed
-// owners are added to it.
-func (c *Client) probeChunk(ctx context.Context, name string, chunk int, free map[string]int64) (int64, map[string][]string, error) {
-	m := c.code.EncodedBlocks()
-	owners := make(map[string][]string)
-	for e := 0; e < m; e++ {
-		bn := core.BlockName(name, chunk, e)
-		addr, err := c.ownerAddr(bn)
-		if err != nil {
-			return 0, nil, err
-		}
-		owners[addr] = append(owners[addr], bn)
+// blocks are grouped by owner and every distinct owner is probed with a
+// single batched request, in parallel — one round-trip latency where
+// the seed path paid m sequential dials. It returns the safe per-block
+// capacity (the minimum over owners of free space divided by the
+// blocks that owner would hold, sharper than the seed's uniform /m
+// worst case) and the owner groups, which the chunk's upload then
+// carries. free caches advertisements across the chunks of one store;
+// probed owners are added to it.
+func (c *Client) probeChunk(ctx context.Context, prefix string, free map[string]int64) (int64, []ownerGroup, error) {
+	groups, err := c.groupByOwner(prefix, c.code.EncodedBlocks(), c.blockKey)
+	if err != nil {
+		return 0, nil, err
 	}
-	var missing []string
-	for addr := range owners {
-		if _, ok := free[addr]; !ok {
-			missing = append(missing, addr)
+	var missing []int
+	for g := range groups {
+		if _, ok := free[groups[g].addr]; !ok {
+			missing = append(missing, g)
 		}
 	}
 	caps := make([]int64, len(missing))
-	err := core.ParallelJobsCtx(ctx, len(missing), c.transfers(), func(i int) error {
-		resp, err := c.call(ctx, missing[i], &wire.Request{Op: wire.OpCapBatch, Names: owners[missing[i]]})
+	err = core.ParallelJobsCtx(ctx, len(missing), c.transfers(), func(i int) error {
+		g := groups[missing[i]]
+		resp, err := c.call(ctx, g.addr, &wire.Request{Op: wire.OpCapBatch, Name: prefix, Parts: g.parts})
 		if err != nil {
-			return fmt.Errorf("node: probe %s chunk %d: %w", name, chunk, err)
+			return fmt.Errorf("node: probe %s…: %w", prefix, err)
 		}
 		caps[i] = resp.Capacity
 		return nil
@@ -647,92 +638,28 @@ func (c *Client) probeChunk(ctx context.Context, name string, chunk int, free ma
 	if err != nil {
 		return 0, nil, err
 	}
-	for i, addr := range missing {
-		free[addr] = caps[i]
+	for i, g := range missing {
+		free[groups[g].addr] = caps[i]
 	}
 	perBlock := int64(-1)
-	for addr, names := range owners {
-		cap := free[addr] / int64(len(names))
+	for _, g := range groups {
+		cap := free[g.addr] / int64(len(g.parts))
 		if perBlock < 0 || cap < perBlock {
 			perBlock = cap
 		}
 	}
-	return perBlock, owners, nil
+	return perBlock, groups, nil
 }
 
 // StoreFileCtx stores data under name using capacity-probed variable
-// chunking (§4.3) with parallel block fan-out. Chunks are encoded and
-// uploaded as a pipeline: each chunk's blocks go on the wire the
-// moment its encode finishes, overlapping chunk-N encode with
-// chunk-N−1 upload instead of materializing every block first. It
-// returns the file's CAT. Cancelling ctx aborts the transfer;
-// already-placed blocks remain as orphans (no CAT points at them) and
-// do not affect a later re-store under the same name.
+// chunking (§4.3): each chunk is as large as its owners' probes allow,
+// capped at ChunkCap. It runs the store pipeline of StoreBytes with
+// the probe as the plan, and returns the file's CAT. Cancelling ctx
+// aborts the transfer; already-placed blocks remain as orphans (no CAT
+// points at them) and do not affect a later re-store under the same
+// name.
 func (c *Client) StoreFileCtx(ctx context.Context, name string, data []byte) (*core.CAT, error) {
-	defer c.met.storeSeconds.Since(time.Now())
-	n := int64(c.code.DataBlocks())
-	codec := c.codec()
-
-	// Plan chunk sizes from batched probes. Advertisements are cached
-	// per owner across the file and decremented by planned placements,
-	// so a multi-chunk store cannot oversubscribe a node the way
-	// repeated identical probes could.
-	free := make(map[string]int64)
-	var chunkSizes []int64
-	remaining := int64(len(data))
-	zeroRun := 0
-	for chunk := 0; remaining > 0; chunk++ {
-		perBlock, owners, err := c.probeChunk(ctx, name, chunk, free)
-		if err != nil {
-			return nil, err
-		}
-		chunkBytes := n * perBlock
-		if c.cfg.ChunkCap > 0 && chunkBytes > c.cfg.ChunkCap {
-			chunkBytes = c.cfg.ChunkCap
-		}
-		if chunkBytes > remaining {
-			chunkBytes = remaining
-		}
-		if chunkBytes <= 0 {
-			c.met.probeRejects.Inc()
-			chunkSizes = append(chunkSizes, 0)
-			zeroRun++
-			if zeroRun > c.cfg.MaxZeroChunks {
-				return nil, fmt.Errorf("node: store %s: %w", name, core.ErrStoreFailed)
-			}
-			continue
-		}
-		zeroRun = 0
-		chunkSizes = append(chunkSizes, chunkBytes)
-		remaining -= chunkBytes
-		blockBytes := (chunkBytes + n - 1) / n
-		for addr, names := range owners {
-			free[addr] -= int64(len(names)) * blockBytes
-		}
-	}
-
-	// Encode-and-upload jobs wait on the wire, not the CPU, so the
-	// pipeline runs at the transfer bound; the encodes inside still
-	// cannot exceed the cores.
-	codec.Workers = c.transfers()
-	cat, err := codec.EncodeChunks(ctx, name, data, chunkSizes, func(ci int, blocks []core.NamedBlock) error {
-		for _, b := range blocks {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := c.storeBlock(ctx, b.Name, b.Data); err != nil {
-				return fmt.Errorf("node: store block %s: %w", b.Name, err)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := c.storeCAT(ctx, cat); err != nil {
-		return nil, err
-	}
-	return cat, nil
+	return c.storeChunks(ctx, name, nil, int64(len(data)), &bytesSource{data: data})
 }
 
 // chunkSource hands a store its chunks in plan order. next returns the
@@ -822,7 +749,7 @@ func (*bytesSource) release([]byte) {}
 // consecutive-zero-chunk limit. Blocks larger than one wire segment
 // stream in bounded windowed segments.
 func (c *Client) StoreReader(ctx context.Context, name string, r io.Reader, plan []int64) (*core.CAT, error) {
-	return c.storeChunks(ctx, name, plan, &readerSource{r: r, free: make(freeList, c.cfg.PipelineDepth)})
+	return c.storeChunks(ctx, name, plan, 0, &readerSource{r: r, free: make(freeList, c.cfg.PipelineDepth)})
 }
 
 // StoreBytes is StoreReader for an object already in memory: chunks are
@@ -830,23 +757,27 @@ func (c *Client) StoreReader(ctx context.Context, name string, r io.Reader, plan
 // chunk buffer first. data must cover the plan and must not be modified
 // until StoreBytes returns.
 func (c *Client) StoreBytes(ctx context.Context, name string, data []byte, plan []int64) (*core.CAT, error) {
-	return c.storeChunks(ctx, name, plan, &bytesSource{data: data})
+	return c.storeChunks(ctx, name, plan, 0, &bytesSource{data: data})
 }
 
-// storeChunks is the store pipeline behind StoreReader and StoreBytes.
-func (c *Client) storeChunks(ctx context.Context, name string, plan []int64, src chunkSource) (*core.CAT, error) {
+// storeChunks is the store pipeline behind StoreReader, StoreBytes and
+// StoreFileCtx. It stores the chunks plan lists, or, with a nil plan,
+// size bytes in chunks as large as each chunk's probe allows, capped at
+// ChunkCap.
+func (c *Client) storeChunks(ctx context.Context, name string, plan []int64, size int64, src chunkSource) (*core.CAT, error) {
 	defer c.met.storeSeconds.Since(time.Now())
 	n := int64(c.code.DataBlocks())
 	cat := &core.CAT{File: name}
 	free := make(map[string]int64)
 
 	// encodedChunk is one planned chunk read, encoded, and ready to
-	// upload; coded is the backing its blocks were encoded into, given
+	// upload as the owner groups its probe found, whose parts hold the
+	// encoded blocks; coded is the backing they were encoded into, given
 	// back to codedBufs with the chunk.
 	type encodedChunk struct {
-		chunk  int
+		prefix string
+		groups []ownerGroup
 		data   []byte
-		blocks []erasure.Block
 		coded  []byte
 	}
 	// The producer owns every piece of sequential bookkeeping — the
@@ -872,10 +803,20 @@ func (c *Client) storeChunks(ctx context.Context, name string, plan []int64, src
 		pos := int64(0)
 		chunk := 0
 		zeroRun := 0
-		for _, want := range plan {
-			if want <= 0 {
-				prodErr = fmt.Errorf("node: store %s: bad planned chunk size %d", name, want)
-				return
+		for i := 0; ; i++ {
+			var want int64
+			if plan == nil {
+				if pos >= size {
+					return
+				}
+			} else {
+				if i == len(plan) {
+					return
+				}
+				if want = plan[i]; want <= 0 {
+					prodErr = fmt.Errorf("node: store %s: bad planned chunk size %d", name, want)
+					return
+				}
 			}
 			select {
 			case inflight <- struct{}{}:
@@ -888,13 +829,22 @@ func (c *Client) storeChunks(ctx context.Context, name string, plan []int64, src
 					prodErr = err
 					return
 				}
-				perBlock, owners, err := c.probeChunk(pctx, name, chunk, free)
+				prefix := core.BlockPrefix(name, chunk)
+				perBlock, groups, err := c.probeChunk(pctx, prefix, free)
 				if err != nil {
 					prodErr = err
 					return
 				}
-				blockBytes := (want + n - 1) / n
-				if perBlock < blockBytes {
+				fits := perBlock >= (want+n-1)/n
+				if plan == nil {
+					// A probe-sized chunk takes what the owners offer.
+					want = min(n*perBlock, size-pos)
+					if c.cfg.ChunkCap > 0 {
+						want = min(want, c.cfg.ChunkCap)
+					}
+					fits = want > 0
+				}
+				if !fits {
 					// This chunk's owners cannot hold the planned
 					// blocks: emit a zero-sized chunk and retry the same
 					// planned size at the next chunk number.
@@ -920,12 +870,16 @@ func (c *Client) storeChunks(ctx context.Context, name string, plan []int64, src
 					prodErr = fmt.Errorf("node: store %s: encode chunk %d: %w", name, chunk, err)
 					return
 				}
-				for addr, names := range owners {
-					free[addr] -= int64(len(names)) * blockBytes
+				blockBytes := (want + n - 1) / n
+				for _, g := range groups {
+					free[g.addr] -= int64(len(g.parts)) * blockBytes
+					for j, e := range g.idx {
+						g.parts[j].Data = ebs[e].Data // the encoders return blocks in index order
+					}
 				}
 				cat.Rows = append(cat.Rows, core.CATRow{Start: pos, End: pos + want, Sum: core.ChunkSum(data)})
 				pos += want
-				jobs <- encodedChunk{chunk: chunk, data: data, blocks: ebs, coded: coded}
+				jobs <- encodedChunk{prefix: prefix, groups: groups, data: data, coded: coded}
 				chunk++
 				break
 			}
@@ -937,16 +891,10 @@ func (c *Client) storeChunks(ctx context.Context, name string, plan []int64, src
 		if upErr != nil {
 			continue // the producer is stopping; nothing more goes up
 		}
-		// ParallelJobsCtx returns only when every upload call it started
-		// has: success, error or cancel, no storeBlock still reads the
+		// storeGroups returns only when every upload call it started
+		// has: success, error or cancel, no upload still reads the
 		// chunk when it goes back to the source.
-		upErr = core.ParallelJobsCtx(ctx, len(job.blocks), c.transfers(), func(i int) error {
-			bn := core.BlockName(name, job.chunk, job.blocks[i].Index)
-			if err := c.storeBlock(ctx, bn, job.blocks[i].Data); err != nil {
-				return fmt.Errorf("node: store block %s: %w", bn, err)
-			}
-			return nil
-		})
+		upErr = c.storeGroups(ctx, job.prefix, job.groups)
 		src.release(job.data)
 		codedBufs.put(job.coded)
 		if upErr != nil {
@@ -1085,12 +1033,23 @@ func (c *Client) StoreBlocks(cat *core.CAT, blocks []core.NamedBlock) error {
 	return c.StoreBlocksCtx(context.Background(), cat, blocks)
 }
 
-// StoreBlocksCtx is StoreBlocks bounded by ctx.
+// StoreBlocksCtx is StoreBlocks bounded by ctx. The blocks go in owner
+// groups, as a store's chunks do.
 func (c *Client) StoreBlocksCtx(ctx context.Context, cat *core.CAT, blocks []core.NamedBlock) error {
-	err := core.ParallelJobsCtx(ctx, len(blocks), c.transfers(), func(i int) error {
-		return c.storeBlock(ctx, blocks[i].Name, blocks[i].Data)
-	})
+	var names nameList
+	for _, b := range blocks {
+		names.add(b.Name)
+	}
+	groups, err := c.groupByOwner("", names.len(), names.name)
 	if err != nil {
+		return err
+	}
+	for _, g := range groups {
+		for j, i := range g.idx {
+			g.parts[j].Data = blocks[i].Data
+		}
+	}
+	if err := c.storeGroups(ctx, "", groups); err != nil {
 		return err
 	}
 	return c.storeCAT(ctx, cat)
@@ -1108,40 +1067,29 @@ func (c *Client) DeleteFileCtx(ctx context.Context, name string) error {
 		return err
 	}
 	m := c.code.EncodedBlocks()
-	var names []string
+	var names nameList
 	for ci, row := range cat.Rows {
 		if row.Empty() {
 			continue
 		}
 		for e := 0; e < m; e++ {
-			names = append(names, core.BlockName(name, ci, e))
+			names.addBlock(name, ci, e)
 		}
 	}
 	for r := 0; r <= c.cfg.CATReplicas; r++ {
-		names = append(names, core.ReplicaName(core.CATName(name), r))
+		names.add(core.ReplicaName(core.CATName(name), r))
 	}
 	copies, _, err := c.HotCopiesCtx(ctx, name)
 	if err != nil {
 		copies = MaxHotCopies
 	}
 	if copies > 0 {
-		names = append(names, hotReplicaNames(cat, copies)...)
-		names = append(names, core.HotName(name))
-	}
-	return c.deleteBlocks(ctx, names)
-}
-
-// deleteBlocks issues one OpDelete per name, fanned out over the
-// transfer bound. Deleting a block its owner does not hold succeeds.
-func (c *Client) deleteBlocks(ctx context.Context, names []string) error {
-	return core.ParallelJobsCtx(ctx, len(names), c.transfers(), func(i int) error {
-		addr, err := c.ownerAddr(names[i])
-		if err != nil {
-			return err
+		for _, n := range hotReplicaNames(cat, copies) {
+			names.add(n)
 		}
-		_, err = c.call(ctx, addr, &wire.Request{Op: wire.OpDelete, Name: names[i]})
-		return err
-	})
+		names.add(core.HotName(name))
+	}
+	return c.deleteBlocks(ctx, &names)
 }
 
 // RepairStats reports a Client.Repair pass.
@@ -1177,7 +1125,7 @@ func (c *Client) RepairCtx(ctx context.Context, name string) (RepairStats, error
 	if err != nil {
 		return st, err
 	}
-	m := c.code.EncodedBlocks()
+	m, n := c.code.EncodedBlocks(), int64(c.code.DataBlocks())
 	var cis []int
 	for ci, row := range cat.Rows {
 		if !row.Empty() {
@@ -1187,11 +1135,18 @@ func (c *Client) RepairCtx(ctx context.Context, name string) (RepairStats, error
 	w := c.transfers()
 	err = core.ParallelJobsCtx(ctx, len(cis), w, func(i int) error {
 		ci := cis[i]
-		// Scan every block of the chunk in parallel: slots keep the
-		// fetched blocks index-stable without a mutex.
+		prefix := core.BlockPrefix(name, ci)
+		// Scan every block of the chunk, one exchange per owner frame
+		// in parallel: slots keep the fetched blocks index-stable
+		// without a mutex, and a block left nil is missing.
+		groups, err := c.groupByOwner(prefix, m, c.blockKey)
+		if err != nil {
+			return err
+		}
+		blockLen := int((cat.Rows[ci].Len() + n - 1) / n)
+		frames := splitFrames(groups, c.cfg.Segment, func(wire.Part) int { return blockLen })
 		have := make([]erasure.Block, m)
-		ok := make([]bool, m)
-		rels := make([]core.Releaser, m)
+		rels := make([]core.Releaser, len(frames))
 		defer func() {
 			for _, rel := range rels {
 				if rel != nil {
@@ -1199,12 +1154,23 @@ func (c *Client) RepairCtx(ctx context.Context, name string) (RepairStats, error
 				}
 			}
 		}()
-		core.ParallelJobsCtx(ctx, m, w, func(e int) error { //nolint:errcheck
-			data, rel, err := c.fetchBlockView(ctx, core.BlockName(name, ci, e), nil)
+		core.ParallelJobsCtx(ctx, len(frames), w, func(j int) error { //nolint:errcheck
+			f := frames[j]
+			if len(f.parts) == 1 {
+				data, rel, err := c.fetchBlockView(ctx, prefix+string(f.parts[0].Key), nil)
+				if err == nil {
+					have[f.idx[0]].Data, rels[j] = data, rel
+				}
+				return nil
+			}
+			got, rel, _, err := c.fetchGroup(ctx, f.addr, prefix, f.parts)
 			if err == nil {
-				have[e] = erasure.Block{Index: e, Data: data}
-				ok[e] = true
-				rels[e] = rel
+				rels[j] = rel
+				for k, p := range got {
+					if !p.Absent {
+						have[f.idx[k]].Data = p.Data
+					}
+				}
 			}
 			return nil
 		})
@@ -1214,8 +1180,8 @@ func (c *Client) RepairCtx(ctx context.Context, name string) (RepairStats, error
 		got := make([]erasure.Block, 0, m)
 		var missing []int
 		for e := 0; e < m; e++ {
-			if ok[e] {
-				got = append(got, have[e])
+			if have[e].Data != nil {
+				got = append(got, erasure.Block{Index: e, Data: have[e].Data})
 			} else {
 				missing = append(missing, e)
 			}
@@ -1238,23 +1204,25 @@ func (c *Client) RepairCtx(ctx context.Context, name string) (RepairStats, error
 		if err != nil {
 			return fmt.Errorf("node: repair %s chunk %d: %w", name, ci, err)
 		}
-		byIndex := make(map[int][]byte, len(fresh))
-		for _, b := range fresh {
-			byIndex[b.Index] = b.Data
+		// The replacements go to their current owners in owner groups.
+		lost, err := c.groupByOwner(prefix, len(missing), func(k int) []byte { return c.blockKey(missing[k]) })
+		if err != nil {
+			return err
 		}
-		for _, e := range missing {
-			data, present := byIndex[e]
-			if !present {
-				continue
+		var size int64
+		for _, g := range lost {
+			for j, k := range g.idx {
+				g.parts[j].Data = fresh[missing[k]].Data // encoders return blocks in index order
+				size += int64(len(g.parts[j].Data))
 			}
-			if err := c.storeBlock(ctx, core.BlockName(name, ci, e), data); err != nil {
-				return fmt.Errorf("node: repair %s chunk %d block %d: %w", name, ci, e, err)
-			}
-			stMu.Lock()
-			st.BlocksRecreated++
-			st.BytesRecreated += int64(len(data))
-			stMu.Unlock()
 		}
+		if err := c.storeGroups(ctx, prefix, lost); err != nil {
+			return fmt.Errorf("node: repair %s chunk %d: %w", name, ci, err)
+		}
+		stMu.Lock()
+		st.BlocksRecreated += len(missing)
+		st.BytesRecreated += size
+		stMu.Unlock()
 		return nil
 	})
 	if err != nil {

@@ -155,12 +155,15 @@ func (c *Client) DemoteCtx(ctx context.Context, name string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	names := hotReplicaNames(cat, copies)
-	names = append(names, core.HotName(name))
-	if err := c.deleteBlocks(ctx, names); err != nil {
+	var names nameList
+	for _, n := range hotReplicaNames(cat, copies) {
+		names.add(n)
+	}
+	names.add(core.HotName(name))
+	if err := c.deleteBlocks(ctx, &names); err != nil {
 		return 0, err
 	}
-	return len(names) - 1, nil
+	return names.len() - 1, nil
 }
 
 // hotReplicaNames lists every full-copy replica block of a promoted

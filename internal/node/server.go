@@ -76,8 +76,9 @@ type Server struct {
 	// windowOps counts the subset of streamOps served as OpStoreWindow
 	// upload segments; tests assert the windowed path engaged.
 	windowOps atomic.Int64
-	// fetchOps counts served block reads (OpFetch + OpFetchStream);
-	// tests assert ranged reads touch only the chunks they must.
+	// fetchOps counts served block reads — each block of a fetch
+	// group, and each OpFetchStream segment; tests assert ranged reads
+	// touch only the chunks they must.
 	fetchOps atomic.Int64
 
 	mu          sync.Mutex
@@ -105,7 +106,8 @@ func (s *Server) StreamOps() int64 { return s.streamOps.Load() }
 // were served.
 func (s *Server) WindowOps() int64 { return s.windowOps.Load() }
 
-// FetchOps returns how many block read requests were served.
+// FetchOps returns how many block reads were served: a fetch group
+// counts each of its blocks.
 func (s *Server) FetchOps() int64 { return s.fetchOps.Load() }
 
 // SetDiscard switches the node into accounting-only mode: stores are
@@ -270,7 +272,7 @@ func (s *Server) registerStateMetrics() {
 	})
 	s.reg.CounterFunc("ps_node_stream_segments_total", "Streaming segment requests served (uploads and ranged reads).", s.streamOps.Load)
 	s.reg.CounterFunc("ps_node_window_segments_total", "Out-of-order windowed upload segments served.", s.windowOps.Load)
-	s.reg.CounterFunc("ps_node_block_reads_total", "Block read requests served (OpFetch + OpFetchStream).", s.fetchOps.Load)
+	s.reg.CounterFunc("ps_node_block_reads_total", "Block reads served: every block of an OpFetch group, and every OpFetchStream segment.", s.fetchOps.Load)
 }
 
 // Close stops serving: the detector and repair daemon stop, the
@@ -399,6 +401,9 @@ func (s *Server) dispatch(req *wire.Request) *wire.Response {
 		}
 		return &wire.Response{OK: true, Capacity: free}
 	case wire.OpStore:
+		if len(req.Parts) > 0 {
+			return s.storeGroup(req)
+		}
 		// req.Data is a view into the receive frame, which goes back to
 		// the pool after the response: the block keeps a copy.
 		data := bytes.Clone(req.Data)
@@ -408,6 +413,9 @@ func (s *Server) dispatch(req *wire.Request) *wire.Response {
 	case wire.OpStoreWindow:
 		return s.handleStoreWindow(req)
 	case wire.OpFetch:
+		if len(req.Parts) > 0 {
+			return s.fetchGroup(req)
+		}
 		s.fetchOps.Add(1)
 		s.mu.Lock()
 		data, ok := s.blocks[req.Name]
@@ -430,12 +438,14 @@ func (s *Server) dispatch(req *wire.Request) *wire.Response {
 	case wire.OpDelete:
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if size, ok := s.sizeOfLocked(req.Name); ok {
-			s.used -= size
-			delete(s.blocks, req.Name)
-			delete(s.blockSizes, req.Name)
+		if len(req.Parts) == 0 {
+			s.deleteLocked(req.Name)
 		}
-		return &wire.Response{OK: true}
+		var kb keyBuf
+		for _, p := range req.Parts {
+			s.deleteLocked(string(kb.key(req.Name, p.Key)))
+		}
+		return okResp
 	case wire.OpStat:
 		// The extended status (member states, repair queue) rides Data
 		// as JSON, outside the frame layout.
@@ -448,13 +458,128 @@ func (s *Server) dispatch(req *wire.Request) *wire.Response {
 	}
 }
 
+// okResp is the plain acceptance: handlers may return a shared
+// response, so an accepted store or delete allocates none.
+var okResp = &wire.Response{OK: true}
+
 // noBlock is the refusal for a block this node does not hold — the
 // answer every store's probe for a never-written hot marker gets, so it
 // is built with strconv into a stack buffer, not fmt: the text is
-// fmt.Sprintf("no block %q", name) at one allocation.
+// fmt.Sprintf("no block %q", name) at one allocation. Absent is what
+// the client reads; the text is for people.
 func noBlock(name string) *wire.Response {
 	var buf [128]byte
-	return &wire.Response{Err: string(strconv.AppendQuote(append(buf[:0], "no block "...), name))}
+	return &wire.Response{Absent: true, Err: string(strconv.AppendQuote(append(buf[:0], "no block "...), name))}
+}
+
+// keyBuf builds a group member's block name, prefix plus key, in a
+// buffer of its own: a map index on string(b) takes no copy, so a fetch
+// group looks its blocks up without a string per block. Only a block
+// that is stored or deleted becomes a string.
+type keyBuf struct{ b [256]byte }
+
+func (k *keyBuf) key(prefix string, key []byte) []byte {
+	return append(append(k.b[:0], prefix...), key...)
+}
+
+// deleteLocked removes one block, if held.
+func (s *Server) deleteLocked(name string) {
+	if size, ok := s.sizeOfLocked(name); ok {
+		s.used -= size
+		delete(s.blocks, name)
+		delete(s.blockSizes, name)
+	}
+}
+
+// storeGroup serves a store group (see wire.Part): the group is checked
+// against capacity as a whole and commits under one lock, or is refused
+// whole — a full node or a name twice in one group leaves used and the
+// block map as they were. Each block keeps a copy of its bytes, out of
+// the receive frame, made before the lock as a single-block store's is:
+// the lock covers the bookkeeping, not the copying, so the node's other
+// requests do not wait on a large group.
+func (s *Server) storeGroup(req *wire.Request) *wire.Response {
+	if dup := duplicateKey(req.Parts); dup >= 0 {
+		return &wire.Response{Err: fmt.Sprintf("block %q twice in one group", req.Name+string(req.Parts[dup].Key))}
+	}
+	names := make([]string, len(req.Parts))
+	data := make([][]byte, len(req.Parts))
+	for i, p := range req.Parts {
+		names[i] = req.Name + string(p.Key)
+		data[i] = bytes.Clone(p.Data)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var delta int64
+	for i, name := range names {
+		delta += int64(len(data[i]))
+		if old, dup := s.sizeOfLocked(name); dup {
+			delta -= old
+		}
+	}
+	if s.used+delta > s.capacity {
+		return &wire.Response{Err: "no space"}
+	}
+	for i, name := range names {
+		if s.discard {
+			if s.blockSizes == nil {
+				s.blockSizes = make(map[string]int64)
+			}
+			s.blocks[name] = nil
+			s.blockSizes[name] = int64(len(data[i]))
+		} else {
+			s.blocks[name] = data[i]
+		}
+	}
+	s.used += delta
+	return okResp
+}
+
+// duplicateKey returns the index of a part whose key an earlier part of
+// the group already carries, or -1. A chunk's groups are a few dozen
+// blocks, compared pairwise; a larger group pays for a set.
+func duplicateKey(parts []wire.Part) int {
+	if len(parts) <= 32 {
+		for i := 1; i < len(parts); i++ {
+			for j := 0; j < i; j++ {
+				if bytes.Equal(parts[i].Key, parts[j].Key) {
+					return i
+				}
+			}
+		}
+		return -1
+	}
+	seen := make(map[string]struct{}, len(parts))
+	for i, p := range parts {
+		if _, dup := seen[string(p.Key)]; dup {
+			return i
+		}
+		seen[string(p.Key)] = struct{}{}
+	}
+	return -1
+}
+
+// fetchGroup serves a fetch group (see wire.Part): every requested
+// block is answered in request order, with its stored bytes — written
+// to the connection from the block itself, not copied — or marked
+// absent. A group whose blocks would not fit one frame is refused
+// whole; the client groups only blocks that fit a segment.
+func (s *Server) fetchGroup(req *wire.Request) *wire.Response {
+	s.fetchOps.Add(int64(len(req.Parts)))
+	out := make([]wire.Part, len(req.Parts))
+	var kb keyBuf
+	total := 0
+	s.mu.Lock()
+	for i, p := range req.Parts {
+		data, ok := s.blocks[string(kb.key(req.Name, p.Key))]
+		out[i] = wire.Part{Data: data, Absent: !ok}
+		total += len(data)
+	}
+	s.mu.Unlock()
+	if total > maxSingleFrameBlock {
+		return &wire.Response{Err: fmt.Sprintf("%s: group of %d blocks is %d bytes", wire.BlockTooLarge, len(out), total)}
+	}
+	return &wire.Response{OK: true, Parts: out}
 }
 
 // maxSingleFrameBlock is the largest block served through a plain
@@ -499,7 +624,7 @@ func (s *Server) commitBlockLocked(name string, data []byte, size int64) *wire.R
 		s.blocks[name] = data
 	}
 	s.used += delta
-	return &wire.Response{OK: true}
+	return okResp
 }
 
 // reapStaleStagesLocked reclaims staging buffers of crashed clients
@@ -599,7 +724,7 @@ func (s *Server) handleStoreWindow(req *wire.Request) *wire.Response {
 	resp := s.commitBlockLocked(st.name, st.buf, st.size)
 	if resp.OK {
 		s.committed[seg.Stream] = now
-		resp.Capacity = st.size
+		resp = &wire.Response{OK: true, Capacity: st.size}
 	}
 	return resp
 }
@@ -693,12 +818,5 @@ func OwnerOf(ring []wire.NodeInfo, key ids.ID) (wire.NodeInfo, error) {
 	if len(ring) == 0 {
 		return wire.NodeInfo{}, errors.New("node: empty ring")
 	}
-	best := ring[0]
-	bestD := key.Dist(best.ID)
-	for _, n := range ring[1:] {
-		if d := key.Dist(n.ID); d.Cmp(bestD) < 0 {
-			best, bestD = n, d
-		}
-	}
-	return best, nil
+	return ring[ownerAt(ring, key)], nil
 }

@@ -23,12 +23,15 @@ import (
 //
 //	[4B body len][1B kind][8B ID] kind-specific fields…
 //
-// Request:  op, name, names[], data, node
-// Response: flags(OK), err, data, capacity, used, blocks, ring[]
+// Request:  op, name, names[], parts[], data, node
+// Response: flags(OK, absent), err, parts[], data, capacity, used, blocks, ring[]
 //
 // Strings carry a 2-byte length, byte blobs a 4-byte length, list
 // counts 4 bytes; a NodeInfo is a raw 20-byte ID plus an address
-// string.
+// string. A request part is its key string and a 4-byte length, a
+// response part a flags byte (absent) and a 4-byte length; a group's
+// blocks are the data blob, back to back, so the lengths must sum to
+// it.
 
 const (
 	kindRequest  = 1
@@ -38,7 +41,7 @@ const (
 var errFrameCorrupt = errors.New("wire: corrupt v2 frame")
 
 // frameWriter encodes a frame into a frameHead: every field but the
-// payload is appended to the head buffer, and blob marks where the
+// payload is appended to the head buffer, and data marks where the
 // payload goes without copying it.
 type frameWriter struct{ h *frameHead }
 
@@ -50,8 +53,36 @@ func (w frameWriter) str(s string) {
 	w.h.b = binary.BigEndian.AppendUint16(w.h.b, uint16(len(s)))
 	w.h.b = append(w.h.b, s...)
 }
-func (w frameWriter) blob(p []byte) {
-	w.u32(uint32(len(p)))
+
+// parts writes a group's table and marks its blocks as the payload, one
+// piece each. keyed selects the request form (key, length) over the
+// response form (flags, length).
+func (w frameWriter) parts(ps []Part, keyed bool) {
+	w.u32(uint32(len(ps)))
+	total := 0
+	for _, p := range ps {
+		if keyed {
+			w.h.b = binary.BigEndian.AppendUint16(w.h.b, uint16(len(p.Key)))
+			w.h.b = append(w.h.b, p.Key...)
+		} else {
+			var flags byte
+			if p.Absent {
+				flags = 1
+			}
+			w.u8(flags)
+		}
+		w.u32(uint32(len(p.Data)))
+		total += len(p.Data)
+	}
+	w.h.parts = ps
+	w.h.partBytes = total
+}
+
+// data writes the payload's length and marks where it goes without
+// copying it: p, or a group's blocks (a message carries one or the
+// other).
+func (w frameWriter) data(p []byte) {
+	w.u32(uint32(len(p) + w.h.partBytes))
 	w.h.split, w.h.payload = len(w.h.b), p
 }
 func (w frameWriter) node(n NodeInfo) {
@@ -61,20 +92,27 @@ func (w frameWriter) node(n NodeInfo) {
 
 // frameHead is a pooled send buffer: the length prefix and the fields
 // before the payload, then the fields after it, in one small buffer.
-// The payload itself is never copied — the frame leaves as three pieces,
-// head, payload, tail, in one vectored write (writev on a socket).
+// The payload itself is never copied — the frame leaves as head, the
+// payload's pieces, tail, in one vectored write (writev on a socket):
+// three pieces for a single block, one more per block of a group.
 type frameHead struct {
-	b       []byte
-	split   int    // where in b the payload goes
-	payload []byte // the caller's, written in place
-	pieces  [3][]byte
-	bufs    net.Buffers // over pieces; kept here so a write allocates nothing
+	b         []byte
+	split     int    // where in b the payload goes
+	payload   []byte // the caller's, written in place
+	parts     []Part // a group's blocks, each written in place instead
+	partBytes int
+	pieces    [][]byte
+	bufs      net.Buffers // over pieces; kept here so a write allocates nothing
 }
 
 // maxPooledHead caps the head buffers kept for reuse. A head holds a
 // frame's names and control fields; only a large capacity probe or ring
 // listing comes near it.
 const maxPooledHead = 64 << 10
+
+// maxPooledPieces caps the piece and part lists kept for reuse, so one
+// frame of a huge group does not pin its list.
+const maxPooledPieces = 1 << 10
 
 var headPool = sync.Pool{New: func() any { return new(frameHead) }}
 
@@ -85,9 +123,10 @@ var headPool = sync.Pool{New: func() any { return new(frameHead) }}
 func writeV2(w io.Writer, encode func(frameWriter)) error {
 	h := headPool.Get().(*frameHead)
 	defer func() {
-		h.b, h.split, h.payload = h.b[:0], 0, nil
-		h.pieces, h.bufs = [3][]byte{}, nil
-		if cap(h.b) <= maxPooledHead {
+		clear(h.pieces)
+		h.b, h.split, h.payload, h.parts, h.partBytes = h.b[:0], 0, nil, nil, 0
+		h.pieces, h.bufs = h.pieces[:0], nil
+		if cap(h.b) <= maxPooledHead && cap(h.pieces) <= maxPooledPieces {
 			headPool.Put(h)
 		}
 	}()
@@ -96,13 +135,20 @@ func writeV2(w io.Writer, encode func(frameWriter)) error {
 	}
 	h.b = append(h.b, 0, 0, 0, 0)
 	encode(frameWriter{h})
-	n := len(h.b) - 4 + len(h.payload)
+	n := len(h.b) - 4 + len(h.payload) + h.partBytes
 	if n > MaxFrame {
 		return fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
 	binary.BigEndian.PutUint32(h.b[:4], uint32(n))
-	h.pieces = [3][]byte{h.b[:h.split], h.payload, h.b[h.split:]}
-	h.bufs = h.pieces[:]
+	h.pieces = append(h.pieces, h.b[:h.split])
+	if len(h.parts) == 0 {
+		h.pieces = append(h.pieces, h.payload)
+	}
+	for _, p := range h.parts {
+		h.pieces = append(h.pieces, p.Data)
+	}
+	h.pieces = append(h.pieces, h.b[h.split:])
+	h.bufs = h.pieces
 	_, err := h.bufs.WriteTo(w)
 	return err
 }
@@ -190,22 +236,82 @@ func (r *frameReader) node() NodeInfo {
 	return n
 }
 
-// maxListLen caps decoded list counts. Far above anything the
-// protocol produces (Names is one chunk's blocks, Ring is the
-// membership), it bounds the slice-header allocation a forged count
-// could otherwise amplify out of a dense frame.
-const maxListLen = 1 << 16
+// MaxListLen caps list counts — a group's parts, the ring, a segment's
+// control fields — on both sides. Far above one chunk's blocks or the
+// membership, it bounds the slice-header allocation a forged count
+// could otherwise amplify out of a dense frame; a sender splits a
+// larger group at it.
+const MaxListLen = 1 << 16
+
+// Smallest encodings of a request and a response part: an empty key or
+// the flags byte, and the length.
+const (
+	reqPartMin  = 2 + 4
+	respPartMin = 1 + 4
+)
 
 // count validates a list length against the bytes left (each element
-// occupies at least elemMin bytes) and maxListLen, so a forged count
+// occupies at least elemMin bytes) and MaxListLen, so a forged count
 // cannot drive a huge allocation.
 func (r *frameReader) count(elemMin int) int {
 	n := int(r.u32())
-	if r.err == nil && (n > maxListLen || n*elemMin > len(r.b)) {
+	if r.err == nil && (n > MaxListLen || n*elemMin > len(r.b)) {
 		r.err = errFrameCorrupt
 		return 0
 	}
 	return n
+}
+
+// groupData reads a group's table — n parts, keyed (request) or with
+// flags (response) — and the data blob after it, and hands each part
+// its view of the blob. The table is walked twice: once to sum the
+// lengths, which must come to the blob's, and once the blob is known
+// to slice it. parts is reused when it has room. With no parts the
+// blob is returned as data.
+func (r *frameReader) groupData(parts []Part, keyed bool) (data []byte, out []Part) {
+	elemMin := respPartMin
+	if keyed {
+		elemMin = reqPartMin
+	}
+	n := r.count(elemMin)
+	tab := *r
+	var total uint64 // n lengths of 32 bits each cannot wrap it
+	for i := 0; i < n && r.err == nil; i++ {
+		if keyed {
+			r.strBytes()
+		} else {
+			r.u8()
+		}
+		total += uint64(r.u32())
+	}
+	data = r.blob()
+	if n == 0 || r.err != nil {
+		return data, parts[:0]
+	}
+	if total != uint64(len(data)) {
+		r.err = errFrameCorrupt
+		return nil, parts[:0]
+	}
+	if cap(parts) < n {
+		parts = make([]Part, n)
+	}
+	parts = parts[:n]
+	off := 0
+	for i := range parts {
+		p := Part{}
+		if keyed {
+			k := tab.strBytes()
+			p.Key = k[:len(k):len(k)]
+		} else {
+			p.Absent = tab.u8()&1 != 0
+		}
+		end := off + int(tab.u32())
+		if end > off {
+			p.Data = data[off:end:end]
+		}
+		parts[i], off = p, end
+	}
+	return nil, parts
 }
 
 func (r *frameReader) done() error {
@@ -225,8 +331,8 @@ func writeRequestV2(w io.Writer, id uint64, req *Request) error {
 	if len(req.Name) > 0xffff || len(req.Node.Addr) > 0xffff || len(req.Op) > 0xffff {
 		return fmt.Errorf("wire: request field too long")
 	}
-	if len(req.Names) > maxListLen {
-		return fmt.Errorf("wire: request carries %d names, limit %d", len(req.Names), maxListLen)
+	if len(req.Names) > MaxListLen {
+		return fmt.Errorf("wire: request carries %d names, limit %d", len(req.Names), MaxListLen)
 	}
 	for _, n := range req.Names {
 		// An unchecked element would truncate its uint16 length prefix
@@ -234,6 +340,9 @@ func writeRequestV2(w io.Writer, id uint64, req *Request) error {
 		if len(n) > 0xffff {
 			return fmt.Errorf("wire: request name of %d bytes too long", len(n))
 		}
+	}
+	if err := checkParts(req.Parts, len(req.Data)); err != nil {
+		return err
 	}
 	return writeV2(w, func(fw frameWriter) {
 		fw.u8(kindRequest)
@@ -244,9 +353,27 @@ func writeRequestV2(w io.Writer, id uint64, req *Request) error {
 		for _, n := range req.Names {
 			fw.str(n)
 		}
-		fw.blob(req.Data)
+		fw.parts(req.Parts, true)
+		fw.data(req.Data)
 		fw.node(req.Node)
 	})
+}
+
+// checkParts refuses a group the frame cannot carry: too many parts, a
+// key too long for its length prefix, or a single payload beside it.
+func checkParts(parts []Part, dataLen int) error {
+	if len(parts) > MaxListLen {
+		return fmt.Errorf("wire: group of %d blocks, limit %d", len(parts), MaxListLen)
+	}
+	if len(parts) > 0 && dataLen > 0 {
+		return fmt.Errorf("wire: message carries both a group and a payload")
+	}
+	for _, p := range parts {
+		if len(p.Key) > 0xffff {
+			return fmt.Errorf("wire: block key of %d bytes too long", len(p.Key))
+		}
+	}
+	return nil
 }
 
 // readRequestV2 reads one request frame and decodes it into req, which
@@ -257,12 +384,12 @@ func readRequestV2(r io.Reader, req *Request) error {
 		return err
 	}
 	if err := decodeRequestV2(f.b, req); err != nil {
-		req.Data = nil
+		req.Data, req.Parts = nil, req.Parts[:0]
 		releaseFrame(&f)
 		return err
 	}
 	req.frame = f
-	if len(req.Data) == 0 {
+	if len(req.Data) == 0 && len(req.Parts) == 0 {
 		req.Release() // nothing views the frame
 	}
 	return nil
@@ -284,7 +411,7 @@ func decodeRequestV2(body []byte, req *Request) error {
 			req.Names[i] = fr.str()
 		}
 	}
-	req.Data = fr.blob()
+	req.Data, req.Parts = fr.groupData(req.Parts, true)
 	req.Node = fr.node()
 	return fr.done()
 }
@@ -296,13 +423,16 @@ func writeResponseV2(w io.Writer, id uint64, resp *Response) error {
 	if len(resp.Err) > 0xffff {
 		return fmt.Errorf("wire: response error string too long")
 	}
-	if len(resp.Ring) > maxListLen {
-		return fmt.Errorf("wire: response carries %d ring members, limit %d", len(resp.Ring), maxListLen)
+	if len(resp.Ring) > MaxListLen {
+		return fmt.Errorf("wire: response carries %d ring members, limit %d", len(resp.Ring), MaxListLen)
 	}
 	for _, n := range resp.Ring {
 		if len(n.Addr) > 0xffff {
 			return fmt.Errorf("wire: ring address of %d bytes too long", len(n.Addr))
 		}
+	}
+	if err := checkParts(resp.Parts, len(resp.Data)); err != nil {
+		return err
 	}
 	return writeV2(w, func(fw frameWriter) {
 		fw.u8(kindResponse)
@@ -311,9 +441,13 @@ func writeResponseV2(w io.Writer, id uint64, resp *Response) error {
 		if resp.OK {
 			flags = 1
 		}
+		if resp.Absent {
+			flags |= 2
+		}
 		fw.u8(flags)
 		fw.str(resp.Err)
-		fw.blob(resp.Data)
+		fw.parts(resp.Parts, false)
+		fw.data(resp.Data)
 		fw.i64(resp.Capacity)
 		fw.i64(resp.Used)
 		fw.u32(uint32(resp.Blocks))
@@ -332,12 +466,12 @@ func readResponseV2(r io.Reader, resp *Response) error {
 		return err
 	}
 	if err := decodeResponseV2(f.b, resp); err != nil {
-		resp.Data = nil
+		resp.Data, resp.Parts = nil, nil
 		releaseFrame(&f)
 		return err
 	}
 	resp.frame = f
-	if len(resp.Data) == 0 {
+	if len(resp.Data) == 0 && partBytes(resp.Parts) == 0 {
 		resp.Release() // nothing views the frame
 	}
 	return nil
@@ -351,9 +485,10 @@ func decodeResponseV2(body []byte, resp *Response) error {
 		return errFrameCorrupt
 	}
 	resp.ID = fr.u64()
-	resp.OK = fr.u8()&1 != 0
+	flags := fr.u8()
+	resp.OK, resp.Absent = flags&1 != 0, flags&2 != 0
 	resp.Err = fr.str()
-	resp.Data = fr.blob()
+	resp.Data, resp.Parts = fr.groupData(nil, false)
 	resp.Capacity = fr.i64()
 	resp.Used = fr.i64()
 	resp.Blocks = int(int32(fr.u32()))
@@ -364,4 +499,13 @@ func decodeResponseV2(body []byte, resp *Response) error {
 		}
 	}
 	return fr.done()
+}
+
+// partBytes sums a group's block lengths.
+func partBytes(parts []Part) int {
+	n := 0
+	for _, p := range parts {
+		n += len(p.Data)
+	}
+	return n
 }

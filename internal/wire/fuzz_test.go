@@ -26,6 +26,17 @@ func FuzzWireFrame(f *testing.F) {
 	var valid bytes.Buffer
 	_ = writeRequestV2(&valid, 1, &Request{Op: OpStore, Name: "seed", Data: []byte{1, 2, 3}})
 	f.Add(valid.Bytes(), "seed", uint32(valid.Len()))
+	// Hostile group frames: per-block lengths short of and past the
+	// payload, lengths whose sum wraps a 32-bit count, a parts count
+	// above MaxListLen, and a count past the frame's end.
+	f.Add(hostileGroupRequest(3, []uint32{10, 10, 10}, 31), "f_0_", uint32(3))
+	f.Add(hostileGroupRequest(3, []uint32{10, 10, 10}, 29), "f_0_", uint32(3))
+	f.Add(hostileGroupRequest(2, []uint32{0xffffffff, 1}, 0), "f_0_", uint32(2))
+	f.Add(hostileCount(MaxListLen+1), "", uint32(MaxListLen+1))
+	f.Add(hostileCount(1000), "", uint32(1000))
+	valid.Reset()
+	_ = writeRequestV2(&valid, 2, &Request{Op: OpStore, Name: "f_0_", Parts: groupParts(3, 5)})
+	f.Add(valid.Bytes(), "f_0_", uint32(valid.Len()))
 
 	f.Fuzz(func(t *testing.T, data []byte, name string, hdrLen uint32) {
 		// 1. Round trip: a request built from the fuzz inputs — with the
@@ -98,6 +109,31 @@ func FuzzWireFrame(f *testing.F) {
 		checkDataView(t, aliasedResp.Data, data)
 		aliasedResp.Data = resp.Data
 		checkResponse(t, &aliasedResp, &resp, uint64(hdrLen))
+
+		// A group built from the fuzz inputs — the payload split into
+		// up to three blocks keyed by the name — comes back part for
+		// part, in both directions.
+		parts := fuzzParts(data, name)
+		buf.Reset()
+		if err := writeRequestV2(&buf, 1, &Request{Op: OpStore, Name: name, Parts: parts}); err != nil {
+			t.Fatalf("writeRequestV2 of a group: %v", err)
+		}
+		var gotGroup Request
+		if err := readRequestV2(bufio.NewReader(bytes.NewReader(buf.Bytes())), &gotGroup); err != nil {
+			t.Fatalf("readRequestV2 of own group frame: %v", err)
+		}
+		checkGroup(t, gotGroup.Parts, parts, true)
+		gotGroup.Release()
+		buf.Reset()
+		if err := writeResponseV2(&buf, 1, &Response{OK: true, Parts: parts}); err != nil {
+			t.Fatalf("writeResponseV2 of a group: %v", err)
+		}
+		var gotGroupResp Response
+		if err := readResponseV2(bytes.NewReader(buf.Bytes()), &gotGroupResp); err != nil {
+			t.Fatalf("readResponseV2 of own group frame: %v", err)
+		}
+		checkGroup(t, gotGroupResp.Parts, parts, false)
+		gotGroupResp.Release()
 
 		// 2. Raw garbage: the fuzz bytes as-is must never panic in
 		// either reader, plain or buffered.
@@ -183,5 +219,37 @@ func checkResponse(t *testing.T, got, want *Response, id uint64) {
 		!bytes.Equal(got.Data, want.Data) || got.Capacity != want.Capacity ||
 		!slices.Equal(got.Ring, want.Ring) {
 		t.Fatalf("response round trip mismatch: got %+v, want %+v (ID %d)", got, want, id)
+	}
+}
+
+// fuzzParts splits data into up to three blocks keyed by slices of
+// name, the middle one absent when data is odd.
+func fuzzParts(data []byte, name string) []Part {
+	if len(name) > 0xffff {
+		name = name[:0xffff]
+	}
+	third := len(data) / 3
+	cuts := []int{0, third, 2 * third, len(data)}
+	parts := make([]Part, 3)
+	for i := range parts {
+		parts[i] = Part{Key: []byte(name[:len(name)*i/3]), Data: data[cuts[i]:cuts[i+1]]}
+	}
+	parts[1].Absent = len(data)%2 == 1
+	return parts
+}
+
+// checkGroup compares decoded parts with the sent ones: keys on the
+// request side, absent flags on the response side, bytes on both.
+func checkGroup(t *testing.T, got, want []Part, keyed bool) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("group came back with %d parts, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if !bytes.Equal(got[i].Data, want[i].Data) ||
+			(keyed && !bytes.Equal(got[i].Key, want[i].Key)) ||
+			(!keyed && got[i].Absent != want[i].Absent) {
+			t.Fatalf("part %d came back as %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }

@@ -52,9 +52,9 @@ func (m *PoolMetrics) record(op Op, start time.Time, req *Request, resp *Respons
 	if err != nil {
 		m.callErrors[op].Inc()
 	}
-	m.bytesOut.Add(int64(len(req.Data)))
+	m.bytesOut.Add(int64(len(req.Data) + partBytes(req.Parts)))
 	if resp != nil {
-		m.bytesIn.Add(int64(len(resp.Data)))
+		m.bytesIn.Add(int64(len(resp.Data) + partBytes(resp.Parts)))
 	}
 }
 

@@ -387,6 +387,7 @@ func (m *muxConn) call(ctx context.Context, addr string, req *Request, timeout t
 // the handler returns: it is a view into the receive frame, which goes
 // back to the pool once the response has been written — so a response
 // may carry it, but a handler that keeps the bytes must copy them. The
+// same holds for Parts, the slice and every Key and Data in it. The
 // strings and the Names slice are the handler's own to keep. The
 // response is only read, so a handler may return a shared one.
 type Handler func(*Request) *Response
@@ -470,7 +471,14 @@ func (sc *serveConn) work(w *serveWorker) {
 		_ = writeResponseV2(sc.conn, w.req.ID, resp)
 		sc.wmu.Unlock()
 		w.req.Release()
-		w.req = Request{} // let the request's fields go before idling
+		// Let the request's fields go before idling, but keep a small
+		// parts list for the worker's next group.
+		parts := w.req.Parts
+		clear(parts)
+		if cap(parts) > maxPooledPieces {
+			parts = nil
+		}
+		w.req = Request{Parts: parts[:0]}
 		sc.idle <- w
 	}
 }

@@ -22,6 +22,28 @@ func (f *refFrame) str(s string) {
 	f.b = append(f.b, s...)
 }
 func (f *refFrame) blob(p []byte) { f.u32(uint32(len(p))); f.b = append(f.b, p...) }
+
+// group lays out a group's table and its blocks back to back as the
+// data blob, or the single payload when there are no parts.
+func (f *refFrame) group(parts []Part, keyed bool, data []byte) {
+	f.u32(uint32(len(parts)))
+	var joined []byte
+	for _, p := range parts {
+		if keyed {
+			f.str(string(p.Key))
+		} else if p.Absent {
+			f.u8(1)
+		} else {
+			f.u8(0)
+		}
+		f.u32(uint32(len(p.Data)))
+		joined = append(joined, p.Data...)
+	}
+	if len(parts) == 0 {
+		joined = data
+	}
+	f.blob(joined)
+}
 func (f *refFrame) node(n NodeInfo) {
 	f.b = append(f.b, n.ID[:]...)
 	f.str(n.Addr)
@@ -41,7 +63,7 @@ func refRequest(id uint64, req *Request) []byte {
 	for _, n := range req.Names {
 		f.str(n)
 	}
-	f.blob(req.Data)
+	f.group(req.Parts, true, req.Data)
 	f.node(req.Node)
 	return f.done()
 }
@@ -54,9 +76,12 @@ func refResponse(id uint64, resp *Response) []byte {
 	if resp.OK {
 		flags = 1
 	}
+	if resp.Absent {
+		flags |= 2
+	}
 	f.u8(flags)
 	f.str(resp.Err)
-	f.blob(resp.Data)
+	f.group(resp.Parts, false, resp.Data)
 	f.u64(uint64(resp.Capacity))
 	f.u64(uint64(resp.Used))
 	f.u32(uint32(resp.Blocks))

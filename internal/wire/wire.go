@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -31,9 +32,9 @@ const (
 	OpRing     Op = "ring"    // fetch the current membership
 	OpAdd      Op = "add"     // membership broadcast: a node joined
 	OpCapBatch Op = "getcapb" // §4.3 capacity probe: one round trip covers every block a node owns
-	OpStore    Op = "store"   // store a named block (direct transfer)
-	OpFetch    Op = "fetch"   // fetch a named block
-	OpDelete   Op = "delete"  // remove a named block
+	OpStore    Op = "store"   // store a named block, or a group of them (direct transfer)
+	OpFetch    Op = "fetch"   // fetch a named block, or a group of them
+	OpDelete   Op = "delete"  // remove a named block, or a group of them
 	OpStat     Op = "stat"    // node status: capacity, used, block count
 
 	// Streaming transfers (see stream.go): blocks larger than one
@@ -60,22 +61,42 @@ type NodeInfo struct {
 	Addr string
 }
 
+// Part is one block of a group exchange. A request whose Parts is not
+// empty names a group: block i is Name+Parts[i].Key, so the blocks of
+// one chunk share their prefix in Name and each carries only its index.
+// An OpStore group carries each block's bytes in Data, an OpFetch
+// group's response answers part for part in request order with the
+// bytes or Absent, and OpDelete and OpCapBatch groups carry keys only.
+// A request with no Parts is a group of one named Name, with its bytes
+// in Request.Data and the answer in Response.Data.
+//
+// On the wire a group is a table of per-block lengths before one
+// payload, the blocks back to back: the sender writes each block from
+// its own memory, and a received part's Key and Data are views into the
+// frame, valid until Release.
+type Part struct {
+	Key    []byte
+	Data   []byte
+	Absent bool // fetch response: the holder has no block by this name
+}
+
 // Request is the client-to-server message.
 //
-// A request read off a connection does not own Data: it is a view into
-// the pooled frame the request arrived in, valid until Release (see
-// Handler for when the server releases it).
+// A request read off a connection does not own Data or its Parts' Key
+// and Data: they are views into the pooled frame the request arrived
+// in, valid until Release (see Handler for when the server releases
+// it).
 type Request struct {
 	// ID matches a response to its request on a multiplexed
 	// connection.
 	ID   uint64
 	Op   Op
 	Name string
-	// Names carries the block names of one batched capacity probe
-	// (OpCapBatch): every block of a chunk that the probed node owns,
-	// so a store costs one round trip per owner instead of one per
-	// block.
+	// Names carries the control fields of a streaming segment (see
+	// stream.go).
 	Names []string
+	// Parts makes the request a group (see Part); Data is then empty.
+	Parts []Part
 	Data  []byte
 	Node  NodeInfo // join/add payload
 
@@ -84,16 +105,22 @@ type Request struct {
 
 // Response is the server-to-client message.
 //
-// A response returned by a Pool call does not own Data: it is a view
-// into the pooled frame the response arrived in, valid until the caller
-// calls Release. Every other field is the response's own. A response
-// that is never released is never reused — forgetting Release only
-// costs the frame an allocation later — but Data must not be used
-// after it: the frame may already carry another message.
+// A response returned by a Pool call does not own Data or its Parts'
+// Data: they are views into the pooled frame the response arrived in,
+// valid until the caller calls Release. Every other field is the
+// response's own. A response that is never released is never reused —
+// forgetting Release only costs the frame an allocation later — but
+// Data must not be used after it: the frame may already carry another
+// message.
 type Response struct {
-	ID       uint64 // echoes Request.ID
-	OK       bool
-	Err      string
+	ID  uint64 // echoes Request.ID
+	OK  bool
+	Err string
+	// Absent marks the refusal of a fetch for a block the node does
+	// not hold: the structured form of "not found", beside Err's text.
+	Absent bool
+	// Parts answers a group fetch, one per requested block (see Part).
+	Parts    []Part
 	Data     []byte
 	Capacity int64 // getcapb / stat
 	Used     int64 // stat
@@ -145,11 +172,22 @@ const maxPooledFrame = DefaultSegment + frameHeaderSlack
 // frameBuf can be grown to an exact size.
 type frameBuf struct{ b []byte }
 
-// reserve makes room for n more bytes, with no capacity to spare when
-// that takes a new backing array.
-func (f *frameBuf) reserve(n int) {
+// reserve makes room for n more bytes of a frame of size bytes. A new
+// backing array has no capacity to spare, except when the room
+// completes a frame the pool keeps: that buffer is rounded up to a
+// payload of a power of two plus frameHeaderSlack (at most
+// maxPooledFrame, which has that form), so frames of nearby sizes — an
+// owner group's varies with how many blocks its owner holds — find a
+// pooled buffer that holds them instead of regrowing it, and a block of
+// a power of two with its header fits its class exactly.
+func (f *frameBuf) reserve(n, size int) {
 	if cap(f.b)-len(f.b) < n {
-		b := make([]byte, len(f.b), len(f.b)+n)
+		c := len(f.b) + n
+		if c == size && size <= maxPooledFrame {
+			payload := max(size-frameHeaderSlack, 1)
+			c = min(1<<bits.Len(uint(payload-1))+frameHeaderSlack, maxPooledFrame)
+		}
+		b := make([]byte, len(f.b), c)
 		copy(b, f.b)
 		f.b = b
 	}
@@ -193,7 +231,8 @@ func releaseFrame(f **frameBuf) {
 // readFrame reads one length-prefixed frame body into a pooled buffer
 // that grows with the bytes actually received — each step at most
 // doubles what has arrived, never trusting the header's length for the
-// allocation, and the last step lands on the frame's exact size. The
+// allocation, and the last step lands on the frame's exact size, or on
+// its rounded-up class for a frame the pool keeps (see reserve). The
 // caller owns the buffer: it releases it, or hands it to the message
 // decoded from it. No buffer is taken before the length prefix has
 // arrived, so a connection idling between frames pins none.
@@ -211,7 +250,7 @@ func readFrame(r io.Reader) (*frameBuf, error) {
 		step := n - got
 		if cap(buf.b) < n {
 			step = min(step, max(got, frameGrowStep))
-			buf.reserve(step)
+			buf.reserve(step, n)
 		}
 		buf.b = buf.b[:got+step]
 		if _, err := io.ReadFull(r, buf.b[got:]); err != nil {
