@@ -173,17 +173,28 @@ test-noasm:
 
 # Kernel dispatch matrix: the erasure suite under every forced kernel
 # tier (PS_KERNELS, see internal/erasure/kernels.go) plus the portable
-# noasm build. Tiers absent on the host CPU (e.g. gfni on an arm64 or
-# pre-Ice-Lake runner) fall back with a diagnostic rather than failing,
-# and the per-tier cross-check tests skip cleanly — so this is safe on
-# any hardware and exhaustive on hardware that has the features.
+# noasm build, each followed by the stored-format goldens of
+# internal/core (TestCodeForGolden: every code the data path builds,
+# whole-chunk encode), so the bytes stored are proven identical across
+# tiers, not just per micro-kernel. Tiers absent on the host CPU (e.g.
+# gfni on an arm64 or pre-Ice-Lake runner) fall back with a diagnostic
+# rather than failing, and the per-tier cross-check tests skip cleanly
+# — so this is safe on any hardware and exhaustive on hardware that
+# has the features.
+KERNEL_GOLDENS := -run '^TestCodeForGolden$$' ./internal/core
 test-kernels:
 	PS_KERNELS=scalar   $(GO) test -count=1 ./internal/erasure
+	PS_KERNELS=scalar   $(GO) test -count=1 $(KERNEL_GOLDENS)
 	PS_KERNELS=portable $(GO) test -count=1 ./internal/erasure
+	PS_KERNELS=portable $(GO) test -count=1 $(KERNEL_GOLDENS)
 	PS_KERNELS=avx2     $(GO) test -count=1 ./internal/erasure
+	PS_KERNELS=avx2     $(GO) test -count=1 $(KERNEL_GOLDENS)
 	PS_KERNELS=avx512   $(GO) test -count=1 ./internal/erasure
+	PS_KERNELS=avx512   $(GO) test -count=1 $(KERNEL_GOLDENS)
 	PS_KERNELS=gfni     $(GO) test -count=1 ./internal/erasure
+	PS_KERNELS=gfni     $(GO) test -count=1 $(KERNEL_GOLDENS)
 	$(GO) test -tags noasm -count=1 ./internal/erasure
+	$(GO) test -tags noasm -count=1 $(KERNEL_GOLDENS)
 
 # Public-API compatibility gate: the exported surface of the
 # peerstripe package must match the checked-in baseline. On an

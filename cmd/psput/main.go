@@ -53,7 +53,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	var (
 		seed     = fs.String("seed", "127.0.0.1:7001", "address of any ring member")
 		code     = fs.String("code", "xor", "erasure code: null, xor, online, rs")
-		sched    = fs.String("schedule", "", "online-code check schedule: banded25x4 (default), uniform, windowed(NN), banded(NN[xB])")
 		workers  = fs.Int("workers", 0, "parallel chunk coding (0 = GOMAXPROCS, 1 = sequential)")
 		xfers    = fs.Int("transfers", 0, "in-flight block transfers per operation (0 = default)")
 		hedge    = fs.Int("hedge", 0, "extra block fetches requested up front per chunk on reads (0 = rely on stall hedging)")
@@ -98,9 +97,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 	if *depth > 0 {
 		opts = append(opts, peerstripe.WithPipelineDepth(*depth))
-	}
-	if *sched != "" {
-		opts = append(opts, peerstripe.WithSchedule(*sched))
 	}
 	if *hedgeMS != 0 {
 		opts = append(opts, peerstripe.WithHedgeDelay(*hedgeMS))

@@ -128,23 +128,21 @@ func getHedgeTick(d time.Duration) *hedgeTick {
 }
 
 // CodeFor resolves the byte-level erasure code the data path runs from
-// its CLI/config names: "null", "xor", "online", or "rs". schedule
-// selects the online code's check schedule ("" selects the banded25x4
-// default; pass "uniform" to read online-coded files stored by
-// pre-banded builds — see erasure.ScheduleByName) and is rejected for
-// codes that have no schedule knob. The parameter choices match what
-// the live clients have always used: (2,3) XOR, a 64-block online
-// code at ε=0.2, and an (8,2) Reed-Solomon stripe.
+// its CLI/config names: "null", "xor", "online", or "rs". The
+// parameter choices match what the live clients have always used:
+// (2,3) XOR, a 64-block online code at ε=0.2 on the banded schedule,
+// and an (8,2) Reed-Solomon stripe. A CAT records only the code name,
+// so these shapes are the stored format (pinned by TestCodeForGolden).
+// schedule must be "": it remains only for existing callers, and any
+// other value is an error.
 func CodeFor(code, schedule string) (erasure.Code, error) {
 	switch code {
 	case "null", "xor", "online", "rs":
 	default:
-		// Validate the code name before the schedule knob so a typo'd
-		// code gets the right diagnostic even when a schedule is set.
 		return nil, fmt.Errorf("core: unknown erasure code %q (want null, xor, online, rs)", code)
 	}
-	if schedule != "" && schedule != "uniform" && code != "online" {
-		return nil, fmt.Errorf("core: code %q has no check schedule (only online does)", code)
+	if schedule != "" {
+		return nil, fmt.Errorf("core: check schedule %q: codes take no schedule", schedule)
 	}
 	switch code {
 	case "null":
@@ -152,11 +150,7 @@ func CodeFor(code, schedule string) (erasure.Code, error) {
 	case "xor":
 		return erasure.NewXOR(2)
 	case "online":
-		sched, err := erasure.ScheduleByName(schedule)
-		if err != nil {
-			return nil, err
-		}
-		return erasure.NewOnline(64, erasure.OnlineOpts{Eps: 0.2, Surplus: 0.2, Schedule: sched})
+		return erasure.NewOnline(64, erasure.OnlineOpts{Eps: 0.2, Surplus: 0.2, Schedule: erasure.Banded()})
 	default:
 		return erasure.NewRS(8, 2)
 	}

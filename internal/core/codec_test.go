@@ -3,6 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"strings"
 	"testing"
@@ -284,8 +287,9 @@ func TestCodecEncodeErrors(t *testing.T) {
 	}
 }
 
-// TestCodeFor checks the name-based code factory the CLIs use,
-// including the online check-schedule knob.
+// TestCodeFor checks the name-based code factory the CLIs use: each
+// name builds its code at the shape the live clients run, and an
+// unknown name is rejected.
 func TestCodeFor(t *testing.T) {
 	for name, wantN := range map[string]int{"null": 1, "xor": 2, "online": 64, "rs": 8} {
 		c, err := CodeFor(name, "")
@@ -296,49 +300,6 @@ func TestCodeFor(t *testing.T) {
 			t.Errorf("CodeFor(%q): n = %d, want %d", name, c.DataBlocks(), wantN)
 		}
 	}
-	// The empty schedule selects the banded25x4 default; uniform (the
-	// pre-banded default) stays reachable by its explicit name.
-	dflt, err := CodeFor("online", "")
-	if err != nil {
-		t.Fatalf("online default: %v", err)
-	}
-	if got := dflt.(*erasure.Online).ScheduleName(); got != "banded25x4" {
-		t.Errorf("default schedule = %q, want banded25x4", got)
-	}
-	uni, err := CodeFor("online", "uniform")
-	if err != nil {
-		t.Fatalf("online uniform: %v", err)
-	}
-	if got := uni.(*erasure.Online).ScheduleName(); got != "uniform" {
-		t.Errorf("explicit uniform schedule = %q", got)
-	}
-	on, err := CodeFor("online", "windowed")
-	if err != nil {
-		t.Fatalf("online windowed: %v", err)
-	}
-	if got := on.(*erasure.Online).ScheduleName(); got != "windowed12" {
-		t.Errorf("schedule = %q, want windowed12", got)
-	}
-	// A schedule round-trips through the real data path.
-	cd := &Codec{Code: on}
-	data := randData(11, 3000)
-	blocks, cat, err := cd.EncodeFile(context.Background(), "s", data, []int64{2000, 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := cd.DecodeFile(context.Background(), cat, blockMap(blocks))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("windowed-schedule file round trip mismatch")
-	}
-	if _, err := CodeFor("xor", "windowed"); err == nil {
-		t.Error("schedule accepted for a code without the knob")
-	}
-	if _, err := CodeFor("online", "bogus"); err == nil {
-		t.Error("bogus schedule accepted")
-	}
 	if _, err := CodeFor("lrc", ""); err == nil {
 		t.Error("unknown code accepted")
 	}
@@ -346,5 +307,53 @@ func TestCodeFor(t *testing.T) {
 	// also set — the code-name diagnostic must win.
 	if _, err := CodeFor("lrc", "windowed"); err == nil || !strings.Contains(err.Error(), "unknown erasure code") {
 		t.Errorf("unknown code with schedule: %v", err)
+	}
+}
+
+// TestCodeForGolden pins the stored format: the blocks each code that
+// CodeFor builds makes of one fixed chunk, hashed (index, then bytes)
+// over the whole block set. The hashes were computed before the
+// schedule knob and the unused gather paths were deleted; a change here
+// means blocks already stored no longer decode to their bytes. Every
+// code also round-trips the chunk, and no code takes a schedule name:
+// a CAT records none, so an object encoded under one schedule and read
+// under another would decode to wrong bytes.
+func TestCodeForGolden(t *testing.T) {
+	chunk := randData(2028, 1<<20+123) // a padded tail for every n
+	cases := []struct {
+		code, golden string
+		blocks       int
+	}{
+		{"null", "294a6c39601fc2ca88fe257355dcbe65b106107fd91aad49a4a6d841742053f6", 1},
+		{"xor", "28bf13128e3c15852fa1fb6a9cdb1f9a2aad49c48493a782c85b45365163452d", 3},
+		{"rs", "b7bf6bbda07db6430efe9a921414626f01a1a6252fce480fa83cab9e7c141c2a", 10},
+		{"online", "5a2f9e57a1ea941cdcd22db23ea483f12038e640a1c4b27ac78dac2b43a4033b", 121},
+	}
+	for _, tc := range cases {
+		c, err := CodeFor(tc.code, "")
+		if err != nil {
+			t.Fatalf("CodeFor(%q): %v", tc.code, err)
+		}
+		blocks, err := c.Encode(chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, b := range blocks {
+			binary.Write(h, binary.LittleEndian, int32(b.Index))
+			h.Write(b.Data)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.golden || len(blocks) != tc.blocks {
+			t.Errorf("%s: %d blocks hashing %s, golden %d blocks %s", tc.code, len(blocks), got, tc.blocks, tc.golden)
+		}
+		got, err := c.Decode(blocks, len(chunk))
+		if err != nil || !bytes.Equal(got, chunk) {
+			t.Errorf("%s: round trip failed: %v", tc.code, err)
+		}
+		for _, s := range []string{"uniform", "windowed", "windowed12", "banded", "banded25x4", "bogus"} {
+			if _, err := CodeFor(tc.code, s); err == nil {
+				t.Errorf("CodeFor(%q, %q) accepted a schedule", tc.code, s)
+			}
+		}
 	}
 }

@@ -149,24 +149,25 @@ func FuzzOnlineDecode(f *testing.F) {
 	})
 }
 
-// FuzzScheduleRoundTrip fuzzes the schedule parameter space: window
-// fraction, code size, and chunk bytes. The code's guarantee is
-// probabilistic *and rateless*: the stored set decodes with high
-// probability, and on the rare rank-deficient draw a reader fetches
-// freshly minted check blocks until it succeeds. The property checked
-// is that guarantee — decode must succeed within 2·n' extra fresh
-// blocks, and the output must match. n is kept ≥ 8 because tiny codes
-// are genuinely degenerate (at n' = 2 every degree-2 check repeats the
-// single outer-code equation, so no block set pins the message), which
-// is a property of the construction, not a decoder bug.
+// FuzzScheduleRoundTrip fuzzes each schedule over code size, seed and
+// chunk bytes. The code's guarantee is probabilistic *and rateless*:
+// the stored set decodes with high probability, and on the rare
+// rank-deficient draw a reader fetches freshly minted check blocks
+// until it succeeds. The property checked is that guarantee — decode
+// must succeed within 2·n' extra fresh blocks, and the output must
+// match. n is kept ≥ 8 because tiny codes are genuinely degenerate (at
+// n' = 2 every degree-2 check repeats the single outer-code equation,
+// so no block set pins the message), which is a property of the
+// construction, not a decoder bug.
 func FuzzScheduleRoundTrip(f *testing.F) {
-	f.Add(uint8(12), uint8(32), []byte("round trip me"))
-	f.Add(uint8(100), uint8(1), []byte{})
-	f.Add(uint8(50), uint8(200), bytes.Repeat([]byte{7}, 64))
-	f.Fuzz(func(t *testing.T, pct, nRaw uint8, data []byte) {
-		frac := float64(int(pct)%100+1) / 100
+	f.Add(uint8(0), uint8(32), int64(13), []byte("round trip me"))
+	f.Add(uint8(1), uint8(1), int64(101), []byte{})
+	f.Add(uint8(1), uint8(200), int64(51), bytes.Repeat([]byte{7}, 64))
+	f.Fuzz(func(t *testing.T, schedRaw, nRaw uint8, seed int64, data []byte) {
+		scheds := Schedules()
+		sched := scheds[int(schedRaw)%len(scheds)]
 		n := int(nRaw)%96 + 8
-		c, err := NewOnline(n, OnlineOpts{Eps: 0.25, Surplus: 0.35, Seed: int64(pct) + 1, Schedule: Windowed(frac)})
+		c, err := NewOnline(n, OnlineOpts{Eps: 0.25, Surplus: 0.35, Seed: seed | 1, Schedule: sched})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,8 +184,8 @@ func FuzzScheduleRoundTrip(f *testing.F) {
 				break
 			}
 			if len(blocks) >= c.EncodedBlocks()+extraCap {
-				t.Fatalf("n=%d frac=%.2f: still undecodable after %d fresh blocks: %v",
-					n, frac, extraCap, err)
+				t.Fatalf("n=%d sched=%s seed=%d: still undecodable after %d fresh blocks: %v",
+					n, sched.Name(), seed, extraCap, err)
 			}
 			fb, err := c.FreshBlock(chunk, len(blocks))
 			if err != nil {
@@ -193,7 +194,7 @@ func FuzzScheduleRoundTrip(f *testing.F) {
 			blocks = append(blocks, fb)
 		}
 		if !bytes.Equal(got, chunk) {
-			t.Fatalf("n=%d frac=%.2f: round-trip mismatch", n, frac)
+			t.Fatalf("n=%d sched=%s seed=%d: round-trip mismatch", n, sched.Name(), seed)
 		}
 	})
 }

@@ -17,7 +17,7 @@ func codesUnderTest() []Code {
 		NewNull(),
 		MustXOR(2),
 		MustRS(8, 2),
-		MustOnline(64, OnlineOpts{Eps: 0.2, Surplus: 0.2, Schedule: Banded(0.25, 4)}),
+		MustOnline(64, OnlineOpts{Eps: 0.2, Surplus: 0.2, Schedule: Banded()}),
 		MustOnline(4096, OnlineOpts{}),
 	}
 }

@@ -2,10 +2,7 @@
 
 package erasure
 
-import (
-	"strings"
-	"unsafe"
-)
+import "strings"
 
 // simdName is what KernelImpl reports when the AVX2 tier wins.
 const simdName = "avx2"
@@ -114,22 +111,10 @@ func init() {
 // (kernels_avx512_amd64.s); sub-group tails go to the portable kernels.
 const bulkStep64 = 64
 
-// ntMinBytes gates the non-temporal overwrite path: a fused set whose
-// destination is at least this large bypasses the cache on its stores
-// (VMOVNTDQ) instead of evicting a working set it will never re-read.
-// Only complete single-pass overwrites qualify — see xorBlocksSetZ.
-// The threshold is sized against the outermost cache, not L2: on parts
-// with a large shared L3 (the 260 MB Xeon this was tuned on), regular
-// stores to a few-MB parity buffer are absorbed by L3 and beat NT, so
-// NT only pays once the destination clearly exceeds what L3 can soak
-// up. Tests may lower it; 0 disables.
-var ntMinBytes = 64 << 20
-
 // The raw AVX-512 assembly entry points. n must be a positive multiple
 // of bulkStep64; every pointed-to range must be at least n bytes. tab
 // points at gfMulTab[c] (16 low-nibble products, 16 high); mat is
-// gfAffineTab[c]. The NT variants additionally require dst 64-byte
-// aligned and fence their stores before returning.
+// gfAffineTab[c].
 //
 //go:noescape
 func xorIntoBulkZ(dst, src *byte, n int)
@@ -145,12 +130,6 @@ func xorSet2BulkZ(dst, a, b *byte, n int)
 
 //go:noescape
 func xorSet4BulkZ(dst, a, b, c, d *byte, n int)
-
-//go:noescape
-func xorSet2NTBulkZ(dst, a, b *byte, n int)
-
-//go:noescape
-func xorSet4NTBulkZ(dst, a, b, c, d *byte, n int)
 
 //go:noescape
 func gfMulShuf512Bulk(dst, src *byte, n int, tab *byte)
@@ -201,10 +180,7 @@ func xorBlocksZ(dst []byte, srcs [][]byte) {
 }
 
 // xorBlocksSetZ is the overwrite form: the first source group is
-// written straight over dst, then the rest accumulate. Destinations of
-// 2 or 4 sources — written exactly once, never read — take the
-// non-temporal store path above ntMinBytes (3+ accumulating sources
-// would read the lines NT just pushed out, so those stay cached).
+// written straight over dst, then the rest accumulate.
 func xorBlocksSetZ(dst []byte, srcs [][]byte) {
 	switch {
 	case len(srcs) == 0:
@@ -212,10 +188,6 @@ func xorBlocksSetZ(dst []byte, srcs [][]byte) {
 		return
 	case len(srcs) == 1:
 		copy(dst, srcs[0])
-		return
-	}
-	if (len(srcs) == 2 || len(srcs) == 4) && ntMinBytes > 0 && len(dst) >= ntMinBytes {
-		xorBlocksSetNT(dst, srcs)
 		return
 	}
 	n := len(dst) &^ (bulkStep64 - 1)
@@ -246,42 +218,6 @@ func xorBlocksSetZ(dst []byte, srcs [][]byte) {
 		for _, s := range srcs[2:] {
 			xorIntoWords(dst[n:], s[n:len(dst)])
 		}
-	}
-}
-
-// xorBlocksSetNT is the streaming-store overwrite for exactly 2 or 4
-// sources: VMOVNTDQ needs a 64-byte-aligned destination, so a sub-line
-// head (and the tail) go through the regular kernels around the fenced
-// non-temporal middle.
-func xorBlocksSetNT(dst []byte, srcs [][]byte) {
-	head := 0
-	if a := int(uintptr(unsafe.Pointer(&dst[0])) & 63); a != 0 {
-		head = 64 - a
-		if head > len(dst) {
-			head = len(dst)
-		}
-		setSmall(dst[:head], srcs, 0)
-	}
-	n := head + (len(dst)-head)&^(bulkStep64-1)
-	if n > head {
-		if len(srcs) == 2 {
-			xorSet2NTBulkZ(&dst[head], &srcs[0][head], &srcs[1][head], n-head)
-		} else {
-			xorSet4NTBulkZ(&dst[head], &srcs[0][head], &srcs[1][head], &srcs[2][head], &srcs[3][head], n-head)
-		}
-	}
-	if n < len(dst) {
-		setSmall(dst[n:], srcs, n)
-	}
-}
-
-// setSmall overwrites dst with XOR(srcs...) offset off in, via the
-// portable word kernels (head/tail duty around the NT middle).
-func setSmall(dst []byte, srcs [][]byte, off int) {
-	end := off + len(dst)
-	xorSet2Words(dst, srcs[0][off:end], srcs[1][off:end])
-	for _, s := range srcs[2:] {
-		xorIntoWords(dst, s[off:end])
 	}
 }
 

@@ -2,44 +2,7 @@
 
 package erasure
 
-import (
-	"bytes"
-	"math/rand"
-	"testing"
-)
-
-// TestXorBlocksSetNTAgree drives the non-temporal overwrite path of the
-// AVX-512 tiers against the scalar reference. The regular cross-check
-// matrix never reaches it (ntMinBytes gates it to large destinations),
-// so this lowers the threshold and sweeps lengths and misalignments
-// around the 64-byte store-alignment peeling.
-func TestXorBlocksSetNTAgree(t *testing.T) {
-	if len(archKernelSets()) < 2 {
-		t.Skip("no AVX-512 tier on this CPU")
-	}
-	defer func(v int) { ntMinBytes = v }(ntMinBytes)
-	ntMinBytes = 1
-
-	rng := rand.New(rand.NewSource(47))
-	lens := []int{1, 63, 64, 65, 127, 128, 191, 256, 1024, 4096, 4096 + 17}
-	for _, n := range lens {
-		for _, off := range []int{0, 1, 31, 63} {
-			for _, nsrc := range []int{2, 4} {
-				dst := unaligned(rng, n, off)
-				srcs := make([][]byte, nsrc)
-				for i := range srcs {
-					srcs[i] = unaligned(rng, n, (off+i)%7)
-				}
-				want := make([]byte, n)
-				scalarKernels.xorBlocksSet(want, srcs)
-				xorBlocksSetZ(dst, srcs)
-				if !bytes.Equal(dst, want) {
-					t.Fatalf("NT xorBlocksSet len %d off %d nsrc %d disagrees with scalar", n, off, nsrc)
-				}
-			}
-		}
-	}
-}
+import "testing"
 
 // TestGFAffineTabMatchesGFMul pins the GFNI matrix construction to the
 // field's scalar multiply for every (coefficient, byte) pair, by

@@ -2,10 +2,8 @@
 
 // AVX-512 / GFNI erasure kernels. Contract (enforced by the Go
 // wrappers in kernels_amd64.go): n is a positive multiple of 64 and
-// every pointed-to range is at least n bytes. Loads and regular stores
-// are unaligned (VMOVDQU64); only the non-temporal variants require a
-// 64-byte-aligned dst (VMOVNTDQ faults or silently degrades otherwise —
-// the wrapper peels an alignment head first).
+// every pointed-to range is at least n bytes. Loads and stores are
+// unaligned (VMOVDQU64).
 //
 // The GF(256) kernels come in two flavours:
 //   - *Shuf512*: the AVX2 nibble-table technique (VPSHUFB, needs
@@ -219,88 +217,6 @@ zs4_tail64:
 	VMOVDQU64 Z0, (DI)
 
 zs4_done:
-	VZEROUPPER
-	RET
-
-// func xorSet2NTBulkZ(dst, a, b *byte, n int)
-// dst = a ^ b with non-temporal stores; dst must be 64-byte aligned.
-// SFENCE orders the weakly-ordered NT stores before return.
-TEXT ·xorSet2NTBulkZ(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), R8
-	MOVQ n+24(FP), CX
-
-zn2_loop128:
-	CMPQ CX, $128
-	JL   zn2_tail64
-	VMOVDQU64 (SI), Z0
-	VMOVDQU64 64(SI), Z1
-	VPXORQ    (R8), Z0, Z0
-	VPXORQ    64(R8), Z1, Z1
-	VMOVNTDQ  Z0, (DI)
-	VMOVNTDQ  Z1, 64(DI)
-	ADDQ $128, SI
-	ADDQ $128, R8
-	ADDQ $128, DI
-	SUBQ $128, CX
-	JMP  zn2_loop128
-
-zn2_tail64:
-	TESTQ CX, CX
-	JZ    zn2_done
-	VMOVDQU64 (SI), Z0
-	VPXORQ    (R8), Z0, Z0
-	VMOVNTDQ  Z0, (DI)
-
-zn2_done:
-	SFENCE
-	VZEROUPPER
-	RET
-
-// func xorSet4NTBulkZ(dst, a, b, c, d *byte, n int)
-// dst = a ^ b ^ c ^ d with non-temporal stores; dst must be 64-byte
-// aligned.
-TEXT ·xorSet4NTBulkZ(SB), NOSPLIT, $0-48
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), R8
-	MOVQ c+24(FP), R9
-	MOVQ d+32(FP), R10
-	MOVQ n+40(FP), CX
-
-zn4_loop128:
-	CMPQ CX, $128
-	JL   zn4_tail64
-	VMOVDQU64 (SI), Z0
-	VMOVDQU64 64(SI), Z1
-	VPXORQ    (R8), Z0, Z0
-	VPXORQ    64(R8), Z1, Z1
-	VPXORQ    (R9), Z0, Z0
-	VPXORQ    64(R9), Z1, Z1
-	VPXORQ    (R10), Z0, Z0
-	VPXORQ    64(R10), Z1, Z1
-	VMOVNTDQ  Z0, (DI)
-	VMOVNTDQ  Z1, 64(DI)
-	ADDQ $128, SI
-	ADDQ $128, R8
-	ADDQ $128, R9
-	ADDQ $128, R10
-	ADDQ $128, DI
-	SUBQ $128, CX
-	JMP  zn4_loop128
-
-zn4_tail64:
-	TESTQ CX, CX
-	JZ    zn4_done
-	VMOVDQU64 (SI), Z0
-	VPXORQ    (R8), Z0, Z0
-	VPXORQ    (R9), Z0, Z0
-	VPXORQ    (R10), Z0, Z0
-	VMOVNTDQ  Z0, (DI)
-
-zn4_done:
-	SFENCE
 	VZEROUPPER
 	RET
 

@@ -22,7 +22,7 @@ import (
 //     is the XOR of d composite blocks, where d is drawn from the
 //     soliton-like degree distribution ρ parameterised by ε. Which d
 //     blocks depends on the Schedule (uniform by default; see
-//     schedule.go for the structured windowed/interleaved variants).
+//     schedule.go for the banded schedule the live data path uses).
 //   - Decoding is belief propagation (peeling): any equation with
 //     exactly one unknown block reveals it; recovered auxiliary blocks
 //     feed the outer-code equations in both directions. When peeling
@@ -60,7 +60,7 @@ type Online struct {
 	checkComps [][]int // composition of stored check blocks 0..m-1
 
 	// Cache-blocked gather plans over the memoized structures above
-	// (tile.go); built lazily on first Encode/FreshBlock.
+	// (tile.go); each built once, on first Encode/FreshBlock.
 	checkPlan planCache
 	auxPlan   planCache
 }
@@ -288,24 +288,20 @@ func (c *Online) computeCheckComposition(i int) []int {
 
 // buildComposite splits the chunk — its padded tail, if any, into tail
 // (tailLen bytes) — and XORs up the auxiliary blocks, returning the n'
-// composite blocks. The aux builds run through the
-// cache-blocked gather (tile.go) over the inverted outer-code mapping
-// memoized in auxMembers: at the Table 2 shape the message sweep is
-// ~4 MB against ~68 KB of aux destinations, so byte strips keep each
-// message strip resident while every aux block that references it is
-// updated. The aux blocks live in one pooled backing buffer — the
-// check gathers then read them as one contiguous run — which the
+// composite blocks. The aux builds run through plan, the cache-blocked
+// gather (tile.go) over the inverted outer-code mapping memoized in
+// auxMembers, so all the aux updates one message tile feeds run while
+// that tile is hot. The aux blocks live in one pooled backing buffer —
+// the check gathers then read them as one contiguous run — which the
 // caller must release with putBuf when done.
-func (c *Online) buildComposite(chunk []byte, bs int, tail []byte) (composite [][]byte, auxBacking []byte) {
+func (c *Online) buildComposite(chunk []byte, bs int, tail []byte, plan *tilePlan) (composite [][]byte, auxBacking []byte) {
 	msg := splitViews(chunk, c.n, tail) // read-only XOR sources; no copy
 	auxBacking = getRawBuf(c.numAux * bs)
 	aux := make([][]byte, c.numAux)
 	for ai := range aux {
 		aux[ai] = auxBacking[ai*bs : (ai+1)*bs : (ai+1)*bs]
 	}
-	plan := c.auxPlan.get(c.auxMembers, c.n, tileBlocksFor(c.n))
-	var srcs [][]byte
-	applyTilePlan(plan, aux, msg, bs, stripBytesFor(c.n, c.numAux, bs), &srcs)
+	applyTilePlan(plan, aux, msg)
 	composite = make([][]byte, c.nPrime)
 	copy(composite, msg)
 	copy(composite[c.n:], aux)
@@ -315,12 +311,11 @@ func (c *Online) buildComposite(chunk []byte, bs int, tail []byte) (composite []
 // Encode implements Code: it splits the chunk into n message blocks,
 // derives the auxiliary blocks, and emits m check blocks, each the
 // fused XOR of its composition members. The emitted blocks share one
-// backing array. The member gathers run cache-blocked (tile.go): byte
-// strips bound the working set to L2 and a per-tile index over the
-// memoized compositions walks each strip in ascending source tiles, so
-// every source byte is read once per strip sweep instead of once per
-// referencing check block. The blocked walk is byte-identical to the
-// unblocked one (XOR reassociation only).
+// backing array. The member gathers run cache-blocked (tile.go): a
+// per-tile index over the memoized compositions walks them in
+// ascending source tiles, so each tile's sources stay in L2 while
+// every check block that references them is updated. The blocked walk
+// is byte-identical to the unblocked one (XOR reassociation only).
 func (c *Online) Encode(chunk []byte) ([]Block, error) {
 	blocks, _, err := c.EncodeInto(nil, chunk)
 	return blocks, err
@@ -330,18 +325,21 @@ func (c *Online) Encode(chunk []byte) ([]Block, error) {
 // then the padded tail of the message blocks they were gathered from.
 // No block aliases chunk.
 func (c *Online) EncodeInto(backing, chunk []byte) ([]Block, []byte, error) {
+	return c.encodeWith(backing, chunk, c.auxPlan.get(c.auxMembers, c.n), c.checkPlan.get(c.checkComps, c.nPrime))
+}
+
+// encodeWith is EncodeInto over the given aux and check gather plans.
+func (c *Online) encodeWith(backing, chunk []byte, auxPlan, checkPlan *tilePlan) ([]Block, []byte, error) {
 	bs := blockSize(len(chunk), c.n)
 	backing = sized(backing, c.m*bs+tailLen(len(chunk), c.n))
-	composite, auxBacking := c.buildComposite(chunk, bs, backing[c.m*bs:])
+	composite, auxBacking := c.buildComposite(chunk, bs, backing[c.m*bs:], auxPlan)
 	out := make([]Block, c.m)
 	dsts := make([][]byte, c.m)
 	for i := 0; i < c.m; i++ {
 		dsts[i] = backing[i*bs : (i+1)*bs : (i+1)*bs]
 		out[i] = Block{Index: i, Data: dsts[i]}
 	}
-	plan := c.checkPlan.get(c.checkComps, c.nPrime, tileBlocksFor(c.nPrime))
-	var srcs [][]byte
-	applyTilePlan(plan, dsts, composite, bs, stripBytesFor(c.nPrime, c.m, bs), &srcs)
+	applyTilePlan(checkPlan, dsts, composite)
 	putBuf(auxBacking)
 	return out, backing, nil
 }
@@ -885,7 +883,7 @@ func (c *Online) FreshBlock(chunk []byte, index int) (Block, error) {
 	}
 	bs := blockSize(len(chunk), c.n)
 	tail := getRawBuf(tailLen(len(chunk), c.n))
-	composite, aux := c.buildComposite(chunk, bs, tail)
+	composite, aux := c.buildComposite(chunk, bs, tail, c.auxPlan.get(c.auxMembers, c.n))
 	data := make([]byte, bs)
 	comp := c.checkComposition(index)
 	srcs := make([][]byte, 0, len(comp))

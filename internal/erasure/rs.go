@@ -98,26 +98,14 @@ func (c *RS) EncodeInto(backing, chunk []byte) ([]Block, []byte, error) {
 		p := parity[(r-c.n)*bs : (r-c.n+1)*bs : (r-c.n+1)*bs]
 		out = append(out, Block{Index: r, Data: p})
 	}
-	// Row-blocked fill (same byte-strip scheme as tile.go): when
-	// n+k blocks outgrow the cache budget, sweep [lo:hi) strips of
-	// every row so each data strip stays resident across all k parity
-	// rows instead of being re-fetched per row. Within a strip each row
-	// overwrites with its first term, then fuses the rest through the
-	// single-pass multiply-accumulate: one read+write of p per term, no
-	// scratch product buffer. Strip order only reassociates the byte
-	// ranges, so output is identical to the unblocked row loop.
-	strip := stripBytesFor(c.n, c.k, bs)
-	for lo := 0; lo < bs; lo += strip {
-		hi := lo + strip
-		if hi > bs {
-			hi = bs
-		}
-		for r := c.n; r < c.n+c.k; r++ {
-			p := out[r].Data[lo:hi:hi]
-			gfMulSet(p, data[0][lo:hi], c.enc.at(r, 0))
-			for ci := 1; ci < c.n; ci++ {
-				gfMulXor(p, data[ci][lo:hi], c.enc.at(r, ci))
-			}
+	// Each parity row overwrites with its first term, then fuses the
+	// rest through the single-pass multiply-accumulate: one read+write
+	// of p per term, no scratch product buffer.
+	for r := c.n; r < c.n+c.k; r++ {
+		p := out[r].Data
+		gfMulSet(p, data[0], c.enc.at(r, 0))
+		for ci := 1; ci < c.n; ci++ {
+			gfMulXor(p, data[ci], c.enc.at(r, ci))
 		}
 	}
 	return out, backing, nil
@@ -190,20 +178,10 @@ func (c *RS) DecodeInto(dst []byte, blocks []Block) error {
 	for r := 0; r < c.n; r++ {
 		data[r] = backing[r*bs : (r+1)*bs : (r+1)*bs]
 	}
-	// Row-blocked like Encode: one strip of every held block serves all
-	// n recovered rows before moving on.
-	strip := stripBytesFor(c.n, c.n, bs)
-	for lo := 0; lo < bs; lo += strip {
-		hi := lo + strip
-		if hi > bs {
-			hi = bs
-		}
-		for r := 0; r < c.n; r++ {
-			d := data[r][lo:hi:hi]
-			gfMulSet(d, vals[0][lo:hi], inv.at(r, 0))
-			for ci := 1; ci < c.n; ci++ {
-				gfMulXor(d, vals[ci][lo:hi], inv.at(r, ci))
-			}
+	for r := 0; r < c.n; r++ {
+		gfMulSet(data[r], vals[0], inv.at(r, 0))
+		for ci := 1; ci < c.n; ci++ {
+			gfMulXor(data[r], vals[ci], inv.at(r, ci))
 		}
 	}
 	joined := joinInto(dst, data)

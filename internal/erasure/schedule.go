@@ -1,11 +1,6 @@
 package erasure
 
-import (
-	"fmt"
-	"math/rand"
-	"strconv"
-	"strings"
-)
+import "math/rand"
 
 // Schedule decides which composite blocks a check block is composed of.
 // The inner code's degree distribution is fixed by ε; the schedule only
@@ -13,21 +8,24 @@ import (
 // changes how belief propagation behaves at low surplus: the uniform
 // schedule of Maymounkov's construction stalls with noticeable
 // probability at the paper's 2% stored surplus (finite-size effect at
-// n = 4096), forcing the decoder onto its ML fallback. Structured
-// schedules draw members from a sliding window that sweeps the
-// composite message deterministically, concentrating each check block's
-// coverage so the peeling wavefront keeps moving.
+// n = 4096), forcing the decoder onto its ML fallback. The banded
+// schedule draws members from a few windows that sweep the composite
+// message deterministically, concentrating each check block's coverage
+// so the peeling wavefront keeps moving.
 //
 // Schedules are deterministic given (seed, block index): encoder and
 // decoder derive identical compositions from the index alone, exactly
 // as with the uniform schedule, so nothing changes on the wire.
 //
-// The interface is satisfied only inside this package (members is
+// A block set decodes only under the schedule it was encoded with, and
+// nothing stored records which one that was. So there are exactly two:
+// Uniform, the OnlineOpts default and the paper's construction, and
+// Banded, which the live data path encodes with (core.CodeFor). The
+// interface is satisfied only inside this package (members is
 // unexported): compositions must be distinct-index sets drawn from the
-// supplied rng in a reproducible order, and keeping implementations
-// here keeps that contract enforceable.
+// supplied rng in a reproducible order.
 type Schedule interface {
-	// Name identifies the schedule ("uniform", "windowed", ...).
+	// Name identifies the schedule ("uniform" or "banded25x4").
 	Name() string
 	// members returns the d distinct composite indices (in [0, nPrime))
 	// of check block i, consuming randomness only from rng.
@@ -63,59 +61,60 @@ func (uniformSchedule) members(rng *rand.Rand, _, d, nPrime int) []int {
 	return out
 }
 
-// Windowed returns a structured schedule: check block i draws its
-// members from a window of ~frac·n' consecutive composite indices
-// (mod n') whose start advances by a fixed stride per block. The
-// stride is chosen coprime to n' and close to n'/φ (golden-ratio
-// interleaving), so consecutive check blocks land far apart while any
-// contiguous run of block indices still covers the whole composite
-// message almost uniformly — the deterministic interleaving that keeps
-// loss of a burst of blocks from uncovering a region.
-//
-// frac is clamped to [0.01, 1]; Windowed(1) covers the full message
-// per window and differs from Uniform only in draw order.
-func Windowed(frac float64) Schedule {
-	if frac < 0.01 {
-		frac = 0.01
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	return windowedSchedule{frac: frac}
-}
+// Banded returns the structured schedule the live data path encodes
+// with: each check block draws its members from 4 equally spaced
+// windows that together cover ~25% of the n' composite blocks. Each
+// band is a contiguous run, so members stay address-clustered, while
+// the bands span the whole composite message, so coverage stays wide
+// enough for belief propagation. Band starts advance by a golden-ratio
+// stride, so consecutive check blocks interleave. At the 2% decode
+// surplus it beats Uniform on both BP completion rate and decode
+// throughput (docs/PERF.md, "Banded default schedule").
+func Banded() Schedule { return bandedSchedule{} }
 
-type windowedSchedule struct {
-	frac float64
-}
+type bandedSchedule struct{}
 
-func (s windowedSchedule) Name() string {
-	return fmt.Sprintf("windowed%02d", int(s.frac*100+0.5))
-}
+// The banded shape: bandCount windows jointly covering bandCoverage of
+// the composite message.
+const (
+	bandCoverage = 0.25
+	bandCount    = 4
+)
 
-// minWindow floors the window in absolute terms: windows of a few
-// dozen blocks or less make the inner code's coverage so banded that
-// the received equations go rank-deficient at small n' (observed at
-// n' ≈ 20 with a pure fractional window). Below ~3·minWindow composite
-// blocks a windowed schedule degenerates toward uniform, which is the
-// right behavior: structure only pays at paper-scale n.
+func (bandedSchedule) Name() string { return "banded25x4" }
+
+// minWindow floors the band width in absolute terms: bands of a few
+// dozen blocks or less make the inner code's coverage so narrow that
+// the received equations go rank-deficient at small n'. Below
+// ~bandCount·minWindow composite blocks the schedule degenerates to one
+// full-width window, which is the right behavior: structure only pays
+// at paper-scale n.
 const minWindow = 32
 
-func (s windowedSchedule) members(rng *rand.Rand, i, d, nPrime int) []int {
-	w := int(s.frac*float64(nPrime) + 0.5)
-	if w < minWindow {
-		w = minWindow
+// members draws d distinct indices from the bands of check block i. The
+// draw sequence is frozen: it is what every online-coded block stored
+// by the live data path was encoded with.
+func (bandedSchedule) members(rng *rand.Rand, i, d, nPrime int) []int {
+	bands := bandCount
+	bw := int(bandCoverage*float64(nPrime)/float64(bands) + 0.5)
+	if bw < minWindow {
+		bw = minWindow
 	}
-	if w < d {
-		w = d // a window must be able to hold d distinct members
+	if bands*bw < d {
+		bw = (d + bands - 1) / bands // bands must jointly hold d members
 	}
-	if w > nPrime {
-		w = nPrime
+	if bands*bw >= nPrime {
+		// Coverage saturates the composite message; degenerate to one
+		// full-width window.
+		bands, bw = 1, nPrime
 	}
+	spacing := nPrime / bands // ≥ bw, so bands never overlap
 	start := (i * interleaveStride(nPrime)) % nPrime
 	seen := make(map[int]struct{}, d)
 	out := make([]int, 0, d)
 	for len(out) < d {
-		v := (start + rng.Intn(w)) % nPrime
+		r := rng.Intn(bands * bw)
+		v := (start + (r/bw)*spacing + r%bw) % nPrime
 		if _, dup := seen[v]; dup {
 			continue
 		}
@@ -125,10 +124,10 @@ func (s windowedSchedule) members(rng *rand.Rand, i, d, nPrime int) []int {
 	return out
 }
 
-// interleaveStride returns the window-start advance per check block:
-// the integer closest to n'/φ that is coprime to n', so the start
-// positions of any m consecutive check blocks are spread over the
-// whole composite message (a golden-ratio low-discrepancy sequence).
+// interleaveStride returns the band-start advance per check block: the
+// integer closest to n'/φ that is coprime to n', so the start positions
+// of any m consecutive check blocks are spread over the whole composite
+// message (a golden-ratio low-discrepancy sequence).
 func interleaveStride(nPrime int) int {
 	if nPrime <= 1 {
 		return 1
@@ -150,132 +149,6 @@ func gcd(a, b int) int {
 	return a
 }
 
-// Banded returns a structured schedule that splits each check block's
-// draw range into `bands` equally spaced windows totalling ~frac·n'
-// composite indices. A single sliding window (Windowed) buys XOR
-// locality but narrows coverage, which stalls belief propagation
-// earlier; spreading the same coverage budget over several bands keeps
-// members address-clustered (each band is a contiguous run) while the
-// bands themselves span the whole composite message. Band starts
-// advance by the same golden-ratio stride as Windowed, so consecutive
-// check blocks interleave.
-//
-// frac is clamped to [0.01, 1] and bands to [1, 16]; Banded(f, 1) is
-// draw-for-draw identical to Windowed(f).
-func Banded(frac float64, bands int) Schedule {
-	if frac < 0.01 {
-		frac = 0.01
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	if bands < 1 {
-		bands = 1
-	}
-	if bands > 16 {
-		bands = 16
-	}
-	return bandedSchedule{frac: frac, bands: bands}
-}
-
-type bandedSchedule struct {
-	frac  float64
-	bands int
-}
-
-func (s bandedSchedule) Name() string {
-	return fmt.Sprintf("banded%02dx%d", int(s.frac*100+0.5), s.bands)
-}
-
-func (s bandedSchedule) members(rng *rand.Rand, i, d, nPrime int) []int {
-	bands := s.bands
-	// Per-band width: the coverage budget split across bands, floored
-	// like Windowed so tiny bands cannot starve the draw.
-	bw := int(s.frac*float64(nPrime)/float64(bands) + 0.5)
-	if bw < minWindow {
-		bw = minWindow
-	}
-	if bands*bw < d {
-		bw = (d + bands - 1) / bands // bands must jointly hold d members
-	}
-	if bands*bw >= nPrime {
-		// Coverage saturates the composite message; degenerate to one
-		// full-width window (same draw shape as Windowed(1)).
-		bands, bw = 1, nPrime
-	}
-	spacing := nPrime / bands // ≥ bw, so bands never overlap
-	start := (i * interleaveStride(nPrime)) % nPrime
-	seen := make(map[int]struct{}, d)
-	out := make([]int, 0, d)
-	for len(out) < d {
-		r := rng.Intn(bands * bw)
-		v := (start + (r/bw)*spacing + r%bw) % nPrime
-		if _, dup := seen[v]; dup {
-			continue
-		}
-		seen[v] = struct{}{}
-		out = append(out, v)
-	}
-	return out
-}
-
-// Schedules returns the named schedule set the evaluation harness
-// sweeps: the uniform default, windowed variants at two window sizes,
-// and banded variants that spread the same coverage budgets across
-// four windows. New entries extend the psbench schedule-comparison arm
-// and the root benchmarks automatically.
-func Schedules() []Schedule {
-	return []Schedule{Uniform(), Windowed(0.12), Windowed(0.25), Banded(0.12, 4), Banded(0.25, 4)}
-}
-
-// ScheduleByName resolves a schedule from its CLI/config name:
-// "uniform"; "windowed" / "windowedNN" where NN is the window size as
-// a percentage of the composite message (default 12); or "banded" /
-// "bandedNN" / "bandedNNxB" where NN is the total coverage percentage
-// (default 25) and B the band count (default 4).
-//
-// The empty name selects the default schedule, banded25x4: at the 2%
-// decode surplus it beats uniform on both BP completion rate and
-// fresh-seed decode throughput (see docs/PERF.md, "Banded default").
-// Note the default changed — it was uniform through PR 4. Encoder and
-// decoder must agree on the schedule, so readers of online-coded files
-// stored by older builds pass "uniform" explicitly; the OnlineOpts
-// zero value (nil Schedule) still means uniform and the stored-block
-// wire format is unchanged.
-func ScheduleByName(name string) (Schedule, error) {
-	switch {
-	case name == "":
-		return Banded(0.25, 4), nil
-	case name == "uniform":
-		return Uniform(), nil
-	case name == "windowed":
-		return Windowed(0.12), nil
-	case len(name) > len("windowed") && name[:len("windowed")] == "windowed":
-		// strconv.Atoi over the whole suffix: Sscanf would silently
-		// accept trailing garbage ("windowed12junk").
-		pct, err := strconv.Atoi(name[len("windowed"):])
-		if err != nil || pct < 1 || pct > 100 {
-			return nil, fmt.Errorf("erasure: bad windowed schedule %q (want windowedNN, NN in 1..100)", name)
-		}
-		return Windowed(float64(pct) / 100), nil
-	case name == "banded":
-		return Banded(0.25, 4), nil
-	case len(name) > len("banded") && name[:len("banded")] == "banded":
-		spec := name[len("banded"):]
-		pctStr, bandStr, hasBands := strings.Cut(spec, "x")
-		pct, err := strconv.Atoi(pctStr)
-		if err != nil || pct < 1 || pct > 100 {
-			return nil, fmt.Errorf("erasure: bad banded schedule %q (want bandedNN or bandedNNxB, NN in 1..100)", name)
-		}
-		bands := 4
-		if hasBands {
-			bands, err = strconv.Atoi(bandStr)
-			if err != nil || bands < 1 || bands > 16 {
-				return nil, fmt.Errorf("erasure: bad banded schedule %q (want bandedNNxB, B in 1..16)", name)
-			}
-		}
-		return Banded(float64(pct)/100, bands), nil
-	default:
-		return nil, fmt.Errorf("erasure: unknown schedule %q", name)
-	}
-}
+// Schedules returns both schedules, for the tests, the fuzzers and the
+// psbench schedule comparison to sweep.
+func Schedules() []Schedule { return []Schedule{Uniform(), Banded()} }

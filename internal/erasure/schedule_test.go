@@ -52,6 +52,35 @@ func TestUniformDefaultByteIdentical(t *testing.T) {
 	}
 }
 
+// TestBandedByteIdentical pins the banded schedule's draw order: the
+// hashes were computed from the parametric Banded(0.25, 4) it replaced.
+// At n = 64 the bands saturate the composite message and degenerate to
+// one window; the larger codes exercise the 4-band draw.
+func TestBandedByteIdentical(t *testing.T) {
+	for _, tc := range []struct {
+		n      int
+		golden string
+	}{
+		{64, "56d8a26d69e4277829ebe53bdb6db271e07d2c646d5299b6caeb9f4a5fd2e1b7"},
+		{1024, "ee5e137335f49a470d5d296bc709c00c8413e7024ff60027bef621378449e7b3"},
+		{4096, "48ef06c65a93f3a4e46edc46ad5ea7463a58c5da2d954a1b8b2a04477183b533"},
+	} {
+		chunk := make([]byte, tc.n*256+17)
+		rand.New(rand.NewSource(1234)).Read(chunk)
+		blocks, err := MustOnline(tc.n, OnlineOpts{Schedule: Banded()}).Encode(chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, b := range blocks {
+			h.Write(b.Data)
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != tc.golden {
+			t.Errorf("n=%d: banded encoding drifted: %s, golden %s", tc.n, got, tc.golden)
+		}
+	}
+}
+
 // TestScheduleRoundTrip decodes the full stored block set under every
 // schedule across seeds, n, and ε.
 func TestScheduleRoundTrip(t *testing.T) {
@@ -153,97 +182,30 @@ func TestScheduleSurplusThreshold(t *testing.T) {
 	}
 }
 
-// TestScheduleNames checks the registry and the CLI name resolution.
+// TestScheduleNames checks the schedule set: exactly the uniform
+// default and the banded schedule, under distinct names.
 func TestScheduleNames(t *testing.T) {
-	seen := map[string]bool{}
+	var names []string
 	for _, s := range Schedules() {
-		if seen[s.Name()] {
-			t.Fatalf("duplicate schedule name %q", s.Name())
-		}
-		seen[s.Name()] = true
-		got, err := ScheduleByName(s.Name())
-		if err != nil {
-			t.Fatalf("ScheduleByName(%q): %v", s.Name(), err)
-		}
-		if got.Name() != s.Name() {
-			t.Errorf("ScheduleByName(%q) resolved to %q", s.Name(), got.Name())
-		}
+		names = append(names, s.Name())
 	}
-	// The empty name selects the banded25x4 default (flipped from
-	// uniform after the PR 3 sweep confirmed it wins both axes at the
-	// 2% surplus). The uniform wire default stays reachable by name,
-	// and OnlineOpts' nil-Schedule default stays byte-identical
-	// uniform (TestUniformDefaultByteIdentical).
-	if s, err := ScheduleByName(""); err != nil || s.Name() != "banded25x4" {
-		t.Errorf("empty name: %v, %v (want banded25x4 default)", s, err)
+	if fmt.Sprint(names) != "[uniform banded25x4]" {
+		t.Errorf("Schedules() = %v, want [uniform banded25x4]", names)
 	}
-	if s, err := ScheduleByName("uniform"); err != nil || s.Name() != "uniform" {
-		t.Errorf("explicit uniform: %v, %v", s, err)
-	}
-	if s, err := ScheduleByName("windowed"); err != nil || s.Name() != "windowed12" {
-		t.Errorf("bare windowed: %v, %v", s, err)
-	}
-	if s, err := ScheduleByName("banded"); err != nil || s.Name() != "banded25x4" {
-		t.Errorf("bare banded: %v, %v", s, err)
-	}
-	if s, err := ScheduleByName("banded12"); err != nil || s.Name() != "banded12x4" {
-		t.Errorf("banded12: %v, %v", s, err)
-	}
-	for _, bad := range []string{"nope", "windowed0", "windowed101", "windowedxx", "windowed12junk", "windowed1 2",
-		"banded0", "banded101", "banded25x0", "banded25x17", "banded25xjunk", "bandedx4"} {
-		if _, err := ScheduleByName(bad); err == nil {
-			t.Errorf("ScheduleByName(%q) accepted", bad)
-		}
-	}
-}
-
-// TestWindowedMembersStayInWindow checks the structural contract:
-// every member of check block i lies inside the block's window, and
-// members are distinct.
-func TestWindowedMembersStayInWindow(t *testing.T) {
-	const nPrime = 400
-	frac := 0.1
-	sched := Windowed(frac).(windowedSchedule)
-	stride := interleaveStride(nPrime)
-	w := int(frac*float64(nPrime) + 0.5)
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 200; i++ {
-		d := 1 + rng.Intn(12)
-		ms := sched.members(rand.New(rand.NewSource(int64(i))), i, d, nPrime)
-		if len(ms) != d {
-			t.Fatalf("block %d: %d members, want %d", i, len(ms), d)
-		}
-		start := (i * stride) % nPrime
-		seen := map[int]bool{}
-		for _, m := range ms {
-			if seen[m] {
-				t.Fatalf("block %d: duplicate member %d", i, m)
-			}
-			seen[m] = true
-			offset := ((m - start) + nPrime) % nPrime
-			if offset >= w && w >= d {
-				t.Fatalf("block %d: member %d outside window [%d,%d)", i, m, start, start+w)
-			}
-		}
+	if got := MustOnline(8, OnlineOpts{}).ScheduleName(); got != "uniform" {
+		t.Errorf("nil OnlineOpts schedule = %q, want uniform", got)
 	}
 }
 
 // TestBandedMembersStayInBands checks the banded structural contract:
-// every member of check block i lies inside one of the block's bands,
-// members are distinct, and the bands are disjoint (spacing ≥ width).
+// every member of check block i lies inside one of the block's 4
+// bands, members are distinct, and the bands are disjoint (spacing ≥
+// width). At n' = 1000 each band is 63 blocks wide, 250 apart.
 func TestBandedMembersStayInBands(t *testing.T) {
 	const nPrime = 1000
-	frac, bands := 0.2, 4
-	sched := Banded(frac, bands).(bandedSchedule)
+	const bw, spacing = 63, nPrime / bandCount
+	sched := Banded()
 	stride := interleaveStride(nPrime)
-	bw := int(frac*float64(nPrime)/float64(bands) + 0.5)
-	if bw < minWindow {
-		bw = minWindow
-	}
-	spacing := nPrime / bands
-	if bw > spacing {
-		t.Fatalf("band width %d exceeds spacing %d: bands overlap", bw, spacing)
-	}
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 200; i++ {
 		d := 1 + rng.Intn(12)
@@ -259,25 +221,9 @@ func TestBandedMembersStayInBands(t *testing.T) {
 			}
 			seen[m] = true
 			offset := ((m - start) + nPrime) % nPrime
-			if offset%spacing >= bw || offset/spacing >= bands {
+			if offset%spacing >= bw || offset/spacing >= bandCount {
 				t.Fatalf("block %d: member %d (offset %d) outside every band (bw=%d spacing=%d)", i, m, offset, bw, spacing)
 			}
-		}
-	}
-}
-
-// TestBandedOneBandMatchesWindowed pins Banded(f, 1) to Windowed(f)
-// draw-for-draw: same RNG consumption, same members, same order.
-func TestBandedOneBandMatchesWindowed(t *testing.T) {
-	const nPrime = 500
-	b := Banded(0.15, 1).(bandedSchedule)
-	w := Windowed(0.15).(windowedSchedule)
-	for i := 0; i < 100; i++ {
-		d := 1 + i%9
-		got := b.members(rand.New(rand.NewSource(int64(i))), i, d, nPrime)
-		want := w.members(rand.New(rand.NewSource(int64(i))), i, d, nPrime)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("block %d: banded(x1) %v != windowed %v", i, got, want)
 		}
 	}
 }

@@ -11,95 +11,27 @@ import "sync"
 // ~8.8 MB at the Table 2 shape — so every member gather misses L2 and
 // the encode runs at memory speed, not kernel speed (docs/PERF.md).
 //
-// The blocked sweep inverts the loop nest along both axes:
-//
-//   - Byte strips: the outer loop processes [lo:hi) byte ranges of
-//     every block, sized so one strip of all sources plus all
-//     destinations fits the cache budget. Within a strip each source
-//     byte is read from DRAM once, each destination byte written once;
-//     across strips the equation structure is re-walked but the data
-//     working set is bounded.
-//   - Source tiles: within a strip, the compositions are walked in
-//     ascending source-block tiles via a per-tile index over the
-//     memoized member lists (tilePlan). All references to one tile's
-//     sources run back-to-back while those lines are hottest, and the
-//     ascending order preserves the hardware prefetcher's streaming.
+// The blocked sweep walks the compositions in ascending source-block
+// tiles via a per-tile index over the memoized member lists (tilePlan).
+// All references to one tile's sources run back-to-back while those
+// lines are hottest, and the ascending order preserves the hardware
+// prefetcher's streaming. Every equation is split per tile; the split
+// runs are mostly tile-local singletons served by the copy/xorInto
+// fast path.
 //
 // XOR is associative and commutative, so splitting an equation across
-// tiles and strips changes nothing about the bytes produced: tiled
-// output is bit-identical to the untiled gather (pinned by
+// tiles changes nothing about the bytes produced: tiled output is
+// bit-identical to the untiled gather (pinned by
 // TestTiledEncodeByteIdentical and the schedule golden hashes). An
-// equation's first tile overwrites its destination range
-// (xorBlocksSet); later tiles accumulate (xorBlocks). Equations with no
-// members are cleared explicitly, exactly as the unblocked
-// xorBlocksSet([]) did.
+// equation's first tile overwrites its destination (xorBlocksSet);
+// later tiles accumulate (xorBlocks). Equations with no members are
+// cleared explicitly, exactly as the unblocked xorBlocksSet([]) did.
 
-// Blocking knobs, package-wide so the benchmark sweep and the
-// byte-identity tests can steer them. The defaults come from the
-// tile/strip/fuse sweeps in docs/PERF.md ("Cache blocking and GFNI")
-// on a 2 MB-L2 / 260 MB-L3 Xeon, and encode a measured surprise: on
-// that part byte strips always lose (the per-strip re-walk of ~16k
-// equation refs costs more than the locality buys, because the huge
-// shared L3 already holds the whole 8.8 MB working set) while source
-// tiles alone are worth ~1.3×. Strips therefore default off; the
-// machinery and knob remain for parts whose last-level cache is
-// smaller than the encode working set.
-var (
-	// encStripBudget is the target combined working set (all sources +
-	// all destinations) of one byte strip. Strips engage only when the
-	// unblocked working set exceeds the budget; <= 0 disables strips
-	// entirely (the measured-best default on big-L3 hardware).
-	encStripBudget = 0
-	// encMinStrip floors the strip size: below ~256 bytes the per-call
-	// fixed costs of the kernel wrappers outweigh any locality gain.
-	encMinStrip = 256
-	// encTileBlocks is the number of source blocks per tile of the
-	// per-tile composition index; 0 disables tiling (one tile spans all
-	// sources). 512 blocks × 1 KB keeps a tile's sources inside a 2 MB
-	// L2 alongside the destination stream.
-	encTileBlocks = 512
-	// encTileFuseMax keeps equations of at most this many members whole
-	// — one fully-fused ref in their first member's tile — instead of
-	// splitting them per tile. Splitting a degree-2 equation trades one
-	// fused xorSet2 for a copy plus an xorInto, so fusing the short
-	// equations looks attractive on paper; measured, full splitting
-	// (fuse 0) wins on the big-L3 Xeon because the split runs are
-	// tile-local singletons served by the copy/xorInto fast path while
-	// fused refs gather cold, scattered sources. 0 — the default —
-	// splits everything.
-	encTileFuseMax = 0
-)
-
-// stripBytesFor sizes the byte strip for a blocked gather over nSrc
-// source and nDst destination blocks of bs bytes each: the whole block
-// when the working set already fits the budget, otherwise the largest
-// 64-byte multiple that does (floored by encMinStrip).
-func stripBytesFor(nSrc, nDst, bs int) int {
-	total := nSrc + nDst
-	if bs <= 0 || total <= 0 || encStripBudget <= 0 || total*bs <= encStripBudget {
-		return bs
-	}
-	s := (encStripBudget / total) &^ 63
-	if s < encMinStrip {
-		s = encMinStrip
-	}
-	if s > bs {
-		s = bs
-	}
-	return s
-}
-
-// tileBlocksFor resolves the encTileBlocks knob against a source count.
-func tileBlocksFor(nSrc int) int {
-	tb := encTileBlocks
-	if tb <= 0 || tb > nSrc {
-		tb = nSrc
-	}
-	if tb < 1 {
-		tb = 1
-	}
-	return tb
-}
+// encTileBlocks is the number of source blocks per tile: 512 blocks ×
+// 1 KB keeps a tile's sources inside a 2 MB L2 alongside the
+// destination stream. It comes from the tile sweep in docs/PERF.md
+// ("Cache blocking and GFNI") on a 2 MB-L2 / 260 MB-L3 Xeon.
+const encTileBlocks = 512
 
 // tileRef names the run of one equation's (sorted) member list that
 // falls inside one source tile. members aliases the plan's shared flat
@@ -115,22 +47,17 @@ type tileRef struct {
 // It refers to block indices only — independent of the block size — so
 // one plan serves every Encode/FreshBlock call of an Online value.
 type tilePlan struct {
-	tileBlocks int
-	tiles      [][]tileRef
-	empty      []int32 // equations with no members: dst is cleared
+	tiles [][]tileRef
+	empty []int32 // equations with no members: dst is cleared
 }
 
 // newTilePlan indexes equations (ascending member lists over sources
-// 0..nSrc-1) by tiles of tileBlocks sources. Equations short enough to
-// fuse whole (encTileFuseMax) land as a single ref in their first
-// member's tile. All member runs share one flat int32 backing array,
-// sized up front so the per-run slices never reallocate (reallocation
-// would break the aliasing).
+// 0..nSrc-1) by tiles of tileBlocks sources; tileBlocks >= nSrc gives
+// the single-tile (unblocked) plan. All member runs share one flat
+// int32 backing array, sized up front so the per-run slices never
+// reallocate (reallocation would break the aliasing).
 func newTilePlan(members [][]int, nSrc, tileBlocks int) *tilePlan {
 	nt := (nSrc + tileBlocks - 1) / tileBlocks
-	if nt < 1 {
-		nt = 1
-	}
 	total := 0
 	for _, ms := range members {
 		total += len(ms)
@@ -143,15 +70,10 @@ func newTilePlan(members [][]int, nSrc, tileBlocks int) *tilePlan {
 		}
 		return flat[start:len(flat):len(flat)]
 	}
-	p := &tilePlan{tileBlocks: tileBlocks, tiles: make([][]tileRef, nt)}
+	p := &tilePlan{tiles: make([][]tileRef, nt)}
 	for e, ms := range members {
 		if len(ms) == 0 {
 			p.empty = append(p.empty, int32(e))
-			continue
-		}
-		if len(ms) <= encTileFuseMax {
-			ti := ms[0] / tileBlocks
-			p.tiles[ti] = append(p.tiles[ti], tileRef{eq: int32(e), first: true, members: run(ms)})
 			continue
 		}
 		for lo := 0; lo < len(ms); {
@@ -168,100 +90,52 @@ func newTilePlan(members [][]int, nSrc, tileBlocks int) *tilePlan {
 	return p
 }
 
-// planCache lazily builds and caches the tilePlan for one equation
-// structure, rebuilding only when the tile knob changes (the bench
-// sweep). Online values are documented safe for concurrent use, so the
-// build is mutex-guarded.
+// planCache builds the tilePlan for one equation structure on first
+// use. Online values are documented safe for concurrent use; after the
+// build, a get is a plain load.
 type planCache struct {
-	mu   sync.Mutex
-	tb   int
-	fuse int
+	once sync.Once
 	plan *tilePlan
 }
 
-func (pc *planCache) get(members [][]int, nSrc, tileBlocks int) *tilePlan {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if pc.plan == nil || pc.tb != tileBlocks || pc.fuse != encTileFuseMax {
-		pc.plan = newTilePlan(members, nSrc, tileBlocks)
-		pc.tb = tileBlocks
-		pc.fuse = encTileFuseMax
-	}
+func (pc *planCache) get(members [][]int, nSrc int) *tilePlan {
+	pc.once.Do(func() { pc.plan = newTilePlan(members, nSrc, encTileBlocks) })
 	return pc.plan
 }
 
 // applyTilePlan runs the blocked gather: dsts[e] = XOR of the plan's
-// member sources for every equation, walked strip by strip and tile by
-// tile. srcs is caller-owned gather scratch, returned grown so
-// steady-state callers stay allocation-free. The strips-off common
-// case (one strip spanning the whole block) skips the per-ref
-// subslicing entirely — destinations and sources are used as-is.
-func applyTilePlan(p *tilePlan, dsts, sources [][]byte, bs, stripBytes int, srcs *[][]byte) {
+// member sources for every equation, walked tile by tile.
+func applyTilePlan(p *tilePlan, dsts, sources [][]byte) {
 	for _, e := range p.empty {
 		clear(dsts[e])
 	}
-	if bs <= 0 {
+	if len(sources[0]) == 0 {
 		return
 	}
-	sc := *srcs
-	if stripBytes <= 0 || stripBytes >= bs {
-		for _, tile := range p.tiles {
-			for _, ref := range tile {
-				d := dsts[ref.eq]
-				ms := ref.members
-				if len(ms) == 1 {
-					// Split runs are often singletons; skip the batch
-					// slice and its per-source dispatch loop.
-					if ref.first {
-						copy(d, sources[ms[0]])
-					} else {
-						xorInto(d, sources[ms[0]])
-					}
-					continue
-				}
-				sc = sc[:0]
-				for _, ci := range ms {
-					sc = append(sc, sources[ci])
-				}
+	var sc [][]byte // gather scratch, reused across refs
+	for _, tile := range p.tiles {
+		for _, ref := range tile {
+			d := dsts[ref.eq]
+			ms := ref.members
+			if len(ms) == 1 {
+				// Split runs are often singletons; skip the batch
+				// slice and its per-source dispatch loop.
 				if ref.first {
-					xorBlocksSet(d, sc)
+					copy(d, sources[ms[0]])
 				} else {
-					xorBlocks(d, sc)
+					xorInto(d, sources[ms[0]])
 				}
+				continue
 			}
-		}
-		*srcs = sc
-		return
-	}
-	for lo := 0; lo < bs; lo += stripBytes {
-		hi := lo + stripBytes
-		if hi > bs {
-			hi = bs
-		}
-		for _, tile := range p.tiles {
-			for _, ref := range tile {
-				d := dsts[ref.eq][lo:hi:hi]
-				ms := ref.members
-				if len(ms) == 1 {
-					s := sources[ms[0]][lo:hi:hi]
-					if ref.first {
-						copy(d, s)
-					} else {
-						xorInto(d, s)
-					}
-					continue
-				}
-				sc = sc[:0]
-				for _, ci := range ms {
-					sc = append(sc, sources[ci][lo:hi:hi])
-				}
-				if ref.first {
-					xorBlocksSet(d, sc)
-				} else {
-					xorBlocks(d, sc)
-				}
+			sc = sc[:0]
+			for _, ci := range ms {
+				sc = append(sc, sources[ci])
+			}
+			if ref.first {
+				xorBlocksSet(d, sc)
+			} else {
+				xorBlocks(d, sc)
 			}
 		}
 	}
-	*srcs = sc
 }

@@ -1,34 +1,26 @@
 package erasure
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
-// setBlocking steers the package blocking knobs for a test or sweep
-// arm, returning a restore func. stripBudget <= 0 disables strips
-// (whole-block), tileBlocks <= 0 disables tiling (single tile).
-func setBlocking(stripBudget, tileBlocks int) func() {
-	sb, tb := encStripBudget, encTileBlocks
-	encStripBudget, encTileBlocks = stripBudget, tileBlocks
-	return func() { encStripBudget, encTileBlocks = sb, tb }
-}
-
 // TestTiledEncodeByteIdentical pins that the cache-blocked gather is a
-// pure reassociation: every strip/tile/fuse configuration — including
-// fully unblocked — produces byte-for-byte the encoding of the default
-// knobs, and that encoding matches a golden hash computed from the
-// pre-blocking (PR 7) implementation. A drift here means stored blocks
-// from older builds would no longer be reproducible.
+// pure reassociation: the default plan's encoding matches a golden hash
+// computed from the pre-blocking implementation, and plans of other
+// tile widths — down to the single-tile, unblocked plan — produce
+// byte-for-byte the same blocks. A drift here means stored blocks from
+// older builds would no longer be reproducible.
 func TestTiledEncodeByteIdentical(t *testing.T) {
 	const golden = "ecff7c571c6aa0740ebe9fd8ff012db512b0af0c13f804057edea1326bbecd04"
 	chunk := make([]byte, 1<<20)
 	rand.New(rand.NewSource(1234)).Read(chunk)
 	code := MustOnline(4096, OnlineOpts{})
-	hash := func() string {
-		blocks, err := code.Encode(chunk)
+	hash := func(blocks []Block, err error) string {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,93 +30,60 @@ func TestTiledEncodeByteIdentical(t *testing.T) {
 		}
 		return fmt.Sprintf("%x", h.Sum(nil))
 	}
-	if got := hash(); got != golden {
+	if got := hash(code.Encode(chunk)); got != golden {
 		t.Fatalf("default blocking drifted from pre-blocking encoding: %s, golden %s", got, golden)
 	}
-	configs := []struct {
-		name         string
-		budget, tile int
-		fuse         int
+	for _, tc := range []struct {
+		name string
+		tile int
 	}{
-		{"unblocked", 0, 0, 1 << 20},
-		{"split-everything", 0, 512, 0},
-		{"tile1024", 0, 1024, 6},
-		{"tile2048-fuse2", 0, 2048, 2},
-		{"strips-tiny", 1 << 16, 1024, 6},
-		{"strips-default-budget", 3 << 19, 512, 4},
-	}
-	for _, tc := range configs {
+		{"unblocked", code.nPrime},
+		{"split-everything", encTileBlocks},
+		{"tile1024", 1024},
+		{"tile2048", 2048},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			defer setBlocking(tc.budget, tc.tile)()
-			defer setFuse(tc.fuse)()
-			if got := hash(); got != golden {
+			aux := newTilePlan(code.auxMembers, code.n, tc.tile)
+			check := newTilePlan(code.checkComps, code.nPrime, tc.tile)
+			blocks, _, err := code.encodeWith(nil, chunk, aux, check)
+			if got := hash(blocks, err); got != golden {
 				t.Errorf("%s: blocked encode not byte-identical: %s, golden %s", tc.name, got, golden)
 			}
 		})
 	}
 }
 
-// setFuse steers the encTileFuseMax knob, returning a restore func.
-func setFuse(fuse int) func() {
-	f := encTileFuseMax
-	encTileFuseMax = fuse
-	return func() { encTileFuseMax = f }
-}
-
-// BenchmarkOnlineEncodeFuseSweep measures the degree-based hybrid
-// fusion cutoff: strips off, tiled walk, varying the max equation
-// degree kept whole in its first member's tile. fuse0 splits every
-// equation per tile; a huge fuse reduces to first-member tile ordering
-// with no splitting at all.
-func BenchmarkOnlineEncodeFuseSweep(b *testing.B) {
-	code := MustOnline(4096, OnlineOpts{})
-	chunk := make([]byte, 4<<20)
-	rand.New(rand.NewSource(9)).Read(chunk)
-	tiles := []int{256, 384, 512, 768, 1024, 2048}
-	fuses := []int{0, 2, 4, 6, 8, 12, 1 << 20}
-	for _, tb := range tiles {
-		for _, fu := range fuses {
-			b.Run(fmt.Sprintf("tile%d/fuse%d", tb, fu), func(b *testing.B) {
-				defer setBlocking(0, tb)()
-				defer setFuse(fu)()
-				b.SetBytes(int64(len(chunk)))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					blocks, err := code.Encode(chunk)
-					if err != nil {
-						b.Fatal(err)
-					}
-					_ = blocks
-				}
-			})
-		}
+// TestConcurrentFirstEncode races the first Encode and FreshBlock calls
+// of a fresh Online value, which build its gather plans once between
+// them, and checks every result against a serial encode.
+func TestConcurrentFirstEncode(t *testing.T) {
+	chunk := make([]byte, 64<<10+5)
+	rand.New(rand.NewSource(5)).Read(chunk)
+	want, err := MustOnline(256, OnlineOpts{}).Encode(chunk)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// BenchmarkOnlineEncodeBlockSweep is the tile/strip parameter sweep
-// behind the defaults in tile.go (docs/PERF.md "Cache blocking and
-// GFNI"): the Table 2 encode shape under combinations of strip budget
-// and tile width, including the unblocked baseline (strip0/tile0).
-func BenchmarkOnlineEncodeBlockSweep(b *testing.B) {
-	code := MustOnline(4096, OnlineOpts{})
-	chunk := make([]byte, 4<<20)
-	rand.New(rand.NewSource(9)).Read(chunk)
-	budgets := []int{0, 1 << 20, 3 << 19, 2 << 20, 3 << 20, 6 << 20}
-	tiles := []int{0, 512, 1024, 2048}
-	for _, sb := range budgets {
-		for _, tb := range tiles {
-			b.Run(fmt.Sprintf("strip%dk/tile%d", sb>>10, tb), func(b *testing.B) {
-				defer setBlocking(sb, tb)()
-				b.SetBytes(int64(len(chunk)))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					blocks, err := code.Encode(chunk)
-					if err != nil {
-						b.Fatal(err)
-					}
-					_ = blocks
+	code := MustOnline(256, OnlineOpts{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			blocks, err := code.Encode(chunk)
+			if err != nil || len(blocks) != len(want) {
+				t.Errorf("concurrent encode: %d blocks, %v", len(blocks), err)
+				return
+			}
+			for i := range blocks {
+				if !bytes.Equal(blocks[i].Data, want[i].Data) {
+					t.Errorf("concurrent encode: block %d differs from serial", i)
+					return
 				}
-			})
-		}
+			}
+			if _, err := code.FreshBlock(chunk, code.EncodedBlocks()); err != nil {
+				t.Errorf("concurrent fresh block: %v", err)
+			}
+		}()
 	}
+	wg.Wait()
 }

@@ -27,7 +27,7 @@ const DefaultChunkCache = 64 << 20
 //
 // The options group by concern:
 //
-//   - Coding: WithCode, WithSchedule, WithWorkers, WithChunkCap
+//   - Coding: WithCode, WithWorkers, WithChunkCap
 //   - Caching: WithChunkCache
 //   - Transport: WithTimeout, WithSegment, WithTransfers
 //   - Pipelining: WithPipelineDepth, WithStreamWindow, WithHedge,
@@ -38,7 +38,6 @@ type Option func(*options) error
 // options collects the resolved Dial configuration.
 type options struct {
 	code      string
-	schedule  string
 	cfg       node.Config
 	cacheSet  bool
 	cacheSize int64
@@ -88,16 +87,6 @@ func WithCode(name string) Option {
 		default:
 			return fmt.Errorf("peerstripe: unknown erasure code %q (want null, xor, online, rs)", name)
 		}
-	}
-}
-
-// WithSchedule selects the online code's check schedule by name (e.g.
-// "uniform", "windowed12", "banded25x4" — the default). Only valid
-// with WithCode("online").
-func WithSchedule(name string) Option {
-	return func(o *options) error {
-		o.schedule = name
-		return nil
 	}
 }
 

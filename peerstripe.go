@@ -79,7 +79,7 @@ func Dial(ctx context.Context, contact string, opts ...Option) (*Client, error) 
 	if err != nil {
 		return nil, err
 	}
-	code, err := core.CodeFor(o.code, o.schedule)
+	code, err := core.CodeFor(o.code, "")
 	if err != nil {
 		return nil, fmt.Errorf("peerstripe: %w", err)
 	}

@@ -668,9 +668,6 @@ func TestDialOptionValidation(t *testing.T) {
 	if _, err := peerstripe.Dial(ctx, "127.0.0.1:1", peerstripe.WithCode("lrc")); err == nil {
 		t.Fatal("unknown code accepted")
 	}
-	if _, err := peerstripe.Dial(ctx, "127.0.0.1:1", peerstripe.WithCode("xor"), peerstripe.WithSchedule("windowed")); err == nil {
-		t.Fatal("schedule accepted for a code without the knob")
-	}
 	if _, err := peerstripe.Dial(ctx, "127.0.0.1:1", peerstripe.WithWorkers(-1)); err == nil {
 		t.Fatal("negative workers accepted")
 	}
