@@ -20,18 +20,28 @@ import (
 	"peerstripe/internal/multicast"
 	"peerstripe/internal/sim"
 	"peerstripe/internal/trace"
+	"peerstripe/internal/wire"
 )
 
 // TestMain prints the kernel dispatch decision ahead of benchmark runs
 // so captured `-bench` output (BENCH_PR*.json, bench-guard logs)
 // records which tier — and any PS_KERNELS override — produced the
-// numbers.
+// numbers. It fails a passing run in which a receive frame was
+// collected without Release, which is counted under the race detector
+// only (see wire.LeakedFrames).
 func TestMain(m *testing.M) {
 	flag.Parse()
 	if bench := flag.Lookup("test.bench"); bench != nil && bench.Value.String() != "" {
 		fmt.Printf("kernels: %s\n", erasure.KernelImpl())
 	}
-	os.Exit(m.Run())
+	code := m.Run()
+	if code == 0 {
+		if n := wire.LeakedFrames(); n > 0 {
+			fmt.Fprintf(os.Stderr, "FAIL: %d receive frames were collected without Release\n", n)
+			code = 1
+		}
+	}
+	os.Exit(code)
 }
 
 // benchScale is the population divisor used by the insertion benches.
@@ -51,7 +61,7 @@ func insertAll(b *testing.B, store func(name string, size int64)) {
 // PAST (whole-file placement).
 func BenchmarkFig7PAST(b *testing.B) {
 	sc := trace.Scaled(benchScale)
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		g := trace.NewGen(1)
 		pool := sim.NewPool(1, g.NodeCapacities(sc.Nodes))
 		p := baseline.NewPAST(pool)
@@ -63,7 +73,7 @@ func BenchmarkFig7PAST(b *testing.B) {
 // fixed blocks).
 func BenchmarkFig7CFS(b *testing.B) {
 	sc := trace.Scaled(benchScale)
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		g := trace.NewGen(1)
 		pool := sim.NewPool(1, g.NodeCapacities(sc.Nodes))
 		c := baseline.NewCFS(pool, 4*trace.MB)
@@ -76,7 +86,7 @@ func BenchmarkFig7CFS(b *testing.B) {
 // baselines this regenerates Figures 7-9 and Table 1.
 func BenchmarkFig7PeerStripe(b *testing.B) {
 	sc := trace.Scaled(benchScale)
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		g := trace.NewGen(1)
 		pool := sim.NewPool(1, g.NodeCapacities(sc.Nodes))
 		s := core.NewStore(pool, core.PaperConfig())
@@ -88,7 +98,7 @@ func BenchmarkFig7PeerStripe(b *testing.B) {
 // regenerates Figure 10 (XOR coding arm).
 func BenchmarkFig10Availability(b *testing.B) {
 	sc := trace.Scaled(benchScale)
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		g := trace.NewGen(2)
 		pool := sim.NewPool(2, g.NodeCapacities(sc.Nodes))
 		cfg := core.PaperConfig()
@@ -127,8 +137,7 @@ func benchEncode(b *testing.B, c erasure.Code) {
 	chunk := make([]byte, 4*trace.MB)
 	rng.Read(chunk)
 	b.SetBytes(4 * trace.MB)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := c.Encode(chunk); err != nil {
 			b.Fatal(err)
 		}
@@ -146,8 +155,7 @@ func BenchmarkTable2OnlineDecode(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.SetBytes(4 * trace.MB)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := c.Decode(blocks, len(chunk)); err != nil {
 			b.Fatal(err)
 		}
@@ -173,8 +181,7 @@ func BenchmarkTable2OnlineDecodeSched(b *testing.B) {
 			}
 			var inactivated int
 			b.SetBytes(4 * trace.MB)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				_, st, err := c.DecodeWithStats(blocks, len(chunk))
 				if err != nil {
 					b.Fatal(err)
@@ -196,8 +203,7 @@ func BenchmarkTable2OnlineRepair(b *testing.B) {
 	chunk := make([]byte, 4*trace.MB)
 	rng.Read(chunk)
 	b.SetBytes(4 * trace.MB)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		if _, err := c.FreshBlock(chunk, c.EncodedBlocks()+i); err != nil {
 			b.Fatal(err)
 		}
@@ -208,7 +214,7 @@ func BenchmarkTable2OnlineRepair(b *testing.B) {
 // Table 3 (20% of nodes failing).
 func BenchmarkTable3Churn(b *testing.B) {
 	sc := trace.Scaled(benchScale)
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		g := trace.NewGen(5)
 		pool := sim.NewPool(5, g.NodeCapacities(sc.Nodes))
 		cfg := core.PaperConfig()
@@ -230,7 +236,7 @@ func BenchmarkTable3Churn(b *testing.B) {
 // BenchmarkFig11Bullet measures a full dissemination at the paper's
 // 63-node, 1000-packet configuration (RanSub 8%).
 func BenchmarkFig11Bullet(b *testing.B) {
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		cfg := multicast.DefaultConfig()
 		cfg.Seed = int64(i + 1)
 		s := multicast.NewSim(multicast.BinaryTree(5), cfg)
@@ -243,7 +249,7 @@ func BenchmarkFig11Bullet(b *testing.B) {
 // BenchmarkFig12BulletWide measures dissemination at RanSub 16% (the
 // Figure 12 configuration).
 func BenchmarkFig12BulletWide(b *testing.B) {
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		cfg := multicast.DefaultConfig()
 		cfg.RanSubFrac = 0.16
 		cfg.Seed = int64(i + 1)
@@ -262,7 +268,7 @@ func BenchmarkTable4BigCopy(b *testing.B) {
 	for i, s := range sizes {
 		bytes[i] = s * trace.GB
 	}
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		c := grid.NewCluster(int64(i+1), 32)
 		rows := c.RunTable4(bytes)
 		if !rows[len(rows)-1].Varying.OK {
@@ -281,7 +287,7 @@ func BenchmarkAblationChunkCap(b *testing.B) {
 			name = "cap256MB"
 		}
 		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				g := trace.NewGen(6)
 				pool := sim.NewPool(6, g.NodeCapacities(sc.Nodes))
 				cfg := core.DefaultConfig()
@@ -317,8 +323,7 @@ func BenchmarkIOLibRead(b *testing.B) {
 	}
 	buf := make([]byte, 1*trace.MB)
 	b.SetBytes(int64(len(buf)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		off := int64(i%7) * trace.MB
 		if _, err := lib.ReadAt(fd, buf, off); err != nil {
 			b.Fatal(err)

@@ -285,7 +285,11 @@ func (f *File) WriteTo(w io.Writer) (int64, error) {
 	// that follow.
 	past := 2*(f.cat.FileSize()-f.pos) > f.cl.cache.max
 	var written int64
-	var buf []byte // this call's cold-chunk buffer, allocated on first use
+	// This call's cold-chunk buffer: taken from the client's recycler on
+	// first use, and given back when the call returns, when nothing
+	// views it any more (w must not keep what it is given).
+	var buf []byte
+	defer func() { f.cl.c.Recycle(buf) }()
 	for ci, row := range f.cat.Rows {
 		if row.End <= f.pos || row.Empty() {
 			continue
@@ -315,7 +319,7 @@ func (f *File) WriteTo(w io.Writer) (int64, error) {
 // streamChunk returns chunk ci's bytes for WriteTo. Unless the stream
 // reads past the cache, and for a chunk that is cached, being fetched
 // or promoted even then, they come through the shared cache, as a
-// scan's do. Any other chunk is decoded into *buf — made once, the
+// scan's do. Any other chunk is decoded into *buf — taken once, the
 // size of the largest chunk from ci on, then reused — and left out of
 // the cache, though counted in its misses and decodes as a leader's
 // fetch is.
@@ -328,7 +332,7 @@ func (f *File) streamChunk(ci int, buf *[]byte, past bool) ([]byte, error) {
 		for _, row := range f.cat.Rows[ci:] {
 			largest = max(largest, row.Len())
 		}
-		*buf = make([]byte, largest)
+		*buf = f.cl.c.Buffer(largest)
 	}
 	dst := (*buf)[:f.cat.Row(ci).Len()]
 	f.cl.cache.misses.Add(1)

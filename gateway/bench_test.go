@@ -38,8 +38,7 @@ func BenchmarkGatewayGet(b *testing.B) {
 	const objectSize = 4 << 20
 	url := benchGateway(b, objectSize)
 	b.SetBytes(objectSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		resp, err := http.Get(url)
 		if err != nil {
 			b.Fatal(err)
@@ -63,8 +62,7 @@ func BenchmarkGatewayGetRanged(b *testing.B) {
 	url := benchGateway(b, objectSize)
 	rng := rand.New(rand.NewSource(42))
 	b.SetBytes(span)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		off := rng.Int63n(objectSize - span)
 		req, _ := http.NewRequest(http.MethodGet, url, nil)
 		req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", off, off+span-1))

@@ -616,13 +616,22 @@ func (cd *Codec) decodeChunkParallel(ctx context.Context, file string, ci int, c
 
 	got := make([]erasure.Block, 0, m)
 	// The blocks in got are given back once this decode is over: no
-	// decoded chunk shares memory with the blocks it came from. Blocks
-	// still in flight on an early return land in the buffered channel
-	// unreleased, which costs their frames an allocation, nothing more.
+	// decoded chunk shares memory with the blocks it came from. Fetches
+	// still in flight on an early return complete into the buffered
+	// channel, and a goroutine that waits for them gives theirs back.
 	var held []Releaser
 	defer func() {
 		for _, rel := range held {
 			rel.Release()
+		}
+		if inflight > 0 {
+			go func(n int) {
+				for ; n > 0; n-- {
+					if rel := flights[<-results].rel; rel != nil {
+						rel.Release()
+					}
+				}
+			}(inflight)
 		}
 	}()
 	for {

@@ -317,7 +317,10 @@ func TestCodeFor(t *testing.T) {
 // means blocks already stored no longer decode to their bytes. Every
 // code also round-trips the chunk, and no code takes a schedule name:
 // a CAT records none, so an object encoded under one schedule and read
-// under another would decode to wrong bytes.
+// under another would decode to wrong bytes. A store encodes into a
+// recycled backing that holds whatever its last user left, so each
+// code encodes the chunk again into a larger, poisoned one and must
+// store the same bytes.
 func TestCodeForGolden(t *testing.T) {
 	chunk := randData(2028, 1<<20+123) // a padded tail for every n
 	cases := []struct {
@@ -338,13 +341,19 @@ func TestCodeForGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := sha256.New()
-		for _, b := range blocks {
-			binary.Write(h, binary.LittleEndian, int32(b.Index))
-			h.Write(b.Data)
-		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != tc.golden || len(blocks) != tc.blocks {
+		if got := hashBlocks(blocks); got != tc.golden || len(blocks) != tc.blocks {
 			t.Errorf("%s: %d blocks hashing %s, golden %d blocks %s", tc.code, len(blocks), got, tc.blocks, tc.golden)
+		}
+		dirty := bytes.Repeat([]byte{0xdb}, c.BackingLen(len(chunk))+4096)
+		reused, backing, err := c.EncodeInto(dirty, chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &backing[0] != &dirty[0] {
+			t.Errorf("%s: EncodeInto replaced a backing with room", tc.code)
+		}
+		if got := hashBlocks(reused); got != tc.golden || len(reused) != tc.blocks {
+			t.Errorf("%s: into a dirty backing, %d blocks hashing %s, golden %d blocks %s", tc.code, len(reused), got, tc.blocks, tc.golden)
 		}
 		got, err := c.Decode(blocks, len(chunk))
 		if err != nil || !bytes.Equal(got, chunk) {
@@ -356,4 +365,14 @@ func TestCodeForGolden(t *testing.T) {
 			}
 		}
 	}
+}
+
+// hashBlocks hashes each block's index and bytes, in order.
+func hashBlocks(blocks []erasure.Block) string {
+	h := sha256.New()
+	for _, b := range blocks {
+		binary.Write(h, binary.LittleEndian, int32(b.Index))
+		h.Write(b.Data)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }

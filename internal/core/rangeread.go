@@ -120,18 +120,27 @@ func (cd *Codec) readBlockRange(ctx context.Context, sys erasure.Systematic, fil
 		rel  Releaser
 	}
 	// Buffered to m: abandoned reads complete into the buffer, never
-	// leaking a goroutine past its fetch; their ranges stay unreleased,
-	// which costs their frames an allocation, nothing more. Every range
-	// taken from the channel is given back once the read is over: dst
-	// holds a copy or a rebuild, never a view.
+	// leaking a goroutine past its fetch. Every range is given back once
+	// the read is over — dst holds a copy or a rebuild, never a view —
+	// those of reads still pending on return by a goroutine that waits
+	// for them (the read's cancel stops them).
 	results := make(chan result, m)
 	var held []Releaser
+	pending := 0
 	defer func() {
 		for _, rel := range held {
 			rel.Release()
 		}
+		if pending > 0 {
+			go func(n int) {
+				for ; n > 0; n-- {
+					if res := <-results; res.rel != nil {
+						res.rel.Release()
+					}
+				}
+			}(pending)
+		}
 	}()
-	pending := 0
 	read := func(e int) {
 		pending++
 		go func() {

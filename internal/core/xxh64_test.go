@@ -197,7 +197,7 @@ var sumSink uint64
 func BenchmarkChunkSum(b *testing.B) {
 	data := xxPattern(1 << 20)
 	b.SetBytes(int64(len(data)))
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		sumSink += ChunkSum(data)
 	}
 }

@@ -52,6 +52,10 @@ type Code interface {
 	// recycles its coded output instead of allocating it per chunk.
 	// EncodeInto(nil, chunk) is Encode(chunk).
 	EncodeInto(backing, chunk []byte) ([]Block, []byte, error)
+	// BackingLen returns the bytes EncodeInto places in backing for a
+	// chunk of chunkLen, so a caller that recycles backings can pick
+	// one with room for them.
+	BackingLen(chunkLen int) int
 	// Decode reconstructs the chunk of length chunkLen from any
 	// sufficient subset of encoded blocks.
 	Decode(blocks []Block, chunkLen int) ([]byte, error)
@@ -203,11 +207,14 @@ func (c Null) Encode(chunk []byte) ([]Block, error) {
 
 // EncodeInto implements Code: the one block is a copy of the
 // chunk in backing.
-func (Null) EncodeInto(backing, chunk []byte) ([]Block, []byte, error) {
-	backing = sized(backing, len(chunk))
+func (c Null) EncodeInto(backing, chunk []byte) ([]Block, []byte, error) {
+	backing = sized(backing, c.BackingLen(len(chunk)))
 	copy(backing, chunk)
 	return []Block{{Index: 0, Data: backing}}, backing, nil
 }
+
+// BackingLen implements Code: the copy of the chunk.
+func (Null) BackingLen(chunkLen int) int { return chunkLen }
 
 // decodeFresh is Decode for a code whose decoder is DecodeInto: it
 // decodes into a fresh chunkLen bytes.
@@ -282,7 +289,7 @@ func (c *XOR) Encode(chunk []byte) ([]Block, error) {
 // then the padded tail.
 func (c *XOR) EncodeInto(backing, chunk []byte) ([]Block, []byte, error) {
 	bs := blockSize(len(chunk), c.n)
-	backing = sized(backing, bs+tailLen(len(chunk), c.n))
+	backing = sized(backing, c.BackingLen(len(chunk)))
 	parity := backing[:bs:bs]
 	data := splitViews(chunk, c.n, backing[bs:])
 	xorBlocksSet(parity, data)
@@ -292,6 +299,11 @@ func (c *XOR) EncodeInto(backing, chunk []byte) ([]Block, []byte, error) {
 	}
 	out = append(out, Block{Index: c.n, Data: parity})
 	return out, backing, nil
+}
+
+// BackingLen implements Code: the parity block and the padded tail.
+func (c *XOR) BackingLen(chunkLen int) int {
+	return blockSize(chunkLen, c.n) + tailLen(chunkLen, c.n)
 }
 
 // Decode implements Code: any n of the n+1 blocks reconstruct the chunk.

@@ -36,7 +36,7 @@ func within(b, backing []byte) bool {
 // into a backing left dirty by an earlier encode, too small, or nil,
 // the blocks are byte-identical, every block that is not a view of the
 // chunk lies inside the backing returned, and a backing with room is
-// used as it is rather than replaced.
+// used as it is rather than replaced. BackingLen is the room it uses.
 func TestEncodeIntoMatchesEncode(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, code := range codesUnderTest() {
@@ -50,6 +50,9 @@ func TestEncodeIntoMatchesEncode(t *testing.T) {
 			_, need, err := code.EncodeInto(nil, chunk)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if n := code.BackingLen(size); n != len(need) {
+				t.Fatalf("%s: BackingLen says %d bytes, EncodeInto uses %d", name, n, len(need))
 			}
 			dirty := bytes.Repeat([]byte{0xa5}, len(need)+17)
 			for _, tc := range []struct {

@@ -262,7 +262,7 @@ func BenchmarkXorInto4KB(b *testing.B) {
 	dst := make([]byte, 4096)
 	src := make([]byte, 4096)
 	b.SetBytes(4096)
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		xorInto(dst, src)
 	}
 }
@@ -271,7 +271,7 @@ func BenchmarkXorIntoScalar4KB(b *testing.B) {
 	dst := make([]byte, 4096)
 	src := make([]byte, 4096)
 	b.SetBytes(4096)
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		xorIntoScalar(dst, src)
 	}
 }
@@ -280,7 +280,7 @@ func BenchmarkXorIntoWords4KB(b *testing.B) {
 	dst := make([]byte, 4096)
 	src := make([]byte, 4096)
 	b.SetBytes(4096)
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		xorIntoWords(dst, src)
 	}
 }
@@ -296,7 +296,7 @@ func BenchmarkXorBlocks4KB(b *testing.B) {
 				srcs[i] = make([]byte, 4096)
 			}
 			b.SetBytes(int64(4096 * nsrc))
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				xorBlocks(dst, srcs)
 			}
 		})
@@ -310,7 +310,7 @@ func BenchmarkGFMulSet4KB(b *testing.B) {
 		src[i] = byte(i)
 	}
 	b.SetBytes(4096)
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		gfMulSet(dst, src, 0x53)
 	}
 }
@@ -322,7 +322,7 @@ func BenchmarkGFMulXor4KB(b *testing.B) {
 		src[i] = byte(i)
 	}
 	b.SetBytes(4096)
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		gfMulXor(dst, src, 0x53)
 	}
 }
@@ -334,7 +334,7 @@ func BenchmarkGFMulXorScalar4KB(b *testing.B) {
 		src[i] = byte(i)
 	}
 	b.SetBytes(4096)
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		gfMulXorScalar(dst, src, 0x53)
 	}
 }

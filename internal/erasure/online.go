@@ -328,10 +328,15 @@ func (c *Online) EncodeInto(backing, chunk []byte) ([]Block, []byte, error) {
 	return c.encodeWith(backing, chunk, c.auxPlan.get(c.auxMembers, c.n), c.checkPlan.get(c.checkComps, c.nPrime))
 }
 
+// BackingLen implements Code: the m check blocks and the padded tail.
+func (c *Online) BackingLen(chunkLen int) int {
+	return c.m*blockSize(chunkLen, c.n) + tailLen(chunkLen, c.n)
+}
+
 // encodeWith is EncodeInto over the given aux and check gather plans.
 func (c *Online) encodeWith(backing, chunk []byte, auxPlan, checkPlan *tilePlan) ([]Block, []byte, error) {
 	bs := blockSize(len(chunk), c.n)
-	backing = sized(backing, c.m*bs+tailLen(len(chunk), c.n))
+	backing = sized(backing, c.BackingLen(len(chunk)))
 	composite, auxBacking := c.buildComposite(chunk, bs, backing[c.m*bs:], auxPlan)
 	out := make([]Block, c.m)
 	dsts := make([][]byte, c.m)

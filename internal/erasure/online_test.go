@@ -356,8 +356,7 @@ func BenchmarkOnlineEncode4MB(b *testing.B) {
 	c := MustOnline(4096, OnlineOpts{})
 	chunk := randChunk(rng, 4<<20)
 	b.SetBytes(4 << 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := c.Encode(chunk); err != nil {
 			b.Fatal(err)
 		}
@@ -373,8 +372,7 @@ func BenchmarkOnlineDecode4MB(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.SetBytes(4 << 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := c.Decode(blocks, len(chunk)); err != nil {
 			b.Fatal(err)
 		}
@@ -386,8 +384,7 @@ func BenchmarkXOREncode4MB(b *testing.B) {
 	c := MustXOR(2)
 	chunk := randChunk(rng, 4<<20)
 	b.SetBytes(4 << 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := c.Encode(chunk); err != nil {
 			b.Fatal(err)
 		}

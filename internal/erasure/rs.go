@@ -87,7 +87,7 @@ func (c *RS) Encode(chunk []byte) ([]Block, error) {
 // then the padded tail.
 func (c *RS) EncodeInto(backing, chunk []byte) ([]Block, []byte, error) {
 	bs := blockSize(len(chunk), c.n)
-	backing = sized(backing, c.k*bs+tailLen(len(chunk), c.n))
+	backing = sized(backing, c.BackingLen(len(chunk)))
 	parity := backing[: c.k*bs : c.k*bs]
 	data := splitViews(chunk, c.n, backing[c.k*bs:])
 	out := make([]Block, 0, c.n+c.k)
@@ -109,6 +109,11 @@ func (c *RS) EncodeInto(backing, chunk []byte) ([]Block, []byte, error) {
 		}
 	}
 	return out, backing, nil
+}
+
+// BackingLen implements Code: the k parity blocks and the padded tail.
+func (c *RS) BackingLen(chunkLen int) int {
+	return c.k*blockSize(chunkLen, c.n) + tailLen(chunkLen, c.n)
 }
 
 // Decode implements Code: gather any n distinct blocks, invert the

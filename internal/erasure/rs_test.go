@@ -227,8 +227,7 @@ func BenchmarkRSEncode4MB(b *testing.B) {
 	c := MustRS(16, 4)
 	chunk := randChunk(rng, 4<<20)
 	b.SetBytes(4 << 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := c.Encode(chunk); err != nil {
 			b.Fatal(err)
 		}
@@ -246,8 +245,7 @@ func BenchmarkRSDecodeWorstCase4MB(b *testing.B) {
 	// Lose 4 data blocks: full matrix-inversion path.
 	sub := append([]Block{}, blocks[4:]...)
 	b.SetBytes(4 << 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := c.Decode(sub, len(chunk)); err != nil {
 			b.Fatal(err)
 		}

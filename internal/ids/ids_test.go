@@ -208,7 +208,7 @@ func TestShortAndString(t *testing.T) {
 }
 
 func BenchmarkFromName(b *testing.B) {
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		FromName("fileName_27_13")
 	}
 }
@@ -216,8 +216,7 @@ func BenchmarkFromName(b *testing.B) {
 func BenchmarkDist(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	x, y := Random(rng), Random(rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		_ = x.Dist(y)
 	}
 }

@@ -285,11 +285,12 @@ func TestChurnSelfHealingRing(t *testing.T) {
 		Inc:   servers[spare].Incarnation(),
 	}})
 	gp := wire.NewPool()
-	_, err := gp.CallCtx(context.Background(), seed, &wire.Request{Op: wire.OpGossip, Data: forged}, 0)
+	resp, err := gp.CallCtx(context.Background(), seed, &wire.Request{Op: wire.OpGossip, Data: forged}, 0)
 	gp.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
+	resp.Release()
 	waitChurn(t, 30*time.Second, "forged suspicion to be refuted", func() bool {
 		return servers[spare].Incarnation() >= 1
 	})

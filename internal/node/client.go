@@ -175,6 +175,10 @@ type Client struct {
 	// blockKey).
 	blockKeys [][]byte
 
+	// bufs recycles the large buffers of stores and streams from one
+	// operation to the next (see Buffer).
+	bufs recycler
+
 	mu   sync.RWMutex
 	ring []wire.NodeInfo
 }
@@ -344,7 +348,8 @@ func (c *Client) PruneRingCtx(ctx context.Context) (int, error) {
 	ring := c.Ring()
 	alive := make([]bool, len(ring))
 	core.ParallelJobsCtx(ctx, len(ring), c.transfers(), func(i int) error { //nolint:errcheck
-		if _, err := c.call(ctx, ring[i].Addr, &wire.Request{Op: wire.OpStat}); err == nil {
+		if resp, err := c.call(ctx, ring[i].Addr, &wire.Request{Op: wire.OpStat}); err == nil {
+			resp.Release()
 			alive[i] = true
 		}
 		return nil
@@ -673,53 +678,31 @@ type chunkSource interface {
 	release(chunk []byte)
 }
 
-// freeList recycles the large buffers of one store — chunk buffers, and
-// the backings chunks are encoded into (erasure.Code.EncodeInto) — from a
-// chunk whose uploads have finished to the next chunk. It holds at most
-// PipelineDepth of each, and nothing once the store returns. Kept for a
-// later store, a buffer would sit idle through the collections in
-// between, each of which counts it as live and lets the heap grow to
-// twice what is live: a sync.Pool shared across stores raised the
-// bigcopy benchmark's peak RSS by 30 %.
-type freeList chan []byte
+// Buffer returns a buffer of n bytes for an operation of the caller's
+// to use and give back with Recycle: one a finished operation of this
+// client gave back, when no collection has freed it since, or a new
+// one. Its contents are unspecified.
+func (c *Client) Buffer(n int64) []byte { return c.bufs.get(n) }
 
-// get returns a buffer of length n, recycled when the list holds one
-// with room and new otherwise. Its contents are unspecified.
-func (f freeList) get(n int64) []byte {
-	select {
-	case b := <-f:
-		if int64(cap(b)) >= n {
-			return b[:n]
-		}
-	default:
-	}
-	return make([]byte, n)
-}
+// Recycle gives b, from Buffer, back for the client's next operation.
+// The caller must hold no view of b once it does, and must recycle it
+// once at most; a buffer never recycled is simply collected.
+func (c *Client) Recycle(b []byte) { c.bufs.put(b) }
 
-// put gives b back for a later get. The caller must hold no view of it.
-func (f freeList) put(b []byte) {
-	select {
-	case f <- b:
-	default: // full: let it go
-	}
-}
-
-// readerSource reads each chunk from r into a buffer of its own,
-// recycled through a free list that lives for one store: with at most
-// PipelineDepth chunks in the pipeline it holds at most that many
-// buffers, and nothing is retained once the store returns.
+// readerSource reads each chunk from r into a buffer of its own, from
+// the client's recycler and given back to it at release.
 type readerSource struct {
 	r    io.Reader
-	free freeList
+	bufs *recycler
 }
 
 func (s *readerSource) next(want int64) ([]byte, error) {
-	buf := s.free.get(want)
+	buf := s.bufs.get(want)
 	_, err := io.ReadFull(s.r, buf)
 	return buf, err
 }
 
-func (s *readerSource) release(chunk []byte) { s.free.put(chunk) }
+func (s *readerSource) release(chunk []byte) { s.bufs.put(chunk) }
 
 // bytesSource slices chunks straight out of data the caller already
 // holds: no read, no copy, nothing to recycle.
@@ -749,7 +732,7 @@ func (*bytesSource) release([]byte) {}
 // consecutive-zero-chunk limit. Blocks larger than one wire segment
 // stream in bounded windowed segments.
 func (c *Client) StoreReader(ctx context.Context, name string, r io.Reader, plan []int64) (*core.CAT, error) {
-	return c.storeChunks(ctx, name, plan, 0, &readerSource{r: r, free: make(freeList, c.cfg.PipelineDepth)})
+	return c.storeChunks(ctx, name, plan, 0, &readerSource{r: r, bufs: &c.bufs})
 }
 
 // StoreBytes is StoreReader for an object already in memory: chunks are
@@ -773,7 +756,7 @@ func (c *Client) storeChunks(ctx context.Context, name string, plan []int64, siz
 	// encodedChunk is one planned chunk read, encoded, and ready to
 	// upload as the owner groups its probe found, whose parts hold the
 	// encoded blocks; coded is the backing they were encoded into, given
-	// back to codedBufs with the chunk.
+	// back to the client's recycler with the chunk.
 	type encodedChunk struct {
 		prefix string
 		groups []ownerGroup
@@ -791,7 +774,6 @@ func (c *Client) storeChunks(ctx context.Context, name string, plan []int64, siz
 	depth := c.cfg.PipelineDepth
 	inflight := make(chan struct{}, depth)
 	jobs := make(chan encodedChunk, depth)
-	codedBufs := make(freeList, depth)
 	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var prodErr error
@@ -864,7 +846,7 @@ func (c *Client) storeChunks(ctx context.Context, name string, plan []int64, siz
 					prodErr = fmt.Errorf("node: store %s: read chunk %d: %w", name, chunk, err)
 					return
 				}
-				ebs, coded, err := c.code.EncodeInto(codedBufs.get(0), data)
+				ebs, coded, err := c.code.EncodeInto(c.bufs.get(int64(c.code.BackingLen(int(want)))), data)
 				if err != nil {
 					src.release(data)
 					prodErr = fmt.Errorf("node: store %s: encode chunk %d: %w", name, chunk, err)
@@ -896,7 +878,7 @@ func (c *Client) storeChunks(ctx context.Context, name string, plan []int64, siz
 		// chunk when it goes back to the source.
 		upErr = c.storeGroups(ctx, job.prefix, job.groups)
 		src.release(job.data)
-		codedBufs.put(job.coded)
+		c.bufs.put(job.coded)
 		if upErr != nil {
 			cancel() // stop the producer promptly
 		}
@@ -1247,6 +1229,7 @@ func (c *Client) StatCtx(ctx context.Context, addr string) (capacity, used int64
 	if err != nil {
 		return 0, 0, 0, err
 	}
+	resp.Release() // the status extension in Data is not read here
 	return resp.Capacity, resp.Used, resp.Blocks, nil
 }
 

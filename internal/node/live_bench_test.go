@@ -42,8 +42,7 @@ func BenchmarkLiveStoreFile(b *testing.B) {
 	c := benchClient(b, seed)
 	data := benchData()
 	b.SetBytes(benchFileSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		name := fmt.Sprintf("bench-store-%d.dat", i)
 		if _, err := c.StoreFileCtx(context.Background(), name, data); err != nil {
 			b.Fatal(err)
@@ -64,8 +63,7 @@ func BenchmarkLiveFetchFile(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.SetBytes(benchFileSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		got, err := c.FetchFileCtx(context.Background(), "bench-fetch.dat")
 		if err != nil {
 			b.Fatal(err)
@@ -107,8 +105,7 @@ func BenchmarkLiveStoreStream(b *testing.B) {
 	data := benchData()
 	plan := core.PlanChunkSizes(benchFileSize, benchStreamChunk)
 	b.SetBytes(benchFileSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		name := fmt.Sprintf("bench-winstore-%d.dat", i)
 		if _, err := c.StoreReader(context.Background(), name, bytes.NewReader(data), plan); err != nil {
 			b.Fatal(err)
@@ -129,8 +126,7 @@ func BenchmarkLiveFetchStream(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.SetBytes(benchFileSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		got, err := c.FetchFileCtx(context.Background(), "bench-winfetch.dat")
 		if err != nil {
 			b.Fatal(err)

@@ -20,9 +20,20 @@ import (
 var testPool = wire.NewPool()
 
 // rpc is one direct round trip to the node at addr, the way a peer
-// makes it.
+// makes it. The response is the caller's own: its payloads are copied
+// out of the receive frame, which goes back to the pool.
 func rpc(addr string, req *wire.Request) (*wire.Response, error) {
-	return testPool.CallCtx(context.Background(), addr, req, 0)
+	resp, err := testPool.CallCtx(context.Background(), addr, req, 0)
+	if resp == nil {
+		return nil, err
+	}
+	own := &wire.Response{ID: resp.ID, OK: resp.OK, Err: resp.Err, Absent: resp.Absent,
+		Data: bytes.Clone(resp.Data), Capacity: resp.Capacity, Used: resp.Used, Blocks: resp.Blocks, Ring: resp.Ring}
+	for _, p := range resp.Parts {
+		own.Parts = append(own.Parts, wire.Part{Key: bytes.Clone(p.Key), Data: bytes.Clone(p.Data), Absent: p.Absent})
+	}
+	resp.Release()
+	return own, err
 }
 
 // startRing launches n in-process TCP nodes and returns them with the

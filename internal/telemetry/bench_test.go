@@ -14,7 +14,7 @@ import (
 func BenchmarkCounterAdd(b *testing.B) {
 	c := NewRegistry().Counter("bench_total", "bench")
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		c.Add(1)
 	}
 }
@@ -23,7 +23,7 @@ func BenchmarkCounterAddNoop(b *testing.B) {
 	var r *Registry
 	c := r.Counter("bench_total", "bench")
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		c.Add(1)
 	}
 }
@@ -31,7 +31,7 @@ func BenchmarkCounterAddNoop(b *testing.B) {
 func BenchmarkHistogramObserve(b *testing.B) {
 	h := NewRegistry().Histogram("bench_seconds", "bench")
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		h.Observe(int64(i) * 31)
 	}
 }
@@ -40,7 +40,7 @@ func BenchmarkHistogramObserveNoop(b *testing.B) {
 	var r *Registry
 	h := r.Histogram("bench_seconds", "bench")
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		h.Observe(int64(i) * 31)
 	}
 }
@@ -50,7 +50,7 @@ func BenchmarkHistogramObserveNoop(b *testing.B) {
 func BenchmarkBareAtomicAdd(b *testing.B) {
 	var v atomic.Int64
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		v.Add(1)
 	}
 }
@@ -77,8 +77,7 @@ func BenchmarkSnapshot(b *testing.B) {
 		}
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		r.Snapshot()
 	}
 }
@@ -93,8 +92,7 @@ func BenchmarkWritePrometheus(b *testing.B) {
 		}
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		WritePrometheus(discard{}, r) //nolint:errcheck
 	}
 }

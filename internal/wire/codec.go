@@ -391,6 +391,8 @@ func readRequestV2(r io.Reader, req *Request) error {
 	req.frame = f
 	if len(req.Data) == 0 && len(req.Parts) == 0 {
 		req.Release() // nothing views the frame
+	} else {
+		f.watch()
 	}
 	return nil
 }
@@ -473,6 +475,8 @@ func readResponseV2(r io.Reader, resp *Response) error {
 	resp.frame = f
 	if len(resp.Data) == 0 && partBytes(resp.Parts) == 0 {
 		resp.Release() // nothing views the frame
+	} else {
+		f.watch()
 	}
 	return nil
 }

@@ -136,13 +136,17 @@ func FuzzWireFrame(f *testing.F) {
 		gotGroupResp.Release()
 
 		// 2. Raw garbage: the fuzz bytes as-is must never panic in
-		// either reader, plain or buffered.
+		// either reader, plain or buffered. What decodes is released.
 		var junk Request
 		_ = readRequestV2(bytes.NewReader(data), &junk)
+		junk.Release()
 		_ = readRequestV2(bufio.NewReader(bytes.NewReader(data)), &junk)
+		junk.Release()
 		var junkResp Response
 		_ = readResponseV2(bytes.NewReader(data), &junkResp)
+		junkResp.Release()
 		_ = readResponseV2(bufio.NewReader(bytes.NewReader(data)), &junkResp)
+		junkResp.Release()
 
 		// 3. Forged header over the fuzz body: whatever length the
 		// header claims, decoding must not panic and must not
@@ -162,8 +166,11 @@ func FuzzWireFrame(f *testing.F) {
 			}
 		}
 		allocBound("readRequestV2", func() error { return readRequestV2(bytes.NewReader(forged), &junk) })
+		junk.Release()
 		allocBound("readResponseV2", func() error { return readResponseV2(bytes.NewReader(forged), &junkResp) })
+		junkResp.Release()
 		_ = readRequestV2(bufio.NewReader(bytes.NewReader(forged)), &junk)
+		junk.Release()
 	})
 }
 

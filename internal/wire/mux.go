@@ -226,9 +226,9 @@ type muxConn struct {
 // callSlot is the state one call waits on: the channel the read loop
 // delivers its response on and the timer bounding the wait. A muxConn
 // recycles slots from call to call, so a round trip allocates neither.
-// With Go 1.23 timer semantics (go.mod's go line) Stop and Reset leave
-// no stale tick in the timer's channel, so a re-armed timer fires only
-// for its own call.
+// With the timer semantics of Go 1.23 and later (go.mod's go line)
+// Stop and Reset leave no stale tick in the timer's channel, so a
+// re-armed timer fires only for its own call.
 type callSlot struct {
 	ch    chan *Response // buffered: the read loop never waits on a caller
 	timer *time.Timer
@@ -285,11 +285,15 @@ func (m *muxConn) retireLocked(s *callSlot) {
 
 // abandon ends a call that stopped waiting (cancel or timeout) without
 // taking its response. The read loop deletes an entry under m.mu and
-// sends on its channel after unlocking, so a late response may still be
-// on its way to the slot: it is never reused, only dropped.
+// sends on its channel after unlocking, so when the entry is already
+// gone a late response is on its way to the slot: abandon waits for
+// that send, which does not block, and releases the response. The slot
+// is never reused, only dropped.
 func (m *muxConn) abandon(id uint64, s *callSlot) {
 	s.timer.Stop()
-	m.forget(id)
+	if !m.forget(id) {
+		(<-s.ch).Release()
+	}
 }
 
 func (m *muxConn) fail(err error) {
@@ -311,10 +315,14 @@ func (m *muxConn) dead() bool {
 	}
 }
 
-func (m *muxConn) forget(id uint64) {
+// forget deletes call id's entry and reports whether it was still
+// pending, that is, whether the read loop had not taken it.
+func (m *muxConn) forget(id uint64) bool {
 	m.mu.Lock()
+	_, pending := m.pending[id]
 	delete(m.pending, id)
 	m.mu.Unlock()
+	return pending
 }
 
 func (m *muxConn) call(ctx context.Context, addr string, req *Request, timeout time.Duration) (*Response, error) {
@@ -360,16 +368,14 @@ func (m *muxConn) call(ctx context.Context, addr string, req *Request, timeout t
 		m.abandon(id, s)
 		return nil, fmt.Errorf("wire: %s to %s: %w", req.Op, addr, ctx.Err())
 	case <-m.done:
-		// The response may have been delivered just before the
+		// The response may have been taken just before the
 		// connection died; prefer it. A dead connection takes no more
 		// calls, so its slots are not retired.
 		s.timer.Stop()
-		select {
-		case resp := <-s.ch:
+		if !m.forget(id) {
+			resp := <-s.ch
 			return resp, respError(req.Op, resp)
-		default:
 		}
-		m.forget(id)
 		m.mu.Lock()
 		err := m.err
 		m.mu.Unlock()
@@ -389,7 +395,9 @@ func (m *muxConn) call(ctx context.Context, addr string, req *Request, timeout t
 // may carry it, but a handler that keeps the bytes must copy them. The
 // same holds for Parts, the slice and every Key and Data in it. The
 // strings and the Names slice are the handler's own to keep. The
-// response is only read, so a handler may return a shared one.
+// response is only read, so a handler may return a shared one; one a
+// Pool call returned — a proxy forwarding an answer — hands its receive
+// frame to Serve, which releases it once the response is written.
 type Handler func(*Request) *Response
 
 // Serve speaks the server side of the protocol on conn until the peer
@@ -471,6 +479,7 @@ func (sc *serveConn) work(w *serveWorker) {
 		_ = writeResponseV2(sc.conn, w.req.ID, resp)
 		sc.wmu.Unlock()
 		w.req.Release()
+		releaseFrame(&resp.frame) // a forwarded response's, once sent
 		// Let the request's fields go before idling, but keep a small
 		// parts list for the worker's next group.
 		parts := w.req.Parts

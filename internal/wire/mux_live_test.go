@@ -116,6 +116,7 @@ func TestLiveMuxNoCrossedResponses(t *testing.T) {
 						crossed.Add(1)
 						firstBad.CompareAndSwap(nil, fmt.Sprintf("got %.40q, want %.40q", resp.Data, want))
 					}
+					resp.Release()
 				case errors.Is(err, context.Canceled),
 					// The call's own deadline: waiting for the answer, or
 					// redialing (dial, handshake) after the kill.

@@ -95,6 +95,7 @@ func checkGolden(t *testing.T, op Op, resp *Response, err error) {
 	if err != nil {
 		t.Fatalf("%s: %v", op, err)
 	}
+	defer resp.Release()
 	if !resp.OK {
 		t.Fatalf("%s: not OK: %s", op, resp.Err)
 	}
@@ -263,6 +264,7 @@ func TestPoolMultiplexesOneConnection(t *testing.T) {
 			if string(resp.Data) != "r:"+name {
 				errs[i] = fmt.Errorf("demux mismatch: got %q", resp.Data)
 			}
+			resp.Release()
 		}(i)
 	}
 	wg.Wait()
@@ -300,6 +302,7 @@ func TestPoolPerRequestDeadline(t *testing.T) {
 	if err != nil || string(resp.Data) != "fast" {
 		t.Fatalf("connection poisoned after timeout: %v", err)
 	}
+	resp.Release()
 }
 
 // TestPoolSurvivesPeerRestart kills the peer's listener and sockets
@@ -452,8 +455,14 @@ func TestFrameSteadyStateAllocs(t *testing.T) {
 		}
 		got.Release()
 	})
-	if v2reads > 5 {
-		t.Fatalf("readRequestV2 allocates %.0f/op, want <= 5", v2reads)
+	// Under the race detector, the leak watch on a frame a message
+	// holds allocates its cleanup (see LeakedFrames).
+	want := 5.0
+	if raceEnabled {
+		want++
+	}
+	if v2reads > want {
+		t.Fatalf("readRequestV2 allocates %.0f/op, want <= %.0f", v2reads, want)
 	}
 }
 

@@ -17,7 +17,9 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"peerstripe/internal/ids"
@@ -170,7 +172,10 @@ const maxPooledFrame = DefaultSegment + frameHeaderSlack
 // doubles when it grows — which takes a buffer that must hold one
 // segment and its header to two segments, past maxPooledFrame — a
 // frameBuf can be grown to an exact size.
-type frameBuf struct{ b []byte }
+type frameBuf struct {
+	leak leakWatch // first: empty without the race detector, it then takes no room
+	b    []byte
+}
 
 // reserve makes room for n more bytes of a frame of size bytes. A new
 // backing array has no capacity to spare, except when the room
@@ -221,11 +226,42 @@ func releaseFrame(f **frameBuf) {
 	}
 	*f = nil
 	if raceEnabled {
+		buf.unwatch()
 		for i := range buf.b {
 			buf.b[i] = poisonByte
 		}
 	}
 	putFrameBuf(buf)
+}
+
+// leakedFrames counts the frames collected while a message held them
+// (see leakWatch).
+var leakedFrames atomic.Int64
+
+// LeakedFrames runs the collector and returns how many receive frames
+// have been collected while a Request or Response held them: handed
+// out with a payload and never released. Frames are watched only under
+// the race detector; without it LeakedFrames returns 0 at once. A test
+// binary calls it once its tests have run, to assert that every frame
+// went back.
+func LeakedFrames() int64 {
+	if !raceEnabled {
+		return 0
+	}
+	// One goroutine runs cleanups, a batch at a time. The first
+	// collection queues the cleanups of the frames it frees with the
+	// first marker's; the second marker's runs in a later batch, after
+	// all of them.
+	for i := 0; i < 2; i++ {
+		done := make(chan struct{})
+		runtime.AddCleanup(new([64]byte), func(ch chan struct{}) { close(ch) }, done)
+		runtime.GC()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+		}
+	}
+	return leakedFrames.Load()
 }
 
 // readFrame reads one length-prefixed frame body into a pooled buffer

@@ -29,6 +29,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		got.Node.ID != req.Node.ID || got.Node.Addr != req.Node.Addr {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
+	got.Release()
 }
 
 func TestFrameMultipleSequential(t *testing.T) {
@@ -128,4 +129,5 @@ func TestFrameLargePayload(t *testing.T) {
 	if !bytes.Equal(got.Data, data) {
 		t.Fatal("large payload corrupted")
 	}
+	got.Release()
 }
