@@ -5,6 +5,7 @@ import (
 	"context"
 	"io"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -24,7 +25,8 @@ func totalFetchOps(servers []*node.Server) int64 {
 // racing over one cold multi-chunk file through a single handle must
 // fetch and decode each chunk exactly once. With the null code every
 // chunk is one block, so the server-side fetch counters give an exact
-// bound: one fetch per chunk plus the single hot-marker probe.
+// bound: one fetch per chunk (the hot marker came with the CAT, in
+// Open).
 func TestColdChunkSingleflight(t *testing.T) {
 	servers, seed := testRing(t, 3, 1<<30)
 	c := dialTest(t, seed,
@@ -72,9 +74,9 @@ func TestColdChunkSingleflight(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// chunks block fetches + 1 probe of the absent promotion marker.
-	if delta := totalFetchOps(servers) - base; delta != chunks+1 {
-		t.Errorf("herd of 64 cost %d fetches, want %d (one per chunk + marker probe)", delta, chunks+1)
+	// chunks block fetches, and no probe of the absent promotion marker.
+	if delta := totalFetchOps(servers) - base; delta != chunks {
+		t.Errorf("herd of 64 cost %d fetches, want %d (one per chunk)", delta, chunks)
 	}
 	st := c.CacheStats()
 	if st.Decodes != chunks {
@@ -195,8 +197,8 @@ func TestPromoteReplicaReads(t *testing.T) {
 	}
 
 	// A fresh client (empty cache) reading the promoted file costs one
-	// replica block per chunk plus the marker probe — not the xor
-	// decode wave of two blocks per chunk.
+	// replica block per chunk — not the xor decode wave of two blocks
+	// per chunk. The marker came with the CAT, in Open.
 	hot := dialTest(t, seed, peerstripe.WithCode("xor"), peerstripe.WithChunkCap(chunk))
 	fh, err := hot.Open(ctx, "hot.dat")
 	if err != nil {
@@ -208,8 +210,8 @@ func TestPromoteReplicaReads(t *testing.T) {
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("promoted read: %v", err)
 	}
-	if delta := totalFetchOps(servers) - base; delta != chunks+1 {
-		t.Errorf("promoted read cost %d fetches, want %d (one replica per chunk + marker)", delta, chunks+1)
+	if delta := totalFetchOps(servers) - base; delta != chunks {
+		t.Errorf("promoted read cost %d fetches, want %d (one replica per chunk)", delta, chunks)
 	}
 
 	if err := c.Demote(ctx, "hot.dat"); err != nil {
@@ -226,16 +228,17 @@ func TestPromoteReplicaReads(t *testing.T) {
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("demoted read: %v", err)
 	}
-	// Back on the decode path: two xor blocks per chunk, plus the
-	// (now absent) marker probe.
-	if delta := totalFetchOps(servers) - base; delta != 2*chunks+1 {
-		t.Errorf("demoted read cost %d fetches, want %d (xor decode wave + marker probe)", delta, 2*chunks+1)
+	// Back on the decode path: two xor blocks per chunk, and no
+	// marker probe.
+	if delta := totalFetchOps(servers) - base; delta != 2*chunks {
+		t.Errorf("demoted read cost %d fetches, want %d (xor decode wave)", delta, 2*chunks)
 	}
 }
 
 // TestStoreDemotesStaleReplicas pins that re-storing a promoted name
-// drops the old plaintext replicas: a later read must see the new
-// bytes, never a stale hot copy.
+// demotes it for readers: a later read must see the new bytes, never a
+// stale hot copy, although the store itself left the old marker and
+// replicas for the first Open to reclaim.
 func TestStoreDemotesStaleReplicas(t *testing.T) {
 	_, seed := testRing(t, 4, 1<<30)
 	const chunk = 64 << 10
@@ -257,8 +260,8 @@ func TestStoreDemotesStaleReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A fresh client must get v2 — the marker is gone, so nothing
-	// routes reads at leftover v1 replicas.
+	// A fresh client must get v2 — the marker names v1's CAT, so
+	// nothing routes reads at leftover v1 replicas.
 	c2 := dialTest(t, seed, peerstripe.WithCode("xor"), peerstripe.WithChunkCap(chunk))
 	f, err := c2.Open(ctx, "restore.dat")
 	if err != nil {
@@ -268,5 +271,38 @@ func TestStoreDemotesStaleReplicas(t *testing.T) {
 	got, err := io.ReadAll(f)
 	if err != nil || !bytes.Equal(got, v2) {
 		t.Fatalf("read after re-store: equal-to-v2=%v err=%v", bytes.Equal(got, v2), err)
+	}
+}
+
+// TestStoreMakesNoMarkerTraffic pins that a store of a name that was
+// never promoted reads nothing and fails no call: no probe for a hot
+// marker that was never written, which used to end every store with a
+// failed fetch. A stale marker is reclaimed by the first Open instead.
+func TestStoreMakesNoMarkerTraffic(t *testing.T) {
+	servers, seed := testRing(t, 4, 1<<30)
+	c := dialTest(t, seed, peerstripe.WithCode("xor"), peerstripe.WithChunkCap(64<<10))
+	data := make([]byte, 3*64<<10)
+	rand.New(rand.NewSource(17)).Read(data)
+	ctx := context.Background()
+	callErrors := func() int64 {
+		var n int64
+		for name, v := range c.Metrics().Counters {
+			if strings.HasPrefix(name, "ps_client_call_errors_total") {
+				n += v
+			}
+		}
+		return n
+	}
+	for i := 0; i < 2; i++ { // a first store, then an overwrite
+		fetches, errs := totalFetchOps(servers), callErrors()
+		if _, err := c.StoreBytes(ctx, "quiet.dat", data); err != nil {
+			t.Fatal(err)
+		}
+		if n := totalFetchOps(servers) - fetches; n != 0 {
+			t.Errorf("store %d read %d blocks, want 0", i, n)
+		}
+		if n := callErrors() - errs; n != 0 {
+			t.Errorf("store %d failed %d calls, want 0", i, n)
+		}
 	}
 }

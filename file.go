@@ -75,25 +75,33 @@ type File struct {
 
 	closed atomic.Bool
 
-	// Hot-promotion state, resolved lazily on the first chunk miss:
-	// promoted files serve chunk reads from full-copy replicas (one
-	// block, no decode) with the coded blocks as fallback.
-	hotMu      sync.Mutex
-	hotChecked bool
-	hotCopies  int
-	hotNext    atomic.Uint32 // rotates reads across the replica set
+	// hot is the full-copy replica count per chunk of a promoted file,
+	// resolved at Open from the marker read with the CAT: its chunk
+	// reads come from the replicas (one block, no decode) with the
+	// coded blocks as fallback. 0 reads the coded path.
+	hot     int
+	hotNext atomic.Uint32 // rotates reads across the replica set
 }
 
-// Open loads the named file's chunk allocation table and returns a
-// handle for ranged reads. The file's bytes are fetched lazily, chunk
-// by chunk, as reads demand them. ctx bounds the open and every
-// subsequent read on the returned File.
+// Open loads the named file's chunk allocation table, and in the same
+// exchange its hot-promotion marker, and returns a handle for ranged
+// reads. The file's bytes are fetched lazily, chunk by chunk, as reads
+// demand them. ctx bounds the open and every subsequent read on the
+// returned File.
+//
+// The marker is trusted only when it is bound to the CAT just loaded.
+// One left behind by a re-store names the old layout: the handle reads
+// the coded path, and Open starts reclaiming the stale replicas in the
+// background (see Client.reclaim).
 func (c *Client) Open(ctx context.Context, name string) (*File, error) {
-	cat, err := c.c.LoadCATCtx(ctx, name)
+	cat, hot, err := c.c.LoadCATHotCtx(ctx, name)
 	if err != nil {
 		return nil, fmt.Errorf("peerstripe: open %q: %w", name, err)
 	}
-	f := &File{cl: c, ctx: ctx, cat: cat, name: name, ver: cat.Hash()}
+	if hot.Stale(cat) {
+		c.reclaim(ctx, cat, hot.Copies)
+	}
+	f := &File{cl: c, ctx: ctx, cat: cat, name: name, ver: cat.Hash(), hot: hot.For(cat)}
 	f.next.Store(-1)
 	return f, nil
 }
@@ -129,27 +137,6 @@ func (f *File) readable() error {
 	return f.ctx.Err()
 }
 
-// hotReplicas resolves (once per handle) how many full-copy chunk
-// replicas the file was promoted with; 0 means read the coded path.
-// The marker is trusted only when it is bound to this handle's CAT
-// hash — a marker left behind by a failed demote after a re-store
-// names the old layout and is ignored, so stale replica bytes are
-// never routed to readers of the new one. The probe is lazy — it
-// costs one marker fetch, paid only when a chunk actually misses the
-// shared cache — and failures degrade to the coded path instead of
-// failing the read.
-func (f *File) hotReplicas() int {
-	f.hotMu.Lock()
-	defer f.hotMu.Unlock()
-	if !f.hotChecked {
-		if copies, catHash, err := f.cl.c.HotCopiesCtx(f.ctx, f.name); err == nil && catHash == f.ver {
-			f.hotCopies = copies
-		}
-		f.hotChecked = true
-	}
-	return f.hotCopies
-}
-
 // fetchChunk is the singleflight leader's path for one cold chunk:
 // try the promoted full-copy replicas (one block fetch, no decode,
 // rotating across the replica set so a herd fans out), then fall back
@@ -159,7 +146,7 @@ func (f *File) hotReplicas() int {
 // bytes.
 func (f *File) fetchChunk(ci int) ([]byte, error) {
 	row := f.cat.Row(ci)
-	if copies := f.hotReplicas(); copies > 0 {
+	if copies := f.hot; copies > 0 {
 		start := int(f.hotNext.Add(1))
 		for k := 0; k < copies; k++ {
 			r := 1 + (start+k)%copies
@@ -191,7 +178,7 @@ func (f *File) chunk(ci int) ([]byte, error) {
 // a piece that is the whole chunk, and a piece of a chunk that is
 // cached or already being fetched go through the shared cache; any
 // other piece under a systematic code moves block ranges and leaves
-// the cache — and the hot-promotion marker — alone.
+// the cache and any hot replicas alone.
 func (f *File) readPiece(dst []byte, ci int, lo int64, scan bool) error {
 	if f.cl.ranged && !scan && int64(len(dst)) < f.cat.Row(ci).Len() && !f.cl.cache.known(f.name, f.ver, ci) {
 		return f.cl.c.FetchChunkRange(f.ctx, f.cat, ci, lo, dst)
@@ -324,7 +311,7 @@ func (f *File) WriteTo(w io.Writer) (int64, error) {
 // the cache, though counted in its misses and decodes as a leader's
 // fetch is.
 func (f *File) streamChunk(ci int, buf *[]byte, past bool) ([]byte, error) {
-	if !past || f.cl.cache.known(f.name, f.ver, ci) || f.hotReplicas() > 0 {
+	if !past || f.cl.cache.known(f.name, f.ver, ci) || f.hot > 0 {
 		return f.chunk(ci)
 	}
 	if *buf == nil {

@@ -3,8 +3,10 @@ package peerstripe
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,14 +15,14 @@ import (
 )
 
 // TestStaleHotMarkerIgnoredAfterRestore pins the content binding of
-// hot promotion: when a re-store's best-effort demote never runs (here
-// simulated by re-storing through the internal client, which is
-// exactly the state a failed demote leaves), the surviving .HOT marker
-// and full-copy replicas still describe the OLD bytes. The new layout
-// has identical chunk extents — every stale replica matches the new
-// chunk lengths — so before markers were bound to the CAT's content
-// hash, readers served the old bytes. They must fall back to the
-// coded path and return the new ones.
+// hot promotion: a re-store sends no marker traffic, so the .HOT marker
+// and full-copy replicas survive it and still describe the OLD bytes
+// (here the re-store goes through the internal client, which also
+// skips the cache invalidation). The new layout has identical chunk
+// extents — every stale replica matches the new chunk lengths — so
+// before markers were bound to the CAT's content hash, readers served
+// the old bytes. They must fall back to the coded path and return the
+// new ones, and the first such Open must reclaim the stale replicas.
 func TestStaleHotMarkerIgnoredAfterRestore(t *testing.T) {
 	var servers []*node.Server
 	seed := ""
@@ -80,31 +82,63 @@ func TestStaleHotMarkerIgnoredAfterRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The stale marker must still be there (the premise of the test)…
-	copies, _, err := c.c.HotCopiesCtx(ctx, "stale.dat")
-	if err != nil || copies != 2 {
-		t.Fatalf("stale marker gone (copies=%d, err=%v); test premise broken", copies, err)
+	// The stale marker must still be there, read with the CAT it no
+	// longer matches (the premise of the test)…
+	cat, hot, err := c.c.LoadCATHotCtx(ctx, "stale.dat")
+	if err != nil || hot.Copies != 2 || !hot.Stale(cat) || hot.For(cat) != 0 {
+		t.Fatalf("stale marker gone or not stale (%+v, err=%v); test premise broken", hot, err)
 	}
 
-	// …and a fresh client must read v2 regardless.
+	// …and readers on a fresh client, opening at once, must read v2
+	// regardless.
 	c2, err := Dial(ctx, seed, WithCode("xor"), WithChunkCap(chunk))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	f, err := c2.Open(ctx, "stale.dat")
-	if err != nil {
-		t.Fatal(err)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f, err := c2.Open(ctx, "stale.dat")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer f.Close()
+			got, err := io.ReadAll(f)
+			switch {
+			case err != nil:
+				t.Error(err)
+			case bytes.Equal(got, v1):
+				t.Error("read served stale hot replicas of the old bytes")
+			case !bytes.Equal(got, v2):
+				t.Error("read matches neither version")
+			}
+		}()
 	}
-	defer f.Close()
-	got, err := io.ReadAll(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(got, v1) {
-		t.Fatal("read served stale hot replicas of the old bytes")
-	}
-	if !bytes.Equal(got, v2) {
-		t.Fatal("read matches neither version")
+	wg.Wait()
+
+	// …and an Open that read the stale marker reclaims it and the
+	// replicas it names in the background.
+	deadline = time.Now().Add(10 * time.Second)
+	for {
+		_, hot, err := c.c.LoadCATHotCtx(ctx, "stale.dat")
+		left := 0
+		for ci := 0; ci < cat.NumChunks(); ci++ {
+			for r := 1; r <= 2; r++ {
+				if _, err := c.c.FetchChunkCopy(ctx, "stale.dat", ci, r); !errors.Is(err, node.ErrNotFound) {
+					left++
+				}
+			}
+		}
+		if err == nil && hot == (node.HotMarker{}) && left == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stale promotion not reclaimed: marker %+v (err %v), %d replicas left", hot, err, left)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -67,10 +67,14 @@ func ReplicaName(name string, r int) string {
 
 // HotSuffix is appended to a file name to name its hot-promotion
 // marker: a tiny block recording how many full-copy replicas of each
-// chunk were placed when the file was promoted for hot reads. Readers
-// that find the marker fetch chunk replicas (one block, no decode)
-// instead of erasure-decoding; the replicas live at
-// ReplicaName(ChunkName(file, ci), 1..copies).
+// chunk were placed when the file was promoted for hot reads, and the
+// hash of the CAT they were cut from. Readers that find the marker
+// fetch chunk replicas (one block, no decode) instead of
+// erasure-decoding; the replicas live at
+// ReplicaName(ChunkName(file, ci), 1..copies). The marker is stored on
+// the owner of the file's CAT (replica 0), not on its own name's, so
+// one exchange reads both; HotSuffix is as long as CATSuffix, so a
+// marker's placement key is its name with the suffix swapped.
 const HotSuffix = ".HOT"
 
 // HotName returns the name under which the file's hot-promotion

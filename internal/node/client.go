@@ -395,11 +395,15 @@ func (c *Client) setRing(ring []wire.NodeInfo) {
 	c.mu.Unlock()
 }
 
-// ownerAddr resolves the node responsible for a name.
+// ownerAddr resolves the node responsible for a name (see placeKey).
 func (c *Client) ownerAddr(name string) (string, error) {
-	c.mu.RLock()
-	owner, err := OwnerOf(c.ring, ids.FromName(name))
-	c.mu.RUnlock()
+	var nb [256]byte
+	return c.keyOwner(placeKey(append(nb[:0], name...)))
+}
+
+// keyOwner resolves the node responsible for a placement key.
+func (c *Client) keyOwner(key []byte) (string, error) {
+	owner, err := OwnerOf(c.view(), ids.FromBytes(key))
 	if err != nil {
 		return "", fmt.Errorf("%w: %v", ErrRingUnavailable, err)
 	}
@@ -900,12 +904,23 @@ func (c *Client) storeChunks(ctx context.Context, name string, plan []int64, siz
 // storeCAT places the CAT and its replicas (§4.4) in parallel.
 func (c *Client) storeCAT(ctx context.Context, cat *core.CAT) error {
 	catData := cat.Marshal()
-	return core.ParallelJobsCtx(ctx, c.cfg.CATReplicas+1, c.transfers(), func(r int) error {
-		if err := c.storeBlock(ctx, core.ReplicaName(core.CATName(cat.File), r), catData); err != nil {
+	names := catReplicaNames(cat.File, c.cfg.CATReplicas)
+	return core.ParallelJobsCtx(ctx, len(names), c.transfers(), func(r int) error {
+		if err := c.storeBlock(ctx, names[r], catData); err != nil {
 			return fmt.Errorf("node: store CAT replica %d: %w", r, err)
 		}
 		return nil
 	})
+}
+
+// catReplicaNames returns the names of the file's CAT replicas 0..n.
+func catReplicaNames(file string, n int) []string {
+	names := make([]string, n+1)
+	names[0] = core.CATName(file)
+	for r := 1; r <= n; r++ {
+		names[r] = core.ReplicaName(names[0], r)
+	}
+	return names
 }
 
 // LoadCAT fetches and parses the file's CAT; see LoadCATCtx.
@@ -913,15 +928,37 @@ func (c *Client) LoadCAT(name string) (*core.CAT, error) {
 	return c.LoadCATCtx(context.Background(), name)
 }
 
-// LoadCATCtx fetches and parses the file's CAT, falling back through
-// the replicas (§4.4). When every replica is reported absent by a live
-// owner the error matches ErrNotFound; transport failures propagate
-// as-is so callers can tell a missing file from an unreachable ring.
+// LoadCATCtx fetches and parses the file's CAT; see LoadCATHotCtx,
+// which reads the hot marker with it.
 func (c *Client) LoadCATCtx(ctx context.Context, name string) (*core.CAT, error) {
-	var lastErr error
-	allMissing := true
-	for r := 0; r <= c.cfg.CATReplicas; r++ {
-		data, rel, err := c.fetchBlockView(ctx, core.ReplicaName(core.CATName(name), r), nil)
+	cat, _, err := c.LoadCATHotCtx(ctx, name)
+	return cat, err
+}
+
+// catHotKeys are the keys of CAT replica 0 and the hot marker in the
+// group that reads both, whose prefix is the file's name.
+var catHotKeys = [2][]byte{[]byte(core.CATSuffix), []byte(core.HotSuffix)}
+
+// LoadCATHotCtx fetches and parses the file's CAT and reads its hot
+// marker in the same exchange: the marker lives beside CAT replica 0
+// (see placeKey), so one OpFetch group to that owner asks for both,
+// and an absent marker is an absent part, not a failed call. When
+// replica 0 cannot be read the load falls back through the other
+// replicas (§4.4), one fetch each, and the marker is unknown. When
+// every replica is reported absent by a live owner the error matches
+// ErrNotFound; transport failures propagate as-is so callers can tell
+// a missing file from an unreachable ring.
+func (c *Client) LoadCATHotCtx(ctx context.Context, name string) (*core.CAT, HotMarker, error) {
+	cat, hot, err := c.loadCATHot(ctx, name)
+	if err == nil {
+		return cat, hot, nil
+	}
+	unknown := HotMarker{Unknown: true}
+	lastErr := err
+	allMissing := errors.Is(err, ErrNotFound)
+	names := catReplicaNames(name, c.cfg.CATReplicas)
+	for _, rn := range names[1:] {
+		data, rel, err := c.fetchBlockView(ctx, rn, nil)
 		if err != nil {
 			if !errors.Is(err, ErrNotFound) {
 				allMissing = false
@@ -938,12 +975,49 @@ func (c *Client) LoadCATCtx(ctx context.Context, name string) (*core.CAT, error)
 			lastErr = err
 			continue
 		}
-		return cat, nil
+		return cat, unknown, nil
 	}
-	if allMissing && lastErr != nil {
-		return nil, fmt.Errorf("node: no CAT replica for %q: %w", name, lastErr)
+	if allMissing {
+		return nil, unknown, fmt.Errorf("node: no CAT replica for %q: %w", name, lastErr)
 	}
-	return nil, fmt.Errorf("node: load CAT for %q: %w", name, lastErr)
+	return nil, unknown, fmt.Errorf("node: load CAT for %q: %w", name, lastErr)
+}
+
+// loadCATHot reads CAT replica 0 and the hot marker as one group. A
+// replica 0 too large for one frame is read alone, by ranged fetches,
+// and the marker is then unknown.
+func (c *Client) loadCATHot(ctx context.Context, name string) (*core.CAT, HotMarker, error) {
+	var nb [256]byte
+	addr, err := c.keyOwner(append(append(nb[:0], name...), core.CATSuffix...))
+	if err != nil {
+		return nil, HotMarker{}, err
+	}
+	parts := []wire.Part{{Key: catHotKeys[0]}, {Key: catHotKeys[1]}}
+	got, rel, err := c.fetchGroup(ctx, addr, name, parts)
+	if err != nil {
+		if !strings.Contains(err.Error(), wire.BlockTooLarge) {
+			return nil, HotMarker{}, err
+		}
+		data, err := c.streamFetchBlock(ctx, addr, core.CATName(name), nil)
+		if err != nil {
+			return nil, HotMarker{}, err
+		}
+		cat, err := core.UnmarshalCAT(name, data)
+		return cat, HotMarker{Unknown: true}, err
+	}
+	defer rel.Release()
+	if got[0].Absent {
+		return nil, HotMarker{}, fmt.Errorf("node: fetch %s at %s: %w", core.CATName(name), addr, ErrNotFound)
+	}
+	cat, err := core.UnmarshalCAT(name, got[0].Data) // copies what it keeps
+	if err != nil {
+		return nil, HotMarker{}, err
+	}
+	var hot HotMarker
+	if !got[1].Absent {
+		hot = parseHotMarker(got[1].Data)
+	}
+	return cat, hot, nil
 }
 
 // FetchFileCtx retrieves and decodes the whole file. Chunks are
@@ -1039,12 +1113,12 @@ func (c *Client) StoreBlocksCtx(ctx context.Context, cat *core.CAT, blocks []cor
 
 // DeleteFileCtx removes every encoded block of the file, its CAT
 // replicas, and — when the file was promoted for hot reads — its
-// full-copy chunk replicas and hot marker from the ring. When the
-// marker is unreadable the full MaxHotCopies replica range is deleted
-// instead (deleting an absent block is a no-op), so a lost marker
-// cannot leak replica bytes.
+// full-copy chunk replicas and hot marker from the ring. The marker
+// comes with the CAT (LoadCATHotCtx); when it is unknown the full
+// MaxHotCopies replica range is deleted instead (deleting an absent
+// block is a no-op), so a lost marker cannot leak replica bytes.
 func (c *Client) DeleteFileCtx(ctx context.Context, name string) error {
-	cat, err := c.LoadCATCtx(ctx, name)
+	cat, hot, err := c.LoadCATHotCtx(ctx, name)
 	if err != nil {
 		return err
 	}
@@ -1058,19 +1132,10 @@ func (c *Client) DeleteFileCtx(ctx context.Context, name string) error {
 			names.addBlock(name, ci, e)
 		}
 	}
-	for r := 0; r <= c.cfg.CATReplicas; r++ {
-		names.add(core.ReplicaName(core.CATName(name), r))
+	for _, rn := range catReplicaNames(name, c.cfg.CATReplicas) {
+		names.add(rn)
 	}
-	copies, _, err := c.HotCopiesCtx(ctx, name)
-	if err != nil {
-		copies = MaxHotCopies
-	}
-	if copies > 0 {
-		for _, n := range hotReplicaNames(cat, copies) {
-			names.add(n)
-		}
-		names.add(core.HotName(name))
-	}
+	addHot(&names, cat, hot.sweep())
 	return c.deleteBlocks(ctx, &names)
 }
 
@@ -1145,7 +1210,7 @@ func (c *Client) RepairCtx(ctx context.Context, name string) (RepairStats, error
 				}
 				return nil
 			}
-			got, rel, _, err := c.fetchGroup(ctx, f.addr, prefix, f.parts)
+			got, rel, err := c.fetchGroup(ctx, f.addr, prefix, f.parts)
 			if err == nil {
 				rels[j] = rel
 				for k, p := range got {
@@ -1212,8 +1277,7 @@ func (c *Client) RepairCtx(ctx context.Context, name string) (RepairStats, error
 	}
 	// Restore any missing CAT replicas.
 	catData := cat.Marshal()
-	for r := 0; r <= c.cfg.CATReplicas; r++ {
-		rn := core.ReplicaName(core.CATName(name), r)
+	for _, rn := range catReplicaNames(name, c.cfg.CATReplicas) {
 		if _, err := c.fetchBlock(ctx, rn); err != nil {
 			if err := c.storeBlock(ctx, rn, catData); err == nil {
 				st.CATReplicasRecreated++

@@ -29,7 +29,8 @@ type ownerGroup struct {
 	idx   []int
 }
 
-// groupByOwner partitions the n blocks named prefix+key(i) by owner.
+// groupByOwner partitions the n blocks named prefix+key(i) by owner
+// (see placeKey).
 // The groups share one backing for their parts and one for their
 // indices; the keys are the caller's, not copied.
 func (c *Client) groupByOwner(prefix string, n int, key func(i int) []byte) ([]ownerGroup, error) {
@@ -43,7 +44,7 @@ func (c *Client) groupByOwner(prefix string, n int, key func(i int) []byte) ([]o
 	var nb [256]byte
 	for i := range member {
 		name := append(append(nb[:0], prefix...), key(i)...)
-		member[i] = ownerAt(ring, ids.FromBytes(name))
+		member[i] = ownerAt(ring, ids.FromBytes(placeKey(name)))
 	}
 	var owners []int
 	count := make([]int, 0, min(n, len(ring)))
@@ -142,28 +143,19 @@ func (c *Client) storeGroups(ctx context.Context, prefix string, groups []ownerG
 
 // fetchGroup reads the blocks prefix+Key of parts from their owner at
 // addr in one exchange. Each block comes back as a view into the
-// response frame, in order, in the Data of the returned parts; release
-// rel once done with them. missing reports each block the owner does
-// not hold with an error wrapping ErrNotFound, and is nil when it holds
-// them all.
-func (c *Client) fetchGroup(ctx context.Context, addr, prefix string, parts []wire.Part) (got []wire.Part, rel core.Releaser, missing []error, err error) {
+// response frame, in order, in the Data of the returned parts, and a
+// block the owner does not hold as a part marked Absent; release rel
+// once done with them.
+func (c *Client) fetchGroup(ctx context.Context, addr, prefix string, parts []wire.Part) (got []wire.Part, rel core.Releaser, err error) {
 	resp, err := c.call(ctx, addr, &wire.Request{Op: wire.OpFetch, Name: prefix, Parts: parts})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if len(resp.Parts) != len(parts) {
 		resp.Release()
-		return nil, nil, nil, fmt.Errorf("node: fetch of %d blocks %s… at %s answered with %d", len(parts), prefix, addr, len(resp.Parts))
+		return nil, nil, fmt.Errorf("node: fetch of %d blocks %s… at %s answered with %d", len(parts), prefix, addr, len(resp.Parts))
 	}
-	for i, p := range resp.Parts {
-		if p.Absent {
-			if missing == nil {
-				missing = make([]error, len(parts))
-			}
-			missing[i] = fmt.Errorf("node: fetch %s%s at %s: %w", prefix, parts[i].Key, addr, ErrNotFound)
-		}
-	}
-	return resp.Parts, resp, missing, nil
+	return resp.Parts, resp, nil
 }
 
 // chunkGroupFetch is the codec's group fetch (core.StreamFetchFunc) for
@@ -186,7 +178,7 @@ func (c *Client) chunkGroupFetch(ctx context.Context) core.StreamFetchFunc {
 		for i, b := range blocks {
 			parts[i].Key = c.blockKey(b.Index)
 		}
-		got, rel, _, err := c.fetchGroup(ctx, owner.Addr, core.BlockPrefix(file, ci), parts)
+		got, rel, err := c.fetchGroup(ctx, owner.Addr, core.BlockPrefix(file, ci), parts)
 		if err != nil {
 			return nil, false
 		}

@@ -196,9 +196,9 @@ func TestStoreGroupRefusedWhole(t *testing.T) {
 }
 
 // TestFetchGroupMarksAbsent fetches a group naming one block its node
-// never stored: the other blocks come back, in order, and the client
-// reports the absent one as ErrNotFound. A delete group then removes
-// the rest, absent names included, in one exchange.
+// never stored: the other blocks come back, in order, and the absent
+// one comes back marked Absent. A delete group then removes the rest,
+// absent names included, in one exchange.
 func TestFetchGroupMarksAbsent(t *testing.T) {
 	servers, seed := startRing(t, 1, 1<<20)
 	s := servers[0]
@@ -212,7 +212,7 @@ func TestFetchGroupMarksAbsent(t *testing.T) {
 		t.Fatal(err)
 	}
 	reads := s.FetchOps()
-	got, rel, missing, err := c.fetchGroup(context.Background(), s.Addr(), "f_0_", []wire.Part{part("0", nil), part("1", nil), part("2", nil)})
+	got, rel, err := c.fetchGroup(context.Background(), s.Addr(), "f_0_", []wire.Part{part("0", nil), part("1", nil), part("2", nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +220,11 @@ func TestFetchGroupMarksAbsent(t *testing.T) {
 	if !bytes.Equal(got[0].Data, blocks[0]) || !bytes.Equal(got[2].Data, blocks[2]) {
 		t.Fatalf("the held blocks came back as %q and %q", got[0].Data, got[2].Data)
 	}
-	if !got[1].Absent || missing == nil || !errors.Is(missing[1], ErrNotFound) {
-		t.Fatalf("the absent block: part %+v, error %v; want absent and ErrNotFound", got[1], missing)
+	if !got[1].Absent || got[1].Data != nil {
+		t.Fatalf("the absent block came back as %+v, want Absent and no data", got[1])
 	}
-	if missing[0] != nil || missing[2] != nil {
-		t.Fatalf("held blocks reported missing: %v", missing)
+	if got[0].Absent || got[2].Absent {
+		t.Fatalf("held blocks marked absent: %+v, %+v", got[0], got[2])
 	}
 	if n := s.FetchOps() - reads; n != 3 {
 		t.Fatalf("a fetch group of 3 counted %d block reads, want 3", n)

@@ -39,6 +39,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"peerstripe/internal/core"
@@ -68,6 +69,9 @@ type Client struct {
 	// ranged records that the erasure code is systematic, so a File can
 	// serve a partial-chunk read from block ranges (see File.ReadAt).
 	ranged bool
+	// reclaiming holds the names whose stale hot replicas a background
+	// demote is deleting (see reclaim).
+	reclaiming sync.Map
 }
 
 // Dial connects to a ring through any member's address and returns a
@@ -144,18 +148,34 @@ func (c *Client) stored(ctx context.Context, name string, cat *core.CAT, err err
 	if err != nil {
 		return nil, fmt.Errorf("peerstripe: store %q: %w", name, err)
 	}
-	// The name's bytes just changed: cached chunks are stale, and so
-	// are any hot-read replicas a promotion placed — drop both. The
-	// demote is best-effort for storage only — readers verify the hot
-	// marker's CAT hash, so a leftover replica is an unreachable
-	// orphan, never a correctness hazard — and it runs detached from
-	// the caller's cancellation (with its own backstop deadline) so a
-	// request aborted right after the store still cleans up.
+	// The name's bytes just changed: cached chunks are stale, so drop
+	// them. Hot-read replicas a promotion placed are stale too, but the
+	// store sends nothing for them: readers verify the hot marker's CAT
+	// hash, so a leftover replica is an unreachable orphan, never a
+	// correctness hazard, and the first Open that reads the stale
+	// marker reclaims it (see reclaim).
 	c.cache.invalidate(name)
-	demoteCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), time.Minute)
-	defer cancel()
-	c.c.DemoteCtx(demoteCtx, name) //nolint:errcheck
 	return &FileInfo{Name: name, Size: cat.FileSize(), Chunks: cat.NumChunks()}, nil
+}
+
+// reclaim deletes, in the background, the hot marker of cat's file and
+// the copies full-copy replicas it names, which a re-store outdated:
+// Open found the marker bound to another CAT. The demote is
+// best-effort, for storage only, and runs detached from the caller's
+// cancellation, with its own backstop deadline, so a request aborted
+// right after the open still cleans up. At most one reclaim per name is
+// in flight on a client; an Open that finds one running leaves the
+// marker to it.
+func (c *Client) reclaim(ctx context.Context, cat *core.CAT, copies int) {
+	if _, busy := c.reclaiming.LoadOrStore(cat.File, struct{}{}); busy {
+		return
+	}
+	go func() {
+		defer c.reclaiming.Delete(cat.File)
+		ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), time.Minute)
+		defer cancel()
+		c.c.DropHotCtx(ctx, cat, copies) //nolint:errcheck
+	}()
 }
 
 // Stat returns the stored file's description without fetching its

@@ -31,8 +31,11 @@ type PromoteInfo struct {
 //
 // Promotion is an explicit capacity trade: it spends
 // fileSize × copies of ring storage. The HTTP gateway automates it
-// for objects a request herd keeps hitting. Re-storing or deleting
-// the name demotes it; Demote rolls it back by hand.
+// for objects a request herd keeps hitting. Deleting the name demotes
+// it. Re-storing the name demotes it for readers at once, since the
+// marker is bound to the old bytes' allocation table; the first Open
+// after the re-store reclaims the stale replicas in the background.
+// Demote rolls a promotion back by hand.
 func (c *Client) Promote(ctx context.Context, name string, copies int) (PromoteInfo, error) {
 	st, err := c.c.PromoteCtx(ctx, name, copies)
 	if err != nil {
@@ -42,8 +45,8 @@ func (c *Client) Promote(ctx context.Context, name string, copies int) (PromoteI
 }
 
 // Demote removes the named file's hot-read chunk replicas and
-// promotion marker. Demoting a file that was never promoted is a
-// no-op. The erasure-coded blocks are untouched.
+// promotion marker. Demoting a file that was never promoted, or that
+// is not stored, is a no-op. The erasure-coded blocks are untouched.
 func (c *Client) Demote(ctx context.Context, name string) error {
 	if _, err := c.c.DemoteCtx(ctx, name); err != nil {
 		return fmt.Errorf("peerstripe: demote %q: %w", name, err)

@@ -336,3 +336,36 @@ func TestWriteToAllocBudget(t *testing.T) {
 		t.Errorf("streams left %d bytes in the cache, want 0", st.Bytes)
 	}
 }
+
+// TestOpenAllocBudget counts what an Open and Close of a one-chunk file
+// allocate, process-wide, so the in-process nodes' allocations count
+// too. Open reads CAT replica 0 and the hot marker as one group
+// exchange and parses the table in one pass over its bytes, hashing
+// them as they came: 23 allocations when the marker was a second,
+// failing round trip and the table was parsed with fmt and marshaled
+// again to be hashed.
+func TestOpenAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts distorted under the race detector")
+	}
+	const budget = 12
+	_, seed := testRing(t, 3, 1<<30)
+	c := dialTest(t, seed, peerstripe.WithCode("xor"))
+	data := make([]byte, 64<<10)
+	rand.New(rand.NewSource(15)).Read(data)
+	ctx := context.Background()
+	if info, err := c.StoreBytes(ctx, "open-budget.dat", data); err != nil || info.Chunks != 1 {
+		t.Fatalf("store: %+v, %v; want one chunk", info, err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		f, err := c.Open(ctx, "open-budget.dat")
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	})
+	t.Logf("Open+Close allocates %.1f times", allocs)
+	if allocs > budget {
+		t.Fatalf("Open+Close allocates %.1f times, budget %d", allocs, budget)
+	}
+}

@@ -259,9 +259,10 @@ func TestLiveFileWriteTo(t *testing.T) {
 		if _, err := f.WriteTo(&out); err != nil || !bytes.Equal(out.Bytes(), data) {
 			t.Fatalf("promoted stream: %v", err)
 		}
-		// One replica per chunk and the marker probe, not the xor wave.
-		if delta := totalFetchOps(servers) - base; delta != chunks+1 {
-			t.Errorf("promoted stream cost %d fetches, want %d (one replica per chunk + marker)", delta, chunks+1)
+		// One replica per chunk, not the xor wave: the marker came with
+		// the CAT, in Open.
+		if delta := totalFetchOps(servers) - base; delta != chunks {
+			t.Errorf("promoted stream cost %d fetches, want %d (one replica per chunk)", delta, chunks)
 		}
 	})
 }
