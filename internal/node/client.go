@@ -285,8 +285,7 @@ func (c *Client) codec() *core.Codec {
 // depend on a call's context, once per client: chunk-decode jobs spend
 // their time waiting on block RPCs rather than on the CPU, so their
 // concurrency follows the transfer bound; partial-chunk reads fetch
-// block ranges, paced (rangePace); and hedge fires and ranged reads are
-// counted.
+// block ranges; and hedge fires and ranged reads are counted.
 func (c *Client) newReadCodec() *core.Codec {
 	cd := c.codec()
 	cd.Workers = c.transfers()
@@ -295,11 +294,7 @@ func (c *Client) newReadCodec() *core.Codec {
 	cd.GroupBytes = int64(c.cfg.Segment)
 	cd.OnHedge = func(stalled int) { c.met.hedgeFires.Add(int64(stalled)) }
 	cd.RangeFetch = func(ctx context.Context, name string, off, n int64) ([]byte, core.Releaser, bool) {
-		start := time.Now()
 		d, rel, err := c.fetchBlockRange(ctx, name, off, n)
-		if err == nil && int64(len(d)) == n {
-			holdPace(ctx, start, n)
-		}
 		return d, rel, err == nil
 	}
 	cd.OnRangeRead = func(bytes int, rebuilt bool) {
@@ -580,38 +575,6 @@ func (c *Client) fetchBlockRange(ctx context.Context, name string, off, n int64)
 		return nil, nil, err
 	}
 	return resp.Data, resp, nil
-}
-
-// rangePace is the rate, in bytes per second, above which one block
-// range is not taken from its holder: a ranged read of n bytes answers
-// no sooner than n/rangePace after it was issued (a refusal or a wrong
-// length is passed on at once, so a rebuild never waits for it). It
-// sits far above gigabit line rate, so on the LAN the paper measures it
-// never binds; on loopback it holds a 1 MiB ranged read to 2.1 ms,
-// about half of what the path can do. That is deliberate and meant to
-// go: the benchmark gate can tell two commits apart only while the
-// run-to-run spread of a throughput stays within a quarter of the
-// parent's median, and on a two-core box a ranged read that lasts about
-// a millisecond repeats far worse than that. Lifting the pace in one
-// step was refused for spread, so it is lifted in two: from 160 MiB/s to
-// this, then away (ROADMAP item 6).
-const rangePace = 480 << 20
-
-// holdPace returns once n bytes fetched since start are no faster than
-// rangePace, or ctx is done. A wait under a millisecond is not taken: a
-// timer on a busy two-core box overshoots it by as much again, which is
-// what a 64 KiB ranged GET would pay for a pace meant for large reads.
-func holdPace(ctx context.Context, start time.Time, n int64) {
-	wait := time.Duration(n*int64(time.Second)/rangePace) - time.Since(start)
-	if wait < time.Millisecond {
-		return
-	}
-	t := time.NewTimer(wait)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
 }
 
 // probeChunk runs the §4.3 capacity probe for one chunk: the chunk's m

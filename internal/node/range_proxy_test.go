@@ -320,31 +320,3 @@ func TestLiveRangedReadCancel(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
-
-// holdPace waits out what is left of n bytes at rangePace, and no
-// longer: nothing for a read that already took that long, and nothing
-// more once the context is done.
-func TestHoldPace(t *testing.T) {
-	n := int64(rangePace / 50) // 20 ms at the pace
-	floor := time.Duration(n * int64(time.Second) / rangePace)
-
-	start := time.Now()
-	holdPace(context.Background(), start, n)
-	if got := time.Since(start); got < floor {
-		t.Fatalf("returned after %v, before the %v the pace allows", got, floor)
-	}
-
-	start = time.Now()
-	holdPace(context.Background(), start.Add(-floor), n)
-	if got := time.Since(start); got > floor/2 {
-		t.Fatalf("waited %v for a read that had already taken %v", got, floor)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	start = time.Now()
-	holdPace(ctx, start, 100*n)
-	if got := time.Since(start); got > floor {
-		t.Fatalf("waited %v on a cancelled context", got)
-	}
-}

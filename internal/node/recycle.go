@@ -1,6 +1,7 @@
 package node
 
 import (
+	"slices"
 	"sync"
 	"unsafe"
 	"weak"
@@ -39,23 +40,31 @@ type recycled struct {
 	cap   int
 }
 
-// get returns a buffer of length n: the first one given back with the
-// capacity for n that no collection has freed since, or a new one. It
-// forgets every freed buffer it passes over and keeps those too small
-// for n. The contents are unspecified.
+// get returns a buffer of length n: of those given back with the
+// capacity for n that no collection has freed since, the smallest, and
+// among equal sizes the oldest; or a new one. Handing out the first
+// buffer with room would let a large coded backing serve a small chunk
+// buffer, and the next backing would then be allocated afresh. get
+// forgets every buffer a collection has freed. The contents are
+// unspecified.
 func (r *recycler) get(n int64) []byte {
 	var b []byte
 	r.mu.Lock()
+	best := -1
 	kept := r.free[:0]
 	for _, e := range r.free {
 		first := e.first.Value()
-		switch {
-		case first == nil: // collected
-		case b == nil && int64(e.cap) >= n:
-			b = unsafe.Slice(first, e.cap)[:n]
-		default:
-			kept = append(kept, e)
+		if first == nil { // collected
+			continue
 		}
+		if int64(e.cap) >= n && (best < 0 || e.cap < kept[best].cap) {
+			best = len(kept)
+			b = unsafe.Slice(first, e.cap)[:n]
+		}
+		kept = append(kept, e)
+	}
+	if best >= 0 {
+		kept = slices.Delete(kept, best, best+1)
 	}
 	clear(r.free[len(kept):])
 	r.free = kept

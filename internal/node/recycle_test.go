@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// TestRecyclerReuses checks get's choice: the first buffer given back
-// with room, resliced to the length asked for, while a buffer too small
-// for the request stays for a later, smaller one; and put forgets the
-// oldest buffer once every slot is taken.
+// TestRecyclerReuses checks get's choice: the smallest buffer given
+// back with room, and among equal sizes the oldest, resliced to the
+// length asked for, while a buffer too small for the request stays for
+// a later, smaller one; and put forgets the oldest buffer once every
+// slot is taken.
 func TestRecyclerReuses(t *testing.T) {
 	var r recycler
 	small, large := make([]byte, 1<<10), make([]byte, 1<<20)
@@ -23,6 +24,22 @@ func TestRecyclerReuses(t *testing.T) {
 	}
 	if got := r.get(1 << 10); &got[0] == &small[0] || &got[0] == &large[0] {
 		t.Fatal("get handed out a buffer that was not given back")
+	}
+	// A large backing given back first must not serve a smaller chunk
+	// buffer while a buffer of that size is free: the next backing
+	// request would then find none.
+	backing, chunk, backing2 := make([]byte, 2<<20), make([]byte, 1<<20), make([]byte, 2<<20)
+	r.put(backing)
+	r.put(chunk)
+	r.put(backing2)
+	if got := r.get(1 << 20); &got[0] != &chunk[0] {
+		t.Fatal("get handed out a larger buffer than the smallest with room")
+	}
+	if got := r.get(2 << 20); &got[0] != &backing[0] {
+		t.Fatal("get did not hand out the oldest of two equal buffers")
+	}
+	if got := r.get(2 << 20); &got[0] != &backing2[0] {
+		t.Fatal("the second backing was dropped")
 	}
 	bufs := make([][]byte, recycleSlots+1)
 	for i := range bufs {
