@@ -71,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzOnlineDecode$$' -fuzztime $(FUZZTIME) ./internal/erasure
 	$(GO) test -run '^$$' -fuzz '^FuzzScheduleRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/erasure
 	$(GO) test -run '^$$' -fuzz '^FuzzPoolOperations$$' -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzStoreWindow$$' -fuzztime $(FUZZTIME) ./internal/node
 	$(GO) test -run '^$$' -fuzz '^FuzzWireFrame$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeUpdates$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkSum$$' -fuzztime $(FUZZTIME) ./internal/core
@@ -115,12 +116,12 @@ churn:
 
 # The HTTP gateway under the race detector: psgate builds, and the
 # gateway suite (Range matrix, conditional GETs, streaming PUT, herd
-# singleflight, hot promotion) plus the File lifecycle and shared-cache
-# tests run race-enabled against live loopback rings (docs/GATEWAY.md).
+# singleflight) plus the File lifecycle and shared-cache tests run
+# race-enabled against live loopback rings (docs/GATEWAY.md).
 gate:
 	$(GO) build ./cmd/psgate
 	$(GO) test -race ./gateway
-	$(GO) test -race -run 'UseAfterClose|Singleflight|CacheShared|CacheEviction|Promote' .
+	$(GO) test -race -run 'UseAfterClose|Singleflight|CacheShared|CacheEviction' .
 
 # Observability surface under the race detector: the telemetry package
 # (bucket math, quantile accuracy vs a sorted-sample reference, merge

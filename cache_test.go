@@ -25,8 +25,7 @@ func totalFetchOps(servers []*node.Server) int64 {
 // racing over one cold multi-chunk file through a single handle must
 // fetch and decode each chunk exactly once. With the null code every
 // chunk is one block, so the server-side fetch counters give an exact
-// bound: one fetch per chunk (the hot marker came with the CAT, in
-// Open).
+// bound: one fetch per chunk (the CAT came before, in Open).
 func TestColdChunkSingleflight(t *testing.T) {
 	servers, seed := testRing(t, 3, 1<<30)
 	c := dialTest(t, seed,
@@ -74,7 +73,7 @@ func TestColdChunkSingleflight(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// chunks block fetches, and no probe of the absent promotion marker.
+	// chunks block fetches, and nothing else.
 	if delta := totalFetchOps(servers) - base; delta != chunks {
 		t.Errorf("herd of 64 cost %d fetches, want %d (one per chunk)", delta, chunks)
 	}
@@ -171,113 +170,46 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-// TestPromoteReplicaReads pins the hot-read path end to end: Promote
-// places full-copy chunk replicas, a fresh client then reads one block
-// per chunk (no erasure decode wave), and Demote restores the coded
-// path. Byte equality is checked on every path.
-func TestPromoteReplicaReads(t *testing.T) {
+// TestColdReadAfterRestore pins what a fresh client's read of a
+// re-stored name costs and returns: the new bytes, through the coded
+// path only — two xor blocks per chunk and no other fetch (Open's CAT
+// load is one fetch, made before the count starts).
+func TestColdReadAfterRestore(t *testing.T) {
 	servers, seed := testRing(t, 4, 1<<30)
 	const chunk = 64 << 10
 	c := dialTest(t, seed, peerstripe.WithCode("xor"), peerstripe.WithChunkCap(chunk))
-
-	const chunks = 4
-	data := make([]byte, chunks*chunk)
-	rand.New(rand.NewSource(14)).Read(data)
-	ctx := context.Background()
-	if _, err := c.StoreBytes(ctx, "hot.dat", data); err != nil {
-		t.Fatal(err)
-	}
-
-	info, err := c.Promote(ctx, "hot.dat", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Chunks != chunks || info.Copies != 2 || info.Bytes != int64(2*len(data)) {
-		t.Fatalf("PromoteInfo %+v", info)
-	}
-
-	// A fresh client (empty cache) reading the promoted file costs one
-	// replica block per chunk — not the xor decode wave of two blocks
-	// per chunk. The marker came with the CAT, in Open.
-	hot := dialTest(t, seed, peerstripe.WithCode("xor"), peerstripe.WithChunkCap(chunk))
-	fh, err := hot.Open(ctx, "hot.dat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := totalFetchOps(servers)
-	got, err := io.ReadAll(fh)
-	fh.Close()
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("promoted read: %v", err)
-	}
-	if delta := totalFetchOps(servers) - base; delta != chunks {
-		t.Errorf("promoted read cost %d fetches, want %d (one replica per chunk)", delta, chunks)
-	}
-
-	if err := c.Demote(ctx, "hot.dat"); err != nil {
-		t.Fatal(err)
-	}
-	cold := dialTest(t, seed, peerstripe.WithCode("xor"), peerstripe.WithChunkCap(chunk))
-	fc, err := cold.Open(ctx, "hot.dat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base = totalFetchOps(servers)
-	got, err = io.ReadAll(fc)
-	fc.Close()
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("demoted read: %v", err)
-	}
-	// Back on the decode path: two xor blocks per chunk, and no
-	// marker probe.
-	if delta := totalFetchOps(servers) - base; delta != 2*chunks {
-		t.Errorf("demoted read cost %d fetches, want %d (xor decode wave)", delta, 2*chunks)
-	}
-}
-
-// TestStoreDemotesStaleReplicas pins that re-storing a promoted name
-// demotes it for readers: a later read must see the new bytes, never a
-// stale hot copy, although the store itself left the old marker and
-// replicas for the first Open to reclaim.
-func TestStoreDemotesStaleReplicas(t *testing.T) {
-	_, seed := testRing(t, 4, 1<<30)
-	const chunk = 64 << 10
-	c := dialTest(t, seed, peerstripe.WithCode("xor"), peerstripe.WithChunkCap(chunk))
 	ctx := context.Background()
 
-	v1 := make([]byte, 3*chunk)
+	const chunks = 3
+	v1 := make([]byte, chunks*chunk)
 	rand.New(rand.NewSource(15)).Read(v1)
-	if _, err := c.StoreBytes(ctx, "restore.dat", v1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Promote(ctx, "restore.dat", 2); err != nil {
-		t.Fatal(err)
-	}
-
-	v2 := make([]byte, 3*chunk)
+	v2 := make([]byte, chunks*chunk)
 	rand.New(rand.NewSource(16)).Read(v2)
-	if _, err := c.StoreBytes(ctx, "restore.dat", v2); err != nil {
-		t.Fatal(err)
-	}
-
-	// A fresh client must get v2 — the marker names v1's CAT, so
-	// nothing routes reads at leftover v1 replicas.
-	c2 := dialTest(t, seed, peerstripe.WithCode("xor"), peerstripe.WithChunkCap(chunk))
-	f, err := c2.Open(ctx, "restore.dat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	got, err := io.ReadAll(f)
-	if err != nil || !bytes.Equal(got, v2) {
-		t.Fatalf("read after re-store: equal-to-v2=%v err=%v", bytes.Equal(got, v2), err)
+	for _, v := range [][]byte{v1, v2} {
+		if _, err := c.StoreBytes(ctx, "restore.dat", v); err != nil {
+			t.Fatal(err)
+		}
+		cold := dialTest(t, seed, peerstripe.WithCode("xor"), peerstripe.WithChunkCap(chunk))
+		f, err := cold.Open(ctx, "restore.dat")
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := totalFetchOps(servers)
+		got, err := io.ReadAll(f)
+		f.Close()
+		if err != nil || !bytes.Equal(got, v) {
+			t.Fatalf("cold read: equal=%v err=%v", bytes.Equal(got, v), err)
+		}
+		if delta := totalFetchOps(servers) - base; delta != 2*chunks {
+			t.Errorf("cold read cost %d fetches, want %d (xor decode wave)", delta, 2*chunks)
+		}
 	}
 }
 
-// TestStoreMakesNoMarkerTraffic pins that a store of a name that was
-// never promoted reads nothing and fails no call: no probe for a hot
-// marker that was never written, which used to end every store with a
-// failed fetch. A stale marker is reclaimed by the first Open instead.
+// TestStoreMakesNoMarkerTraffic pins that a store, first or
+// overwriting, reads nothing and fails no call. Stores once ended with
+// a failed fetch: a probe for a hot-promotion marker that was never
+// written.
 func TestStoreMakesNoMarkerTraffic(t *testing.T) {
 	servers, seed := testRing(t, 4, 1<<30)
 	c := dialTest(t, seed, peerstripe.WithCode("xor"), peerstripe.WithChunkCap(64<<10))

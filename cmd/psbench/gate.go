@@ -23,9 +23,8 @@ import (
 // The gate experiment loads the HTTP gateway end to end: a live
 // loopback ring behind cmd/psgate's handler, a 64-client herd issuing
 // full-object and ranged GETs, with the shared singleflight chunk
-// cache and automatic hot promotion doing their work in between. It
-// reports aggregate MB/s and tail latencies per phase and writes
-// BENCH_PR9.json. Like churn it drives a live ring and takes seconds
+// cache doing its work in between. It reports aggregate MB/s and tail
+// latencies per phase and writes BENCH_PR9.json. Like churn it drives a live ring and takes seconds
 // of wall clock, so it runs only when asked for by name, never under
 // -exp all.
 
@@ -62,8 +61,6 @@ type gateBenchReport struct {
 		ChunkCap   int    `json:"chunk_cap_bytes"`
 		ObjectSize int    `json:"object_size_bytes"`
 		CacheBytes int64  `json:"chunk_cache_bytes"`
-		HotAfter   int    `json:"hot_after"`
-		HotCopies  int    `json:"hot_copies"`
 	} `json:"config"`
 	Phases map[string]gatePhaseResult `json:"phases"`
 	Cache  peerstripe.CacheStats      `json:"cache"`
@@ -148,8 +145,6 @@ func runGate() {
 		chunkCap   = 256 << 10
 		objectSize = 8 << 20 // 32 chunks
 		clients    = 64
-		hotAfter   = 8
-		hotCopies  = 2
 	)
 	section("Gateway load: 64-client herd through cmd/psgate's handler (live loopback ring)")
 
@@ -184,7 +179,7 @@ func runGate() {
 	}
 	defer cl.Close()
 
-	gw := gateway.New(cl, gateway.Config{HotAfter: hotAfter, HotCopies: hotCopies})
+	gw := gateway.New(cl, gateway.Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		fatalf("gate: %v", err)
@@ -211,7 +206,7 @@ func runGate() {
 	report.Description = "HTTP gateway load harness (psbench -exp gate): a 64-client herd issuing " +
 		"full-object and 64 KiB ranged GETs on one 8 MiB object through the psgate handler over a live " +
 		"4-node loopback ring (xor code, 256 KiB chunks). 'herd_cold' includes the singleflight decode " +
-		"of every chunk exactly once plus the automatic hot promotion; 'herd_warm' and 'ranged' run " +
+		"of every chunk exactly once; 'herd_warm' and 'ranged' run " +
 		"against the warm shared cache. The 'after' section holds the go-bench MB/s floors for " +
 		"`make bench-guard` (go test -bench Gateway ./gateway vs cmd/benchguard, LIVE_GUARD_PCT tolerance)."
 	report.Environment.GOOS = runtime.GOOS
@@ -224,8 +219,6 @@ func runGate() {
 	report.Config.ChunkCap = chunkCap
 	report.Config.ObjectSize = objectSize
 	report.Config.CacheBytes = peerstripe.DefaultChunkCache
-	report.Config.HotAfter = hotAfter
-	report.Config.HotCopies = hotCopies
 
 	fullReq := func(cli, i int) (*http.Request, int) {
 		r, _ := http.NewRequest(http.MethodGet, base+"/gate.bin", nil)
@@ -244,8 +237,7 @@ func runGate() {
 	}
 
 	// Cold herd: every chunk of the object decodes exactly once under
-	// the herd (singleflight), and the GET count crosses HotAfter so a
-	// promotion runs concurrently with the tail of the phase.
+	// the herd (singleflight).
 	runPhase("herd_cold", 4, fullReq)
 	// Warm herd: the whole object is cached; pure gateway + HTTP cost.
 	runPhase("herd_warm", 16, fullReq)
@@ -283,12 +275,10 @@ func runGate() {
 	report.Cache = cl.CacheStats()
 	report.Stats = gw.Stats()
 	// Every chunk decodes at most once across the entire run: the herd
-	// collapses into singleflight leaders, and chunks the concurrent
-	// promotion fetched first enter the shared cache without a leader
-	// at all — so Decodes can come in under the chunk count, never over.
+	// collapses into singleflight leaders.
 	const chunks = objectSize / chunkCap
-	fmt.Printf("cache: %d decodes for %d chunks (%d pre-filled by promotion), %d hits, promotions=%d\n",
-		report.Cache.Decodes, chunks, chunks-int(report.Cache.Decodes), report.Cache.Hits, report.Stats.Promotions)
+	fmt.Printf("cache: %d decodes for %d chunks, %d hits\n",
+		report.Cache.Decodes, chunks, report.Cache.Hits)
 	if report.Cache.Decodes > chunks {
 		fmt.Printf("WARNING: %d decodes for %d chunks — the herd re-decoded\n", report.Cache.Decodes, chunks)
 	}

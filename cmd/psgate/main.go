@@ -1,8 +1,7 @@
 // Command psgate serves a PeerStripe ring over HTTP: GET/HEAD/PUT/
 // DELETE on /<name>, with Range requests, ETags and conditional GETs,
-// streamed bodies in both directions, a shared singleflight chunk
-// cache across all requests, and automatic promotion of hot objects
-// into full-copy chunk replicas. See docs/GATEWAY.md.
+// streamed bodies in both directions, and a shared singleflight chunk
+// cache across all requests. See docs/GATEWAY.md.
 //
 //	psgate -listen 127.0.0.1:8080 -ring 127.0.0.1:7001
 //	curl -T big.bin http://127.0.0.1:8080/big.bin
@@ -36,9 +35,6 @@ func main() {
 		chunkCap  = flag.Int64("chunk-cap", 0, "chunk size cap in bytes (0 = client default)")
 		cache     = flag.Int64("cache", peerstripe.DefaultChunkCache, "decoded-chunk cache bound in bytes (0 disables retention)")
 		timeout   = flag.Duration("timeout", 0, "per-RPC timeout (0 = client default)")
-		hotAfter  = flag.Int("hot-after", 64, "GETs on one object before it is promoted to full-copy replicas (0 disables)")
-		hotCopies = flag.Int("hot-copies", 2, "full-copy replicas placed per chunk on promotion")
-		hotTrack  = flag.Int("hot-track", 0, "distinct objects the promotion tracker follows, LRU-evicted (0 = default 4096)")
 		maxObject = flag.Int64("max-object", 0, "largest accepted PUT in bytes (0 = unlimited)")
 	)
 	flag.Parse()
@@ -65,9 +61,6 @@ func main() {
 	defer cl.Close()
 
 	gw := gateway.New(cl, gateway.Config{
-		HotAfter:       *hotAfter,
-		HotCopies:      *hotCopies,
-		HotTrack:       *hotTrack,
 		MaxObjectBytes: *maxObject,
 		Logf:           log.Printf,
 	})

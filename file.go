@@ -27,11 +27,10 @@ import (
 // Streams — WriteTo, which io.Copy and io.CopyBuffer call — read the
 // file once from the seek position to its end. A stream of more than
 // half the cache's bound (WithChunkCache) reads past the cache: a chunk
-// that is cached, being fetched or promoted is read as a scan reads
-// it, and any other is decoded into one buffer the call owns and
-// reuses from chunk to chunk, written out, and not admitted to the
-// cache, since a one-pass stream that large would mostly evict other
-// readers' chunks. Such chunks still count as cache misses and decodes
+// that is cached or being fetched is read as a scan reads it, and any
+// other is decoded into one buffer the call owns and reuses from chunk
+// to chunk, written out, and not admitted to the cache, since a
+// one-pass stream that large would mostly evict other readers' chunks. Such chunks still count as cache misses and decodes
 // (CacheStats). A smaller stream reads as a scan does.
 //
 // Any other ReadAt is a random access: where it covers part of a chunk
@@ -59,8 +58,7 @@ type File struct {
 	cat  *core.CAT
 	name string
 	// ver is the CAT hash of the layout this handle opened — the
-	// version under which its chunks are cached and against which the
-	// hot-promotion marker is verified.
+	// version under which its chunks are cached.
 	ver uint64
 
 	// posMu serializes the seek position across Read/WriteTo/Seek, held
@@ -74,34 +72,18 @@ type File struct {
 	next atomic.Int64
 
 	closed atomic.Bool
-
-	// hot is the full-copy replica count per chunk of a promoted file,
-	// resolved at Open from the marker read with the CAT: its chunk
-	// reads come from the replicas (one block, no decode) with the
-	// coded blocks as fallback. 0 reads the coded path.
-	hot     int
-	hotNext atomic.Uint32 // rotates reads across the replica set
 }
 
-// Open loads the named file's chunk allocation table, and in the same
-// exchange its hot-promotion marker, and returns a handle for ranged
-// reads. The file's bytes are fetched lazily, chunk by chunk, as reads
-// demand them. ctx bounds the open and every subsequent read on the
-// returned File.
-//
-// The marker is trusted only when it is bound to the CAT just loaded.
-// One left behind by a re-store names the old layout: the handle reads
-// the coded path, and Open starts reclaiming the stale replicas in the
-// background (see Client.reclaim).
+// Open loads the named file's chunk allocation table and returns a
+// handle for ranged reads. The file's bytes are fetched lazily, chunk
+// by chunk, as reads demand them. ctx bounds the open and every
+// subsequent read on the returned File.
 func (c *Client) Open(ctx context.Context, name string) (*File, error) {
-	cat, hot, err := c.c.LoadCATHotCtx(ctx, name)
+	cat, err := c.c.LoadCATCtx(ctx, name)
 	if err != nil {
 		return nil, fmt.Errorf("peerstripe: open %q: %w", name, err)
 	}
-	if hot.Stale(cat) {
-		c.reclaim(ctx, cat, hot.Copies)
-	}
-	f := &File{cl: c, ctx: ctx, cat: cat, name: name, ver: cat.Hash(), hot: hot.For(cat)}
+	f := &File{cl: c, ctx: ctx, cat: cat, name: name, ver: cat.Hash()}
 	f.next.Store(-1)
 	return f, nil
 }
@@ -137,39 +119,13 @@ func (f *File) readable() error {
 	return f.ctx.Err()
 }
 
-// fetchChunk is the singleflight leader's path for one cold chunk:
-// try the promoted full-copy replicas (one block fetch, no decode,
-// rotating across the replica set so a herd fans out), then fall back
-// to fetching and erasure-decoding the coded blocks. Replicas are
-// untrusted copies — a length or content-sum mismatch against this
-// handle's CAT row degrades to the coded path instead of serving the
-// bytes.
-func (f *File) fetchChunk(ci int) ([]byte, error) {
-	row := f.cat.Row(ci)
-	if copies := f.hot; copies > 0 {
-		start := int(f.hotNext.Add(1))
-		for k := 0; k < copies; k++ {
-			r := 1 + (start+k)%copies
-			data, err := f.cl.c.FetchChunkCopy(f.ctx, f.name, ci, r)
-			if err == nil && int64(len(data)) == row.Len() &&
-				(row.Sum == 0 || core.ChunkSum(data) == row.Sum) {
-				return data, nil
-			}
-			if err := f.ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return f.cl.c.FetchChunk(f.ctx, f.cat, ci)
-}
-
 // chunk returns chunk ci's decoded bytes through the client's shared
 // cache, keyed under this handle's CAT version: a hit costs nothing,
-// a racing cold read joins the in-flight fetch, and a true miss runs
-// fetchChunk exactly once.
+// a racing cold read joins the in-flight fetch, and a true miss
+// fetches and erasure-decodes the coded blocks exactly once.
 func (f *File) chunk(ci int) ([]byte, error) {
 	return f.cl.cache.chunk(f.ctx, f.name, f.ver, ci, f.cat.Row(ci).Len(), func() ([]byte, error) {
-		return f.fetchChunk(ci)
+		return f.cl.c.FetchChunk(f.ctx, f.cat, ci)
 	})
 }
 
@@ -178,7 +134,7 @@ func (f *File) chunk(ci int) ([]byte, error) {
 // a piece that is the whole chunk, and a piece of a chunk that is
 // cached or already being fetched go through the shared cache; any
 // other piece under a systematic code moves block ranges and leaves
-// the cache and any hot replicas alone.
+// the cache alone.
 func (f *File) readPiece(dst []byte, ci int, lo int64, scan bool) error {
 	if f.cl.ranged && !scan && int64(len(dst)) < f.cat.Row(ci).Len() && !f.cl.cache.known(f.name, f.ver, ci) {
 		return f.cl.c.FetchChunkRange(f.ctx, f.cat, ci, lo, dst)
@@ -304,14 +260,14 @@ func (f *File) WriteTo(w io.Writer) (int64, error) {
 }
 
 // streamChunk returns chunk ci's bytes for WriteTo. Unless the stream
-// reads past the cache, and for a chunk that is cached, being fetched
-// or promoted even then, they come through the shared cache, as a
+// reads past the cache, and for a chunk that is cached or being
+// fetched even then, they come through the shared cache, as a
 // scan's do. Any other chunk is decoded into *buf — taken once, the
 // size of the largest chunk from ci on, then reused — and left out of
 // the cache, though counted in its misses and decodes as a leader's
 // fetch is.
 func (f *File) streamChunk(ci int, buf *[]byte, past bool) ([]byte, error) {
-	if !past || f.cl.cache.known(f.name, f.ver, ci) || f.hot > 0 {
+	if !past || f.cl.cache.known(f.name, f.ver, ci) {
 		return f.chunk(ci)
 	}
 	if *buf == nil {

@@ -12,12 +12,9 @@
 // time; no whole object is ever buffered (unlike the randomfs-http
 // exemplar this replaces, which read full files into RAM).
 //
-// Hot objects scale reads two ways. The client's decoded-chunk cache
+// Hot objects are served from the client's decoded-chunk cache, which
 // is shared across every request with per-chunk singleflight, so a
-// thundering herd on one object decodes each chunk exactly once. And
-// objects a herd keeps hitting are promoted — full-copy chunk replicas
-// placed across the ring (peerstripe.Promote) so later cold reads fan
-// out from replicas instead of erasure-decoding.
+// thundering herd on one object decodes each chunk exactly once.
 //
 // Object names are the URL path without the leading slash. Paths under
 // "/-/" are reserved for the gateway itself (/-/healthz, /-/stats,
@@ -25,7 +22,6 @@
 package gateway
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -41,24 +37,9 @@ import (
 	"peerstripe/internal/telemetry"
 )
 
-// Config tunes a Gateway. The zero value serves with promotion
-// disabled and no PUT size cap.
+// Config tunes a Gateway. The zero value serves with a 128 KiB copy
+// buffer and no PUT size cap.
 type Config struct {
-	// HotAfter is the GET count (per object, within the tracker
-	// window) that triggers an asynchronous promotion of the object
-	// into full-copy chunk replicas. HEAD requests do not count — a
-	// metadata probe reads no data, so it earns no replicas.
-	// 0 disables automatic promotion.
-	HotAfter int
-	// HotCopies is the replica count per chunk placed on promotion
-	// (0 selects 2; capped at peerstripe.MaxHotCopies).
-	HotCopies int
-	// HotTrack is the tracker window: the maximum number of distinct
-	// object names the promotion tracker remembers at once, evicting
-	// the least recently hit (0 selects 4096). It bounds tracker
-	// memory on a gateway fronting an arbitrarily large object
-	// population.
-	HotTrack int
 	// MaxObjectBytes rejects PUTs with a larger Content-Length with
 	// 413. 0 accepts any size.
 	MaxObjectBytes int64
@@ -66,22 +47,20 @@ type Config struct {
 	// (0 selects 128 KiB). It bounds per-request memory on GET; chunk
 	// decode memory is bounded separately by the client's chunk cache.
 	CopyBuffer int
-	// Logf receives one line per failed request and per promotion.
-	// nil discards.
+	// Logf receives one line per failed request. nil discards.
 	Logf func(format string, args ...any)
 }
 
 // Stats is a point-in-time snapshot of a Gateway's counters.
 type Stats struct {
-	Gets       int64                 `json:"gets"`
-	Heads      int64                 `json:"heads"`
-	Puts       int64                 `json:"puts"`
-	Deletes    int64                 `json:"deletes"`
-	Errors     int64                 `json:"errors"`
-	BytesOut   int64                 `json:"bytes_out"`
-	BytesIn    int64                 `json:"bytes_in"`
-	Promotions int64                 `json:"promotions"`
-	Cache      peerstripe.CacheStats `json:"cache"`
+	Gets     int64                 `json:"gets"`
+	Heads    int64                 `json:"heads"`
+	Puts     int64                 `json:"puts"`
+	Deletes  int64                 `json:"deletes"`
+	Errors   int64                 `json:"errors"`
+	BytesOut int64                 `json:"bytes_out"`
+	BytesIn  int64                 `json:"bytes_in"`
+	Cache    peerstripe.CacheStats `json:"cache"`
 }
 
 // Gateway is the http.Handler. Create one with New; it is safe for
@@ -93,29 +72,16 @@ type Gateway struct {
 	bufs sync.Pool // per-request copy buffers
 
 	met *gwMetrics // request counters, latency, and exposition registry
-
-	trackMu  sync.Mutex
-	tracked  map[string]*list.Element
-	trackLRU *list.List // of *hotState, most recently hit at front
 }
 
 // New returns a Gateway serving the client's ring. The client should
 // be dialed with a chunk cache sized for the expected hot set
 // (peerstripe.WithChunkCache); everything else works with defaults.
 func New(cl *peerstripe.Client, cfg Config) *Gateway {
-	if cfg.HotCopies <= 0 {
-		cfg.HotCopies = 2
-	}
-	if cfg.HotCopies > peerstripe.MaxHotCopies {
-		cfg.HotCopies = peerstripe.MaxHotCopies
-	}
-	if cfg.HotTrack <= 0 {
-		cfg.HotTrack = 4096
-	}
 	if cfg.CopyBuffer <= 0 {
 		cfg.CopyBuffer = 128 << 10
 	}
-	g := &Gateway{cl: cl, cfg: cfg, met: newGwMetrics(), tracked: make(map[string]*list.Element), trackLRU: list.New()}
+	g := &Gateway{cl: cl, cfg: cfg, met: newGwMetrics()}
 	g.bufs.New = func() any {
 		b := make([]byte, g.cfg.CopyBuffer)
 		return &b
@@ -129,15 +95,14 @@ func New(cl *peerstripe.Client, cfg Config) *Gateway {
 func (g *Gateway) Stats() Stats {
 	m := g.met
 	return Stats{
-		Gets:       m.gets.Value(),
-		Heads:      m.heads.Value(),
-		Puts:       m.puts.Value(),
-		Deletes:    m.deletes.Value(),
-		Errors:     m.errors.Value(),
-		BytesOut:   m.bytesOut.Value(),
-		BytesIn:    m.bytesIn.Value(),
-		Promotions: m.promotions.Value(),
-		Cache:      g.cl.CacheStats(),
+		Gets:     m.gets.Value(),
+		Heads:    m.heads.Value(),
+		Puts:     m.puts.Value(),
+		Deletes:  m.deletes.Value(),
+		Errors:   m.errors.Value(),
+		BytesOut: m.bytesOut.Value(),
+		BytesIn:  m.bytesIn.Value(),
+		Cache:    g.cl.CacheStats(),
 	}
 }
 
@@ -268,7 +233,6 @@ func (g *Gateway) serveObject(w http.ResponseWriter, r *http.Request, name strin
 	if r.Method == http.MethodHead {
 		return
 	}
-	g.recordHit(name) // GETs only: metadata probes earn no replicas
 	bufp := g.bufs.Get().(*[]byte)
 	defer g.bufs.Put(bufp)
 	// writerOnly hides the ResponseWriter's ReadFrom so CopyBuffer
@@ -307,7 +271,6 @@ func (g *Gateway) servePut(w http.ResponseWriter, r *http.Request, name string) 
 		return
 	}
 	g.met.bytesIn.Add(info.Size)
-	g.forget(name) // hit history belongs to the replaced bytes
 	// The ETag of the freshly stored object comes from its CAT; one
 	// cheap metadata open reads it back.
 	if f, err := g.cl.Open(r.Context(), name); err == nil {
@@ -323,7 +286,6 @@ func (g *Gateway) serveDelete(w http.ResponseWriter, r *http.Request, name strin
 		g.fail(w, r, err)
 		return
 	}
-	g.forget(name)
 	w.WriteHeader(http.StatusNoContent)
 }
 

@@ -268,6 +268,9 @@ func TestGatewayHeadMatchesGet(t *testing.T) {
 		if headResp.StatusCode != getResp.StatusCode {
 			t.Errorf("range %q: HEAD %d vs GET %d", rng, headResp.StatusCode, getResp.StatusCode)
 		}
+		if rng == "" && headResp.StatusCode != http.StatusOK {
+			t.Errorf("HEAD of a stored object: %d, want 200", headResp.StatusCode)
+		}
 		if len(body) != 0 {
 			t.Errorf("range %q: HEAD returned %d body bytes", rng, len(body))
 		}
@@ -454,101 +457,6 @@ func TestGatewayHerdDecodesOnce(t *testing.T) {
 	}
 	if st.Hits == 0 {
 		t.Error("herd recorded no cache hits")
-	}
-}
-
-// TestGatewayHotPromotion pins the promotion automation: once an
-// object's GET count crosses HotAfter, the gateway asynchronously
-// places full-copy replicas (visible in Stats), and reads keep
-// returning the exact bytes afterwards.
-func TestGatewayHotPromotion(t *testing.T) {
-	_, seed := testRing(t, 4, 1<<30)
-	cl := dialTest(t, seed, peerstripe.WithCode("xor"), peerstripe.WithChunkCap(64<<10))
-	gw := gateway.New(cl, gateway.Config{HotAfter: 3, HotCopies: 2})
-	ts := httptest.NewServer(gw)
-	defer ts.Close()
-
-	data := make([]byte, 3*64<<10)
-	rand.New(rand.NewSource(26)).Read(data)
-	putObject(t, ts.URL, "popular.bin", data)
-
-	for i := 0; i < 3; i++ {
-		resp, body := get(t, ts.URL+"/popular.bin", nil)
-		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, data) {
-			t.Fatalf("GET %d: %d", i, resp.StatusCode)
-		}
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for gw.Stats().Promotions == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no promotion after crossing HotAfter")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	// A fresh client reads the promoted object via replicas; the bytes
-	// must be identical either way.
-	c2 := dialTest(t, seed, peerstripe.WithCode("xor"), peerstripe.WithChunkCap(64<<10))
-	f, err := c2.Open(context.Background(), "popular.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	got, err := io.ReadAll(f)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("promoted read: %v", err)
-	}
-}
-
-// TestGatewayHeadDoesNotPromote pins that only GETs count toward the
-// promotion threshold: a monitor HEADing an object all day must not
-// spend fileSize × copies of ring storage. Any number of HEADs below
-// threshold changes nothing; the next GET — not any earlier HEAD — is
-// what crosses it.
-func TestGatewayHeadDoesNotPromote(t *testing.T) {
-	_, seed := testRing(t, 4, 1<<30)
-	cl := dialTest(t, seed, peerstripe.WithCode("xor"), peerstripe.WithChunkCap(64<<10))
-	gw := gateway.New(cl, gateway.Config{HotAfter: 3, HotCopies: 2})
-	ts := httptest.NewServer(gw)
-	defer ts.Close()
-
-	data := make([]byte, 2*64<<10)
-	rand.New(rand.NewSource(27)).Read(data)
-	putObject(t, ts.URL, "probed.bin", data)
-
-	for i := 0; i < 2; i++ {
-		if resp, _ := get(t, ts.URL+"/probed.bin", nil); resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %d: %d", i, resp.StatusCode)
-		}
-	}
-	for i := 0; i < 10; i++ {
-		resp, err := http.Head(ts.URL + "/probed.bin")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("HEAD %d: %d", i, resp.StatusCode)
-		}
-	}
-	// If HEADs counted, the threshold crossed long ago and the launch
-	// decision was taken synchronously; give the async Promote ample
-	// time to surface in Stats before declaring it never launched.
-	time.Sleep(200 * time.Millisecond)
-	if p := gw.Stats().Promotions; p != 0 {
-		t.Fatalf("HEAD requests triggered %d promotions", p)
-	}
-
-	// The third GET crosses the threshold.
-	if resp, _ := get(t, ts.URL+"/probed.bin", nil); resp.StatusCode != http.StatusOK {
-		t.Fatal("final GET failed")
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for gw.Stats().Promotions == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no promotion after the GET count crossed HotAfter")
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -21,7 +21,6 @@ type gwMetrics struct {
 
 	gets, heads, puts, deletes, errors *telemetry.Counter
 	bytesOut, bytesIn                  *telemetry.Counter
-	promotions                         *telemetry.Counter
 
 	requestSeconds   map[string]*telemetry.Histogram // by method
 	firstByteSeconds *telemetry.Histogram
@@ -38,7 +37,6 @@ func newGwMetrics() *gwMetrics {
 		errors:           reg.Counter("ps_gw_errors_total", "Requests that failed (error status or a body cut short)."),
 		bytesOut:         reg.Counter("ps_gw_bytes_out_total", "Object body bytes written to GET responses."),
 		bytesIn:          reg.Counter("ps_gw_bytes_in_total", "Object bytes stored from PUT request bodies."),
-		promotions:       reg.Counter("ps_gw_promotions_total", "Hot objects promoted into full-copy chunk replicas."),
 		requestSeconds:   make(map[string]*telemetry.Histogram, len(methods)),
 		firstByteSeconds: reg.Histogram("ps_gw_first_byte_seconds", "Time from request arrival to the first response body byte."),
 	}

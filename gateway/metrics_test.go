@@ -109,7 +109,7 @@ func TestGatewayStatsJSONShape(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"gets", "heads", "puts", "deletes", "errors", "bytes_out", "bytes_in", "promotions", "cache"} {
+	for _, key := range []string{"gets", "heads", "puts", "deletes", "errors", "bytes_out", "bytes_in", "cache"} {
 		if _, ok := raw[key]; !ok {
 			t.Errorf("stats JSON missing %q", key)
 		}

@@ -34,8 +34,7 @@ type CATRow struct {
 	// written before content sums existed. A non-zero Sum makes the
 	// CAT content-addressed: re-storing a name with different bytes
 	// changes its CAT even when the chunk layout is identical, so
-	// CAT.Hash works as a true content version, and readers can verify
-	// full-copy hot replicas against the table they opened.
+	// CAT.Hash works as a true content version (cache keys, ETags).
 	Sum uint64
 }
 
@@ -249,8 +248,7 @@ func (c *CAT) SizeBytes() int64 { return int64(c.marshalLen()) }
 // exactly when they describe the same stored layout of the same name,
 // which makes the hash usable as a content version: re-storing a name
 // writes a new CAT, so anything keyed or stamped with the old hash
-// (cached decoded chunks, hot-promotion markers) is recognizably
-// stale. A parsed table was hashed from the bytes it was parsed from;
+// (cached decoded chunks, ETags) is recognizably stale. A parsed table was hashed from the bytes it was parsed from;
 // a built one is marshaled once, on the first call, and the hash kept
 // (safe for concurrent callers): call it only on fully built tables,
 // and do not change a table after.

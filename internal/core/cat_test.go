@@ -34,8 +34,8 @@ func TestCATMarshalRoundTrip(t *testing.T) {
 // Sum round-trip through the three-field form, sum-less rows keep the
 // exact legacy two-field form (so pre-sum tables and their hashes are
 // untouched), and the CAT hash distinguishes same-layout tables with
-// different content — the property the chunk cache and hot-promotion
-// markers version by.
+// different content — the property the chunk cache and ETags version
+// by.
 func TestCATContentSums(t *testing.T) {
 	c := &CAT{File: "sums", Rows: []CATRow{
 		{Start: 0, End: 10, Sum: ChunkSum([]byte("0123456789"))},

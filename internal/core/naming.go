@@ -55,31 +55,14 @@ func AppendBlockName(dst []byte, file string, chunk, ecb int) []byte {
 // CATName returns the name under which the file's CAT is stored.
 func CATName(file string) string { return file + CATSuffix }
 
-// ReplicaName returns the name of replica r of the named object; used
-// for the neighbor replicas of CAT files (§4.4) and for the full-copy
-// chunk replicas of promoted hot files.
+// ReplicaName returns the name of replica r of the named object: the
+// neighbor replicas of CAT files (§4.4).
 func ReplicaName(name string, r int) string {
 	if r == 0 {
 		return name
 	}
 	return name + "~r" + strconv.Itoa(r)
 }
-
-// HotSuffix is appended to a file name to name its hot-promotion
-// marker: a tiny block recording how many full-copy replicas of each
-// chunk were placed when the file was promoted for hot reads, and the
-// hash of the CAT they were cut from. Readers that find the marker
-// fetch chunk replicas (one block, no decode) instead of
-// erasure-decoding; the replicas live at
-// ReplicaName(ChunkName(file, ci), 1..copies). The marker is stored on
-// the owner of the file's CAT (replica 0), not on its own name's, so
-// one exchange reads both; HotSuffix is as long as CATSuffix, so a
-// marker's placement key is its name with the suffix swapped.
-const HotSuffix = ".HOT"
-
-// HotName returns the name under which the file's hot-promotion
-// marker is stored.
-func HotName(file string) string { return file + HotSuffix }
 
 // ParseBlockName splits a block name back into (file, chunk, ecb).
 // File names may themselves contain underscores; the two trailing

@@ -390,15 +390,12 @@ func (c *Client) setRing(ring []wire.NodeInfo) {
 	c.mu.Unlock()
 }
 
-// ownerAddr resolves the node responsible for a name (see placeKey).
+// ownerAddr resolves the node responsible for a name: the owner of the
+// name's hash. The name is hashed from a stack copy, which costs no
+// allocation.
 func (c *Client) ownerAddr(name string) (string, error) {
 	var nb [256]byte
-	return c.keyOwner(placeKey(append(nb[:0], name...)))
-}
-
-// keyOwner resolves the node responsible for a placement key.
-func (c *Client) keyOwner(key []byte) (string, error) {
-	owner, err := OwnerOf(c.view(), ids.FromBytes(key))
+	owner, err := OwnerOf(c.view(), ids.FromBytes(append(nb[:0], name...)))
 	if err != nil {
 		return "", fmt.Errorf("%w: %v", ErrRingUnavailable, err)
 	}
@@ -891,96 +888,36 @@ func (c *Client) LoadCAT(name string) (*core.CAT, error) {
 	return c.LoadCATCtx(context.Background(), name)
 }
 
-// LoadCATCtx fetches and parses the file's CAT; see LoadCATHotCtx,
-// which reads the hot marker with it.
+// LoadCATCtx fetches and parses the file's CAT: one OpFetch of
+// replica 0, then, when that cannot be read, the other replicas in
+// turn (§4.4). When every replica is reported absent by a live owner
+// the error matches ErrNotFound; transport failures propagate as-is so
+// callers can tell a missing file from an unreachable ring.
 func (c *Client) LoadCATCtx(ctx context.Context, name string) (*core.CAT, error) {
-	cat, _, err := c.LoadCATHotCtx(ctx, name)
-	return cat, err
-}
-
-// catHotKeys are the keys of CAT replica 0 and the hot marker in the
-// group that reads both, whose prefix is the file's name.
-var catHotKeys = [2][]byte{[]byte(core.CATSuffix), []byte(core.HotSuffix)}
-
-// LoadCATHotCtx fetches and parses the file's CAT and reads its hot
-// marker in the same exchange: the marker lives beside CAT replica 0
-// (see placeKey), so one OpFetch group to that owner asks for both,
-// and an absent marker is an absent part, not a failed call. When
-// replica 0 cannot be read the load falls back through the other
-// replicas (§4.4), one fetch each, and the marker is unknown. When
-// every replica is reported absent by a live owner the error matches
-// ErrNotFound; transport failures propagate as-is so callers can tell
-// a missing file from an unreachable ring.
-func (c *Client) LoadCATHotCtx(ctx context.Context, name string) (*core.CAT, HotMarker, error) {
-	cat, hot, err := c.loadCATHot(ctx, name)
-	if err == nil {
-		return cat, hot, nil
-	}
-	unknown := HotMarker{Unknown: true}
-	lastErr := err
-	allMissing := errors.Is(err, ErrNotFound)
-	names := catReplicaNames(name, c.cfg.CATReplicas)
-	for _, rn := range names[1:] {
-		data, rel, err := c.fetchBlockView(ctx, rn, nil)
-		if err != nil {
-			if !errors.Is(err, ErrNotFound) {
-				allMissing = false
+	var lastErr error
+	allMissing := true
+	catName := core.CATName(name)
+	for r := 0; r <= c.cfg.CATReplicas; r++ {
+		data, rel, err := c.fetchBlockView(ctx, core.ReplicaName(catName, r), nil)
+		if err == nil {
+			var cat *core.CAT
+			cat, err = core.UnmarshalCAT(name, data) // copies what it keeps
+			if rel != nil {
+				rel.Release()
 			}
-			lastErr = err
-			continue
+			if err == nil {
+				return cat, nil
+			}
 		}
-		cat, err := core.UnmarshalCAT(name, data) // copies what it keeps
-		if rel != nil {
-			rel.Release()
-		}
-		if err != nil {
+		if !errors.Is(err, ErrNotFound) {
 			allMissing = false
-			lastErr = err
-			continue
 		}
-		return cat, unknown, nil
+		lastErr = err
 	}
 	if allMissing {
-		return nil, unknown, fmt.Errorf("node: no CAT replica for %q: %w", name, lastErr)
+		return nil, fmt.Errorf("node: no CAT replica for %q: %w", name, lastErr)
 	}
-	return nil, unknown, fmt.Errorf("node: load CAT for %q: %w", name, lastErr)
-}
-
-// loadCATHot reads CAT replica 0 and the hot marker as one group. A
-// replica 0 too large for one frame is read alone, by ranged fetches,
-// and the marker is then unknown.
-func (c *Client) loadCATHot(ctx context.Context, name string) (*core.CAT, HotMarker, error) {
-	var nb [256]byte
-	addr, err := c.keyOwner(append(append(nb[:0], name...), core.CATSuffix...))
-	if err != nil {
-		return nil, HotMarker{}, err
-	}
-	parts := []wire.Part{{Key: catHotKeys[0]}, {Key: catHotKeys[1]}}
-	got, rel, err := c.fetchGroup(ctx, addr, name, parts)
-	if err != nil {
-		if !strings.Contains(err.Error(), wire.BlockTooLarge) {
-			return nil, HotMarker{}, err
-		}
-		data, err := c.streamFetchBlock(ctx, addr, core.CATName(name), nil)
-		if err != nil {
-			return nil, HotMarker{}, err
-		}
-		cat, err := core.UnmarshalCAT(name, data)
-		return cat, HotMarker{Unknown: true}, err
-	}
-	defer rel.Release()
-	if got[0].Absent {
-		return nil, HotMarker{}, fmt.Errorf("node: fetch %s at %s: %w", core.CATName(name), addr, ErrNotFound)
-	}
-	cat, err := core.UnmarshalCAT(name, got[0].Data) // copies what it keeps
-	if err != nil {
-		return nil, HotMarker{}, err
-	}
-	var hot HotMarker
-	if !got[1].Absent {
-		hot = parseHotMarker(got[1].Data)
-	}
-	return cat, hot, nil
+	return nil, fmt.Errorf("node: load CAT for %q: %w", name, lastErr)
 }
 
 // FetchFileCtx retrieves and decodes the whole file. Chunks are
@@ -1074,14 +1011,10 @@ func (c *Client) StoreBlocksCtx(ctx context.Context, cat *core.CAT, blocks []cor
 	return c.storeCAT(ctx, cat)
 }
 
-// DeleteFileCtx removes every encoded block of the file, its CAT
-// replicas, and — when the file was promoted for hot reads — its
-// full-copy chunk replicas and hot marker from the ring. The marker
-// comes with the CAT (LoadCATHotCtx); when it is unknown the full
-// MaxHotCopies replica range is deleted instead (deleting an absent
-// block is a no-op), so a lost marker cannot leak replica bytes.
+// DeleteFileCtx removes every encoded block of the file and its CAT
+// replicas from the ring.
 func (c *Client) DeleteFileCtx(ctx context.Context, name string) error {
-	cat, hot, err := c.LoadCATHotCtx(ctx, name)
+	cat, err := c.LoadCATCtx(ctx, name)
 	if err != nil {
 		return err
 	}
@@ -1098,7 +1031,6 @@ func (c *Client) DeleteFileCtx(ctx context.Context, name string) error {
 	for _, rn := range catReplicaNames(name, c.cfg.CATReplicas) {
 		names.add(rn)
 	}
-	addHot(&names, cat, hot.sweep())
 	return c.deleteBlocks(ctx, &names)
 }
 

@@ -29,8 +29,7 @@ type ownerGroup struct {
 	idx   []int
 }
 
-// groupByOwner partitions the n blocks named prefix+key(i) by owner
-// (see placeKey).
+// groupByOwner partitions the n blocks named prefix+key(i) by owner.
 // The groups share one backing for their parts and one for their
 // indices; the keys are the caller's, not copied.
 func (c *Client) groupByOwner(prefix string, n int, key func(i int) []byte) ([]ownerGroup, error) {
@@ -44,7 +43,7 @@ func (c *Client) groupByOwner(prefix string, n int, key func(i int) []byte) ([]o
 	var nb [256]byte
 	for i := range member {
 		name := append(append(nb[:0], prefix...), key(i)...)
-		member[i] = ownerAt(ring, ids.FromBytes(placeKey(name)))
+		member[i] = ownerAt(ring, ids.FromBytes(name))
 	}
 	var owners []int
 	count := make([]int, 0, min(n, len(ring)))

@@ -332,6 +332,54 @@ func TestStatAndDelete(t *testing.T) {
 	}
 }
 
+// TestLoadCATFallsBack pins the CAT load's fallback (§4.4): with
+// replica 0 deleted at its owner, LoadCATCtx returns a byte-identical
+// CAT from another replica, and a delete through that load still
+// leaves every server empty.
+func TestLoadCATFallsBack(t *testing.T) {
+	servers, seed := startRing(t, 4, 1<<30)
+	ctx := context.Background()
+	c, err := NewClientCfg(ctx, seed, erasure.MustXOR(2), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const chunk = 64 << 10
+	data := make([]byte, 3*chunk)
+	rand.New(rand.NewSource(30)).Read(data)
+	cat, err := c.StoreBytes(ctx, "fallback.dat", data, core.PlanChunkSizes(int64(len(data)), chunk))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	catOwner, err := OwnerOf(c.Ring(), ids.FromName(core.CATName("fallback.dat")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rpc(catOwner.Addr, &wire.Request{Op: wire.OpDelete, Name: core.CATName("fallback.dat")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rpc(catOwner.Addr, &wire.Request{Op: wire.OpFetch, Name: core.CATName("fallback.dat")}); err == nil {
+		t.Fatal("CAT replica 0 still held after its delete; test premise broken")
+	}
+	got, err := c.LoadCATCtx(ctx, "fallback.dat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Marshal(), cat.Marshal()) || got.Hash() != cat.Hash() {
+		t.Fatalf("load from a fallback replica: got\n%s\nwant\n%s", got.Marshal(), cat.Marshal())
+	}
+
+	if err := c.DeleteFileCtx(ctx, "fallback.dat"); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range servers {
+		if s.NumBlocks() != 0 {
+			t.Errorf("node %s holds %d blocks after the delete", s.Addr(), s.NumBlocks())
+		}
+	}
+}
+
 func TestClientRepairRestoresRedundancy(t *testing.T) {
 	_, seed := startRing(t, 8, 1<<30)
 	c, err := NewClientCfg(context.Background(), seed, erasure.MustXOR(2), Config{})

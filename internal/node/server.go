@@ -463,8 +463,8 @@ func (s *Server) dispatch(req *wire.Request) *wire.Response {
 var okResp = &wire.Response{OK: true}
 
 // noBlock is the refusal for a block this node does not hold — the
-// answer every store's probe for a never-written hot marker gets, so it
-// is built with strconv into a stack buffer, not fmt: the text is
+// answer a load of an unstored name, a degraded read and a repair scan
+// get — built with strconv into a stack buffer, not fmt: the text is
 // fmt.Sprintf("no block %q", name) at one allocation. Absent is what
 // the client reads; the text is for people.
 func noBlock(name string) *wire.Response {

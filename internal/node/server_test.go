@@ -154,7 +154,7 @@ func TestJoinViaDeadSeedFails(t *testing.T) {
 // when it was formatted with fmt: clients classify it by that text
 // (asNotFound), quoting and all.
 func TestNoBlockRefusalText(t *testing.T) {
-	for _, name := range []string{"", "f.dat.HOT", "a_0_1", "quo\"te\n\x00é", strings.Repeat("long", 64)} {
+	for _, name := range []string{"", "f.dat.CAT", "a_0_1", "quo\"te\n\x00é", strings.Repeat("long", 64)} {
 		if got, want := noBlock(name).Err, fmt.Sprintf("no block %q", name); got != want {
 			t.Errorf("noBlock(%q) = %q, want %q", name, got, want)
 		}

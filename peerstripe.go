@@ -39,8 +39,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
-	"time"
 
 	"peerstripe/internal/core"
 	"peerstripe/internal/erasure"
@@ -69,9 +67,6 @@ type Client struct {
 	// ranged records that the erasure code is systematic, so a File can
 	// serve a partial-chunk read from block ranges (see File.ReadAt).
 	ranged bool
-	// reclaiming holds the names whose stale hot replicas a background
-	// demote is deleting (see reclaim).
-	reclaiming sync.Map
 }
 
 // Dial connects to a ring through any member's address and returns a
@@ -132,7 +127,7 @@ func (c *Client) Store(ctx context.Context, name string, r io.Reader, size int64
 		return nil, fmt.Errorf("peerstripe: store %q: negative size %d", name, size)
 	}
 	cat, err := c.c.StoreReader(ctx, name, r, core.PlanChunkSizes(size, c.opts.maxChunk()))
-	return c.stored(ctx, name, cat, err)
+	return c.stored(name, cat, err)
 }
 
 // StoreBytes is Store for in-memory data: chunks are coded and uploaded
@@ -140,42 +135,18 @@ func (c *Client) Store(ctx context.Context, name string, r io.Reader, size int64
 // returns.
 func (c *Client) StoreBytes(ctx context.Context, name string, data []byte) (*FileInfo, error) {
 	cat, err := c.c.StoreBytes(ctx, name, data, core.PlanChunkSizes(int64(len(data)), c.opts.maxChunk()))
-	return c.stored(ctx, name, cat, err)
+	return c.stored(name, cat, err)
 }
 
 // stored finishes a store of name that produced cat or failed with err.
-func (c *Client) stored(ctx context.Context, name string, cat *core.CAT, err error) (*FileInfo, error) {
+func (c *Client) stored(name string, cat *core.CAT, err error) (*FileInfo, error) {
 	if err != nil {
 		return nil, fmt.Errorf("peerstripe: store %q: %w", name, err)
 	}
 	// The name's bytes just changed: cached chunks are stale, so drop
-	// them. Hot-read replicas a promotion placed are stale too, but the
-	// store sends nothing for them: readers verify the hot marker's CAT
-	// hash, so a leftover replica is an unreachable orphan, never a
-	// correctness hazard, and the first Open that reads the stale
-	// marker reclaims it (see reclaim).
+	// them.
 	c.cache.invalidate(name)
 	return &FileInfo{Name: name, Size: cat.FileSize(), Chunks: cat.NumChunks()}, nil
-}
-
-// reclaim deletes, in the background, the hot marker of cat's file and
-// the copies full-copy replicas it names, which a re-store outdated:
-// Open found the marker bound to another CAT. The demote is
-// best-effort, for storage only, and runs detached from the caller's
-// cancellation, with its own backstop deadline, so a request aborted
-// right after the open still cleans up. At most one reclaim per name is
-// in flight on a client; an Open that finds one running leaves the
-// marker to it.
-func (c *Client) reclaim(ctx context.Context, cat *core.CAT, copies int) {
-	if _, busy := c.reclaiming.LoadOrStore(cat.File, struct{}{}); busy {
-		return
-	}
-	go func() {
-		defer c.reclaiming.Delete(cat.File)
-		ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), time.Minute)
-		defer cancel()
-		c.c.DropHotCtx(ctx, cat, copies) //nolint:errcheck
-	}()
 }
 
 // Stat returns the stored file's description without fetching its
@@ -188,8 +159,8 @@ func (c *Client) Stat(ctx context.Context, name string) (*FileInfo, error) {
 	return &FileInfo{Name: name, Size: cat.FileSize(), Chunks: cat.NumChunks()}, nil
 }
 
-// Delete removes the named file: every encoded block, every CAT
-// replica, and any hot-read chunk replicas a promotion placed.
+// Delete removes the named file: every encoded block and every CAT
+// replica.
 func (c *Client) Delete(ctx context.Context, name string) error {
 	c.cache.invalidate(name)
 	if err := c.c.DeleteFileCtx(ctx, name); err != nil {

@@ -54,9 +54,8 @@ func position(t *testing.T, f *peerstripe.File) int64 {
 // and from mid-chunk, EOF and Close, a failing and a short writer, a
 // context cancelled mid-stream, and the cache rule — a stream of more
 // than half the cache reads a cached chunk with no block fetch and a
-// cold one past the cache, counted but not admitted; a promoted file
-// is read from its replicas; a smaller stream fills the cache as Read
-// does.
+// cold one past the cache, counted but not admitted; a smaller stream
+// fills the cache as Read does.
 func TestLiveFileWriteTo(t *testing.T) {
 	servers, seed := testRing(t, 4, 1<<30)
 	const chunk = 64 << 10
@@ -241,28 +240,6 @@ func TestLiveFileWriteTo(t *testing.T) {
 			if delta := totalFetchOps(servers) - base; pass == 1 && delta != 0 {
 				t.Errorf("second stream cost %d block fetches, want 0", delta)
 			}
-		}
-	})
-
-	t.Run("promoted", func(t *testing.T) {
-		if _, err := c.Promote(ctx, "writeto.dat", 2); err != nil {
-			t.Fatal(err)
-		}
-		hot := dialTest(t, seed, peerstripe.WithCode("xor"), peerstripe.WithChunkCap(chunk), small)
-		f, err := hot.Open(ctx, "writeto.dat")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		base := totalFetchOps(servers)
-		var out bytes.Buffer
-		if _, err := f.WriteTo(&out); err != nil || !bytes.Equal(out.Bytes(), data) {
-			t.Fatalf("promoted stream: %v", err)
-		}
-		// One replica per chunk, not the xor wave: the marker came with
-		// the CAT, in Open.
-		if delta := totalFetchOps(servers) - base; delta != chunks {
-			t.Errorf("promoted stream cost %d fetches, want %d (one replica per chunk)", delta, chunks)
 		}
 	})
 }
