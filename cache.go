@@ -7,14 +7,12 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"peerstripe/internal/core"
 	"peerstripe/internal/telemetry"
 )
 
 // chunkCache is the client-wide decoded-chunk cache: a byte-bounded
-// LRU shared by every File the Client opens and by the ranged-read
-// paths underneath (it implements core.ChunkCache). Entries are keyed
-// on (file name, CAT hash, chunk index) — the hash versions the key,
+// LRU shared by every File the Client opens. Entries are keyed on
+// (file name, CAT hash, chunk index) — the hash versions the key,
 // so bytes decoded under one stored layout can never satisfy a read
 // against a re-stored name: the new CAT hashes differently and the old
 // entries are simply unreachable. Each key also carries a singleflight
@@ -221,33 +219,6 @@ func (c *chunkCache) invalidate(name string) {
 			fl.doomed = true
 		}
 	}
-}
-
-// GetChunk implements core.ChunkCache for the decode paths underneath
-// the public surface, keying on the caller's CAT hash. It is
-// counter-silent: hits and misses are accounted once, at the File
-// layer, not again per decode attempt.
-func (c *chunkCache) GetChunk(cat *core.CAT, ci int) ([]byte, bool) {
-	key := chunkKey{cat.File, cat.Hash(), ci} // hashed outside the lock
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		return el.Value.(*cacheEntry).data, true
-	}
-	return nil, false
-}
-
-// PutChunk implements core.ChunkCache. A chunk with a flight in progress
-// is left to the flight's leader, which admits its own result exactly
-// once — or not at all when an invalidate overtook it.
-func (c *chunkCache) PutChunk(cat *core.CAT, ci int, data []byte) {
-	key := chunkKey{cat.File, cat.Hash(), ci}
-	c.mu.Lock()
-	if _, leading := c.flights[key]; !leading {
-		c.storeLocked(key, data)
-	}
-	c.mu.Unlock()
 }
 
 // CacheStats is a point-in-time snapshot of the client's shared

@@ -100,28 +100,27 @@ func TestCacheInvalidateDoomsInflightFetch(t *testing.T) {
 	}
 }
 
-// TestCacheGetChunkAllocFree pins the lookup the decode paths make per
-// chunk: keyed on the CAT's memoised hash, it neither marshals the
-// table nor allocates, hit or miss.
-func TestCacheGetChunkAllocFree(t *testing.T) {
+// TestCacheLookupAllocFree pins the lookups a ReadAt makes per chunk:
+// known, hit or miss, and a cache hit through chunk allocate nothing.
+func TestCacheLookupAllocFree(t *testing.T) {
 	c := newChunkCache(1 << 20)
-	cat := &core.CAT{File: "f", Rows: []core.CATRow{{Start: 0, End: 3, Sum: 9}, {Start: 3, End: 6, Sum: 9}}}
-	c.PutChunk(cat, 0, []byte("abc"))
-	if data, ok := c.GetChunk(cat, 0); !ok || string(data) != "abc" {
-		t.Fatalf("GetChunk after PutChunk: %q, %v", data, ok)
+	ctx := context.Background()
+	fetch := func() ([]byte, error) { return []byte("abc"), nil }
+	if data, err := c.chunk(ctx, "f", 9, 0, 3, fetch); err != nil || string(data) != "abc" {
+		t.Fatalf("first read: %q, %v", data, err)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		c.GetChunk(cat, 0)
-		c.GetChunk(cat, 1)
+		c.known("f", 9, 0)
+		c.known("f", 9, 1)
+		c.chunk(ctx, "f", 9, 0, 3, fetch) //nolint:errcheck
 	}); allocs != 0 {
-		t.Fatalf("GetChunk allocates %.1f times per hit+miss, want 0", allocs)
+		t.Fatalf("a hit and two lookups allocate %.1f times, want 0", allocs)
 	}
 }
 
 // TestCacheFlightLeaderAdmitsOnce pins the single insert of a File
-// miss: the decode underneath the flight offers its chunk through
-// PutChunk, which must leave it to the flight's leader — one insert,
-// and none at all when an invalidate overtook the flight.
+// miss: the flight's leader admits its result once, and not at all
+// when an invalidate overtook the flight.
 func TestCacheFlightLeaderAdmitsOnce(t *testing.T) {
 	c := newChunkCache(1 << 20)
 	cat := &core.CAT{File: "f", Rows: []core.CATRow{{Start: 0, End: 4, Sum: 9}}}
@@ -136,9 +135,8 @@ func TestCacheFlightLeaderAdmitsOnce(t *testing.T) {
 			if overtaken {
 				c.invalidate("f")
 			}
-			c.PutChunk(cat, 0, []byte("data"))
 			if n := held(); n != 0 {
-				t.Errorf("PutChunk under a flight inserted %d entries", n)
+				t.Errorf("a flight's entry was admitted before its leader returned: %d entries", n)
 			}
 			return []byte("data"), nil
 		})

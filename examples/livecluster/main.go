@@ -1,8 +1,9 @@
 // livecluster runs the real implementation end-to-end in one process
 // through the public API: eight TCP storage nodes form a ring and a
 // client streams in a file far larger than any single wire frame —
-// blocks move as bounded OpStoreWindow/OpFetchStream segments, the
-// client never holds more than a chunk in memory — then reads it back
+// blocks go up as bounded OpStoreWindow segments and come back in
+// owner-group frames, the client never holding more than a chunk in
+// memory — then reads it back
 // through the io.Reader surface, verifies every byte by hash, and
 // prints the per-node storage spread (§5, actual bytes over actual
 // multiplexed sockets).

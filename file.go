@@ -19,10 +19,10 @@ import (
 // Scans — every Read, a ReadAt that starts where the handle's previous
 // read ended, and any piece that spans a whole chunk — decode at chunk
 // granularity. Decoded chunks land in the Client's shared cache — an
-// LRU bounded by WithChunkCache and keyed on (name, chunk), so every
-// handle and every request on the client reuses them — and each cold
-// chunk is fetched and decoded exactly once no matter how many readers
-// race for it (per-chunk singleflight).
+// LRU bounded by WithChunkCache and keyed on (name, CAT hash, chunk),
+// so every handle and every request on the client reuses them — and
+// each cold chunk is fetched and decoded exactly once no matter how
+// many readers race for it (per-chunk singleflight).
 //
 // Streams — WriteTo, which io.Copy and io.CopyBuffer call — read the
 // file once from the seek position to its end. A stream of more than
@@ -30,16 +30,17 @@ import (
 // that is cached or being fetched is read as a scan reads it, and any
 // other is decoded into one buffer the call owns and reuses from chunk
 // to chunk, written out, and not admitted to the cache, since a
-// one-pass stream that large would mostly evict other readers' chunks. Such chunks still count as cache misses and decodes
-// (CacheStats). A smaller stream reads as a scan does.
+// one-pass stream that large would mostly evict other readers' chunks.
+// Such chunks still count as cache misses and decodes (CacheStats). A
+// smaller stream reads as a scan does.
 //
 // Any other ReadAt is a random access: where it covers part of a chunk
 // that is neither cached nor being fetched, and the erasure code is
 // systematic (null, xor, rs — not online), it moves only the byte
 // ranges of the data blocks that hold those bytes, rebuilding a range
 // from the other blocks' when its holder is gone, refuses or stalls
-// past the hedge delay. Those bytes go straight to the caller and are
-// not admitted to the cache: caching a 16 MiB chunk to serve 1 MiB is
+// past the hedge delay. Those bytes go straight to the caller's buffer
+// and are not admitted to the cache: caching a 16 MiB chunk to serve 1 MiB is
 // what makes small random reads over a file larger than the cache
 // thrash it. The cost is that a hot set read only by small random
 // ReadAts never warms the cache. Like every decode, ranged bytes are
@@ -122,10 +123,13 @@ func (f *File) readable() error {
 // chunk returns chunk ci's decoded bytes through the client's shared
 // cache, keyed under this handle's CAT version: a hit costs nothing,
 // a racing cold read joins the in-flight fetch, and a true miss
-// fetches and erasure-decodes the coded blocks exactly once.
+// fetches and erasure-decodes the coded blocks exactly once, into a
+// new cache entry.
 func (f *File) chunk(ci int) ([]byte, error) {
-	return f.cl.cache.chunk(f.ctx, f.name, f.ver, ci, f.cat.Row(ci).Len(), func() ([]byte, error) {
-		return f.cl.c.FetchChunk(f.ctx, f.cat, ci)
+	n := f.cat.Row(ci).Len()
+	return f.cl.cache.chunk(f.ctx, f.name, f.ver, ci, n, func() ([]byte, error) {
+		entry := make([]byte, n)
+		return entry, f.cl.c.ReadChunkCtx(f.ctx, f.cat, ci, 0, entry)
 	})
 }
 
@@ -137,7 +141,7 @@ func (f *File) chunk(ci int) ([]byte, error) {
 // the cache alone.
 func (f *File) readPiece(dst []byte, ci int, lo int64, scan bool) error {
 	if f.cl.ranged && !scan && int64(len(dst)) < f.cat.Row(ci).Len() && !f.cl.cache.known(f.name, f.ver, ci) {
-		return f.cl.c.FetchChunkRange(f.ctx, f.cat, ci, lo, dst)
+		return f.cl.c.ReadChunkCtx(f.ctx, f.cat, ci, lo, dst)
 	}
 	chunk, err := f.chunk(ci)
 	if err != nil {
@@ -279,7 +283,7 @@ func (f *File) streamChunk(ci int, buf *[]byte, past bool) ([]byte, error) {
 	}
 	dst := (*buf)[:f.cat.Row(ci).Len()]
 	f.cl.cache.misses.Add(1)
-	if err := f.cl.c.FetchChunkInto(f.ctx, f.cat, ci, dst); err != nil {
+	if err := f.cl.c.ReadChunkCtx(f.ctx, f.cat, ci, 0, dst); err != nil {
 		return nil, err
 	}
 	f.cl.cache.decodes.Add(1)

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -34,6 +35,23 @@ func blockMap(blocks []NamedBlock, drop ...string) FetchFunc {
 		d, ok := m[name]
 		return d, ok
 	}
+}
+
+// readRange reads [off, off+n) of the file cat describes chunk by
+// chunk, each piece through ReadChunk.
+func readRange(ctx context.Context, cd *Codec, cat *CAT, off, n int64) ([]byte, error) {
+	if off < 0 || n < 0 || off+n > cat.FileSize() {
+		return nil, fmt.Errorf("range [%d,%d) outside file of %d bytes", off, off+n, cat.FileSize())
+	}
+	out := make([]byte, n)
+	for _, ci := range cat.ChunksFor(off, n) {
+		row := cat.Rows[ci]
+		from, to := max(off, row.Start), min(off+n, row.End)
+		if err := cd.ReadChunk(ctx, cat, ci, from-row.Start, out[from-off:to-off]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 func TestCodecRoundTripNull(t *testing.T) {
@@ -99,11 +117,11 @@ func TestCodecRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fetch := blockMap(blocks)
+	cd.Fetch = FetchBlocks(blockMap(blocks))
 	for _, rg := range []struct{ off, n int64 }{
 		{0, 1}, {0, 9999}, {9998, 2}, {50000, 25000}, {99999, 1}, {0, 100000},
 	} {
-		got, err := cd.DecodeRange(context.Background(), cat, rg.off, rg.n, fetch)
+		got, err := readRange(context.Background(), cd, cat, rg.off, rg.n)
 		if err != nil {
 			t.Fatalf("range (%d,%d): %v", rg.off, rg.n, err)
 		}
@@ -170,26 +188,25 @@ func TestCodecDecodeChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fetch := blockMap(blocks)
-	chunk, err := cd.DecodeChunk(context.Background(), cat, 1, fetch)
-	if err != nil {
+	cd.Fetch = FetchBlocks(blockMap(blocks))
+	chunk := make([]byte, 9000)
+	if err := cd.ReadChunk(context.Background(), cat, 1, 0, chunk); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(chunk, data[9000:18000]) {
-		t.Fatal("DecodeChunk mismatch")
+		t.Fatal("ReadChunk mismatch")
 	}
-	if _, err := cd.DecodeChunk(context.Background(), cat, -1, fetch); err == nil {
+	if err := cd.ReadChunk(context.Background(), cat, -1, 0, chunk); err == nil {
 		t.Error("negative chunk index accepted")
 	}
-	if _, err := cd.DecodeChunk(context.Background(), cat, cat.NumChunks(), fetch); err == nil {
+	if err := cd.ReadChunk(context.Background(), cat, cat.NumChunks(), 0, chunk); err == nil {
 		t.Error("out-of-range chunk index accepted")
 	}
 }
 
 // TestCodecDecodeChunkInto decodes every chunk of an online-coded file
-// into one reused, dirty buffer: each lands byte-exact, a configured
-// cache is read but never populated, and a buffer of the wrong length
-// or an index outside the table is refused.
+// into one reused, dirty buffer: each lands byte-exact, and a buffer
+// longer than the chunk or an index outside the table is refused.
 func TestCodecDecodeChunkInto(t *testing.T) {
 	ctx := context.Background()
 	code := erasure.MustOnline(64, erasure.OnlineOpts{Eps: 0.2, Surplus: 0.25})
@@ -198,26 +215,21 @@ func TestCodecDecodeChunkInto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := &countingCache{}
-	cd := &Codec{Code: code, Cache: cache}
-	fetch := blockMap(blocks)
-	buf := bytes.Repeat([]byte{0xa5}, 20000)
+	cd := &Codec{Code: code, Fetch: FetchBlocks(blockMap(blocks))}
+	buf := bytes.Repeat([]byte{0xa5}, 20001)
 	for ci, row := range cat.Rows {
 		dst := buf[:row.Len()]
-		if err := cd.DecodeChunkInto(ctx, cat, ci, fetch, dst); err != nil {
+		if err := cd.ReadChunk(ctx, cat, ci, 0, dst); err != nil {
 			t.Fatalf("chunk %d: %v", ci, err)
 		}
 		if !bytes.Equal(dst, data[row.Start:row.End]) {
 			t.Fatalf("chunk %d decoded into the reused buffer differs", ci)
 		}
 	}
-	if cache.gets != len(cat.Rows) || cache.puts != 0 {
-		t.Errorf("cache consulted %d times and populated %d, want %d and 0", cache.gets, cache.puts, len(cat.Rows))
+	if err := cd.ReadChunk(ctx, cat, 0, 0, buf); err == nil {
+		t.Error("a buffer longer than the chunk accepted")
 	}
-	if err := cd.DecodeChunkInto(ctx, cat, 0, fetch, buf[:100]); err == nil {
-		t.Error("a buffer shorter than the chunk accepted")
-	}
-	if err := cd.DecodeChunkInto(ctx, cat, cat.NumChunks(), fetch, buf); err == nil {
+	if err := cd.ReadChunk(ctx, cat, cat.NumChunks(), 0, buf[:100]); err == nil {
 		t.Error("out-of-range chunk index accepted")
 	}
 }
@@ -226,11 +238,11 @@ func TestCodecRangeOutOfBounds(t *testing.T) {
 	cd := &Codec{Code: erasure.NewNull()}
 	data := randData(5, 100)
 	blocks, cat, _ := cd.EncodeFile(context.Background(), "b", data, PlanChunkSizes(100, 50))
-	fetch := blockMap(blocks)
-	if _, err := cd.DecodeRange(context.Background(), cat, 90, 20, fetch); err == nil {
-		t.Error("range past EOF accepted")
+	cd.Fetch = FetchBlocks(blockMap(blocks))
+	if err := cd.ReadChunk(context.Background(), cat, 1, 40, make([]byte, 20)); err == nil {
+		t.Error("range past the chunk's end accepted")
 	}
-	if _, err := cd.DecodeRange(context.Background(), cat, -1, 5, fetch); err == nil {
+	if err := cd.ReadChunk(context.Background(), cat, 0, -1, make([]byte, 5)); err == nil {
 		t.Error("negative offset accepted")
 	}
 }
@@ -245,7 +257,8 @@ func TestCodecMissingBlocksFail(t *testing.T) {
 		t.Fatal("decode succeeded with a chunk missing")
 	}
 	// But a range not touching chunk 2 still works.
-	got, err := cd.DecodeRange(context.Background(), cat, 0, 1000, fetch)
+	cd.Fetch = FetchBlocks(fetch)
+	got, err := readRange(context.Background(), cd, cat, 0, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}

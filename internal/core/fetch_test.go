@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -141,7 +142,7 @@ func TestProgressHedgeReplacesSilentSource(t *testing.T) {
 	defer close(release)
 	var fetched sync.Map
 	par := &Codec{Code: code, FetchParallel: 4, HedgeDelay: 20 * time.Millisecond}
-	par.StreamFetch = perBlock(func(name string, progress func(int)) ([]byte, Releaser, bool) {
+	par.Fetch = perBlock(func(name string, progress func(int)) ([]byte, Releaser, bool) {
 		fetched.Store(name, true)
 		if name == BlockName("silent.dat", 0, 0) {
 			progress(512) // a head's worth of bytes, then silence
@@ -186,7 +187,7 @@ func TestProgressHedgeSparesMovingSource(t *testing.T) {
 
 	var launches atomic.Int64
 	par := &Codec{Code: code, FetchParallel: 4, HedgeDelay: 25 * time.Millisecond}
-	par.StreamFetch = perBlock(func(name string, progress func(int)) ([]byte, Releaser, bool) {
+	par.Fetch = perBlock(func(name string, progress func(int)) ([]byte, Releaser, bool) {
 		launches.Add(1)
 		if name == BlockName("moving.dat", 0, 0) {
 			// ~150ms total — six hedge periods — but bytes trickle in
@@ -247,16 +248,35 @@ func TestParallelFetchHedgesPastStragglers(t *testing.T) {
 	}
 }
 
-// perBlock adapts a single-block fetch to the codec's group fetch. With
+// TestParallelFetchCancelReturnsPromptly cancels a read whose fetches
+// ignore ctx and block for seconds: the read returns the context error
+// at once, leaving the fetches to finish on their own.
+func TestParallelFetchCancelReturnsPromptly(t *testing.T) {
+	code := erasure.MustXOR(2)
+	mf, cat := newMemFetch(t, code, "cancel.dat", randData(9, 40_000), []int64{40_000})
+	mf.delay = func(string) time.Duration { return 2 * time.Second }
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	par := &Codec{Code: code, FetchParallel: 4, HedgeDelay: 5 * time.Millisecond}
+	startT := time.Now()
+	if _, err := par.DecodeFile(ctx, cat, mf.fetch); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if e := time.Since(startT); e > time.Second {
+		t.Fatalf("cancelled read returned after %v; it waited for its fetches", e)
+	}
+}
+
+// perBlock adapts a whole-block fetch to the codec's group fetch. With
 // no Holder set every group is a single block, so the hook sees the
 // calls a per-block fetch would.
-func perBlock(f func(name string, progress func(int)) ([]byte, Releaser, bool)) StreamFetchFunc {
-	return func(file string, ci int, blocks []erasure.Block, progress func(int)) (Releaser, bool) {
-		if len(blocks) != 1 {
+func perBlock(f func(name string, progress func(int)) ([]byte, Releaser, bool)) GroupFetchFunc {
+	return func(_ context.Context, file string, ci int, parts []Part, progress func(int)) (Releaser, bool) {
+		if len(parts) != 1 {
 			panic("perBlock: a group of more than one block without a Holder")
 		}
-		d, rel, ok := f(BlockName(file, ci, blocks[0].Index), progress)
-		blocks[0].Data = d
+		d, rel, ok := f(BlockName(file, ci, parts[0].Block), progress)
+		parts[0].Data = d
 		return rel, ok
 	}
 }
@@ -275,20 +295,20 @@ func TestGroupFetchReplacesFailedHolder(t *testing.T) {
 	var groups [][]int
 	par := &Codec{Code: code, FetchParallel: 4, HedgeDelay: -1}
 	par.Holder = func(_ string, _, e int) int { return e % 3 }
-	par.StreamFetch = func(file string, ci int, blocks []erasure.Block, progress func(int)) (Releaser, bool) {
+	par.Fetch = func(_ context.Context, file string, ci int, parts []Part, progress func(int)) (Releaser, bool) {
 		var idx []int
-		for _, b := range blocks {
-			idx = append(idx, b.Index)
+		for _, p := range parts {
+			idx = append(idx, p.Block)
 		}
 		mu.Lock()
 		groups = append(groups, idx)
 		mu.Unlock()
-		if blocks[0].Index%3 == 0 {
+		if parts[0].Block%3 == 0 {
 			return nil, false // holder 0 is down
 		}
-		for i := range blocks {
-			d, _ := mf.fetch(BlockName(file, ci, blocks[i].Index))
-			blocks[i].Data = d
+		for i := range parts {
+			d, _ := mf.fetch(BlockName(file, ci, parts[i].Block))
+			parts[i].Data = d
 			progress(len(d))
 		}
 		return nil, true

@@ -47,9 +47,10 @@ func TestPlanBlockRanges(t *testing.T) {
 }
 
 // checkRangeRead is the differential property behind the table test and
-// the fuzz target: with the given blocks of every chunk lost,
-// DecodeRange(off, n) equals the same slice of the whole-file decode —
-// or both fail. It returns how many block ranges the read moved.
+// the fuzz target: with the given blocks of every chunk lost, reading
+// [off, off+n) chunk by chunk equals the same slice of the whole-file
+// decode — or both fail. It returns how many block ranges the read
+// moved.
 func checkRangeRead(t *testing.T, code erasure.Code, data []byte, chunkCap, off, n int64, lost []int) int {
 	t.Helper()
 	ctx := context.Background()
@@ -70,8 +71,8 @@ func checkRangeRead(t *testing.T, code erasure.Code, data []byte, chunkCap, off,
 
 	whole, wholeErr := (&Codec{Code: code}).DecodeFile(ctx, cat, fetch)
 	var ranges atomic.Int64
-	cd := &Codec{Code: code, FetchParallel: 4, OnRangeRead: func(int, bool) { ranges.Add(1) }}
-	got, err := cd.DecodeRange(ctx, cat, off, n, fetch)
+	cd := &Codec{Code: code, FetchParallel: 4, Fetch: FetchBlocks(fetch), OnRangeRead: func(int, bool) { ranges.Add(1) }}
+	got, err := readRange(ctx, cd, cat, off, n)
 	if wholeErr != nil {
 		if err == nil && n > 0 {
 			t.Fatalf("%s lost %v: ranged read of [%d,%d) succeeded where the whole decode failed: %v", code.Name(), lost, off, off+n, wholeErr)
@@ -177,12 +178,13 @@ func FuzzRangeRead(f *testing.F) {
 }
 
 // rangeRig is one xor(2) chunk of 3000 bytes — data blocks 0 and 1,
-// parity 2, 1500 bytes each — behind a RangeFetch whose answers a test
-// can bend per block.
+// parity 2, 1500 bytes each — behind a per-range fetch whose answers a
+// test can bend per block.
 type rangeRig struct {
 	cd      *Codec
 	cat     *CAT
 	data    []byte
+	fetch   func(ctx context.Context, name string, off, n int64) ([]byte, Releaser, bool)
 	bend    func(ctx context.Context, e int, honest []byte) ([]byte, bool)
 	hedges  atomic.Int64
 	reads   atomic.Int64
@@ -207,14 +209,20 @@ func newRangeRig(t *testing.T, hedge time.Duration) *rangeRig {
 				rig.rebuilt.Add(1)
 			}
 		},
-		RangeFetch: func(ctx context.Context, name string, off, n int64) ([]byte, Releaser, bool) {
-			var e int
-			for e = 0; BlockName("f", 0, e) != name; e++ {
-			}
-			d, _ := stored(name)
-			d, ok := rig.bend(ctx, e, d[off:off+n])
-			return d, nil, ok
+		Fetch: func(ctx context.Context, file string, ci int, parts []Part, _ func(int)) (Releaser, bool) {
+			p := &parts[0] // no Holder: every group is one part
+			d, rel, ok := rig.fetch(ctx, BlockName(file, ci, p.Block), p.Off, p.Len)
+			p.Data = d
+			return rel, ok
 		},
+	}
+	rig.fetch = func(ctx context.Context, name string, off, n int64) ([]byte, Releaser, bool) {
+		var e int
+		for e = 0; BlockName("f", 0, e) != name; e++ {
+		}
+		d, _ := stored(name)
+		d, ok := rig.bend(ctx, e, d[off:off+n])
+		return d, nil, ok
 	}
 	return rig
 }
@@ -222,7 +230,7 @@ func newRangeRig(t *testing.T, hedge time.Duration) *rangeRig {
 // read reads bytes [100,200) of the chunk: a range of data block 0.
 func (rig *rangeRig) read(ctx context.Context) ([]byte, error) {
 	dst := make([]byte, 100)
-	err := rig.cd.DecodeChunkRange(ctx, rig.cat, 0, 100, dst, nil)
+	err := rig.cd.ReadChunk(ctx, rig.cat, 0, 100, dst)
 	return dst, err
 }
 
@@ -349,64 +357,5 @@ func TestRangeReadCancel(t *testing.T) {
 			t.Fatalf("%d block reads still running after the cancel", out.Load())
 		}
 		time.Sleep(time.Millisecond)
-	}
-}
-
-// countingCache is a ChunkCache that serves one chunk and counts.
-type countingCache struct {
-	chunk      []byte
-	gets, puts int
-}
-
-func (c *countingCache) GetChunk(*CAT, int) ([]byte, bool) {
-	c.gets++
-	return c.chunk, c.chunk != nil
-}
-func (c *countingCache) PutChunk(*CAT, int, []byte) { c.puts++ }
-
-// A partial read is served from a cached chunk and otherwise leaves the
-// cache alone; a whole-chunk read populates it as it always did.
-func TestRangeReadAndTheCache(t *testing.T) {
-	ctx := context.Background()
-	code := erasure.MustXOR(2)
-	data := randData(34, 3000)
-	blocks, cat, err := (&Codec{Code: code}).EncodeFile(ctx, "f", data, []int64{3000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var moved int
-	cache := &countingCache{}
-	cd := &Codec{Code: code, Cache: cache, OnRangeRead: func(int, bool) { moved++ }}
-	fetch := blockMap(blocks)
-
-	dst := make([]byte, 10)
-	if err := cd.DecodeChunkRange(ctx, cat, 0, 1495, dst, fetch); err != nil || !bytes.Equal(dst, data[1495:1505]) {
-		t.Fatalf("cold partial read: %v", err)
-	}
-	if moved != 2 || cache.puts != 0 {
-		t.Fatalf("cold partial read across two blocks moved %d ranges and made %d cache inserts, want 2 and 0", moved, cache.puts)
-	}
-	whole := make([]byte, 3000)
-	if err := cd.DecodeChunkRange(ctx, cat, 0, 0, whole, fetch); err != nil || !bytes.Equal(whole, data) {
-		t.Fatalf("whole-chunk read: %v", err)
-	}
-	if moved != 2 || cache.puts != 1 {
-		t.Fatalf("whole-chunk read moved %d ranges and made %d cache inserts, want 2 and 1", moved, cache.puts)
-	}
-	cache.chunk = data
-	if err := cd.DecodeChunkRange(ctx, cat, 0, 7, dst, func(string) ([]byte, bool) {
-		t.Error("a cached chunk cost a block fetch")
-		return nil, false
-	}); err != nil || !bytes.Equal(dst, data[7:17]) {
-		t.Fatalf("cached partial read: %v", err)
-	}
-	for _, bad := range []struct {
-		ci int
-		lo int64
-		n  int
-	}{{-1, 0, 1}, {1, 0, 1}, {0, -1, 1}, {0, 2999, 2}} {
-		if err := cd.DecodeChunkRange(ctx, cat, bad.ci, bad.lo, make([]byte, bad.n), fetch); err == nil {
-			t.Errorf("DecodeChunkRange(%+v) succeeded", bad)
-		}
 	}
 }

@@ -70,7 +70,7 @@ func TestParallelDecodeReleasesAfterDecode(t *testing.T) {
 		mf, cat := newMemFetch(t, code, "rel.dat", data, sizes)
 		var ledger frameLedger
 		cd := &Codec{Code: code, FetchParallel: 4}
-		cd.StreamFetch = perBlock(func(name string, progress func(int)) ([]byte, Releaser, bool) {
+		cd.Fetch = perBlock(func(name string, progress func(int)) ([]byte, Releaser, bool) {
 			d, ok := mf.fetch(name)
 			if !ok {
 				return nil, nil, false
@@ -83,9 +83,9 @@ func TestParallelDecodeReleasesAfterDecode(t *testing.T) {
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("%s: DecodeFile over released blocks: %v", code.Name(), err)
 		}
-		chunk, err := cd.DecodeChunk(context.Background(), cat, 1, mf.fetch)
-		if err != nil || !bytes.Equal(chunk, data[cat.Rows[1].Start:cat.Rows[1].End]) {
-			t.Fatalf("%s: DecodeChunk over released blocks: %v", code.Name(), err)
+		chunk := make([]byte, cat.Rows[1].Len())
+		if err := cd.ReadChunk(context.Background(), cat, 1, 0, chunk); err != nil || !bytes.Equal(chunk, data[cat.Rows[1].Start:cat.Rows[1].End]) {
+			t.Fatalf("%s: ReadChunk over released blocks: %v", code.Name(), err)
 		}
 		ledger.check(t, code.Name(), true)
 	}
@@ -99,8 +99,8 @@ func TestRangeReadReleasesAfterCopy(t *testing.T) {
 		rig := newRangeRig(t, -1)
 		rig.bend = func(_ context.Context, _ int, h []byte) ([]byte, bool) { return h, true }
 		var ledger frameLedger
-		honest := rig.cd.RangeFetch
-		rig.cd.RangeFetch = func(ctx context.Context, name string, off, n int64) ([]byte, Releaser, bool) {
+		honest := rig.fetch
+		rig.fetch = func(ctx context.Context, name string, off, n int64) ([]byte, Releaser, bool) {
 			if holderDown && name == BlockName("f", 0, 0) {
 				return nil, nil, false
 			}

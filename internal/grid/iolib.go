@@ -95,15 +95,20 @@ type fdState struct {
 
 // NewIOLib builds an interposition library over the backend using the
 // given per-chunk erasure code.
+// The library reads through a copy of codec whose Fetch is the
+// backend's FetchBlock.
 func NewIOLib(fs FS, codec *core.Codec) *IOLib {
-	return &IOLib{
+	l := &IOLib{
 		fs:         fs,
-		codec:      codec,
 		fds:        make(map[int]*fdState),
 		cache:      make(map[string]*core.CAT),
 		chunkLRU:   make(map[chunkKey]*list.Element),
 		chunkOrder: list.New(),
 	}
+	cd := *codec
+	cd.Fetch = core.FetchBlocks(l.fetch)
+	l.codec = &cd
+	return l
 }
 
 // CacheStats reports lookup-cache hits and misses.
@@ -166,11 +171,15 @@ func (l *IOLib) chunkCap() (entries int, bytes int64) {
 // The returned slice is shared cache state: callers copy out of it and
 // never mutate it.
 func (l *IOLib) chunkData(cat *core.CAT, ci int) ([]byte, error) {
+	want := cat.Row(ci).Len()
+	decode := func() ([]byte, error) {
+		data := make([]byte, want)
+		return data, l.codec.ReadChunk(context.Background(), cat, ci, 0, data)
+	}
 	maxEntries, maxBytes := l.chunkCap()
 	if maxEntries < 1 {
-		return l.codec.DecodeChunk(context.Background(), cat, ci, l.fetch)
+		return decode()
 	}
-	want := cat.Row(ci).Len()
 	key := chunkKey{file: cat.File, ci: ci}
 	l.chunkMu.Lock()
 	if el, ok := l.chunkLRU[key]; ok {
@@ -187,7 +196,7 @@ func (l *IOLib) chunkData(cat *core.CAT, ci int) ([]byte, error) {
 	}
 	l.chunkMiss++
 	l.chunkMu.Unlock()
-	data, err := l.codec.DecodeChunk(context.Background(), cat, ci, l.fetch)
+	data, err := decode()
 	if err != nil {
 		return nil, err
 	}
@@ -204,11 +213,21 @@ func (l *IOLib) chunkData(cat *core.CAT, ci int) ([]byte, error) {
 }
 
 // readRange assembles [off, off+length) from cached or freshly decoded
-// chunks; the slicing arithmetic lives in core.SliceRange.
+// chunks.
 func (l *IOLib) readRange(cat *core.CAT, off, length int64) ([]byte, error) {
-	return core.SliceRange(cat, off, length, func(ci int) ([]byte, error) {
-		return l.chunkData(cat, ci)
-	})
+	if off < 0 || length < 0 || off+length > cat.FileSize() {
+		return nil, fmt.Errorf("grid: range [%d,%d) outside file of %d bytes", off, off+length, cat.FileSize())
+	}
+	out := make([]byte, 0, length)
+	for _, ci := range cat.ChunksFor(off, length) {
+		row := cat.Rows[ci]
+		chunk, err := l.chunkData(cat, ci)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, chunk[max(off, row.Start)-row.Start:min(off+length, row.End)-row.Start]...)
+	}
+	return out, nil
 }
 
 // Open opens a stored file for reading and returns a descriptor.

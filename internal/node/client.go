@@ -9,8 +9,6 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
-	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,9 +39,8 @@ var (
 // change a knob, build a new client.
 type Config struct {
 	// Workers bounds per-file chunk-coding concurrency (0 selects
-	// GOMAXPROCS). 1 forces the fully sequential paths end to end —
-	// including one-at-a-time block transfers — unless Transfers is
-	// set explicitly.
+	// GOMAXPROCS). 1 also keeps block transfers one at a time unless
+	// Transfers is set explicitly.
 	Workers int
 	// Transfers bounds in-flight block transfers per operation.
 	// Network fan-out is wait-bound, not compute-bound, so 0 selects
@@ -69,11 +66,11 @@ type Config struct {
 	// Timeout bounds one RPC round trip (0 selects wire.DefaultTimeout).
 	Timeout time.Duration
 	// Segment is the streaming transfer segment size in bytes (0
-	// selects wire.DefaultSegment). Blocks larger than one segment are
-	// uploaded as OpStoreWindow segments; a block too large for one
-	// frame, and a block range larger than a segment, are read as
-	// ranged OpFetchStream segments. Smaller blocks move in owner
-	// groups of at most one segment per frame.
+	// selects wire.DefaultSegment). Blocks and block ranges move in
+	// owner groups of at most one segment; a larger block goes up as
+	// OpStoreWindow segments and comes back in a frame of its own, or,
+	// too large for one frame, as ranged OpFetch parts of a segment
+	// each.
 	Segment int
 	// StreamWindow bounds in-flight segments per streamed block
 	// transfer (0 selects 4; 1 keeps one OpStoreWindow segment in
@@ -90,13 +87,6 @@ type Config struct {
 	// MaxZeroChunks bounds consecutive refused chunk placements (0
 	// selects 5).
 	MaxZeroChunks int
-	// ChunkCache, when set, is consulted before and populated after
-	// every chunk decode on the read paths (FetchChunk, FetchRange,
-	// FetchFile), so concurrent readers and repeated ranged reads of
-	// one client share decoded chunks instead of re-fetching and
-	// re-decoding them. The cache is shared state: it must be safe
-	// for concurrent use and its slices are treated as immutable.
-	ChunkCache core.ChunkCache
 }
 
 // withDefaults resolves the zero-value knobs.
@@ -167,9 +157,8 @@ type Client struct {
 	pool *wire.Pool
 	seed string
 
-	// readCodec is the ctx-independent part of the read-path codec,
-	// built once so a read allocates one codec and one closure, not a
-	// set of hooks (see fetchCodec).
+	// readCodec is the codec every read runs, built once (see
+	// newReadCodec).
 	readCodec *core.Codec
 	// blockKeys names each block within its chunk's owner group (see
 	// blockKey).
@@ -269,52 +258,30 @@ func (c *Client) call(ctx context.Context, addr string, req *wire.Request) (*wir
 	return resp, err
 }
 
-// codec builds the data-path codec with the client's concurrency knobs
-// threaded through, including the degraded-read fetch path.
-func (c *Client) codec() *core.Codec {
+// newReadCodec builds the codec every read runs: chunk reads spend
+// their time waiting on block RPCs rather than on the CPU, so their
+// concurrency follows the transfer bound; blocks move in owner groups
+// of at most a segment (see fetchParts); and hedge fires and ranged
+// reads are counted.
+func (c *Client) newReadCodec() *core.Codec {
 	return &core.Codec{
 		Code:          c.code,
-		Workers:       c.cfg.Workers,
+		Workers:       c.transfers(),
 		FetchParallel: c.transfers(),
 		FetchHedge:    c.cfg.Hedge,
 		HedgeDelay:    c.cfg.HedgeDelay,
+		Fetch:         c.fetchParts,
+		Holder:        c.holder,
+		GroupBytes:    int64(c.cfg.Segment),
+		OnHedge:       func(stalled int) { c.met.hedgeFires.Add(int64(stalled)) },
+		OnRangeRead: func(bytes int, rebuilt bool) {
+			c.met.rangeReads.Inc()
+			c.met.rangeBytes.Add(int64(bytes))
+			if rebuilt {
+				c.met.rangeRebuilds.Inc()
+			}
+		},
 	}
-}
-
-// newReadCodec builds the part of the read-path codec that does not
-// depend on a call's context, once per client: chunk-decode jobs spend
-// their time waiting on block RPCs rather than on the CPU, so their
-// concurrency follows the transfer bound; partial-chunk reads fetch
-// block ranges; and hedge fires and ranged reads are counted.
-func (c *Client) newReadCodec() *core.Codec {
-	cd := c.codec()
-	cd.Workers = c.transfers()
-	cd.Cache = c.cfg.ChunkCache
-	cd.Holder = c.holder
-	cd.GroupBytes = int64(c.cfg.Segment)
-	cd.OnHedge = func(stalled int) { c.met.hedgeFires.Add(int64(stalled)) }
-	cd.RangeFetch = func(ctx context.Context, name string, off, n int64) ([]byte, core.Releaser, bool) {
-		d, rel, err := c.fetchBlockRange(ctx, name, off, n)
-		return d, rel, err == nil
-	}
-	cd.OnRangeRead = func(bytes int, rebuilt bool) {
-		c.met.rangeReads.Inc()
-		c.met.rangeBytes.Add(int64(bytes))
-		if rebuilt {
-			c.met.rangeRebuilds.Inc()
-		}
-	}
-	return cd
-}
-
-// fetchCodec is the read-path codec for one call: the client's read
-// codec plus owner-group block fetches bound to ctx, which report
-// per-segment progress into the hedged read path so a stalled source is
-// replaced mid-stream while a slow-but-moving one is left alone.
-func (c *Client) fetchCodec(ctx context.Context) *core.Codec {
-	cd := *c.readCodec
-	cd.StreamFetch = c.chunkGroupFetch(ctx)
-	return &cd
 }
 
 // RefreshCtx re-pulls the membership view from the seed. Static
@@ -444,134 +411,20 @@ func (c *Client) windowStoreBlock(ctx context.Context, addr, name string, data [
 	})
 }
 
-// fetchBlock retrieves a block from its owner as bytes the caller owns
-// (see fetchBlockView).
+// fetchBlock reads a whole block from its owner as bytes the caller
+// owns, with one plain OpFetch: a block too large for one frame is
+// refused (a chunk read asks for it in ranged parts; see fetchParts).
 func (c *Client) fetchBlock(ctx context.Context, name string) ([]byte, error) {
-	data, rel, err := c.fetchBlockView(ctx, name, nil)
-	if err != nil || rel == nil {
-		return data, err
-	}
-	defer rel.Release()
-	return bytes.Clone(data), nil
-}
-
-// fetchBlockView retrieves a block from its owner, switching to ranged
-// OpFetchStream reads when the server refuses to fit it in one frame.
-// A block that came in one frame is a view into it: the caller releases
-// rel once done with the bytes. A nil rel means the bytes are the
-// caller's. progress, when non-nil, receives incremental byte counts —
-// the signal the hedged read path uses to tell a moving stream from a
-// stalled one.
-func (c *Client) fetchBlockView(ctx context.Context, name string, progress func(int)) ([]byte, core.Releaser, error) {
 	addr, err := c.ownerAddr(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	resp, err := c.call(ctx, addr, &wire.Request{Op: wire.OpFetch, Name: name})
-	if err != nil {
-		if strings.Contains(err.Error(), wire.BlockTooLarge) {
-			data, err := c.streamFetchBlock(ctx, addr, name, progress)
-			return data, nil, err
-		}
-		return nil, nil, err
-	}
-	if progress != nil {
-		progress(len(resp.Data))
-	}
-	return resp.Data, resp, nil
-}
-
-// streamFetchBlock reassembles a block from ranged segment reads. The
-// first response reports the total size; the rest is then requested
-// with up to StreamWindow reads in flight — readahead over the
-// stateless OpFetchStream exchange, so per-range round-trip latency no
-// longer serializes the reassembly. The size is the holder's word, so
-// the buffer grows with what actually arrives, the way readFrame grows
-// a frame: each window adds at most the larger of the bytes received
-// and one window of segments, and a holder that lies about the size
-// costs no more memory than it sends. progress, when non-nil, receives
-// each segment's byte count as it lands.
-func (c *Client) streamFetchBlock(ctx context.Context, addr, name string, progress func(int)) ([]byte, error) {
-	seg := int64(c.cfg.Segment)
-	resp, err := c.call(ctx, addr, wire.EncodeFetchStream(name, 0, seg))
 	if err != nil {
 		return nil, err
 	}
-	size, head := resp.Capacity, int64(len(resp.Data))
-	buf := bytes.Clone(resp.Data)
-	resp.Release()
-	if size <= 0 || size > wire.MaxBlockSize {
-		return nil, fmt.Errorf("node: stream fetch %s: bad size %d", name, size)
-	}
-	if head == 0 || head > size {
-		return nil, fmt.Errorf("node: stream fetch %s: segment of %d bytes at 0/%d", name, head, size)
-	}
-	if progress != nil {
-		progress(len(buf))
-	}
-	window := seg * int64(c.cfg.StreamWindow)
-	for got := int64(len(buf)); got < size; got = int64(len(buf)) {
-		step := min(size-got, max(got, window))
-		buf = slices.Grow(buf, int(step))[:got+step]
-		if err := c.streamFetchInto(ctx, addr, name, got, buf[got:], progress); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
-// streamFetchInto fills dst with the block's bytes from off on, as
-// ranged segment reads with up to StreamWindow in flight, each copied
-// out of its receive frame and released. A segment of any other length
-// than the one asked for fails the read. progress, when non-nil,
-// receives each segment's byte count as it lands.
-func (c *Client) streamFetchInto(ctx context.Context, addr, name string, off int64, dst []byte, progress func(int)) error {
-	seg := int64(c.cfg.Segment)
-	size := int64(len(dst))
-	segs := int((size + seg - 1) / seg)
-	return core.ParallelJobsCtx(ctx, segs, c.cfg.StreamWindow, func(i int) error {
-		at := int64(i) * seg
-		want := min(seg, size-at)
-		r, err := c.call(ctx, addr, wire.EncodeFetchStream(name, off+at, want))
-		if err != nil {
-			return err
-		}
-		defer r.Release()
-		if int64(len(r.Data)) != want {
-			return fmt.Errorf("node: stream fetch %s: got %d of %d bytes at %d", name, len(r.Data), want, off+at)
-		}
-		copy(dst[at:at+want], r.Data)
-		if progress != nil {
-			progress(len(r.Data))
-		}
-		return nil
-	})
-}
-
-// fetchBlockRange reads n bytes at off of a block from its owner without
-// moving the block around them: one ranged OpFetchStream — through the
-// same instrumented call every transfer makes — when the range fits a
-// wire segment, its bytes a view into the receive frame until rel is
-// released, and windowed segment reads into a buffer of the caller's
-// when it does not (rel nil). The length of a single-segment answer is
-// the caller's to check.
-func (c *Client) fetchBlockRange(ctx context.Context, name string, off, n int64) ([]byte, core.Releaser, error) {
-	addr, err := c.ownerAddr(name)
+	resp, err := c.call(ctx, addr, &wire.Request{Op: wire.OpFetch, Name: name})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if n > int64(c.cfg.Segment) {
-		buf := make([]byte, n)
-		if err := c.streamFetchInto(ctx, addr, name, off, buf, nil); err != nil {
-			return nil, nil, err
-		}
-		return buf, nil, nil
-	}
-	resp, err := c.call(ctx, addr, wire.EncodeFetchStream(name, off, n))
-	if err != nil {
-		return nil, nil, err
-	}
-	return resp.Data, resp, nil
+	defer resp.Release()
+	return bytes.Clone(resp.Data), nil
 }
 
 // probeChunk runs the §4.3 capacity probe for one chunk: the chunk's m
@@ -898,16 +751,9 @@ func (c *Client) LoadCATCtx(ctx context.Context, name string) (*core.CAT, error)
 	allMissing := true
 	catName := core.CATName(name)
 	for r := 0; r <= c.cfg.CATReplicas; r++ {
-		data, rel, err := c.fetchBlockView(ctx, core.ReplicaName(catName, r), nil)
+		cat, err := c.loadCATReplica(ctx, name, core.ReplicaName(catName, r))
 		if err == nil {
-			var cat *core.CAT
-			cat, err = core.UnmarshalCAT(name, data) // copies what it keeps
-			if rel != nil {
-				rel.Release()
-			}
-			if err == nil {
-				return cat, nil
-			}
+			return cat, nil
 		}
 		if !errors.Is(err, ErrNotFound) {
 			allMissing = false
@@ -920,6 +766,21 @@ func (c *Client) LoadCATCtx(ctx context.Context, name string) (*core.CAT, error)
 	return nil, fmt.Errorf("node: load CAT for %q: %w", name, lastErr)
 }
 
+// loadCATReplica reads and parses one copy of file's CAT: one plain
+// OpFetch, the whole copy in one frame.
+func (c *Client) loadCATReplica(ctx context.Context, file, replica string) (*core.CAT, error) {
+	addr, err := c.ownerAddr(replica)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := c.call(ctx, addr, &wire.Request{Op: wire.OpFetch, Name: replica})
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Release()
+	return core.UnmarshalCAT(file, resp.Data) // copies what it keeps
+}
+
 // FetchFileCtx retrieves and decodes the whole file. Chunks are
 // decoded concurrently and each chunk reads any sufficient subset of
 // its blocks, so the fetch succeeds with nodes down (degraded read).
@@ -929,53 +790,19 @@ func (c *Client) FetchFileCtx(ctx context.Context, name string) ([]byte, error) 
 	if err != nil {
 		return nil, err
 	}
-	return c.fetchCodec(ctx).DecodeFile(ctx, cat, c.fetchFunc(ctx))
+	return c.readCodec.DecodeFile(ctx, cat, nil)
 }
 
-// FetchRangeCtx retrieves [off, off+length) of the file, touching only
-// what the range covers: whole chunks where it spans them, and under a
-// systematic code (null, xor, rs) only the data-block ranges that hold
-// the bytes where it does not (core.Codec.DecodeChunkRange).
-func (c *Client) FetchRangeCtx(ctx context.Context, name string, off, length int64) ([]byte, error) {
+// ReadChunkCtx fills dst with bytes [lo, lo+len(dst)) of chunk ci of a
+// loaded CAT, moving only what they need: under a systematic code
+// (null, xor, rs) a range short of the chunk moves only the data-block
+// ranges that hold it, and anything else decodes the chunk from whole
+// blocks (see core.Codec.ReadChunk). Every read of a chunk — a cache
+// entry's, a stream's, a random ReadAt's — is this call with its own
+// dst.
+func (c *Client) ReadChunkCtx(ctx context.Context, cat *core.CAT, ci int, lo int64, dst []byte) error {
 	defer c.met.fetchSeconds.Since(time.Now())
-	cat, err := c.LoadCATCtx(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	return c.fetchCodec(ctx).DecodeRange(ctx, cat, off, length, c.fetchFunc(ctx))
-}
-
-// FetchChunk reconstructs one chunk of a loaded CAT — the granularity
-// the public File's decoded-chunk cache works at.
-func (c *Client) FetchChunk(ctx context.Context, cat *core.CAT, ci int) ([]byte, error) {
-	defer c.met.fetchSeconds.Since(time.Now())
-	return c.fetchCodec(ctx).DecodeChunk(ctx, cat, ci, c.fetchFunc(ctx))
-}
-
-// FetchChunkInto is FetchChunk into dst, which holds exactly the
-// chunk's length — what a one-pass stream decodes into, chunk after
-// chunk, without handing the bytes to the cache.
-func (c *Client) FetchChunkInto(ctx context.Context, cat *core.CAT, ci int, dst []byte) error {
-	defer c.met.fetchSeconds.Since(time.Now())
-	return c.fetchCodec(ctx).DecodeChunkInto(ctx, cat, ci, c.fetchFunc(ctx), dst)
-}
-
-// FetchChunkRange fills dst with bytes [lo, lo+len(dst)) of one chunk of
-// a loaded CAT — FetchRangeCtx for a caller that holds the table and
-// the buffer already (the public File).
-func (c *Client) FetchChunkRange(ctx context.Context, cat *core.CAT, ci int, lo int64, dst []byte) error {
-	defer c.met.fetchSeconds.Since(time.Now())
-	return c.fetchCodec(ctx).DecodeChunkRange(ctx, cat, ci, lo, dst, c.fetchFunc(ctx))
-}
-
-func (c *Client) fetchFunc(ctx context.Context) core.FetchFunc {
-	return func(name string) ([]byte, bool) {
-		d, err := c.fetchBlock(ctx, name)
-		if err != nil {
-			return nil, false
-		}
-		return d, true
-	}
+	return c.readCodec.ReadChunk(ctx, cat, ci, lo, dst)
 }
 
 // FetchBlock implements grid.FS.
@@ -1078,16 +905,16 @@ func (c *Client) RepairCtx(ctx context.Context, name string) (RepairStats, error
 	err = core.ParallelJobsCtx(ctx, len(cis), w, func(i int) error {
 		ci := cis[i]
 		prefix := core.BlockPrefix(name, ci)
-		// Scan every block of the chunk, one exchange per owner frame
-		// in parallel: slots keep the fetched blocks index-stable
-		// without a mutex, and a block left nil is missing.
+		// Scan every block of the chunk through the read path's group
+		// fetch, one exchange per owner frame in parallel: a block that
+		// does not come back whole is missing.
 		groups, err := c.groupByOwner(prefix, m, c.blockKey)
 		if err != nil {
 			return err
 		}
-		blockLen := int((cat.Rows[ci].Len() + n - 1) / n)
-		frames := splitFrames(groups, c.cfg.Segment, func(wire.Part) int { return blockLen })
-		have := make([]erasure.Block, m)
+		blockLen := (cat.Rows[ci].Len() + n - 1) / n
+		frames := splitFrames(groups, c.cfg.Segment, func(wire.Part) int { return int(blockLen) })
+		parts := make([]core.Part, m)
 		rels := make([]core.Releaser, len(frames))
 		defer func() {
 			for _, rel := range rels {
@@ -1098,21 +925,13 @@ func (c *Client) RepairCtx(ctx context.Context, name string) (RepairStats, error
 		}()
 		core.ParallelJobsCtx(ctx, len(frames), w, func(j int) error { //nolint:errcheck
 			f := frames[j]
-			if len(f.parts) == 1 {
-				data, rel, err := c.fetchBlockView(ctx, prefix+string(f.parts[0].Key), nil)
-				if err == nil {
-					have[f.idx[0]].Data, rels[j] = data, rel
-				}
-				return nil
+			group := make([]core.Part, len(f.idx))
+			for k, e := range f.idx {
+				group[k] = core.Part{Block: e, Len: blockLen}
 			}
-			got, rel, err := c.fetchGroup(ctx, f.addr, prefix, f.parts)
-			if err == nil {
-				rels[j] = rel
-				for k, p := range got {
-					if !p.Absent {
-						have[f.idx[k]].Data = p.Data
-					}
-				}
+			rels[j], _ = c.fetchParts(ctx, name, ci, group, nil)
+			for k, e := range f.idx {
+				parts[e] = group[k]
 			}
 			return nil
 		})
@@ -1121,9 +940,9 @@ func (c *Client) RepairCtx(ctx context.Context, name string) (RepairStats, error
 		}
 		got := make([]erasure.Block, 0, m)
 		var missing []int
-		for e := 0; e < m; e++ {
-			if have[e].Data != nil {
-				got = append(got, erasure.Block{Index: e, Data: have[e].Data})
+		for e, p := range parts {
+			if int64(len(p.Data)) == blockLen {
+				got = append(got, erasure.Block{Index: e, Data: p.Data})
 			} else {
 				missing = append(missing, e)
 			}

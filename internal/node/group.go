@@ -6,7 +6,6 @@ import (
 	"strconv"
 
 	"peerstripe/internal/core"
-	"peerstripe/internal/erasure"
 	"peerstripe/internal/ids"
 	"peerstripe/internal/wire"
 )
@@ -157,40 +156,71 @@ func (c *Client) fetchGroup(ctx context.Context, addr, prefix string, parts []wi
 	return resp.Parts, resp, nil
 }
 
-// chunkGroupFetch is the codec's group fetch (core.StreamFetchFunc) for
-// one call: a group of one is the single-block fetch, which streams a
-// block too large for one frame; a larger group is one fetchGroup
-// exchange with the blocks' owner, which the codec found by Holder.
-func (c *Client) chunkGroupFetch(ctx context.Context) core.StreamFetchFunc {
-	return func(file string, ci int, blocks []erasure.Block, progress func(int)) (core.Releaser, bool) {
-		if len(blocks) == 1 {
-			d, rel, err := c.fetchBlockView(ctx, core.BlockName(file, ci, blocks[0].Index), progress)
-			blocks[0].Data = d
-			return rel, err == nil
-		}
-		ring := c.view()
-		if len(ring) == 0 {
-			return nil, false
-		}
-		owner := ring[blockOwner(ring, file, ci, blocks[0].Index)]
-		parts := make([]wire.Part, len(blocks))
-		for i, b := range blocks {
-			parts[i].Key = c.blockKey(b.Index)
-		}
-		got, rel, err := c.fetchGroup(ctx, owner.Addr, core.BlockPrefix(file, ci), parts)
-		if err != nil {
-			return nil, false
-		}
-		n := 0
-		for i, p := range got {
-			if !p.Absent {
-				blocks[i].Data = p.Data
-				n += len(p.Data)
-			}
-		}
-		progress(n)
-		return rel, true
+// fetchParts is the codec's group fetch (core.GroupFetchFunc): the
+// parts of chunk ci of file, whose blocks share an owner, go to it as
+// one OpFetch group of ranged parts, each answer a view into the
+// response frame until rel is released. A part too large for one frame
+// goes alone, as ranged parts of a segment each (see readRange).
+func (c *Client) fetchParts(ctx context.Context, file string, ci int, parts []core.Part, progress func(int)) (core.Releaser, bool) {
+	ring := c.view()
+	if len(ring) == 0 {
+		return nil, false
 	}
+	addr := ring[blockOwner(ring, file, ci, parts[0].Block)].Addr
+	prefix := core.BlockPrefix(file, ci)
+	if p := &parts[0]; len(parts) == 1 && p.Len > maxSingleFrameBlock {
+		buf := make([]byte, p.Len)
+		if c.readRange(ctx, addr, prefix+string(c.blockKey(p.Block)), p.Off, buf, progress) != nil {
+			return nil, false
+		}
+		p.Data = buf
+		return nil, true
+	}
+	req := make([]wire.Part, len(parts))
+	for i, p := range parts {
+		req[i] = wire.Part{Key: c.blockKey(p.Block), Off: p.Off, Len: p.Len}
+	}
+	got, rel, err := c.fetchGroup(ctx, addr, prefix, req)
+	if err != nil {
+		return nil, false
+	}
+	n := 0
+	for i, p := range got {
+		if !p.Absent {
+			parts[i].Data = p.Data
+			n += len(p.Data)
+		}
+	}
+	if progress != nil {
+		progress(n)
+	}
+	return rel, true
+}
+
+// readRange fills dst with bytes [off, off+len(dst)) of block name held
+// at addr, as ranged parts of one segment each, StreamWindow in flight.
+// Each answer is copied out of its frame only once it is known to be
+// exactly the length asked for; progress, when non-nil, hears of each.
+func (c *Client) readRange(ctx context.Context, addr, name string, off int64, dst []byte, progress func(int)) error {
+	seg := int64(c.cfg.Segment)
+	size := int64(len(dst))
+	return core.ParallelJobsCtx(ctx, int((size+seg-1)/seg), c.cfg.StreamWindow, func(i int) error {
+		at := int64(i) * seg
+		want := min(seg, size-at)
+		got, rel, err := c.fetchGroup(ctx, addr, name, []wire.Part{{Off: off + at, Len: want}})
+		if err != nil {
+			return err
+		}
+		defer rel.Release()
+		if int64(len(got[0].Data)) != want {
+			return fmt.Errorf("node: fetch %s: got %d of %d bytes at %d", name, len(got[0].Data), want, off+at)
+		}
+		copy(dst[at:], got[0].Data)
+		if progress != nil {
+			progress(int(want))
+		}
+		return nil
+	})
 }
 
 // holder is the codec's Holder: the ring position of a block's owner.

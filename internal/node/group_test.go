@@ -212,7 +212,8 @@ func TestFetchGroupMarksAbsent(t *testing.T) {
 		t.Fatal(err)
 	}
 	reads := s.FetchOps()
-	got, rel, err := c.fetchGroup(context.Background(), s.Addr(), "f_0_", []wire.Part{part("0", nil), part("1", nil), part("2", nil)})
+	whole := func(key string) wire.Part { return wire.Part{Key: []byte(key), Len: 1 << 20} }
+	got, rel, err := c.fetchGroup(context.Background(), s.Addr(), "f_0_", []wire.Part{whole("0"), whole("1"), whole("2")})
 	if err != nil {
 		t.Fatal(err)
 	}

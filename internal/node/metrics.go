@@ -25,7 +25,7 @@ func newClientMetrics(reg *telemetry.Registry) *clientMetrics {
 		storeSeconds:  reg.Histogram("ps_client_store_seconds", "Whole-file store latency (StoreFile/StoreReader)."),
 		fetchSeconds:  reg.Histogram("ps_client_fetch_seconds", "File, range, and chunk fetch latency."),
 		repairSeconds: reg.Histogram("ps_client_repair_seconds", "Per-file repair pass latency."),
-		hedgeFires:    reg.Counter("ps_client_hedge_fires_total", "Replacement block fetches launched for stalled sources on the hedged read path."),
+		hedgeFires:    reg.Counter("ps_client_hedge_fires_total", "Parts of stalled group fetches that chunk reads raced with replacements."),
 		probeRejects:  reg.Counter("ps_client_probe_rejects_total", "Capacity probes answered with no room — chunks emitted zero-sized and retried."),
 		rangeReads:    reg.Counter("ps_client_range_reads_total", "Data-block ranges delivered to partial-chunk reads without moving the chunk."),
 		rangeRebuilds: reg.Counter("ps_client_range_rebuilds_total", "Of those, ranges rebuilt from the other blocks because the holder refused, lied about the length or stalled."),

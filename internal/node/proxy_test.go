@@ -357,7 +357,7 @@ func TestLiveDegradedReadThroughFaultProxy(t *testing.T) {
 	}
 
 	// A ranged read exercises the same path per chunk.
-	part, err := c.FetchRangeCtx(context.Background(), fileName, 100_000, 50_000)
+	part, err := fetchRange(context.Background(), c, fileName, 100_000, 50_000)
 	if err != nil || !bytes.Equal(part, data[100_000:150_000]) {
 		t.Fatalf("degraded ranged read: %v", err)
 	}

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -79,7 +78,7 @@ func newRangedRig(t *testing.T) *rangedRig {
 func (rig *rangedRig) read(t *testing.T, ctx context.Context, c *Client) error {
 	t.Helper()
 	dst := make([]byte, rangedLen)
-	if err := c.FetchChunkRange(ctx, rig.cat, rig.ci, rangedLo, dst); err != nil {
+	if err := c.ReadChunkCtx(ctx, rig.cat, rig.ci, rangedLo, dst); err != nil {
 		return err
 	}
 	at := rig.cat.Rows[rig.ci].Start + rangedLo
@@ -104,7 +103,7 @@ func wantRanged(t *testing.T, c *Client, reads, rebuilds int64) {
 }
 
 // TestLiveRangedReadHealthy is the baseline the fault cases bend: one
-// OpFetchStream to the holder, nothing rebuilt, nothing else fetched.
+// ranged part from the holder, nothing rebuilt, nothing else fetched.
 func TestLiveRangedReadHealthy(t *testing.T) {
 	rig := newRangedRig(t)
 	var before int64
@@ -125,7 +124,7 @@ func TestLiveRangedReadHealthy(t *testing.T) {
 
 	// The file-level form agrees, across a chunk seam and a block seam.
 	for _, r := range [][2]int64{{0, 1}, {rangedChunk - 10, 20}, {rangedChunk/2 - 5, 10}, {3*rangedChunk + 7, 2*rangedChunk + 100}} {
-		got, err := rig.c.FetchRangeCtx(context.Background(), rangedFile, r[0], r[1])
+		got, err := fetchRange(context.Background(), rig.c, rangedFile, r[0], r[1])
 		if err != nil || !bytes.Equal(got, rig.data[r[0]:r[0]+r[1]]) {
 			t.Errorf("FetchRange(%d, %d): %v", r[0], r[1], err)
 		}
@@ -225,9 +224,9 @@ func startFront(t *testing.T, backend string, rewrite func(req *wire.Request, fo
 func startLyingFront(t *testing.T, backend string, delta int64) string {
 	t.Helper()
 	return startFront(t, backend, func(req *wire.Request, forward func(*wire.Request) *wire.Response) *wire.Response {
-		if req.Op == wire.OpFetchStream {
-			if off, n, err := wire.ParseFetchStream(req); err == nil {
-				req.Names = []string{strconv.FormatInt(off, 10), strconv.FormatInt(n+delta, 10)}
+		if req.Op == wire.OpFetch {
+			for i := range req.Parts {
+				req.Parts[i].Len += delta
 			}
 		}
 		return forward(req)
@@ -282,7 +281,7 @@ func TestLiveRangedReadUnavailable(t *testing.T) {
 		t.Fatalf("err = %v, want ErrUnavailable or ErrRingUnavailable", err)
 	}
 	at := rig.cat.Rows[rig.ci].Start + rangedLo
-	if got, err := rig.c.FetchRangeCtx(context.Background(), rangedFile, at, rangedLen); err == nil || got != nil {
+	if got, err := fetchRange(context.Background(), rig.c, rangedFile, at, rangedLen); err == nil || got != nil {
 		t.Fatalf("FetchRange returned %d bytes and %v", len(got), err)
 	}
 	wantRanged(t, rig.c, 0, 0)

@@ -46,10 +46,10 @@ type storeStage struct {
 
 // Server is one live storage node, serving pipelined multiplexed
 // requests on every connection. Blocks larger than one segment arrive
-// and leave as bounded streaming segments (OpStoreWindow /
-// OpFetchStream). With a DetectorConfig the node also runs the
-// SWIM-style failure detector (detector.go), and with a RepairConfig
-// the autonomous repair daemon (repairer.go).
+// as windowed OpStoreWindow segments; blocks too large for one frame
+// leave as ranged OpFetch parts. With a DetectorConfig the node also
+// runs the SWIM-style failure detector (detector.go), and with a
+// RepairConfig the autonomous repair daemon (repairer.go).
 type Server struct {
 	ID       ids.ID
 	capacity int64
@@ -70,15 +70,11 @@ type Server struct {
 	det  *detector
 	rep  *repairer
 
-	// streamOps counts served streaming segment requests; tests assert
-	// large transfers actually took the streaming path.
-	streamOps atomic.Int64
-	// windowOps counts the subset of streamOps served as OpStoreWindow
-	// upload segments; tests assert the windowed path engaged.
+	// windowOps counts served OpStoreWindow upload segments; tests
+	// assert large transfers took the windowed path.
 	windowOps atomic.Int64
-	// fetchOps counts served block reads — each block of a fetch
-	// group, and each OpFetchStream segment; tests assert ranged reads
-	// touch only the chunks they must.
+	// fetchOps counts served block reads — each part of a fetch group;
+	// tests assert ranged reads touch only the chunks they must.
 	fetchOps atomic.Int64
 
 	mu          sync.Mutex
@@ -99,15 +95,12 @@ type Server struct {
 	wg          sync.WaitGroup
 }
 
-// StreamOps returns how many streaming segment requests were served.
-func (s *Server) StreamOps() int64 { return s.streamOps.Load() }
-
 // WindowOps returns how many windowed (out-of-order) upload segments
 // were served.
 func (s *Server) WindowOps() int64 { return s.windowOps.Load() }
 
 // FetchOps returns how many block reads were served: a fetch group
-// counts each of its blocks.
+// counts each of its parts.
 func (s *Server) FetchOps() int64 { return s.fetchOps.Load() }
 
 // SetDiscard switches the node into accounting-only mode: stores are
@@ -270,9 +263,8 @@ func (s *Server) registerStateMetrics() {
 		defer s.mu.Unlock()
 		return int64(len(s.stages))
 	})
-	s.reg.CounterFunc("ps_node_stream_segments_total", "Streaming segment requests served (uploads and ranged reads).", s.streamOps.Load)
 	s.reg.CounterFunc("ps_node_window_segments_total", "Out-of-order windowed upload segments served.", s.windowOps.Load)
-	s.reg.CounterFunc("ps_node_block_reads_total", "Block reads served: every block of an OpFetch group, and every OpFetchStream segment.", s.fetchOps.Load)
+	s.reg.CounterFunc("ps_node_block_reads_total", "Block reads served: a plain OpFetch, and every part of an OpFetch group.", s.fetchOps.Load)
 }
 
 // Close stops serving: the detector and repair daemon stop, the
@@ -416,25 +408,18 @@ func (s *Server) dispatch(req *wire.Request) *wire.Response {
 		if len(req.Parts) > 0 {
 			return s.fetchGroup(req)
 		}
-		s.fetchOps.Add(1)
-		s.mu.Lock()
-		data, ok := s.blocks[req.Name]
-		size := int64(len(data))
-		if ok && s.discard {
-			size = s.blockSizes[req.Name]
-		}
-		s.mu.Unlock()
-		if !ok {
+		// A plain fetch is the group of one part asking for the whole
+		// block Name (refused past one frame), answered in Data.
+		req.Parts = append(req.Parts, wire.Part{Len: maxSingleFrameBlock + 1})
+		resp := s.fetchGroup(req)
+		switch {
+		case !resp.OK:
+		case req.Parts[0].Absent:
 			return noBlock(req.Name)
+		default:
+			resp.Parts, resp.Data = nil, req.Parts[0].Data
 		}
-		if size > maxSingleFrameBlock {
-			// The full block cannot ride one response frame; tell the
-			// client to come back with ranged streaming reads.
-			return &wire.Response{Err: fmt.Sprintf("%s: %q is %d bytes", wire.BlockTooLarge, req.Name, size)}
-		}
-		return &wire.Response{OK: true, Data: data}
-	case wire.OpFetchStream:
-		return s.handleFetchStream(req)
+		return resp
 	case wire.OpDelete:
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -559,33 +544,50 @@ func duplicateKey(parts []wire.Part) int {
 	return -1
 }
 
-// fetchGroup serves a fetch group (see wire.Part): every requested
-// block is answered in request order, with its stored bytes — written
-// to the connection from the block itself, not copied — or marked
-// absent. A group whose blocks would not fit one frame is refused
-// whole; the client groups only blocks that fit a segment.
+// fetchGroup serves a fetch group (see wire.Part): every part is
+// answered in request order with bytes [Off, min(Off+Len, size)) of its
+// block — written to the connection from the block itself, not copied —
+// or marked absent. A part whose range starts past its block's end
+// refuses the group whole, as does an answer that would not fit one
+// frame, which the client never asks for. The answers
+// take the parts' places in req.Parts, which the connection keeps until
+// the response is written.
 func (s *Server) fetchGroup(req *wire.Request) *wire.Response {
 	s.fetchOps.Add(int64(len(req.Parts)))
-	out := make([]wire.Part, len(req.Parts))
 	var kb keyBuf
-	total := 0
+	total := int64(0)
 	s.mu.Lock()
-	for i, p := range req.Parts {
-		data, ok := s.blocks[string(kb.key(req.Name, p.Key))]
-		out[i] = wire.Part{Data: data, Absent: !ok}
-		total += len(data)
+	defer s.mu.Unlock()
+	for i := range req.Parts {
+		p := &req.Parts[i]
+		name := kb.key(req.Name, p.Key)
+		data, ok := s.blocks[string(name)]
+		if !ok {
+			*p = wire.Part{Absent: true}
+			continue
+		}
+		size := int64(len(data))
+		if s.discard {
+			size = s.blockSizes[string(name)]
+		}
+		if p.Off < 0 || p.Off > size || p.Len < 0 {
+			return &wire.Response{Err: fmt.Sprintf("range of %d bytes at %d outside block %q of %d bytes", p.Len, p.Off, name, size)}
+		}
+		// Slice the bytes held, which in discard mode are none whatever
+		// the logical size.
+		lo := min(p.Off, int64(len(data)))
+		hi := lo + min(p.Len, int64(len(data))-lo)
+		*p = wire.Part{Data: data[lo:hi]}
+		total += hi - lo
 	}
-	s.mu.Unlock()
 	if total > maxSingleFrameBlock {
-		return &wire.Response{Err: fmt.Sprintf("%s: group of %d blocks is %d bytes", wire.BlockTooLarge, len(out), total)}
+		return &wire.Response{Err: fmt.Sprintf("group of %d parts is %d bytes, too large for one frame", len(req.Parts), total)}
 	}
-	return &wire.Response{OK: true, Parts: out}
+	return &wire.Response{OK: true, Parts: req.Parts}
 }
 
-// maxSingleFrameBlock is the largest block served through a plain
-// OpFetch response; bigger blocks are refused with wire.BlockTooLarge
-// so the client switches to ranged streaming reads. The margin leaves
-// room for the frame's own fields.
+// maxSingleFrameBlock is the most block bytes one response carries; the
+// margin leaves room for the frame's own fields.
 const maxSingleFrameBlock = wire.MaxFrame - 4096
 
 // sizeOfLocked returns a held block's logical size. In discard mode
@@ -653,7 +655,6 @@ func (s *Server) reapStaleStagesLocked(now time.Time) {
 // staged so far in Capacity, the flow-control signal windowed senders
 // advance on.
 func (s *Server) handleStoreWindow(req *wire.Request) *wire.Response {
-	s.streamOps.Add(1)
 	s.windowOps.Add(1)
 	seg, err := wire.ParseStoreWindow(req)
 	if err != nil {
@@ -727,38 +728,6 @@ func (s *Server) handleStoreWindow(req *wire.Request) *wire.Response {
 		resp = &wire.Response{OK: true, Capacity: st.size}
 	}
 	return resp
-}
-
-// handleFetchStream serves one ranged block read: stateless on the
-// server, with the total size in Capacity so the client knows how many
-// segments remain.
-func (s *Server) handleFetchStream(req *wire.Request) *wire.Response {
-	s.streamOps.Add(1)
-	s.fetchOps.Add(1)
-	off, maxLen, err := wire.ParseFetchStream(req)
-	if err != nil {
-		return &wire.Response{Err: err.Error()}
-	}
-	s.mu.Lock()
-	data, ok := s.blocks[req.Name]
-	size, _ := s.sizeOfLocked(req.Name)
-	s.mu.Unlock()
-	if !ok {
-		return noBlock(req.Name)
-	}
-	if off >= size {
-		return &wire.Response{Err: fmt.Sprintf("offset %d beyond block of %d bytes", off, size)}
-	}
-	// Clamp against the physical bytes, which in discard mode are
-	// empty regardless of the logical size.
-	if off > int64(len(data)) {
-		off = int64(len(data))
-	}
-	hi := off + maxLen
-	if hi > int64(len(data)) {
-		hi = int64(len(data))
-	}
-	return &wire.Response{OK: true, Data: data[off:hi], Capacity: size}
 }
 
 // handleJoin registers a new member, replies with the full ring, and

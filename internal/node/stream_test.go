@@ -13,8 +13,7 @@ import (
 // TestLargeBlockStreamRoundTrip moves a single block larger than
 // wire.MaxFrame through the transport: the store must ride
 // OpStoreWindow segments (a single frame cannot carry it), and the
-// fetch must hit the server's BlockTooLarge refusal and reassemble the
-// block from ranged OpFetchStream reads.
+// fetch reassembles the block from ranged OpFetch parts.
 func TestLargeBlockStreamRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("65 MiB transfer; skipped with -short")
@@ -36,11 +35,11 @@ func TestLargeBlockStreamRoundTrip(t *testing.T) {
 	if err := c.storeBlock(ctx, "big_0_0", data); err != nil {
 		t.Fatalf("streamed store of %d bytes: %v", blockSize, err)
 	}
-	if ops := srv.StreamOps(); ops == 0 {
+	if ops := srv.WindowOps(); ops == 0 {
 		t.Fatal("over-frame block stored without a streaming op")
 	}
-	got, err := c.fetchBlock(ctx, "big_0_0")
-	if err != nil {
+	got := make([]byte, blockSize)
+	if err := c.readRange(ctx, srv.Addr(), "big_0_0", 0, got, nil); err != nil {
 		t.Fatalf("streamed fetch: %v", err)
 	}
 	if !bytes.Equal(got, data) {

@@ -28,7 +28,8 @@ import (
 //
 // Strings carry a 2-byte length, byte blobs a 4-byte length, list
 // counts 4 bytes; a NodeInfo is a raw 20-byte ID plus an address
-// string. A request part is its key string and a 4-byte length, a
+// string. A request part is its key string, the 8-byte offset and
+// 4-byte length of the range it asks for, and a 4-byte length; a
 // response part a flags byte (absent) and a 4-byte length; a group's
 // blocks are the data blob, back to back, so the lengths must sum to
 // it.
@@ -64,6 +65,8 @@ func (w frameWriter) parts(ps []Part, keyed bool) {
 		if keyed {
 			w.h.b = binary.BigEndian.AppendUint16(w.h.b, uint16(len(p.Key)))
 			w.h.b = append(w.h.b, p.Key...)
+			w.i64(p.Off)
+			w.u32(uint32(p.Len))
 		} else {
 			var flags byte
 			if p.Absent {
@@ -243,10 +246,10 @@ func (r *frameReader) node() NodeInfo {
 // larger group at it.
 const MaxListLen = 1 << 16
 
-// Smallest encodings of a request and a response part: an empty key or
-// the flags byte, and the length.
+// Smallest encodings of a request and a response part: an empty key
+// and its range, or the flags byte; and the length.
 const (
-	reqPartMin  = 2 + 4
+	reqPartMin  = 2 + 8 + 4 + 4
 	respPartMin = 1 + 4
 )
 
@@ -279,6 +282,7 @@ func (r *frameReader) groupData(parts []Part, keyed bool) (data []byte, out []Pa
 	for i := 0; i < n && r.err == nil; i++ {
 		if keyed {
 			r.strBytes()
+			r.take(8 + 4)
 		} else {
 			r.u8()
 		}
@@ -302,6 +306,7 @@ func (r *frameReader) groupData(parts []Part, keyed bool) (data []byte, out []Pa
 		if keyed {
 			k := tab.strBytes()
 			p.Key = k[:len(k):len(k)]
+			p.Off, p.Len = tab.i64(), int64(tab.u32())
 		} else {
 			p.Absent = tab.u8()&1 != 0
 		}
@@ -360,7 +365,8 @@ func writeRequestV2(w io.Writer, id uint64, req *Request) error {
 }
 
 // checkParts refuses a group the frame cannot carry: too many parts, a
-// key too long for its length prefix, or a single payload beside it.
+// key too long for its length prefix, a range length past its 32 bits,
+// or a single payload beside it.
 func checkParts(parts []Part, dataLen int) error {
 	if len(parts) > MaxListLen {
 		return fmt.Errorf("wire: group of %d blocks, limit %d", len(parts), MaxListLen)
@@ -371,6 +377,9 @@ func checkParts(parts []Part, dataLen int) error {
 	for _, p := range parts {
 		if len(p.Key) > 0xffff {
 			return fmt.Errorf("wire: block key of %d bytes too long", len(p.Key))
+		}
+		if p.Len < 0 || p.Len > 0xffffffff {
+			return fmt.Errorf("wire: part range of %d bytes", p.Len)
 		}
 	}
 	return nil

@@ -37,6 +37,13 @@ func FuzzWireFrame(f *testing.F) {
 	valid.Reset()
 	_ = writeRequestV2(&valid, 2, &Request{Op: OpStore, Name: "f_0_", Parts: groupParts(3, 5)})
 	f.Add(valid.Bytes(), "f_0_", uint32(valid.Len()))
+	// A ranged fetch group: an offset past any block, the widest range
+	// length, and an empty range.
+	valid.Reset()
+	_ = writeRequestV2(&valid, 3, &Request{Op: OpFetch, Name: "f_0_", Parts: []Part{
+		{Key: []byte("0"), Off: 1<<63 - 1, Len: 0xffffffff}, {Key: []byte("1"), Off: 4 << 20, Len: 4 << 20}, {Key: []byte("2")},
+	}})
+	f.Add(valid.Bytes(), "f_0_", uint32(valid.Len()))
 
 	f.Fuzz(func(t *testing.T, data []byte, name string, hdrLen uint32) {
 		// 1. Round trip: a request built from the fuzz inputs — with the
@@ -239,14 +246,15 @@ func fuzzParts(data []byte, name string) []Part {
 	cuts := []int{0, third, 2 * third, len(data)}
 	parts := make([]Part, 3)
 	for i := range parts {
-		parts[i] = Part{Key: []byte(name[:len(name)*i/3]), Data: data[cuts[i]:cuts[i+1]]}
+		parts[i] = Part{Key: []byte(name[:len(name)*i/3]), Off: int64(len(name) << (20 * i)), Len: int64(len(data) * i), Data: data[cuts[i]:cuts[i+1]]}
 	}
 	parts[1].Absent = len(data)%2 == 1
 	return parts
 }
 
-// checkGroup compares decoded parts with the sent ones: keys on the
-// request side, absent flags on the response side, bytes on both.
+// checkGroup compares decoded parts with the sent ones: keys and ranges
+// on the request side, absent flags on the response side, bytes on
+// both.
 func checkGroup(t *testing.T, got, want []Part, keyed bool) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -254,7 +262,7 @@ func checkGroup(t *testing.T, got, want []Part, keyed bool) {
 	}
 	for i := range got {
 		if !bytes.Equal(got[i].Data, want[i].Data) ||
-			(keyed && !bytes.Equal(got[i].Key, want[i].Key)) ||
+			(keyed && (!bytes.Equal(got[i].Key, want[i].Key) || got[i].Off != want[i].Off || got[i].Len != want[i].Len)) ||
 			(!keyed && got[i].Absent != want[i].Absent) {
 			t.Fatalf("part %d came back as %+v, want %+v", i, got[i], want[i])
 		}

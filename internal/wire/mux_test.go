@@ -32,7 +32,7 @@ func echoHandler(req *Request) *Response {
 		resp.Data = []byte(req.Name)
 	case OpFetch:
 		resp.Data = append([]byte("data:"), req.Name...)
-	case OpFetchStream, OpStoreWindow:
+	case OpStoreWindow:
 		// Streaming segments are plain request/response exchanges; the
 		// golden pins that their control fields (Names) and payloads
 		// survive the round trip unchanged.
@@ -120,7 +120,7 @@ func checkGolden(t *testing.T, op Op, resp *Response, err error) {
 		if string(resp.Data) != "data:blk" {
 			t.Fatalf("%s: data %q", op, resp.Data)
 		}
-	case OpFetchStream, OpStoreWindow:
+	case OpStoreWindow:
 		if string(resp.Data) != "blk" || resp.Capacity != 2 {
 			t.Fatalf("%s: echo %q/%d", op, resp.Data, resp.Capacity)
 		}

@@ -31,6 +31,8 @@ func (f *refFrame) group(parts []Part, keyed bool, data []byte) {
 	for _, p := range parts {
 		if keyed {
 			f.str(string(p.Key))
+			f.u64(uint64(p.Off))
+			f.u32(uint32(p.Len))
 		} else if p.Absent {
 			f.u8(1)
 		} else {

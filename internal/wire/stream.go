@@ -5,11 +5,12 @@ import (
 	"strconv"
 )
 
-// Chunked block streaming. A block larger than one segment does not
-// ride a single OpStore/OpFetch exchange (MaxFrame bounds every message,
-// and a segment bounds per-transfer memory), so it flows as a sequence
-// of bounded segments instead. Each segment is an ordinary
-// request/response round trip — no frame layout of its own.
+// Windowed block uploads. A block larger than one segment does not
+// ride a single OpStore exchange (MaxFrame bounds every message, and a
+// segment bounds per-transfer memory), so it goes up as a sequence of
+// bounded segments instead. Each segment is an ordinary
+// request/response round trip — no frame layout of its own. (Reads are
+// OpFetch groups, whose parts carry byte ranges.)
 //
 // The segment control fields ride Request.Names as decimal strings:
 //
@@ -22,10 +23,6 @@ import (
 //	    across the stream. Every ack's Capacity carries the bytes staged
 //	    so far, the flow-control signal a sender's window advances on; a
 //	    window of one is the in-order segment-per-ack exchange.
-//	OpFetchStream: Names = [offset, maxLen]. The response carries up to
-//	    maxLen bytes of the block at offset in Data and the total block
-//	    size in Capacity, so the first segment tells the client how
-//	    many more to request. The exchange is stateless on the server.
 
 // DefaultSegment is the streaming transfer segment size: large enough
 // to amortize round trips, small enough that a segment frame stays far
@@ -35,11 +32,6 @@ const DefaultSegment = 4 << 20
 // MaxBlockSize bounds one streamed block (1 GiB): a lying size header
 // cannot reserve unbounded staging memory on the server.
 const MaxBlockSize = 1 << 30
-
-// BlockTooLarge is the error marker a server returns for an OpFetch of
-// a block whose single-frame response would exceed MaxFrame. Clients
-// that see it retry with OpFetchStream.
-const BlockTooLarge = "block too large for one frame"
 
 // WindowSegment describes one OpStoreWindow segment. The segment's
 // byte range is [Seq*Seg, min((Seq+1)*Seg, Size)).
@@ -86,30 +78,4 @@ func ParseStoreWindow(req *Request) (WindowSegment, error) {
 	}
 	seg = WindowSegment{Stream: stream, Seq: sq, Total: total, Size: size, Seg: sg}
 	return seg, nil
-}
-
-// EncodeFetchStream builds the request for one ranged block read.
-func EncodeFetchStream(name string, off, maxLen int64) *Request {
-	return &Request{
-		Op:   OpFetchStream,
-		Name: name,
-		Names: []string{
-			strconv.FormatInt(off, 10),
-			strconv.FormatInt(maxLen, 10),
-		},
-	}
-}
-
-// ParseFetchStream recovers (offset, maxLen) from an OpFetchStream
-// request.
-func ParseFetchStream(req *Request) (off, maxLen int64, err error) {
-	if len(req.Names) != 2 {
-		return 0, 0, fmt.Errorf("wire: %s carries %d control fields, want 2", OpFetchStream, len(req.Names))
-	}
-	off, err0 := strconv.ParseInt(req.Names[0], 10, 64)
-	maxLen, err1 := strconv.ParseInt(req.Names[1], 10, 64)
-	if err0 != nil || err1 != nil || off < 0 || maxLen <= 0 {
-		return 0, 0, fmt.Errorf("wire: malformed %s control fields %q", OpFetchStream, req.Names)
-	}
-	return off, maxLen, nil
 }

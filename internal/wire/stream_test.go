@@ -39,24 +39,3 @@ func TestStoreStreamRejectsMalformed(t *testing.T) {
 		}
 	}
 }
-
-func TestFetchStreamRoundTrip(t *testing.T) {
-	req := EncodeFetchStream("blk", 77<<20, 4<<20)
-	off, maxLen, err := ParseFetchStream(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off != 77<<20 || maxLen != 4<<20 {
-		t.Fatalf("round trip (%d, %d)", off, maxLen)
-	}
-	for i, r := range []*Request{
-		{Op: OpFetchStream},
-		{Op: OpFetchStream, Names: []string{"-1", "10"}},
-		{Op: OpFetchStream, Names: []string{"0", "0"}},
-		{Op: OpFetchStream, Names: []string{"a", "b"}},
-	} {
-		if _, _, err := ParseFetchStream(r); err == nil {
-			t.Errorf("case %d: malformed range accepted", i)
-		}
-	}
-}

@@ -39,11 +39,11 @@ const (
 	OpDelete   Op = "delete"  // remove a named block, or a group of them
 	OpStat     Op = "stat"    // node status: capacity, used, block count
 
-	// Streaming transfers (see stream.go): blocks larger than one
-	// segment flow as a sequence of bounded segments, each an ordinary
-	// request/response exchange.
-	OpFetchStream Op = "fetchstream" // one ranged read of a block
-	OpStoreWindow Op = "storewin"    // one windowed upload segment, any order
+	// Streaming uploads (see stream.go): a block larger than one
+	// segment goes up as a sequence of bounded segments, each an
+	// ordinary request/response exchange. (Reads are OpFetch groups,
+	// whose parts carry byte ranges.)
+	OpStoreWindow Op = "storewin" // one windowed upload segment, any order
 
 	// Failure detection and membership gossip (see gossip.go). The
 	// payloads ride Request.Data / Response.Data as an opaque byte
@@ -55,7 +55,7 @@ const (
 
 // Ops lists every protocol operation; the protocol golden test iterates
 // it so a new op cannot ship without a round trip through Pool and Serve.
-var Ops = []Op{OpJoin, OpRing, OpAdd, OpCapBatch, OpStore, OpFetch, OpDelete, OpStat, OpFetchStream, OpStoreWindow, OpPing, OpPingReq, OpGossip}
+var Ops = []Op{OpJoin, OpRing, OpAdd, OpCapBatch, OpStore, OpFetch, OpDelete, OpStat, OpStoreWindow, OpPing, OpPingReq, OpGossip}
 
 // NodeInfo identifies one ring member.
 type NodeInfo struct {
@@ -66,10 +66,11 @@ type NodeInfo struct {
 // Part is one block of a group exchange. A request whose Parts is not
 // empty names a group: block i is Name+Parts[i].Key, so the blocks of
 // one chunk share their prefix in Name and each carries only its index.
-// An OpStore group carries each block's bytes in Data, an OpFetch
-// group's response answers part for part in request order with the
-// bytes or Absent, and OpDelete and OpCapBatch groups carry keys only.
-// A request with no Parts is a group of one named Name, with its bytes
+// An OpStore group carries each block's bytes in Data; an OpFetch part
+// asks for bytes [Off, Off+Len) of its block, and the response answers
+// part for part in request order with the bytes of that range the block
+// holds, or Absent; OpDelete and OpCapBatch groups carry keys only. A
+// request with no Parts is the whole block named Name, with its bytes
 // in Request.Data and the answer in Response.Data.
 //
 // On the wire a group is a table of per-block lengths before one
@@ -77,9 +78,10 @@ type NodeInfo struct {
 // its own memory, and a received part's Key and Data are views into the
 // frame, valid until Release.
 type Part struct {
-	Key    []byte
-	Data   []byte
-	Absent bool // fetch response: the holder has no block by this name
+	Key      []byte
+	Off, Len int64 // fetch request: the byte range asked for
+	Data     []byte
+	Absent   bool // fetch response: the holder has no block by this name
 }
 
 // Request is the client-to-server message.

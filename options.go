@@ -151,9 +151,9 @@ func WithTimeout(d time.Duration) Option {
 }
 
 // WithSegment sets the wire streaming segment size in bytes (default
-// wire.DefaultSegment, 4 MiB). Blocks larger than one segment move as
-// bounded streaming exchanges. The segment must stay well under the
-// 64 MiB frame limit.
+// wire.DefaultSegment, 4 MiB). Blocks larger than one segment go up as
+// bounded streaming exchanges, and no owner group of blocks passes one
+// segment. The segment must stay well under the 64 MiB frame limit.
 func WithSegment(bytes int) Option {
 	return func(o *options) error {
 		if bytes <= 0 || bytes > wire.MaxFrame/2 {
@@ -200,9 +200,10 @@ func WithPipelineDepth(n int) Option {
 
 // WithStreamWindow bounds in-flight segments per streamed block
 // transfer (default 4). Windowed segments ride the out-of-order
-// OpStoreWindow exchange on stores and ranged readahead on fetches, so
-// one slow ack no longer serializes a stream; 1 keeps one OpStoreWindow
-// segment in flight, each sent after the previous one's ack.
+// OpStoreWindow exchange on stores and the ranged reads of a block too
+// large for one frame, so one slow ack no longer serializes a stream; 1
+// keeps one OpStoreWindow segment in flight, each sent after the
+// previous one's ack.
 func WithStreamWindow(n int) Option {
 	return func(o *options) error {
 		if n < 1 {

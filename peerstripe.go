@@ -18,9 +18,9 @@
 // Store streams: it plans chunk sizes up front (core.PlanChunkSizes),
 // then reads, erasure-codes, and uploads one chunk at a time, so peak
 // memory is a small multiple of the chunk size no matter how large the
-// file is. On the wire, blocks larger than one frame segment move as
-// bounded streaming exchanges: windowed OpStoreWindow uploads, ranged
-// OpFetchStream reads.
+// file is. On the wire, blocks larger than one frame segment go up as
+// windowed OpStoreWindow uploads; a block too large for one frame comes
+// back as ranged OpFetch parts.
 //
 // Every operation takes a context.Context and honors cancellation
 // end to end: mid-transfer cancel aborts the RPC waits, the hedged
@@ -61,8 +61,8 @@ type Client struct {
 	c    *node.Client
 	opts options
 	// cache is the client-wide decoded-chunk LRU with per-chunk
-	// singleflight, shared by every File the client opens and by the
-	// ranged-read paths underneath (see WithChunkCache).
+	// singleflight, shared by every File the client opens (see
+	// WithChunkCache).
 	cache *chunkCache
 	// ranged records that the erasure code is systematic, so a File can
 	// serve a partial-chunk read from block ranges (see File.ReadAt).
@@ -83,7 +83,6 @@ func Dial(ctx context.Context, contact string, opts ...Option) (*Client, error) 
 		return nil, fmt.Errorf("peerstripe: %w", err)
 	}
 	cache := newChunkCache(o.chunkCacheBytes())
-	o.cfg.ChunkCache = cache
 	nc, err := node.NewClientCfg(ctx, contact, code, o.cfg)
 	if err != nil {
 		return nil, fmt.Errorf("peerstripe: dial %s: %w", contact, err)

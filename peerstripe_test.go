@@ -19,7 +19,7 @@ import (
 
 // testRing starts n in-process storage nodes and returns them with the
 // seed address. It uses the internal server directly so tests can read
-// its counters (StreamOps, FetchOps) and switch discard mode.
+// its counters (WindowOps, FetchOps) and switch discard mode.
 func testRing(t testing.TB, n int, capacity int64) ([]*node.Server, string) {
 	t.Helper()
 	var servers []*node.Server
@@ -66,14 +66,6 @@ func dialTest(t testing.TB, seed string, opts ...peerstripe.Option) *peerstripe.
 	return c
 }
 
-func totalStreamOps(servers []*node.Server) int64 {
-	var n int64
-	for _, s := range servers {
-		n += s.StreamOps()
-	}
-	return n
-}
-
 func totalWindowOps(servers []*node.Server) int64 {
 	var n int64
 	for _, s := range servers {
@@ -103,7 +95,7 @@ func TestStoreOpenRoundTripStreaming(t *testing.T) {
 	if info.Size != int64(len(data)) || info.Chunks < 4 {
 		t.Fatalf("info %+v", info)
 	}
-	if ops := totalStreamOps(servers); ops == 0 {
+	if ops := totalWindowOps(servers); ops == 0 {
 		t.Fatal("no streaming op served although blocks exceed the segment size")
 	}
 

@@ -101,15 +101,15 @@ func TestStoreBoundedMemoryAtFourFrames(t *testing.T) {
 		t.Fatalf("stored %d of %d bytes", info.Size, fileSize)
 	}
 
-	if ops := totalStreamOps(servers) + totalWindowOps(servers); ops < 100 {
+	if ops := totalWindowOps(servers); ops < 100 {
 		t.Fatalf("only %d streaming segment ops served — the store did not stream", ops)
 	}
 	if growth > heapCap {
 		t.Fatalf("peak heap grew %d MiB during a %d MiB store (cap %d MiB) — the file is being buffered",
 			growth>>20, fileSize>>20, int64(heapCap)>>20)
 	}
-	t.Logf("peak heap growth %d MiB for a %d MiB streamed store (%d stream + %d windowed ops)",
-		growth>>20, fileSize>>20, totalStreamOps(servers), totalWindowOps(servers))
+	t.Logf("peak heap growth %d MiB for a %d MiB streamed store (%d windowed ops)",
+		growth>>20, fileSize>>20, totalWindowOps(servers))
 }
 
 // TestWindowedStoreBoundedMemory is the bounded-memory proof for the
