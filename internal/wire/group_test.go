@@ -10,8 +10,6 @@ import (
 	"net"
 	"strings"
 	"testing"
-
-	"peerstripe/internal/ids"
 )
 
 // groupParts builds n parts keyed by their decimal index, each holding
@@ -28,8 +26,7 @@ func groupParts(n, size int) []Part {
 // TestGroupFrameGolden checks that a group leaves as head, one piece per
 // block from the caller's own memory, tail — no block is copied into a
 // joint buffer — and that the bytes are the single-buffer layout of
-// codec.go, through a plain writer and through a socket; and that a
-// fetch group's ranged parts carry their offsets and lengths.
+// codec.go, through a plain writer and through a socket.
 func TestGroupFrameGolden(t *testing.T) {
 	parts := groupParts(5, 100)
 	req := &Request{Op: OpStore, Name: "file_3_", Parts: parts}
@@ -80,44 +77,6 @@ func TestGroupFrameGolden(t *testing.T) {
 		}
 	}
 
-	ranged := &Request{Op: OpFetch, Name: "file_3_", Parts: []Part{
-		{Key: []byte("0"), Off: 1 << 40, Len: 0xffffffff}, {Key: []byte("7")}, {Key: []byte("12"), Off: 4096, Len: 100},
-	}}
-	var rb bytes.Buffer
-	if err := writeRequestV2(&rb, 9, ranged); err != nil {
-		t.Fatal(err)
-	}
-	want := []byte{
-		0, 0, 0, 0, // body length, set below
-		kindRequest, 0, 0, 0, 0, 0, 0, 0, 9, // kind, ID
-		0, 5, 'f', 'e', 't', 'c', 'h', // op
-		0, 7, 'f', 'i', 'l', 'e', '_', '3', '_', // name
-		0, 0, 0, 0, // names
-		0, 0, 0, 3, // parts: key, offset, range length, payload length
-		0, 1, '0', 0, 0, 1, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0,
-		0, 1, '7', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-		0, 2, '1', '2', 0, 0, 0, 0, 0, 0, 0x10, 0, 0, 0, 0, 100, 0, 0, 0, 0,
-		0, 0, 0, 0, // payload
-	}
-	want = append(want, make([]byte, ids.Bytes)...) // node ID
-	want = append(want, 0, 0)                       // node address
-	binary.BigEndian.PutUint32(want, uint32(len(want)-4))
-	if !bytes.Equal(rb.Bytes(), want) {
-		t.Fatalf("ranged fetch group encodes as\n%v, want\n%v", rb.Bytes(), want)
-	}
-	var back Request
-	if err := readRequestV2(&rb, &back); err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range back.Parts {
-		if w := ranged.Parts[i]; !bytes.Equal(p.Key, w.Key) || p.Off != w.Off || p.Len != w.Len || p.Data != nil {
-			t.Fatalf("ranged part %d came back as %+v, want %+v", i, p, w)
-		}
-	}
-	back.Release()
-	if err := writeRequestV2(io.Discard, 1, &Request{Op: OpFetch, Parts: []Part{{Len: 1 << 32}}}); err == nil {
-		t.Error("a range length past 32 bits was written")
-	}
 }
 
 // TestGroupRoundTrip moves a store group and a fetch group with one
