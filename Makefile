@@ -1,6 +1,6 @@
 GO ?= go
 # bash + pipefail so a failing `go test` is not masked by a pipe
-# consumer that exits 0 (bench-guard's benchguard, tee in CI).
+# consumer that exits 0 (tee in CI).
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 # Per-target budget for the fuzz-smoke pass (the CI gate uses the
@@ -8,7 +8,7 @@ SHELL := /bin/bash
 FUZZTIME ?= 10s
 
 .PHONY: build test bench vet all fmt-check race fuzz-smoke bench-smoke \
-	crossarch test-noasm test-kernels bench-guard live-path pipeline churn \
+	crossarch test-noasm test-kernels live-path pipeline churn \
 	gate obs api-check build-examples ci bench-pair
 
 # `make bench-pair BASE=<rev> [REPEAT=5]` measures a change the way a
@@ -34,15 +34,6 @@ REPEAT ?= 5
 CHURN_NODES ?= 24
 CHURN_KILLS ?= 2
 
-# Allowed throughput regression (percent) for the bench-guard gate.
-# Raise it when benchmarking on hardware much slower than the machine
-# that produced the committed baseline.
-BENCH_GUARD_PCT ?= 25
-# The live single-stream arms run a loopback ring on shared CI cores
-# and show far more run-to-run spread than the coding kernels, so
-# their floor is looser.
-LIVE_GUARD_PCT ?= 45
-
 all: vet build test
 
 build:
@@ -51,7 +42,7 @@ build:
 test:
 	$(GO) test ./...
 
-# The benchmark set behind BENCH_PR1.json / BENCH_PR2.json / docs/PERF.md.
+# The paper-table micro-benchmarks of the root package (docs/PERF.md).
 bench:
 	$(GO) test -run '^$$' -bench 'Table2|IOLibRead|Fig7' -benchmem -benchtime 1s .
 
@@ -140,17 +131,6 @@ obs:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Regression guard over the Table 2 coding arms: re-measure at a real
-# benchtime and compare MB/s against the committed baseline JSON,
-# failing on a >$(BENCH_GUARD_PCT)% drop (cmd/benchguard).
-bench-guard:
-	$(GO) test -run '^$$' -bench 'Table2Online' -benchtime 1s . \
-		| $(GO) run ./cmd/benchguard -baseline BENCH_PR8.json -match 'Table2' -tol $(BENCH_GUARD_PCT)
-	$(GO) test -run '^$$' -bench 'LiveStore(File|Stream)$$|LiveFetch(File|Stream)$$' -benchtime 1s ./internal/node \
-		| $(GO) run ./cmd/benchguard -baseline BENCH_PR7.json -match 'Live' -tol $(LIVE_GUARD_PCT)
-	$(GO) test -run '^$$' -bench 'Gateway' -benchtime 1s ./gateway \
-		| $(GO) run ./cmd/benchguard -baseline BENCH_PR9.json -match 'Gateway' -tol $(LIVE_GUARD_PCT)
-
 # Results stay in bench/out/pair/{base,change}/result.json. -compare
 # exits non-zero when any row is worse or unresolved.
 bench-pair:
@@ -215,5 +195,5 @@ build-examples:
 # Mirrors the CI workflow (.github/workflows/ci.yml) locally, in the
 # same order: lint, API gate, build (incl. examples), tests (native,
 # noasm, forced kernel tiers), cross-arch, race, live-path, pipeline,
-# churn, gate, obs, fuzz-smoke, bench-smoke, bench-guard.
-ci: fmt-check vet api-check build build-examples test test-noasm test-kernels crossarch race live-path pipeline churn gate obs fuzz-smoke bench-smoke bench-guard
+# churn, gate, obs, fuzz-smoke, bench-smoke.
+ci: fmt-check vet api-check build build-examples test test-noasm test-kernels crossarch race live-path pipeline churn gate obs fuzz-smoke bench-smoke

@@ -24,8 +24,7 @@ import (
 )
 
 // TestMain prints the kernel dispatch decision ahead of benchmark runs
-// so captured `-bench` output (BENCH_PR*.json, bench-guard logs)
-// records which tier — and any PS_KERNELS override — produced the
+// so captured `-bench` output records which tier — and any PS_KERNELS override — produced the
 // numbers. It fails a passing run in which a receive frame was
 // collected without Release, which is counted under the race detector
 // only (see wire.LeakedFrames).

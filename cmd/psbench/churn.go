@@ -2,11 +2,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"time"
 
 	"peerstripe/internal/core"
@@ -20,48 +18,10 @@ import (
 // (docs/RING.md): a live loopback ring with the SWIM detector and the
 // autonomous repair daemon on every node absorbs scripted deaths, and
 // the harness clocks how long detection and repair take and how many
-// bytes the daemons regenerate. Results go to BENCH_PR6.json.
-
-const churnBenchOut = "BENCH_PR6.json"
-
-type churnDeathResult struct {
-	Victim       int     `json:"victim"`
-	DetectMS     float64 `json:"time_to_detect_ms"`
-	RepairMS     float64 `json:"time_to_repair_ms"`
-	RingSizeThen int     `json:"ring_size_after"`
-}
-
-type churnBenchReport struct {
-	Description string `json:"description"`
-	Environment struct {
-		GOOS   string `json:"goos"`
-		GOARCH string `json:"goarch"`
-		Cores  int    `json:"cores"`
-		Go     string `json:"go"`
-		Date   string `json:"date"`
-	} `json:"environment"`
-	Config struct {
-		Nodes           int    `json:"nodes"`
-		Kills           int    `json:"kills"`
-		Files           int    `json:"files"`
-		FileSize        int    `json:"file_size_bytes"`
-		ChunkCap        int    `json:"chunk_cap_bytes"`
-		Code            string `json:"code"`
-		ProbeIntervalMS int64  `json:"probe_interval_ms"`
-		ProbeTimeoutMS  int64  `json:"probe_timeout_ms"`
-		SuspicionMS     int64  `json:"suspicion_ms"`
-		IndirectProbes  int    `json:"indirect_probes"`
-	} `json:"config"`
-	Deaths  []churnDeathResult `json:"deaths"`
-	Summary struct {
-		MeanDetectMS      float64 `json:"mean_time_to_detect_ms"`
-		MeanRepairMS      float64 `json:"mean_time_to_repair_ms"`
-		BlocksRegenerated int     `json:"blocks_regenerated"`
-		BytesRegenerated  int64   `json:"bytes_regenerated"`
-		FilesFailed       int     `json:"files_failed"`
-		ChunksLost        int     `json:"chunks_lost"`
-	} `json:"summary"`
-}
+// bytes the daemons regenerate. time-to-detect runs from Close() to the
+// death being committed on every survivor; time-to-repair from Close()
+// to every block of every file being fetchable at its survivor-ring
+// owner. Regenerated counts come from the daemons' own RepairReport.
 
 // churnSafeVictim mirrors the integration harness's safety predicate:
 // losing ring[pos] must keep every chunk decodable (at most tolerance
@@ -206,24 +166,6 @@ func runChurn() {
 		}
 	}
 
-	var report churnBenchReport
-	report.Description = "Self-healing ring experiment (PR 6): a live loopback ring with the SWIM-style failure detector and the autonomous repair daemon on every node absorbs scripted node deaths with zero manual intervention. time_to_detect is Close()-to-death-committed-on-every-survivor; time_to_repair is Close()-to-every-block-of-every-file-fetchable-at-its-survivor-ring-owner. Regenerated byte counts come from the daemons' own RepairReport. Command: go run ./cmd/psbench -exp churn. Design in docs/RING.md."
-	report.Environment.GOOS = runtime.GOOS
-	report.Environment.GOARCH = runtime.GOARCH
-	report.Environment.Cores = runtime.NumCPU()
-	report.Environment.Go = runtime.Version()
-	report.Environment.Date = time.Now().Format("2006-01-02")
-	report.Config.Nodes = nodes
-	report.Config.Kills = kills
-	report.Config.Files = numFiles
-	report.Config.FileSize = fileSize
-	report.Config.ChunkCap = chunkCap
-	report.Config.Code = "xor(2,3)"
-	report.Config.ProbeIntervalMS = det.ProbeInterval.Milliseconds()
-	report.Config.ProbeTimeoutMS = det.ProbeTimeout.Milliseconds()
-	report.Config.SuspicionMS = det.SuspicionTimeout.Milliseconds()
-	report.Config.IndirectProbes = det.IndirectProbes
-
 	aliveRing := func(dead map[int]bool) []wire.NodeInfo {
 		var ring []wire.NodeInfo
 		for i, s := range servers {
@@ -284,41 +226,19 @@ func runChurn() {
 		vc.Close()
 
 		fmt.Printf("%-8d %-18s %-18s\n", victim, detect.Round(time.Millisecond), repairTotal.Round(time.Millisecond))
-		report.Deaths = append(report.Deaths, churnDeathResult{
-			Victim:       victim,
-			DetectMS:     float64(detect.Microseconds()) / 1000,
-			RepairMS:     float64(repairTotal.Microseconds()) / 1000,
-			RingSizeThen: nodes - len(dead),
-		})
 	}
 
+	var total node.RepairReport
 	for i, s := range servers {
 		if dead[i] {
 			continue
 		}
 		rpt := s.RepairReport()
-		report.Summary.BlocksRegenerated += rpt.BlocksRecreated
-		report.Summary.BytesRegenerated += rpt.BytesRecreated
-		report.Summary.FilesFailed += rpt.FilesFailed
-		report.Summary.ChunksLost += rpt.ChunksLost
+		total.BlocksRecreated += rpt.BlocksRecreated
+		total.BytesRecreated += rpt.BytesRecreated
+		total.FilesFailed += rpt.FilesFailed
+		total.ChunksLost += rpt.ChunksLost
 	}
-	for _, d := range report.Deaths {
-		report.Summary.MeanDetectMS += d.DetectMS / float64(len(report.Deaths))
-		report.Summary.MeanRepairMS += d.RepairMS / float64(len(report.Deaths))
-	}
-
 	fmt.Printf("\nregenerated %d blocks (%d bytes) autonomously; %d files failed, %d chunks lost\n",
-		report.Summary.BlocksRegenerated, report.Summary.BytesRegenerated,
-		report.Summary.FilesFailed, report.Summary.ChunksLost)
-
-	buf, err := json.MarshalIndent(&report, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "churn: %v\n", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(churnBenchOut, append(buf, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "churn: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("(wrote %s)\n", churnBenchOut)
+		total.BlocksRecreated, total.BytesRecreated, total.FilesFailed, total.ChunksLost)
 }

@@ -49,7 +49,7 @@ func saveCSV(name string, header []string, rows [][]string) {
 
 func main() {
 	var (
-		exp   = flag.String("exp", "all", "experiment: all, fig7, fig8, fig9, table1, fig10, table2, schedules, table3, fig11, fig12, table4, ablate, tail, churn, gate (churn and gate drive live rings; not part of 'all')")
+		exp   = flag.String("exp", "all", "experiment: all, fig7, fig8, fig9, table1, fig10, table2, schedules, table3, fig11, fig12, table4, ablate, tail, churn (churn drives a live ring; not part of 'all')")
 		scale = flag.Int("scale", 100, "population divisor vs the paper's 10000 nodes / 1.2M files (1 = full paper scale)")
 		seeds = flag.Int("seeds", 3, "independent seeds to average (paper: 10)")
 		runs  = flag.Int("runs", 10, "repetitions for the coding microbenchmark")
@@ -60,18 +60,11 @@ func main() {
 
 	selected := strings.ToLower(*exp)
 	// The churn experiment drives a live loopback ring (detector +
-	// repair daemon, docs/RING.md) rather than the simulator, takes
-	// tens of seconds of wall clock, and writes BENCH_PR6.json — so it
-	// runs only when asked for by name, never under -exp all.
+	// repair daemon, docs/RING.md) rather than the simulator and takes
+	// tens of seconds of wall clock, so it runs only when asked for by
+	// name, never under -exp all.
 	if selected == "churn" {
 		runChurn()
-		return
-	}
-	// Likewise the gate experiment: a live loopback ring behind the
-	// HTTP gateway under a 64-client herd, writing BENCH_PR9.json —
-	// seconds of wall clock, so by name only.
-	if selected == "gate" {
-		runGate()
 		return
 	}
 	any := false

@@ -11,25 +11,35 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
+	"strings"
 
 	"peerstripe/internal/stats"
 	"peerstripe/internal/trace"
 )
 
 func main() {
-	if len(os.Args) < 2 {
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout))
+}
+
+// run is the testable body of the command: it performs one subcommand,
+// reading a trace from stdin for stat and writing results to stdout, and
+// returns the process exit code. Diagnostics go to os.Stderr.
+func run(args []string, stdin io.Reader, stdout io.Writer) int {
+	if len(args) < 1 {
 		fmt.Fprintln(os.Stderr, "usage: pstrace gen|stat [flags]")
-		os.Exit(2)
+		return 2
 	}
-	switch os.Args[1] {
+	switch args[0] {
 	case "gen":
-		fs := flag.NewFlagSet("gen", flag.ExitOnError)
+		fs := flag.NewFlagSet("gen", flag.ContinueOnError)
 		n := fs.Int("n", 10000, "number of files")
 		seed := fs.Int64("seed", 1, "generator seed")
 		tail := fs.Float64("tail", 0, "lognormal sigma for a heavy-tailed trace (0 = paper's normal)")
-		fs.Parse(os.Args[2:]) //nolint:errcheck
+		if err := fs.Parse(args[1:]); err != nil {
+			return 2
+		}
 		g := trace.NewGen(*seed)
 		var files []trace.File
 		if *tail > 0 {
@@ -37,51 +47,46 @@ func main() {
 		} else {
 			files = g.Files(*n)
 		}
-		if err := trace.WriteTrace(os.Stdout, files); err != nil {
-			log.Fatal(err)
+		if err := trace.WriteTrace(stdout, files); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
 		}
 	case "stat":
-		files, err := trace.ReadTrace(os.Stdin)
+		files, err := trace.ReadTrace(stdin)
 		if err != nil {
-			log.Fatal(err)
+			fmt.Fprintln(os.Stderr, err)
+			return 1
 		}
 		if len(files) == 0 {
-			log.Fatal("empty trace")
+			fmt.Fprintln(os.Stderr, "empty trace")
+			return 1
 		}
 		var a stats.Acc
 		for _, f := range files {
 			a.Add(float64(f.Size))
 		}
 		mb := float64(trace.MB)
-		fmt.Printf("files:  %d\n", a.N())
-		fmt.Printf("total:  %.2f TB\n", a.Sum()/float64(trace.TB))
-		fmt.Printf("mean:   %.2f MB\n", a.Mean()/mb)
-		fmt.Printf("sd:     %.2f MB\n", a.StdDev()/mb)
-		fmt.Printf("min:    %.2f MB\n", a.Min()/mb)
-		fmt.Printf("max:    %.2f MB\n", a.Max()/mb)
-		// Decile histogram between min and max.
-		h := stats.NewHistogram(a.Min(), a.Max()+1, 10)
+		fmt.Fprintf(stdout, "files:  %d\n", a.N())
+		fmt.Fprintf(stdout, "total:  %.2f TB\n", a.Sum()/float64(trace.TB))
+		fmt.Fprintf(stdout, "mean:   %.2f MB\n", a.Mean()/mb)
+		fmt.Fprintf(stdout, "sd:     %.2f MB\n", a.StdDev()/mb)
+		fmt.Fprintf(stdout, "min:    %.2f MB\n", a.Min()/mb)
+		fmt.Fprintf(stdout, "max:    %.2f MB\n", a.Max()/mb)
+		// Ten equal-width buckets over [min, max+1).
+		var counts [10]int
+		width := (a.Max() + 1 - a.Min()) / float64(len(counts))
 		for _, f := range files {
-			h.Add(float64(f.Size))
+			counts[min(int((float64(f.Size)-a.Min())/width), len(counts)-1)]++
 		}
-		width := (a.Max() + 1 - a.Min()) / 10
-		for i := 0; i < h.Buckets(); i++ {
+		for i, c := range counts {
 			lo := a.Min() + float64(i)*width
-			fmt.Printf("%8.0f MB  %6.2f%%  %s\n", lo/mb, 100*h.Frac(i),
-				bar(h.Frac(i)))
+			frac := float64(c) / float64(len(files))
+			fmt.Fprintf(stdout, "%8.0f MB  %6.2f%%  %s\n", lo/mb, 100*frac,
+				strings.Repeat("#", int(frac*60)))
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "unknown subcommand %q\n", os.Args[1])
-		os.Exit(2)
+		fmt.Fprintf(os.Stderr, "unknown subcommand %q\n", args[0])
+		return 2
 	}
-}
-
-// bar renders a proportional ASCII bar.
-func bar(frac float64) string {
-	n := int(frac * 60)
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = '#'
-	}
-	return string(out)
+	return 0
 }

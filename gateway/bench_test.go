@@ -32,8 +32,7 @@ func benchGateway(b *testing.B, objectSize int64) string {
 // BenchmarkGatewayGet measures full-object GET throughput through the
 // HTTP gateway against a live loopback ring — request parsing, the
 // shared chunk cache (warm after the first iteration), and the
-// streamed response copy. The MB/s floor is guarded by `make
-// bench-guard` against BENCH_PR9.json.
+// streamed response copy.
 func BenchmarkGatewayGet(b *testing.B) {
 	const objectSize = 4 << 20
 	url := benchGateway(b, objectSize)

@@ -42,7 +42,7 @@ func BenchmarkLiveStoreFile(b *testing.B) {
 	c := benchClient(b, seed)
 	data := benchData()
 	b.SetBytes(benchFileSize)
-	for i := 0; b.Loop(); i++ {
+	for i := 0; i < b.N; i++ {
 		name := fmt.Sprintf("bench-store-%d.dat", i)
 		if _, err := c.StoreFileCtx(context.Background(), name, data); err != nil {
 			b.Fatal(err)
@@ -78,8 +78,7 @@ func BenchmarkLiveFetchFile(b *testing.B) {
 // many segments large, stored through the pipelined StoreReader
 // (encode of chunk N overlapping upload of chunk N−1, windowed
 // segment exchange per block) and fetched back through the ranged
-// segment stream with per-source progress hedging armed. These are
-// the single-stream numbers BENCH_PR7.json floors.
+// segment stream with per-source progress hedging armed.
 
 const (
 	benchStreamChunk   = 1 << 20 // 512 KiB blocks at xor(2,3)
@@ -105,7 +104,7 @@ func BenchmarkLiveStoreStream(b *testing.B) {
 	data := benchData()
 	plan := core.PlanChunkSizes(benchFileSize, benchStreamChunk)
 	b.SetBytes(benchFileSize)
-	for i := 0; b.Loop(); i++ {
+	for i := 0; i < b.N; i++ {
 		name := fmt.Sprintf("bench-winstore-%d.dat", i)
 		if _, err := c.StoreReader(context.Background(), name, bytes.NewReader(data), plan); err != nil {
 			b.Fatal(err)

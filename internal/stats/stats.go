@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit the experiment
 // harness uses: accumulators for mean/standard deviation, extrema,
-// histograms, and fixed-interval series sampling for figure output.
+// quantiles, and fixed-interval series sampling for figure output.
 package stats
 
 import (
@@ -181,50 +181,4 @@ func (s *Series) Last() float64 {
 		return 0
 	}
 	return ys[len(ys)-1]
-}
-
-// Histogram counts observations in fixed-width buckets over [lo, hi).
-// Observations outside the range are clamped into the edge buckets.
-type Histogram struct {
-	lo, width float64
-	counts    []int
-	total     int
-}
-
-// NewHistogram builds a histogram with n buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{lo: lo, width: (hi - lo) / float64(n), counts: make([]int, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.lo) / h.width)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.counts) {
-		i = len(h.counts) - 1
-	}
-	h.counts[i]++
-	h.total++
-}
-
-// Count returns the observations in bucket i.
-func (h *Histogram) Count(i int) int { return h.counts[i] }
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// Buckets returns the number of buckets.
-func (h *Histogram) Buckets() int { return len(h.counts) }
-
-// Frac returns the fraction of observations in bucket i.
-func (h *Histogram) Frac(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.counts[i]) / float64(h.total)
 }

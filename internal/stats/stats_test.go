@@ -166,44 +166,3 @@ func TestSeriesEmpty(t *testing.T) {
 		t.Error("empty series should return empty points")
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0.5, 1, 3, 5, 7, 9, 9.99} {
-		h.Add(x)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	if h.Count(0) != 3 { // 0.5, 1, and 3? No: bucket width 2 -> [0,2)=0.5,1; bucket1=[2,4)=3
-		// expected: bucket0 has 0.5,1
-		t.Logf("bucket counts: %d %d %d %d %d", h.Count(0), h.Count(1), h.Count(2), h.Count(3), h.Count(4))
-	}
-	if h.Count(0) != 2 || h.Count(1) != 1 || h.Count(2) != 1 || h.Count(3) != 1 || h.Count(4) != 2 {
-		t.Errorf("counts = %d %d %d %d %d", h.Count(0), h.Count(1), h.Count(2), h.Count(3), h.Count(4))
-	}
-	if !almostEq(h.Frac(0), 2.0/7, 1e-12) {
-		t.Errorf("Frac(0) = %g", h.Frac(0))
-	}
-}
-
-func TestHistogramClamping(t *testing.T) {
-	h := NewHistogram(0, 10, 2)
-	h.Add(-5)
-	h.Add(50)
-	if h.Count(0) != 1 || h.Count(1) != 1 {
-		t.Error("out-of-range values not clamped to edge buckets")
-	}
-	if h.Buckets() != 2 {
-		t.Errorf("Buckets = %d", h.Buckets())
-	}
-}
-
-func TestHistogramPanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewHistogram accepted invalid shape")
-		}
-	}()
-	NewHistogram(5, 5, 1)
-}

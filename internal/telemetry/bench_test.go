@@ -7,9 +7,8 @@ import (
 
 // Overhead guard: the instrumented hot path vs the no-op (nil
 // registry) hot path vs a bare atomic add. The deltas here are what
-// every instrumented call site in wire/node/gateway pays per record;
-// `make bench-guard` separately proves the end-to-end cost is in the
-// noise. TestRecordingAllocFree asserts the zero-allocation property.
+// every instrumented call site in wire/node/gateway pays per record.
+// TestRecordingAllocFree asserts the zero-allocation property.
 
 func BenchmarkCounterAdd(b *testing.B) {
 	c := NewRegistry().Counter("bench_total", "bench")

@@ -1,10 +1,10 @@
 // Package telemetry is the runtime metrics substrate of the live
 // implementation: a dependency-free registry of lock-free counters,
 // gauges, and log-bucketed latency histograms, cheap enough to leave
-// on in production hot paths. It supersedes the bench-only
-// internal/stats.Histogram for runtime use — stats stays the offline
-// analysis tool; telemetry is what a running node, client, or gateway
-// records into on every operation.
+// on in production hot paths. Its histogram is the repository's only
+// one: internal/stats stays the offline analysis tool (moments,
+// quantiles, series for figures); telemetry is what a running node,
+// client, or gateway records into on every operation.
 //
 // Recording is one atomic add: counters and gauges are single
 // atomic.Int64 cells, and a histogram observation increments exactly
