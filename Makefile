@@ -92,9 +92,8 @@ live-path:
 # read racing a source that stalls or dies mid-stream, the windowed
 # store completing through a slow sink, the per-source progress
 # contract (replace the silent, spare the moving), and the store
-# pipeline at depth 1, 2 and 4 recycling chunk buffers under slow
-# sinks, a cancel and a failed upload — docs/LIVE.md "Streaming
-# pipeline".
+# pipeline recycling chunk buffers under slow sinks, a cancel and a
+# failed upload — docs/LIVE.md "Streaming pipeline".
 pipeline:
 	$(GO) test -race -run 'StoreWindow|StalledSource|DeadSource|SlowSink|ProgressHedge|StorePipeline' \
 		./internal/node ./internal/core

@@ -23,6 +23,7 @@ import (
 	"go/parser"
 	"go/printer"
 	"go/token"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -71,7 +72,7 @@ func main() {
 
 // printDiff emits a minimal line diff: baseline-only lines as '-',
 // surface-only lines as '+'.
-func printDiff(w *os.File, want, got []string) {
+func printDiff(w io.Writer, want, got []string) {
 	inWant := make(map[string]bool, len(want))
 	for _, l := range want {
 		inWant[l] = true

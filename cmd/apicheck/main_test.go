@@ -86,3 +86,22 @@ func TestExtractStableAcrossParamRenames(t *testing.T) {
 		t.Fatalf("param rename changed the surface:\n%v\nvs\n%v", la, lb)
 	}
 }
+
+// TestBaselineMatchesTree runs the gate over the repository's own
+// peerstripe package: a change to the exported surface that did not
+// regenerate api/peerstripe.txt fails the ordinary test run.
+func TestBaselineMatchesTree(t *testing.T) {
+	surface, err := extract("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("../../api/peerstripe.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(want) != strings.Join(surface, "\n")+"\n" {
+		var diff strings.Builder
+		printDiff(&diff, strings.Split(strings.TrimRight(string(want), "\n"), "\n"), surface)
+		t.Fatalf("exported surface drifted from api/peerstripe.txt; regenerate with `go run ./cmd/apicheck -write`:\n%s", diff.String())
+	}
+}

@@ -27,7 +27,7 @@ import (
 // losing ring[pos] must keep every chunk decodable (at most tolerance
 // of its blocks on the victim) and at least one CAT replica of every
 // file elsewhere.
-func churnSafeVictim(ring []wire.NodeInfo, pos int, fileChunks map[string]int, m, tolerance, catReplicas int) bool {
+func churnSafeVictim(ring []wire.NodeInfo, pos int, fileChunks map[string]int, m, tolerance int) bool {
 	ownerIdx := func(name string) int {
 		o, _ := node.OwnerOf(ring, ids.FromName(name))
 		for i, member := range ring {
@@ -50,7 +50,7 @@ func churnSafeVictim(ring []wire.NodeInfo, pos int, fileChunks map[string]int, m
 			}
 		}
 		elsewhere := 0
-		for r := 0; r <= catReplicas; r++ {
+		for r := 0; r <= node.CATReplicas; r++ {
 			if ownerIdx(core.ReplicaName(core.CATName(file), r)) != pos {
 				elsewhere++
 			}
@@ -152,7 +152,6 @@ func runChurn() {
 	}
 	m := code.EncodedBlocks()
 	tolerance := m - code.MinNeeded()
-	catReplicas := writer.Config().CATReplicas
 
 	var names []string
 	for file, chunks := range fileChunks {
@@ -161,7 +160,7 @@ func runChurn() {
 				names = append(names, core.BlockName(file, ci, e))
 			}
 		}
-		for r := 0; r <= catReplicas; r++ {
+		for r := 0; r <= node.CATReplicas; r++ {
 			names = append(names, core.ReplicaName(core.CATName(file), r))
 		}
 	}
@@ -183,7 +182,7 @@ func runChurn() {
 		ring := aliveRing(dead)
 		var safe []int
 		for pos := range ring {
-			if churnSafeVictim(ring, pos, fileChunks, m, tolerance, catReplicas) {
+			if churnSafeVictim(ring, pos, fileChunks, m, tolerance) {
 				safe = append(safe, pos)
 			}
 		}

@@ -53,14 +53,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	var (
 		seed     = fs.String("seed", "127.0.0.1:7001", "address of any ring member")
 		code     = fs.String("code", "xor", "erasure code: null, xor, online, rs")
-		workers  = fs.Int("workers", 0, "parallel chunk coding (0 = GOMAXPROCS, 1 = sequential)")
-		xfers    = fs.Int("transfers", 0, "in-flight block transfers per operation (0 = default)")
-		hedge    = fs.Int("hedge", 0, "extra block fetches requested up front per chunk on reads (0 = rely on stall hedging)")
 		hedgeMS  = fs.Duration("hedge-delay", 0, "per-source stall cutoff before a read races a replacement stream (0 = default)")
 		chunkCap = fs.Int64("chunkcap", 0, "cap on chunk size in bytes (0 = default 16 MiB)")
 		segment  = fs.Int("segment", 0, "wire streaming segment size in bytes (0 = default 4 MiB)")
-		window   = fs.Int("window", 0, "in-flight segments per streamed block transfer (0 = default, 1 = in-order)")
-		depth    = fs.Int("pipeline-depth", 0, "chunks in flight during a streamed store (0 = default)")
 		timeout  = fs.Duration("timeout", 0, "per-RPC deadline (0 = default 10s)")
 		deadline = fs.Duration("deadline", 0, "overall operation deadline (0 = none)")
 	)
@@ -81,22 +76,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		defer cancel()
 	}
 
-	opts := []peerstripe.Option{
-		peerstripe.WithCode(*code),
-		peerstripe.WithWorkers(*workers),
-		peerstripe.WithHedge(*hedge),
-	}
-	if *xfers > 0 {
-		opts = append(opts, peerstripe.WithTransfers(*xfers))
-	}
+	opts := []peerstripe.Option{peerstripe.WithCode(*code)}
 	if *segment > 0 {
 		opts = append(opts, peerstripe.WithSegment(*segment))
-	}
-	if *window > 0 {
-		opts = append(opts, peerstripe.WithStreamWindow(*window))
-	}
-	if *depth > 0 {
-		opts = append(opts, peerstripe.WithPipelineDepth(*depth))
 	}
 	if *hedgeMS != 0 {
 		opts = append(opts, peerstripe.WithHedgeDelay(*hedgeMS))

@@ -37,19 +37,19 @@ import (
 	"peerstripe/internal/telemetry"
 )
 
-// Config tunes a Gateway. The zero value serves with a 128 KiB copy
-// buffer and no PUT size cap.
+// Config tunes a Gateway. The zero value serves with no PUT size cap.
 type Config struct {
 	// MaxObjectBytes rejects PUTs with a larger Content-Length with
 	// 413. 0 accepts any size.
 	MaxObjectBytes int64
-	// CopyBuffer is the per-request response copy buffer in bytes
-	// (0 selects 128 KiB). It bounds per-request memory on GET; chunk
-	// decode memory is bounded separately by the client's chunk cache.
-	CopyBuffer int
 	// Logf receives one line per failed request. nil discards.
 	Logf func(format string, args ...any)
 }
+
+// copyBuffer is the per-request response copy buffer in bytes. It
+// bounds per-request memory on GET; chunk decode memory is bounded
+// separately by the client's chunk cache.
+const copyBuffer = 128 << 10
 
 // Stats is a point-in-time snapshot of a Gateway's counters.
 type Stats struct {
@@ -78,12 +78,9 @@ type Gateway struct {
 // be dialed with a chunk cache sized for the expected hot set
 // (peerstripe.WithChunkCache); everything else works with defaults.
 func New(cl *peerstripe.Client, cfg Config) *Gateway {
-	if cfg.CopyBuffer <= 0 {
-		cfg.CopyBuffer = 128 << 10
-	}
 	g := &Gateway{cl: cl, cfg: cfg, met: newGwMetrics()}
 	g.bufs.New = func() any {
-		b := make([]byte, g.cfg.CopyBuffer)
+		b := make([]byte, copyBuffer)
 		return &b
 	}
 	return g
@@ -236,8 +233,8 @@ func (g *Gateway) serveObject(w http.ResponseWriter, r *http.Request, name strin
 	bufp := g.bufs.Get().(*[]byte)
 	defer g.bufs.Put(bufp)
 	// writerOnly hides the ResponseWriter's ReadFrom so CopyBuffer
-	// actually uses the pooled Config.CopyBuffer-sized buffer instead
-	// of delegating to w.ReadFrom and ignoring it.
+	// actually uses the pooled copyBuffer-sized buffer instead of
+	// delegating to w.ReadFrom and ignoring it.
 	n, err := io.CopyBuffer(writerOnly{w}, io.NewSectionReader(f, off, length), *bufp)
 	g.met.bytesOut.Add(n)
 	if err != nil && r.Context().Err() == nil {

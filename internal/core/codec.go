@@ -28,13 +28,10 @@ type Codec struct {
 
 	// FetchParallel bounds the group fetches one chunk read has in
 	// flight; 0 or 1 keeps one at a time, where a failure is still
-	// replaced but a stall cannot be raced. FetchHedge is how many extra
-	// blocks beyond MinNeeded a whole-chunk read asks for up front (0, the
-	// default, relies on replacement; negative is 0). HedgeDelay is the
-	// stall cutoff (see ReadChunk): 0 selects DefaultHedgeDelay, negative
+	// replaced but a stall cannot be raced. HedgeDelay is the stall
+	// cutoff (see ReadChunk): 0 selects DefaultHedgeDelay, negative
 	// disables the timer (failures still trigger replacements).
 	FetchParallel int
-	FetchHedge    int
 	HedgeDelay    time.Duration
 
 	// Fetch reads the block ranges a chunk read plans, a group of them

@@ -107,7 +107,7 @@ func TestParallelFetchFailsBeyondTolerance(t *testing.T) {
 
 // TestParallelFetchStopsEarly verifies the happy path does not fan out
 // to every block: with no failures and a generous hedge delay, each
-// chunk should touch MinNeeded+FetchHedge blocks, not all m.
+// chunk should touch MinNeeded blocks, not all m.
 func TestParallelFetchStopsEarly(t *testing.T) {
 	code := erasure.MustRS(4, 4) // m = 8, need = 4
 	data := make([]byte, 64_000)
@@ -115,13 +115,13 @@ func TestParallelFetchStopsEarly(t *testing.T) {
 	sizes := PlanChunkSizes(int64(len(data)), 64_000)
 	mf, cat := newMemFetch(t, code, "early.dat", data, sizes)
 
-	par := &Codec{Code: code, FetchParallel: 8, FetchHedge: 1, HedgeDelay: 5 * time.Second}
+	par := &Codec{Code: code, FetchParallel: 8, HedgeDelay: 5 * time.Second}
 	got, err := par.DecodeFile(context.Background(), cat, mf.fetch)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatal(err)
 	}
-	if calls := mf.calls.Load(); calls > int64(code.MinNeeded()+1) {
-		t.Fatalf("happy-path decode touched %d blocks, want <= %d", calls, code.MinNeeded()+1)
+	if calls := mf.calls.Load(); calls > int64(code.MinNeeded()) {
+		t.Fatalf("happy-path decode touched %d blocks, want <= %d", calls, code.MinNeeded())
 	}
 }
 
@@ -213,17 +213,17 @@ func TestProgressHedgeSparesMovingSource(t *testing.T) {
 	}
 }
 
-// TestParallelFetchHedgesPastStragglers makes the first-wave blocks
-// pathologically slow and checks the hedge timer races replacements in
-// well before the stragglers would finish.
+// TestParallelFetchHedgesPastStragglers makes every first-wave block
+// pathologically slow and checks the stall tick alone races
+// replacements in well before the stragglers would finish.
 func TestParallelFetchHedgesPastStragglers(t *testing.T) {
 	code := erasure.MustRS(2, 2) // m = 4, need = 2
 	data := make([]byte, 40_000)
 	rand.New(rand.NewSource(5)).Read(data)
 	sizes := PlanChunkSizes(int64(len(data)), 40_000)
 	mf, cat := newMemFetch(t, code, "hedge.dat", data, sizes)
-	// Two of the three first-wave blocks stall; decode needs two, so
-	// success requires the hedge to pull in block 3.
+	// Both first-wave blocks stall; decode needs two, so success
+	// requires the stall tick to pull in blocks 2 and 3.
 	slow := map[string]bool{
 		BlockName("hedge.dat", 0, 0): true,
 		BlockName("hedge.dat", 0, 1): true,
@@ -235,14 +235,14 @@ func TestParallelFetchHedgesPastStragglers(t *testing.T) {
 		return 0
 	}
 
-	par := &Codec{Code: code, FetchParallel: 4, FetchHedge: 1, HedgeDelay: 20 * time.Millisecond}
+	par := &Codec{Code: code, FetchParallel: 4, HedgeDelay: 20 * time.Millisecond}
 	startT := time.Now()
 	got, err := par.DecodeFile(context.Background(), cat, mf.fetch)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatal(err)
 	}
-	// need=2: one fast block arrives immediately, the hedge widens to
-	// block 3 (fast) after 20ms — far under the 2s straggler stall.
+	// need=2: nothing arrives until the first 20ms tick stalls blocks 0
+	// and 1 and asks for 2 and 3 (fast) — far under the 2s stragglers.
 	if e := time.Since(startT); e > time.Second {
 		t.Fatalf("hedged decode took %v; stragglers were not raced", e)
 	}

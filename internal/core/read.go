@@ -79,9 +79,9 @@ func (cd *Codec) DecodeFile(ctx context.Context, cat *CAT, fetch FetchFunc) ([]b
 // set: into dst when it is the chunk, through a buffer otherwise.
 //
 // The wave first asks for what a healthy read needs — the data-block
-// ranges, or MinNeeded+FetchHedge whole blocks — one group per holder,
-// at most FetchParallel groups in flight, and replaces a failed part at
-// once. On every HedgeDelay tick a group that moved no bytes since the
+// ranges, or MinNeeded whole blocks — one group per holder, at most
+// FetchParallel groups in flight, and replaces a failed part at once.
+// On every HedgeDelay tick a group that moved no bytes since the
 // last is stalled: its parts are replaced, once, while it may still
 // answer first. A holder that failed or stalled is passed over while
 // others can serve. Like every decode, the bytes are not checked
@@ -116,8 +116,7 @@ func (cd *Codec) ReadChunk(ctx context.Context, cat *CAT, ci int, lo int64, dst 
 		chunk = make([]byte, chunkLen)
 	}
 	n := int64(cd.Code.DataBlocks())
-	need := min(cd.Code.MinNeeded()+max(cd.FetchHedge, 0), cd.Code.EncodedBlocks())
-	err := cd.newWave(cat.File, ci, []stripe{{primary: -1, n: (chunkLen + n - 1) / n, dst: chunk, need: need}}).run(ctx)
+	err := cd.newWave(cat.File, ci, []stripe{{primary: -1, n: (chunkLen + n - 1) / n, dst: chunk, need: cd.Code.MinNeeded()}}).run(ctx)
 	if err == nil && partial {
 		copy(dst, chunk[lo:hi])
 	}
@@ -160,8 +159,8 @@ type stripe struct {
 	dst     []byte
 	// need is how many parts must be live or landed: 1 while the
 	// primary is sound (MinNeeded others once it is bad), or for a
-	// whole chunk MinNeeded+FetchHedge, one more each time a rateless
-	// decode falls short.
+	// whole chunk MinNeeded, one more each time a rateless decode falls
+	// short.
 	need  int
 	bad   bool            // the primary failed or stalled
 	tried []bool          // per block

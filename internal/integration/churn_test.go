@@ -216,12 +216,11 @@ func TestChurnSelfHealingRing(t *testing.T) {
 	}
 	m := code.EncodedBlocks()
 	tolerance := m - code.MinNeeded()
-	catReplicas := writer.Config().CATReplicas
 
 	// One live node is reserved for the forged-suspicion probe below;
 	// the trace never kills it.
 	spare := nodes / 2
-	trace := planChurnTrace(t, writer.Ring(), fileChunks, m, tolerance, catReplicas,
+	trace := planChurnTrace(t, writer.Ring(), fileChunks, m, tolerance, node.CATReplicas,
 		kills, spare, rand.New(rand.NewSource(43)))
 	t.Logf("churn trace over %d nodes: kill order %v", nodes, trace.victims)
 
@@ -239,7 +238,7 @@ func TestChurnSelfHealingRing(t *testing.T) {
 		return ring
 	}
 
-	names := blockNames(fileChunks, m, catReplicas)
+	names := blockNames(fileChunks, m, node.CATReplicas)
 	dead := make(map[int]bool)
 	for step, victim := range trace.victims {
 		servers[victim].Close()

@@ -171,7 +171,7 @@ func TestLiveIntegrationConcurrentChurnRepair(t *testing.T) {
 		fileChunks[f] = chunks
 	}
 	victim := liveSafeVictim(writer.Ring(), fileChunks,
-		code.EncodedBlocks(), code.EncodedBlocks()-code.MinNeeded(), writer.Config().CATReplicas)
+		code.EncodedBlocks(), code.EncodedBlocks()-code.MinNeeded(), node.CATReplicas)
 	if victim < 0 {
 		t.Fatal("no safe victim in deterministic placement")
 	}
@@ -302,7 +302,7 @@ func TestLiveDegradedFetchNoRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := liveSafeVictim(c.Ring(), map[string]int{name: cat.NumChunks()},
-		code.EncodedBlocks(), code.EncodedBlocks()-code.MinNeeded(), c.Config().CATReplicas)
+		code.EncodedBlocks(), code.EncodedBlocks()-code.MinNeeded(), node.CATReplicas)
 	if victim < 0 {
 		t.Fatal("no safe victim in deterministic placement")
 	}

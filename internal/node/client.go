@@ -32,29 +32,12 @@ var (
 	ErrRingUnavailable = errors.New("node: ring unavailable")
 )
 
-// Config freezes a Client's knobs at construction. The zero value
-// selects every default. Fields mirror what used to be mutable fields
-// on Client; making them construction-only removes a whole class of
-// data races (reconfiguring a client mid-transfer) by design — to
-// change a knob, build a new client.
+// Config freezes a Client's deployment settings at construction. The
+// zero value selects every default; to change a setting, build a new
+// client. Everything else about the client's pipeline is fixed (see
+// CATReplicas, streamWindow, pipelineDepth, maxZeroChunks and
+// Client.transfers).
 type Config struct {
-	// Workers bounds per-file chunk-coding concurrency (0 selects
-	// GOMAXPROCS). 1 also keeps block transfers one at a time unless
-	// Transfers is set explicitly.
-	Workers int
-	// Transfers bounds in-flight block transfers per operation.
-	// Network fan-out is wait-bound, not compute-bound, so 0 selects
-	// max(8, GOMAXPROCS) rather than the core count — a single-core
-	// client still keeps several RPCs on the wire instead of running
-	// the transfer loop in lockstep with the acks. When Workers is 1
-	// and Transfers is 0, transfers stay sequential too.
-	Transfers int
-	// Hedge is how many extra blocks beyond the decode minimum a
-	// degraded read requests up front. 0 (the default) requests
-	// exactly the minimum and relies on per-source progress hedging to
-	// replace stalled streams; raise it to pre-pay for expected
-	// failures.
-	Hedge int
 	// HedgeDelay is the per-source stall cutoff of the hedged read
 	// path (0 selects core.DefaultHedgeDelay): an in-flight block
 	// stream that moves no bytes for a full HedgeDelay is raced
@@ -72,57 +55,35 @@ type Config struct {
 	// too large for one frame, as ranged OpFetch parts of a segment
 	// each.
 	Segment int
-	// StreamWindow bounds in-flight segments per streamed block
-	// transfer (0 selects 4; 1 keeps one OpStoreWindow segment in
-	// flight, each sent after the previous one's ack).
-	StreamWindow int
-	// PipelineDepth bounds the chunks in flight during a streamed
-	// store (0 selects 2, which overlaps chunk-N encode with chunk-N−1
-	// upload; 1 is the lockstep read-encode-upload loop). Peak staging
-	// memory grows linearly with the depth.
-	PipelineDepth int
-	// CATReplicas is the number of extra CAT copies (0 selects 2,
-	// negative selects none).
-	CATReplicas int
-	// MaxZeroChunks bounds consecutive refused chunk placements (0
-	// selects 5).
-	MaxZeroChunks int
 }
 
-// withDefaults resolves the zero-value knobs.
+// CATReplicas is the number of extra CAT copies a store keeps on
+// neighbor nodes (§4.3): with the owner's copy, a file's table
+// survives the loss of any two of its three holders.
+const CATReplicas = 2
+
+const (
+	// streamWindow bounds the in-flight segments of one streamed block
+	// transfer: OpStoreWindow segments on a store, ranged OpFetch parts
+	// of a block too large for one frame on a read, so one slow ack does
+	// not serialize a stream.
+	streamWindow = 4
+	// pipelineDepth bounds the chunks in flight during a streamed store:
+	// chunk N is read and encoded while chunk N−1 uploads. Peak staging
+	// memory grows linearly with it.
+	pipelineDepth = 2
+	// maxZeroChunks bounds consecutive refused chunk placements before
+	// a store fails (§4.3).
+	maxZeroChunks = 5
+)
+
+// withDefaults resolves the zero-value settings.
 func (cfg Config) withDefaults() Config {
-	if cfg.Hedge < 0 {
-		cfg.Hedge = 0
-	}
-	if cfg.Transfers <= 0 {
-		if cfg.Workers == 1 {
-			cfg.Transfers = 1
-		} else {
-			cfg.Transfers = 8
-			if n := runtime.GOMAXPROCS(0); n > cfg.Transfers {
-				cfg.Transfers = n
-			}
-		}
-	}
-	if cfg.StreamWindow <= 0 {
-		cfg.StreamWindow = 4
-	}
-	if cfg.PipelineDepth <= 0 {
-		cfg.PipelineDepth = 2
-	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = wire.DefaultTimeout
 	}
 	if cfg.Segment <= 0 {
 		cfg.Segment = wire.DefaultSegment
-	}
-	if cfg.CATReplicas == 0 {
-		cfg.CATReplicas = 2
-	} else if cfg.CATReplicas < 0 {
-		cfg.CATReplicas = 0
-	}
-	if cfg.MaxZeroChunks <= 0 {
-		cfg.MaxZeroChunks = 5
 	}
 	return cfg
 }
@@ -147,6 +108,12 @@ func (cfg Config) withDefaults() Config {
 type Client struct {
 	code erasure.Code
 	cfg  Config
+	// transfers bounds the in-flight block transfers of one operation.
+	// Network fan-out is wait-bound, not compute-bound, so it is
+	// max(8, GOMAXPROCS) rather than the core count: a client on a small
+	// machine still keeps several RPCs on the wire instead of running
+	// the transfer loop in lockstep with the acks.
+	transfers int
 
 	// reg is the client's always-on metrics registry (see
 	// Telemetry); met holds its instruments, resolved once here so
@@ -205,11 +172,12 @@ func newClient(code erasure.Code, cfg Config) *Client {
 	pool := wire.NewPool()
 	pool.Metrics = wire.NewPoolMetrics(reg)
 	c := &Client{
-		code: code,
-		cfg:  cfg.withDefaults(),
-		reg:  reg,
-		met:  newClientMetrics(reg),
-		pool: pool,
+		code:      code,
+		cfg:       cfg.withDefaults(),
+		transfers: max(8, runtime.GOMAXPROCS(0)),
+		reg:       reg,
+		met:       newClientMetrics(reg),
+		pool:      pool,
 	}
 	c.readCodec = c.newReadCodec()
 	c.blockKeys = blockKeys(code.EncodedBlocks())
@@ -223,19 +191,11 @@ func newClient(code erasure.Code, cfg Config) *Client {
 // here) and snapshot or render it at will.
 func (c *Client) Telemetry() *telemetry.Registry { return c.reg }
 
-// Config returns the client's frozen, default-resolved configuration.
-func (c *Client) Config() Config { return c.cfg }
-
 // Code returns the erasure code the client runs.
 func (c *Client) Code() erasure.Code { return c.code }
 
 // Close releases the pooled connections. Calls after Close fail.
 func (c *Client) Close() { c.pool.Close() }
-
-// transfers is the in-flight bound for block-transfer fan-outs —
-// wait-bound work that should not be serialized by the core count the
-// way chunk coding is (see Config.Transfers).
-func (c *Client) transfers() int { return c.cfg.Transfers }
 
 // call is the client's single transport seam, a round trip over the
 // pool. ctx bounds it on top of the per-RPC timeout.
@@ -266,9 +226,8 @@ func (c *Client) call(ctx context.Context, addr string, req *wire.Request) (*wir
 func (c *Client) newReadCodec() *core.Codec {
 	return &core.Codec{
 		Code:          c.code,
-		Workers:       c.transfers(),
-		FetchParallel: c.transfers(),
-		FetchHedge:    c.cfg.Hedge,
+		Workers:       c.transfers,
+		FetchParallel: c.transfers,
 		HedgeDelay:    c.cfg.HedgeDelay,
 		Fetch:         c.fetchParts,
 		Holder:        c.holder,
@@ -309,7 +268,7 @@ func (c *Client) RefreshCtx(ctx context.Context) error {
 func (c *Client) PruneRingCtx(ctx context.Context) (int, error) {
 	ring := c.Ring()
 	alive := make([]bool, len(ring))
-	core.ParallelJobsCtx(ctx, len(ring), c.transfers(), func(i int) error { //nolint:errcheck
+	core.ParallelJobsCtx(ctx, len(ring), c.transfers, func(i int) error { //nolint:errcheck
 		if resp, err := c.call(ctx, ring[i].Addr, &wire.Request{Op: wire.OpStat}); err == nil {
 			resp.Release()
 			alive[i] = true
@@ -384,7 +343,7 @@ func (c *Client) storeBlock(ctx context.Context, name string, data []byte) error
 }
 
 // windowStoreBlock moves one block as out-of-order OpStoreWindow
-// segments with up to StreamWindow in flight at once, so one slow ack
+// segments with up to streamWindow in flight at once, so one slow ack
 // no longer serializes the stream. Segment 0 goes alone first, so a
 // refusal (no space, too many staged streams) comes back before the
 // window opens and ships the rest.
@@ -406,7 +365,7 @@ func (c *Client) windowStoreBlock(ctx context.Context, addr, name string, data [
 	if err := send(0); err != nil {
 		return err
 	}
-	return core.ParallelJobsCtx(ctx, total-1, c.cfg.StreamWindow, func(i int) error {
+	return core.ParallelJobsCtx(ctx, total-1, streamWindow, func(i int) error {
 		return send(i + 1)
 	})
 }
@@ -448,7 +407,7 @@ func (c *Client) probeChunk(ctx context.Context, prefix string, free map[string]
 		}
 	}
 	caps := make([]int64, len(missing))
-	err = core.ParallelJobsCtx(ctx, len(missing), c.transfers(), func(i int) error {
+	err = core.ParallelJobsCtx(ctx, len(missing), c.transfers, func(i int) error {
 		g := groups[missing[i]]
 		resp, err := c.call(ctx, g.addr, &wire.Request{Op: wire.OpCapBatch, Name: prefix, Parts: g.parts})
 		if err != nil {
@@ -537,13 +496,12 @@ func (s *bytesSource) next(want int64) ([]byte, error) {
 func (*bytesSource) release([]byte) {}
 
 // StoreReader stores size bytes read from r under name, following the
-// given chunk plan (see core.PlanChunkSizes) so at most PipelineDepth
+// given chunk plan (see core.PlanChunkSizes) so at most pipelineDepth
 // chunks and their encoded blocks are in memory at a time — the whole
 // file is never buffered. A producer stage probes, reads, and encodes
 // chunks in plan order while the upload stage ships the previous
-// chunk's blocks, so encode and upload overlap instead of alternating
-// (PipelineDepth 1 is the strict probe-read-encode-upload lockstep of
-// the same pipeline). Each planned chunk is capacity-probed before its
+// chunk's blocks, so encode and upload overlap instead of alternating.
+// Each planned chunk is capacity-probed before its
 // bytes are read; a refusal becomes a zero-sized chunk and the planned
 // size is retried at the next chunk number (§4.3), failing after the
 // consecutive-zero-chunk limit. Blocks larger than one wire segment
@@ -585,12 +543,10 @@ func (c *Client) storeChunks(ctx context.Context, name string, plan []int64, siz
 	// encoded chunks to the upload stage below. It takes an inflight
 	// token before it touches a planned chunk and the upload stage
 	// returns the token with the chunk, which bounds the chunks in
-	// memory at PipelineDepth: at 1 the producer cannot start a chunk
-	// until the one before is fully uploaded. jobs has room for every
-	// token holder, so handing a chunk over never blocks.
-	depth := c.cfg.PipelineDepth
-	inflight := make(chan struct{}, depth)
-	jobs := make(chan encodedChunk, depth)
+	// memory at pipelineDepth. jobs has room for every token holder, so
+	// handing a chunk over never blocks.
+	inflight := make(chan struct{}, pipelineDepth)
+	jobs := make(chan encodedChunk, pipelineDepth)
 	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var prodErr error
@@ -651,7 +607,7 @@ func (c *Client) storeChunks(ctx context.Context, name string, plan []int64, siz
 					cat.Rows = append(cat.Rows, core.CATRow{Start: pos, End: pos})
 					chunk++
 					zeroRun++
-					if zeroRun > c.cfg.MaxZeroChunks {
+					if zeroRun > maxZeroChunks {
 						prodErr = fmt.Errorf("node: store %s: %w", name, core.ErrStoreFailed)
 						return
 					}
@@ -717,8 +673,8 @@ func (c *Client) storeChunks(ctx context.Context, name string, plan []int64, siz
 // storeCAT places the CAT and its replicas (§4.4) in parallel.
 func (c *Client) storeCAT(ctx context.Context, cat *core.CAT) error {
 	catData := cat.Marshal()
-	names := catReplicaNames(cat.File, c.cfg.CATReplicas)
-	return core.ParallelJobsCtx(ctx, len(names), c.transfers(), func(r int) error {
+	names := catReplicaNames(cat.File, CATReplicas)
+	return core.ParallelJobsCtx(ctx, len(names), c.transfers, func(r int) error {
 		if err := c.storeBlock(ctx, names[r], catData); err != nil {
 			return fmt.Errorf("node: store CAT replica %d: %w", r, err)
 		}
@@ -750,7 +706,7 @@ func (c *Client) LoadCATCtx(ctx context.Context, name string) (*core.CAT, error)
 	var lastErr error
 	allMissing := true
 	catName := core.CATName(name)
-	for r := 0; r <= c.cfg.CATReplicas; r++ {
+	for r := 0; r <= CATReplicas; r++ {
 		cat, err := c.loadCATReplica(ctx, name, core.ReplicaName(catName, r))
 		if err == nil {
 			return cat, nil
@@ -855,7 +811,7 @@ func (c *Client) DeleteFileCtx(ctx context.Context, name string) error {
 			names.addBlock(name, ci, e)
 		}
 	}
-	for _, rn := range catReplicaNames(name, c.cfg.CATReplicas) {
+	for _, rn := range catReplicaNames(name, CATReplicas) {
 		names.add(rn)
 	}
 	return c.deleteBlocks(ctx, &names)
@@ -901,7 +857,7 @@ func (c *Client) RepairCtx(ctx context.Context, name string) (RepairStats, error
 			cis = append(cis, ci)
 		}
 	}
-	w := c.transfers()
+	w := c.transfers
 	err = core.ParallelJobsCtx(ctx, len(cis), w, func(i int) error {
 		ci := cis[i]
 		prefix := core.BlockPrefix(name, ci)
@@ -991,7 +947,7 @@ func (c *Client) RepairCtx(ctx context.Context, name string) (RepairStats, error
 	}
 	// Restore any missing CAT replicas.
 	catData := cat.Marshal()
-	for _, rn := range catReplicaNames(name, c.cfg.CATReplicas) {
+	for _, rn := range catReplicaNames(name, CATReplicas) {
 		if _, err := c.fetchBlock(ctx, rn); err != nil {
 			if err := c.storeBlock(ctx, rn, catData); err == nil {
 				st.CATReplicasRecreated++

@@ -291,7 +291,7 @@ func TestRepairDaemonHealsAfterDeath(t *testing.T) {
 	}
 	chunks := cat.NumChunks()
 	victim := safeVictim(ring, map[string]int{fileName: chunks},
-		code.EncodedBlocks(), code.EncodedBlocks()-code.MinNeeded(), c.Config().CATReplicas)
+		code.EncodedBlocks(), code.EncodedBlocks()-code.MinNeeded(), CATReplicas)
 	if victim < 0 {
 		t.Fatal("no safe victim in deterministic placement — adjust node count or file name")
 	}
@@ -316,7 +316,7 @@ func TestRepairDaemonHealsAfterDeath(t *testing.T) {
 			names = append(names, core.BlockName(fileName, ci, e))
 		}
 	}
-	for r := 0; r <= c.Config().CATReplicas; r++ {
+	for r := 0; r <= CATReplicas; r++ {
 		names = append(names, core.ReplicaName(core.CATName(fileName), r))
 	}
 

@@ -123,7 +123,7 @@ func splitFrames(groups []ownerGroup, maxBytes int, size func(wire.Part) int) []
 func (c *Client) storeGroups(ctx context.Context, prefix string, groups []ownerGroup) error {
 	seg := c.cfg.Segment
 	frames := splitFrames(groups, seg, func(p wire.Part) int { return len(p.Data) })
-	return core.ParallelJobsCtx(ctx, len(frames), c.transfers(), func(i int) error {
+	return core.ParallelJobsCtx(ctx, len(frames), c.transfers, func(i int) error {
 		f := frames[i]
 		if len(f.parts) == 1 && len(f.parts[0].Data) > seg {
 			name := prefix + string(f.parts[0].Key)
@@ -198,13 +198,13 @@ func (c *Client) fetchParts(ctx context.Context, file string, ci int, parts []co
 }
 
 // readRange fills dst with bytes [off, off+len(dst)) of block name held
-// at addr, as ranged parts of one segment each, StreamWindow in flight.
+// at addr, as ranged parts of one segment each, streamWindow in flight.
 // Each answer is copied out of its frame only once it is known to be
 // exactly the length asked for; progress, when non-nil, hears of each.
 func (c *Client) readRange(ctx context.Context, addr, name string, off int64, dst []byte, progress func(int)) error {
 	seg := int64(c.cfg.Segment)
 	size := int64(len(dst))
-	return core.ParallelJobsCtx(ctx, int((size+seg-1)/seg), c.cfg.StreamWindow, func(i int) error {
+	return core.ParallelJobsCtx(ctx, int((size+seg-1)/seg), streamWindow, func(i int) error {
 		at := int64(i) * seg
 		want := min(seg, size-at)
 		got, rel, err := c.fetchGroup(ctx, addr, name, []wire.Part{{Off: off + at, Len: want}})
@@ -301,7 +301,7 @@ func (c *Client) deleteBlocks(ctx context.Context, names *nameList) error {
 		return err
 	}
 	frames := splitFrames(groups, 0, func(wire.Part) int { return 0 })
-	return core.ParallelJobsCtx(ctx, len(frames), c.transfers(), func(i int) error {
+	return core.ParallelJobsCtx(ctx, len(frames), c.transfers, func(i int) error {
 		_, err := c.call(ctx, frames[i].addr, &wire.Request{Op: wire.OpDelete, Parts: frames[i].parts})
 		return err
 	})

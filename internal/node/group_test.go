@@ -67,7 +67,7 @@ func TestOwnerGroupedCalls(t *testing.T) {
 	for ci := 0; ci < 2; ci++ {
 		bound += ownerFrames(ring, name, ci, m, (chunk+n-1)/n, segment)
 	}
-	catCopies := int64(c.Config().CATReplicas + 1)
+	catCopies := int64(CATReplicas + 1)
 
 	ops := []wire.Op{wire.OpStore, wire.OpCapBatch, wire.OpFetch, wire.OpDelete}
 	count := func() map[wire.Op]int64 {
@@ -133,7 +133,7 @@ func TestOwnerGroupedCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cx.Close()
-	xname, victim := victimFile(t, ring, "grouped-xor", 2, xor.EncodedBlocks(), xor.EncodedBlocks()-xor.MinNeeded(), cx.Config().CATReplicas)
+	xname, victim := victimFile(t, ring, "grouped-xor", 2, xor.EncodedBlocks(), xor.EncodedBlocks()-xor.MinNeeded(), CATReplicas)
 	if _, err := cx.StoreBytes(ctx, xname, data, core.PlanChunkSizes(int64(len(data)), chunk)); err != nil {
 		t.Fatal(err)
 	}

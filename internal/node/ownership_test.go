@@ -23,7 +23,7 @@ func streamRig(t *testing.T, blockLen int) (srv *Server, c *Client, block []byte
 		t.Fatal(err)
 	}
 	c = NewStaticClientCfg([]wire.NodeInfo{{ID: srv.ID, Addr: srv.Addr()}}, erasure.NewNull(),
-		Config{Segment: 64 << 10, StreamWindow: 2})
+		Config{Segment: 64 << 10})
 	t.Cleanup(c.Close)
 	return srv, c, block
 }

@@ -79,7 +79,7 @@ func TestLiveFetchSurvivesStalledSourceMidStream(t *testing.T) {
 	defer c.Close()
 
 	name, victim := victimFile(t, ring, "stall", size/chunkCap,
-		code.EncodedBlocks(), code.EncodedBlocks()-code.MinNeeded(), c.Config().CATReplicas)
+		code.EncodedBlocks(), code.EncodedBlocks()-code.MinNeeded(), CATReplicas)
 
 	data := make([]byte, size)
 	rand.New(rand.NewSource(31)).Read(data)
@@ -136,7 +136,7 @@ func TestLiveFetchSurvivesDeadSourceStreaming(t *testing.T) {
 	defer c.Close()
 
 	name, victim := victimFile(t, ring, "dead", size/chunkCap,
-		code.EncodedBlocks(), code.EncodedBlocks()-code.MinNeeded(), c.Config().CATReplicas)
+		code.EncodedBlocks(), code.EncodedBlocks()-code.MinNeeded(), CATReplicas)
 
 	data := make([]byte, size)
 	rand.New(rand.NewSource(32)).Read(data)

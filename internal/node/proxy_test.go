@@ -341,7 +341,7 @@ func TestLiveDegradedReadThroughFaultProxy(t *testing.T) {
 		t.Fatalf("layout too coarse for the test: %d chunks", chunks)
 	}
 	victim := safeVictim(ring, map[string]int{fileName: chunks},
-		code.EncodedBlocks(), code.EncodedBlocks()-code.MinNeeded(), c.Config().CATReplicas)
+		code.EncodedBlocks(), code.EncodedBlocks()-code.MinNeeded(), CATReplicas)
 	if victim < 0 {
 		t.Fatal("no safe victim in deterministic placement — adjust node count or file name")
 	}

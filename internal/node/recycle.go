@@ -8,7 +8,7 @@ import (
 )
 
 // recycleSlots caps the buffers a recycler remembers. A store has at
-// most PipelineDepth chunk buffers and as many coded backings in hand,
+// most pipelineDepth chunk buffers and as many coded backings in hand,
 // and a stream one decode buffer, so a few slots cover the operations
 // a client runs at once.
 const recycleSlots = 8

@@ -215,7 +215,7 @@ func (r *repairer) noteDeath(d *deathEvent) {
 		if prio == 0 {
 			// No data block lost; a lost CAT replica alone still
 			// degrades metadata redundancy.
-			for rep := 0; rep <= r.cli.cfg.CATReplicas; rep++ {
+			for rep := 0; rep <= CATReplicas; rep++ {
 				owner, err := OwnerOf(d.prevRing, ids.FromName(core.ReplicaName(core.CATName(file), rep)))
 				if err == nil && owner.ID == d.node.ID {
 					prio = 1

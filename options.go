@@ -27,12 +27,16 @@ const DefaultChunkCache = 64 << 20
 //
 // The options group by concern:
 //
-//   - Coding: WithCode, WithWorkers, WithChunkCap
+//   - Coding: WithCode, WithChunkCap
 //   - Caching: WithChunkCache
-//   - Transport: WithTimeout, WithSegment, WithTransfers
-//   - Pipelining: WithPipelineDepth, WithStreamWindow, WithHedge,
-//     WithHedgeDelay
-//   - Placement/durability: WithCATReplicas
+//   - Transport: WithTimeout, WithSegment
+//   - Pipelining: WithHedgeDelay
+//
+// The rest of the client is fixed: two extra CAT copies per file, up
+// to max(8, GOMAXPROCS) block transfers in flight per operation, two
+// chunks in flight per streamed Store, four segments in flight per
+// streamed block, and a whole-chunk read that asks for exactly the
+// blocks the code needs, racing a replacement only past a stall.
 type Option func(*options) error
 
 // options collects the resolved Dial configuration.
@@ -73,7 +77,7 @@ func resolve(opts []Option) (options, error) {
 	return o, nil
 }
 
-// ---- Coding: what redundancy is computed, and with how much CPU ----
+// ---- Coding: what redundancy is computed ----
 
 // WithCode selects the per-chunk erasure code by name: "null" (no
 // redundancy), "xor" ((2,3) parity, the default), "online" (a rateless
@@ -87,20 +91,6 @@ func WithCode(name string) Option {
 		default:
 			return fmt.Errorf("peerstripe: unknown erasure code %q (want null, xor, online, rs)", name)
 		}
-	}
-}
-
-// WithWorkers bounds per-file chunk-coding concurrency — CPU-bound
-// work. 0 (the default) selects GOMAXPROCS; 1 forces the fully
-// sequential paths end to end, including one-at-a-time transfers,
-// unless WithTransfers overrides that side.
-func WithWorkers(n int) Option {
-	return func(o *options) error {
-		if n < 0 {
-			return fmt.Errorf("peerstripe: negative worker count %d", n)
-		}
-		o.cfg.Workers = n
-		return nil
 	}
 }
 
@@ -164,70 +154,7 @@ func WithSegment(bytes int) Option {
 	}
 }
 
-// WithTransfers bounds in-flight block transfers per operation.
-// Network fan-out is wait-bound, not compute-bound, so the default is
-// max(8, GOMAXPROCS) rather than the core count — a client on a small
-// machine still keeps several RPCs on the wire instead of running the
-// transfer loop in lockstep with the acks. 1 forces one transfer at a
-// time.
-func WithTransfers(n int) Option {
-	return func(o *options) error {
-		if n < 0 {
-			return fmt.Errorf("peerstripe: negative transfer bound %d", n)
-		}
-		o.cfg.Transfers = n
-		return nil
-	}
-}
-
-// ---- Pipelining: how stages overlap and laggards are raced ----
-
-// WithPipelineDepth bounds the chunks in flight during a streamed
-// Store (default 2): the next chunk is read and encoded while the
-// previous one's blocks are still uploading, so CPU and wire work
-// overlap instead of alternating. 1 restores the lockstep
-// read-encode-upload loop. Peak Store memory grows linearly with the
-// depth (about depth × chunk size plus coding overhead).
-func WithPipelineDepth(n int) Option {
-	return func(o *options) error {
-		if n < 1 {
-			return fmt.Errorf("peerstripe: pipeline depth %d below 1", n)
-		}
-		o.cfg.PipelineDepth = n
-		return nil
-	}
-}
-
-// WithStreamWindow bounds in-flight segments per streamed block
-// transfer (default 4). Windowed segments ride the out-of-order
-// OpStoreWindow exchange on stores and the ranged reads of a block too
-// large for one frame, so one slow ack no longer serializes a stream; 1
-// keeps one OpStoreWindow segment in flight, each sent after the
-// previous one's ack.
-func WithStreamWindow(n int) Option {
-	return func(o *options) error {
-		if n < 1 {
-			return fmt.Errorf("peerstripe: stream window %d below 1", n)
-		}
-		o.cfg.StreamWindow = n
-		return nil
-	}
-}
-
-// WithHedge sets how many extra blocks beyond the decode minimum a
-// degraded read requests up front. The default 0 requests exactly the
-// minimum and relies on per-source progress hedging (WithHedgeDelay)
-// to replace stalled streams; raise it to pre-pay for expected
-// failures at the cost of extra fetched bytes.
-func WithHedge(extra int) Option {
-	return func(o *options) error {
-		if extra < 0 {
-			return fmt.Errorf("peerstripe: negative hedge %d", extra)
-		}
-		o.cfg.Hedge = extra
-		return nil
-	}
-}
+// ---- Pipelining: how laggards are raced ----
 
 // WithHedgeDelay sets the per-source stall cutoff of the hedged read
 // path (default 150ms): an in-flight block stream that moves no bytes
@@ -237,23 +164,6 @@ func WithHedge(extra int) Option {
 func WithHedgeDelay(d time.Duration) Option {
 	return func(o *options) error {
 		o.cfg.HedgeDelay = d
-		return nil
-	}
-}
-
-// ---- Placement and durability ----
-
-// WithCATReplicas sets the number of extra chunk-allocation-table
-// copies kept on neighbor nodes (default 2).
-func WithCATReplicas(n int) Option {
-	return func(o *options) error {
-		if n < 0 {
-			return fmt.Errorf("peerstripe: negative CAT replica count %d", n)
-		}
-		if n == 0 {
-			n = -1 // node.Config uses -1 for "none"
-		}
-		o.cfg.CATReplicas = n
 		return nil
 	}
 }

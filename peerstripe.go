@@ -9,7 +9,7 @@
 // context-first surface:
 //
 //	client, err := peerstripe.Dial(ctx, "10.0.0.1:7001",
-//		peerstripe.WithWorkers(8), peerstripe.WithHedgeDelay(50*time.Millisecond))
+//		peerstripe.WithCode("rs"), peerstripe.WithHedgeDelay(50*time.Millisecond))
 //	...
 //	info, err := client.Store(ctx, "dataset.bin", reader, size)
 //	f, err := client.Open(ctx, "dataset.bin")        // io.ReadSeekCloser + io.ReaderAt

@@ -562,7 +562,6 @@ func TestClientKnobsFrozenUnderConcurrency(t *testing.T) {
 	c := dialTest(t, seed,
 		peerstripe.WithCode("xor"),
 		peerstripe.WithChunkCap(32<<10),
-		peerstripe.WithWorkers(4),
 		peerstripe.WithHedgeDelay(20*time.Millisecond))
 
 	ctx := context.Background()
@@ -654,16 +653,26 @@ func TestRefreshDeadContactClassified(t *testing.T) {
 	}
 }
 
-// TestDialOptionValidation pins option errors at Dial time.
+// TestDialOptionValidation pins option errors at Dial time: every
+// option that takes a value refuses its out-of-range inputs before any
+// dial is attempted.
 func TestDialOptionValidation(t *testing.T) {
-	ctx := context.Background()
-	if _, err := peerstripe.Dial(ctx, "127.0.0.1:1", peerstripe.WithCode("lrc")); err == nil {
-		t.Fatal("unknown code accepted")
-	}
-	if _, err := peerstripe.Dial(ctx, "127.0.0.1:1", peerstripe.WithWorkers(-1)); err == nil {
-		t.Fatal("negative workers accepted")
-	}
-	if _, err := peerstripe.Dial(ctx, "127.0.0.1:1", peerstripe.WithSegment(1<<30)); err == nil {
-		t.Fatal("oversized segment accepted")
+	for _, tc := range []struct {
+		name string
+		opt  peerstripe.Option
+	}{
+		{"unknown code", peerstripe.WithCode("lrc")},
+		{"zero chunk cap", peerstripe.WithChunkCap(0)},
+		{"negative chunk cache", peerstripe.WithChunkCache(-1)},
+		{"negative timeout", peerstripe.WithTimeout(-1)},
+		{"zero segment", peerstripe.WithSegment(0)},
+		{"oversized segment", peerstripe.WithSegment(wire.MaxFrame/2 + 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := peerstripe.Dial(context.Background(), "127.0.0.1:1", tc.opt)
+			if err == nil || errors.Is(err, peerstripe.ErrRingUnavailable) {
+				t.Fatalf("option accepted: Dial went on to the ring (%v)", err)
+			}
+		})
 	}
 }

@@ -144,9 +144,7 @@ func TestWindowedStoreBoundedMemory(t *testing.T) {
 	c := dialTest(t, seed,
 		peerstripe.WithCode("xor"),
 		peerstripe.WithChunkCap(chunkCap),
-		peerstripe.WithSegment(segment),
-		peerstripe.WithStreamWindow(4),
-		peerstripe.WithPipelineDepth(2))
+		peerstripe.WithSegment(segment))
 
 	hs := startHeapSampler()
 	src := io.LimitReader(rand.New(rand.NewSource(12)), fileSize)
