@@ -46,8 +46,12 @@ func (h *hookReader) Read(p []byte) (int, error) {
 // each, everything committed reads back byte for byte. Under -race
 // (make pipeline) the detector must see no write to a chunk buffer an
 // upload still reads; and when the clients close, no goroutine of the
-// pipeline is left.
+// pipeline is left. The one subtest is named after the fixed depth.
 func TestStorePipelineDepths(t *testing.T) {
+	t.Run(fmt.Sprintf("depth%d", pipelineDepth), testStorePipeline)
+}
+
+func testStorePipeline(t *testing.T) {
 	const (
 		chunkCap = 64 << 10
 		segment  = 16 << 10         // 32 KiB blocks go as two windowed segments
