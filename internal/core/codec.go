@@ -91,8 +91,9 @@ func getHedgeTick(d time.Duration) *hedgeTick {
 // its CLI/config names: "null", "xor", "online", or "rs". The
 // parameter choices match what the live clients have always used:
 // (2,3) XOR, a 64-block online code at ε=0.2 on the banded schedule,
-// and an (8,2) Reed-Solomon stripe. A CAT records only the code name,
-// so these shapes are the stored format (pinned by TestCodeForGolden).
+// and an (8,2) Reed-Solomon stripe. The CAT records no code yet: a
+// reader must be dialed with the writer's code, and these shapes are
+// the stored format (pinned by TestCodeForGolden).
 // schedule must be "": it remains only for existing callers, and any
 // other value is an error.
 func CodeFor(code, schedule string) (erasure.Code, error) {

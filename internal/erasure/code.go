@@ -57,7 +57,11 @@ type Code interface {
 	// one with room for them.
 	BackingLen(chunkLen int) int
 	// Decode reconstructs the chunk of length chunkLen from any
-	// sufficient subset of encoded blocks.
+	// sufficient subset of encoded blocks. Decode, DecodeInto and
+	// Systematic.RebuildRange never write a block's Data: the live
+	// client hands them views of pooled receive frames, which it
+	// releases only after the decode returns, and the output never
+	// aliases them.
 	Decode(blocks []Block, chunkLen int) ([]byte, error)
 	// DecodeInto is Decode into a caller-supplied buffer: dst's length
 	// is the chunk length, and a successful decode fills it completely,
@@ -131,18 +135,23 @@ func splitViews(chunk []byte, n int, tail []byte) [][]byte {
 	return out
 }
 
-// joinInto copies the concatenation of the data blocks into dst,
-// truncating to len(dst). It reports whether the blocks held enough
-// bytes to fill dst.
-func joinInto(dst []byte, blocks [][]byte) bool {
-	off := 0
-	for _, b := range blocks {
-		if off >= len(dst) {
-			break
-		}
-		off += copy(dst[off:], b)
+// placeBlock copies data block i, bs bytes, to its place in a chunk
+// dst split into blocks of bs, dropping the padding beyond len(dst).
+func placeBlock(dst []byte, i, bs int, b []byte) {
+	if off := i * bs; off < len(dst) {
+		copy(dst[off:], b[:bs])
 	}
-	return off >= len(dst)
+}
+
+// blockSlot returns where a rebuilt data block i goes: its own bs bytes
+// of dst when they lie wholly inside it, and otherwise (the partial
+// tail, or all padding) a pooled block, spill, which the caller places
+// with placeBlock and returns with putBuf.
+func blockSlot(dst []byte, i, bs int) (slot []byte, spill bool) {
+	if end := (i + 1) * bs; end <= len(dst) {
+		return dst[i*bs : end : end], false
+	}
+	return getRawBuf(bs), true
 }
 
 // xorInto dst ^= src. Panics if lengths differ; encoded blocks of one
@@ -311,9 +320,10 @@ func (c *XOR) Decode(blocks []Block, chunkLen int) ([]byte, error) {
 	return decodeFresh(c, blocks, chunkLen)
 }
 
-// DecodeInto implements Code: any n of the n+1 blocks
-// reconstruct the chunk straight into dst, allocating only when a
-// missing data block must be rebuilt from parity.
+// DecodeInto implements Code: any n of the n+1 blocks reconstruct the
+// chunk straight into dst. The data blocks that arrived are copied to
+// their places; a lost one is rebuilt from the parity and the others
+// in its own slot of dst, in scratch only when it is the partial tail.
 func (c *XOR) DecodeInto(dst []byte, blocks []Block) error {
 	if len(dst) == 0 {
 		return nil
@@ -337,23 +347,28 @@ func (c *XOR) DecodeInto(dst []byte, blocks []Block) error {
 			missing = i
 		}
 	}
-	if missing >= 0 {
-		if have[c.n] == nil {
-			return ErrInsufficient // data block and parity both gone
+	if missing >= 0 && have[c.n] == nil {
+		return ErrInsufficient // data block and parity both gone
+	}
+	for i, b := range have[:c.n] {
+		if i != missing {
+			placeBlock(dst, i, bs, b)
 		}
-		rec := make([]byte, bs)
+	}
+	if missing >= 0 {
 		srcs := make([][]byte, 0, c.n)
 		srcs = append(srcs, have[c.n])
-		for i := 0; i < c.n; i++ {
+		for i, b := range have[:c.n] {
 			if i != missing {
-				srcs = append(srcs, have[i])
+				srcs = append(srcs, b)
 			}
 		}
-		xorBlocksSet(rec, srcs)
-		have[missing] = rec
-	}
-	if !joinInto(dst, have[:c.n]) {
-		return ErrInsufficient
+		slot, spill := blockSlot(dst, missing, bs)
+		xorBlocksSet(slot, srcs)
+		if spill {
+			placeBlock(dst, missing, bs, slot)
+			putBuf(slot)
+		}
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package erasure
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -100,11 +101,12 @@ func TestCodesInterfaceContract(t *testing.T) {
 }
 
 // FuzzOnlineDecode throws arbitrary block soups at small online codes
-// across every schedule. The decoder must never panic, and whenever it
-// claims success after blocks derived from a real encode, the output
-// must be a prefix-correct reconstruction (integrity of tampered data
-// is the layer above's concern, so success on mangled inputs is only
-// checked for crashes, not content).
+// across every schedule. The decoder must never panic and never write
+// an input block, and whenever it claims success after blocks derived
+// from a real encode — through Decode, or DecodeInto into a dst left
+// dirty — the output must be the chunk's exact bytes (integrity of
+// tampered data is the layer above's concern, so success on mangled
+// inputs is only checked for crashes, not content).
 func FuzzOnlineDecode(f *testing.F) {
 	f.Add(int64(1), uint8(16), uint8(0), []byte("seed corpus payload for the online decoder"))
 	f.Add(int64(7), uint8(3), uint8(1), []byte{0})
@@ -125,7 +127,12 @@ func FuzzOnlineDecode(f *testing.F) {
 			rng.Read(bl.Data)
 			garbage = append(garbage, bl)
 		}
+		sums := sumBlocks(garbage)
 		_, _ = c.Decode(garbage, len(data)) // must not panic
+		_ = c.DecodeInto(bytes.Repeat([]byte{0xa5}, len(data)), garbage)
+		if !slices.Equal(sums, sumBlocks(garbage)) {
+			t.Fatalf("n=%d sched=%s: decoding garbage wrote an input block", n, sched.Name())
+		}
 		// Real encode, fuzz-driven subset + duplicates, then decode.
 		chunk := make([]byte, len(data)+1)
 		copy(chunk, data)
@@ -142,9 +149,21 @@ func FuzzOnlineDecode(f *testing.F) {
 				sub = append(sub, b) // duplicate
 			}
 		}
+		sums = sumBlocks(sub)
 		got, err := c.Decode(sub, len(chunk))
 		if err == nil && !bytes.Equal(got, chunk) {
 			t.Fatalf("n=%d sched=%s: decode claimed success with wrong bytes", n, sched.Name())
+		}
+		dst := bytes.Repeat([]byte{0xa5}, len(chunk))
+		errInto := c.DecodeInto(dst, sub)
+		if (errInto == nil) != (err == nil) {
+			t.Fatalf("n=%d sched=%s: DecodeInto err %v, Decode err %v", n, sched.Name(), errInto, err)
+		}
+		if errInto == nil && !bytes.Equal(dst, chunk) {
+			t.Fatalf("n=%d sched=%s: DecodeInto into a dirty dst claimed success with wrong bytes", n, sched.Name())
+		}
+		if !slices.Equal(sums, sumBlocks(sub)) {
+			t.Fatalf("n=%d sched=%s: decoding wrote an input block", n, sched.Name())
 		}
 	})
 }

@@ -238,3 +238,125 @@ func TestDecodeOutputOwnsItsBytes(t *testing.T) {
 		}
 	}
 }
+
+// sumBlocks checksums every block's bytes, in order.
+func sumBlocks(blocks []Block) [][sha256.Size]byte {
+	out := make([][sha256.Size]byte, len(blocks))
+	for i, b := range blocks {
+		out[i] = sha256.Sum256(b.Data)
+	}
+	return out
+}
+
+// shuffledSubset returns k of blocks, drawn by rng.
+func shuffledSubset(rng *rand.Rand, blocks []Block, k int) []Block {
+	out := append([]Block(nil), blocks...)
+	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out[:k]
+}
+
+// onlineSubset draws k-block subsets of an online code's blocks until
+// one decodes (or, with wantErr, fails to) after inactivating at least
+// one column, so the arm it feeds runs the dense solve.
+func onlineSubset(t *testing.T, c *Online, enc []Block, size, k int, wantErr bool) []Block {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(size + k)))
+	for range 200 {
+		sub := shuffledSubset(rng, enc, k)
+		_, st, err := c.DecodeWithStats(sub, size)
+		if st.Inactivated > 0 && (err != nil) == wantErr {
+			return sub
+		}
+	}
+	t.Fatalf("online n=%d: no %d-block subset inactivates with wantErr=%v in 200 draws", c.DataBlocks(), k, wantErr)
+	return nil
+}
+
+// TestDecodeLeavesInputsUntouched checks the Code contract the live
+// client relies on: Decode, DecodeInto and RebuildRange never write a
+// block's Data, which there is a view of a pooled receive frame. On
+// every code each input is checksummed before and after a decode into
+// a dst poisoned with 0xa5: intact and degraded sets, an online set
+// whose peel inactivates columns, a chunk length that is not a multiple
+// of n, and a set too small to decode — for the online code a
+// rank-deficient one that reaches the dense solve — which must fail
+// with ErrInsufficient. A decode that succeeds must fill dst exactly.
+func TestDecodeLeavesInputsUntouched(t *testing.T) {
+	const size = 1 << 16
+	for _, code := range codesUnderTest() {
+		type arm struct {
+			name    string
+			chunk   []byte
+			blocks  []Block
+			wantErr bool
+		}
+		var arms []arm
+		for _, n := range []int{size, size + 3} {
+			chunk := randChunk(rand.New(rand.NewSource(int64(n))), n)
+			enc, err := code.Encode(chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc = cloneBlocks(enc) // no input aliases the chunk compared against
+			ragged := ""
+			if n%code.DataBlocks() != 0 {
+				ragged = " ragged"
+			}
+			arms = append(arms, arm{"intact" + ragged, chunk, enc, false})
+			if lost := code.EncodedBlocks() - code.MinNeeded(); lost > 0 {
+				arms = append(arms, arm{"degraded" + ragged, chunk, enc[lost:], false})
+			}
+			if on, ok := code.(*Online); ok {
+				arms = append(arms,
+					arm{"inactivated" + ragged, chunk, onlineSubset(t, on, enc, n, on.MinNeeded(), false), false},
+					arm{"rank-deficient" + ragged, chunk, onlineSubset(t, on, enc, n, on.DataBlocks(), true), true})
+			} else {
+				arms = append(arms, arm{"too few" + ragged, chunk, enc[:code.DataBlocks()-1], true})
+			}
+		}
+		for _, a := range arms {
+			name := fmt.Sprintf("%s/%d %s", code.Name(), code.DataBlocks(), a.name)
+			before := sumBlocks(a.blocks)
+			// Checked after each call: a second write can undo a first.
+			untouched := func(call string) {
+				for i, sum := range sumBlocks(a.blocks) {
+					if sum != before[i] {
+						t.Errorf("%s: %s wrote block %d (index %d)", name, call, i, a.blocks[i].Index)
+					}
+				}
+			}
+			dst := bytes.Repeat([]byte{0xa5}, len(a.chunk))
+			err := code.DecodeInto(dst, a.blocks)
+			switch {
+			case a.wantErr && !errors.Is(err, ErrInsufficient):
+				t.Errorf("%s: DecodeInto: %v, want ErrInsufficient", name, err)
+			case !a.wantErr && err != nil:
+				t.Errorf("%s: DecodeInto: %v", name, err)
+			case !a.wantErr && !bytes.Equal(dst, a.chunk):
+				t.Errorf("%s: DecodeInto into a poisoned dst returned wrong bytes", name)
+			}
+			untouched("DecodeInto")
+			got, err := code.Decode(a.blocks, len(a.chunk))
+			if (err != nil) != a.wantErr || (err == nil && !bytes.Equal(got, a.chunk)) {
+				t.Errorf("%s: Decode: %v or wrong bytes, want wantErr=%v", name, err, a.wantErr)
+			}
+			untouched("Decode")
+			if sys, ok := code.(Systematic); ok && !a.wantErr && code.EncodedBlocks() > 1 {
+				bs := len(a.blocks[0].Data)
+				dst := bytes.Repeat([]byte{0xa5}, bs/2)
+				var ranges []Block
+				for _, b := range a.blocks {
+					if b.Index != 0 {
+						ranges = append(ranges, Block{Index: b.Index, Data: b.Data[bs/4 : bs/4+bs/2]})
+					}
+				}
+				if err := sys.RebuildRange(dst, 0, ranges); err != nil {
+					t.Errorf("%s: RebuildRange: %v", name, err)
+				} else if !bytes.Equal(dst, a.chunk[bs/4:bs/4+bs/2]) {
+					t.Errorf("%s: RebuildRange returned wrong bytes", name)
+				}
+				untouched("RebuildRange")
+			}
+		}
+	}
+}

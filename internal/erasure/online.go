@@ -351,7 +351,9 @@ func (c *Online) encodeWith(backing, chunk []byte, auxPlan, checkPlan *tilePlan)
 
 // equation is one XOR relation over composite blocks used by the peeling
 // decoder: value ^ XOR(blocks[idx] for idx in unknown ∪ known) = 0.
-// idx aliases memoized composition slices and is never mutated.
+// value is a received block's Data, never written, or nil for an
+// outer-code equation, whose value is zero. idx aliases memoized
+// composition slices and is never mutated.
 type equation struct {
 	value  []byte
 	idx    []int // composite indices of the equation's blocks
@@ -359,21 +361,23 @@ type equation struct {
 }
 
 // gf2Row is one constraint row of the dense inactive-column system:
-// bits over the inactive set, rhs the folded equation value.
+// eq, the equation it came from; bits over the inactive set; and rhs,
+// the folded equation value, which only the numeric solve carries.
 type gf2Row struct {
+	eq   int
 	bits []uint64
 	rhs  []byte
 }
 
 // decodeScratch holds every per-decode slice decode needs —
-// equation storage, the dedupe bitmap, peel bookkeeping, the
-// per-column inactive-set masks, and the constraint rows — so
-// steady-state decodes run at a near-constant handful of allocations
-// (pinned by TestDecodeSteadyStateAllocs) instead of one per received
+// the column slots outside dst, equation storage, the dedupe bitmap,
+// peel bookkeeping, the per-column inactive-set masks, and the
+// constraint rows — so steady-state decodes allocate nothing (pinned
+// by TestDecodeSteadyStateAllocs) instead of one buffer per received
 // block.
 type decodeScratch struct {
+	values       []byte // slots of the columns that have none in dst
 	eqs          []equation
-	values       []byte   // one backing array for every equation RHS
 	seenBits     []uint64 // received-index dedupe bitmap (idx < 2m)
 	accepted     []int    // indices into the caller's blocks slice
 	counts       []int
@@ -386,14 +390,15 @@ type decodeScratch struct {
 	ready        []int
 	candScore    []int
 	touched      []int
-	known        [][]byte
+	col          [][]byte // column -> its slot, in dst or values
 	colMask      [][]uint64
 	maskBacking  []uint64
 	inactiveIdx  []int
 	inactiveCols []int
-	inactiveVal  [][]byte
 	rows         []gf2Row
 	bitBacking   []uint64
+	pivotOf      []int
+	unsolved     []uint64
 	srcs         [][]byte // member batch for the fused xorBlocks folds
 }
 
@@ -442,8 +447,8 @@ func (c *Online) Decode(blocks []Block, chunkLen int) ([]byte, error) {
 	return out, err
 }
 
-// DecodeInto implements Code: the recovered message blocks are joined
-// straight into dst, which is the only copy the decoded bytes get.
+// DecodeInto implements Code: every recovered message byte is
+// written once, straight into its place in dst.
 func (c *Online) DecodeInto(dst []byte, blocks []Block) error {
 	_, _, err := c.decode(dst, len(dst), blocks)
 	return err
@@ -454,37 +459,45 @@ func (c *Online) DecodeWithStats(blocks []Block, chunkLen int) ([]byte, DecodeSt
 	return c.decode(nil, chunkLen, blocks)
 }
 
-// decode is the decoder behind Decode, DecodeInto and DecodeWithStats.
-// It joins the recovered message blocks into dst, or, when dst is nil,
-// into a fresh chunkLen bytes allocated once the decode has succeeded,
-// so an attempt that stalls short of enough blocks allocates no output.
+// decode is the decoder behind Decode, DecodeInto and DecodeWithStats:
+// decodeWith over a pooled scratch.
+func (c *Online) decode(dst []byte, chunkLen int, blocks []Block) ([]byte, DecodeStats, error) {
+	if chunkLen == 0 {
+		return []byte{}, DecodeStats{}, nil
+	}
+	ds, _ := decodeScratchPool.Get().(*decodeScratch)
+	if ds == nil {
+		ds = &decodeScratch{}
+	}
+	defer decodeScratchPool.Put(ds)
+	return c.decodeWith(ds, dst, chunkLen, blocks)
+}
+
+// decodeWith decodes into dst, or, when dst is nil, into a fresh
+// chunkLen bytes. The output is allocated only once the symbolic solve
+// has shown the blocks suffice, before any byte work, so an attempt
+// that falls short allocates no output and writes nothing.
 //
 // The decoder is belief-propagation peeling with *inactivation*: the
 // structural peel runs over equation/column incidence only (no byte
 // work). When the ready queue drains before every column is resolved,
 // the column referenced by the most still-live equations is marked
 // inactive — treated as a symbolic unknown — and peeling continues.
-// A numeric replay then computes each peeled column's value and its
-// GF(2) combination of inactive columns; the equations left over by
-// the peel become constraint rows over only the inactive columns, a
-// dense system of tens of columns (instead of the hundreds the old
-// whole-residual Gaussian elimination swallowed) solved by the bitset
-// GE in solveInactive. Back-substitution then finishes the message
-// blocks. At the paper's 2% stored surplus this turns the ML fallback
-// from the dominant decode cost into a footnote.
-func (c *Online) decode(dst []byte, chunkLen int, blocks []Block) (out []byte, st DecodeStats, err error) {
-	if chunkLen == 0 {
-		return []byte{}, st, nil
-	}
+// Each peeled column's GF(2) combination of inactive columns follows
+// in peel order; the equations left over by the peel become
+// constraint rows over only the inactive columns, a dense system of
+// tens of columns solved by bitset Gauss-Jordan elimination
+// (eliminate). Only then do bytes move, and each lands once, in its
+// column's slot: a message column's own bs bytes of dst when they lie
+// wholly inside the chunk, ds.values for the aux columns and the
+// padded tail. The numeric replay sets each peeled column from its
+// pivot equation's received block and its peeled members; the
+// constraint rows the solve pivots on are folded into the slots of
+// the inactive columns they solve, and eliminated again there; and
+// back-substitution XORs the solved inactive columns into the peeled
+// message columns in place. The received blocks are only read.
+func (c *Online) decodeWith(ds *decodeScratch, dst []byte, chunkLen int, blocks []Block) (out []byte, st DecodeStats, err error) {
 	bs := blockSize(chunkLen, c.n)
-
-	// All per-decode state lives in one pooled scratch struct; joinInto
-	// copies the recovered data out before the scratch is recycled.
-	ds, _ := decodeScratchPool.Get().(*decodeScratch)
-	if ds == nil {
-		ds = &decodeScratch{}
-	}
-	defer decodeScratchPool.Put(ds)
 
 	// Inner-code equations from the received check blocks. Duplicate
 	// indices carry no new information (and an inconsistent duplicate
@@ -523,23 +536,15 @@ func (c *Online) decode(dst []byte, chunkLen int, blocks []Block) (out []byte, s
 	ds.accepted = accepted
 	st.Received = len(accepted)
 
-	// Equation values share one backing array: one (pooled) allocation
-	// instead of one per received block.
-	nEq := len(accepted) + c.numAux
-	values := grow(&ds.values, nEq*bs)
+	// An equation's value is its received block itself; the outer-code
+	// equations, aux_j XOR (its message members) = 0, have none.
 	eqs := ds.eqs[:0]
-	for vi, bi := range accepted {
-		v := values[vi*bs : (vi+1)*bs : (vi+1)*bs]
-		copy(v, blocks[bi].Data)
+	for _, bi := range accepted {
 		idx := c.checkComposition(blocks[bi].Index)
-		eqs = append(eqs, equation{value: v, idx: idx, active: len(idx)})
+		eqs = append(eqs, equation{value: blocks[bi].Data, idx: idx, active: len(idx)})
 	}
-	// Outer-code equations: aux_j XOR (its message members) = 0.
-	for ai, idx := range c.auxEqIdx {
-		vi := len(accepted) + ai
-		v := values[vi*bs : (vi+1)*bs : (vi+1)*bs]
-		clear(v)
-		eqs = append(eqs, equation{value: v, idx: idx, active: len(idx)})
+	for _, idx := range c.auxEqIdx {
+		eqs = append(eqs, equation{idx: idx, active: len(idx)})
 	}
 	ds.eqs = eqs
 
@@ -672,18 +677,37 @@ func (c *Online) decode(dst []byte, chunkLen int, blocks []Block) (out []byte, s
 	st.BPComplete = st.Inactivated == 0
 	ds.ready, ds.touched, ds.peelOrder = ready, touched, peelOrder
 
-	// ---- Numeric replay in peel order. ----
-	// Each peeled column's value is its pivot equation's right-hand
-	// side folded with the values of its already-peeled members — a
-	// per-equation batch through the fused xorBlocks — while the
-	// inactive members are tracked symbolically as a bitmask over the
-	// inactive set. With no inactivations this *is* plain BP.
-	known := growZero(&ds.known, c.nPrime)
+	// ---- Symbolic solve (bits only, still no byte work). ----
+	// Each peeled column's value is its pivot equation's value folded
+	// with its other members; the inactive members among those stay
+	// symbolic, so the column is known up to colMask[ci], a combination
+	// of inactive columns, accumulated here in peel order.
 	nInactive := st.Inactivated
 	maskWords := (nInactive + 63) / 64
 	var inactiveIdx []int  // inactive column -> dense index
 	var colMask [][]uint64 // peeled column -> inactive-combination mask
 	var inactiveCols []int // dense index -> column
+	var rows []gf2Row      // constraint rows; the pivot rows lead
+	var pivotOf []int      // dense index -> its pivot row, -1 if none
+	var unsolved []uint64  // dense indices the solve leaves free
+	// foldMask XORs into m the inactive combination that the members of
+	// idx other than skip contribute.
+	foldMask := func(m []uint64, idx []int, skip int) {
+		for _, mi := range idx {
+			switch {
+			case mi == skip:
+			case state[mi] == colInactive:
+				j := inactiveIdx[mi]
+				m[j/64] ^= 1 << (j % 64)
+			default:
+				// Peeled earlier: its mask is final. (colUnknown members
+				// are unreachable: a resolved equation has none.)
+				for w, b := range colMask[mi] {
+					m[w] ^= b
+				}
+			}
+		}
+	}
 	if nInactive > 0 {
 		inactiveIdx = grow(&ds.inactiveIdx, c.nPrime)
 		inactiveCols = ds.inactiveCols[:0]
@@ -698,168 +722,200 @@ func (c *Online) decode(dst []byte, chunkLen int, blocks []Block) (out []byte, s
 		maskBacking := growZero(&ds.maskBacking, len(peelOrder)*maskWords)
 		for oi, ci := range peelOrder {
 			colMask[ci] = maskBacking[oi*maskWords : (oi+1)*maskWords : (oi+1)*maskWords]
+			foldMask(colMask[ci], eqs[pivotEq[ci]].idx, ci)
 		}
-	}
-	srcs := ds.srcs[:0]
-	for _, ci := range peelOrder {
-		e := &eqs[pivotEq[ci]]
-		val := e.value
-		srcs = srcs[:0]
-		for _, mi := range e.idx {
-			if mi == ci {
-				continue
-			}
-			if state[mi] == colInactive {
-				j := inactiveIdx[mi]
-				colMask[ci][j/64] ^= 1 << (j % 64)
-				continue
-			}
-			// Peeled earlier: value and mask are final.
-			srcs = append(srcs, known[mi])
-			if nInactive > 0 {
-				for w, bits := range colMask[mi] {
-					colMask[ci][w] ^= bits
-				}
-			}
-		}
-		xorBlocks(val, srcs)
-		known[ci] = val
-	}
-	ds.srcs = srcs
 
-	if nInactive > 0 {
 		// Constraint rows: every equation that resolved without being a
 		// pivot reduces to a relation over only the inactive columns.
-		// Row bit-vectors and the row list come from the pooled scratch;
-		// the per-row peeled-member folds batch through xorBlocks like
-		// the replay above.
-		rows := ds.rows[:0]
+		rows = ds.rows[:0]
 		bitBacking := growZero(&ds.bitBacking, (len(eqs)-len(peelOrder))*maskWords)
 		for i := range eqs {
 			if isPivot[i] || eqs[i].active != 0 {
 				continue
 			}
 			bits := bitBacking[:maskWords:maskWords]
-			bitBacking = bitBacking[maskWords:]
-			rhs := eqs[i].value // equation is spent; fold in place
-			srcs = srcs[:0]
-			zero := true
-			for _, mi := range eqs[i].idx {
-				if state[mi] == colInactive {
-					j := inactiveIdx[mi]
-					bits[j/64] ^= 1 << (j % 64)
-				} else if state[mi] == colPeeled {
-					srcs = append(srcs, known[mi])
-					for w, b := range colMask[mi] {
-						bits[w] ^= b
-					}
-				}
-				// colUnknown members are unreachable here: a resolved
-				// equation has no unknown members.
-			}
-			xorBlocks(rhs, srcs)
-			for _, b := range bits {
-				if b != 0 {
-					zero = false
-					break
-				}
-			}
-			if zero {
+			foldMask(bits, eqs[i].idx, -1)
+			if isZero(bits) {
 				continue // pure redundancy, no information on the inactive set
 			}
-			rows = append(rows, gf2Row{bits: bits, rhs: rhs})
+			bitBacking = bitBacking[maskWords:]
+			rows = append(rows, gf2Row{eq: i, bits: bits})
 		}
-		ds.srcs = srcs
 		ds.rows = rows
 		st.ResidualRows = len(rows)
 
-		// Bitset Gaussian elimination over the (small) inactive system.
-		pivotOf := make([]int, nInactive) // dense column -> row, -1 if none
-		for j := range pivotOf {
-			pivotOf[j] = -1
-		}
-		next := 0
-		for j := 0; j < nInactive && next < len(rows); j++ {
-			w, b := j/64, uint64(1)<<(j%64)
-			p := -1
-			for r := next; r < len(rows); r++ {
-				if rows[r].bits[w]&b != 0 {
-					p = r
-					break
-				}
+		pivotOf = grow(&ds.pivotOf, nInactive)
+		rows = rows[:eliminate(rows, pivotOf)]
+		// Accept a pivot row only if full elimination reduced it to a
+		// singleton on its column. When the system is rank-deficient a
+		// pivot row can still carry bits of pivotless (free) columns;
+		// its rhs is then x_j XOR x_free, and reading it off as x_j
+		// would return corrupted data as a successful decode.
+		unsolved = growZero(&ds.unsolved, maskWords)
+		for j, p := range pivotOf {
+			if p < 0 || !isUnit(rows[p].bits, j) {
+				unsolved[j/64] |= 1 << (j % 64)
 			}
-			if p < 0 {
+		}
+		// Only the message columns must be solved; an aux column the
+		// solve leaves free is not needed.
+		for ci := 0; ci < c.n; ci++ {
+			if state[ci] == colInactive {
+				j := inactiveIdx[ci]
+				if unsolved[j/64]&(1<<(j%64)) != 0 {
+					return nil, st, c.insufficientErr(st)
+				}
 				continue
 			}
-			rows[p], rows[next] = rows[next], rows[p]
-			for r := 0; r < len(rows); r++ {
-				if r != next && rows[r].bits[w]&b != 0 {
-					for k := range rows[r].bits {
-						rows[r].bits[k] ^= rows[next].bits[k]
-					}
-					xorInto(rows[r].rhs, rows[next].rhs)
+			for w, b := range colMask[ci] {
+				if b&unsolved[w] != 0 {
+					return nil, st, c.insufficientErr(st)
 				}
 			}
-			pivotOf[j] = next
-			next++
 		}
-		inactiveVal := growZero(&ds.inactiveVal, nInactive)
+	}
+	if st.Peeled+st.Inactivated < c.nPrime {
+		// Unreachable for well-formed equations (every column sits in an
+		// outer-code equation); guards the loop's defensive break.
+		return nil, st, c.insufficientErr(st)
+	}
+
+	// ---- Numeric solve: every byte lands once, in its slot. ----
+	if dst == nil {
+		dst = make([]byte, chunkLen)
+	}
+	full := chunkLen / bs // message columns wholly inside dst
+	values := grow(&ds.values, (c.nPrime-full)*bs)
+	col := grow(&ds.col, c.nPrime)
+	for ci := range col {
+		if ci < full {
+			col[ci] = dst[ci*bs : (ci+1)*bs : (ci+1)*bs]
+		} else {
+			v := (ci - full) * bs
+			col[ci] = values[v : v+bs : v+bs]
+		}
+	}
+	// peeledSrcs lists e's value, when it has one, and the slots of its
+	// peeled members other than skip: what a fold of e XORs together.
+	srcs := ds.srcs[:0]
+	peeledSrcs := func(e *equation, skip int) [][]byte {
+		srcs = srcs[:0]
+		if e.value != nil {
+			srcs = append(srcs, e.value)
+		}
+		for _, mi := range e.idx {
+			if mi != skip && state[mi] == colPeeled {
+				srcs = append(srcs, col[mi])
+			}
+		}
+		return srcs
+	}
+	// The replay, in peel order: with no inactivations this *is* plain BP.
+	for _, ci := range peelOrder {
+		xorBlocksSet(col[ci], peeledSrcs(&eqs[pivotEq[ci]], ci))
+	}
+	if nInactive > 0 {
+		// Fold each pivot row into the slot of the column it solves and
+		// eliminate again: the pivot rows alone span the system, and
+		// they meet the same pivots in the same order, so each solved
+		// inactive column ends in its own slot. Their bits are rebuilt
+		// from the equations, since the first elimination reduced them.
 		for j, p := range pivotOf {
 			if p < 0 {
 				continue
 			}
-			// Accept the row only if full elimination reduced it to a
-			// singleton on column j. When the system is rank-deficient a
-			// pivot row can still carry bits of pivotless (free) columns;
-			// its rhs is then x_j XOR x_free, and reading it off as x_j
-			// would return corrupted data as a successful decode.
-			singleton := true
-			for w, b := range rows[p].bits {
-				want := uint64(0)
-				if w == j/64 {
-					want = 1 << (j % 64)
-				}
-				if b != want {
-					singleton = false
-					break
-				}
-			}
-			if singleton {
-				inactiveVal[j] = rows[p].rhs
-			}
+			r := &rows[p]
+			clear(r.bits)
+			foldMask(r.bits, eqs[r.eq].idx, -1)
+			r.rhs = col[inactiveCols[j]]
+			xorBlocksSet(r.rhs, peeledSrcs(&eqs[r.eq], -1))
 		}
-		for j, ci := range inactiveCols {
-			known[ci] = inactiveVal[j] // nil when the system was rank-deficient
-		}
+		eliminate(rows, pivotOf)
 		// Back-substitute the solved inactive columns into the message
 		// blocks (only those; auxiliary values are not needed anymore).
 		for ci := 0; ci < c.n; ci++ {
 			if state[ci] != colPeeled {
 				continue
 			}
+			srcs = srcs[:0]
 			for w, bits := range colMask[ci] {
 				for bits != 0 {
 					j := w*64 + trailingZeros(bits)
 					bits &= bits - 1
-					if inactiveVal[j] == nil {
-						return nil, st, c.insufficientErr(st)
-					}
-					xorInto(known[ci], inactiveVal[j])
+					srcs = append(srcs, col[inactiveCols[j]])
+				}
+			}
+			xorBlocks(col[ci], srcs)
+		}
+	}
+	ds.srcs = srcs
+	if full < c.n {
+		copy(dst[full*bs:], col[full]) // the partial tail column
+	}
+	return dst, st, nil
+}
+
+// eliminate runs Gauss-Jordan elimination over GF(2) on rows, carrying
+// each row's rhs along with its bits when rows have one. It records in
+// pivotOf the row each dense column pivots on (-1 when none does) and
+// returns how many rows it pivoted on; those lead rows, in column
+// order. Run again on just those rows, it takes the same pivots in the
+// same order.
+func eliminate(rows []gf2Row, pivotOf []int) int {
+	next := 0
+	for j := range pivotOf {
+		pivotOf[j] = -1
+		w, b := j/64, uint64(1)<<(j%64)
+		p := -1
+		for r := next; r < len(rows); r++ {
+			if rows[r].bits[w]&b != 0 {
+				p = r
+				break
+			}
+		}
+		if p < 0 {
+			continue
+		}
+		rows[p], rows[next] = rows[next], rows[p]
+		pr := &rows[next]
+		for r := range rows {
+			if r != next && rows[r].bits[w]&b != 0 {
+				for k := range rows[r].bits {
+					rows[r].bits[k] ^= pr.bits[k]
+				}
+				if pr.rhs != nil {
+					xorInto(rows[r].rhs, pr.rhs)
 				}
 			}
 		}
+		pivotOf[j] = next
+		next++
 	}
+	return next
+}
 
-	for ci := 0; ci < c.n; ci++ {
-		if known[ci] == nil {
-			return nil, st, c.insufficientErr(st)
+// isZero reports whether no bit of m is set.
+func isZero(m []uint64) bool {
+	for _, w := range m {
+		if w != 0 {
+			return false
 		}
 	}
-	if dst == nil {
-		dst = make([]byte, chunkLen)
+	return true
+}
+
+// isUnit reports whether bit j is the only bit of m set.
+func isUnit(m []uint64, j int) bool {
+	for w, b := range m {
+		want := uint64(0)
+		if w == j/64 {
+			want = 1 << (j % 64)
+		}
+		if b != want {
+			return false
+		}
 	}
-	joinInto(dst, known[:c.n]) // n blocks of bs ≥ chunkLen/n bytes always fill it
-	return dst, st, nil
+	return true
 }
 
 // trailingZeros names the bit-scan for the back-substitution loop.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -323,10 +325,10 @@ func TestOnlineMinNeededBound(t *testing.T) {
 }
 
 // TestDecodeSteadyStateAllocs pins the decoder's steady-state
-// allocation count: with the pooled decode scratch (equation values,
+// allocation count: with the pooled decode scratch (column slots,
 // dedupe bitmap, inactive-set masks, constraint rows) a warm decode
-// allocates a handful of objects — the joined output and pool
-// bookkeeping — not one buffer per received block. The PR 2 decoder
+// allocates a handful of objects — the output and pool bookkeeping —
+// not one buffer per received block. The PR 2 decoder
 // sat at ~4.4k allocs per 4096-block decode; a regression toward
 // per-block allocation blows straight past this bound.
 func TestDecodeSteadyStateAllocs(t *testing.T) {
@@ -388,5 +390,163 @@ func BenchmarkXOREncode4MB(b *testing.B) {
 		if _, err := c.Encode(chunk); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// bigcopyDecode is the online decode the bigcopy workload runs per
+// chunk: core.CodeFor's online shape (n = 64, ε = 0.2, 20 % surplus,
+// banded), a 16 MiB chunk, and a seeded subset of MinNeeded of its
+// blocks that decodes (subsets are redrawn until one does, since a
+// rateless decode at the threshold may fall short).
+func bigcopyDecode(tb testing.TB) (c *Online, chunk []byte, sub []Block) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(61))
+	c = MustOnline(64, OnlineOpts{Eps: 0.2, Surplus: 0.2, Schedule: Banded()})
+	chunk = randChunk(rng, 16<<20)
+	blocks, err := c.Encode(chunk)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for range 100 {
+		rng.Shuffle(len(blocks), func(i, j int) { blocks[i], blocks[j] = blocks[j], blocks[i] })
+		sub = blocks[:c.MinNeeded()]
+		if _, err := c.Decode(sub, len(chunk)); err == nil {
+			return c, chunk, sub
+		}
+	}
+	tb.Fatal("no decodable MinNeeded subset in 100 draws")
+	return nil, nil, nil
+}
+
+func BenchmarkOnlineDecodeInto16MB(b *testing.B) {
+	c, chunk, sub := bigcopyDecode(b)
+	dst := make([]byte, len(chunk))
+	b.SetBytes(int64(len(chunk)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := c.DecodeInto(dst, sub); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestOnlineDecodeScratchBound guards the in-place decode's memory at
+// bigcopy's shape: the received blocks are read where they lie and the
+// message columns land in dst, so the pooled scratch holds only the aux
+// columns and the padded tail — (numAux + 1)·bs at most, where copying
+// the received blocks in took (MinNeeded + numAux)·bs, 31.5 MiB.
+func TestOnlineDecodeScratchBound(t *testing.T) {
+	c, chunk, sub := bigcopyDecode(t)
+	bs := blockSize(len(chunk), c.DataBlocks())
+	var ds decodeScratch
+	dst := make([]byte, len(chunk))
+	if _, _, err := c.decodeWith(&ds, dst, len(dst), sub); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dst, chunk) {
+		t.Fatal("decode returned wrong bytes")
+	}
+	if got, limit := cap(ds.values), (c.NumAux()+1)*bs; got > limit {
+		t.Errorf("value scratch holds %d bytes after a %d-block decode, want <= %d ((numAux+1)·bs)", got, len(sub), limit)
+	}
+}
+
+// TestOnlineDecodeIntoAllocs bounds a steady-state DecodeInto at
+// bigcopy's shape: with the scratch pooled and the output the caller's,
+// a decode allocates nothing. And Decode(dst = nil) allocates its
+// output only once the blocks are known to suffice: an attempt that
+// falls short (a rank-deficient set, whose peel stalls into
+// inactivation) allocates far less than the chunk.
+func TestOnlineDecodeIntoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch at random")
+	}
+	c, chunk, sub := bigcopyDecode(t)
+	dst := make([]byte, len(chunk))
+	if err := c.DecodeInto(dst, sub); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		if err := c.DecodeInto(dst, sub); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 0 {
+		t.Errorf("steady-state DecodeInto: %.0f allocs/op, want 0", allocs)
+	}
+
+	short := sub[:c.DataBlocks()]
+	if _, st, err := c.DecodeWithStats(short, len(chunk)); !errors.Is(err, ErrInsufficient) || st.Inactivated == 0 {
+		t.Fatalf("%d blocks: err %v with %d inactivated, want ErrInsufficient after inactivation", len(short), err, st.Inactivated)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 5 {
+		if _, err := c.Decode(short, len(chunk)); err == nil {
+			t.Fatal("a rank-deficient set decoded")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(len(chunk))/4 {
+		t.Errorf("5 failed Decode(nil) attempts allocated %d bytes; the output (%d bytes) must wait for a decode that succeeds", got, len(chunk))
+	}
+}
+
+// TestEliminateReplaysOnPivotRows pins the two-pass solve the in-place
+// decoder relies on: eliminating only the rows a bits-only elimination
+// pivoted on, rebuilt from their original bits and carrying their
+// right-hand sides, takes the same pivots and ends with the same rows
+// as one elimination of every row with its right-hand side. A pivot
+// row left with a free column's bit (a rank-deficient system) is not
+// a unit row, so the decoder does not read it off as solved.
+func TestEliminateReplaysOnPivotRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	for trial := 0; trial < 300; trial++ {
+		nCols := 1 + rng.Intn(100)
+		words := (nCols + 63) / 64
+		nRows := rng.Intn(nCols + 10)
+		density := 1 + rng.Intn(nCols)
+		bits := make([][]uint64, nRows)
+		rhs := make([][]byte, nRows)
+		for i := range bits {
+			bits[i] = make([]uint64, words)
+			for range 1 + rng.Intn(density) {
+				j := rng.Intn(nCols)
+				bits[i][j/64] ^= 1 << (j % 64)
+			}
+			rhs[i] = randChunk(rng, 8)
+		}
+		ref := make([]gf2Row, nRows)
+		sym := make([]gf2Row, nRows)
+		for i := range ref {
+			ref[i] = gf2Row{eq: i, bits: slices.Clone(bits[i]), rhs: slices.Clone(rhs[i])}
+			sym[i] = gf2Row{eq: i, bits: slices.Clone(bits[i])}
+		}
+		refPivot := make([]int, nCols)
+		eliminate(ref, refPivot)
+		pivotOf := make([]int, nCols)
+		lead := sym[:eliminate(sym, pivotOf)]
+		for i := range lead {
+			lead[i].bits = slices.Clone(bits[lead[i].eq])
+			lead[i].rhs = slices.Clone(rhs[lead[i].eq])
+		}
+		eliminate(lead, pivotOf)
+		if !slices.Equal(pivotOf, refPivot) {
+			t.Fatalf("trial %d: pivots %v on the lead rows, %v on all rows", trial, pivotOf, refPivot)
+		}
+		for j, p := range pivotOf {
+			if p >= 0 && (!slices.Equal(lead[p].bits, ref[p].bits) || !bytes.Equal(lead[p].rhs, ref[p].rhs)) {
+				t.Fatalf("trial %d: column %d's pivot row differs between the passes", trial, j)
+			}
+		}
+	}
+
+	// x0 ^ x1 = r: column 0 pivots on a row that still holds x1.
+	rows := []gf2Row{{bits: []uint64{0b11}}}
+	pivotOf := make([]int, 2)
+	if eliminate(rows, pivotOf) != 1 || pivotOf[0] != 0 || pivotOf[1] != -1 {
+		t.Fatalf("pivots %v, want [0 -1]", pivotOf)
+	}
+	if isUnit(rows[0].bits, 0) {
+		t.Error("a row over two free columns was read off as solved")
 	}
 }

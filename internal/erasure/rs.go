@@ -122,8 +122,10 @@ func (c *RS) Decode(blocks []Block, chunkLen int) ([]byte, error) {
 	return decodeFresh(c, blocks, chunkLen)
 }
 
-// DecodeInto implements Code: the recovered data blocks land
-// straight in dst instead of a freshly joined buffer.
+// DecodeInto implements Code: the data blocks held are copied to their
+// places in dst, and only the missing ones are computed through the
+// inverse, each straight into its own slot of dst (in scratch only
+// when it is the partial tail).
 func (c *RS) DecodeInto(dst []byte, blocks []Block) error {
 	chunkLen := len(dst)
 	if chunkLen == 0 {
@@ -145,25 +147,8 @@ func (c *RS) DecodeInto(dst []byte, blocks []Block) error {
 	if len(have) < c.n {
 		return ErrInsufficient
 	}
-	// Fast path: all data blocks present.
-	allData := true
-	for i := 0; i < c.n; i++ {
-		if _, ok := have[i]; !ok {
-			allData = false
-			break
-		}
-	}
-	if allData {
-		data := make([][]byte, c.n)
-		for i := 0; i < c.n; i++ {
-			data[i] = have[i]
-		}
-		if !joinInto(dst, data) {
-			return ErrInsufficient
-		}
-		return nil
-	}
-	// General path: invert the rows we hold.
+	// Invert the rows we hold, unless they are all data rows: the
+	// inverse is needed only for a data block that is missing.
 	rows := make([]int, 0, c.n)
 	vals := make([][]byte, 0, c.n)
 	for r := 0; r < c.n+c.k && len(rows) < c.n; r++ {
@@ -172,27 +157,28 @@ func (c *RS) DecodeInto(dst []byte, blocks []Block) error {
 			vals = append(vals, v)
 		}
 	}
-	sub := c.enc.subRows(rows)
-	inv, ok := sub.invert()
-	if !ok {
-		// Cannot happen for Vandermonde-derived rows; guard anyway.
-		return ErrInsufficient
-	}
-	data := make([][]byte, c.n)
-	backing := getRawBuf(c.n * bs) // overwrite-first rows need no zeroing
-	for r := 0; r < c.n; r++ {
-		data[r] = backing[r*bs : (r+1)*bs : (r+1)*bs]
-	}
-	for r := 0; r < c.n; r++ {
-		gfMulSet(data[r], vals[0], inv.at(r, 0))
-		for ci := 1; ci < c.n; ci++ {
-			gfMulXor(data[r], vals[ci], inv.at(r, ci))
+	var inv *gfMatrix
+	if rows[c.n-1] >= c.n {
+		var ok bool
+		if inv, ok = c.enc.subRows(rows).invert(); !ok {
+			// Cannot happen for Vandermonde-derived rows; guard anyway.
+			return ErrInsufficient
 		}
 	}
-	joined := joinInto(dst, data)
-	putBuf(backing)
-	if !joined {
-		return ErrInsufficient
+	for r := 0; r < c.n; r++ {
+		if v, ok := have[r]; ok {
+			placeBlock(dst, r, bs, v)
+			continue
+		}
+		slot, spill := blockSlot(dst, r, bs)
+		gfMulSet(slot, vals[0], inv.at(r, 0))
+		for ci := 1; ci < c.n; ci++ {
+			gfMulXor(slot, vals[ci], inv.at(r, ci))
+		}
+		if spill {
+			placeBlock(dst, r, bs, slot)
+			putBuf(slot)
+		}
 	}
 	return nil
 }

@@ -308,8 +308,28 @@ func TestDecodeWithStatsReporting(t *testing.T) {
 // are all degree 2 determines only b0^b1, never b0: the inactive
 // system is rank-deficient. The decoder must say ErrInsufficient —
 // never read a non-singleton pivot row off as a solved value and
-// return fabricated bytes as success.
+// return fabricated bytes as success. That n=1 draw fails on a column
+// no row pivots on; the fixed set first is one whose elimination
+// leaves a pivot row carrying a free column's bit, found by search.
 func TestRankDeficientDecodeFails(t *testing.T) {
+	fixed := MustOnline(6, OnlineOpts{Eps: 0.4, Surplus: 0.5, Seed: 24547})
+	chunk := []byte("rank-deficit")
+	enc, err := fixed.Encode(chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sub []Block
+	for _, i := range []int{15, 3, 14, 12, 4, 18, 16, 7} {
+		sub = append(sub, enc[i])
+	}
+	got, st, err := fixed.DecodeWithStats(sub, len(chunk))
+	if err == nil && !bytes.Equal(got, chunk) {
+		t.Fatal("fixed set: fabricated bytes returned as a successful decode")
+	}
+	if !errors.Is(err, ErrInsufficient) || st.ResidualRows == 0 {
+		t.Fatalf("fixed set: err = %v after %d residual rows, want ErrInsufficient from the dense solve", err, st.ResidualRows)
+	}
+
 	for seed := int64(1); seed < 500; seed++ {
 		c := MustOnline(1, OnlineOpts{Eps: 0.25, Surplus: 0.35, Seed: seed})
 		allDeg2 := true

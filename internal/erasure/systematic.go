@@ -14,7 +14,8 @@ type Systematic interface {
 	// block Block.Index at that same range. Any MinNeeded() distinct
 	// blocks other than index suffice; entries that are out of range,
 	// duplicated, of another length or index itself are ignored, and
-	// fewer usable ones than that is ErrInsufficient.
+	// fewer usable ones than that is ErrInsufficient. Like Decode, it
+	// never writes a block's Data.
 	RebuildRange(dst []byte, index int, blocks []Block) error
 }
 

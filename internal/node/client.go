@@ -260,11 +260,12 @@ func (c *Client) RefreshCtx(ctx context.Context) error {
 }
 
 // PruneRingCtx probes every member of the current view in parallel and
-// drops the unreachable ones. The membership protocol has no failure
-// detector — joins propagate, departures do not — so a client that
-// must place blocks after a failure (Repair) calls this to obtain the
-// survivor view whose owners are the failed node's identifier-space
-// neighbors (§4.4). It returns the number of members dropped.
+// drops the unreachable ones. On a ring of nodes run without -detect
+// (no failure detector) joins propagate and departures do not, so a
+// client that must place blocks after a failure (Repair) calls this to
+// obtain the survivor view whose owners are the failed node's
+// identifier-space neighbors (§4.4). It returns the number of members
+// dropped.
 func (c *Client) PruneRingCtx(ctx context.Context) (int, error) {
 	ring := c.Ring()
 	alive := make([]bool, len(ring))
