@@ -3,7 +3,7 @@
 // `go test -bench=. -benchmem` regenerates every result quickly. The
 // psbench command runs the same experiments with full output and
 // adjustable scale.
-package peerstripe
+package peerstripe_test
 
 import (
 	"context"
@@ -13,8 +13,8 @@ import (
 	"os"
 	"testing"
 
+	"peerstripe"
 	"peerstripe/internal/baseline"
-	"peerstripe/internal/core"
 	"peerstripe/internal/erasure"
 	"peerstripe/internal/grid"
 	"peerstripe/internal/multicast"
@@ -88,7 +88,7 @@ func BenchmarkFig7PeerStripe(b *testing.B) {
 	for b.Loop() {
 		g := trace.NewGen(1)
 		pool := sim.NewPool(1, g.NodeCapacities(sc.Nodes))
-		s := core.NewStore(pool, core.PaperConfig())
+		s := sim.NewStore(pool, sim.PaperConfig())
 		insertAll(b, func(n string, sz int64) { s.StoreFile(n, sz) })
 	}
 }
@@ -100,9 +100,9 @@ func BenchmarkFig10Availability(b *testing.B) {
 	for b.Loop() {
 		g := trace.NewGen(2)
 		pool := sim.NewPool(2, g.NodeCapacities(sc.Nodes))
-		cfg := core.PaperConfig()
+		cfg := sim.PaperConfig()
 		cfg.Spec = erasure.XOR23Spec
-		st := core.NewStore(pool, cfg)
+		st := sim.NewStore(pool, cfg)
 		for _, f := range g.Files(sc.Files) {
 			st.StoreFile(f.Name, f.Size)
 		}
@@ -216,14 +216,14 @@ func BenchmarkTable3Churn(b *testing.B) {
 	for b.Loop() {
 		g := trace.NewGen(5)
 		pool := sim.NewPool(5, g.NodeCapacities(sc.Nodes))
-		cfg := core.PaperConfig()
+		cfg := sim.PaperConfig()
 		cfg.Spec = erasure.XOR23Spec
-		st := core.NewStore(pool, cfg)
+		st := sim.NewStore(pool, cfg)
 		for _, f := range g.Files(sc.Files) {
 			st.StoreFile(f.Name, f.Size)
 		}
 		mean := float64(pool.TotalUsed) / float64(pool.Size())
-		cs := core.NewChurnSim(st, 2*mean, 1.0)
+		cs := sim.NewChurnSim(st, 2*mean, 1.0)
 		rng := g.Rand()
 		for failed := 0; failed < sc.Nodes/5; failed++ {
 			nodes := pool.Net.Nodes()
@@ -289,9 +289,9 @@ func BenchmarkAblationChunkCap(b *testing.B) {
 			for b.Loop() {
 				g := trace.NewGen(6)
 				pool := sim.NewPool(6, g.NodeCapacities(sc.Nodes))
-				cfg := core.DefaultConfig()
+				cfg := sim.DefaultConfig()
 				cfg.MaxChunkSize = cap
-				st := core.NewStore(pool, cfg)
+				st := sim.NewStore(pool, cfg)
 				for _, f := range g.Files(sc.Files / 2) {
 					st.StoreFile(f.Name, f.Size)
 				}
@@ -300,22 +300,19 @@ func BenchmarkAblationChunkCap(b *testing.B) {
 	}
 }
 
-// BenchmarkIOLibRead measures the interposed read path end-to-end over
-// the in-memory backend (the §5 data path without network costs).
+// BenchmarkIOLibRead measures the interposed read path end to end over
+// an in-process ring: 1 MiB reads of whole chunks, which after the first
+// pass come from the client's chunk cache (the §5 data path).
 func BenchmarkIOLibRead(b *testing.B) {
-	fs := grid.NewMemFS()
-	codec := &core.Codec{Code: erasure.MustXOR(2)}
+	_, seed := testRing(b, 4, 64*trace.MB)
+	c := dialTest(b, seed, peerstripe.WithCode("xor"), peerstripe.WithChunkCap(1*trace.MB))
 	rng := rand.New(rand.NewSource(7))
 	data := make([]byte, 8*trace.MB)
 	rng.Read(data)
-	blocks, cat, err := codec.EncodeFile(context.Background(), "bench.dat", data, core.PlanChunkSizes(int64(len(data)), 1*trace.MB))
-	if err != nil {
+	if _, err := c.StoreBytes(context.Background(), "bench.dat", data); err != nil {
 		b.Fatal(err)
 	}
-	if err := fs.StoreBlocks(cat, blocks); err != nil {
-		b.Fatal(err)
-	}
-	lib := grid.NewIOLib(fs, codec)
+	lib := grid.NewIOLib(c)
 	fd, err := lib.Open("bench.dat")
 	if err != nil {
 		b.Fatal(err)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"go/build"
 	"os"
 	"path/filepath"
 	"strings"
@@ -103,5 +104,52 @@ func TestBaselineMatchesTree(t *testing.T) {
 		var diff strings.Builder
 		printDiff(&diff, strings.Split(strings.TrimRight(string(want), "\n"), "\n"), surface)
 		t.Fatalf("exported surface drifted from api/peerstripe.txt; regenerate with `go run ./cmd/apicheck -write`:\n%s", diff.String())
+	}
+}
+
+// TestLiveCodeLinksNoReproduction walks the in-module imports of the
+// live binaries, the gateway and the public package, and fails if any
+// of them reaches a package that exists only to reproduce the paper's
+// simulations and case study: the simulator (with its store), the
+// overlay, the grid case study, the baselines, multicast and the
+// trace generator.
+func TestLiveCodeLinksNoReproduction(t *testing.T) {
+	const module = "peerstripe"
+	banned := map[string]bool{}
+	for _, p := range []string{"sim", "pastry", "grid", "baseline", "multicast", "trace"} {
+		banned[module+"/internal/"+p] = true
+	}
+	// from records how the walk first reached each package, for the
+	// import chain a failure prints.
+	from := map[string]string{}
+	var walk func(path string)
+	walk = func(path string) {
+		pkg, err := build.ImportDir(filepath.Join("../..", strings.TrimPrefix(path, module)), 0)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		for _, imp := range pkg.Imports {
+			if imp != module && !strings.HasPrefix(imp, module+"/") {
+				continue
+			}
+			if _, ok := from[imp]; ok {
+				continue
+			}
+			from[imp] = path
+			if banned[imp] {
+				chain := imp
+				for p := path; p != ""; p = from[p] {
+					chain = p + " -> " + chain
+				}
+				t.Errorf("live code links reproduction package %s: %s", imp, chain)
+				continue
+			}
+			walk(imp)
+		}
+	}
+	for _, root := range []string{"cmd/psnode", "cmd/psgate", "cmd/psput", "gateway", ""} {
+		path := strings.TrimSuffix(module+"/"+root, "/")
+		from[path] = ""
+		walk(path)
 	}
 }

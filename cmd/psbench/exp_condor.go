@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 
-	"peerstripe/internal/core"
 	"peerstripe/internal/erasure"
 	"peerstripe/internal/grid"
 	"peerstripe/internal/sim"
@@ -68,7 +67,7 @@ func runAblations(scale int) {
 	for _, frac := range []float64{1.0, 0.01, 0.002, 0.0005} {
 		pool := sim.NewPool(31, capacities)
 		pool.SetReportFraction(frac)
-		st := core.NewStore(pool, core.DefaultConfig())
+		st := sim.NewStore(pool, sim.DefaultConfig())
 		var chunks stats.Acc
 		for _, f := range files {
 			if res := st.StoreFile(f.Name, f.Size); res.OK {
@@ -83,9 +82,9 @@ func runAblations(scale int) {
 	fmt.Printf("%-12s %14s %14s %16s\n", "cap", "chunks/file", "lookups/file", "regen/chunk (MB)")
 	for _, cap := range []int64{0, 400 * trace.MB, 100 * trace.MB, 25 * trace.MB} {
 		pool := sim.NewPool(32, capacities)
-		cfg := core.DefaultConfig()
+		cfg := sim.DefaultConfig()
 		cfg.MaxChunkSize = cap
-		st := core.NewStore(pool, cfg)
+		st := sim.NewStore(pool, cfg)
 		var chunks, sizes stats.Acc
 		lookupsBefore := pool.Lookups
 		stored := 0
@@ -112,9 +111,9 @@ func runAblations(scale int) {
 	// blocks to rebuild a lost block; coding across chunks would read
 	// the whole file. Compare bytes read per repaired block.
 	pool := sim.NewPool(33, capacities)
-	cfg := core.PaperConfig()
+	cfg := sim.PaperConfig()
 	cfg.Spec = erasure.XOR23Spec
-	st := core.NewStore(pool, cfg)
+	st := sim.NewStore(pool, cfg)
 	var perChunkRead, wholeFileRead stats.Acc
 	for _, f := range files[:min(len(files), 2000)] {
 		if res := st.StoreFile(f.Name, f.Size); res.OK {
@@ -136,7 +135,7 @@ func runAblations(scale int) {
 	fmt.Printf("%-26s %14s %14s\n", "policy", "failed files", "utilization")
 	for _, reserve := range []bool{false, true} {
 		pool := sim.NewPool(34, capacities)
-		st := core.NewStore(pool, core.PaperConfig())
+		st := sim.NewStore(pool, sim.PaperConfig())
 		for i, f := range fullFiles {
 			if reserve && i%200 == 0 {
 				pool.RecomputeNeighborReserves()

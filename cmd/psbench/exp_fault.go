@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 
-	"peerstripe/internal/core"
 	"peerstripe/internal/erasure"
 	"peerstripe/internal/sim"
 	"peerstripe/internal/stats"
@@ -37,10 +36,10 @@ func runFig10(scale, seeds int) {
 		files := g.Files(sc.Files)
 		for _, spc := range specs {
 			pool := sim.NewPool(int64(seed+100), capacities)
-			cfg := core.PaperConfig()
+			cfg := sim.PaperConfig()
 			cfg.Spec = spc.spec
 			cfg.Rateless = spc.rateless
-			st := core.NewStore(pool, cfg)
+			st := sim.NewStore(pool, cfg)
 			stored := 0
 			for _, f := range files {
 				if st.StoreFile(f.Name, f.Size).OK {
@@ -119,9 +118,9 @@ func runTable3(scale, seeds int) {
 	for seed := 0; seed < seeds; seed++ {
 		g := trace.NewGen(int64(seed + 200))
 		pool := sim.NewPool(int64(seed+200), g.NodeCapacities(sc.Nodes))
-		cfg := core.PaperConfig()
+		cfg := sim.PaperConfig()
 		cfg.Spec = erasure.XOR23Spec
-		st := core.NewStore(pool, cfg)
+		st := sim.NewStore(pool, cfg)
 		for _, f := range g.Files(sc.Files) {
 			st.StoreFile(f.Name, f.Size)
 		}
@@ -129,7 +128,7 @@ func runTable3(scale, seeds int) {
 		// failure interval, so most — not all — regeneration completes
 		// between failures, as the paper's delay model intends.
 		meanNodeData := float64(pool.TotalUsed) / float64(pool.Size())
-		cs := core.NewChurnSim(st, 2*meanNodeData, 1.0)
+		cs := sim.NewChurnSim(st, 2*meanNodeData, 1.0)
 		rng := g.Rand()
 		target := sc.Nodes / 5 // 20%
 		for failed := 1; failed <= target; failed++ {

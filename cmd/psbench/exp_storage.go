@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"peerstripe/internal/baseline"
-	"peerstripe/internal/core"
 	"peerstripe/internal/sim"
 	"peerstripe/internal/stats"
 	"peerstripe/internal/trace"
@@ -73,7 +72,7 @@ func runStorageOnce(seed int64, sc trace.Scale, out map[string]*storageOutcome) 
 	// PeerStripe (no coding, §6.1 configuration).
 	{
 		pool := sim.NewPool(seed, capacities)
-		s := core.NewStore(pool, core.PaperConfig())
+		s := sim.NewStore(pool, sim.PaperConfig())
 		o := out["Ours"]
 		for i, f := range files {
 			res := s.StoreFile(f.Name, f.Size)

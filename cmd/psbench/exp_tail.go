@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"peerstripe/internal/baseline"
-	"peerstripe/internal/core"
 	"peerstripe/internal/sim"
 	"peerstripe/internal/trace"
 )
@@ -46,7 +45,7 @@ func runHeavyTail(scale, seeds int) {
 			r.cfs += 100 * float64(c.FilesFailed) / float64(len(files))
 
 			op := sim.NewPool(int64(seed+400), capacities)
-			s := core.NewStore(op, core.PaperConfig())
+			s := sim.NewStore(op, sim.PaperConfig())
 			for _, f := range files {
 				s.StoreFile(f.Name, f.Size)
 			}

@@ -4,7 +4,7 @@
 // interposed library — here running against a real ring. The input is
 // seeded through the public peerstripe API (streamed, erasure-coded,
 // capacity-probed), then the interposed grid.IOLib reads and writes it
-// over the same live client. Part 2 prints the Table 4 sweep from the
+// over the same client. Part 2 prints the Table 4 sweep from the
 // calibrated transfer model.
 package main
 
@@ -16,10 +16,7 @@ import (
 	"math/rand"
 
 	"peerstripe"
-	"peerstripe/internal/core"
-	"peerstripe/internal/erasure"
 	"peerstripe/internal/grid"
-	"peerstripe/internal/node"
 	"peerstripe/internal/trace"
 )
 
@@ -57,19 +54,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The interposed library runs over the same ring: a node.Client
-	// implements grid.FS, so application I/O lands on the live nodes.
-	// (The grid interposition layer is internal — its FS seam is not
-	// part of the public surface — so this demo dials one extra
-	// internal client for it alongside the public one above.)
-	fsClient, err := node.NewClientCfg(ctx, seed, erasure.MustXOR(2), node.Config{ChunkCap: 4 * trace.MB})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer fsClient.Close()
-	codec := &core.Codec{Code: erasure.MustXOR(2)}
-	lib := grid.NewIOLib(fsClient, codec)
-	lib.PlanChunk = func(sz int64) []int64 { return core.PlanChunkSizes(sz, 4*trace.MB) }
+	// The interposed library runs over the same client, so application
+	// I/O lands on the live nodes.
+	lib := grid.NewIOLib(client)
 
 	sched := grid.NewScheduler(lib, 4)
 	for i := 0; i < 3; i++ {

@@ -6,7 +6,6 @@ package main
 import (
 	"fmt"
 
-	"peerstripe/internal/core"
 	"peerstripe/internal/erasure"
 	"peerstripe/internal/sim"
 	"peerstripe/internal/trace"
@@ -27,10 +26,10 @@ func main() {
 	} {
 		g := trace.NewGen(9)
 		pool := sim.NewPool(9, g.NodeCapacities(nodes))
-		cfg := core.DefaultConfig()
+		cfg := sim.DefaultConfig()
 		cfg.Spec = cfgSpec.spec
 		cfg.Rateless = cfgSpec.rateless
-		st := core.NewStore(pool, cfg)
+		st := sim.NewStore(pool, cfg)
 		stored := 0
 		for _, f := range g.Files(files) {
 			if st.StoreFile(f.Name, f.Size).OK {
@@ -41,7 +40,7 @@ func main() {
 		// Churn: fail 20% of nodes with repair bandwidth that finishes
 		// most regeneration between failures.
 		meanNodeData := float64(pool.TotalUsed) / float64(pool.Size())
-		cs := core.NewChurnSim(st, 2*meanNodeData, 1.0)
+		cs := sim.NewChurnSim(st, 2*meanNodeData, 1.0)
 		rng := g.Rand()
 		for i := 0; i < nodes/5; i++ {
 			live := pool.Net.Nodes()

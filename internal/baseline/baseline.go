@@ -9,7 +9,7 @@
 //     paper configures 4 MB blocks for its large-file trace (the
 //     original CFS used 8 KB).
 //
-// Both report the same accounting as core.Store so the Figure 7/8/9 and
+// Both report the same accounting as sim.Store so the Figure 7/8/9 and
 // Table 1 comparisons are apples-to-apples.
 package baseline
 

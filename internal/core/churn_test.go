@@ -1,15 +1,17 @@
-package core
+package core_test
 
 import (
 	"testing"
 
+	"peerstripe/internal/core"
 	"peerstripe/internal/erasure"
 	"peerstripe/internal/ids"
+	"peerstripe/internal/sim"
 	"peerstripe/internal/trace"
 )
 
 // victimWithBlocks returns a node ID holding at least one file block.
-func victimWithBlocks(t *testing.T, s *Store) ids.ID {
+func victimWithBlocks(t *testing.T, s *sim.Store) ids.ID {
 	t.Helper()
 	var victim ids.ID
 	found := false
@@ -17,7 +19,7 @@ func victimWithBlocks(t *testing.T, s *Store) ids.ID {
 	for _, on := range s.Pool.Net.Nodes() {
 		sn, _ := s.Pool.Node(on.ID)
 		for name := range sn.Blocks {
-			if _, _, _, ok := ParseBlockName(name); ok {
+			if _, _, _, ok := core.ParseBlockName(name); ok {
 				return on.ID
 			}
 		}
@@ -27,7 +29,7 @@ func victimWithBlocks(t *testing.T, s *Store) ids.ID {
 }
 
 func TestFailNodeNoRepairMarksUnavailable(t *testing.T) {
-	s := newStore(t, 20, caps(30, 2*trace.GB), DefaultConfig()) // no coding
+	s := newStore(t, 20, caps(30, 2*trace.GB), sim.DefaultConfig()) // no coding
 	res := s.StoreFile("f", 5*trace.GB)
 	if !res.OK {
 		t.Fatal(res.Err)
@@ -50,7 +52,7 @@ func TestFailNodeNoRepairMarksUnavailable(t *testing.T) {
 }
 
 func TestFailNodeWithCodingSurvivesOneLoss(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := sim.DefaultConfig()
 	cfg.Spec = erasure.XOR23Spec
 	s := newStore(t, 21, caps(40, 2*trace.GB), cfg)
 	res := s.StoreFile("f", 3*trace.GB)
@@ -74,7 +76,7 @@ func TestFailNodeWithCodingSurvivesOneLoss(t *testing.T) {
 }
 
 func TestFailNodeWithRepairRegenerates(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := sim.DefaultConfig()
 	cfg.Spec = erasure.XOR23Spec
 	s := newStore(t, 22, caps(40, 2*trace.GB), cfg)
 	if res := s.StoreFile("f", 3*trace.GB); !res.OK {
@@ -107,7 +109,7 @@ func TestFailNodeWithRepairRegenerates(t *testing.T) {
 }
 
 func TestRatelessRepairUsesFreshNames(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := sim.DefaultConfig()
 	cfg.Spec = erasure.OnlineSimSpec
 	cfg.Rateless = true
 	s := newStore(t, 23, caps(40, 2*trace.GB), cfg)
@@ -127,7 +129,7 @@ func TestRatelessRepairUsesFreshNames(t *testing.T) {
 	for _, on := range s.Pool.Net.Nodes() {
 		sn, _ := s.Pool.Node(on.ID)
 		for name := range sn.Blocks {
-			if _, _, ecb, ok := ParseBlockName(name); ok && ecb >= erasure.OnlineSimSpec.TotalBlocks {
+			if _, _, ecb, ok := core.ParseBlockName(name); ok && ecb >= erasure.OnlineSimSpec.TotalBlocks {
 				fresh = true
 			}
 		}
@@ -138,7 +140,7 @@ func TestRatelessRepairUsesFreshNames(t *testing.T) {
 }
 
 func TestCATReplicaRecreation(t *testing.T) {
-	s := newStore(t, 24, caps(40, 2*trace.GB), DefaultConfig())
+	s := newStore(t, 24, caps(40, 2*trace.GB), sim.DefaultConfig())
 	if res := s.StoreFile("f", 1*trace.GB); !res.OK {
 		t.Fatal(res.Err)
 	}
@@ -148,7 +150,7 @@ func TestCATReplicaRecreation(t *testing.T) {
 	for _, on := range s.Pool.Net.Nodes() {
 		sn, _ := s.Pool.Node(on.ID)
 		for name := range sn.Blocks {
-			if _, _, ok := IsCATName(name); ok {
+			if _, _, ok := core.IsCATName(name); ok {
 				victim, found = on.ID, true
 				break
 			}
@@ -158,19 +160,19 @@ func TestCATReplicaRecreation(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatal("no CAT replica found")
+		t.Fatal("no core.CAT replica found")
 	}
 	rep, err := s.FailNode(victim, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.CATReplicasLost == 0 || rep.CATReplicasRecreated == 0 {
-		t.Fatalf("CAT replica churn not handled: %+v", rep)
+		t.Fatalf("core.CAT replica churn not handled: %+v", rep)
 	}
 }
 
 func TestChurnSimBasic(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := sim.DefaultConfig()
 	cfg.Spec = erasure.XOR23Spec
 	s := newStore(t, 25, caps(400, 2*trace.GB), cfg)
 	g := trace.NewGen(26)
@@ -179,7 +181,7 @@ func TestChurnSimBasic(t *testing.T) {
 		s.StoreFile(f.Name, f.Size)
 	}
 	// Generous repair bandwidth: repairs finish between failures.
-	cs := NewChurnSim(s, 1e12, 1.0)
+	cs := sim.NewChurnSim(s, 1e12, 1.0)
 	rng := g.Rand()
 	failed := 0
 	for failed < 6 {
@@ -209,7 +211,7 @@ func TestChurnSimBasic(t *testing.T) {
 }
 
 func TestChurnSimSlowRepairLosesData(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := sim.DefaultConfig()
 	cfg.Spec = erasure.XOR23Spec
 	s := newStore(t, 27, caps(50, 2*trace.GB), cfg)
 	g := trace.NewGen(28)
@@ -218,7 +220,7 @@ func TestChurnSimSlowRepairLosesData(t *testing.T) {
 	}
 	// Glacial repair: almost nothing completes between failures, so
 	// sustained churn must eventually defeat the single-loss tolerance.
-	cs := NewChurnSim(s, 1, 1.0)
+	cs := sim.NewChurnSim(s, 1, 1.0)
 	rng := g.Rand()
 	for i := 0; i < 25; i++ {
 		nodes := s.Pool.Net.Nodes()

@@ -1,9 +1,10 @@
-package core
+package core_test
 
 import (
 	"fmt"
 	"testing"
 
+	"peerstripe/internal/core"
 	"peerstripe/internal/erasure"
 	"peerstripe/internal/ids"
 	"peerstripe/internal/sim"
@@ -11,7 +12,7 @@ import (
 )
 
 func TestStoreZeroSizeFile(t *testing.T) {
-	s := newStore(t, 40, caps(10, trace.GB), DefaultConfig())
+	s := newStore(t, 40, caps(10, trace.GB), sim.DefaultConfig())
 	res := s.StoreFile("empty", 0)
 	if !res.OK {
 		t.Fatalf("zero-size store failed: %v", res.Err)
@@ -21,7 +22,7 @@ func TestStoreZeroSizeFile(t *testing.T) {
 	}
 	cat, ok := s.CAT("empty")
 	if !ok || cat.FileSize() != 0 {
-		t.Fatal("zero-size CAT wrong")
+		t.Fatal("zero-size core.CAT wrong")
 	}
 	// Retrieval of nothing succeeds trivially.
 	st, err := s.Retrieve("empty", 0, 0)
@@ -31,7 +32,7 @@ func TestStoreZeroSizeFile(t *testing.T) {
 }
 
 func TestRetrieveBeyondEOFTouchesNothing(t *testing.T) {
-	s := newStore(t, 41, caps(20, trace.GB), DefaultConfig())
+	s := newStore(t, 41, caps(20, trace.GB), sim.DefaultConfig())
 	if res := s.StoreFile("f", 100*trace.MB); !res.OK {
 		t.Fatal(res.Err)
 	}
@@ -45,7 +46,7 @@ func TestRetrieveBeyondEOFTouchesNothing(t *testing.T) {
 }
 
 func TestFailNodeWithoutBlocks(t *testing.T) {
-	s := newStore(t, 42, caps(30, trace.GB), DefaultConfig())
+	s := newStore(t, 42, caps(30, trace.GB), sim.DefaultConfig())
 	// Find a node with no blocks (pool is empty, so any node).
 	id := s.Pool.Net.Nodes()[0].ID
 	rep, err := s.FailNode(id, true)
@@ -58,7 +59,7 @@ func TestFailNodeWithoutBlocks(t *testing.T) {
 }
 
 func TestFailUnknownNodeErrors(t *testing.T) {
-	s := newStore(t, 43, caps(5, trace.GB), DefaultConfig())
+	s := newStore(t, 43, caps(5, trace.GB), sim.DefaultConfig())
 	if _, err := s.FailNode(ids.FromName("never-joined"), false); err == nil {
 		t.Fatal("failure of a node that never existed accepted")
 	}
@@ -69,7 +70,7 @@ func TestFailUnknownNodeErrors(t *testing.T) {
 // first FailNode accounts the loss; the repeat must be a no-op with a
 // zero FailureReport, not an error and not double accounting.
 func TestFailNodeRepeatIsIdempotent(t *testing.T) {
-	s := newStore(t, 43, caps(8, trace.GB), DefaultConfig())
+	s := newStore(t, 43, caps(8, trace.GB), sim.DefaultConfig())
 	if res := s.StoreFile("repeat.dat", 20*trace.MB); !res.OK {
 		t.Fatal(res.Err)
 	}
@@ -93,7 +94,7 @@ func TestFailNodeRepeatIsIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("repeated failure errored: %v", err)
 	}
-	if again != (FailureReport{}) {
+	if again != (sim.FailureReport{}) {
 		t.Fatalf("repeated failure re-accounted: %+v", again)
 	}
 	if s.FilesLost != lostBefore || s.BytesLostRaw != rawBefore {
@@ -109,7 +110,7 @@ func TestFailNodeRepeatIsIdempotent(t *testing.T) {
 // the CAT replica is still re-created on a survivor — metadata healing
 // and data-loss accounting never block each other.
 func TestFailNodeCascadeCATAndChunkLoss(t *testing.T) {
-	s := newStore(t, 47, caps(6, trace.GB), DefaultConfig())
+	s := newStore(t, 47, caps(6, trace.GB), sim.DefaultConfig())
 	holderOf := func(name string) (id ids.ID, found bool) {
 		s.Pool.Nodes(func(n *sim.StoreNode) {
 			if _, ok := n.Blocks[name]; ok {
@@ -126,19 +127,19 @@ func TestFailNodeCascadeCATAndChunkLoss(t *testing.T) {
 		if !res.OK || res.Chunks != 1 {
 			continue
 		}
-		blockHolder, ok := holderOf(BlockName(name, 0, 0))
+		blockHolder, ok := holderOf(core.BlockName(name, 0, 0))
 		if !ok {
 			t.Fatalf("stored block of %s not found in pool", name)
 		}
 		for r := 0; r <= s.Cfg.CATReplicas; r++ {
-			if h, ok := holderOf(ReplicaName(CATName(name), r)); ok && h == blockHolder {
+			if h, ok := holderOf(core.ReplicaName(core.CATName(name), r)); ok && h == blockHolder {
 				file, victim = name, blockHolder
 				break
 			}
 		}
 	}
 	if file == "" {
-		t.Fatal("no file whose chunk block and CAT replica collide — placement changed?")
+		t.Fatal("no file whose chunk block and core.CAT replica collide — placement changed?")
 	}
 
 	rep, err := s.FailNode(victim, true)
@@ -149,10 +150,10 @@ func TestFailNodeCascadeCATAndChunkLoss(t *testing.T) {
 		t.Fatalf("chunk below threshold not accounted: %+v", rep)
 	}
 	if rep.CATReplicasLost == 0 {
-		t.Fatalf("CAT replica loss not accounted: %+v", rep)
+		t.Fatalf("core.CAT replica loss not accounted: %+v", rep)
 	}
 	if rep.CATReplicasRecreated == 0 {
-		t.Fatalf("CAT replica not re-created despite surviving space: %+v", rep)
+		t.Fatalf("core.CAT replica not re-created despite surviving space: %+v", rep)
 	}
 	if _, err := s.Retrieve(file, 0, 10*trace.MB); err == nil {
 		t.Fatal("retrieval of a file with an unrecoverable chunk succeeded")
@@ -162,7 +163,7 @@ func TestFailNodeCascadeCATAndChunkLoss(t *testing.T) {
 func TestLossOfForeignBlocksIgnored(t *testing.T) {
 	// Blocks not belonging to any indexed file (e.g. from another
 	// store instance) must not corrupt accounting.
-	s := newStore(t, 44, caps(30, trace.GB), DefaultConfig())
+	s := newStore(t, 44, caps(30, trace.GB), sim.DefaultConfig())
 	n := s.Pool.StoreBlock("alien_7_1", 5*trace.MB)
 	if n == nil {
 		t.Fatal("alien store failed")
@@ -178,7 +179,7 @@ func TestLossOfForeignBlocksIgnored(t *testing.T) {
 
 func TestRawBytesMatchesPoolUsage(t *testing.T) {
 	for _, spec := range []erasure.Spec{erasure.NullSpec, erasure.XOR23Spec, erasure.OnlineSimSpec} {
-		cfg := DefaultConfig()
+		cfg := sim.DefaultConfig()
 		cfg.Spec = spec
 		s := newStore(t, 45, caps(60, 2*trace.GB), cfg)
 		var raw int64
@@ -197,9 +198,9 @@ func TestRawBytesMatchesPoolUsage(t *testing.T) {
 func TestRetrieveStatsScaleWithCoding(t *testing.T) {
 	// MinNeeded block fetches per chunk: XOR(2,3) fetches 2 blocks per
 	// chunk; no coding fetches 1.
-	base := newStore(t, 47, caps(40, 2*trace.GB), DefaultConfig())
-	coded := func() *Store {
-		cfg := DefaultConfig()
+	base := newStore(t, 47, caps(40, 2*trace.GB), sim.DefaultConfig())
+	coded := func() *sim.Store {
+		cfg := sim.DefaultConfig()
 		cfg.Spec = erasure.XOR23Spec
 		return newStore(t, 47, caps(40, 2*trace.GB), cfg)
 	}()
@@ -226,7 +227,7 @@ func TestRetrieveStatsScaleWithCoding(t *testing.T) {
 }
 
 func TestDeleteFileReleasesEverything(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := sim.DefaultConfig()
 	cfg.Spec = erasure.XOR23Spec
 	s := newStore(t, 49, caps(50, 2*trace.GB), cfg)
 	res := s.StoreFile("del", 3*trace.GB)
@@ -256,7 +257,7 @@ func TestDeleteFileReleasesEverything(t *testing.T) {
 }
 
 func TestDeleteFileAfterRatelessRepair(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := sim.DefaultConfig()
 	cfg.Spec = erasure.OnlineSimSpec
 	cfg.Rateless = true
 	s := newStore(t, 50, caps(60, 2*trace.GB), cfg)
@@ -280,19 +281,19 @@ func TestDeleteFileAfterRatelessRepair(t *testing.T) {
 	// Nothing of the file may remain anywhere.
 	s.Pool.Nodes(func(n *sim.StoreNode) {
 		for name := range n.Blocks {
-			if f, _, _, ok := ParseBlockName(name); ok && f == "rr" {
+			if f, _, _, ok := core.ParseBlockName(name); ok && f == "rr" {
 				t.Fatalf("leftover block %s", name)
 			}
-			if f, _, ok := IsCATName(name); ok && f == "rr" {
-				t.Fatalf("leftover CAT %s", name)
+			if f, _, ok := core.IsCATName(name); ok && f == "rr" {
+				t.Fatalf("leftover core.CAT %s", name)
 			}
 		}
 	})
 }
 
 func TestChurnSimDrainIdempotent(t *testing.T) {
-	s := newStore(t, 48, caps(20, trace.GB), DefaultConfig())
-	cs := NewChurnSim(s, 1e9, 1.0)
+	s := newStore(t, 48, caps(20, trace.GB), sim.DefaultConfig())
+	cs := sim.NewChurnSim(s, 1e9, 1.0)
 	cs.Drain()
 	cs.Drain()
 	if cs.Backlog() != 0 {

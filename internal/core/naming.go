@@ -1,9 +1,8 @@
-// Package core implements PeerStripe, the paper's primary contribution
-// (§4): a contributory storage system that stores large files as
-// variable-size chunks sized by live getCapacity probes, protects each
-// chunk with per-chunk erasure coding, tracks chunk extents in a chunk
-// allocation table (CAT), and repairs lost encoded blocks from leaf-set
-// neighbors on participant failure.
+// Package core holds the pieces of PeerStripe (§4) that every store of
+// it shares: chunk planning, the block naming convention, the chunk
+// allocation table (CAT), the per-chunk erasure codec and the read
+// planner. The live client (internal/node) and the simulated store
+// (internal/sim) are built on it; core itself links no simulator.
 package core
 
 import (

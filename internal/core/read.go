@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -9,6 +10,14 @@ import (
 
 	"peerstripe/internal/erasure"
 )
+
+// ErrUnavailable reports that a chunk could not be read: fewer of its
+// blocks than the code needs could be fetched.
+var ErrUnavailable = errors.New("core: file unavailable")
+
+// ErrStoreFailed reports that a store gave up because the ring refused
+// its placements.
+var ErrStoreFailed = errors.New("core: file store failed")
 
 // Part is one block range of a group fetch: Len bytes at Off of block
 // Block of the chunk. The fetch sets Data to the bytes it got and
@@ -32,8 +41,8 @@ type Part struct {
 type GroupFetchFunc func(ctx context.Context, file string, ci int, parts []Part, progress func(bytes int)) (rel Releaser, ok bool)
 
 // FetchBlocks adapts a whole-block fetch to a GroupFetchFunc: each part
-// is sliced out of its block — what the in-memory stores of the tests,
-// the simulator and grid.IOLib have.
+// is sliced out of its block — what an in-memory block map, as in the
+// tests and DecodeFile's callers, has.
 func FetchBlocks(fetch FetchFunc) GroupFetchFunc {
 	return func(_ context.Context, file string, ci int, parts []Part, progress func(int)) (Releaser, bool) {
 		for i := range parts {

@@ -1,9 +1,10 @@
-package core
+package core_test
 
 import (
 	"errors"
 	"testing"
 
+	"peerstripe/internal/core"
 	"peerstripe/internal/erasure"
 	"peerstripe/internal/sim"
 	"peerstripe/internal/trace"
@@ -17,13 +18,13 @@ func caps(n int, each int64) []int64 {
 	return cs
 }
 
-func newStore(t testing.TB, seed int64, nodeCaps []int64, cfg Config) *Store {
+func newStore(t testing.TB, seed int64, nodeCaps []int64, cfg sim.Config) *sim.Store {
 	t.Helper()
-	return NewStore(sim.NewPool(seed, nodeCaps), cfg)
+	return sim.NewStore(sim.NewPool(seed, nodeCaps), cfg)
 }
 
 func TestStoreFileBasic(t *testing.T) {
-	s := newStore(t, 1, caps(100, 10*trace.GB), DefaultConfig())
+	s := newStore(t, 1, caps(100, 10*trace.GB), sim.DefaultConfig())
 	res := s.StoreFile("bigfile", 30*trace.GB)
 	if !res.OK {
 		t.Fatalf("store failed: %v", res.Err)
@@ -36,13 +37,13 @@ func TestStoreFileBasic(t *testing.T) {
 	}
 	cat, ok := s.CAT("bigfile")
 	if !ok {
-		t.Fatal("CAT missing")
+		t.Fatal("core.CAT missing")
 	}
 	if err := cat.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if cat.FileSize() != 30*trace.GB {
-		t.Fatalf("CAT records %d bytes", cat.FileSize())
+		t.Fatalf("core.CAT records %d bytes", cat.FileSize())
 	}
 	if !s.Available("bigfile") {
 		t.Fatal("stored file not available")
@@ -52,7 +53,7 @@ func TestStoreFileBasic(t *testing.T) {
 func TestStoreFileLargerThanAnyNode(t *testing.T) {
 	// The headline capability (§4.1): a file bigger than every
 	// individual node still stores.
-	s := newStore(t, 2, caps(50, 2*trace.GB), DefaultConfig())
+	s := newStore(t, 2, caps(50, 2*trace.GB), sim.DefaultConfig())
 	res := s.StoreFile("huge", 20*trace.GB)
 	if !res.OK {
 		t.Fatalf("store failed: %v", res.Err)
@@ -69,7 +70,7 @@ func TestStoreFileLargerThanAnyNode(t *testing.T) {
 }
 
 func TestChunkSizesTrackCapacity(t *testing.T) {
-	s := newStore(t, 3, caps(20, 5*trace.GB), DefaultConfig())
+	s := newStore(t, 3, caps(20, 5*trace.GB), sim.DefaultConfig())
 	res := s.StoreFile("f", 8*trace.GB)
 	if !res.OK {
 		t.Fatal(res.Err)
@@ -82,7 +83,7 @@ func TestChunkSizesTrackCapacity(t *testing.T) {
 }
 
 func TestStoreDuplicateRejected(t *testing.T) {
-	s := newStore(t, 4, caps(10, trace.GB), DefaultConfig())
+	s := newStore(t, 4, caps(10, trace.GB), sim.DefaultConfig())
 	if res := s.StoreFile("dup", 100*trace.MB); !res.OK {
 		t.Fatal(res.Err)
 	}
@@ -92,7 +93,7 @@ func TestStoreDuplicateRejected(t *testing.T) {
 }
 
 func TestStoreFailsWhenPoolFull(t *testing.T) {
-	s := newStore(t, 5, caps(6, 100*trace.MB), DefaultConfig())
+	s := newStore(t, 5, caps(6, 100*trace.MB), sim.DefaultConfig())
 	// Fill the pool.
 	for i := 0; i < 10; i++ {
 		s.StoreFile(trace.File{Name: "", Size: 0}.Name, 0)
@@ -106,7 +107,7 @@ func TestStoreFailsWhenPoolFull(t *testing.T) {
 	if r2.OK {
 		t.Fatal("store succeeded in an exhausted pool")
 	}
-	if !errors.Is(r2.Err, ErrStoreFailed) {
+	if !errors.Is(r2.Err, core.ErrStoreFailed) {
 		t.Fatalf("err = %v, want ErrStoreFailed", r2.Err)
 	}
 	if s.FilesFailed != 1 || s.BytesFailed != 400*trace.MB {
@@ -115,7 +116,7 @@ func TestStoreFailsWhenPoolFull(t *testing.T) {
 }
 
 func TestFailedStoreRollsBack(t *testing.T) {
-	s := newStore(t, 6, caps(5, 100*trace.MB), DefaultConfig())
+	s := newStore(t, 6, caps(5, 100*trace.MB), sim.DefaultConfig())
 	usedBefore := s.Pool.TotalUsed
 	res := s.StoreFile("giant", 10*trace.GB) // cannot possibly fit
 	if res.OK {
@@ -133,7 +134,7 @@ func TestZeroChunksRecorded(t *testing.T) {
 	// One node with space, rest full: most chunk probes hit full nodes
 	// and must produce zero-sized chunks before landing.
 	capsMixed := caps(30, 64*trace.MB)
-	s := newStore(t, 7, capsMixed, DefaultConfig())
+	s := newStore(t, 7, capsMixed, sim.DefaultConfig())
 	stored, zeros := 0, 0
 	for i := 0; i < 40; i++ {
 		res := s.StoreFile(trace.NewGen(int64(i)).Files(1)[0].Name+string(rune('a'+i%26))+string(rune('0'+i/26)), 50*trace.MB)
@@ -151,7 +152,7 @@ func TestZeroChunksRecorded(t *testing.T) {
 }
 
 func TestStoreWithXORCoding(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := sim.DefaultConfig()
 	cfg.Spec = erasure.XOR23Spec
 	s := newStore(t, 8, caps(60, 2*trace.GB), cfg)
 	res := s.StoreFile("coded", 10*trace.GB)
@@ -166,7 +167,7 @@ func TestStoreWithXORCoding(t *testing.T) {
 }
 
 func TestRetrieveWholeAndRange(t *testing.T) {
-	s := newStore(t, 9, caps(50, 2*trace.GB), DefaultConfig())
+	s := newStore(t, 9, caps(50, 2*trace.GB), sim.DefaultConfig())
 	res := s.StoreFile("r", 5*trace.GB)
 	if !res.OK {
 		t.Fatal(res.Err)
@@ -195,14 +196,14 @@ func TestRetrieveWholeAndRange(t *testing.T) {
 }
 
 func TestRetrieveErrors(t *testing.T) {
-	s := newStore(t, 10, caps(10, trace.GB), DefaultConfig())
+	s := newStore(t, 10, caps(10, trace.GB), sim.DefaultConfig())
 	if _, err := s.Retrieve("ghost", 0, 1); err == nil {
 		t.Fatal("retrieve of unknown file succeeded")
 	}
 }
 
 func TestRecreateCAT(t *testing.T) {
-	s := newStore(t, 11, caps(50, 2*trace.GB), DefaultConfig())
+	s := newStore(t, 11, caps(50, 2*trace.GB), sim.DefaultConfig())
 	res := s.StoreFile("rc", 5*trace.GB)
 	if !res.OK {
 		t.Fatal(res.Err)
@@ -225,7 +226,7 @@ func TestRecreateCAT(t *testing.T) {
 }
 
 func TestPlanChunkSizes(t *testing.T) {
-	sizes := PlanChunkSizes(10, 4)
+	sizes := core.PlanChunkSizes(10, 4)
 	want := []int64{4, 4, 2}
 	if len(sizes) != 3 {
 		t.Fatalf("sizes = %v", sizes)
@@ -235,16 +236,16 @@ func TestPlanChunkSizes(t *testing.T) {
 			t.Fatalf("sizes = %v, want %v", sizes, want)
 		}
 	}
-	if PlanChunkSizes(0, 4) != nil {
+	if core.PlanChunkSizes(0, 4) != nil {
 		t.Fatal("zero file should plan no chunks")
 	}
-	if got := PlanChunkSizes(7, 0); len(got) != 1 || got[0] != 7 {
+	if got := core.PlanChunkSizes(7, 0); len(got) != 1 || got[0] != 7 {
 		t.Fatal("uncapped plan should be one chunk")
 	}
 }
 
 func TestMaxChunkSizePolicy(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := sim.DefaultConfig()
 	cfg.MaxChunkSize = 512 * trace.MB
 	s := newStore(t, 12, caps(30, 10*trace.GB), cfg)
 	res := s.StoreFile("capped", 3*trace.GB)
@@ -262,8 +263,8 @@ func TestMaxChunkSizePolicy(t *testing.T) {
 }
 
 func TestReportFractionSlowsChunks(t *testing.T) {
-	full := newStore(t, 13, caps(30, 10*trace.GB), DefaultConfig())
-	frac := newStore(t, 13, caps(30, 10*trace.GB), DefaultConfig())
+	full := newStore(t, 13, caps(30, 10*trace.GB), sim.DefaultConfig())
+	frac := newStore(t, 13, caps(30, 10*trace.GB), sim.DefaultConfig())
 	frac.Pool.SetReportFraction(0.25)
 	a := full.StoreFile("f", 8*trace.GB)
 	b := frac.StoreFile("f", 8*trace.GB)
@@ -278,7 +279,7 @@ func TestReportFractionSlowsChunks(t *testing.T) {
 func TestPaperConfigReproducesTable1Chunking(t *testing.T) {
 	// Under the calibrated §6.1 configuration a 243 MB mean file splits
 	// into ~3 chunks averaging ~81 MB — the paper's Table 1 row.
-	s := newStore(t, 15, caps(100, 45*trace.GB), PaperConfig())
+	s := newStore(t, 15, caps(100, 45*trace.GB), sim.PaperConfig())
 	g := trace.NewGen(16)
 	var chunks, sizes []float64
 	for _, f := range g.Files(300) {
@@ -309,7 +310,7 @@ func TestPaperConfigReproducesTable1Chunking(t *testing.T) {
 }
 
 func TestFilesAccessors(t *testing.T) {
-	s := newStore(t, 14, caps(20, trace.GB), DefaultConfig())
+	s := newStore(t, 14, caps(20, trace.GB), sim.DefaultConfig())
 	s.StoreFile("a", 10*trace.MB)
 	s.StoreFile("b", 10*trace.MB)
 	if s.NumFiles() != 2 || len(s.Files()) != 2 {

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"peerstripe/internal/baseline"
-	"peerstripe/internal/core"
 	"peerstripe/internal/sim"
 	"peerstripe/internal/trace"
 )
@@ -171,9 +170,9 @@ func (c *Cluster) RunBigCopy(scheme Scheme, size int64) CopyResult {
 		res.Chunks = int(cfs.TotalBlocks)
 		res.Seconds = c.Model.TimeFixed(size, res.Chunks)
 	case VaryingChunks:
-		cfg := core.DefaultConfig()
+		cfg := sim.DefaultConfig()
 		cfg.MaxZeroChunks = 64
-		st := core.NewStore(pool, cfg)
+		st := sim.NewStore(pool, cfg)
 		r := st.StoreFile("bigCopy.out", size)
 		if !r.OK {
 			return res

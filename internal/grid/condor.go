@@ -2,6 +2,7 @@ package grid
 
 import (
 	"fmt"
+	"io"
 	"sync"
 )
 
@@ -13,7 +14,7 @@ type Job struct {
 	Name string
 	// Run is the job body. It receives the interposed I/O library the
 	// execution machine preloads (Figure 6) and returns the job error.
-	Run func(io *IOLib) error
+	Run func(lib *IOLib) error
 }
 
 // JobResult reports one completed job.
@@ -109,38 +110,37 @@ func (s *Scheduler) Drain() []JobResult {
 }
 
 // BigCopyJob builds the §6.4 benchmark application as a Job: it opens
-// src through the interposed library, streams it, and writes the copy
-// back into the shared storage as dst.
+// src through the interposed library, streams it to end of file, and
+// writes the copy back into the shared storage as dst.
 func BigCopyJob(src, dst string, bufSize int) Job {
 	if bufSize <= 0 {
 		bufSize = 1 << 20
 	}
 	return Job{
 		Name: fmt.Sprintf("bigCopy(%s->%s)", src, dst),
-		Run: func(io *IOLib) error {
-			in, err := io.Open(src)
+		Run: func(lib *IOLib) error {
+			in, err := lib.Open(src)
 			if err != nil {
 				return err
 			}
-			defer io.Close(in)
-			out, err := io.Create(dst)
+			defer lib.Close(in)
+			out, err := lib.Create(dst)
 			if err != nil {
 				return err
 			}
 			buf := make([]byte, bufSize)
-			cat, _ := io.fs.LoadCAT(src)
-			remaining := cat.FileSize()
-			for remaining > 0 {
-				n, err := io.Read(in, buf)
+			for {
+				n, err := lib.Read(in, buf)
+				if err == io.EOF {
+					return lib.Close(out)
+				}
 				if err != nil {
 					return err
 				}
-				if _, err := io.Write(out, buf[:n]); err != nil {
+				if _, err := lib.Write(out, buf[:n]); err != nil {
 					return err
 				}
-				remaining -= int64(n)
 			}
-			return io.Close(out)
 		},
 	}
 }

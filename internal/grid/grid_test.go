@@ -3,35 +3,115 @@ package grid
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"sync"
 	"testing"
+	"time"
 
-	"peerstripe/internal/core"
-	"peerstripe/internal/erasure"
+	"peerstripe"
 	"peerstripe/internal/trace"
 )
 
-func seedFile(t testing.TB, fs *MemFS, codec *core.Codec, name string, size int, chunk int64) []byte {
+// startRing starts an in-process ring of named storage nodes and waits
+// until every node sees all of them. A node's name fixes its ring ID,
+// so where a file's blocks land is the same on every run.
+func startRing(t testing.TB, names ...string) []*peerstripe.Node {
 	t.Helper()
-	rng := rand.New(rand.NewSource(int64(size)))
-	data := make([]byte, size)
-	rng.Read(data)
-	blocks, cat, err := codec.EncodeFile(context.Background(), name, data, core.PlanChunkSizes(int64(size), chunk))
+	var nodes []*peerstripe.Node
+	seed := ""
+	for _, name := range names {
+		n, err := peerstripe.ListenAndServe("127.0.0.1:0", 64<<20, seed, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		if seed == "" {
+			seed = n.Addr()
+		}
+		nodes = append(nodes, n)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		converged := true
+		for _, n := range nodes {
+			converged = converged && n.RingSize() == len(nodes)
+		}
+		if converged {
+			return nodes
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("ring did not converge")
+		}
+	}
+}
+
+// dial connects a client to the ring through its first node.
+func dial(t testing.TB, nodes []*peerstripe.Node, opts ...peerstripe.Option) *peerstripe.Client {
+	t.Helper()
+	c, err := peerstripe.Dial(context.Background(), nodes[0].Addr(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.StoreBlocks(cat, blocks); err != nil {
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// newLib starts a four-node ring and returns an I/O library over a
+// client dialed with opts, the client, and the nodes.
+func newLib(t testing.TB, opts ...peerstripe.Option) (*IOLib, *peerstripe.Client, []*peerstripe.Node) {
+	t.Helper()
+	nodes := startRing(t, "n0", "n1", "n2", "n3")
+	c := dial(t, nodes, opts...)
+	return NewIOLib(c), c, nodes
+}
+
+// seedFile stores size random bytes under name and returns them.
+func seedFile(t testing.TB, c *peerstripe.Client, name string, size int) []byte {
+	t.Helper()
+	data := make([]byte, size)
+	rand.New(rand.NewSource(int64(size))).Read(data)
+	if _, err := c.StoreBytes(context.Background(), name, data); err != nil {
 		t.Fatal(err)
 	}
 	return data
 }
 
+// readStored reads a stored file whole through the client.
+func readStored(t testing.TB, c *peerstripe.Client, name string) []byte {
+	t.Helper()
+	f, err := c.Open(context.Background(), name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// writeFile creates name through lib and writes payload to it.
+func writeFile(t testing.TB, lib *IOLib, name string, payload []byte) {
+	t.Helper()
+	fd, err := lib.Create(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lib.Write(fd, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := lib.Close(fd); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestIOLibOpenReadClose(t *testing.T) {
-	fs := NewMemFS()
-	codec := &core.Codec{Code: erasure.NewNull()}
-	data := seedFile(t, fs, codec, "in.dat", 100000, 16384)
-	lib := NewIOLib(fs, codec)
+	lib, c, _ := newLib(t, peerstripe.WithCode("null"), peerstripe.WithChunkCap(16384))
+	data := seedFile(t, c, "in.dat", 100000)
 
 	fd, err := lib.Open("in.dat")
 	if err != nil {
@@ -60,11 +140,47 @@ func TestIOLibOpenReadClose(t *testing.T) {
 	}
 }
 
+// TestIOLibReadEOF checks that the end of file is io.EOF, as io.Reader
+// and io.ReaderAt report it, so a copy loop can stop on it.
+func TestIOLibReadEOF(t *testing.T) {
+	lib, c, _ := newLib(t, peerstripe.WithCode("null"), peerstripe.WithChunkCap(4096))
+	data := seedFile(t, c, "eof.dat", 10000)
+	fd, err := lib.Open("eof.dat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 4096)
+	total := 0
+	for {
+		n, err := lib.Read(fd, buf)
+		total += n
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if total != len(data) {
+		t.Fatalf("read %d bytes before EOF, want %d", total, len(data))
+	}
+	if n, err := lib.Read(fd, buf); n != 0 || !errors.Is(err, io.EOF) {
+		t.Fatalf("Read at end = %d, %v; want 0, io.EOF", n, err)
+	}
+	if n, err := lib.ReadAt(fd, buf, int64(len(data)-100)); n != 100 || !errors.Is(err, io.EOF) {
+		t.Fatalf("short ReadAt = %d, %v; want 100, io.EOF", n, err)
+	}
+	if !bytes.Equal(buf[:100], data[len(data)-100:]) {
+		t.Fatal("short ReadAt mismatch")
+	}
+	if n, err := lib.ReadAt(fd, buf, int64(len(data))); n != 0 || !errors.Is(err, io.EOF) {
+		t.Fatalf("ReadAt at end = %d, %v; want 0, io.EOF", n, err)
+	}
+}
+
 func TestIOLibReadAtAndSeek(t *testing.T) {
-	fs := NewMemFS()
-	codec := &core.Codec{Code: erasure.MustXOR(2)}
-	data := seedFile(t, fs, codec, "x.dat", 50000, 9000)
-	lib := NewIOLib(fs, codec)
+	lib, c, _ := newLib(t, peerstripe.WithCode("xor"), peerstripe.WithChunkCap(9000))
+	data := seedFile(t, c, "x.dat", 50000)
 	fd, err := lib.Open("x.dat")
 	if err != nil {
 		t.Fatal(err)
@@ -91,11 +207,64 @@ func TestIOLibReadAtAndSeek(t *testing.T) {
 	}
 }
 
+// TestIOLibReadSeekConcurrent reads one descriptor while another
+// goroutine seeks it. Every word of the file holds its own offset, so
+// each Read must return a contiguous run that starts at an offset some
+// Seek or an earlier Read left; under -race, an offset read outside
+// the descriptor's lock is reported.
+func TestIOLibReadSeekConcurrent(t *testing.T) {
+	lib, c, _ := newLib(t, peerstripe.WithCode("null"), peerstripe.WithChunkCap(16384))
+	const size = 64 << 10
+	data := make([]byte, size)
+	for off := 0; off < size; off += 4 {
+		binary.LittleEndian.PutUint32(data[off:], uint32(off))
+	}
+	if _, err := c.StoreBytes(context.Background(), "seek.dat", data); err != nil {
+		t.Fatal(err)
+	}
+	fd, err := lib.Open("seek.dat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	start := make(chan struct{}) // both loops begin together, so they overlap
+	go func() {
+		defer wg.Done()
+		<-start
+		for i := 0; i < 1000; i++ {
+			if err := lib.Seek(fd, int64(i*4096%size)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		<-start
+		buf := make([]byte, 512)
+		for i := 0; i < 1000; i++ {
+			n, err := lib.Read(fd, buf)
+			if errors.Is(err, io.EOF) {
+				continue
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			start := binary.LittleEndian.Uint32(buf)
+			if !bytes.Equal(buf[:n], data[start:int(start)+n]) {
+				t.Errorf("read %d at %d is not one contiguous range", n, start)
+				return
+			}
+		}
+	}()
+	close(start)
+	wg.Wait()
+}
+
 func TestIOLibWritePath(t *testing.T) {
-	fs := NewMemFS()
-	codec := &core.Codec{Code: erasure.NewNull()}
-	lib := NewIOLib(fs, codec)
-	lib.PlanChunk = func(sz int64) []int64 { return core.PlanChunkSizes(sz, 10000) }
+	lib, c, _ := newLib(t, peerstripe.WithCode("null"), peerstripe.WithChunkCap(10000))
 
 	fd, err := lib.Create("out.dat")
 	if err != nil {
@@ -123,20 +292,18 @@ func TestIOLibWritePath(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("write/readback mismatch")
 	}
-	cat, err := fs.LoadCAT("out.dat")
+	info, err := c.Stat(context.Background(), "out.dat")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cat.NumChunks() != 4 { // 33000 bytes at 10000/chunk
-		t.Fatalf("chunks = %d, want 4", cat.NumChunks())
+	if info.Chunks != 4 { // 33000 bytes at 10000/chunk
+		t.Fatalf("chunks = %d, want 4", info.Chunks)
 	}
 }
 
 func TestIOLibCache(t *testing.T) {
-	fs := NewMemFS()
-	codec := &core.Codec{Code: erasure.NewNull()}
-	seedFile(t, fs, codec, "c.dat", 1000, 1000)
-	lib := NewIOLib(fs, codec)
+	lib, c, _ := newLib(t, peerstripe.WithCode("null"), peerstripe.WithChunkCap(1000))
+	seedFile(t, c, "c.dat", 1000)
 	fd1, _ := lib.Open("c.dat")
 	lib.Close(fd1)
 	fd2, _ := lib.Open("c.dat")
@@ -153,119 +320,102 @@ func TestIOLibCache(t *testing.T) {
 	}
 }
 
-// TestIOLibChunkCache checks that repeated reads within a chunk decode
-// once: after the first ReadAt, re-reads hit the decoded-chunk LRU and
-// trigger no further block fetches.
+// TestIOLibChunkCache checks that reads go through the client's shared
+// chunk cache: a scan decodes each chunk once, and later ReadAts inside
+// a decoded chunk are hits that fetch nothing.
 func TestIOLibChunkCache(t *testing.T) {
-	fs := NewMemFS()
-	codec := &core.Codec{Code: erasure.MustXOR(2)}
-	data := seedFile(t, fs, codec, "lru.dat", 64000, 16000)
-	lib := NewIOLib(fs, codec)
+	lib, c, _ := newLib(t, peerstripe.WithCode("xor"), peerstripe.WithChunkCap(16000))
+	data := seedFile(t, c, "lru.dat", 64000) // 4 chunks
 	fd, err := lib.Open("lru.dat")
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 1000)
-	fetchTotal := func() int {
-		n := 0
-		for _, c := range fs.FetchCount {
-			n += c
+	var got []byte
+	for {
+		n, err := lib.Read(fd, buf)
+		got = append(got, buf[:n]...)
+		if err == io.EOF {
+			break
 		}
-		return n
-	}
-	if _, err := lib.ReadAt(fd, buf, 100); err != nil {
-		t.Fatal(err)
-	}
-	after1 := fetchTotal()
-	if after1 == 0 {
-		t.Fatal("first read fetched nothing")
-	}
-	for i := 0; i < 10; i++ {
-		if _, err := lib.ReadAt(fd, buf, int64(100+i*700)); err != nil {
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(buf, data[100+i*700:1100+i*700]) {
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("scan mismatch")
+	}
+	scanned := c.CacheStats()
+	if scanned.Decodes != 4 {
+		t.Fatalf("a scan of 4 chunks decoded %d times", scanned.Decodes)
+	}
+	fetches := func() int64 { return c.Metrics().Latencies["ps_client_fetch_seconds"].Count }
+	before := fetches()
+	for i := 0; i < 10; i++ {
+		off := 100 + i*700
+		if _, err := lib.ReadAt(fd, buf, int64(off)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, data[off:off+1000]) {
 			t.Fatalf("cached read %d mismatch", i)
 		}
 	}
-	if got := fetchTotal(); got != after1 {
-		t.Fatalf("re-reads inside a cached chunk fetched %d more blocks", got-after1)
+	if n := fetches() - before; n != 0 {
+		t.Fatalf("re-reads inside a decoded chunk fetched %d times", n)
 	}
-	hits, misses := lib.ChunkCacheStats()
-	if hits != 10 || misses != 1 {
-		t.Fatalf("chunk cache hits=%d misses=%d, want 10/1", hits, misses)
-	}
-	// Invalidation drops the decoded chunk too.
-	lib.InvalidateCache("lru.dat")
-	if _, err := lib.ReadAt(fd, buf, 100); err != nil {
-		t.Fatal(err)
-	}
-	if got := fetchTotal(); got == after1 {
-		t.Fatal("invalidation left the decoded chunk cached")
+	st := c.CacheStats()
+	if st.Hits != scanned.Hits+10 || st.Misses != scanned.Misses || st.Decodes != scanned.Decodes {
+		t.Fatalf("re-reads: hits %d→%d misses %d→%d decodes %d→%d, want 10 more hits and nothing else",
+			scanned.Hits, st.Hits, scanned.Misses, st.Misses, scanned.Decodes, st.Decodes)
 	}
 }
 
-// TestIOLibChunkCacheEvicts bounds the LRU: touching more chunks than
-// its capacity evicts the oldest, and a disabled cache never hits.
+// TestIOLibChunkCacheEvicts bounds the client's cache: touching more
+// chunks than it holds evicts the oldest, and a disabled cache never
+// hits.
 func TestIOLibChunkCacheEvicts(t *testing.T) {
-	fs := NewMemFS()
-	codec := &core.Codec{Code: erasure.NewNull()}
-	seedFile(t, fs, codec, "ev.dat", 40000, 4000) // 10 chunks
-	lib := NewIOLib(fs, codec)
-	lib.ChunkCacheSize = 2
+	lib, c, nodes := newLib(t, peerstripe.WithCode("null"), peerstripe.WithChunkCap(4000),
+		peerstripe.WithChunkCache(2*4000)) // room for two chunks
+	seedFile(t, c, "ev.dat", 40000) // 10 chunks
 	fd, _ := lib.Open("ev.dat")
-	buf := make([]byte, 100)
-	for _, off := range []int64{0, 4000, 8000, 0} { // third read evicts chunk 0
+	// Whole-chunk reads go through the cache; the third evicts chunk 0.
+	buf := make([]byte, 4000)
+	for _, off := range []int64{0, 4000, 8000, 0} {
 		if _, err := lib.ReadAt(fd, buf, off); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if hits, misses := lib.ChunkCacheStats(); hits != 0 || misses != 4 {
-		t.Fatalf("hits=%d misses=%d, want 0/4 after eviction", hits, misses)
+	if st := c.CacheStats(); st.Hits != 0 || st.Misses != 4 || st.Evictions == 0 {
+		t.Fatalf("hits=%d misses=%d evictions=%d, want 0/4 and evictions", st.Hits, st.Misses, st.Evictions)
 	}
 
-	off := NewIOLib(fs, codec)
-	off.ChunkCacheSize = -1
+	uncached := dial(t, nodes, peerstripe.WithCode("null"), peerstripe.WithChunkCache(0))
+	off := NewIOLib(uncached)
 	fd2, _ := off.Open("ev.dat")
 	for i := 0; i < 3; i++ {
 		if _, err := off.ReadAt(fd2, buf, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if hits, misses := off.ChunkCacheStats(); hits != 0 || misses != 0 {
-		t.Fatalf("disabled cache recorded hits=%d misses=%d", hits, misses)
+	if st := uncached.CacheStats(); st.Hits != 0 || st.Misses != 3 {
+		t.Fatalf("disabled cache: hits=%d misses=%d, want 0/3", st.Hits, st.Misses)
 	}
 }
 
 // TestIOLibWriteInvalidatesChunkCache overwrites a file through the
 // write path and checks readers see the new contents.
 func TestIOLibWriteInvalidatesChunkCache(t *testing.T) {
-	fs := NewMemFS()
-	codec := &core.Codec{Code: erasure.NewNull()}
-	lib := NewIOLib(fs, codec)
-	lib.PlanChunk = func(sz int64) []int64 { return core.PlanChunkSizes(sz, 1000) }
+	lib, _, _ := newLib(t, peerstripe.WithCode("null"), peerstripe.WithChunkCap(1000))
 
-	writeFile := func(payload []byte) {
-		fd, err := lib.Create("rw.dat")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := lib.Write(fd, payload); err != nil {
-			t.Fatal(err)
-		}
-		if err := lib.Close(fd); err != nil {
-			t.Fatal(err)
-		}
-	}
 	v1 := bytes.Repeat([]byte{1}, 2000)
-	writeFile(v1)
+	writeFile(t, lib, "rw.dat", v1)
 	fd, _ := lib.Open("rw.dat")
 	buf := make([]byte, 2000)
 	if _, err := lib.ReadAt(fd, buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	v2 := bytes.Repeat([]byte{2}, 2000)
-	writeFile(v2)
+	writeFile(t, lib, "rw.dat", v2)
 	fd2, _ := lib.Open("rw.dat")
 	if _, err := lib.ReadAt(fd2, buf, 0); err != nil {
 		t.Fatal(err)
@@ -277,34 +427,19 @@ func TestIOLibWriteInvalidatesChunkCache(t *testing.T) {
 
 // TestIOLibChunkCacheStaleDescriptor is the regression test for cache
 // poisoning: a reader holding a CAT from before a rewrite must not
-// leave a wrong-length chunk in the LRU for fresh readers to slice.
+// leave a wrong-length chunk in the cache for fresh readers to slice.
 func TestIOLibChunkCacheStaleDescriptor(t *testing.T) {
-	fs := NewMemFS()
-	codec := &core.Codec{Code: erasure.NewNull()}
-	lib := NewIOLib(fs, codec)
-	lib.PlanChunk = func(sz int64) []int64 { return core.PlanChunkSizes(sz, 1000) }
+	lib, _, _ := newLib(t, peerstripe.WithCode("null"), peerstripe.WithChunkCap(1000))
 
-	writeFile := func(payload []byte) {
-		fd, err := lib.Create("stale.dat")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := lib.Write(fd, payload); err != nil {
-			t.Fatal(err)
-		}
-		if err := lib.Close(fd); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeFile(bytes.Repeat([]byte{1}, 500)) // v1: chunk 0 is 500 bytes
+	writeFile(t, lib, "stale.dat", bytes.Repeat([]byte{1}, 500)) // v1: chunk 0 is 500 bytes
 	staleFD, err := lib.Open("stale.dat")
 	if err != nil {
 		t.Fatal(err)
 	}
 	v2 := bytes.Repeat([]byte{2}, 1000) // v2: chunk 0 is 1000 bytes
-	writeFile(v2)
-	// The stale descriptor reads through its v1 CAT, repopulating the
-	// LRU with a 500-byte decode of v2's chunk 0.
+	writeFile(t, lib, "stale.dat", v2)
+	// The stale descriptor reads through its v1 CAT, decoding a
+	// 500-byte chunk 0 from v2's blocks.
 	buf := make([]byte, 500)
 	if _, err := lib.ReadAt(staleFD, buf, 0); err != nil {
 		t.Logf("stale read errored (acceptable): %v", err)
@@ -325,18 +460,27 @@ func TestIOLibChunkCacheStaleDescriptor(t *testing.T) {
 }
 
 func TestIOLibMissingFile(t *testing.T) {
-	lib := NewIOLib(NewMemFS(), &core.Codec{Code: erasure.NewNull()})
-	if _, err := lib.Open("ghost"); err == nil {
-		t.Fatal("open of missing file succeeded")
+	lib, _, _ := newLib(t)
+	if _, err := lib.Open("ghost"); !errors.Is(err, peerstripe.ErrNotFound) {
+		t.Fatalf("open of missing file: %v, want ErrNotFound", err)
 	}
 }
 
+// TestIOLibToleratesDroppedBlockWithCoding closes the node holding data
+// block 0 of a one-chunk xor file. The node names are chosen so that
+// the chunk's three blocks land on three different nodes and the
+// closed one holds no CAT copy: the read must rebuild from the other
+// two.
 func TestIOLibToleratesDroppedBlockWithCoding(t *testing.T) {
-	fs := NewMemFS()
-	codec := &core.Codec{Code: erasure.MustXOR(2)}
-	data := seedFile(t, fs, codec, "f.dat", 30000, 30000)
-	fs.DropBlock(core.BlockName("f.dat", 0, 0)) // lose a data block
-	lib := NewIOLib(fs, codec)
+	nodes := startRing(t, "n12", "n13", "n14", "n15")
+	c := dial(t, nodes, peerstripe.WithCode("xor"), peerstripe.WithChunkCap(30000))
+	data := seedFile(t, c, "f.dat", 30000) // one chunk
+	victim := nodes[0]
+	if n := victim.Blocks(); n != 1 {
+		t.Fatalf("victim holds %d blocks, want exactly one of the chunk's", n)
+	}
+	victim.Close()
+	lib := NewIOLib(c)
 	fd, err := lib.Open("f.dat")
 	if err != nil {
 		t.Fatal(err)
@@ -351,10 +495,8 @@ func TestIOLibToleratesDroppedBlockWithCoding(t *testing.T) {
 }
 
 func TestSchedulerRunsJobs(t *testing.T) {
-	fs := NewMemFS()
-	codec := &core.Codec{Code: erasure.NewNull()}
-	seedFile(t, fs, codec, "src.dat", 50000, 8192)
-	lib := NewIOLib(fs, codec)
+	lib, c, _ := newLib(t, peerstripe.WithCode("null"), peerstripe.WithChunkCap(8192))
+	data := seedFile(t, c, "src.dat", 50000)
 	sched := NewScheduler(lib, 4)
 	for i := 0; i < 6; i++ {
 		sched.Submit(BigCopyJob("src.dat", fmt.Sprintf("dst%d.dat", i), 4096))
@@ -371,14 +513,15 @@ func TestSchedulerRunsJobs(t *testing.T) {
 			t.Fatalf("job %s failed: %v", r.Job, r.Err)
 		}
 	}
-	if got := len(fs.Files()); got != 7 { // src + 6 copies
-		t.Fatalf("files = %d", got)
+	for i := 0; i < 6; i++ {
+		if got := readStored(t, c, fmt.Sprintf("dst%d.dat", i)); !bytes.Equal(got, data) {
+			t.Fatalf("dst%d.dat is not a copy of src.dat", i)
+		}
 	}
 }
 
 func TestSchedulerRecoversPanics(t *testing.T) {
-	lib := NewIOLib(NewMemFS(), &core.Codec{Code: erasure.NewNull()})
-	sched := NewScheduler(lib, 2)
+	sched := NewScheduler(nil, 2)
 	sched.Submit(Job{Name: "boom", Run: func(*IOLib) error { panic("kaboom") }})
 	results := sched.Drain()
 	if len(results) != 1 || results[0].Err == nil {
@@ -497,7 +640,7 @@ func TestRunTable4Shape(t *testing.T) {
 }
 
 func TestBigCopyJobMissingSource(t *testing.T) {
-	lib := NewIOLib(NewMemFS(), &core.Codec{Code: erasure.NewNull()})
+	lib, _, _ := newLib(t)
 	sched := NewScheduler(lib, 1)
 	sched.Submit(BigCopyJob("missing.bin", "out.bin", 1024))
 	results := sched.Drain()
@@ -507,18 +650,15 @@ func TestBigCopyJobMissingSource(t *testing.T) {
 }
 
 func TestSchedulerDrainEmpty(t *testing.T) {
-	lib := NewIOLib(NewMemFS(), &core.Codec{Code: erasure.NewNull()})
-	sched := NewScheduler(lib, 2)
+	sched := NewScheduler(nil, 2)
 	if got := sched.Drain(); len(got) != 0 {
 		t.Fatalf("empty drain returned %d results", len(got))
 	}
 }
 
 func TestIOLibWriteOnReadFD(t *testing.T) {
-	fs := NewMemFS()
-	codec := &core.Codec{Code: erasure.NewNull()}
-	seedFile(t, fs, codec, "ro.dat", 100, 100)
-	lib := NewIOLib(fs, codec)
+	lib, c, _ := newLib(t)
+	seedFile(t, c, "ro.dat", 100)
 	fd, err := lib.Open("ro.dat")
 	if err != nil {
 		t.Fatal(err)
@@ -533,10 +673,8 @@ func TestIOLibWriteOnReadFD(t *testing.T) {
 }
 
 func TestIOLibDoubleClose(t *testing.T) {
-	fs := NewMemFS()
-	codec := &core.Codec{Code: erasure.NewNull()}
-	seedFile(t, fs, codec, "dc.dat", 100, 100)
-	lib := NewIOLib(fs, codec)
+	lib, c, _ := newLib(t)
+	seedFile(t, c, "dc.dat", 100)
 	fd, _ := lib.Open("dc.dat")
 	if err := lib.Close(fd); err != nil {
 		t.Fatal(err)
@@ -547,9 +685,14 @@ func TestIOLibDoubleClose(t *testing.T) {
 }
 
 func TestIOLibSeekErrors(t *testing.T) {
-	lib := NewIOLib(NewMemFS(), &core.Codec{Code: erasure.NewNull()})
+	lib, c, _ := newLib(t)
+	seedFile(t, c, "sk.dat", 100)
 	if err := lib.Seek(99, 0); err == nil {
 		t.Fatal("seek on bad fd accepted")
+	}
+	fd, _ := lib.Open("sk.dat")
+	if err := lib.Seek(fd, -1); err == nil {
+		t.Fatal("negative seek accepted")
 	}
 }
 
@@ -572,10 +715,8 @@ func TestClusterWholeFileUsesLargestMachine(t *testing.T) {
 }
 
 func TestIOLibConcurrentReaders(t *testing.T) {
-	fs := NewMemFS()
-	codec := &core.Codec{Code: erasure.MustXOR(2)}
-	data := seedFile(t, fs, codec, "conc.dat", 200000, 16384)
-	lib := NewIOLib(fs, codec)
+	lib, c, _ := newLib(t, peerstripe.WithCode("xor"), peerstripe.WithChunkCap(16384))
+	data := seedFile(t, c, "conc.dat", 200000)
 
 	const workers = 8
 	errs := make(chan error, workers)

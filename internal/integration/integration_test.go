@@ -1,5 +1,5 @@
 // Package integration exercises whole-system paths across modules: the
-// storage core over the real overlay, availability accounting checked
+// simulated store over the real overlay, availability accounting checked
 // against brute-force ground truth, and the full §6.4 stack (scheduler →
 // interposed I/O → codec → live TCP ring).
 package integration
@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"peerstripe"
 	"peerstripe/internal/baseline"
 	"peerstripe/internal/core"
 	"peerstripe/internal/erasure"
@@ -21,14 +22,14 @@ import (
 )
 
 // TestAvailabilityMatchesBruteForce cross-checks the incremental
-// survivor accounting in core against a from-scratch scan of every
+// survivor accounting in the simulated store against a from-scratch scan of every
 // block's presence in the pool.
 func TestAvailabilityMatchesBruteForce(t *testing.T) {
 	g := trace.NewGen(1)
 	pool := sim.NewPool(1, g.NodeCapacities(200))
-	cfg := core.DefaultConfig()
+	cfg := sim.DefaultConfig()
 	cfg.Spec = erasure.XOR23Spec
-	st := core.NewStore(pool, cfg)
+	st := sim.NewStore(pool, cfg)
 
 	type fileInfo struct {
 		name   string
@@ -113,7 +114,7 @@ func TestThreeSchemesOnSharedWorkload(t *testing.T) {
 	}
 
 	poolO := sim.NewPool(2, capacities)
-	ours := core.NewStore(poolO, core.DefaultConfig())
+	ours := sim.NewStore(poolO, sim.DefaultConfig())
 	var chunkAcc float64
 	var chunkN int
 	for _, f := range files {
@@ -157,21 +158,21 @@ func TestFullGridStackOverLiveRing(t *testing.T) {
 		}
 		servers = append(servers, s)
 	}
-	client, err := node.NewClientCfg(context.Background(), seed, erasure.MustXOR(2), node.Config{})
+	client, err := peerstripe.Dial(context.Background(), seed,
+		peerstripe.WithCode("xor"), peerstripe.WithChunkCap(512<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer client.Close()
 
 	// Seed an input file directly through the client.
 	data := make([]byte, 2<<20)
 	rand.New(rand.NewSource(3)).Read(data)
-	if _, err := client.StoreFileCtx(context.Background(), "input.bin", data); err != nil {
+	if _, err := client.StoreBytes(context.Background(), "input.bin", data); err != nil {
 		t.Fatal(err)
 	}
 
-	codec := &core.Codec{Code: erasure.MustXOR(2)}
-	lib := grid.NewIOLib(client, codec)
-	lib.PlanChunk = func(sz int64) []int64 { return core.PlanChunkSizes(sz, 512<<10) }
+	lib := grid.NewIOLib(client)
 	sched := grid.NewScheduler(lib, 3)
 	for i := 0; i < 4; i++ {
 		sched.Submit(grid.BigCopyJob("input.bin", fmt.Sprintf("copy%d.bin", i), 256<<10))
@@ -209,10 +210,10 @@ func TestFullGridStackOverLiveRing(t *testing.T) {
 func TestRepairKeepsFilesRetrievableUnderChurn(t *testing.T) {
 	g := trace.NewGen(4)
 	pool := sim.NewPool(4, g.NodeCapacities(250))
-	cfg := core.DefaultConfig()
+	cfg := sim.DefaultConfig()
 	cfg.Spec = erasure.OnlineSimSpec
 	cfg.Rateless = true
-	st := core.NewStore(pool, cfg)
+	st := sim.NewStore(pool, cfg)
 	var names []string
 	for _, f := range g.Files(200) {
 		if st.StoreFile(f.Name, f.Size).OK {
@@ -250,7 +251,7 @@ func TestRepairKeepsFilesRetrievableUnderChurn(t *testing.T) {
 func TestCodecMatchesSimulatedPlacement(t *testing.T) {
 	g := trace.NewGen(5)
 	pool := sim.NewPool(5, g.NodeCapacities(80))
-	st := core.NewStore(pool, core.DefaultConfig())
+	st := sim.NewStore(pool, sim.DefaultConfig())
 	const size = 3 << 20
 	res := st.StoreFile("real.dat", size)
 	if !res.OK {

@@ -91,9 +91,7 @@ func (cfg Config) withDefaults() Config {
 // Client stores and retrieves files against a live ring, implementing
 // the full §4.3 pipeline over real sockets: batched getCapacity probes,
 // capacity-driven chunk sizing, erasure coding, direct block transfers,
-// and CAT placement with neighbor replicas. It also implements grid.FS,
-// so the interposed I/O library can run unmodified against a live
-// cluster.
+// and CAT placement with neighbor replicas.
 //
 // All transfers ride a multiplexed connection pool (one persistent
 // socket per peer) and fan out over a bounded worker pool; reads are
@@ -103,8 +101,8 @@ func (cfg Config) withDefaults() Config {
 //
 // A Client is safe for concurrent use. Its configuration is frozen at
 // construction (see Config); every operation takes a ctx that bounds
-// it end to end, except the grid.FS methods (LoadCAT, FetchBlock,
-// StoreBlocks), whose interface has none.
+// it end to end, except FetchBlock, a whole-block fetch for tools and
+// tests.
 type Client struct {
 	code erasure.Code
 	cfg  Config
@@ -693,11 +691,6 @@ func catReplicaNames(file string, n int) []string {
 	return names
 }
 
-// LoadCAT fetches and parses the file's CAT; see LoadCATCtx.
-func (c *Client) LoadCAT(name string) (*core.CAT, error) {
-	return c.LoadCATCtx(context.Background(), name)
-}
-
 // LoadCATCtx fetches and parses the file's CAT: one OpFetch of
 // replica 0, then, when that cannot be read, the other replicas in
 // turn (§4.4). When every replica is reported absent by a live owner
@@ -762,19 +755,13 @@ func (c *Client) ReadChunkCtx(ctx context.Context, cat *core.CAT, ci int, lo int
 	return c.readCodec.ReadChunk(ctx, cat, ci, lo, dst)
 }
 
-// FetchBlock implements grid.FS.
+// FetchBlock fetches one named block whole from its owner.
 func (c *Client) FetchBlock(name string) ([]byte, error) {
 	return c.fetchBlock(context.Background(), name)
 }
 
-// StoreBlocks implements grid.FS: it places pre-encoded blocks and the
-// CAT with replicas, fanning the transfers out in parallel.
-func (c *Client) StoreBlocks(cat *core.CAT, blocks []core.NamedBlock) error {
-	return c.StoreBlocksCtx(context.Background(), cat, blocks)
-}
-
-// StoreBlocksCtx is StoreBlocks bounded by ctx. The blocks go in owner
-// groups, as a store's chunks do.
+// StoreBlocksCtx places pre-encoded blocks and then the CAT with its
+// replicas. The blocks go in owner groups, as a store's chunks do.
 func (c *Client) StoreBlocksCtx(ctx context.Context, cat *core.CAT, blocks []core.NamedBlock) error {
 	var names nameList
 	for _, b := range blocks {

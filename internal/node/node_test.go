@@ -11,7 +11,6 @@ import (
 
 	"peerstripe/internal/core"
 	"peerstripe/internal/erasure"
-	"peerstripe/internal/grid"
 	"peerstripe/internal/ids"
 	"peerstripe/internal/wire"
 )
@@ -263,42 +262,6 @@ func chunkBlocks(s *Server, file string) (held, perChunk int) {
 		}
 	}
 	return held, perChunk
-}
-
-func TestClientImplementsGridFS(t *testing.T) {
-	_, seed := startRing(t, 4, 1<<30)
-	c, err := NewClientCfg(context.Background(), seed, erasure.NewNull(), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var _ grid.FS = c // compile-time interface check
-
-	codec := &core.Codec{Code: erasure.NewNull()}
-	lib := grid.NewIOLib(c, codec)
-	lib.PlanChunk = func(sz int64) []int64 { return core.PlanChunkSizes(sz, 30_000) }
-
-	fd, err := lib.Create("via-iolib.dat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := bytes.Repeat([]byte("grid-io"), 10_000)
-	if _, err := lib.Write(fd, payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := lib.Close(fd); err != nil {
-		t.Fatal(err)
-	}
-	rfd, err := lib.Open("via-iolib.dat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, len(payload))
-	if _, err := lib.ReadAt(rfd, got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("IOLib over live ring mismatch")
-	}
 }
 
 func TestOwnerOfAgreesWithDistance(t *testing.T) {

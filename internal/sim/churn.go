@@ -1,6 +1,7 @@
-package core
+package sim
 
 import (
+	"peerstripe/internal/core"
 	"peerstripe/internal/ids"
 )
 
@@ -65,7 +66,7 @@ func (s *Store) processLoss(name string, size int64, repair bool, rep *FailureRe
 	rep.BlocksLost++
 	rep.BytesLost += size
 
-	if file, _, isCAT := IsCATName(name); isCAT {
+	if file, _, isCAT := core.IsCATName(name); isCAT {
 		fs, ok := s.files[file]
 		if !ok {
 			return
@@ -75,7 +76,7 @@ func (s *Store) processLoss(name string, size int64, repair bool, rep *FailureRe
 		if repair {
 			// §4.4: "in case of failure of a node, create new replicas";
 			// even a fully lost CAT is re-creatable by chunk probing.
-			if s.Pool.StoreBlock(ReplicaName(CATName(file), freshReplicaTag(fs)), size) != nil {
+			if s.Pool.StoreBlock(core.ReplicaName(core.CATName(file), freshReplicaTag(fs)), size) != nil {
 				fs.catAlive++
 				rep.CATReplicasRecreated++
 				rep.BytesRegenerated += size
@@ -85,7 +86,7 @@ func (s *Store) processLoss(name string, size int64, repair bool, rep *FailureRe
 		return
 	}
 
-	file, chunk, _, ok := ParseBlockName(name)
+	file, chunk, _, ok := core.ParseBlockName(name)
 	if !ok {
 		return
 	}
@@ -119,7 +120,7 @@ func (s *Store) processLoss(name string, size int64, repair bool, rep *FailureRe
 		// overloaded-successor problem (§4.4).
 		const attempts = 4
 		for a := 0; a < attempts; a++ {
-			bn := BlockName(file, chunk, fs.nextECB[chunk])
+			bn := core.BlockName(file, chunk, fs.nextECB[chunk])
 			fs.nextECB[chunk]++
 			if s.Pool.StoreBlock(bn, size) != nil {
 				fs.survivors[chunk]++
@@ -202,7 +203,7 @@ func (c *ChurnSim) FailNext(id ids.ID) error {
 	var regenThisFailure int64
 	spec := c.S.Cfg.Spec
 	for name, size := range lost {
-		if file, _, isCAT := IsCATName(name); isCAT {
+		if file, _, isCAT := core.IsCATName(name); isCAT {
 			if fs, ok := c.S.files[file]; ok {
 				fs.catAlive--
 				c.schedule(pendingRepair{file: file, size: size, isCAT: true, name: name})
@@ -210,7 +211,7 @@ func (c *ChurnSim) FailNext(id ids.ID) error {
 			}
 			continue
 		}
-		file, chunk, _, ok := ParseBlockName(name)
+		file, chunk, _, ok := core.ParseBlockName(name)
 		if !ok {
 			continue
 		}
@@ -258,7 +259,7 @@ func (c *ChurnSim) completeReady() {
 			continue
 		}
 		if p.isCAT {
-			if c.S.Pool.StoreBlock(ReplicaName(CATName(p.file), freshReplicaTag(fs)), p.size) != nil {
+			if c.S.Pool.StoreBlock(core.ReplicaName(core.CATName(p.file), freshReplicaTag(fs)), p.size) != nil {
 				fs.catAlive++
 			}
 			continue
@@ -268,7 +269,7 @@ func (c *ChurnSim) completeReady() {
 		}
 		var bn string
 		if c.S.Cfg.Rateless {
-			bn = BlockName(p.file, p.chunk, fs.nextECB[p.chunk])
+			bn = core.BlockName(p.file, p.chunk, fs.nextECB[p.chunk])
 			fs.nextECB[p.chunk]++
 		} else {
 			bn = p.name

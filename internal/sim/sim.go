@@ -2,7 +2,9 @@
 // per-node contributed capacity, a directory of stored blocks, the
 // getCapacity probe with its local reporting policy (§4.3), failure
 // injection, and the bookkeeping the evaluation harness reads (bytes
-// stored, failed, lost, regenerated).
+// stored, failed, lost, regenerated). On that pool runs the simulated
+// PeerStripe store (Store): the §4.3 store procedure, availability and
+// §4.4 repair accounting, and the Table 3 churn model (ChurnSim).
 //
 // Blocks are simulated by name and size only — the storage experiments
 // of §6.1–§6.2 depend on placement and capacity arithmetic, not payload

@@ -1,12 +1,11 @@
-package core
+package sim
 
 import (
-	"errors"
 	"fmt"
 
+	"peerstripe/internal/core"
 	"peerstripe/internal/erasure"
 	"peerstripe/internal/ids"
-	"peerstripe/internal/sim"
 )
 
 // Config parameterises a PeerStripe store.
@@ -52,12 +51,12 @@ func PaperConfig() Config {
 
 // fileState tracks a stored file for availability accounting and repair.
 type fileState struct {
-	cat           *CAT
+	cat           *core.CAT
 	blockSizes    []int64 // per chunk; 0 for empty chunks
 	survivors     []int   // live encoded blocks per chunk
 	nextECB       []int   // next fresh block index (rateless repair naming)
-	catAlive      int     // surviving CAT replicas
-	catReplicaSeq int     // counter for re-created CAT replica names
+	catAlive      int     // surviving core.CAT replicas
+	catReplicaSeq int     // counter for re-created core.CAT replica names
 	unavail       bool
 }
 
@@ -80,16 +79,9 @@ type StoreResult struct {
 	Err error
 }
 
-// ErrStoreFailed is wrapped by StoreResult.Err when the zero-chunk
-// limit is exceeded.
-var ErrStoreFailed = errors.New("core: file store failed")
-
-// ErrUnavailable is returned by Retrieve when a chunk is undecodable.
-var ErrUnavailable = errors.New("core: file unavailable")
-
 // Store is a PeerStripe instance bound to a simulated pool.
 type Store struct {
-	Pool *sim.Pool
+	Pool *Pool
 	Cfg  Config
 
 	files  map[string]*fileState
@@ -105,7 +97,7 @@ type Store struct {
 }
 
 // NewStore builds a PeerStripe store over the pool.
-func NewStore(pool *sim.Pool, cfg Config) *Store {
+func NewStore(pool *Pool, cfg Config) *Store {
 	if cfg.MaxZeroChunks <= 0 {
 		cfg.MaxZeroChunks = 5
 	}
@@ -126,13 +118,13 @@ func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
 // the consecutive-zero-chunk limit fails the store with rollback.
 func (s *Store) StoreFile(name string, size int64) StoreResult {
 	if _, dup := s.files[name]; dup {
-		return StoreResult{File: name, Err: fmt.Errorf("core: %q already stored", name)}
+		return StoreResult{File: name, Err: fmt.Errorf("sim: %q already stored", name)}
 	}
 	res := StoreResult{File: name}
 	spec := s.Cfg.Spec
 	n64, m := int64(spec.DataBlocks), spec.TotalBlocks
 
-	fs := &fileState{cat: &CAT{File: name}}
+	fs := &fileState{cat: &core.CAT{File: name}}
 	var placed []string // block names placed, for rollback
 	remaining := size
 	zeroRun := 0
@@ -149,9 +141,9 @@ func (s *Store) StoreFile(name string, size int64) StoreResult {
 		// Probe: create the encoded block names of this chunk (names
 		// only, no data yet) and ask each target its capacity.
 		minCap := int64(-1)
-		targets := make([]*sim.StoreNode, m)
+		targets := make([]*StoreNode, m)
 		for e := 0; e < m; e++ {
-			node := s.Pool.Lookup(BlockName(name, chunk, e))
+			node := s.Pool.Lookup(core.BlockName(name, chunk, e))
 			targets[e] = node
 			var c int64
 			if node != nil {
@@ -181,7 +173,7 @@ func (s *Store) StoreFile(name string, size int64) StoreResult {
 			// probe/store race of §4.3) voids the chunk.
 			var thisChunk []string
 			for e := 0; e < m; e++ {
-				bn := BlockName(name, chunk, e)
+				bn := core.BlockName(name, chunk, e)
 				if s.Pool.StoreBlock(bn, blockSize) == nil {
 					ok = false
 					for _, pb := range thisChunk {
@@ -200,7 +192,7 @@ func (s *Store) StoreFile(name string, size int64) StoreResult {
 		if !ok {
 			// Zero-sized chunk: skip this chunk number and retry at the
 			// next (the built-in retry of §4.3).
-			fs.cat.Rows = append(fs.cat.Rows, CATRow{Start: pos, End: pos})
+			fs.cat.Rows = append(fs.cat.Rows, core.CATRow{Start: pos, End: pos})
 			fs.blockSizes = append(fs.blockSizes, 0)
 			fs.survivors = append(fs.survivors, 0)
 			fs.nextECB = append(fs.nextECB, m)
@@ -210,7 +202,7 @@ func (s *Store) StoreFile(name string, size int64) StoreResult {
 			if zeroRun > s.Cfg.MaxZeroChunks {
 				rollback()
 				res.Err = fmt.Errorf("%w: %q: %d consecutive zero-sized chunks",
-					ErrStoreFailed, name, zeroRun)
+					core.ErrStoreFailed, name, zeroRun)
 				s.FilesFailed++
 				s.BytesFailed += size
 				return res
@@ -219,7 +211,7 @@ func (s *Store) StoreFile(name string, size int64) StoreResult {
 		}
 
 		zeroRun = 0
-		fs.cat.Rows = append(fs.cat.Rows, CATRow{Start: pos, End: pos + chunkBytes})
+		fs.cat.Rows = append(fs.cat.Rows, core.CATRow{Start: pos, End: pos + chunkBytes})
 		fs.blockSizes = append(fs.blockSizes, blockSize)
 		fs.survivors = append(fs.survivors, m)
 		fs.nextECB = append(fs.nextECB, m)
@@ -237,7 +229,7 @@ func (s *Store) StoreFile(name string, size int64) StoreResult {
 	catSize := fs.cat.SizeBytes()
 	want := s.Cfg.CATReplicas + 1
 	for r := 0; r < want+8 && fs.catAlive < want; r++ {
-		if s.Pool.StoreBlock(ReplicaName(CATName(name), r), catSize) != nil {
+		if s.Pool.StoreBlock(core.ReplicaName(core.CATName(name), r), catSize) != nil {
 			fs.catAlive++
 			res.RawBytes += catSize
 		}
@@ -245,7 +237,7 @@ func (s *Store) StoreFile(name string, size int64) StoreResult {
 	if fs.catAlive == 0 && size > 0 {
 		// Pool so full even the tiny CAT cannot land: fail the store.
 		rollback()
-		res.Err = fmt.Errorf("%w: %q: could not place CAT", ErrStoreFailed, name)
+		res.Err = fmt.Errorf("%w: %q: could not place CAT", core.ErrStoreFailed, name)
 		s.FilesFailed++
 		s.BytesFailed += size
 		return res
@@ -260,7 +252,7 @@ func (s *Store) StoreFile(name string, size int64) StoreResult {
 }
 
 // CAT returns the stored file's chunk allocation table.
-func (s *Store) CAT(name string) (*CAT, bool) {
+func (s *Store) CAT(name string) (*core.CAT, bool) {
 	fs, ok := s.files[name]
 	if !ok {
 		return nil, false
@@ -295,19 +287,19 @@ func (s *Store) Retrieve(name string, off, length int64) (RetrieveStats, error) 
 	var st RetrieveStats
 	fs, ok := s.files[name]
 	if !ok {
-		return st, fmt.Errorf("core: %q not stored", name)
+		return st, fmt.Errorf("sim: %q not stored", name)
 	}
 	if fs.unavail {
-		return st, fmt.Errorf("%w: %q", ErrUnavailable, name)
+		return st, fmt.Errorf("%w: %q", core.ErrUnavailable, name)
 	}
 	// One lookup locates the CAT (or a replica).
 	st.Lookups++
-	s.Pool.Lookup(CATName(name))
+	s.Pool.Lookup(core.CATName(name))
 	for _, ci := range fs.cat.ChunksFor(off, length) {
 		st.Chunks++
 		need := s.Cfg.Spec.MinNeeded
 		if fs.survivors[ci] < need {
-			return st, fmt.Errorf("%w: %q chunk %d", ErrUnavailable, name, ci)
+			return st, fmt.Errorf("%w: %q chunk %d", core.ErrUnavailable, name, ci)
 		}
 		st.BlockFetches += need
 		st.Bytes += int64(need) * fs.blockSizes[ci]
@@ -320,13 +312,13 @@ func (s *Store) Retrieve(name string, off, length int64) (RetrieveStats, error) 
 // probed incrementally by name until MaxZeroChunks+1 consecutive probes
 // miss, which bounds the search. It returns the reconstructed table and
 // the number of overlay lookups spent.
-func (s *Store) RecreateCAT(name string) (*CAT, int, error) {
+func (s *Store) RecreateCAT(name string) (*core.CAT, int, error) {
 	fs, ok := s.files[name]
 	if !ok {
-		return nil, 0, fmt.Errorf("core: %q not stored", name)
+		return nil, 0, fmt.Errorf("sim: %q not stored", name)
 	}
 	lookups := 0
-	rebuilt := &CAT{File: name}
+	rebuilt := &core.CAT{File: name}
 	misses := 0
 	pos := int64(0)
 	for chunk := 0; misses <= s.Cfg.MaxZeroChunks; chunk++ {
@@ -334,11 +326,11 @@ func (s *Store) RecreateCAT(name string) (*CAT, int, error) {
 		if chunk < len(fs.blockSizes) && fs.blockSizes[chunk] > 0 {
 			misses = 0
 			sz := fs.cat.Rows[chunk].Len()
-			rebuilt.Rows = append(rebuilt.Rows, CATRow{Start: pos, End: pos + sz})
+			rebuilt.Rows = append(rebuilt.Rows, core.CATRow{Start: pos, End: pos + sz})
 			pos += sz
 		} else {
 			misses++
-			rebuilt.Rows = append(rebuilt.Rows, CATRow{Start: pos, End: pos})
+			rebuilt.Rows = append(rebuilt.Rows, core.CATRow{Start: pos, End: pos})
 		}
 	}
 	// Trim the trailing miss probes (they are beyond the end of file).
@@ -352,13 +344,13 @@ func (s *Store) RecreateCAT(name string) (*CAT, int, error) {
 func (s *Store) DeleteFile(name string) (int64, error) {
 	fs, ok := s.files[name]
 	if !ok {
-		return 0, fmt.Errorf("core: delete: %q not stored", name)
+		return 0, fmt.Errorf("sim: delete: %q not stored", name)
 	}
 	var released int64
 	for ci := range fs.cat.Rows {
 		// Original indices plus any fresh ones minted by repair.
 		for e := 0; e < fs.nextECB[ci]; e++ {
-			bn := BlockName(name, ci, e)
+			bn := core.BlockName(name, ci, e)
 			if owner := s.Pool.OwnerOf(bn); owner != nil {
 				if sz, ok := owner.Delete(bn); ok {
 					s.Pool.TotalUsed -= sz
@@ -369,7 +361,7 @@ func (s *Store) DeleteFile(name string) (int64, error) {
 	}
 	// CAT replicas, including re-created ones.
 	for r := 0; r < s.Cfg.CATReplicas+1+8; r++ {
-		rn := ReplicaName(CATName(name), r)
+		rn := core.ReplicaName(core.CATName(name), r)
 		if owner := s.Pool.OwnerOf(rn); owner != nil {
 			if sz, ok := owner.Delete(rn); ok {
 				s.Pool.TotalUsed -= sz
@@ -378,7 +370,7 @@ func (s *Store) DeleteFile(name string) (int64, error) {
 		}
 	}
 	for r := 0; r <= fs.catReplicaSeq; r++ {
-		rn := ReplicaName(CATName(name), 100+r)
+		rn := core.ReplicaName(core.CATName(name), 100+r)
 		if owner := s.Pool.OwnerOf(rn); owner != nil {
 			if sz, ok := owner.Delete(rn); ok {
 				s.Pool.TotalUsed -= sz
