@@ -64,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPoolOperations$$' -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreWindow$$' -fuzztime $(FUZZTIME) ./internal/node
 	$(GO) test -run '^$$' -fuzz '^FuzzFetchGroup$$' -fuzztime $(FUZZTIME) ./internal/node
+	$(GO) test -run '^$$' -fuzz '^FuzzBlockFrames$$' -fuzztime $(FUZZTIME) ./internal/node
 	$(GO) test -run '^$$' -fuzz '^FuzzWireFrame$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeUpdates$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkSum$$' -fuzztime $(FUZZTIME) ./internal/core

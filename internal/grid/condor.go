@@ -111,7 +111,8 @@ func (s *Scheduler) Drain() []JobResult {
 
 // BigCopyJob builds the §6.4 benchmark application as a Job: it opens
 // src through the interposed library, streams it to end of file, and
-// writes the copy back into the shared storage as dst.
+// writes the copy back into the shared storage as dst. A job that fails
+// mid-copy discards dst's descriptor, storing nothing.
 func BigCopyJob(src, dst string, bufSize int) Job {
 	if bufSize <= 0 {
 		bufSize = 1 << 20
@@ -134,10 +135,11 @@ func BigCopyJob(src, dst string, bufSize int) Job {
 				if err == io.EOF {
 					return lib.Close(out)
 				}
-				if err != nil {
-					return err
+				if err == nil {
+					_, err = lib.Write(out, buf[:n])
 				}
-				if _, err := lib.Write(out, buf[:n]); err != nil {
+				if err != nil {
+					lib.Discard(out) //nolint:errcheck // out is this job's write descriptor
 					return err
 				}
 			}

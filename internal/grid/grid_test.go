@@ -649,6 +649,64 @@ func TestBigCopyJobMissingSource(t *testing.T) {
 	}
 }
 
+// TestBigCopyJobFailureDropsDescriptors runs a copy whose source fails
+// mid-job: its location is cached, then every node goes away. The job
+// must fail and leave no descriptor open, its output's included.
+func TestBigCopyJobFailureDropsDescriptors(t *testing.T) {
+	lib, c, nodes := newLib(t)
+	seedFile(t, c, "src.bin", 100<<10)
+	fd, err := lib.Open("src.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lib.Close(fd); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range nodes {
+		n.Close()
+	}
+	sched := NewScheduler(lib, 1)
+	sched.Submit(BigCopyJob("src.bin", "dst.bin", 4<<10))
+	results := sched.Drain()
+	if len(results) != 1 || results[0].Err == nil {
+		t.Fatalf("copy from a dead ring returned %+v, want an error", results)
+	}
+	if hits, _ := lib.CacheStats(); hits != 1 {
+		t.Fatalf("the job's Open had %d cache hits, want 1: the source's location was not cached", hits)
+	}
+	lib.mu.Lock()
+	open := len(lib.fds)
+	lib.mu.Unlock()
+	if open != 0 {
+		t.Fatalf("failed copy left %d descriptors open", open)
+	}
+}
+
+func TestIOLibDiscard(t *testing.T) {
+	lib, c, _ := newLib(t)
+	seedFile(t, c, "ro.dat", 100)
+	wfd, _ := lib.Create("gone.dat")
+	if _, err := lib.Write(wfd, []byte("never stored")); err != nil {
+		t.Fatal(err)
+	}
+	if err := lib.Discard(wfd); err != nil {
+		t.Fatal(err)
+	}
+	if err := lib.Close(wfd); err == nil {
+		t.Fatal("close after discard accepted")
+	}
+	if _, err := lib.Open("gone.dat"); err == nil {
+		t.Fatal("a discarded descriptor's file was stored")
+	}
+	rfd, err := lib.Open("ro.dat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lib.Discard(rfd); err == nil {
+		t.Fatal("discard of a read descriptor accepted")
+	}
+}
+
 func TestSchedulerDrainEmpty(t *testing.T) {
 	sched := NewScheduler(nil, 2)
 	if got := sched.Drain(); len(got) != 0 {

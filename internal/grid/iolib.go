@@ -210,3 +210,15 @@ func (l *IOLib) Close(fd int) error {
 	l.InvalidateCache(st.name)
 	return nil
 }
+
+// Discard releases a write-mode descriptor without storing what was
+// written to it: a job that fails mid-write lets its output go.
+func (l *IOLib) Discard(fd int) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if st, ok := l.fds[fd]; !ok || st.file != nil {
+		return fmt.Errorf("grid: discard: bad descriptor %d", fd)
+	}
+	delete(l.fds, fd)
+	return nil
+}

@@ -37,13 +37,13 @@ func FuzzFetchGroup(f *testing.F) {
 		}
 		rand.New(rand.NewSource(int64(size))).Read(blocks["0"])
 		rand.New(rand.NewSource(int64(size) + 1)).Read(blocks["1"])
-		s := &Server{blocks: make(map[string][]byte), blockSizes: make(map[string]int64), discard: discard}
+		s := &Server{blocks: make(map[string]storedBlock), discard: discard}
 		for k, b := range blocks {
-			s.blockSizes["f_0_"+k] = int64(len(b))
-			s.blocks["f_0_"+k] = b
+			sb := storedBlock{data: b, size: int64(len(b))}
 			if discard {
-				s.blocks["f_0_"+k] = nil
+				sb.data = nil
 			}
+			s.blocks["f_0_"+k] = sb
 		}
 		asked := []wire.Part{ // "2" is never stored
 			{Key: []byte{'0' + k0%4}, Off: off0, Len: int64(len0)},

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sort"
@@ -177,10 +178,12 @@ func (r *repairer) noteDeath(d *deathEvent) {
 	s := r.s
 	s.mu.Lock()
 	cats := make(map[string][]byte)
-	for name, data := range s.blocks {
-		if file, _, ok := core.IsCATName(name); ok && len(data) > 0 {
+	for name, b := range s.blocks {
+		if file, _, ok := core.IsCATName(name); ok && len(b.data) > 0 {
 			if _, seen := cats[file]; !seen {
-				cats[file] = data
+				// A copy: the block's frame may go back to the pools
+				// once the lock is let go.
+				cats[file] = bytes.Clone(b.data)
 			}
 		}
 	}

@@ -44,6 +44,26 @@ type storeStage struct {
 	touched time.Time
 }
 
+// storedBlock is one block the node holds: size logical bytes, and
+// data, the bytes themselves (none in discard mode). A block stored
+// from a single frame keeps that receive frame, held with the other
+// blocks of its request; a block assembled from windowed segments
+// keeps its staging buffer instead.
+type storedBlock struct {
+	data []byte
+	size int64
+	held *heldFrame
+}
+
+// heldFrame is a receive frame that stored blocks view: its request's
+// blocks share it, and the last of them to be deleted or overwritten
+// gives it back to the wire pools. The node's block store is those
+// pools: it neither copies a stored block nor allocates its bytes.
+type heldFrame struct {
+	frame  wire.Frame
+	blocks int
+}
+
 // Server is one live storage node, serving pipelined multiplexed
 // requests on every connection. Blocks larger than one segment arrive
 // as windowed OpStoreWindow segments; blocks too large for one frame
@@ -79,9 +99,9 @@ type Server struct {
 
 	mu          sync.Mutex
 	maxInflight int
-	used        int64
-	blocks      map[string][]byte
-	blockSizes  map[string]int64 // logical sizes in discard mode
+	used        int64 // logical bytes of the blocks held
+	frameBytes  int64 // capacity of the receive frames blocks keep
+	blocks      map[string]storedBlock
 	stages      map[uint64]*storeStage
 	committed   map[uint64]time.Time // recently committed streams, for retried final acks
 	discard     bool
@@ -178,7 +198,7 @@ func NewServerOpts(addr string, capacity int64, seedAddr string, o ServerOptions
 		met:       newServerMetrics(reg),
 		ln:        ln,
 		pool:      wire.NewPool(),
-		blocks:    make(map[string][]byte),
+		blocks:    make(map[string]storedBlock),
 		stages:    make(map[uint64]*storeStage),
 		committed: make(map[uint64]time.Time),
 		conns:     make(map[net.Conn]struct{}),
@@ -246,6 +266,11 @@ func (s *Server) registerStateMetrics() {
 		return s.capacity
 	})
 	s.reg.GaugeFunc("ps_node_used_bytes", "Bytes currently stored.", s.Used)
+	s.reg.GaugeFunc("ps_node_frame_bytes", "Receive-frame capacity stored blocks keep: the memory behind ps_node_used_bytes, each frame rounded up to its size class.", func() int64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.frameBytes
+	})
 	s.reg.GaugeFunc("ps_node_blocks", "Blocks currently held.", func() int64 {
 		return int64(s.NumBlocks())
 	})
@@ -270,8 +295,9 @@ func (s *Server) registerStateMetrics() {
 // Close stops serving: the detector and repair daemon stop, the
 // listener, every open connection and the node's own pooled
 // connections to its peers are closed (persistent clients see the
-// hangup and fail over). Stored blocks are discarded, as when
-// a desktop departs.
+// hangup and fail over). Stored blocks are discarded, as when a
+// desktop departs, and the receive frames they kept go back to the
+// wire pools.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -296,6 +322,13 @@ func (s *Server) Close() error {
 		s.rep.closeClient()
 	}
 	s.wg.Wait()
+	s.mu.Lock()
+	for name, b := range s.blocks {
+		delete(s.blocks, name)
+		s.used -= b.size
+		s.dropFrameLocked(b.held)
+	}
+	s.mu.Unlock()
 	return err
 }
 
@@ -396,12 +429,15 @@ func (s *Server) dispatch(req *wire.Request) *wire.Response {
 		if len(req.Parts) > 0 {
 			return s.storeGroup(req)
 		}
-		// req.Data is a view into the receive frame, which goes back to
-		// the pool after the response: the block keeps a copy.
-		data := bytes.Clone(req.Data)
+		// The block keeps req.Data where it lies, and its frame with it.
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return s.commitBlockLocked(req.Name, data, int64(len(data)))
+		size := int64(len(req.Data))
+		if !s.fitsLocked(req.Name, size) {
+			return noSpace
+		}
+		s.putLocked(req.Name, storedBlock{data: req.Data, size: size, held: s.holdLocked(req, 1)})
+		return okResp
 	case wire.OpStoreWindow:
 		return s.handleStoreWindow(req)
 	case wire.OpFetch:
@@ -447,6 +483,9 @@ func (s *Server) dispatch(req *wire.Request) *wire.Response {
 // response, so an accepted store or delete allocates none.
 var okResp = &wire.Response{OK: true}
 
+// noSpace refuses a store past the node's capacity.
+var noSpace = &wire.Response{Err: "no space"}
+
 // noBlock is the refusal for a block this node does not hold — the
 // answer a load of an unstored name, a degraded read and a repair scan
 // get — built with strconv into a stack buffer, not fmt: the text is
@@ -469,54 +508,88 @@ func (k *keyBuf) key(prefix string, key []byte) []byte {
 
 // deleteLocked removes one block, if held.
 func (s *Server) deleteLocked(name string) {
-	if size, ok := s.sizeOfLocked(name); ok {
-		s.used -= size
+	if b, ok := s.blocks[name]; ok {
 		delete(s.blocks, name)
-		delete(s.blockSizes, name)
+		s.used -= b.size
+		s.dropFrameLocked(b.held)
+	}
+}
+
+// fitsLocked reports whether a block of size bytes stored as name —
+// replacing the block of that name, if held — stays inside capacity.
+func (s *Server) fitsLocked(name string, size int64) bool {
+	return s.used+size-s.blocks[name].size <= s.capacity
+}
+
+// putLocked stores b as name, replacing the block of that name, if
+// held. In discard mode it keeps the size alone.
+func (s *Server) putLocked(name string, b storedBlock) {
+	if s.discard {
+		b.data = nil
+	}
+	s.deleteLocked(name)
+	s.blocks[name] = b
+	s.used += b.size
+}
+
+// holdLocked retains req's receive frame for the n blocks about to be
+// stored from it, or returns nil when they keep none: in discard mode,
+// or when no frame holds the request's bytes — it had none, or it was
+// not read off a connection.
+func (s *Server) holdLocked(req *wire.Request, n int) *heldFrame {
+	if s.discard {
+		return nil
+	}
+	f := req.Retain()
+	if f == (wire.Frame{}) {
+		return nil
+	}
+	s.frameBytes += int64(f.Cap())
+	return &heldFrame{frame: f, blocks: n}
+}
+
+// dropFrameLocked lets a deleted or overwritten block's frame go: the
+// last block viewing it releases it. A fetch answer still being written
+// from it holds its own pin (wire.Part.Hold).
+func (s *Server) dropFrameLocked(h *heldFrame) {
+	if h == nil {
+		return
+	}
+	if h.blocks--; h.blocks == 0 {
+		s.frameBytes -= int64(h.frame.Cap())
+		h.frame.Release()
 	}
 }
 
 // storeGroup serves a store group (see wire.Part): the group is checked
 // against capacity as a whole and commits under one lock, or is refused
-// whole — a full node or a name twice in one group leaves used and the
-// block map as they were. Each block keeps a copy of its bytes, out of
-// the receive frame, made before the lock as a single-block store's is:
-// the lock covers the bookkeeping, not the copying, so the node's other
-// requests do not wait on a large group.
+// whole — a full node or a name twice in one group leaves used, the
+// block map and every frame's references as they were. Each block
+// keeps its bytes where they lie, in the receive frame, which the
+// group's blocks hold together: nothing is copied, and the lock covers
+// bookkeeping only.
 func (s *Server) storeGroup(req *wire.Request) *wire.Response {
 	if dup := duplicateKey(req.Parts); dup >= 0 {
 		return &wire.Response{Err: fmt.Sprintf("block %q twice in one group", req.Name+string(req.Parts[dup].Key))}
 	}
 	names := make([]string, len(req.Parts))
-	data := make([][]byte, len(req.Parts))
 	for i, p := range req.Parts {
 		names[i] = req.Name + string(p.Key)
-		data[i] = bytes.Clone(p.Data)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var delta int64
 	for i, name := range names {
-		delta += int64(len(data[i]))
-		if old, dup := s.sizeOfLocked(name); dup {
-			delta -= old
-		}
+		delta += int64(len(req.Parts[i].Data)) - s.blocks[name].size
 	}
 	if s.used+delta > s.capacity {
-		return &wire.Response{Err: "no space"}
+		return noSpace
 	}
+	held := s.holdLocked(req, len(names))
 	for i, name := range names {
-		if s.discard {
-			if s.blockSizes == nil {
-				s.blockSizes = make(map[string]int64)
-			}
-			s.blocks[name] = nil
-			s.blockSizes[name] = int64(len(data[i]))
-		} else {
-			s.blocks[name] = data[i]
-		}
+		data := req.Parts[i].Data
+		s.putLocked(name, storedBlock{data: data, size: int64(len(data)), held: held})
 	}
-	s.used += delta
 	return okResp
 }
 
@@ -546,12 +619,12 @@ func duplicateKey(parts []wire.Part) int {
 
 // fetchGroup serves a fetch group (see wire.Part): every part is
 // answered in request order with bytes [Off, min(Off+Len, size)) of its
-// block — written to the connection from the block itself, not copied —
-// or marked absent. A part whose range starts past its block's end
-// refuses the group whole, as does an answer that would not fit one
-// frame, which the client never asks for. The answers
-// take the parts' places in req.Parts, which the connection keeps until
-// the response is written.
+// block — written to the connection from the block itself, not copied,
+// with the block's frame held until it is written — or marked absent. A
+// part whose range starts past its block's end refuses the group whole,
+// as does an answer that would not fit one frame, which the client
+// never asks for. The answers take the parts' places in req.Parts,
+// which the connection keeps until the response is written.
 func (s *Server) fetchGroup(req *wire.Request) *wire.Response {
 	s.fetchOps.Add(int64(len(req.Parts)))
 	var kb keyBuf
@@ -561,15 +634,12 @@ func (s *Server) fetchGroup(req *wire.Request) *wire.Response {
 	for i := range req.Parts {
 		p := &req.Parts[i]
 		name := kb.key(req.Name, p.Key)
-		data, ok := s.blocks[string(name)]
+		b, ok := s.blocks[string(name)]
 		if !ok {
 			*p = wire.Part{Absent: true}
 			continue
 		}
-		size := int64(len(data))
-		if s.discard {
-			size = s.blockSizes[string(name)]
-		}
+		data, size := b.data, b.size
 		if p.Off < 0 || p.Off > size || p.Len < 0 {
 			return &wire.Response{Err: fmt.Sprintf("range of %d bytes at %d outside block %q of %d bytes", p.Len, p.Off, name, size)}
 		}
@@ -578,6 +648,12 @@ func (s *Server) fetchGroup(req *wire.Request) *wire.Response {
 		lo := min(p.Off, int64(len(data)))
 		hi := lo + min(p.Len, int64(len(data))-lo)
 		*p = wire.Part{Data: data[lo:hi]}
+		if b.held != nil && hi > lo {
+			// A delete may let the frame go before Serve has written
+			// the answer; the pin keeps it from carrying another
+			// message meanwhile.
+			p.Hold(b.held.frame)
+		}
 		total += hi - lo
 	}
 	if total > maxSingleFrameBlock {
@@ -589,45 +665,6 @@ func (s *Server) fetchGroup(req *wire.Request) *wire.Response {
 // maxSingleFrameBlock is the most block bytes one response carries; the
 // margin leaves room for the frame's own fields.
 const maxSingleFrameBlock = wire.MaxFrame - 4096
-
-// sizeOfLocked returns a held block's logical size. In discard mode
-// the bytes are dropped at commit, so the size rides the sizes side
-// table instead of len(blocks[name]).
-func (s *Server) sizeOfLocked(name string) (int64, bool) {
-	data, ok := s.blocks[name]
-	if !ok {
-		return 0, false
-	}
-	if s.discard {
-		return s.blockSizes[name], true
-	}
-	return int64(len(data)), true
-}
-
-// commitBlockLocked applies the capacity check and stores (or, in
-// discard mode, accounts for) one complete block. Both the
-// single-frame store and the final streaming segment land here, so the
-// two paths cannot drift.
-func (s *Server) commitBlockLocked(name string, data []byte, size int64) *wire.Response {
-	delta := size
-	if old, dup := s.sizeOfLocked(name); dup {
-		delta -= old
-	}
-	if s.used+delta > s.capacity {
-		return &wire.Response{Err: "no space"}
-	}
-	if s.discard {
-		if s.blockSizes == nil {
-			s.blockSizes = make(map[string]int64)
-		}
-		s.blocks[name] = nil
-		s.blockSizes[name] = size
-	} else {
-		s.blocks[name] = data
-	}
-	s.used += delta
-	return okResp
-}
 
 // reapStaleStagesLocked reclaims staging buffers of crashed clients
 // and expires the committed-stream re-ack entries. Called on every
@@ -651,9 +688,8 @@ func (s *Server) reapStaleStagesLocked(now time.Time) {
 // buffer in whatever order the client's window delivers them. The
 // first segment to arrive — not necessarily seq 0 — opens the stage
 // after an early capacity check; the one completing the bitmap commits
-// the block through the single-frame store path. Acks carry the bytes
-// staged so far in Capacity, the flow-control signal windowed senders
-// advance on.
+// the block. Acks carry the bytes staged so far in Capacity, the
+// flow-control signal windowed senders advance on.
 func (s *Server) handleStoreWindow(req *wire.Request) *wire.Response {
 	s.windowOps.Add(1)
 	seg, err := wire.ParseStoreWindow(req)
@@ -677,12 +713,8 @@ func (s *Server) handleStoreWindow(req *wire.Request) *wire.Response {
 		}
 		// Refuse early what the commit would refuse anyway, before the
 		// client ships the remaining segments.
-		delta := seg.Size
-		if old, dup := s.sizeOfLocked(req.Name); dup {
-			delta -= old
-		}
-		if s.used+delta > s.capacity {
-			return &wire.Response{Err: "no space"}
+		if !s.fitsLocked(req.Name, seg.Size) {
+			return noSpace
 		}
 		st = &storeStage{
 			name: req.Name, total: seg.Total, size: seg.Size,
@@ -722,12 +754,14 @@ func (s *Server) handleStoreWindow(req *wire.Request) *wire.Response {
 		return &wire.Response{OK: true, Capacity: st.got}
 	}
 	delete(s.stages, seg.Stream)
-	resp := s.commitBlockLocked(st.name, st.buf, st.size)
-	if resp.OK {
-		s.committed[seg.Stream] = now
-		resp = &wire.Response{OK: true, Capacity: st.size}
+	if !s.fitsLocked(st.name, st.size) {
+		return noSpace
 	}
-	return resp
+	// The block keeps its staging buffer: the segments' frames went
+	// back to the pools as each was copied in.
+	s.putLocked(st.name, storedBlock{data: st.buf, size: st.size})
+	s.committed[seg.Stream] = now
+	return &wire.Response{OK: true, Capacity: st.size}
 }
 
 // handleJoin registers a new member, replies with the full ring, and

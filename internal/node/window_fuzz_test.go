@@ -131,7 +131,7 @@ func FuzzStoreWindow(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		s := &Server{
 			capacity:  1 << 10,
-			blocks:    make(map[string][]byte),
+			blocks:    make(map[string]storedBlock),
 			stages:    make(map[uint64]*storeStage),
 			committed: make(map[uint64]time.Time),
 		}
@@ -141,8 +141,8 @@ func FuzzStoreWindow(f *testing.F) {
 			before := s.stages[seg.Stream]
 			_, wasCommitted := s.committed[seg.Stream]
 			stagesBefore := len(s.stages)
-			old, held := s.blocks[name]
-			old = bytes.Clone(old)
+			ob, held := s.blocks[name]
+			old := bytes.Clone(ob.data)
 
 			req := wire.EncodeStoreWindow(name, seg, payload)
 			_, malformed := wire.ParseStoreWindow(req)
@@ -183,7 +183,7 @@ func FuzzStoreWindow(f *testing.F) {
 				if len(s.stages) > stagesBefore {
 					t.Fatalf("stream %d: refused segment opened a stage", seg.Stream)
 				}
-				if now, ok := s.blocks[name]; ok != held || !bytes.Equal(now, old) {
+				if now, ok := s.blocks[name]; ok != held || !bytes.Equal(now.data, old) {
 					t.Fatalf("stream %d: refused segment changed block %q: %s", seg.Stream, name, resp.Err)
 				}
 				continue
@@ -204,7 +204,7 @@ func FuzzStoreWindow(f *testing.F) {
 			if before == nil && wasCommitted {
 				// A retried segment of a committed stream: re-acked, and
 				// nothing placed.
-				if now := s.blocks[name]; !bytes.Equal(now, old) {
+				if now := s.blocks[name]; !bytes.Equal(now.data, old) {
 					t.Fatalf("stream %d: re-ack after commit changed block %q", seg.Stream, name)
 				}
 				continue
@@ -222,7 +222,7 @@ func FuzzStoreWindow(f *testing.F) {
 				want = append(want, p...)
 			}
 			delete(models, seg.Stream)
-			if got := s.blocks[name]; !bytes.Equal(got, want) || resp.Capacity != seg.Size {
+			if got := s.blocks[name].data; !bytes.Equal(got, want) || resp.Capacity != seg.Size {
 				t.Fatalf("stream %d committed %d bytes (ack %d) to %q, want its %d segment bytes in seq order",
 					seg.Stream, len(got), resp.Capacity, name, len(want))
 			}

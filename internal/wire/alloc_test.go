@@ -60,7 +60,8 @@ func TestIdleConnectionsPinNoFrames(t *testing.T) {
 	})
 	payload := bytes.Repeat([]byte{7}, 1<<20)
 	heap := func() uint64 {
-		// Two collections: sync.Pool keeps a victim generation through one.
+		// Two collections: the head pool keeps a victim generation
+		// through one.
 		runtime.GC()
 		runtime.GC()
 		var ms runtime.MemStats

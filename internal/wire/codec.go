@@ -388,7 +388,7 @@ func checkParts(parts []Part, dataLen int) error {
 // readRequestV2 reads one request frame and decodes it into req, which
 // holds the frame while Data views it (until req.Release).
 func readRequestV2(r io.Reader, req *Request) error {
-	f, err := readFrame(r)
+	f, err := readFrame(r, false)
 	if err != nil {
 		return err
 	}
@@ -472,7 +472,7 @@ func writeResponseV2(w io.Writer, id uint64, resp *Response) error {
 // readResponseV2 reads one response frame and decodes it into resp,
 // which holds the frame while Data views it (until resp.Release).
 func readResponseV2(r io.Reader, resp *Response) error {
-	f, err := readFrame(r)
+	f, err := readFrame(r, true)
 	if err != nil {
 		return err
 	}

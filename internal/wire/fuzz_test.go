@@ -188,7 +188,7 @@ func reuseFrames(t *testing.T, frame []byte) {
 	other := bytes.Clone(frame)
 	scribble(other[4:])
 	for i := 0; i < 3; i++ {
-		f, err := readFrame(bytes.NewReader(other))
+		f, err := readFrame(bytes.NewReader(other), false)
 		if err != nil {
 			t.Fatalf("re-reading a frame: %v", err)
 		}

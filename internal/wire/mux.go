@@ -389,11 +389,13 @@ func (m *muxConn) call(ctx context.Context, addr string, req *Request, timeout t
 // Handler processes one request. Handlers run concurrently (bounded by
 // the server's inflight limit), so they must be safe for concurrent
 // use. The *Request is reused for a later request once the handler
-// returns, so a handler must not keep the pointer. Data is valid until
-// the handler returns: it is a view into the receive frame, which goes
-// back to the pool once the response has been written — so a response
-// may carry it, but a handler that keeps the bytes must copy them. The
-// same holds for Parts, the slice and every Key and Data in it. The
+// returns, so a handler must not keep the pointer. Data is a view into
+// the receive frame, which Serve releases once the response has been
+// written — so a response may carry it, but a handler that keeps the
+// bytes must copy them or retain the frame (Request.Retain). The same
+// holds for Parts, the slice and every Key and Data in it. A handler
+// that answers a fetch part with bytes of a frame it retained holds
+// that frame on the part (Part.Hold) until Serve has written it. The
 // strings and the Names slice are the handler's own to keep. The
 // response is only read, so a handler may return a shared one; one a
 // Pool call returned — a proxy forwarding an answer — hands its receive
@@ -480,14 +482,25 @@ func (sc *serveConn) work(w *serveWorker) {
 		sc.wmu.Unlock()
 		w.req.Release()
 		releaseFrame(&resp.frame) // a forwarded response's, once sent
+		// Drop the answers' pins (Part.Hold): the answered parts are the
+		// worker's own list, or the response's.
+		dropHolds(resp.Parts)
+		parts := w.req.Parts
+		dropHolds(parts)
 		// Let the request's fields go before idling, but keep a small
 		// parts list for the worker's next group.
-		parts := w.req.Parts
 		clear(parts)
 		if cap(parts) > maxPooledPieces {
 			parts = nil
 		}
 		w.req = Request{Parts: parts[:0]}
 		sc.idle <- w
+	}
+}
+
+// dropHolds releases the frames parts hold (see Part.Hold).
+func dropHolds(parts []Part) {
+	for i := range parts {
+		releaseFrame(&parts[i].hold)
 	}
 }

@@ -493,9 +493,9 @@ func TestFullSegmentFramePooled(t *testing.T) {
 	}
 	raw := frame.Bytes()
 
-	// sync.Pool may drop an entry (it does so at random under the race
-	// detector, and at a GC), so reuse is required of some frame in a
-	// run, not of every one.
+	// A pool may drop an entry (the head pool does so at random under
+	// the race detector, and either pool at a GC), so reuse is required
+	// of some frame in a run, not of every one.
 	const frames = 8
 	var last *byte
 	reused := false
@@ -519,7 +519,7 @@ func TestFullSegmentFramePooled(t *testing.T) {
 
 	last, reused = nil, false
 	for i := 0; i < frames; i++ {
-		f, err := readFrame(bytes.NewReader(raw))
+		f, err := readFrame(bytes.NewReader(raw), false)
 		if err != nil {
 			t.Fatal(err)
 		}

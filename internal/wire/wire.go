@@ -21,6 +21,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"weak"
 
 	"peerstripe/internal/ids"
 )
@@ -82,6 +83,8 @@ type Part struct {
 	Off, Len int64 // fetch request: the byte range asked for
 	Data     []byte
 	Absent   bool // fetch response: the holder has no block by this name
+
+	hold *frameBuf // the frame an answer's Data views, pinned until sent (see Hold)
 }
 
 // Request is the client-to-server message.
@@ -134,20 +137,67 @@ type Response struct {
 	frame *frameBuf
 }
 
-// Release gives the receive frame Data is a view of back to the frame
-// pool and sets Data to nil. Releasing a message twice, or one that was
-// not read off a connection, does nothing.
+// Release drops the message's reference to the receive frame Data is
+// a view of and sets Data to nil; the frame goes back to its pool once
+// nothing retains it (see Retain). Releasing a message twice, or one
+// that was not read off a connection, does nothing.
 func (r *Request) Release() {
 	r.Data = nil
 	releaseFrame(&r.frame)
 }
 
-// Release gives the receive frame Data is a view of back to the frame
-// pool and sets Data to nil. Releasing a response twice, or one that
-// was not read off a connection, does nothing.
+// Retain takes a reference of the caller's own to the receive frame
+// the request's Data and Parts view, so they stay valid past Release
+// until the returned Frame is released. A request that holds no frame
+// — nothing of it views one, or it was not read off a connection —
+// returns the zero Frame.
+func (r *Request) Retain() Frame {
+	if r.frame == nil {
+		return Frame{}
+	}
+	r.frame.refs.Add(1)
+	return Frame{r.frame}
+}
+
+// Release drops the response's reference to the receive frame Data is
+// a view of and sets Data to nil. Releasing a response twice, or one
+// that was not read off a connection, does nothing.
 func (r *Response) Release() {
 	r.Data = nil
 	releaseFrame(&r.frame)
+}
+
+// Frame is a reference to a pooled receive frame, taken with
+// Request.Retain: the bytes of the request that view the frame stay
+// valid until Release. The zero Frame holds nothing.
+type Frame struct{ buf *frameBuf }
+
+// Release drops the reference and clears f; the last reference to go
+// returns the frame to its pool. Releasing a cleared Frame does
+// nothing.
+func (f *Frame) Release() { releaseFrame(&f.buf) }
+
+// Cap returns the capacity of the frame's buffer: the memory the
+// reference keeps, which its size class may round up past the frame's
+// own length.
+func (f Frame) Cap() int {
+	if f.buf == nil {
+		return 0
+	}
+	return cap(f.buf.b)
+}
+
+// Hold pins f for as long as the response that answers with p is being
+// written: Serve drops the pin once it has written the response. A
+// handler answering with bytes it retained holds their frame on each
+// part it answers with, so a release that races the write cannot hand
+// the frame to another message while its bytes are still being sent.
+func (p *Part) Hold(f Frame) {
+	releaseFrame(&p.hold)
+	if f.buf != nil {
+		f.buf.refs.Add(1)
+		p.hold = f.buf
+	}
 }
 
 // MaxFrame bounds a single message (64 MiB) to keep a misbehaving peer
@@ -164,35 +214,68 @@ const frameGrowStep = 1 << 20
 // fields, a node descriptor.
 const frameHeaderSlack = 4 << 10
 
-// maxPooledFrame caps the capacity of buffers returned to the pool: a
-// frame carrying one full transfer segment, the largest the data path
-// sends in steady state, must fit. The occasional giant frame is let go
-// to the GC instead of pinning tens of megabytes per pooled buffer.
+// maxPooledFrame is the largest frame the pools keep: one carrying a
+// full transfer segment, the largest the data path sends in steady
+// state. The occasional giant frame is let go to the GC instead of
+// pinning tens of megabytes per pooled buffer.
 const maxPooledFrame = DefaultSegment + frameHeaderSlack
 
-// frameBuf is a pooled receive buffer. Where bytes.Buffer at least
-// doubles when it grows — which takes a buffer that must hold one
-// segment and its header to two segments, past maxPooledFrame — a
-// frameBuf can be grown to an exact size.
+// frameClasses is the number of pooled size classes. Class k holds
+// frames whose payload — what is left past frameHeaderSlack — is at
+// most 1<<k bytes, in buffers of exactly classSize(k): payloads of 1 B
+// up to DefaultSegment (1<<22).
+const frameClasses = 23
+
+// classSize is the capacity of a class-k frame buffer.
+func classSize(k int) int { return 1<<k + frameHeaderSlack }
+
+// frameClass returns the class of a frame of size bytes, or false for
+// a frame too large to pool.
+func frameClass(size int) (int, bool) {
+	if size > maxPooledFrame {
+		return 0, false
+	}
+	payload := max(size-frameHeaderSlack, 1)
+	return bits.Len(uint(payload - 1)), true
+}
+
+// frameBuf is a pooled receive buffer with a reference count. Where
+// bytes.Buffer at least doubles when it grows — which takes a buffer
+// that must hold one segment and its header to two segments, past
+// maxPooledFrame — a frameBuf can be grown to an exact size.
+//
+// readFrame hands the buffer out with one reference, which the message
+// decoded from it owns; Request.Retain and Part.Hold take more. The
+// last release returns the buffer to the pool of its class.
 type frameBuf struct {
 	leak leakWatch // first: empty without the race detector, it then takes no room
+	refs atomic.Int32
 	b    []byte
 }
 
-// reserve makes room for n more bytes of a frame of size bytes. A new
-// backing array has no capacity to spare, except when the room
-// completes a frame the pool keeps: that buffer is rounded up to a
-// payload of a power of two plus frameHeaderSlack (at most
-// maxPooledFrame, which has that form), so frames of nearby sizes — an
-// owner group's varies with how many blocks its owner holds — find a
-// pooled buffer that holds them instead of regrowing it, and a block of
-// a power of two with its header fits its class exactly.
+// reserve makes room for n more bytes of a frame of size bytes. It
+// moves the bytes so far to a pooled buffer with the room, or else to a
+// new backing array with no capacity to spare, except when the room
+// completes a frame the pools keep: that buffer gets its class's size,
+// so it goes back to that class's pool, and a stored block viewing it
+// holds less than twice its bytes. A pooled buffer costs the growth no
+// allocation, and the buffer left behind goes back to its own pool:
+// a frame read on a connection's read loop then holds up the requests
+// behind it for no zeroing of fresh memory.
 func (f *frameBuf) reserve(n, size int) {
 	if cap(f.b)-len(f.b) < n {
 		c := len(f.b) + n
-		if c == size && size <= maxPooledFrame {
-			payload := max(size-frameHeaderSlack, 1)
-			c = min(1<<bits.Len(uint(payload-1))+frameHeaderSlack, maxPooledFrame)
+		if k, ok := frameClass(size); ok && c == size {
+			c = classSize(k)
+		}
+		if k, ok := frameClass(c); ok {
+			if p := takeFrameBuf(k); p != nil {
+				b := p.b[:len(f.b)]
+				copy(b, f.b)
+				f.b, p.b = b, f.b
+				putFrameBuf(p)
+				return
+			}
 		}
 		b := make([]byte, len(f.b), c)
 		copy(b, f.b)
@@ -200,17 +283,93 @@ func (f *frameBuf) reserve(n, size int) {
 	}
 }
 
-var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
+// framePools keeps released frame buffers by size class, so a request
+// frame gets a buffer of its own class: a small one never takes, and a
+// block never pins, a segment-sized buffer.
+var framePools [frameClasses]framePool
 
-func getFrameBuf() *frameBuf {
-	buf := framePool.Get().(*frameBuf)
-	buf.b = buf.b[:0]
-	return buf
+// framePool is one class's free list. Like the client's recycler it
+// holds weak pointers only, so a buffer is reused between collections
+// and freed by the next one if it is still idle: idle buffers never
+// count as live heap. A sync.Pool keeps them through a collection, and
+// with frames going back as their stored blocks are overwritten, at a
+// size the next store may not want, the idle ones of every class raised
+// checkpoint's peak RSS by a third. One list per class also hands a
+// buffer released on one processor to a frame read on another, which a
+// sync.Pool's per-processor slot does not.
+type framePool struct {
+	mu   sync.Mutex
+	free []weak.Pointer[frameBuf]
 }
 
+// maxFreeFrames bounds a class's free list. Its entries keep nothing
+// alive, so the bound is on the list alone: a full list is compacted,
+// and a buffer released past the bound goes to the collector.
+const maxFreeFrames = 1024
+
+// getFrameBuf returns an empty buffer for a frame of size bytes: a
+// pooled one of the frame's class, which holds it, or else a new one
+// for readFrame to grow as the bytes arrive. A transient frame — one
+// no handler can retain, a response — takes a pooled buffer of up to
+// two classes larger before a new one: it goes back as soon as its
+// reader is done, so the room it wastes is never kept, and a small
+// answer does not take the large buffers stores need.
+func getFrameBuf(size int, transient bool) *frameBuf {
+	if k, ok := frameClass(size); ok {
+		last := k
+		if transient {
+			last = min(k+2, frameClasses-1)
+		}
+		for ; k <= last; k++ {
+			if buf := takeFrameBuf(k); buf != nil {
+				buf.b = buf.b[:0]
+				return buf
+			}
+		}
+	}
+	return new(frameBuf)
+}
+
+// takeFrameBuf returns the most recently released live buffer of class
+// k, or nil.
+func takeFrameBuf(k int) *frameBuf {
+	p := &framePools[k]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for n := len(p.free); n > 0; n-- {
+		buf := p.free[n-1].Value()
+		p.free = p.free[:n-1]
+		if buf != nil {
+			return buf
+		}
+	}
+	return nil
+}
+
+// putFrameBuf pools a buffer whose capacity is its class's size; any
+// other — too large, or left part-grown by a failed read — goes to the
+// collector.
 func putFrameBuf(buf *frameBuf) {
-	if cap(buf.b) <= maxPooledFrame {
-		framePool.Put(buf)
+	k, ok := frameClass(cap(buf.b))
+	if !ok || cap(buf.b) != classSize(k) {
+		return
+	}
+	w := weak.Make(buf)
+	p := &framePools[k]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.free) == maxFreeFrames {
+		kept := p.free[:0]
+		for _, e := range p.free {
+			if e.Value() != nil {
+				kept = append(kept, e)
+			}
+		}
+		clear(p.free[len(kept):])
+		p.free = kept
+	}
+	if len(p.free) < maxFreeFrames {
+		p.free = append(p.free, w)
 	}
 }
 
@@ -219,14 +378,21 @@ func putFrameBuf(buf *frameBuf) {
 // were there, which the byte-verifying suites catch.
 const poisonByte = 0xdb
 
-// releaseFrame gives *f back to the pool, poisoned under the race
-// detector, and clears *f so a second release is a no-op.
+// releaseFrame drops the reference *f holds and clears *f, so a second
+// release through it is a no-op. The last reference gives the buffer
+// back to its pool, poisoned under the race detector.
 func releaseFrame(f **frameBuf) {
 	buf := *f
 	if buf == nil {
 		return
 	}
 	*f = nil
+	switch n := buf.refs.Add(-1); {
+	case n > 0:
+		return
+	case n < 0:
+		panic("wire: receive frame released more often than it was retained")
+	}
 	if raceEnabled {
 		buf.unwatch()
 		for i := range buf.b {
@@ -267,14 +433,16 @@ func LeakedFrames() int64 {
 }
 
 // readFrame reads one length-prefixed frame body into a pooled buffer
-// that grows with the bytes actually received — each step at most
-// doubles what has arrived, never trusting the header's length for the
+// of the frame's class, which holds it, or else into a new buffer that
+// grows with the bytes actually received — each step at most doubles
+// what has arrived, never trusting the header's length for the
 // allocation, and the last step lands on the frame's exact size, or on
-// its rounded-up class for a frame the pool keeps (see reserve). The
-// caller owns the buffer: it releases it, or hands it to the message
-// decoded from it. No buffer is taken before the length prefix has
-// arrived, so a connection idling between frames pins none.
-func readFrame(r io.Reader) (*frameBuf, error) {
+// its class's for a frame the pools keep (see reserve). The caller owns
+// the buffer's one reference: it releases it, or hands it to the
+// message decoded from it. A transient frame may take a pooled buffer
+// of a larger class (see getFrameBuf). No buffer is taken before the length prefix
+// has arrived, so a connection idling between frames pins none.
+func readFrame(r io.Reader, transient bool) (*frameBuf, error) {
 	size, err := readFrameLen(r)
 	if err != nil {
 		return nil, err
@@ -283,7 +451,8 @@ func readFrame(r io.Reader) (*frameBuf, error) {
 		return nil, fmt.Errorf("wire: incoming frame of %d bytes exceeds limit", size)
 	}
 	n := int(size)
-	buf := getFrameBuf()
+	buf := getFrameBuf(n, transient)
+	buf.refs.Store(1)
 	for got := 0; got < n; got = len(buf.b) {
 		step := n - got
 		if cap(buf.b) < n {
