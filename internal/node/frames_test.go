@@ -263,6 +263,56 @@ func TestFrameBytesGauge(t *testing.T) {
 	}
 }
 
+// TestFrameBudgetBoundsTinyBlocks stores 1-byte blocks until the node
+// refuses one. Each keeps a frame of over 4 KiB, its class's header
+// slack, so the node's capacity alone would let a client make it hold
+// thousands of times that in frames: the frame budget must refuse the
+// store that would pass it, ps_node_frame_bytes must stay inside it,
+// the refusal must come within a frame of the budget, and the refused
+// store must keep nothing.
+func TestFrameBudgetBoundsTinyBlocks(t *testing.T) {
+	const capacity = 1 << 20
+	s, err := NewServer("127.0.0.1:0", capacity, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	p := wire.NewPool()
+	defer p.Close()
+	budget := s.frameBudget()
+	stored := 0
+	for ; ; stored++ {
+		if stored > int(budget>>12) {
+			t.Fatalf("%d 1-byte blocks stored, %d bytes of frames kept, no refusal", stored, frameBytes(s))
+		}
+		before := frameBytes(s)
+		resp := frameCall(t, p, s.Addr(), &wire.Request{Op: wire.OpStore, Name: fmt.Sprint("tiny", stored), Data: []byte{byte(stored)}})
+		if !resp.OK {
+			if got := frameBytes(s); got != before || s.NumBlocks() != stored {
+				t.Fatalf("a refused store changed the frame bytes %d → %d and left %d blocks of %d", before, got, s.NumBlocks(), stored)
+			}
+			break
+		}
+		if got := frameBytes(s); got > budget {
+			t.Fatalf("%d 1-byte blocks keep %d bytes of frames, past the budget of %d", stored+1, got, budget)
+		}
+	}
+	t.Logf("%d 1-byte blocks (%d bytes used) keep %d bytes of frames; capacity %d, budget %d", stored, s.Used(), frameBytes(s), capacity, budget)
+	if s.Used() != int64(stored) || frameBytes(s) > budget || budget-frameBytes(s) > 8<<10 {
+		t.Fatalf("refused after %d blocks, %d bytes used, %d frame bytes kept of a budget of %d", stored, s.Used(), frameBytes(s), budget)
+	}
+	for i := 0; i < stored; i++ {
+		frameCall(t, p, s.Addr(), &wire.Request{Op: wire.OpDelete, Name: fmt.Sprint("tiny", i)})
+	}
+	if got := frameBytes(s); got != 0 || s.Used() != 0 {
+		t.Fatalf("after deleting every block: %d frame bytes, %d used", got, s.Used())
+	}
+	// With the frames back, the node takes a store again.
+	if resp := frameCall(t, p, s.Addr(), &wire.Request{Op: wire.OpStore, Name: "again", Data: []byte{1}}); !resp.OK {
+		t.Fatalf("an emptied node refused a 1-byte block: %s", resp.Err)
+	}
+}
+
 // TestCloseReleasesBlockFrames checks that a closed node gives back the
 // frames its blocks kept, as a departing desktop drops what it held.
 func TestCloseReleasesBlockFrames(t *testing.T) {

@@ -436,7 +436,11 @@ func (s *Server) dispatch(req *wire.Request) *wire.Response {
 		if !s.fitsLocked(req.Name, size) {
 			return noSpace
 		}
-		s.putLocked(req.Name, storedBlock{data: req.Data, size: size, held: s.holdLocked(req, 1)})
+		held, ok := s.holdLocked(req, 1)
+		if !ok {
+			return noSpace
+		}
+		s.putLocked(req.Name, storedBlock{data: req.Data, size: size, held: held})
 		return okResp
 	case wire.OpStoreWindow:
 		return s.handleStoreWindow(req)
@@ -483,7 +487,8 @@ func (s *Server) dispatch(req *wire.Request) *wire.Response {
 // response, so an accepted store or delete allocates none.
 var okResp = &wire.Response{OK: true}
 
-// noSpace refuses a store past the node's capacity.
+// noSpace refuses a store past the node's capacity, or past the frame
+// memory its blocks may keep (see frameBudget).
 var noSpace = &wire.Response{Err: "no space"}
 
 // noBlock is the refusal for a block this node does not hold — the
@@ -533,19 +538,36 @@ func (s *Server) putLocked(name string, b storedBlock) {
 }
 
 // holdLocked retains req's receive frame for the n blocks about to be
-// stored from it, or returns nil when they keep none: in discard mode,
-// or when no frame holds the request's bytes — it had none, or it was
-// not read off a connection.
-func (s *Server) holdLocked(req *wire.Request, n int) *heldFrame {
+// stored from it. It returns nil when they keep none — in discard mode,
+// or when no frame holds the request's bytes: it had none, or it was
+// not read off a connection — and refuses (false), retaining nothing,
+// when the frame would take the frames blocks keep past frameBudget.
+func (s *Server) holdLocked(req *wire.Request, n int) (*heldFrame, bool) {
 	if s.discard {
-		return nil
+		return nil, true
 	}
 	f := req.Retain()
 	if f == (wire.Frame{}) {
-		return nil
+		return nil, true
+	}
+	if s.frameBytes+int64(f.Cap()) > s.frameBudget() {
+		f.Release()
+		return nil, false
 	}
 	s.frameBytes += int64(f.Cap())
-	return &heldFrame{frame: f, blocks: n}
+	return &heldFrame{frame: f, blocks: n}, true
+}
+
+// frameBudget bounds the frame capacity stored blocks keep, so a node
+// gives its donor's memory no more than it advertised, whatever the
+// sizes of the blocks it is sent: twice capacity, as a size class
+// keeps a large frame under twice its bytes, plus one segment for the
+// header slack that rounds small frames up. Each small block keeps a
+// frame of at least that slack — a 1-byte block over 4 KiB — so without
+// a budget a client storing tiny blocks could make a node hold
+// thousands of times its capacity while used stays small.
+func (s *Server) frameBudget() int64 {
+	return 2*s.capacity + wire.DefaultSegment
 }
 
 // dropFrameLocked lets a deleted or overwritten block's frame go: the
@@ -562,12 +584,12 @@ func (s *Server) dropFrameLocked(h *heldFrame) {
 }
 
 // storeGroup serves a store group (see wire.Part): the group is checked
-// against capacity as a whole and commits under one lock, or is refused
-// whole — a full node or a name twice in one group leaves used, the
-// block map and every frame's references as they were. Each block
-// keeps its bytes where they lie, in the receive frame, which the
-// group's blocks hold together: nothing is copied, and the lock covers
-// bookkeeping only.
+// against capacity and the frame budget as a whole and commits under
+// one lock, or is refused whole — a full node or a name twice in one
+// group leaves used, the block map and every frame's references as
+// they were. Each block keeps its bytes where they lie, in the receive
+// frame, which the group's blocks hold together: nothing is copied, and
+// the lock covers bookkeeping only.
 func (s *Server) storeGroup(req *wire.Request) *wire.Response {
 	if dup := duplicateKey(req.Parts); dup >= 0 {
 		return &wire.Response{Err: fmt.Sprintf("block %q twice in one group", req.Name+string(req.Parts[dup].Key))}
@@ -585,7 +607,10 @@ func (s *Server) storeGroup(req *wire.Request) *wire.Response {
 	if s.used+delta > s.capacity {
 		return noSpace
 	}
-	held := s.holdLocked(req, len(names))
+	held, ok := s.holdLocked(req, len(names))
+	if !ok {
+		return noSpace
+	}
 	for i, name := range names {
 		data := req.Parts[i].Data
 		s.putLocked(name, storedBlock{data: data, size: int64(len(data)), held: held})

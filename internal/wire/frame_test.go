@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -61,6 +62,53 @@ func TestFrameGetsItsOwnClass(t *testing.T) {
 			releaseFrame(&f)
 		}
 	}
+}
+
+// TestResponseFrameTakesNextClass checks the one exception to a
+// frame's own class: with its class's free list empty, a response frame
+// takes a free buffer of the next class up, never two up, and a request
+// frame, which a handler may keep, takes neither.
+func TestResponseFrameTakesNextClass(t *testing.T) {
+	raw := encodedRequest(t, &Request{Op: OpFetch, Name: "blk", Data: make([]byte, 64<<10)})
+	k, _ := frameClass(len(raw) - 4)
+	read := func(response bool) *frameBuf {
+		t.Helper()
+		f, err := readFrame(bytes.NewReader(raw), response)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	drain := func() {
+		for _, c := range []int{k, k + 1, k + 2} {
+			for takeFrameBuf(c) != nil {
+			}
+		}
+	}
+	free := func(c int) *frameBuf { // a free buffer of class c, kept alive by the caller
+		buf := &frameBuf{b: make([]byte, 0, classSize(c))}
+		putFrameBuf(buf)
+		return buf
+	}
+	for _, tc := range []struct {
+		response bool
+		free     int
+		want     int
+	}{
+		{true, k + 1, classSize(k + 1)},
+		{true, k + 2, classSize(k)},
+		{false, k + 1, classSize(k)},
+	} {
+		drain()
+		kept := free(tc.free)
+		f := read(tc.response)
+		if cap(f.b) != tc.want {
+			t.Errorf("response %v, a free buffer of class %d (frame class %d): read into %d bytes, want %d", tc.response, tc.free, k, cap(f.b), tc.want)
+		}
+		releaseFrame(&f)
+		runtime.KeepAlive(kept)
+	}
+	drain()
 }
 
 // TestRetainOutlivesRelease checks the reference count: a retained

@@ -253,29 +253,16 @@ type frameBuf struct {
 	b    []byte
 }
 
-// reserve makes room for n more bytes of a frame of size bytes. It
-// moves the bytes so far to a pooled buffer with the room, or else to a
-// new backing array with no capacity to spare, except when the room
+// reserve makes room for n more bytes of a frame of size bytes. A new
+// backing array has no capacity to spare, except when the room
 // completes a frame the pools keep: that buffer gets its class's size,
 // so it goes back to that class's pool, and a stored block viewing it
-// holds less than twice its bytes. A pooled buffer costs the growth no
-// allocation, and the buffer left behind goes back to its own pool:
-// a frame read on a connection's read loop then holds up the requests
-// behind it for no zeroing of fresh memory.
+// holds less than twice its bytes.
 func (f *frameBuf) reserve(n, size int) {
 	if cap(f.b)-len(f.b) < n {
 		c := len(f.b) + n
 		if k, ok := frameClass(size); ok && c == size {
 			c = classSize(k)
-		}
-		if k, ok := frameClass(c); ok {
-			if p := takeFrameBuf(k); p != nil {
-				b := p.b[:len(f.b)]
-				copy(b, f.b)
-				f.b, p.b = b, f.b
-				putFrameBuf(p)
-				return
-			}
 		}
 		b := make([]byte, len(f.b), c)
 		copy(b, f.b)
@@ -296,7 +283,11 @@ var framePools [frameClasses]framePool
 // size the next store may not want, the idle ones of every class raised
 // checkpoint's peak RSS by a third. One list per class also hands a
 // buffer released on one processor to a frame read on another, which a
-// sync.Pool's per-processor slot does not.
+// sync.Pool's per-processor slot does not. The two lists share only the
+// weak pointers: the recycler searches eight buffers of mixed sizes for
+// the smallest that fits, while a class's buffers are all one size, so
+// taking one is popping the last live entry, the most recently
+// released and still in cache, on a path every frame takes.
 type framePool struct {
 	mu   sync.Mutex
 	free []weak.Pointer[frameBuf]
@@ -309,25 +300,28 @@ const maxFreeFrames = 1024
 
 // getFrameBuf returns an empty buffer for a frame of size bytes: a
 // pooled one of the frame's class, which holds it, or else a new one
-// for readFrame to grow as the bytes arrive. A transient frame — one
-// no handler can retain, a response — takes a pooled buffer of up to
-// two classes larger before a new one: it goes back as soon as its
-// reader is done, so the room it wastes is never kept, and a small
-// answer does not take the large buffers stores need.
-func getFrameBuf(size int, transient bool) *frameBuf {
-	if k, ok := frameClass(size); ok {
-		last := k
-		if transient {
-			last = min(k+2, frameClasses-1)
-		}
-		for ; k <= last; k++ {
-			if buf := takeFrameBuf(k); buf != nil {
-				buf.b = buf.b[:0]
-				return buf
-			}
-		}
+// for readFrame to grow as the bytes arrive. A response frame, which
+// no handler can keep, may also take a free buffer of the next class
+// up: the room it wastes goes back with the frame once its reader is
+// done. It is there for the client's reads: run beside
+// TestStoreBytesAllocBudget, TestWriteToAllocBudget read over
+// its 0.10 B/B budget in 1 of 100 runs and up to 0.085 in others; with
+// the next class, at most 0.045 in 140 (docs/PERF.md "Frame
+// acquisition, simplified").
+func getFrameBuf(size int, response bool) *frameBuf {
+	k, ok := frameClass(size)
+	if !ok {
+		return new(frameBuf)
 	}
-	return new(frameBuf)
+	buf := takeFrameBuf(k)
+	if buf == nil && response && k+1 < frameClasses {
+		buf = takeFrameBuf(k + 1)
+	}
+	if buf == nil {
+		return new(frameBuf)
+	}
+	buf.b = buf.b[:0]
+	return buf
 }
 
 // takeFrameBuf returns the most recently released live buffer of class
@@ -439,10 +433,11 @@ func LeakedFrames() int64 {
 // allocation, and the last step lands on the frame's exact size, or on
 // its class's for a frame the pools keep (see reserve). The caller owns
 // the buffer's one reference: it releases it, or hands it to the
-// message decoded from it. A transient frame may take a pooled buffer
-// of a larger class (see getFrameBuf). No buffer is taken before the length prefix
-// has arrived, so a connection idling between frames pins none.
-func readFrame(r io.Reader, transient bool) (*frameBuf, error) {
+// message decoded from it. A response frame may take a pooled buffer
+// of the next class up (see getFrameBuf). No buffer is taken before the
+// length prefix has arrived, so a connection idling between frames pins
+// none.
+func readFrame(r io.Reader, response bool) (*frameBuf, error) {
 	size, err := readFrameLen(r)
 	if err != nil {
 		return nil, err
@@ -451,7 +446,7 @@ func readFrame(r io.Reader, transient bool) (*frameBuf, error) {
 		return nil, fmt.Errorf("wire: incoming frame of %d bytes exceeds limit", size)
 	}
 	n := int(size)
-	buf := getFrameBuf(n, transient)
+	buf := getFrameBuf(n, response)
 	buf.refs.Store(1)
 	for got := 0; got < n; got = len(buf.b) {
 		step := n - got
